@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -152,10 +153,14 @@ class MomentStateSystem:
     def moment_names(self) -> tuple[str, ...]:
         return tuple(monomial_name(self.state_vars, mi) for mi in self.basis)
 
+    @cached_property
+    def _moment_positions(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.moment_names())}
+
     def moment_index(self, name: str) -> int:
         try:
-            return self.moment_names().index(name)
-        except ValueError:
+            return self._moment_positions[name]
+        except KeyError:
             raise KeyError(f"moment {name!r} is not in the compiled basis") from None
 
 
@@ -335,6 +340,8 @@ def _pair_line(pair: TrigPair) -> str:
 def _parse_pair_line(line: str) -> TrigPair:
     cos_var, sin_var, source, shift = line.split()
     num, den = shift.split("/")
+    if int(den) == 0:
+        raise ValueError(f"zero denominator in pair line {line!r}")
     return TrigPair(
         cos_var,
         sin_var,
@@ -370,35 +377,86 @@ def dumps(msys: MomentStateSystem) -> str:
 
 
 def loads(text: str) -> MomentStateSystem:
-    """Parse the text produced by :func:`dumps`."""
+    """Parse the text produced by :func:`dumps`.
+
+    Any text that is not a whole, self-consistent file (truncated, an index
+    out of range, a multi-index of the wrong length, trailing lines) raises
+    ValueError.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     it = iter(lines)
 
-    def take(prefix: str) -> str:
-        line = next(it)
-        if not line.startswith(prefix):
-            raise ValueError(f"expected {prefix!r} line in compiled-system file, got {line!r}")
-        return line[len(prefix):].strip()
+    def line() -> str:
+        try:
+            return next(it)
+        except StopIteration:
+            raise ValueError("compiled-system file is truncated") from None
 
-    if next(it).strip() != _FORMAT_HEADER:
+    def take(prefix: str) -> str:
+        ln = line()
+        if not ln.startswith(prefix):
+            raise ValueError(f"expected {prefix!r} line in compiled-system file, got {ln!r}")
+        return ln[len(prefix):].strip()
+
+    def count(prefix: str) -> int:
+        n = int(take(prefix))
+        if n < 0:
+            raise ValueError(f"negative {prefix} count in compiled-system file")
+        return n
+
+    def multi_index(fields: str, width: int, what: str) -> MultiIndex:
+        exps = fields.split()
+        if len(exps) != width:
+            raise ValueError(f"{what} multi-index {fields!r} has {len(exps)} entries, expected {width}")
+        return MultiIndex(int(x) for x in exps)
+
+    def pairs(prefix: str, names: tuple[str, ...]) -> tuple[TrigPair, ...]:
+        out = tuple(_parse_pair_line(line()) for _ in range(count(prefix)))
+        for p in out:
+            if p.cos_var not in names or p.sin_var not in names:
+                raise ValueError(f"{prefix} entry ({p.cos_var}, {p.sin_var}) names an undeclared variable")
+        return out
+
+    if line().strip() != _FORMAT_HEADER:
         raise ValueError("not a compiled moment-system file (bad header)")
-    reduced = bool(int(take("reduced")))
+    reduced_s = take("reduced")
+    if reduced_s not in ("0", "1"):
+        raise ValueError(f"'reduced' must be 0 or 1, got {reduced_s!r}")
+    reduced = reduced_s == "1"
     state_vars = tuple(take("statevars").split())
     dist_vars = tuple(take("distvars").split())
-    state_pairs = tuple(_parse_pair_line(next(it)) for _ in range(int(take("statepairs"))))
-    dist_pairs = tuple(_parse_pair_line(next(it)) for _ in range(int(take("distpairs"))))
-    n_basis = int(take("basis"))
-    elements = [MultiIndex(int(x) for x in next(it).split()) for _ in range(n_basis)]
+    state_pairs = pairs("statepairs", state_vars)
+    dist_pairs = pairs("distpairs", dist_vars)
+    n_basis = count("basis")
+    elements = [multi_index(line(), len(state_vars), "basis") for _ in range(n_basis)]
     basis = MomentBasis(elements)
     terms_per_target: list[list[MufTerm]] = [[] for _ in range(n_basis)]
-    for _ in range(int(take("terms"))):
-        target_s, coeff_s, beta_w_s, factors_s = [p.strip() for p in next(it).split("|")]
-        num, den = coeff_s.split("/")
-        beta_w = MultiIndex(int(x) for x in beta_w_s.split()) if beta_w_s else MultiIndex.zero(len(dist_vars))
-        factors = tuple(elements[int(j)] for j in factors_s.split()) if factors_s else ()
-        terms_per_target[int(target_s)].append(
-            MufTerm(Fraction(int(num), int(den)), beta_w, factors)
+    # Terms repeat few distinct coefficients and disturbance indices: parse each once.
+    coeffs: dict[str, Fraction] = {}
+    dist_indices: dict[str, MultiIndex] = {}
+    for _ in range(count("terms")):
+        ln = line()
+        fields = [p.strip() for p in ln.split("|")]
+        if len(fields) != 4:
+            raise ValueError(f"term line needs 4 '|'-separated fields: {ln!r}")
+        target_s, coeff_s, beta_w_s, factors_s = fields
+        if coeff_s not in coeffs:
+            num, den = coeff_s.split("/")
+            if int(den) == 0:
+                raise ValueError(f"zero denominator in term line {ln!r}")
+            coeffs[coeff_s] = Fraction(int(num), int(den))
+        if beta_w_s not in dist_indices:
+            dist_indices[beta_w_s] = multi_index(beta_w_s, len(dist_vars), "disturbance")
+        target = int(target_s)
+        factor_idx = [int(j) for j in factors_s.split()]
+        if not all(0 <= j < n_basis for j in (target, *factor_idx)):
+            raise ValueError(f"basis index out of range in term line {ln!r}")
+        terms_per_target[target].append(
+            MufTerm(coeffs[coeff_s], dist_indices[beta_w_s], tuple(elements[j] for j in factor_idx))
         )
+    extra = next(it, None)
+    if extra is not None:
+        raise ValueError(f"unexpected line after the terms of a compiled-system file: {extra!r}")
     forms = tuple(
         MomentUpdateForm(elements[i], tuple(terms), reduced)
         for i, terms in enumerate(terms_per_target)

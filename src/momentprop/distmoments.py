@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -257,6 +258,7 @@ class DisturbanceModel:
     ):
         dist_vars = tuple(system.dist_vars)
         pairs = tuple(system.dist_pairs)
+        self._system = system
         self.dist_vars = dist_vars
         self.distributions = dict(distributions)
         self.shifts = {name: np.asarray(vals, dtype=float) for name, vals in (shifts or {}).items()}
@@ -327,15 +329,104 @@ class DisturbanceModel:
                 out = out * trig_moment(self._dist_of(slot.source), total_shift, m, n)
         return out
 
+    def _table_layout(self, requirements: Sequence[MultiIndex]) -> "_TableLayout":
+        """Layout of `requirements`, cached on the bound system (one per system)."""
+        cached = getattr(self._system, "_moment_table_layout", None)
+        if cached is not None and (
+            cached.requirements is requirements or cached.requirements == tuple(requirements)
+        ):
+            return cached
+        layout = _TableLayout.build(tuple(requirements), self)
+        object.__setattr__(self._system, "_moment_table_layout", layout)
+        return layout
+
     def moment_table(
         self, requirements: Sequence[MultiIndex], n_steps: int, start: int = 0
     ) -> np.ndarray:
         """(n_steps, len(requirements)) table of disturbance moments per step.
 
-        Row k holds the moments for step `start + k`.
+        Row k holds the moments for step `start + k`; each column equals
+        :meth:`moment` of its requirement.  Every needed raw moment and
+        trigonometric moment is evaluated once per slot over all steps, and
+        each requirement is the product of its slot moments.
         """
+        layout = self._table_layout(requirements)
         steps = np.arange(start, start + n_steps)
-        table = np.empty((n_steps, len(requirements)))
-        for j, beta_w in enumerate(requirements):
-            table[:, j] = self.moment(beta_w, steps)
+        rows = [np.ones(n_steps)]
+        for pos, orders in layout.raw:
+            slot = self._raw_slots[pos]
+            shift = self.shift_at(slot.source, steps)
+            rows.extend(raw_moment(self.distributions[slot.source], shift, k) for k in orders)
+        for pos, freqs, coefficients in layout.trig:
+            slot = self._trig_slots[pos]
+            dist = self._dist_of(slot.source)
+            if isinstance(dist, Beta):
+                raise UnsupportedMomentError("trigonometric moments of beta-distributed angles are not supported")
+            shift = slot.base_shift + self.shift_at(slot.source, steps)
+            terms = coefficients[:, :, None] * np.array([char_fn(dist, shift, f) for f in freqs])
+            sums = np.cumsum(terms, axis=1)[:, -1]  # left to right, in frequency order
+            residue = float(np.max(np.abs(sums.imag), initial=0.0))
+            if residue > _IMAG_RESIDUE_TOL:
+                raise ArithmeticError(f"trig moment has non-real residue {residue:g}")
+            rows.extend(sums.real)
+        slot_moments = np.stack(rows, axis=1)
+        table = slot_moments[:, layout.factors[:, 0]]
+        for p in range(1, layout.factors.shape[1]):
+            table = table * slot_moments[:, layout.factors[:, p]]
         return table
+
+
+@dataclass(frozen=True)
+class _TableLayout:
+    """Which slot moments `moment_table` evaluates, and how requirements combine them.
+
+    Slot moments are stacked as rows: row 0 is all ones, then the raw
+    moments in `raw` order, then the trigonometric moments in `trig` order.
+    Row r of a trig entry's coefficient matrix holds the Laurent
+    coefficients of its r-th (m, n) pair at that entry's frequencies.
+    """
+
+    requirements: tuple[MultiIndex, ...]
+    raw: tuple[tuple[int, tuple[int, ...]], ...]  # (raw slot position, orders k)
+    # (trig slot position, frequencies, coefficients)
+    trig: tuple[tuple[int, tuple[int, ...], np.ndarray], ...]
+    factors: np.ndarray  # (n_req, n_factors) slot-moment rows, multiplied left to right; 0 pads
+
+    @classmethod
+    def build(cls, requirements: tuple[MultiIndex, ...], model: DisturbanceModel) -> "_TableLayout":
+        if any(len(beta_w) != len(model.dist_vars) for beta_w in requirements):
+            raise ValueError("disturbance multi-index length mismatch")
+
+        def slot_keys(beta_w: MultiIndex) -> list[tuple]:
+            # (0, raw slot position, k) then (1, trig slot position, (m, n)), as in `moment`
+            keys: list[tuple] = [
+                (0, pos, beta_w[slot.index])
+                for pos, slot in enumerate(model._raw_slots)
+                if beta_w[slot.index]
+            ]
+            for pos, slot in enumerate(model._trig_slots):
+                m, n = beta_w[slot.cos_index], beta_w[slot.sin_index]
+                if m or n:
+                    keys.append((1, pos, (m, n)))
+            return keys
+
+        per_requirement = [slot_keys(beta_w) for beta_w in requirements]
+        keys = sorted(set().union(*per_requirement))
+        raw, trig = [], []
+        for (kind, pos), group in groupby(keys, key=lambda key: key[:2]):
+            needed = tuple(key[2] for key in group)
+            if kind == 0:
+                raw.append((pos, needed))
+                continue
+            freqs = sorted({f for m, n in needed for f, _, _ in _laurent_coefficients(m, n)})
+            coefficients = np.zeros((len(needed), len(freqs)), dtype=complex)
+            for r, (m, n) in enumerate(needed):
+                for f, c_re, c_im in _laurent_coefficients(m, n):
+                    coefficients[r, freqs.index(f)] = complex(c_re, c_im)
+            trig.append((pos, tuple(freqs), coefficients))
+
+        row_of = {key: i + 1 for i, key in enumerate(keys)}
+        factors = np.zeros((len(requirements), max([len(k) for k in per_requirement] + [1])), dtype=np.intp)
+        for i, req_keys in enumerate(per_requirement):
+            factors[i, : len(req_keys)] = [row_of[key] for key in req_keys]
+        return cls(requirements, tuple(raw), tuple(trig), factors)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -77,6 +78,17 @@ class Environment:
         for obs in self.obstacles:
             if bool(obs.contains(sx, sy)):
                 raise ValueError("start pose lies inside an obstacle")
+
+    @cached_property
+    def _faces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Face rows ax, ay, b, ax*ax, 2*ax*ay, ay*ay of all obstacles, and each one's first column."""
+        faces = [
+            (ax, ay, b, ax * ax, 2.0 * ax * ay, ay * ay)
+            for obs in self.obstacles
+            for (ax, ay), b in obs.halfspaces
+        ]
+        starts = np.cumsum([0] + [len(obs.halfspaces) for obs in self.obstacles[:-1]])
+        return np.array(faces, dtype=float).T, starts
 
 
 def parse_environment(text: str) -> Environment:
@@ -147,15 +159,26 @@ def obstacle_risk(mu: np.ndarray, sigma: np.ndarray, obstacle: Polytope) -> floa
 
 
 def trajectory_risk(traj: MomentTrajectory, env: Environment, position=("x", "y")) -> float:
-    """Union bound over steps t = 1..T and obstacles; may exceed 1."""
+    """Union bound over steps t = 1..T and obstacles; may exceed 1.
+
+    Equals summing :func:`obstacle_risk` step by step, then obstacle by
+    obstacle, left to right: the bounds of all steps and faces come from one
+    array expression that keeps the scalar association order and the rules
+    of :func:`cantelli_bound`, and the total is a sequential cumulative sum.
+    """
     if not env.obstacles:
         return 0.0
     means, covs = mean_cov(traj, position)
-    total = 0.0
-    for t in range(1, means.shape[0]):
-        for obs in env.obstacles:
-            total += obstacle_risk(means[t], covs[t], obs)
-    return total
+    (ax, ay, b, axx, axy2, ayy), starts = env._faces
+    mu0, mu1 = means[1:, 0:1], means[1:, 1:2]
+    s00, s01, s11 = covs[1:, 0, 0:1], covs[1:, 0, 1:2], covs[1:, 1, 1:2]
+    mean = ax * mu0 + ay * mu1 + b
+    var = np.maximum(axx * s00 + axy2 * s01 + ayy * s11, 0.0)
+    bound = np.divide(var, var + mean * mean, out=np.zeros_like(var), where=var != 0.0)
+    bound[mean < 0] = 1.0
+    # Least risky face per obstacle; fmin skips NaN as min(1.0, ...) over faces does.
+    risks = np.fmin(np.fmin.reduceat(bound, starts, axis=1), 1.0)
+    return float(np.cumsum(risks)[-1]) if risks.size else 0.0
 
 
 # -- deterministic shortest bounded-curvature paths -------------------------------

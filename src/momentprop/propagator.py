@@ -173,27 +173,17 @@ def propagate(
 
 
 def step(msys: MomentStateSystem, state: MomentState, model: DisturbanceModel) -> MomentState:
-    """One application of the moment recursion."""
-    arrays = _runtime_arrays(msys)
-    row = np.asarray([model.moment(mi, state.time) for mi in arrays.requirements])
-    out = np.empty((2, len(msys.basis)))
-    bad_t, bad_j = _kernels.run_steps(
-        np.asarray(state.values, dtype=np.float64),
-        row.reshape(1, -1),
-        arrays.target,
-        arrays.coeff,
-        arrays.req,
-        arrays.fact,
-        out,
-    )
-    if bad_t >= 0:
-        name = msys.moment_names()[bad_j]
-        raise PropagationError(f"moment E[{name}] became non-finite at step {state.time}")
-    return MomentState(out[1], state.time + 1)
+    """One application of the moment recursion: a one-step :func:`propagate`."""
+    return propagate(msys, state, model, 1).state(1)
 
 
 def _pair_indices(msys: MomentStateSystem, names: Sequence[str]) -> dict[str, int]:
-    a, b = names
+    """Basis positions of the moments `mean_cov` reads; cached per compiled system."""
+    cache = msys.__dict__.setdefault("_pair_indices_cache", {})
+    pair = tuple(names)
+    if pair in cache:
+        return cache[pair]
+    a, b = pair
     n = len(msys.state_vars)
     try:
         ia = msys.state_vars.index(a)
@@ -212,6 +202,7 @@ def _pair_indices(msys: MomentStateSystem, names: Sequence[str]) -> dict[str, in
         if mi not in msys.basis:
             raise KeyError(f"basis lacks the moment E[{key.replace('a', a).replace('b', b)}]")
         out[key] = msys.basis.index_of(mi)
+    cache[pair] = out
     return out
 
 

@@ -80,6 +80,20 @@ class TestPropagate:
         assert traj_a.system.moment_names() == traj_b.system.moment_names()
         assert np.array_equal(traj_a.values, traj_b.values)
 
+    def test_truncated_system_exit_2(self, workdir, capsys):
+        msys_path = workdir / "dubins.msys"
+        run("compile", workdir / "dubins.spec", "-o", msys_path)
+        lines = msys_path.read_text().splitlines(keepends=True)
+        msys_path.write_text("".join(lines[: len(lines) // 2]))
+        capsys.readouterr()
+        code = run(
+            "propagate", msys_path, "--init", workdir / "init.csv",
+            "--dist", workdir / "dubins.spec", "-T", 3, "-o", workdir / "traj.csv",
+        )
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
 
 class TestPipeline:
     def test_mc_compare_linearize(self, workdir, capsys):

@@ -15,6 +15,7 @@ from momentprop.compiler import (
     reduce_form,
 )
 from momentprop.polyring import MultiIndex, Polynomial
+from momentprop.propagator import MomentTrajectory, mean_cov
 from momentprop.sysspec import DependenceGraph, PolynomialSystem, parse_spec, trig_encode
 
 from randsys import random_system, random_target
@@ -273,6 +274,57 @@ class TestSerialization:
     def test_header_rejected_on_garbage(self):
         with pytest.raises(ValueError, match="header"):
             compiler.loads("not a compiled file\n")
+
+    def test_truncated_file_rejected(self, dubins_reduced):
+        lines = compiler.dumps(dubins_reduced).splitlines()
+        for cut in (0, 1, 5, len(lines) // 2, len(lines) - 1):
+            with pytest.raises(ValueError):
+                compiler.loads("\n".join(lines[:cut]))
+
+    @staticmethod
+    def _edit_first_term(msys, edit):
+        lines = compiler.dumps(msys).splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("terms ")) + 1
+        while not lines[at].split("|")[3].strip():  # first term with a state factor
+            at += 1
+        lines[at] = " | ".join(edit([p.strip() for p in lines[at].split("|")]))
+        return "\n".join(lines) + "\n"
+
+    def test_factor_index_out_of_range_rejected(self, dubins_reduced):
+        n = len(dubins_reduced.basis)
+        for bad in (str(n), "-1"):
+            text = self._edit_first_term(dubins_reduced, lambda f: [*f[:3], bad])
+            with pytest.raises(ValueError, match="out of range"):
+                compiler.loads(text)
+
+    def test_target_index_out_of_range_rejected(self, dubins_reduced):
+        n = len(dubins_reduced.basis)
+        text = self._edit_first_term(dubins_reduced, lambda f: [str(n), *f[1:]])
+        with pytest.raises(ValueError, match="out of range"):
+            compiler.loads(text)
+
+    def test_disturbance_index_length_mismatch_rejected(self, dubins_reduced):
+        for edit in (lambda f: [*f[:2], f[2] + " 0", f[3]], lambda f: [*f[:2], f[2].rsplit(" ", 1)[0], f[3]]):
+            with pytest.raises(ValueError, match="disturbance multi-index"):
+                compiler.loads(self._edit_first_term(dubins_reduced, edit))
+
+    def test_trailing_line_rejected(self, dubins_reduced):
+        with pytest.raises(ValueError, match="unexpected line"):
+            compiler.loads(compiler.dumps(dubins_reduced) + "0 | 1/1 | 0 0 0 |\n")
+
+    def test_lookup_caches_leave_equality_and_round_trip(self, dubins_reduced):
+        text = compiler.dumps(dubins_reduced)
+        msys = compiler.loads(text)
+        traj = MomentTrajectory(msys, np.zeros((2, len(msys.basis))))
+        assert msys.moment_index("x*y") == msys.moment_names().index("x*y")
+        traj.moment_series("c_theta")
+        mean_cov(traj, ("x", "y"))
+        assert msys == compiler.loads(text) == dubins_reduced
+        assert compiler.dumps(msys) == text
+        with pytest.raises(KeyError, match="not in the compiled basis"):
+            msys.moment_index("z")
+        with pytest.raises(KeyError):
+            mean_cov(traj, ("x", "v"))
 
     def test_file_round_trip(self, tmp_path, dubins_unreduced):
         path = tmp_path / "system.msys"

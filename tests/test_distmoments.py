@@ -265,6 +265,51 @@ class TestDisturbanceModel:
             for j, beta in enumerate(reqs):
                 assert table[t, j] == pytest.approx(float(model.moment(beta, t)), rel=1e-12)
 
+    ALL_UP_TO_4 = [
+        MultiIndex((a, b, c)) for a in range(5) for b in range(5) for c in range(5) if a + b + c <= 4
+    ]
+
+    @pytest.mark.parametrize("angle", [Degenerate(0.3), Gaussian(0.04, 0.03), Uniform(-0.2, 0.5)])
+    def test_moment_table_equals_per_step_moments(self, angle):
+        """Shifted schedules on both slots, Beta on the raw slot, every index of degree <= 4."""
+        rng = np.random.default_rng(5)
+        n_steps, start = 12, 3
+        model = DisturbanceModel(
+            self.system,
+            {"wv": Beta(10, 1000), "wt": angle},
+            shifts={"wt": rng.uniform(-2, 2, start + n_steps), "wv": rng.uniform(-0.1, 0.1, start + n_steps)},
+        )
+        table = model.moment_table(self.ALL_UP_TO_4, n_steps, start=start)
+        assert table.shape == (n_steps, len(self.ALL_UP_TO_4))
+        expected = np.array(
+            [[model.moment(beta, start + k) for beta in self.ALL_UP_TO_4] for k in range(n_steps)]
+        )
+        np.testing.assert_allclose(table, expected, rtol=1e-14, atol=0)
+
+    def test_moment_table_layout_follows_requirements(self):
+        model = DisturbanceModel(self.system, {"wv": Gaussian(0.1, 0.2), "wt": Gaussian(0.3, 0.1)})
+        first = model.moment_table(self.ALL_UP_TO_4, 2)
+        reqs = [MultiIndex((0, 1, 1)), MultiIndex((2, 0, 0))]
+        columns = [self.ALL_UP_TO_4.index(r) for r in reqs]
+        np.testing.assert_array_equal(model.moment_table(reqs, 2), first[:, columns])
+        assert model.moment_table([], 2).shape == (2, 0)
+        assert model.moment_table(reqs, 0).shape == (0, 2)
+
+    def test_moment_table_rejects_non_real_residue(self, monkeypatch):
+        from momentprop import distmoments
+
+        original = distmoments.char_fn
+        monkeypatch.setattr(distmoments, "char_fn", lambda dist, shift, t: original(dist, shift, t) + 1e-9j)
+        model = DisturbanceModel(self.system, {"wv": Gaussian(0, 1), "wt": Gaussian(0, 1)})
+        with pytest.raises(ArithmeticError, match="non-real residue"):
+            model.moment_table([MultiIndex((0, 1, 0))], 3)
+
+    def test_moment_table_beta_angle_unsupported(self):
+        model = DisturbanceModel(self.system, {"wv": Gaussian(0, 1), "wt": Beta(2, 3)})
+        assert model.moment_table([MultiIndex((1, 0, 0))], 2).shape == (2, 1)
+        with pytest.raises(UnsupportedMomentError):
+            model.moment_table([MultiIndex((1, 0, 0)), MultiIndex((0, 0, 1))], 2)
+
     def test_missing_distribution(self):
         with pytest.raises(KeyError, match="wt"):
             DisturbanceModel(self.system, {"wv": Gaussian(0, 1)})

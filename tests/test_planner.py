@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from momentprop import presets
-from momentprop.distmoments import Degenerate, Gaussian
+from momentprop import planner, presets
+from momentprop.distmoments import Degenerate, DisturbanceModel, Gaussian
 from momentprop.planner import (
     Environment,
     PlannerConfig,
@@ -22,7 +24,7 @@ from momentprop.planner import (
     trajectory_risk,
     tree_to_csv,
 )
-from momentprop.propagator import init_deterministic
+from momentprop.propagator import MomentTrajectory, init_deterministic, mean_cov
 
 
 UNIT_SQUARE = Polytope.from_vertices([(1, 1), (2, 1), (2, 2), (1, 2)])
@@ -181,6 +183,75 @@ class TestEnvironment:
     def test_malformed_line_reported(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_environment("bounds 0 0 1 1\nstart zero 0 0\ngoal 1 1 0.1\n")
+
+    # Coordinates on obstacle edges give faces with an exactly zero mean.
+    _coord = st.one_of(st.floats(-0.5, 3.0), st.sampled_from([0.4, 0.8, 1.0, 1.4, 1.6, 2.1]))
+    _step = st.tuples(
+        _coord, _coord, st.sampled_from(["spread", "zero", "negative"]),
+        st.floats(0.0, 0.5), st.floats(-1.0, 1.0), st.floats(0.0, 0.5),
+    )
+
+    @given(st.lists(_step, min_size=0, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_scalar_loop(self, dubins_reduced, steps):
+        """Exactly the left-to-right sum of obstacle_risk over steps, then obstacles."""
+        tilted = "obstacle 2 0.2  2.4 0.5  1.9 0.6\nobstacle 1.9 1.0  2.3 1.4  1.9 1.8  1.5 1.4\n"
+        env = parse_environment(presets.PLANNER_ENV + tilted)
+        idx = {name: dubins_reduced.moment_index(name) for name in ("x", "y", "x^2", "x*y", "y^2")}
+        values = np.zeros((len(steps) + 1, len(dubins_reduced.basis)))
+        for t, (mx, my, kind, a, r, c) in enumerate(steps, start=1):
+            if kind == "spread":
+                s00, s01, s11 = a, r * math.sqrt(a * c), c
+            elif kind == "zero":
+                s00 = s01 = s11 = 0.0
+            else:  # slightly negative from rounding in E[x^2] - E[x]^2
+                s00, s01, s11 = -1e-13, 0.0, -1e-13
+            values[t, [idx["x"], idx["y"]]] = mx, my
+            values[t, idx["x^2"]] = s00 + mx * mx
+            values[t, idx["x*y"]] = s01 + mx * my
+            values[t, idx["y^2"]] = s11 + my * my
+        traj = MomentTrajectory(dubins_reduced, values)
+        means, covs = mean_cov(traj, ("x", "y"))
+        expected = 0.0
+        for t in range(1, len(steps) + 1):
+            for obs in env.obstacles:
+                expected += obstacle_risk(means[t], covs[t], obs)
+        assert trajectory_risk(traj, env) == expected
+
+
+def _scalar_trajectory_risk(traj, env, position=("x", "y")):
+    if not env.obstacles:
+        return 0.0
+    means, covs = mean_cov(traj, position)
+    total = 0.0
+    for t in range(1, means.shape[0]):
+        for obs in env.obstacles:
+            total += obstacle_risk(means[t], covs[t], obs)
+    return total
+
+
+def _per_requirement_table(self, requirements, n_steps, start=0):
+    steps = np.arange(start, start + n_steps)
+    table = np.empty((n_steps, len(requirements)))
+    for j, beta_w in enumerate(requirements):
+        table[:, j] = self.moment(beta_w, steps)
+    return table
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11, 23])
+def test_build_rrt_matches_scalar_reference(dubins_reduced, seed, monkeypatch):
+    """Array risk bounds and moment tables leave every node bit for bit unchanged."""
+    args = (parse_environment(presets.PLANNER_ENV), dubins_reduced, presets.planner_noise(), 0.1, 100, seed)
+    fast = build_rrt(*args)
+    monkeypatch.setattr(planner, "trajectory_risk", _scalar_trajectory_risk)
+    monkeypatch.setattr(DisturbanceModel, "moment_table", _per_requirement_table)
+    reference = build_rrt(*args)
+    assert fast.goal_node == reference.goal_node
+    assert len(fast.nodes) == len(reference.nodes) > 1
+    for a, b in zip(fast.nodes, reference.nodes):
+        assert (a.pose, a.risk_to_node, a.parent) == (b.pose, b.risk_to_node, b.parent)
+        for x, y in ((a.mean, b.mean), (a.cov, b.cov), (a.moment_state.values, b.moment_state.values)):
+            assert np.array_equal(x, y)
 
 
 @pytest.fixture(scope="module")

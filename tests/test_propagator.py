@@ -89,6 +89,24 @@ class TestStep:
         assert by_name["c_theta"] == pytest.approx(0.0, abs=1e-15)
         assert by_name["s_theta"] == pytest.approx(1.0)
 
+    def test_step_is_one_step_propagate_at_state_time(self, dubins_reduced):
+        model = DisturbanceModel(
+            dubins_reduced, {"wv": Gaussian(0.0, 1e-4), "wt": Gaussian(0.0, 1e-2)},
+            shifts={"wt": [0.0, 0.3, -0.2]},
+        )
+        start = init_deterministic(dubins_reduced, {"x": 0, "y": 0, "v": 1, "theta": 0.2})
+        state = propagator.MomentState(start.values, 1)
+        out = step(dubins_reduced, state, model)
+        assert out.time == 2
+        assert np.array_equal(out.values, propagate(dubins_reduced, state, model, 2).values[1])
+        with pytest.raises(IndexError):
+            step(dubins_reduced, propagator.MomentState(start.values, 3), model)
+
+    def test_step_overflow_raises(self, walk):
+        model = DisturbanceModel(walk, {"w": Degenerate(1e154)})
+        with pytest.raises(PropagationError, match=r"E\[x\^2\] became non-finite at step 1"):
+            step(walk, init_deterministic(walk, {"x": 1e154}), model)
+
 
 class TestPropagate:
     def test_zero_steps(self, walk):
