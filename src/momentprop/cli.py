@@ -121,11 +121,11 @@ def _cmd_compile(args) -> int:
 
 
 def _model_from_spec(
-    msys, spec: sysspec.SystemSpec, shifts: Mapping[str, np.ndarray] | None
+    system, spec: sysspec.SystemSpec, shifts: Mapping[str, np.ndarray] | None
 ) -> distmoments.DisturbanceModel:
     if not spec.distributions:
         raise SpecError("spec declares no 'dist' lines for the disturbances")
-    return distmoments.DisturbanceModel(msys, spec.distributions, shifts)
+    return distmoments.DisturbanceModel(system, spec.distributions, shifts)
 
 
 def _cmd_propagate(args) -> int:
@@ -199,13 +199,11 @@ def _lin_csv(pred: oracle.LinearPrediction, meta: Mapping[str, str]) -> str:
 
 def _cmd_linearize(args) -> int:
     spec = _parse_spec_file(args.spec)
-    if not spec.distributions:
-        raise SpecError("spec declares no 'dist' lines for the disturbances")
-    x0 = _read_init(args.init)
     shifts = _read_shifts(args.shifts) if args.shifts else None
+    model = _model_from_spec(sysspec.trig_encode(spec), spec, shifts)
+    x0 = _read_init(args.init)
     w_star = {w: distmoments.mean(d) for w, d in spec.distributions.items()}
     lin = oracle.linearize(spec, x0, w_star, dt=args.dt)
-    model = _DistOnlyModel(spec.distributions, shifts or {})
     mu0 = np.array([float(x0[v]) for v in spec.state_vars])
     pred = oracle.linear_propagate(lin, mu0, np.zeros((len(mu0), len(mu0))), model, args.steps)
     meta = _metadata(args, steps=str(args.steps), dt=str(args.dt))
@@ -213,64 +211,21 @@ def _cmd_linearize(args) -> int:
     return EXIT_OK
 
 
-class _DistOnlyModel:
-    """Distribution/shift lookup for the linearized recursion (original variables)."""
-
-    def __init__(self, distributions, shifts):
-        self.distributions = dict(distributions)
-        self.shifts = {k: np.asarray(v, dtype=float) for k, v in shifts.items()}
-
-    def shift_at(self, source, t):
-        if source not in self.shifts:
-            return 0.0
-        schedule = self.shifts[source]
-        if t >= len(schedule):
-            raise IndexError(f"shift schedule for {source!r} is shorter than the horizon")
-        return float(schedule[t])
-
-
-def _parse_monomial_name(name: str) -> list[tuple[str, int]] | None:
-    if name == "1":
-        return []
-    out = []
-    for factor in name.split("*"):
-        if "^" in factor:
-            var, _, power = factor.partition("^")
-            if not power.isdigit():
-                return None
-            out.append((var, int(power)))
-        else:
-            out.append((factor, 1))
-    return out
-
-
-def _lin_table(header: Sequence[str], values: np.ndarray, moment_names: Sequence[str]):
-    """Raw-moment series per requested monomial from a linearize CSV table."""
+def _lin_prediction(header: Sequence[str], values: np.ndarray) -> oracle.LinearPrediction:
+    """The linearized prediction written by `linearize` (see _lin_csv)."""
     cols = {name: j for j, name in enumerate(header)}
-    var_names = [name[3:] for name in header if name.startswith("mu_")]
-
-    def sigma(a: str, b: str) -> np.ndarray:
-        key = f"sigma_{a}_{b}" if f"sigma_{a}_{b}" in cols else f"sigma_{b}_{a}"
-        return values[:, cols[key]]
-
-    out = {}
-    for name in moment_names:
-        parsed = _parse_monomial_name(name)
-        if parsed is None:
-            continue
-        flat: list[str] = []
-        for var, power in parsed:
-            flat.extend([var] * power)
-        if any(v not in var_names for v in flat) or len(flat) > 2:
-            continue
-        if len(flat) == 0:
-            out[name] = np.ones(values.shape[0])
-        elif len(flat) == 1:
-            out[name] = values[:, cols[f"mu_{flat[0]}"]]
-        else:
-            a, b = flat
-            out[name] = sigma(a, b) + values[:, cols[f"mu_{a}"]] * values[:, cols[f"mu_{b}"]]
-    return out
+    names = tuple(name[3:] for name in header if name.startswith("mu_"))
+    if not names:
+        raise ValueError("linearized table has no 'mu_*' columns")
+    covs = np.empty((values.shape[0], len(names), len(names)))
+    for i, a in enumerate(names):
+        for j in range(i, len(names)):
+            key = f"sigma_{a}_{names[j]}"
+            if key not in cols:
+                raise ValueError(f"linearized table has no {key!r} column")
+            covs[:, i, j] = covs[:, j, i] = values[:, cols[key]]
+    means = np.stack([values[:, cols[f"mu_{v}"]] for v in names], axis=1)
+    return oracle.LinearPrediction(names, means, covs)
 
 
 def _cmd_compare(args) -> int:
@@ -296,7 +251,14 @@ def _cmd_compare(args) -> int:
         _, lin_header, lin_values = _read_csv(args.linearized)
         if lin_values.shape[0] != ex_values.shape[0]:
             raise ValueError("horizon mismatch between exact and linearized tables")
-        lin_map = _lin_table(lin_header, lin_values, kept)
+        pred = _lin_prediction(lin_header, lin_values)
+        moments = {}
+        for name in kept:
+            try:
+                moments[name] = sysspec.parse_monomial(name, pred.state_vars)
+            except SpecError:
+                continue  # a variable the linear model does not track
+        lin_map = oracle.linear_series(pred, pred.state_vars, moments)
     report = oracle.compare_tables(kept, exact_tbl, mc_means, mc_ses, lin_map)
     _write_atomic(args.output, report.to_csv(_metadata(args)))
     if args.plot_data:

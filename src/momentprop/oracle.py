@@ -4,13 +4,14 @@ Monte Carlo simulates the ORIGINAL trigonometric system (sin/cos evaluated
 numerically), so it validates the trig encoding and the compiled moment
 recursion independently.  Sampling is batched with per-batch seeds derived
 from one root seed and reduced in batch order, so results are bit-reproducible
-regardless of how batches would be scheduled.
+regardless of how batches would be scheduled.  `rollouts` is the one rollout
+engine: the Monte Carlo oracle and the planner's plan check both consume it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -56,6 +57,44 @@ def _encoded_arrays(
     return [by_name[name] for name in system.vars]
 
 
+def rollouts(
+    spec: SystemSpec,
+    model: DisturbanceModel,
+    x0: Mapping[str, float],
+    n_steps: int,
+    n_samples: int,
+    seed: int,
+    batch_size: int,
+) -> Iterator[tuple[int, Iterator[dict[str, np.ndarray]]]]:
+    """Seeded, batched rollouts of the original system, in batch order.
+
+    Yields (batch size, states) per batch; `states` yields the batch's state
+    (variable -> samples) at t = 0..n_steps.  Each batch draws from its own
+    child seed spawned from `seed`, sampling the disturbances in spec order
+    at every step and adding the model's shift.
+    """
+    sizes = [batch_size] * (n_samples // batch_size)
+    if n_samples % batch_size:
+        sizes.append(n_samples % batch_size)
+    for nb, child in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
+        rng = np.random.Generator(np.random.PCG64(child))
+        yield nb, _batch_states(spec, model, x0, n_steps, nb, rng)
+
+
+def _batch_states(spec, model, x0, n_steps, nb, rng):
+    state = {name: np.full(nb, float(x0[name])) for name in spec.state_vars}
+    yield state
+    for t in range(n_steps):
+        full = dict(state)
+        for w in spec.disturbance_vars:
+            dist = model.distributions.get(w)
+            if dist is None:
+                raise KeyError(f"no distribution given for disturbance {w!r}")
+            full[w] = distmoments.sample(dist, rng, nb) + float(model.shift_at(w, t))
+        state = {name: sysspec.evaluate(spec.updates[name], full) for name in spec.state_vars}
+        yield state
+
+
 def mc_simulate(
     spec: SystemSpec,
     system: PolynomialSystem,
@@ -80,33 +119,17 @@ def mc_simulate(
         raise ValueError("no moments requested")
     n_mom = len(wanted)
 
-    sizes = [batch_size] * (n_samples // batch_size)
-    if n_samples % batch_size:
-        sizes.append(n_samples % batch_size)
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
-
     count = 0
     mean = np.zeros((n_steps + 1, n_mom))
     m2 = np.zeros((n_steps + 1, n_mom))
-    batch_means = np.empty((len(sizes), n_steps + 1, n_mom))
+    batch_means = []
 
-    for b, (nb, child) in enumerate(zip(sizes, children)):
-        rng = np.random.Generator(np.random.PCG64(child))
-        state = {name: np.full(nb, float(x0[name])) for name in spec.state_vars}
+    for nb, states in rollouts(spec, model, x0, n_steps, n_samples, seed, batch_size):
         b_mean = np.empty((n_steps + 1, n_mom))
         b_m2 = np.empty((n_steps + 1, n_mom))
-        _record(system, state, wanted, b_mean[0], b_m2[0])
-        for t in range(n_steps):
-            w_env = {}
-            for w in spec.disturbance_vars:
-                dist = model.distributions.get(w)
-                if dist is None:
-                    raise KeyError(f"no distribution given for disturbance {w!r}")
-                w_env[w] = distmoments.sample(dist, rng, nb) + float(model.shift_at(w, t))
-            full = {**state, **w_env}
-            state = {name: sysspec.evaluate(spec.updates[name], full) for name in spec.state_vars}
-            _record(system, state, wanted, b_mean[t + 1], b_m2[t + 1])
-        batch_means[b] = b_mean
+        for t, state in enumerate(states):
+            _record(system, state, wanted, b_mean[t], b_m2[t])
+        batch_means.append(b_mean)
         # Chan's parallel variance merge, applied in fixed batch order.
         delta = b_mean - mean
         total = count + nb
@@ -122,7 +145,7 @@ def mc_simulate(
         ses=ses,
         n_samples=count,
         seed=seed,
-        batch_means=batch_means,
+        batch_means=np.stack(batch_means),
     )
 
 
@@ -383,12 +406,24 @@ def compare(
     mc_ses = np.stack([mc.ses[:, j] for j, _ in kept], axis=1)
     lin_map = None
     if lin is not None:
-        lin_map = {}
-        for j, name in kept:
-            series = lin.raw_moment(exact.system.state_vars, mc.moments[j])
-            if series is not None:
-                lin_map[name] = series
+        moments = {name: mc.moments[j] for j, name in kept}
+        lin_map = linear_series(lin, exact.system.state_vars, moments)
     return compare_tables(names, exact_tbl, mc_means, mc_ses, lin_map)
+
+
+def linear_series(
+    lin: LinearPrediction, variables: Sequence[str], moments: Mapping[str, MultiIndex]
+) -> dict[str, np.ndarray]:
+    """Linearized raw-moment series by name, for the moments `lin` can express.
+
+    `moments` maps names to multi-indices over `variables`.
+    """
+    out = {}
+    for name, alpha in moments.items():
+        series = lin.raw_moment(variables, alpha)
+        if series is not None:
+            out[name] = series
+    return out
 
 
 def central_second_moment_stats(mc: McEstimate, names: tuple[str, str]) -> dict[str, tuple[float, float]]:

@@ -10,6 +10,7 @@ constraint.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -17,9 +18,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import distmoments, sysspec
+from . import sysspec
 from .compiler import MomentStateSystem
 from .distmoments import DisturbanceModel, Distribution
+from .oracle import rollouts
 from .propagator import MomentState, MomentTrajectory, PropagationError, init_deterministic, mean_cov, propagate
 from .sysspec import SystemSpec
 
@@ -526,7 +528,6 @@ def _heading_init(msys: MomentStateSystem, heading: float) -> dict[str, float]:
     if not msys.state_pairs:
         return {}
     pair = msys.state_pairs[0]
-    key = pair.source if pair.source is not None else pair.cos_var
     if pair.source is not None:
         return {pair.source: heading}
     return {pair.cos_var: math.cos(heading), pair.sin_var: math.sin(heading)}
@@ -557,30 +558,19 @@ def estimate_plan_collision(
     """Empirical frequency of plan rollouts that touch any obstacle.
 
     Simulates the ORIGINAL trigonometric dynamics under the open-loop
-    steering schedule; a rollout counts as a collision when its position
-    enters any obstacle at any step.
+    steering schedule, with the Monte Carlo oracle's rollout engine; a
+    rollout counts as a collision when its position enters any obstacle at
+    any step after the start.  An unknown `steer_source` raises KeyError.
     """
     sx, sy, sh = env.start
     x0 = {"x": sx, "y": sy, "v": initial_speed}
     for name in spec.angle_vars:
         x0[name] = sh
-    sizes = [batch_size] * (n_rollouts // batch_size)
-    if n_rollouts % batch_size:
-        sizes.append(n_rollouts % batch_size)
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
-    shifts = {steer_source: np.asarray(controls, dtype=float)}
+    model = DisturbanceModel(sysspec.trig_encode(spec), distributions, {steer_source: controls})
     hit_count = 0
-    for nb, child in zip(sizes, children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        state = {name: np.full(nb, float(x0[name])) for name in spec.state_vars}
+    for nb, states in rollouts(spec, model, x0, len(controls), n_rollouts, seed, batch_size):
         collided = np.zeros(nb, dtype=bool)
-        for t in range(len(controls)):
-            w_env = {}
-            for w in spec.disturbance_vars:
-                shift = float(shifts[w][t]) if w in shifts else 0.0
-                w_env[w] = distmoments.sample(distributions[w], rng, nb) + shift
-            full = {**state, **w_env}
-            state = {name: sysspec.evaluate(spec.updates[name], full) for name in spec.state_vars}
+        for state in itertools.islice(states, 1, None):
             for obs in env.obstacles:
                 collided |= obs.contains(state["x"], state["y"])
         hit_count += int(np.sum(collided))

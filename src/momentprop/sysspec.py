@@ -340,7 +340,8 @@ def _parse_dist_value(tokens: list[_Token], start: int) -> distmoments.Distribut
         raise SpecError(str(exc), kind.line, kind.col) from None
 
 
-def _parse_monomial(chunk: str, state_vars: tuple[str, ...], line_no: int) -> MultiIndex:
+def parse_monomial(chunk: str, state_vars: Sequence[str], line_no: int | None = None) -> MultiIndex:
+    """Multi-index over `state_vars` of a monomial such as ``x^2*y``."""
     tokens = _tokenize_line(chunk, line_no)
     parser = _ExprParser(tokens)
     exps = [0] * len(state_vars)
@@ -487,7 +488,7 @@ def parse_spec(text: str) -> SystemSpec:
         disturbance_vars=dists,
         updates=updates,
         independence_decls=tuple(independence),
-        target_moments=tuple(_parse_monomial(chunk, state, ln) for chunk, ln in moment_chunks),
+        target_moments=tuple(parse_monomial(chunk, state, ln) for chunk, ln in moment_chunks),
         distributions=distributions,
     )
     _check_angle_updates(spec, update_lines)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from momentprop import cli, compiler, distmoments, presets, propagator
+from momentprop import cli, compiler, distmoments, oracle, presets, propagator
 from momentprop.cli import EXIT_INPUT, EXIT_NO_PLAN, EXIT_OK
 
 
@@ -133,6 +133,62 @@ class TestPipeline:
         zs = [abs(float(row.split(",")[5])) for row in data_rows]
         assert max(zs) <= 5.0
         assert plot.read_text().startswith("series,t,moment,value")
+
+    def test_compare_matches_library_report(self, workdir):
+        """The CLI pipeline's report equals oracle.compare on the same inputs, row by row."""
+        msys_path, exact_csv, mc_csv, lin_csv = (
+            workdir / name for name in ("dubins.msys", "exact.csv", "mc.csv", "lin.csv")
+        )
+        init = workdir / "init.csv"
+        run("compile", workdir / "dubins.spec", "-o", msys_path, "--listing", workdir / "eq.txt")
+        run("propagate", msys_path, "--init", init, "--dist", workdir / "dubins.spec", "-T", 5, "-o", exact_csv)
+        run("mc", workdir / "dubins.spec", "--init", init, "-T", 5, "-N", 20000, "--seed", 3, "-o", mc_csv)
+        run("linearize", workdir / "dubins.spec", "--init", init, "-T", 5, "-o", lin_csv)
+        report_csv = workdir / "report.csv"
+        assert run("compare", exact_csv, mc_csv, lin_csv, "-o", report_csv) == EXIT_OK
+
+        spec, system, msys = presets.dubins_spec(), presets.dubins_system(), presets.compile_dubins()
+        x0 = {"x": 0.0, "y": 0.0, "v": 1.0, "theta": 0.0}
+        model = distmoments.DisturbanceModel(msys, spec.distributions)
+        traj = propagator.propagate(msys, propagator.init_deterministic(msys, x0), model, 5)
+        mc = oracle.mc_simulate(spec, system, model, x0, 5, 20000, 3, moments=tuple(msys.basis))
+        w_star = {w: distmoments.mean(d) for w, d in spec.distributions.items()}
+        lin = oracle.linearize(spec, x0, w_star)
+        mu0 = np.array([x0[v] for v in spec.state_vars])
+        pred = oracle.linear_propagate(lin, mu0, np.zeros((4, 4)), model, 5)
+        report = oracle.compare(traj, mc, pred)
+        assert sum(r.lin_value is not None for r in report.rows) > 0
+
+        def table(text):
+            lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+            return [ln.split(",") for ln in lines]
+
+        assert table(report_csv.read_text()) == table(report.to_csv())
+
+    def test_linearized_missing_sigma_exit_2(self, workdir, capsys):
+        exact = workdir / "exact.csv"
+        mc = workdir / "mc.csv"
+        lin = workdir / "lin.csv"
+        exact.write_text("t,x,x^2\n0,0,0\n1,1,1\n")
+        mc.write_text("t,x,x_se,x^2,x^2_se\n0,0,0,0,0\n1,1,0.1,1,0.1\n")
+        lin.write_text("t,mu_x,mu_y,sigma_x_y,sigma_y_y\n0,0,0,0,0\n1,1,0,0,0\n")
+        capsys.readouterr()
+        assert run("compare", exact, mc, lin, "-o", workdir / "r.csv") == EXIT_INPUT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_linearize_unknown_shift_column_exit_2(self, workdir, capsys):
+        shifts = workdir / "shifts.csv"
+        shifts.write_text("wt,nope\n" + "0,0\n" * 5)
+        capsys.readouterr()
+        for argv in (("mc", "-N", 100), ("linearize",)):
+            code = run(
+                argv[0], workdir / "dubins.spec", "--init", workdir / "init.csv", "-T", 5,
+                "--shifts", shifts, *argv[1:], "-o", workdir / "out.csv",
+            )
+            assert code == EXIT_INPUT
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and "nope" in err[0]
 
     def test_compare_horizon_mismatch_exit_2(self, workdir):
         a = workdir / "a.csv"

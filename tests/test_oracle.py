@@ -101,6 +101,53 @@ class TestMcSimulate:
         assert mc.batch_means.shape[0] == math.ceil(12_345 / 4096)
 
 
+# Recorded from the batched loop before it moved into the shared rollout
+# engine: Dubins, 2,500 samples in batches of 1,000 (the last one short).
+GOLDEN_NAMES = ("x", "s_theta", "x*v*c_theta")
+GOLDEN_MEANS = [
+    [0.0, 0.29552020666133955, 0.0],
+    [0.955336489125606, 0.3313146574153811, 0.8944184568420153],
+    [1.8915704412702086, 0.3670810097857884, 1.7369284596149686],
+]
+GOLDEN_SES = [
+    [0.0, 0.0, 0.0],
+    [0.0, 0.003275701091173922, 0.0012138012029458771],
+    [0.0012705483531324517, 0.004412525960019263, 0.004544210496349607],
+]
+GOLDEN_BATCH_MEANS = [
+    [
+        [0.0, 0.29552020666133955, 0.0],
+        [0.955336489125606, 0.32324150010742825, 0.8980594731544623],
+        [1.895381680926489, 0.36389309744328585, 1.743198136840217],
+    ],
+    [
+        [0.0, 0.29552020666133955, 0.0],
+        [0.955336489125606, 0.3424459884665977, 0.8903431126014094],
+        [1.8873045681595355, 0.3722722234880192, 1.727071459851758],
+    ],
+    [
+        [0.0, 0.29552020666133955, 0.0],
+        [0.955336489125606, 0.3251983099288534, 0.8952871126983324],
+        [1.892479708178994, 0.363074407066332, 1.7441031046908926],
+    ],
+]
+
+
+def test_mc_golden_values(dubins_spec, dubins_system, dubins_reduced):
+    """Seed spawning, batch split and sampling order stay bit for bit the same."""
+    model = DisturbanceModel(dubins_reduced, dubins_spec.distributions)
+    names = dubins_reduced.moment_names()
+    moments = tuple(dubins_reduced.basis[names.index(n)] for n in GOLDEN_NAMES)
+    mc = mc_simulate(
+        dubins_spec, dubins_system, model, {"x": 0.0, "y": 0.0, "v": 1.0, "theta": 0.3},
+        2, 2500, 17, moments=moments, batch_size=1000,
+    )
+    assert mc.names == GOLDEN_NAMES
+    assert mc.means.tolist() == GOLDEN_MEANS
+    assert mc.ses.tolist() == GOLDEN_SES
+    assert mc.batch_means.tolist() == GOLDEN_BATCH_MEANS
+
+
 class TestSamplers:
     @pytest.mark.parametrize(
         "dist",

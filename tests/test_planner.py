@@ -328,3 +328,24 @@ class TestBuildRrt:
             steer_source="wt", initial_speed=0.05,
         )
         assert freq <= 0.1
+
+
+class TestPlanCollision:
+    NOISY = {"wv": Gaussian(0.0, 1e-4), "wt": Gaussian(0.0, 0.05)}
+
+    def test_golden_frequency(self, dubins_spec):
+        # Recorded from the batched loop before it moved into the shared
+        # rollout engine; 1,234 does not divide 3,000.
+        env = parse_environment(presets.PLANNER_ENV)
+        freq = estimate_plan_collision(
+            dubins_spec, self.NOISY, env, np.full(30, 0.02), 3000, 3, "wt", 0.05,
+            batch_size=1234,
+        )
+        assert freq == 647 / 3000
+
+    def test_unknown_steer_source_rejected(self, dubins_spec):
+        env = parse_environment(presets.PLANNER_ENV)
+        with pytest.raises(KeyError, match="nope"):
+            estimate_plan_collision(
+                dubins_spec, self.NOISY, env, np.full(30, 0.02), 100, 3, "nope", 0.05
+            )
