@@ -25,7 +25,7 @@ model = distmoments.DisturbanceModel(msys, noise)
 
 # Exact propagation: 20 coupled moment equations, evaluated step by step.
 init = propagator.init_deterministic(msys, X0)
-propagator.propagate(msys, init, model, 1)  # compile the JIT kernel once
+propagator.propagate(msys, init, model, 1)  # build or load the C kernel once
 t0 = time.perf_counter()
 traj = propagator.propagate(msys, init, model, N_STEPS)
 exact_time = time.perf_counter() - t0

@@ -2,17 +2,15 @@
 
 Per-step Python/numpy dispatch overhead alone would dwarf the
 sub-microsecond step budget of small compiled systems, so the loop runs
-compiled.  `run_steps` uses the first of three backends that loads:
+compiled.  `run_steps` uses the first of two backends that loads:
 
-- ``"numba"``: `run_steps_python` JIT-compiled by numba, when numba is
-  installed (the ``jit`` extra).
-- ``"c"``: the same loop in C (`_C_SOURCE`).  On first use it is built with
-  the system C compiler (``cc`` or ``gcc``, about 0.1 s, once) into a shared
+- ``"c"``: the loop in C (`_C_SOURCE`).  On first use it is built with the
+  system C compiler (``cc`` or ``gcc``, about 0.1 s, once) into a shared
   library in ``$XDG_CACHE_HOME/momentprop`` (default ``~/.cache/momentprop``),
   named by a hash of the source and flags, and loaded with ctypes.
-- ``"python"``: `run_steps_python` itself, about 200 us per step on the
-  20-moment Dubins system.  It is the fallback and the reference that the
-  compiled backends must match bit for bit.
+- ``"python"``: `run_steps_python`, about 200 us per step on the 20-moment
+  Dubins system.  It is the fallback when no C compiler is found, and the
+  reference that the C loop must match bit for bit.
 
 `BACKEND` names the backend in use; reading it, or the first call of
 `run_steps`, makes the choice.
@@ -33,12 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
+# Always False: there is no numba backend.  Kept because the benchmark
+# harness (perfbench/run.py) reads it when it labels a run.
+HAVE_NUMBA = False
 
 log = logging.getLogger(__name__)
 
@@ -188,8 +183,6 @@ def _load_c():
 @functools.cache
 def _backend():
     """(name, function) of the first backend that loads."""
-    if HAVE_NUMBA:
-        return "numba", numba.njit(cache=True)(run_steps_python)
     try:
         return "c", _load_c()
     except (OSError, RuntimeError, subprocess.SubprocessError) as exc:

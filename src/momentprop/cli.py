@@ -47,11 +47,14 @@ def _read_text(path: str) -> str:
 
 
 def _read_csv(path: str) -> tuple[dict[str, str], list[str], np.ndarray]:
-    """Read a CSV with '#'-comment metadata; returns (metadata, header, values)."""
+    """Read a CSV with '#'-comment metadata; returns (metadata, header, values).
+
+    `values` has one row per data line and one column per header name.
+    """
     metadata: dict[str, str] = {}
     header: list[str] | None = None
     rows = []
-    for raw in _read_text(path).splitlines():
+    for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -61,13 +64,19 @@ def _read_csv(path: str) -> tuple[dict[str, str], list[str], np.ndarray]:
                 key, value = body.split(":", 1)
                 metadata[key.strip()] = value.strip()
             continue
+        cells = line.split(",")
         if header is None:
-            header = [c.strip() for c in line.split(",")]
-        else:
-            rows.append([float(c) if c else np.nan for c in line.split(",")])
+            header = [c.strip() for c in cells]
+            continue
+        if len(cells) != len(header):
+            raise ValueError(f"{path}, line {line_no}: {len(cells)} values for {len(header)} columns")
+        try:
+            rows.append([float(c) if c else np.nan for c in cells])
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {line_no}: {exc}") from None
     if header is None:
         raise ValueError(f"{path}: no CSV header found")
-    return metadata, header, np.asarray(rows, dtype=float)
+    return metadata, header, np.asarray(rows, dtype=float).reshape(len(rows), len(header))
 
 
 def _read_init(path: str) -> dict[str, float]:

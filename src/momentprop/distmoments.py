@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from typing import Mapping, Sequence, Union
@@ -119,32 +118,53 @@ def char_fn(dist: Distribution, shift, t: int):
 
 
 @lru_cache(maxsize=None)
-def _laurent_coefficients(m: int, n: int) -> tuple[tuple[int, Fraction, Fraction], ...]:
-    """Coefficients of cos^m(x) sin^n(x) as a Laurent polynomial in e^{ix}.
+def _laurent_matrix(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], np.ndarray]:
+    """Laurent coefficients in e^{ix} of cos^m(x) sin^n(x) for each (m, n) in `pairs`.
 
-    Returns (frequency, real part, imaginary part) triples with exact
-    rational parts: the expansion of (e^{ix}+e^{-ix})^m (e^{ix}-e^{-ix})^n
-    divided by i^n 2^(m+n).
+    cos^m sin^n = (e^{ix}+e^{-ix})^m (e^{ix}-e^{-ix})^n / (i^n 2^(m+n)),
+    expanded with exact integer counts.  Returns the sorted frequencies that
+    occur and a read-only (pairs x frequencies) matrix whose row r holds the
+    coefficients of pair r, 0 at frequencies it lacks.
     """
-    counts: dict[int, int] = {}
-    for j in range(m + 1):
-        cj = math.comb(m, j)
-        for k in range(n + 1):
-            c = cj * math.comb(n, k) * (-1) ** k
-            freq = (m - 2 * j) + (n - 2 * k)
-            counts[freq] = counts.get(freq, 0) + c
-    # 1 / i^n cycles through 1, -i, -1, i
-    inv_i = ((1, 0), (0, -1), (-1, 0), (0, 1))[n % 4]
-    scale = Fraction(1, 2 ** (m + n))
-    out = []
-    for freq in sorted(counts):
-        c = counts[freq]
-        if c:
-            out.append((freq, c * inv_i[0] * scale, c * inv_i[1] * scale))
-    return tuple(out)
+    rows = []
+    for m, n in pairs:
+        counts: dict[int, int] = {}
+        for j in range(m + 1):
+            for k in range(n + 1):
+                freq = (m - 2 * j) + (n - 2 * k)
+                counts[freq] = counts.get(freq, 0) + math.comb(m, j) * math.comb(n, k) * (-1) ** k
+        rows.append({freq: c for freq, c in counts.items() if c})
+    freqs = sorted(set().union(*rows))
+    coefficients = np.zeros((len(pairs), len(freqs)), dtype=complex)
+    for r, ((m, n), row) in enumerate(zip(pairs, rows)):
+        inv_re, inv_im = ((1, 0), (0, -1), (-1, 0), (0, 1))[n % 4]  # 1 / i^n
+        for freq, c in row.items():
+            coefficients[r, freqs.index(freq)] = complex(c * inv_re / 2 ** (m + n), c * inv_im / 2 ** (m + n))
+    coefficients.flags.writeable = False
+    return tuple(freqs), coefficients
 
 
 _IMAG_RESIDUE_TOL = 1e-12
+
+
+def _trig_moments(dist: Distribution, shift, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """E[cos^m(X + shift) sin^n(X + shift)] for each (m, n) in `pairs`, stacked on axis 0.
+
+    The characteristic function is evaluated once per frequency, and each
+    Laurent sum is taken left to right in frequency order (a sequential sum,
+    not a BLAS product, which may fuse and reorder the multiply-adds).
+    """
+    if isinstance(dist, Beta):
+        raise UnsupportedMomentError("trigonometric moments of beta-distributed angles are not supported")
+    freqs, coefficients = _laurent_matrix(pairs)
+    shift = np.asarray(shift, dtype=float)
+    values = np.array([char_fn(dist, shift, f) for f in freqs])
+    terms = coefficients.reshape(coefficients.shape + (1,) * shift.ndim) * values
+    sums = np.cumsum(terms, axis=1)[:, -1]
+    residue = float(np.max(np.abs(sums.imag), initial=0.0))
+    if residue > _IMAG_RESIDUE_TOL:
+        raise ArithmeticError(f"trig moment has non-real residue {residue:g}")
+    return sums.real
 
 
 def trig_moment(dist: Distribution, shift, m: int, n: int):
@@ -154,28 +174,8 @@ def trig_moment(dist: Distribution, shift, m: int, n: int):
     """
     if m < 0 or n < 0 or m + n < 1:
         raise ValueError("trig_moment requires m, n >= 0 and m + n >= 1")
-    if isinstance(dist, Beta):
-        raise UnsupportedMomentError("trigonometric moments of beta-distributed angles are not supported")
-    shift_arr = np.asarray(shift, dtype=float)
-    scalar = shift_arr.ndim == 0
-    if scalar:
-        return _trig_moment_scalar(dist, float(shift_arr), m, n)
-    total = np.zeros(shift_arr.shape, dtype=complex)
-    for freq, c_re, c_im in _laurent_coefficients(m, n):
-        total += complex(c_re, c_im) * char_fn(dist, shift_arr, freq)
-    if np.max(np.abs(total.imag)) > _IMAG_RESIDUE_TOL:
-        raise ArithmeticError(f"trig moment has non-real residue {np.max(np.abs(total.imag)):g}")
-    return total.real
-
-
-@lru_cache(maxsize=None)
-def _trig_moment_scalar(dist: Distribution, shift: float, m: int, n: int) -> float:
-    total = 0j
-    for freq, c_re, c_im in _laurent_coefficients(m, n):
-        total += complex(c_re, c_im) * char_fn(dist, shift, freq)
-    if abs(total.imag) > _IMAG_RESIDUE_TOL:
-        raise ArithmeticError(f"trig moment has non-real residue {abs(total.imag):g}")
-    return total.real
+    values = _trig_moments(dist, shift, ((m, n),))[0]
+    return float(values) if np.ndim(shift) == 0 else values
 
 
 # -- raw moments -------------------------------------------------------------
@@ -348,32 +348,26 @@ class DisturbanceModel:
         Row k holds the moments for step `start + k`; each column equals
         :meth:`moment` of its requirement.  Every needed raw moment and
         trigonometric moment is evaluated once per slot over all steps, and
-        each requirement is the product of its slot moments.
+        each requirement is the product of its slot moments.  Without shift
+        schedules every row is the same, so one row is evaluated and
+        returned as a read-only broadcast (row stride 0).
         """
         layout = self._table_layout(requirements)
-        steps = np.arange(start, start + n_steps)
-        rows = [np.ones(n_steps)]
+        steps = np.arange(start, start + (n_steps if self.shifts else min(n_steps, 1)))
+        rows = [np.ones(len(steps))]
         for pos, orders in layout.raw:
             slot = self._raw_slots[pos]
             shift = self.shift_at(slot.source, steps)
             rows.extend(raw_moment(self.distributions[slot.source], shift, k) for k in orders)
-        for pos, freqs, coefficients in layout.trig:
+        for pos, pairs in layout.trig:
             slot = self._trig_slots[pos]
-            dist = self._dist_of(slot.source)
-            if isinstance(dist, Beta):
-                raise UnsupportedMomentError("trigonometric moments of beta-distributed angles are not supported")
             shift = slot.base_shift + self.shift_at(slot.source, steps)
-            terms = coefficients[:, :, None] * np.array([char_fn(dist, shift, f) for f in freqs])
-            sums = np.cumsum(terms, axis=1)[:, -1]  # left to right, in frequency order
-            residue = float(np.max(np.abs(sums.imag), initial=0.0))
-            if residue > _IMAG_RESIDUE_TOL:
-                raise ArithmeticError(f"trig moment has non-real residue {residue:g}")
-            rows.extend(sums.real)
+            rows.extend(_trig_moments(self._dist_of(slot.source), shift, pairs))
         slot_moments = np.stack(rows, axis=1)
         table = slot_moments[:, layout.factors[:, 0]]
         for p in range(1, layout.factors.shape[1]):
             table = table * slot_moments[:, layout.factors[:, p]]
-        return table
+        return table if self.shifts else np.broadcast_to(table, (n_steps, table.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -382,14 +376,11 @@ class _TableLayout:
 
     Slot moments are stacked as rows: row 0 is all ones, then the raw
     moments in `raw` order, then the trigonometric moments in `trig` order.
-    Row r of a trig entry's coefficient matrix holds the Laurent
-    coefficients of its r-th (m, n) pair at that entry's frequencies.
     """
 
     requirements: tuple[MultiIndex, ...]
     raw: tuple[tuple[int, tuple[int, ...]], ...]  # (raw slot position, orders k)
-    # (trig slot position, frequencies, coefficients)
-    trig: tuple[tuple[int, tuple[int, ...], np.ndarray], ...]
+    trig: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]  # (trig slot position, (m, n) pairs)
     factors: np.ndarray  # (n_req, n_factors) slot-moment rows, multiplied left to right; 0 pads
 
     @classmethod
@@ -415,15 +406,7 @@ class _TableLayout:
         raw, trig = [], []
         for (kind, pos), group in groupby(keys, key=lambda key: key[:2]):
             needed = tuple(key[2] for key in group)
-            if kind == 0:
-                raw.append((pos, needed))
-                continue
-            freqs = sorted({f for m, n in needed for f, _, _ in _laurent_coefficients(m, n)})
-            coefficients = np.zeros((len(needed), len(freqs)), dtype=complex)
-            for r, (m, n) in enumerate(needed):
-                for f, c_re, c_im in _laurent_coefficients(m, n):
-                    coefficients[r, freqs.index(f)] = complex(c_re, c_im)
-            trig.append((pos, tuple(freqs), coefficients))
+            (raw if kind == 0 else trig).append((pos, needed))
 
         row_of = {key: i + 1 for i, key in enumerate(keys)}
         factors = np.zeros((len(requirements), max([len(k) for k in per_requirement] + [1])), dtype=np.intp)

@@ -71,17 +71,22 @@ def rollouts(
     Yields (batch size, states) per batch; `states` yields the batch's state
     (variable -> samples) at t = 0..n_steps.  Each batch draws from its own
     child seed spawned from `seed`, sampling the disturbances in spec order
-    at every step and adding the model's shift.
+    at every step and adding the model's shift.  A negative step count or a
+    batch size below 1 raises ValueError at the call.
     """
+    if n_steps < 0:
+        raise ValueError("step count must be nonnegative")
+    if batch_size < 1:
+        raise ValueError(f"batch size must be at least 1, got {batch_size}")
     sizes = [batch_size] * (n_samples // batch_size)
     if n_samples % batch_size:
         sizes.append(n_samples % batch_size)
-    for nb, child in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
-        rng = np.random.Generator(np.random.PCG64(child))
-        yield nb, _batch_states(spec, model, x0, n_steps, nb, rng)
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    return ((nb, _batch_states(spec, model, x0, n_steps, nb, child)) for nb, child in zip(sizes, children))
 
 
-def _batch_states(spec, model, x0, n_steps, nb, rng):
+def _batch_states(spec, model, x0, n_steps, nb, seed_seq):
+    rng = np.random.Generator(np.random.PCG64(seed_seq))
     state = {name: np.full(nb, float(x0[name])) for name in spec.state_vars}
     yield state
     for t in range(n_steps):
@@ -275,6 +280,8 @@ def linear_propagate(
 
     Covariances are symmetrized every step and stay PSD up to roundoff.
     """
+    if n_steps < 0:
+        raise ValueError("step count must be nonnegative")
     n = len(lin.state_vars)
     mus = np.empty((n_steps + 1, n))
     covs = np.empty((n_steps + 1, n, n))

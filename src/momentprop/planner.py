@@ -247,20 +247,6 @@ class DubinsPath:
     def length(self) -> float:
         return sum(length for _, length in self.segments)
 
-    def heading_change(self, s: float, start_heading: float) -> float:
-        """Heading after arc length s along the path."""
-        heading = start_heading
-        for mode, length in self.segments:
-            take = min(s, length)
-            if mode == "L":
-                heading += take / self.radius
-            elif mode == "R":
-                heading -= take / self.radius
-            s -= take
-            if s <= 0:
-                break
-        return heading
-
 
 def dubins_shortest_path(
     from_pose: Sequence[float], to_pose: Sequence[float], radius: float
@@ -325,9 +311,18 @@ def dubins_steer(
     if length <= 1e-12:
         return np.zeros(0)
     n_steps = max(1, math.ceil(length / speed))
-    h0 = from_pose[2]
-    headings = [path.heading_change(min(k * speed, length), h0) for k in range(n_steps + 1)]
-    return np.diff(np.asarray(headings))
+    # Heading at each step's arc length s, segment by segment: each segment
+    # turns by min(remaining s, its length) / radius.
+    s = np.minimum(np.arange(n_steps + 1) * speed, length)
+    headings = np.full(n_steps + 1, float(from_pose[2]))
+    for mode, seg_length in path.segments:
+        take = np.minimum(s, seg_length)
+        if mode == "L":
+            headings = headings + take / radius
+        elif mode == "R":
+            headings = headings - take / radius
+        s = s - take
+    return np.diff(headings)
 
 
 # -- stochastic steering -----------------------------------------------------------

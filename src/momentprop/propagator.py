@@ -146,18 +146,10 @@ def propagate(
     if n_steps < 0:
         raise ValueError("step count must be nonnegative")
     arrays = _runtime_arrays(msys)
-    if model.shifts:
-        table = model.moment_table(arrays.requirements, n_steps, start=init.time)
-    else:
-        # Stationary disturbances: one row of moments, broadcast (row stride
-        # 0), serves every step.
-        n_req = len(arrays.requirements)
-        row = model.moment_table(arrays.requirements, 1) if n_steps else np.zeros((1, n_req))
-        table = np.broadcast_to(row, (n_steps, n_req))
     out = np.empty((n_steps + 1, len(msys.basis)))
     bad_t, bad_j = _kernels.run_steps(
         np.asarray(init.values, dtype=np.float64),
-        table,
+        model.moment_table(arrays.requirements, n_steps, start=init.time),
         arrays.target,
         arrays.coeff,
         arrays.req,

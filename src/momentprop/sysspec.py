@@ -214,12 +214,18 @@ def _tokenize_line(text: str, line_no: int) -> list[_Token]:
     return tokens
 
 
+# The parser recurses four frames per parenthesis level, so deeper nesting
+# would overrun Python's default recursion limit of 1000.
+_MAX_PAREN_DEPTH = 200
+
+
 class _ExprParser:
     """Recursive-descent parser for the update-expression grammar."""
 
     def __init__(self, tokens: list[_Token], start: int = 0):
         self.tokens = tokens
         self.i = start
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -280,8 +286,12 @@ class _ExprParser:
                 return Trig(tok.text, arg.text)
             return Sym(tok.text)
         if tok.kind == "punct" and tok.text == "(":
+            if self.depth == _MAX_PAREN_DEPTH:
+                raise SpecError(f"parentheses nested more than {_MAX_PAREN_DEPTH} deep", tok.line, tok.col)
+            self.depth += 1
             expr = self.parse_expr()
             self.expect_punct(")")
+            self.depth -= 1
             return expr
         raise SpecError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 

@@ -136,12 +136,12 @@ def test_criterion_3_linearization_divergence(benchmark_mc, dubins_spec, dubins_
 def test_criterion_4_throughput(dubins_reduced):
     """1e5 steps of the 20-moment compiled system within 100 ms.
 
-    The warm-up call covers the one-time kernel preparation: numba's JIT, or
-    the build of the C kernel when its cached library is missing.
+    The warm-up call covers the one-time kernel preparation: the build of
+    the C kernel when its cached library is missing.
     """
     model = DisturbanceModel(dubins_reduced, presets.benchmark_noise())
     init = init_deterministic(dubins_reduced, X0)
-    propagate(dubins_reduced, init, model, 100)  # warm the JIT kernel
+    propagate(dubins_reduced, init, model, 100)  # warm the kernel
     best = math.inf
     for _ in range(3):
         t0 = time.perf_counter()

@@ -47,6 +47,13 @@ class TestCompile:
         err = capsys.readouterr().err
         assert "line 3" in err
 
+    def test_deeply_nested_spec_exits_2(self, workdir, capsys):
+        deep = workdir / "deep.spec"
+        deep.write_text(f"state x\ndisturbance w\ndyn x' = {'(' * 3000}x{')' * 3000} + w\n")
+        assert run("compile", deep, "-o", workdir / "nope.msys") == EXIT_INPUT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 3")
+
 
 class TestPropagate:
     def test_zero_steps_single_row(self, workdir):
@@ -189,6 +196,31 @@ class TestPipeline:
             assert code == EXIT_INPUT
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1 and err[0].startswith("error:") and "nope" in err[0]
+
+    @pytest.mark.parametrize(
+        "argv, init, message",
+        [
+            (("-T", 3, "--batch-size", 0), "x,y,v,theta\n0,0,1,0\n", "batch size"),
+            (("-T", -1), "x,y,v,theta\n0,0,1,0\n", "step count"),
+            (("-T", 3), "x,y,v,theta\n0,0,1\n", "init.csv, line 2: 3 values for 4 columns"),
+        ],
+        ids=["zero-batch-size", "negative-steps", "ragged-init-row"],
+    )
+    def test_mc_bad_input_exit_2(self, workdir, capsys, argv, init, message):
+        (workdir / "init.csv").write_text(init)
+        capsys.readouterr()
+        code = run("mc", workdir / "dubins.spec", "--init", workdir / "init.csv", "-N", 100,
+                   *argv, "-o", workdir / "mc.csv")
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
+    def test_read_csv_header_only(self, workdir):
+        path = workdir / "empty.csv"
+        path.write_text("# note: none\nt,x,x^2\n")
+        meta, header, values = cli._read_csv(str(path))
+        assert meta == {"note": "none"} and header == ["t", "x", "x^2"]
+        assert values.shape == (0, 3)
 
     def test_compare_horizon_mismatch_exit_2(self, workdir):
         a = workdir / "a.csv"

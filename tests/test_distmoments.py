@@ -140,6 +140,17 @@ class TestTrigMoments:
         for u, v in zip(shifts, values):
             assert v == pytest.approx(trig_moment(Gaussian(0.1, 0.2), float(u), 2, 1), rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("dist", [Gaussian(0.04, 0.03), Uniform(-0.4, 0.9), Degenerate(1.3)])
+    def test_scalar_shift_equals_array_shift(self, dist):
+        shifts = np.linspace(-3.0, 3.0, 13)
+        for m in range(7):
+            for n in range(0 if m else 1, 7):
+                values = trig_moment(dist, shifts, m, n)
+                for u, v in zip(shifts, values):
+                    got = trig_moment(dist, float(u), m, n)
+                    assert type(got) is float
+                    assert got == v
+
 
 class TestRawMoments:
     def test_beta_first_moment(self):
@@ -289,6 +300,7 @@ class TestDisturbanceModel:
     def test_moment_table_layout_follows_requirements(self):
         model = DisturbanceModel(self.system, {"wv": Gaussian(0.1, 0.2), "wt": Gaussian(0.3, 0.1)})
         first = model.moment_table(self.ALL_UP_TO_4, 2)
+        assert first.strides[0] == 0 and not first.flags.writeable  # stationary: one broadcast row
         reqs = [MultiIndex((0, 1, 1)), MultiIndex((2, 0, 0))]
         columns = [self.ALL_UP_TO_4.index(r) for r in reqs]
         np.testing.assert_array_equal(model.moment_table(reqs, 2), first[:, columns])

@@ -141,6 +141,31 @@ class TestDubinsSteer:
             assert math.hypot(end[0] - p1[0], end[1] - p1[1]) <= 0.05
             assert abs(math.remainder(end[2] - p1[2], 2 * math.pi)) <= 0.05
 
+    def test_equals_per_step_heading_loop(self):
+        """The array headings equal a per-step walk along the segments, bit for bit."""
+
+        def heading_after(path, s, heading):
+            for mode, length in path.segments:
+                take = min(s, length)
+                if mode == "L":
+                    heading += take / path.radius
+                elif mode == "R":
+                    heading -= take / path.radius
+                s -= take
+                if s <= 0:
+                    break
+            return heading
+
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            p0 = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-7, 7))
+            p1 = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-7, 7))
+            speed, radius = rng.choice([0.013, 0.05, 0.5]), rng.choice([0.1, 0.3, 1.0])
+            path = dubins_shortest_path(p0, p1, radius)
+            n_steps = max(1, math.ceil(path.length / speed))
+            headings = [heading_after(path, min(k * speed, path.length), p0[2]) for k in range(n_steps + 1)]
+            assert np.array_equal(dubins_steer(p0, p1, speed, radius), np.diff(headings))
+
     def test_path_length_is_shortest_of_words(self):
         # For a far-away aligned target the path is essentially straight.
         path = dubins_shortest_path((0, 0, 0), (10, 0, 0), 1.0)

@@ -190,6 +190,15 @@ class TestPropagate:
         assert traj.moment_series("c_theta")[1:] == pytest.approx(np.cos(heading), abs=1e-12)
         assert traj.moment_series("s_theta")[1:] == pytest.approx(np.sin(heading), abs=1e-12)
 
+    def test_zero_shifts_equal_stationary(self, dubins_reduced):
+        init = init_deterministic(dubins_reduced, {"x": 0.3, "y": -1, "v": 1.2, "theta": 0.4})
+        stationary = DisturbanceModel(dubins_reduced, presets.benchmark_noise())
+        zero = np.zeros(1000)
+        shifted = DisturbanceModel(dubins_reduced, presets.benchmark_noise(), shifts={"wt": zero, "wv": zero})
+        expected = propagate(dubins_reduced, init, stationary, 1000).values
+        got = propagate(dubins_reduced, init, shifted, 1000).values
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
 
 class TestMeanCov:
     def test_point_mass_covariance_zero(self, dubins_reduced):
@@ -376,3 +385,20 @@ class TestCKernel:
         with pytest.raises(ValueError):
             _kernels.run_steps(values0, table, arrays.target, arrays.coeff, arrays.req,
                                arrays.fact, out[:3])
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
+def test_python_fallback_without_compiler(monkeypatch, dubins_reduced):
+    model = DisturbanceModel(dubins_reduced, presets.benchmark_noise())
+    init = init_deterministic(dubins_reduced, {"x": 0.3, "y": -1, "v": 1.2, "theta": 0.4})
+    compiled = propagate(dubins_reduced, init, model, 200).values
+    monkeypatch.setattr(_kernels.shutil, "which", lambda name: None)
+    _kernels._backend.cache_clear()
+    try:
+        assert _kernels.BACKEND == "python"
+        fallback = propagate(dubins_reduced, init, model, 200).values
+    finally:
+        monkeypatch.undo()
+        _kernels._backend.cache_clear()
+    assert np.array_equal(fallback.view(np.int64), compiled.view(np.int64))
+    assert _kernels.BACKEND == "c"

@@ -69,6 +69,14 @@ class TestParse:
         with pytest.raises(SpecError, match="polynomially and trigonometrically"):
             parse_spec(text)
 
+    def test_deep_nesting_reports_line(self):
+        deep = "(" * 3000 + "x" + ")" * 3000
+        with pytest.raises(SpecError, match="nested") as err:
+            parse_spec(f"state x\ndisturbance w\ndyn x' = {deep} + w\n")
+        assert err.value.line == 3
+        spec = parse_spec(f"state x\ndisturbance w\ndyn x' = {'(' * 200}x{')' * 200} + w\n")
+        assert spec.updates["x"] == parse_spec("state x\ndisturbance w\ndyn x' = x + w\n").updates["x"]
+
     def test_missing_update(self):
         with pytest.raises(SpecError, match="no 'dyn' update"):
             parse_spec("state x y\ndisturbance w\ndyn x' = x + w\n")
