@@ -51,19 +51,22 @@ def run_steps_python(values0, table, target, coeff, req, fact, out):
     max_f = fact.shape[1]
     for j in range(n):
         out[0, j] = values0[j]
-    for t in range(n_steps):
-        for j in range(n):
-            out[t + 1, j] = 0.0
-        for k in range(n_terms):
-            v = coeff[k] * table[t, req[k]]
-            for fi in range(max_f):
-                idx = fact[k, fi]
-                if idx >= 0:
-                    v *= out[t, idx]
-            out[t + 1, target[k]] += v
-        for j in range(n):
-            if not np.isfinite(out[t + 1, j]):
-                return t + 1, j
+    # A non-finite value is reported through the return value, as the C loop
+    # does, so numpy's overflow and invalid-value warnings are not raised.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(n_steps):
+            for j in range(n):
+                out[t + 1, j] = 0.0
+            for k in range(n_terms):
+                v = coeff[k] * table[t, req[k]]
+                for fi in range(max_f):
+                    idx = fact[k, fi]
+                    if idx >= 0:
+                        v *= out[t, idx]
+                out[t + 1, target[k]] += v
+            for j in range(n):
+                if not np.isfinite(out[t + 1, j]):
+                    return t + 1, j
     return -1, -1
 
 

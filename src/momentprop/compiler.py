@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .polyring import MultiIndex, monomial_name, pow_multiindex
+from .polyring import MultiIndex, Polynomial, monomial_name, pow_multiindex
 from .sysspec import DependenceGraph, PolynomialSystem, TrigPair, components_of_support
 
 
@@ -60,19 +60,71 @@ def _term_sort_key(term: MufTerm):
     )
 
 
+def _sorted_form(target: MultiIndex, terms: list[MufTerm], reduced: bool) -> MomentUpdateForm:
+    # The key is total on distinct (dist_index, state_factors), so the
+    # order of `terms` on entry cannot change the result.
+    terms.sort(key=_term_sort_key)
+    return MomentUpdateForm(target, tuple(terms), reduced)
+
+
+def _expansion_terms(expansion: Polynomial, n: int) -> list[MufTerm]:
+    """Un-reduced terms of f^alpha over the joint ambient: n state variables first."""
+    terms = []
+    for mi, coeff in expansion.terms.items():
+        beta_x, beta_w = mi.split(n)
+        terms.append(MufTerm(coeff, beta_w, () if beta_x.is_zero() else (beta_x,)))
+    return terms
+
+
 def moment_update_form(system: PolynomialSystem, alpha: MultiIndex) -> MomentUpdateForm:
     """Un-reduced moment update form of E[x_{t+1}^alpha]."""
     if len(alpha) != len(system.vars):
         raise ValueError("target multi-index length does not match state variable count")
-    n = len(system.vars)
-    expansion = pow_multiindex(system.f, alpha)
-    terms = []
-    for mi, coeff in expansion.sorted_terms():
-        beta_x, beta_w = mi.split(n)
-        factors = () if beta_x.is_zero() else (beta_x,)
-        terms.append(MufTerm(coeff, beta_w, factors))
-    terms.sort(key=_term_sort_key)
-    return MomentUpdateForm(alpha, tuple(terms), reduced=False)
+    terms = _expansion_terms(pow_multiindex(system.f, alpha), len(system.vars))
+    return _sorted_form(alpha, terms, reduced=False)
+
+
+def _power_builder(f: Sequence[Polynomial]) -> Callable[[MultiIndex], Polynomial]:
+    """Map alpha to f^alpha, equal to ``pow_multiindex(f, alpha)``, memoising every power built.
+
+    f^alpha is the cached f^(alpha - e_i) times f_i, with i the last nonzero
+    entry of alpha; the chain down to a cached power is walked iteratively.
+    Exact arithmetic makes the order of the products irrelevant.
+    """
+    powers = {MultiIndex.zero(len(f)): Polynomial.constant(f[0].vars, 1)}
+
+    def power(alpha: MultiIndex) -> Polynomial:
+        chain = []
+        while alpha not in powers:
+            i = alpha.support()[-1]
+            chain.append((alpha, i))
+            alpha = MultiIndex((*alpha[:i], alpha[i] - 1, *alpha[i + 1 :]))
+        result = powers[alpha]
+        for mi, i in reversed(chain):
+            result = powers[mi] = result * f[i]
+        return result
+
+    return power
+
+
+def _block_splitter(graph: DependenceGraph) -> Callable[[MultiIndex], tuple[MultiIndex, ...]]:
+    """Map a state multi-index to its blocks along `graph`'s components, in grlex order.
+
+    The components depend only on the index's support, so the returned
+    function finds them once per support and keeps them for its lifetime.
+    """
+    components: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+
+    def blocks(beta_x: MultiIndex) -> tuple[MultiIndex, ...]:
+        support = beta_x.support()
+        comps = components.get(support)
+        if comps is None:
+            comps = components[support] = [b.support() for b in components_of_support(graph, beta_x)]
+        if len(comps) == 1:
+            return (beta_x,)
+        return tuple(sorted((beta_x.masked(c) for c in comps), key=MultiIndex.grlex_key))
+
+    return blocks
 
 
 def reduce_form(form: MomentUpdateForm, graph: DependenceGraph) -> MomentUpdateForm:
@@ -83,19 +135,21 @@ def reduce_form(form: MomentUpdateForm, graph: DependenceGraph) -> MomentUpdateF
     """
     if form.reduced:
         raise ValueError("form is already reduced")
+    return _reduce(form.target, form.terms, _block_splitter(graph))
+
+
+def _reduce(
+    target: MultiIndex,
+    terms: Iterable[MufTerm],
+    blocks: Callable[[MultiIndex], tuple[MultiIndex, ...]],
+) -> MomentUpdateForm:
     merged: dict[tuple[MultiIndex, tuple[MultiIndex, ...]], Fraction] = {}
-    for term in form.terms:
-        factors: tuple[MultiIndex, ...] = ()
-        if term.state_factors:
-            blocks = components_of_support(graph, term.state_factors[0])
-            factors = tuple(sorted(blocks, key=MultiIndex.grlex_key))
-        key = (term.dist_index, factors)
-        merged[key] = merged.get(key, Fraction(0)) + term.coeff
-    terms = [
-        MufTerm(c, beta_w, factors) for (beta_w, factors), c in merged.items() if c
-    ]
-    terms.sort(key=_term_sort_key)
-    return MomentUpdateForm(form.target, tuple(terms), reduced=True)
+    for term in terms:
+        key = (term.dist_index, blocks(term.state_factors[0]) if term.state_factors else ())
+        prev = merged.get(key)
+        merged[key] = term.coeff if prev is None else prev + term.coeff
+    out = [MufTerm(c, beta_w, factors) for (beta_w, factors), c in merged.items() if c]
+    return _sorted_form(target, out, reduced=True)
 
 
 class MomentBasis:
@@ -212,6 +266,11 @@ def complete_basis(
             chain.append(render(mi))
         return chain[::-1]
 
+    # Both caches live for this call only, so memory does not grow across compiles.
+    n = len(system.vars)
+    power = _power_builder(system.f)
+    blocks = _block_splitter(system.graph)
+
     order: list[MultiIndex] = []
     forms: dict[MultiIndex, MomentUpdateForm] = {}
     parent: dict[MultiIndex, MultiIndex] = {}
@@ -228,9 +287,8 @@ def complete_basis(
             raise BasisExplosionError(
                 f"moment basis size guard ({max_basis}) exceeded at {render(alpha)}", chain_of(alpha)
             )
-        form = moment_update_form(system, alpha)
-        if reduced:
-            form = reduce_form(form, system.graph)
+        terms = _expansion_terms(power(alpha), n)
+        form = _reduce(alpha, terms, blocks) if reduced else _sorted_form(alpha, terms, reduced=False)
         order.append(alpha)
         forms[alpha] = form
         children = sorted(

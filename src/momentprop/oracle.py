@@ -348,15 +348,14 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
 
-# Relative to max(1, |value|): with no sample spread, exact and MC agree only
-# up to the rounding of the two computations, which grows with the value.
+# Per step and per unit of moment scale; see `compare_tables` for the rule.
 _ZERO_SE_RTOL = 1e-12
 
 
-def _z_score(value: float, mc_mean: float, mc_se: float) -> float:
+def _z_score(value: float, mc_mean: float, mc_se: float, zero_se_atol: float) -> float:
     diff = value - mc_mean
     if mc_se == 0.0:
-        return 0.0 if abs(diff) <= _ZERO_SE_RTOL * max(1.0, abs(value)) else float("inf")
+        return 0.0 if abs(diff) <= zero_se_atol else float("inf")
     return diff / mc_se
 
 
@@ -367,21 +366,36 @@ def compare_tables(
     mc_ses: np.ndarray,
     lin: Mapping[str, np.ndarray] | None = None,
 ) -> ComparisonReport:
-    """Comparison report from aligned (n_steps + 1, n_moments) value tables."""
+    """Comparison report from aligned (n_steps + 1, n_moments) value tables.
+
+    z is (value - MC mean) / MC SE.  Where the SE is 0 (no sample spread),
+    both sides are deterministic and differ only by rounding, so z is 0 when
+
+        |value - MC mean| <= 1e-12 * (1 + t) * max(1, |value|, max_j |exact[t, j]|)
+
+    and inf otherwise, where t is the row (steps since the first row) and
+    value the exact or linearized moment.  Each step of either computation
+    rounds relative to the largest moments it combines, and that rounding
+    accumulates over the t steps; a moment that passes near zero keeps the
+    error of its large neighbours, hence the row maximum.
+    """
     shapes = {exact.shape, mc_means.shape, mc_ses.shape}
     if len(shapes) != 1 or exact.shape[1] != len(names):
         raise ValueError("comparison tables must share one (steps, moments) shape")
+    step_rtol = _ZERO_SE_RTOL * (1 + np.arange(exact.shape[0]))
+    zero_se_atol = step_rtol * np.max(np.abs(exact), axis=1, initial=1.0)
     rows: list[ComparisonRow] = []
     flagged = []
     max_z = 0.0
     for j, name in enumerate(names):
         lin_series = None if lin is None else lin.get(name)
         for t in range(exact.shape[0]):
-            z = _z_score(float(exact[t, j]), float(mc_means[t, j]), float(mc_ses[t, j]))
+            z = _z_score(float(exact[t, j]), float(mc_means[t, j]), float(mc_ses[t, j]), zero_se_atol[t])
             lin_v = None if lin_series is None else float(lin_series[t])
             lin_z = None
             if lin_v is not None:
-                lin_z = _z_score(lin_v, float(mc_means[t, j]), float(mc_ses[t, j]))
+                lin_atol = max(zero_se_atol[t], step_rtol[t] * abs(lin_v))
+                lin_z = _z_score(lin_v, float(mc_means[t, j]), float(mc_ses[t, j]), lin_atol)
             rows.append(
                 ComparisonRow(t, name, float(exact[t, j]), float(mc_means[t, j]),
                               float(mc_ses[t, j]), z, lin_v, lin_z)

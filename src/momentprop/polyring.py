@@ -12,12 +12,18 @@ All arithmetic here is exact; nothing touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, neg
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 
 class MultiIndex(tuple):
-    """Exponent vector of a monomial: one nonnegative integer per variable."""
+    """Exponent vector of a monomial: one nonnegative integer per variable.
+
+    The constructor checks every entry.  Methods that derive a new index from
+    valid ones (`plus`, `masked`, `split`) build it with ``tuple.__new__``,
+    since sums and slices of nonnegative ints need no re-check.
+    """
 
     __slots__ = ()
 
@@ -51,20 +57,20 @@ class MultiIndex(tuple):
     def plus(self, other: "MultiIndex") -> "MultiIndex":
         if len(self) != len(other):
             raise ValueError("multi-index length mismatch")
-        return MultiIndex(a + b for a, b in zip(self, other))
+        return tuple.__new__(MultiIndex, map(add, self, other))
 
     def masked(self, indices: Iterable[int]) -> "MultiIndex":
         """Copy with entries kept only at `indices`, zero elsewhere."""
         keep = set(indices)
-        return MultiIndex(e if i in keep else 0 for i, e in enumerate(self))
+        return tuple.__new__(MultiIndex, (e if i in keep else 0 for i, e in enumerate(self)))
 
     def split(self, n_first: int) -> tuple["MultiIndex", "MultiIndex"]:
         """Split into the first `n_first` entries and the rest."""
-        return MultiIndex(self[:n_first]), MultiIndex(self[n_first:])
+        return tuple.__new__(MultiIndex, self[:n_first]), tuple.__new__(MultiIndex, self[n_first:])
 
     def grlex_key(self) -> tuple[int, tuple[int, ...]]:
         """Sort key for graded lexicographic order (variable declaration order)."""
-        return (sum(self), tuple(-e for e in self))
+        return (sum(self), tuple(map(neg, self)))
 
     def __repr__(self) -> str:
         return f"MultiIndex{tuple(self)}"
@@ -114,6 +120,14 @@ class Polynomial:
                 canonical[mi] = canonical.get(mi, Fraction(0)) + c
         object.__setattr__(self, "_vars", var_tuple)
         object.__setattr__(self, "_terms", MappingProxyType({m: c for m, c in canonical.items() if c}))
+
+    @classmethod
+    def _trusted(cls, var_tuple: tuple[str, ...], terms: dict[MultiIndex, Fraction]) -> "Polynomial":
+        """Wrap terms already canonical over `var_tuple` (valid indices, nonzero Fractions), unchecked."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_vars", var_tuple)
+        object.__setattr__(poly, "_terms", MappingProxyType(terms))
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -202,12 +216,16 @@ class Polynomial:
             c = _coerce_coeff(other)
             return Polynomial(self._vars, {mi: c * v for mi, v in self._terms.items()})
         self._require_same_ambient(other)
+        # Both operands are canonical over one ambient, so every product index is
+        # valid and only cancellation to zero needs dropping.
         out: dict[MultiIndex, Fraction] = {}
+        other_terms = other._terms.items()
         for mi_a, ca in self._terms.items():
-            for mi_b, cb in other._terms.items():
-                key = mi_a.plus(mi_b)
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return Polynomial(self._vars, out)
+            for mi_b, cb in other_terms:
+                key = tuple.__new__(MultiIndex, map(add, mi_a, mi_b))
+                prev = out.get(key)
+                out[key] = ca * cb if prev is None else prev + ca * cb
+        return Polynomial._trusted(self._vars, {mi: c for mi, c in out.items() if c})
 
     __rmul__ = __mul__
 

@@ -1,9 +1,13 @@
+import functools
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from momentprop import compiler
+from momentprop import compiler, presets
 from momentprop.compiler import (
     BasisExplosionError,
     MomentBasis,
@@ -14,7 +18,7 @@ from momentprop.compiler import (
     moment_update_form,
     reduce_form,
 )
-from momentprop.polyring import MultiIndex, Polynomial
+from momentprop.polyring import MultiIndex, Polynomial, pow_multiindex
 from momentprop.propagator import MomentTrajectory, mean_cov
 from momentprop.sysspec import DependenceGraph, PolynomialSystem, parse_spec, trig_encode
 
@@ -164,6 +168,35 @@ class TestCompletion:
             msys = compile_moment_system(system, seed)
             assert is_complete(msys.basis, msys.forms, True)
 
+    def test_power_cache_equals_pow_multiindex(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            system = random_system(rng)
+            power = compiler._power_builder(system.f)
+            alphas = [random_target(rng, len(system.vars)) for _ in range(8)]
+            for alpha in [*alphas, *reversed(alphas), MultiIndex.zero(len(system.vars))]:
+                assert power(alpha) == pow_multiindex(system.f, alpha)
+
+    def test_cached_completion_equals_uncached_forms(self, dubins_system):
+        """Each form of a completion equals the public, cache-free moment_update_form/reduce_form."""
+        ladder = trig_encode(parse_spec(ladder_spec_text(3, 1.013, 0.947)))
+        rng = np.random.default_rng(13)
+        linear = []
+        for _ in range(10):
+            system = random_system(rng)
+            f = tuple(p if p.degree() <= 1 else Polynomial.constant(p.vars, 1) for p in system.f)
+            linear.append(PolynomialSystem(vars=system.vars, dist_vars=system.dist_vars, f=f, graph=system.graph))
+        cases = [(dubins_system, dubins_system.target_moments), (ladder, ladder.target_moments)]
+        cases += [(system, [random_target(rng, len(system.vars), 3)]) for system in linear]
+        for system, seed in cases:
+            for reduced in (True, False):
+                basis, forms = compiler.complete_basis(system, seed, reduced)
+                for alpha, form in zip(basis, forms):
+                    expected = moment_update_form(system, alpha)
+                    if reduced:
+                        expected = reduce_form(expected, system.graph)
+                    assert form == expected
+
     def test_deterministic_order(self, dubins_system):
         a = compile_moment_system(dubins_system, dubins_system.target_moments)
         b = compile_moment_system(dubins_system, dubins_system.target_moments)
@@ -247,6 +280,31 @@ class TestLtv:
             ltv_matrices(msys, {})
 
 
+@functools.cache
+def valid_msys_texts() -> tuple[str, ...]:
+    walk = compile_moment_system(scalar_walk_system(), [MultiIndex((2,))], reduced=False)
+    return tuple(compiler.dumps(m) for m in (presets.compile_dubins(True), presets.compile_dubins(False), walk))
+
+
+_FIELD_VALUES = st.one_of(
+    st.integers(-3, 10**6).map(str),
+    st.sampled_from(["", "-", "|", "0/0", "1/0", "1/-2", "2/4", "x", "1_0", "\u0663", "\x1c"]),
+    st.text(max_size=6),
+)
+
+
+def assert_rejected_or_round_trips(text: str) -> None:
+    """`loads` raises ValueError, or loads a system whose `dumps` text loads back to it."""
+    try:
+        msys = compiler.loads(text)
+    except ValueError:
+        return
+    out = compiler.dumps(msys)
+    again = compiler.loads(out)
+    assert again == msys
+    assert compiler.dumps(again) == out
+
+
 class TestSerialization:
     def test_round_trip_identity(self, dubins_reduced):
         text = compiler.dumps(dubins_reduced)
@@ -326,10 +384,86 @@ class TestSerialization:
         with pytest.raises(KeyError):
             mean_cov(traj, ("x", "v"))
 
+    @given(st.text())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_arbitrary_text(self, text):
+        assert_rejected_or_round_trips(text)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_fuzz_edited_file(self, data):
+        """A valid file with one line dropped or duplicated, or one field replaced."""
+        lines = data.draw(st.sampled_from(valid_msys_texts())).splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        edit = data.draw(st.sampled_from(["drop", "duplicate", "field"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            fields = lines[i].split(" ")
+            j = data.draw(st.integers(0, len(fields) - 1))
+            fields[j] = data.draw(_FIELD_VALUES)
+            lines[i] = " ".join(fields)
+        assert_rejected_or_round_trips("\n".join(lines) + "\n")
+
     def test_file_round_trip(self, tmp_path, dubins_unreduced):
         path = tmp_path / "system.msys"
         compiler.save(dubins_unreduced, path)
         assert compiler.load(path).forms == dubins_unreduced.forms
+
+
+def ladder_spec_text(k: int, ax: float, ay: float) -> str:
+    """Dubins with coefficients ax, ay on the position updates and targets x^a y^b, 1 <= a + b <= k."""
+
+    def power(var: str, e: int) -> list[str]:
+        return [] if e == 0 else [var] if e == 1 else [f"{var}^{e}"]
+
+    targets = ["*".join(power("x", a) + power("y", d - a)) for d in range(1, k + 1) for a in range(d, -1, -1)]
+    text = presets.DUBINS_SPEC
+    for old, new in (
+        ("moments x y x*y x^2 y^2", "moments " + " ".join(targets)),
+        ("x + v*cos(theta)", f"x + {ax!r}*v*cos(theta)"),
+        ("y + v*sin(theta)", f"y + {ay!r}*v*sin(theta)"),
+    ):
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+# sha256 of `dumps` for each system, as the uncached compiler (`pow_multiindex` per moment) produced it.
+GOLDEN_MSYS_SHA256 = {
+    ("dubins", True): "ee799860be9e39859526e4060908fd64bb66cd8f706a19820e56a25c67a9a31a",
+    ("dubins", False): "a36085eefcb3047d77c57ecd39748eeb49cd446d0b5a43119c212c4c2e04281e",
+    ((2, 1.013, 0.947), True): "ee6bf80baafb68541dd04969ec42cd6e8328b708e4f505983a38563db6bfec10",
+    ((2, 1.013, 0.947), False): "c51ba68ee2a43d7d6eeb81cbe2fc7647df314cd9bf544a514fd09431eac1787a",
+    ((3, 1.013, 0.947), True): "9ca4deba4a0c4c277c553816bcd34ad387b5c516746869477cd4faf6552c8689",
+    ((3, 1.013, 0.947), False): "3ec4614a60fbb1b5504f117b33cedfd55c73fbe096c5ca2465c618043b7620e2",
+    ((4, 1.013, 0.947), True): "b0f77c1ddecab99c542dcf65680302d3462305863d39821f35ae8e21ffd823fe",
+    ((4, 1.013, 0.947), False): "7b7222b19080243f41c3dffad9f6dd492b829622cd8e3396e4d21e15f97e3daa",
+    ((5, 1.013, 0.947), True): "459233203a2dc370f94720fb6834710d608a0d02d893415b7e4c3ffc6db45ef7",
+    ((5, 1.013, 0.947), False): "6cc97028e3446caaef442598eb1aa7639699c717b5973542dcd9438c04c81915",
+    ((2, 0.9, 1.1), True): "b91eb931d70f0b9d32d4fdfbddc78a6129a2e26dadf2c155f7d37d272a805233",
+    ((2, 0.9, 1.1), False): "4dbea66c181cd7946375fa5b594b3be4186794541bc846eb47f6e49a0fbb6562",
+    ((3, 0.9, 1.1), True): "297ac63018368268f7a752ad7de6aeee6500ca2457163584f08c0ddc10748b45",
+    ((3, 0.9, 1.1), False): "226f8fa25d2fc6c392eb97098128f154e9fc580ccfae7d73492029c0b1991ca9",
+    ((4, 0.9, 1.1), True): "326caa2d501e643641bcb2dc34a4db77a00a369f60333dc2dcbbadd09108c0ad",
+    ((4, 0.9, 1.1), False): "6d5a6b3205b4600bbfdff55eab66543d4aceade31c7fc3d3976b2bd9442bb402",
+    ((5, 0.9, 1.1), True): "e22ebc20f453dd391c56022521441075c47a97483ff364b22d44aa76b911fa6e",
+    ((5, 0.9, 1.1), False): "615b02fa21d2b5be2d6afd9a81f178192193dec59f33886f52fd135f01851c72",
+}
+
+
+@pytest.mark.parametrize("case, reduced", list(GOLDEN_MSYS_SHA256), ids=str)
+def test_msys_text_matches_golden(case, reduced):
+    """The `.msys` text of the paper's system and of every compile-ladder rung is pinned byte for byte."""
+    if case == "dubins":
+        msys = presets.compile_dubins(reduced=reduced)
+    else:
+        system = trig_encode(parse_spec(ladder_spec_text(*case)))
+        msys = compile_moment_system(system, system.target_moments, reduced=reduced)
+    digest = hashlib.sha256(compiler.dumps(msys).encode()).hexdigest()
+    assert digest == GOLDEN_MSYS_SHA256[case, reduced]
 
 
 class TestRenderEquations:

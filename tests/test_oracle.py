@@ -297,6 +297,35 @@ class TestCompare:
         report = compare_tables(["m"], exact, mc_means, np.zeros((4, 1)))
         assert [r.z_exact for r in report.rows] == [0.0, math.inf, 0.0, math.inf]
 
+    @staticmethod
+    def _deterministic_dubins_run(dubins_spec, dubins_system, dubins_reduced, n_steps):
+        model = DisturbanceModel(dubins_reduced, {"wv": Degenerate(0.01), "wt": Degenerate(0.05)})
+        x0 = {"x": 0.3, "y": -1.7, "v": 1.3, "theta": 0.4}
+        traj = propagator.propagate(dubins_reduced, propagator.init_deterministic(dubins_reduced, x0), model, n_steps)
+        mc = mc_simulate(
+            dubins_spec, dubins_system, model, x0, n_steps, 8, seed=0, moments=tuple(dubins_reduced.basis)
+        )
+        assert np.all(mc.ses == 0.0)
+        return traj, mc
+
+    def test_zero_se_tolerance_grows_with_steps(self, dubins_spec, dubins_system, dubins_reduced):
+        # A step-independent 1e-12 * max(1, |value|) flagged E[y^2] at t = 94..96 here.
+        traj, mc = self._deterministic_dubins_run(dubins_spec, dubins_system, dubins_reduced, 100)
+        report = compare(traj, mc)
+        assert report.flagged == []
+        assert all(r.z_exact == 0.0 for r in report.rows)
+
+    def test_zero_se_mismatch_still_flagged(self, dubins_spec, dubins_system, dubins_reduced):
+        traj, mc = self._deterministic_dubins_run(dubins_spec, dubins_system, dubins_reduced, 100)
+        names = list(mc.names)
+        exact = np.stack([traj.moment_series(name) for name in names], axis=1)
+        exact[10, names.index("x^2")] *= 1 + 1e-9
+        # E[y^2] = 1.8 at t = 94 while E[x^2] = 2840: the row scale sets the tolerance.
+        exact[94, names.index("y^2")] *= 1 + 1e-6
+        report = compare_tables(names, exact, mc.means, mc.ses)
+        assert sorted((t, name) for t, name, _ in report.flagged) == [(10, "x^2"), (94, "y^2")]
+        assert report.max_abs_z_exact == math.inf
+
     def test_csv_includes_lin_column(self):
         names = ["x"]
         exact = np.zeros((2, 1))

@@ -48,6 +48,29 @@ class TestMultiIndex:
     def test_masked(self):
         assert MultiIndex((2, 1, 3)).masked([0, 2]) == MultiIndex((2, 0, 3))
 
+    @pytest.mark.parametrize("bad", [(1, -1), (True, 0), (1, 1.0), ("1", 0), (Fraction(1), 0)], ids=repr)
+    def test_constructor_rejects_invalid_entries(self, bad):
+        with pytest.raises(ValueError):
+            MultiIndex(bad)
+
+    def test_plus_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            MultiIndex((1, 2)).plus(MultiIndex((1, 2, 3)))
+
+    @given(indices, indices)
+    @settings(max_examples=60, deadline=None)
+    def test_derived_indices_equal_validated_ones(self, a, b):
+        """`plus`, `split` and `masked` skip re-validation; their results equal checked ones."""
+        derived = [a.plus(b), *a.split(1), a.masked([0, 2])]
+        checked = [
+            MultiIndex(x + y for x, y in zip(a, b)),
+            MultiIndex(a[:1]),
+            MultiIndex(a[1:]),
+            MultiIndex((a[0], 0, a[2])),
+        ]
+        assert derived == checked
+        assert all(type(mi) is MultiIndex for mi in derived)
+
     def test_monomial_names(self):
         assert monomial_name(VARS, MultiIndex((0, 0, 0))) == "1"
         assert monomial_name(VARS, MultiIndex((2, 1, 0))) == "x^2*y"
@@ -159,6 +182,24 @@ class TestRingProperties:
         p = Polynomial(VARS, {a: Fraction(1)})
         q = Polynomial(VARS, {b: Fraction(2)})
         assert (p * q).degree() == p.degree() + q.degree()
+
+    @given(polynomials, polynomials)
+    @settings(max_examples=80, deadline=None)
+    def test_product_equals_validated_rebuild(self, p, q):
+        """The product skips the constructor's checks; it equals a product built through them."""
+        terms = {}
+        for a, ca in p.terms.items():
+            for b, cb in q.terms.items():
+                key = MultiIndex(x + y for x, y in zip(a, b))
+                terms[key] = terms.get(key, Fraction(0)) + ca * cb
+        product = p * q
+        assert product == Polynomial(VARS, terms)
+        assert all(c != 0 and type(c) is Fraction for c in product.terms.values())
+        assert all(type(mi) is MultiIndex and len(mi) == len(VARS) for mi in product.terms)
+
+    def test_product_drops_cancelled_terms(self):
+        product = (X + ONE) * (X - ONE)
+        assert dict(product.terms) == {MultiIndex((2, 0, 0)): Fraction(1), MultiIndex((0, 0, 0)): Fraction(-1)}
 
     def test_insertion_order_irrelevant(self):
         t1 = {MultiIndex((1, 0, 0)): Fraction(1), MultiIndex((0, 2, 0)): Fraction(-2)}

@@ -402,3 +402,24 @@ def test_python_fallback_without_compiler(monkeypatch, dubins_reduced):
         _kernels._backend.cache_clear()
     assert np.array_equal(fallback.view(np.int64), compiled.view(np.int64))
     assert _kernels.BACKEND == "c"
+
+
+def test_python_fallback_overflow_raises_without_warning(monkeypatch):
+    """The suite turns RuntimeWarning into an error, so a warning before PropagationError fails here."""
+    x, w = Polynomial.variables(("x", "w"))
+    system = PolynomialSystem(
+        vars=("x",), dist_vars=("w",), f=(2 * x + w,),
+        graph=DependenceGraph.complete(("x",)),
+    )
+    msys = compile_moment_system(system, [MultiIndex((1,))])
+    model = DisturbanceModel(msys, {"w": Degenerate(0.0)})
+    init = init_deterministic(msys, {"x": 1.0})
+    monkeypatch.setattr(_kernels.shutil, "which", lambda name: None)
+    _kernels._backend.cache_clear()
+    try:
+        assert _kernels.BACKEND == "python"
+        with pytest.raises(PropagationError, match=r"E\[x\] became non-finite at step 1024"):
+            propagate(msys, init, model, 1100)
+    finally:
+        monkeypatch.undo()
+        _kernels._backend.cache_clear()
