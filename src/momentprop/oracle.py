@@ -202,17 +202,43 @@ class LinearModel:
     dt: float
 
 
+@dataclass(frozen=True)
+class _Dual:
+    """A value and its gradient over the spec's variables, for forward-mode differentiation."""
+
+    value: float
+    grad: np.ndarray
+
+    def __add__(self, other: "_Dual") -> "_Dual":
+        return _Dual(self.value + other.value, self.grad + other.grad)
+
+    def __sub__(self, other: "_Dual") -> "_Dual":
+        return _Dual(self.value - other.value, self.grad - other.grad)
+
+    def __mul__(self, other: "_Dual") -> "_Dual":
+        return _Dual(self.value * other.value, self.grad * other.value + self.value * other.grad)
+
+    def __pow__(self, exponent: int) -> "_Dual":
+        if exponent == 0:
+            return _Dual(self.value**0, np.zeros_like(self.grad))
+        grad = float(exponent) * self.grad
+        if exponent > 1:
+            grad = grad * self.value ** (exponent - 1)
+        return _Dual(self.value**exponent, grad)
+
+
 def linearize(
     spec: SystemSpec,
     x_star: Mapping[str, float],
     w_star: Mapping[str, float] | None = None,
     dt: float = 1.0,
 ) -> LinearModel:
-    """Exact symbolic Jacobians of the original update map, scaled by dt.
+    """Exact Jacobians of the original update map, scaled by dt.
 
-    With dt = 1 the affine model's step equals the first-order expansion of
-    the true update about (x*, w*); other dt values rescale the deviation
-    from identity as for Euler-discretized continuous dynamics.
+    Each update's value and gradient come from one forward-mode walk of its
+    expression.  With dt = 1 the affine model's step equals the first-order
+    expansion of the true update about (x*, w*); other dt values rescale the
+    deviation from identity as for Euler-discretized continuous dynamics.
     """
     if w_star is None:
         w_star = {}
@@ -220,17 +246,23 @@ def linearize(
     for w in spec.disturbance_vars:
         env[w] = float(w_star.get(w, 0.0))
     n = len(spec.state_vars)
-    n_w = len(spec.disturbance_vars)
-    jac_x = np.empty((n, n))
-    jac_w = np.empty((n, n_w))
-    f_star = np.empty(n)
-    for i, name in enumerate(spec.state_vars):
-        update = spec.updates[name]
-        f_star[i] = sysspec.evaluate(update, env)
-        for j, other in enumerate(spec.state_vars):
-            jac_x[i, j] = sysspec.evaluate(sysspec.differentiate(update, other), env)
-        for j, w in enumerate(spec.disturbance_vars):
-            jac_w[i, j] = sysspec.evaluate(sysspec.differentiate(update, w), env)
+    column = {name: j for j, name in enumerate(env)}
+
+    def leaf(node) -> _Dual:
+        grad = np.zeros(len(column))
+        if isinstance(node, sysspec.Const):
+            return _Dual(float(node.value), grad)
+        if isinstance(node, sysspec.Sym):
+            grad[column[node.name]] = 1.0
+            return _Dual(env[node.name], grad)
+        angle = env[node.arg]
+        grad[column[node.arg]] = np.cos(angle) if node.fn == "sin" else 0.0 - np.sin(angle)
+        return _Dual(np.sin(angle) if node.fn == "sin" else np.cos(angle), grad)
+
+    duals = [sysspec.fold(spec.updates[name], leaf) for name in spec.state_vars]
+    f_star = np.array([d.value for d in duals], dtype=float)
+    jac = np.array([d.grad for d in duals]).reshape(n, len(column))
+    jac_x, jac_w = jac[:, :n], jac[:, n:]
     x_vec = np.array([env[name] for name in spec.state_vars])
     w_vec = np.array([env[w] for w in spec.disturbance_vars])
     A = dt * (jac_x - np.eye(n))

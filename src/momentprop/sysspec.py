@@ -21,10 +21,11 @@ disturbance pair, using the angle-sum expansion for the pair updates.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -63,10 +64,17 @@ class Trig:
 
 
 @dataclass(frozen=True)
-class BinOp:
-    op: str  # "+", "-", "*"
-    left: "Expr"
-    right: "Expr"
+class Sum:
+    """Signed terms combined left to right; the first sign is +1, and a leading minus is 0 - term."""
+
+    terms: tuple[tuple[int, "Expr"], ...]
+
+
+@dataclass(frozen=True)
+class Product:
+    """Factors multiplied left to right."""
+
+    factors: tuple["Expr", ...]
 
 
 @dataclass(frozen=True)
@@ -75,108 +83,74 @@ class Power:
     exponent: int
 
 
-Expr = Const | Sym | Trig | BinOp | Power
+Expr = Const | Sym | Trig | Sum | Product | Power
+
+
+def _leaves(expr: Expr) -> Iterator[Const | Sym | Trig]:
+    """The Const, Sym and Trig nodes of `expr`, found without recursion."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Sum):
+            stack.extend(term for _, term in node.terms)
+        elif isinstance(node, Product):
+            stack.extend(node.factors)
+        elif isinstance(node, Power):
+            stack.append(node.base)
+        else:
+            yield node
 
 
 def expr_symbols(expr: Expr) -> set[str]:
     """All variable names referenced, whether bare or inside sin/cos."""
-    if isinstance(expr, Const):
-        return set()
-    if isinstance(expr, Sym):
-        return {expr.name}
-    if isinstance(expr, Trig):
-        return {expr.arg}
-    if isinstance(expr, BinOp):
-        return expr_symbols(expr.left) | expr_symbols(expr.right)
-    if isinstance(expr, Power):
-        return expr_symbols(expr.base)
-    raise TypeError(f"unknown expression node {expr!r}")
+    return trig_usages(expr) | bare_usages(expr)
 
 
 def trig_usages(expr: Expr) -> set[str]:
     """Names that appear inside a sin() or cos()."""
-    if isinstance(expr, Trig):
-        return {expr.arg}
-    if isinstance(expr, BinOp):
-        return trig_usages(expr.left) | trig_usages(expr.right)
-    if isinstance(expr, Power):
-        return trig_usages(expr.base)
-    return set()
+    return {node.arg for node in _leaves(expr) if isinstance(node, Trig)}
 
 
 def bare_usages(expr: Expr) -> set[str]:
     """Names that appear outside any sin()/cos()."""
-    if isinstance(expr, Sym):
-        return {expr.name}
-    if isinstance(expr, BinOp):
-        return bare_usages(expr.left) | bare_usages(expr.right)
+    return {node.name for node in _leaves(expr) if isinstance(node, Sym)}
+
+
+def fold(expr: Expr, leaf: Callable[[Const | Sym | Trig], Any]):
+    """Combine the values `leaf` gives the leaves with + - * and ** in the tree's order.
+
+    Sums and products are folded left to right, so any value type with those
+    operators gets the same association as the written expression.  Recursion
+    follows parenthesis nesting only, which the parser caps.
+    """
+    if isinstance(expr, Sum):
+        terms = iter(expr.terms)
+        acc = fold(next(terms)[1], leaf)
+        for sign, term in terms:
+            acc = acc + fold(term, leaf) if sign > 0 else acc - fold(term, leaf)
+        return acc
+    if isinstance(expr, Product):
+        factors = iter(expr.factors)
+        acc = fold(next(factors), leaf)
+        for factor in factors:
+            acc = acc * fold(factor, leaf)
+        return acc
     if isinstance(expr, Power):
-        return bare_usages(expr.base)
-    return set()
+        return fold(expr.base, leaf) ** expr.exponent
+    return leaf(expr)
 
 
 def evaluate(expr: Expr, env: Mapping[str, float | np.ndarray]):
     """Numeric evaluation; sin/cos evaluated with numpy, so values may be arrays."""
-    if isinstance(expr, Const):
-        return float(expr.value)
-    if isinstance(expr, Sym):
-        return env[expr.name]
-    if isinstance(expr, Trig):
-        return np.sin(env[expr.arg]) if expr.fn == "sin" else np.cos(env[expr.arg])
-    if isinstance(expr, BinOp):
-        a = evaluate(expr.left, env)
-        b = evaluate(expr.right, env)
-        return a + b if expr.op == "+" else a - b if expr.op == "-" else a * b
-    if isinstance(expr, Power):
-        return evaluate(expr.base, env) ** expr.exponent
-    raise TypeError(f"unknown expression node {expr!r}")
 
+    def leaf(node):
+        if isinstance(node, Const):
+            return float(node.value)
+        if isinstance(node, Sym):
+            return env[node.name]
+        return np.sin(env[node.arg]) if node.fn == "sin" else np.cos(env[node.arg])
 
-def differentiate(expr: Expr, name: str) -> Expr:
-    """Symbolic partial derivative with respect to `name`."""
-    zero = Const(Fraction(0))
-    if isinstance(expr, Const):
-        return zero
-    if isinstance(expr, Sym):
-        return Const(Fraction(1)) if expr.name == name else zero
-    if isinstance(expr, Trig):
-        if expr.arg != name:
-            return zero
-        if expr.fn == "sin":
-            return Trig("cos", expr.arg)
-        return BinOp("-", zero, Trig("sin", expr.arg))
-    if isinstance(expr, BinOp):
-        da = differentiate(expr.left, name)
-        db = differentiate(expr.right, name)
-        if expr.op in "+-":
-            return BinOp(expr.op, da, db)
-        return BinOp("+", BinOp("*", da, expr.right), BinOp("*", expr.left, db))
-    if isinstance(expr, Power):
-        if expr.exponent == 0:
-            return zero
-        inner = differentiate(expr.base, name)
-        scaled = BinOp("*", Const(Fraction(expr.exponent)), inner)
-        if expr.exponent == 1:
-            return scaled
-        return BinOp("*", scaled, Power(expr.base, expr.exponent - 1))
-    raise TypeError(f"unknown expression node {expr!r}")
-
-
-def to_polynomial(expr: Expr, generators: Mapping[str, Polynomial], one: Polynomial) -> Polynomial:
-    """Exact conversion to a Polynomial; fails on remaining sin/cos nodes."""
-    if isinstance(expr, Const):
-        return one * expr.value
-    if isinstance(expr, Sym):
-        return generators[expr.name]
-    if isinstance(expr, Trig):
-        raise ValueError(f"unencoded {expr.fn}({expr.arg}) cannot become a polynomial")
-    if isinstance(expr, BinOp):
-        a = to_polynomial(expr.left, generators, one)
-        b = to_polynomial(expr.right, generators, one)
-        return a + b if expr.op == "+" else a - b if expr.op == "-" else a * b
-    if isinstance(expr, Power):
-        return to_polynomial(expr.base, generators, one) ** expr.exponent
-    raise TypeError(f"unknown expression node {expr!r}")
+    return fold(expr, leaf)
 
 
 # -- tokenizer / parser -------------------------------------------------------
@@ -242,40 +216,46 @@ class _ExprParser:
         return tok
 
     def parse_expr(self) -> Expr:
-        # Leading sign accepted as a convenience superset of the grammar.
+        terms: list[tuple[int, Expr]] = []
         tok = self.peek()
+        # Leading sign accepted as a convenience superset of the grammar.
         if tok.kind == "punct" and tok.text in "+-":
             self.next()
-            first = self.parse_term()
-            expr: Expr = first if tok.text == "+" else BinOp("-", Const(Fraction(0)), first)
-        else:
-            expr = self.parse_term()
-        while self.peek().kind == "punct" and self.peek().text in "+-":
-            op = self.next().text
-            expr = BinOp(op, expr, self.parse_term())
-        return expr
+            if tok.text == "-":
+                terms.append((1, Const(Fraction(0))))
+        while True:
+            terms.append((-1 if tok.text == "-" else 1, self.parse_term()))
+            tok = self.peek()
+            if tok.kind != "punct" or tok.text not in "+-":
+                return terms[0][1] if len(terms) == 1 else Sum(tuple(terms))
+            self.next()
 
     def parse_term(self) -> Expr:
-        expr = self.parse_factor()
+        factors = [self.parse_factor()]
         while self.peek().kind == "punct" and self.peek().text == "*":
             self.next()
-            expr = BinOp("*", expr, self.parse_factor())
-        return expr
+            factors.append(self.parse_factor())
+        return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
     def parse_factor(self) -> Expr:
         base = self.parse_base()
-        if self.peek().kind == "punct" and self.peek().text == "^":
-            self.next()
-            tok = self.next()
-            if tok.kind != "num" or not tok.text.isdigit():
-                raise SpecError("exponent must be an unsigned integer", tok.line, tok.col)
-            return Power(base, int(tok.text))
-        return base
+        exponent = self.parse_exponent()
+        return base if exponent is None else Power(base, exponent)
+
+    def parse_exponent(self) -> int | None:
+        """The unsigned integer after a '^', or None when no '^' follows."""
+        if not (self.peek().kind == "punct" and self.peek().text == "^"):
+            return None
+        self.next()
+        tok = self.next()
+        if tok.kind != "num" or not tok.text.isdigit():
+            raise SpecError("exponent must be an unsigned integer", tok.line, tok.col)
+        return int(tok.text)
 
     def parse_base(self) -> Expr:
         tok = self.next()
         if tok.kind == "num":
-            return Const(Fraction(tok.text))
+            return Const(_literal(tok))
         if tok.kind == "ident":
             if tok.text in ("sin", "cos") and self.peek().text == "(":
                 self.next()
@@ -294,6 +274,13 @@ class _ExprParser:
             self.depth -= 1
             return expr
         raise SpecError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+
+
+def _literal(tok: _Token) -> Fraction:
+    """Exact value of a numeric literal; one beyond the range of a double is an input error."""
+    if math.isinf(float(tok.text)):
+        raise SpecError(f"numeric literal {tok.text} is too large for a double", tok.line, tok.col)
+    return Fraction(tok.text)
 
 
 # -- parsed spec --------------------------------------------------------------
@@ -327,7 +314,7 @@ def _parse_dist_value(tokens: list[_Token], start: int) -> distmoments.Distribut
             tok = parser.next()
         if tok.kind != "num":
             raise SpecError("expected a numeric distribution parameter", tok.line, tok.col)
-        args.append(sign * float(Fraction(tok.text)))
+        args.append(sign * float(_literal(tok)))
         tok = parser.next()
         if tok.kind == "punct" and tok.text == ")":
             break
@@ -361,14 +348,8 @@ def parse_monomial(chunk: str, state_vars: Sequence[str], line_no: int | None = 
             raise SpecError(f"moment monomials are products of state variables, got {tok.text!r}", tok.line, tok.col)
         if tok.text not in state_vars:
             raise SpecError(f"undeclared state variable {tok.text!r} in moments", tok.line, tok.col)
-        power = 1
-        if parser.peek().text == "^":
-            parser.next()
-            p = parser.next()
-            if p.kind != "num" or not p.text.isdigit():
-                raise SpecError("exponent must be an unsigned integer", p.line, p.col)
-            power = int(p.text)
-        exps[state_vars.index(tok.text)] += power
+        power = parser.parse_exponent()
+        exps[state_vars.index(tok.text)] += 1 if power is None else power
         nxt = parser.next()
         if nxt.kind == "end":
             break
@@ -507,14 +488,16 @@ def parse_spec(text: str) -> SystemSpec:
 
 
 def _flatten_sum(expr: Expr) -> list[tuple[int, Expr]]:
-    """Flatten nested +/- into (sign, term) pairs."""
-    if isinstance(expr, BinOp) and expr.op in "+-":
-        left = _flatten_sum(expr.left)
-        right = _flatten_sum(expr.right)
-        if expr.op == "-":
-            right = [(-s, t) for s, t in right]
-        return left + right
-    return [(1, expr)]
+    """Flatten nested sums into (sign, term) pairs, left to right."""
+    out = []
+    stack = [(1, expr)]
+    while stack:
+        sign, node = stack.pop()
+        if isinstance(node, Sum):
+            stack.extend((sign * s, term) for s, term in reversed(node.terms))
+        else:
+            out.append((sign, node))
+    return out
 
 
 def angle_increment(spec: SystemSpec, angle: str) -> tuple[str | None, Fraction]:
@@ -706,13 +689,6 @@ class PolynomialSystem:
         if len(self.f) != len(self.vars):
             raise ValueError("component count of f must equal the state variable count")
 
-    @property
-    def joint_vars(self) -> tuple[str, ...]:
-        return self.vars + self.dist_vars
-
-    def var_index(self, name: str) -> int:
-        return self.vars.index(name)
-
 
 def _fresh_name(base: str, taken: set[str]) -> str:
     name = base
@@ -722,16 +698,6 @@ def _fresh_name(base: str, taken: set[str]) -> str:
         k += 1
     taken.add(name)
     return name
-
-
-def _substitute_trig(expr: Expr, mapping: Mapping[tuple[str, str], Expr]) -> Expr:
-    if isinstance(expr, Trig):
-        return mapping[(expr.fn, expr.arg)]
-    if isinstance(expr, BinOp):
-        return BinOp(expr.op, _substitute_trig(expr.left, mapping), _substitute_trig(expr.right, mapping))
-    if isinstance(expr, Power):
-        return Power(_substitute_trig(expr.base, mapping), expr.exponent)
-    return expr
 
 
 def trig_encode(spec: SystemSpec) -> PolynomialSystem:
@@ -777,8 +743,9 @@ def trig_encode(spec: SystemSpec) -> PolynomialSystem:
         if source not in {p.source for p in dist_pairs.values()}:
             pair_for(source, Fraction(0))
 
+    used = set().union(*map(expr_symbols, spec.updates.values()))
     new_dist_vars: list[str] = [
-        w for w in spec.disturbance_vars if w not in trig_shifts and _used(spec, w)
+        w for w in spec.disturbance_vars if w not in trig_shifts and w in used
     ]
     for pair in dist_pairs.values():
         new_dist_vars.extend((pair.cos_var, pair.sin_var))
@@ -787,14 +754,18 @@ def trig_encode(spec: SystemSpec) -> PolynomialSystem:
     gens = {name: Polynomial.variable(joint, name) for name in joint}
     one = Polynomial.constant(joint, 1)
 
-    trig_map: dict[tuple[str, str], Expr] = {}
-    for angle, pair in state_pairs.items():
-        trig_map[("cos", angle)] = Sym(pair.cos_var)
-        trig_map[("sin", angle)] = Sym(pair.sin_var)
-    for (source, shift), pair in dist_pairs.items():
-        if source is not None and shift == 0:
-            trig_map[("cos", source)] = Sym(pair.cos_var)
-            trig_map[("sin", source)] = Sym(pair.sin_var)
+    trig_gens: dict[tuple[str, str], Polynomial] = {}
+    for pair in [*state_pairs.values(), *dist_pairs.values()]:
+        if pair.source is not None and pair.shift == 0:
+            trig_gens[("cos", pair.source)] = gens[pair.cos_var]
+            trig_gens[("sin", pair.source)] = gens[pair.sin_var]
+
+    def leaf(node: Const | Sym | Trig) -> Polynomial:
+        if isinstance(node, Const):
+            return one * node.value
+        if isinstance(node, Sym):
+            return gens[node.name]
+        return trig_gens[(node.fn, node.arg)]
 
     f: list[Polynomial] = []
     for name in spec.state_vars:
@@ -807,8 +778,7 @@ def trig_encode(spec: SystemSpec) -> PolynomialSystem:
             f.append(c * cw - s * sw)
             f.append(s * cw + c * sw)
         else:
-            encoded = _substitute_trig(spec.updates[name], trig_map)
-            f.append(to_polynomial(encoded, gens, one))
+            f.append(fold(spec.updates[name], leaf))
 
     targets = []
     var_index = {name: i for i, name in enumerate(new_vars)}
@@ -835,10 +805,6 @@ def trig_encode(spec: SystemSpec) -> PolynomialSystem:
         dist_pairs=tuple(dist_pairs.values()),
         target_moments=tuple(targets),
     )
-
-
-def _used(spec: SystemSpec, disturbance: str) -> bool:
-    return any(disturbance in expr_symbols(expr) for expr in spec.updates.values())
 
 
 def _build_graph(

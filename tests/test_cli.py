@@ -55,6 +55,34 @@ class TestCompile:
         assert len(err) == 1 and err[0].startswith("error: line 3")
 
 
+    def test_literal_beyond_float_range_exits_2(self, workdir, capsys):
+        spec = workdir / "huge.spec"
+        spec.write_text("state x\ndisturbance w\ndyn x' = 1e400*x + w\n")
+        assert run("compile", spec, "-o", workdir / "nope.msys") == EXIT_INPUT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 3, column 10")
+
+
+LONG_LINES = {
+    "sum": " + ".join(["0.0002*x"] * 5000) + " + w",
+    "product": "*".join(["x"] + ["1"] * 4999) + " + w",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LONG_LINES))
+def test_long_update_line_runs_every_command(workdir, kind):
+    """Sums and products have no length limit: only parenthesis nesting is capped."""
+    spec = workdir / "long.spec"
+    spec.write_text(
+        f"state x\ndisturbance w\ndyn x' = {LONG_LINES[kind]}\nmoments x x^2\ndist w = gaussian(0, 0.01)\n"
+    )
+    (workdir / "init.csv").write_text("x\n0.5\n")
+    common = ("--init", workdir / "init.csv", "-T", 3)
+    assert run("compile", spec, "-o", workdir / "long.msys", "--listing", workdir / "eq.txt") == EXIT_OK
+    assert run("mc", spec, *common, "-N", 100, "-o", workdir / "mc.csv") == EXIT_OK
+    assert run("linearize", spec, *common, "-o", workdir / "lin.csv") == EXIT_OK
+
+
 class TestPropagate:
     def test_zero_steps_single_row(self, workdir):
         msys_path = workdir / "dubins.msys"

@@ -1,15 +1,19 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from momentprop import distmoments
+from momentprop import distmoments, oracle
 from momentprop.polyring import MultiIndex, Polynomial
 from momentprop.sysspec import (
     DependenceGraph,
     SpecError,
     components_of_support,
+    evaluate,
     parse_spec,
     trig_encode,
     validate_independence,
@@ -76,6 +80,15 @@ class TestParse:
         assert err.value.line == 3
         spec = parse_spec(f"state x\ndisturbance w\ndyn x' = {'(' * 200}x{')' * 200} + w\n")
         assert spec.updates["x"] == parse_spec("state x\ndisturbance w\ndyn x' = x + w\n").updates["x"]
+
+    def test_literal_beyond_double_range_rejected(self):
+        with pytest.raises(SpecError, match="too large for a double") as err:
+            parse_spec("state x\ndisturbance w\ndyn x' = 1e400*x + w\n")
+        assert (err.value.line, err.value.col) == (3, 10)
+        with pytest.raises(SpecError, match="too large for a double"):
+            parse_spec(DUBINS.replace("gaussian(0.04, 0.03)", "gaussian(0.04, 1e309)"))
+        tiny = parse_spec("state x\ndisturbance w\ndyn x' = 1e-400*x + w\n")
+        assert evaluate(tiny.updates["x"], {"x": 2.0, "w": 1.0}) == 1.0
 
     def test_missing_update(self):
         with pytest.raises(SpecError, match="no 'dyn' update"):
@@ -284,3 +297,196 @@ class TestValidateIndependence:
     def test_no_declarations_no_diagnostics(self):
         text = "state x y\ndisturbance w u\ndyn x' = x + w\ndyn y' = y + u\n"
         assert validate_independence(parse_spec(text)) == []
+
+
+# Specs whose numbers are pinned below: a leading minus, subtraction chains, a
+# parenthesised sum inside a sum, products of three or more factors, powers 0,
+# 1 and 3, and sin/cos of an angle and of a disturbance.
+MIXED = """
+state x y a
+angle a
+disturbance w u q
+dyn x' = -x + 0.5*y*cos(a)*x - (y - 0.25*x - q) + (x + (q - 0.1))
+dyn y' = y - x - q - 2*x*y*q*sin(u) + cos(u)*sin(a)
+dyn a' = a + w + 0.1
+"""
+
+POWERS = """
+state x y z
+disturbance w
+dyn x' = -x^3 + x^0 - (x*w)^3 - (-(y - x) - w)*x^1
+dyn y' = y^1*x^2*w*y - 0.5*(x + y)^2 + w
+dyn z' = -z*(-x)^3*w
+"""
+
+PINNED = {"dubins": DUBINS, "mixed": MIXED, "powers": POWERS}
+
+
+def _pin_env(spec):
+    """Every sign combination of zero for the first variables, then random values."""
+    names = spec.state_vars + spec.disturbance_vars
+    rng = np.random.default_rng(7)
+    env = {}
+    for k, name in enumerate(names):
+        zeros = np.where((np.arange(64) >> k) & 1, -0.0, 0.0)
+        env[name] = np.concatenate([zeros, rng.normal(0.0, 1.5, 64)])
+    return env
+
+
+def _digest(arrays):
+    return hashlib.sha256(b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays)).hexdigest()[:16]
+
+
+class TestExpressionPins:
+    """Values recorded before the expression tree became n-ary sums and products."""
+
+    EVALUATE = {"dubins": "5a7dd1f0ad0cda29", "mixed": "52cf37b88631dc6e", "powers": "5608a83d1e110074"}
+    LINEARIZE = {"dubins": "972d0e80ef842367", "mixed": "f31961c1f640efef", "powers": "3c271094a3f3e634"}
+    ENCODE = {"dubins": "353398fa43eada87", "mixed": "4a3d789eb0c86c68", "powers": "49e1c4b11fb6405c"}
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_evaluate_bits(self, name):
+        spec = parse_spec(PINNED[name])
+        env = _pin_env(spec)
+        values = [evaluate(spec.updates[v], env) for v in spec.state_vars]
+        assert _digest(values) == self.EVALUATE[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_linearize_bits(self, name):
+        spec = parse_spec(PINNED[name])
+        rng = np.random.default_rng(11)
+        arrays = []
+        for dt in (1.0, 0.5):
+            x_star = {v: float(rng.normal()) for v in spec.state_vars}
+            w_star = {w: float(rng.normal(0.0, 0.1)) for w in spec.disturbance_vars}
+            x_star[spec.state_vars[0]] = 0.0 if dt == 1.0 else -0.0
+            lin = oracle.linearize(spec, x_star, w_star, dt)
+            arrays += [lin.A, lin.B, lin.c]
+        assert _digest(arrays) == self.LINEARIZE[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_trig_encode_polynomials(self, name):
+        system = trig_encode(parse_spec(PINNED[name]))
+        canonical = repr((
+            system.vars,
+            system.dist_vars,
+            [sorted((tuple(m), str(c)) for m, c in p.terms.items()) for p in system.f],
+        ))
+        assert hashlib.sha256(canonical.encode()).hexdigest()[:16] == self.ENCODE[name]
+
+
+_LEAVES = st.sampled_from(["x", "y", "q", "2.0", "0.5", "1.5e-1", "sin(a)", "cos(a)", "sin(u)", "cos(u)"])
+
+
+def _expressions(inner):
+    """Update expressions in the spec grammar, built from smaller ones."""
+    base = st.one_of(_LEAVES, inner.map("({})".format))
+    factor = st.tuples(base, st.sampled_from(["", "^0", "^1", "^2", "^3"])).map("".join)
+    term = st.lists(factor, min_size=1, max_size=4).map("*".join)
+    rest = st.lists(st.tuples(st.sampled_from("+-"), term).map("".join), max_size=4).map("".join)
+    return st.tuples(st.sampled_from(["", "-"]), term, rest).map("".join)
+
+
+def _outcome(fn):
+    try:
+        with np.errstate(all="ignore"):
+            value = fn()
+    except OverflowError:
+        return "overflow"
+    return "nan" if math.isnan(value) else value
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.recursive(_LEAVES, _expressions, max_leaves=20),
+    st.tuples(*[st.floats(-2.0, 2.0)] * 5),
+)
+def test_evaluate_equals_python_float_arithmetic(text, point):
+    """evaluate(parse(text)) equals Python's own evaluation of the text, with ^ as **."""
+    spec = parse_spec(
+        "state x y a\nangle a\ndisturbance w u q\n"
+        f"dyn x' = {text}\ndyn y' = y\ndyn a' = a + w\n"
+    )
+    env = dict(zip("xyaqu", point))
+    ours = _outcome(lambda: evaluate(spec.updates["x"], env))
+    python = _outcome(lambda: eval(text.replace("^", "**"), {"sin": np.sin, "cos": np.cos}, env))
+    assert ours == python
+
+
+def _nest(depth):
+    """``(w*(x+(w*(...x...))))``: parentheses nested `depth` deep, alternating + and *."""
+    text = "x"
+    for level in range(depth):
+        text = f"({'x+' if level % 2 else 'w*'}{text})"
+    return text
+
+
+def test_nesting_at_the_limit_passes_every_walk():
+    spec = parse_spec(f"state x\ndisturbance w\ndyn x' = {_nest(200)}\n")
+    system = trig_encode(spec)
+    assert system.f[0].degree() == 101
+    env = {"x": np.full(3, 0.5), "w": np.array([0.0, -0.0, 0.25])}
+    expected = env["x"]
+    for level in range(200):
+        expected = env["x"] + expected if level % 2 else env["w"] * expected
+    assert np.array_equal(evaluate(spec.updates["x"], env), expected)
+    lin = oracle.linearize(spec, {"x": 0.5}, {"w": 0.0})
+    assert lin.A[0, 0] == 0.0 and lin.B[0, 0] == 0.5
+
+
+_JUNK = ["+", "-", "*", "^", "(", ")", "{", "}", "'", "=", ",", "2", "0.5", "1e400", "1e-400",
+         "x", "theta", "wt", "sin", "cos(theta)", "state", "angle", "dyn", "moments", "dist",
+         "#", "@", "x^2", "gaussian(0, 1)", "\t", ""]
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(["drop", "swap", "junk"]), st.integers(0, 99), st.integers(0, 99), st.sampled_from(_JUNK)),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _edited_dubins(edits):
+    """The Dubins spec with lines dropped or swapped, or a junk token inserted into a line."""
+    lines = DUBINS.strip().splitlines()
+    for kind, i, j, junk in edits:
+        if not lines:
+            break
+        i %= len(lines)
+        if kind == "drop":
+            del lines[i]
+        elif kind == "swap":
+            j %= len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            words = lines[i].split(" ")
+            words.insert(j % (len(words) + 1), junk)
+            lines[i] = " ".join(words)
+    return "\n".join(lines)
+
+
+def _parse_and_encode(text):
+    """Parsing ends in SpecError or a spec, and encoding a parsed spec in SpecError or a system."""
+    try:
+        spec = parse_spec(text)
+    except SpecError:
+        return
+    try:
+        trig_encode(spec)
+    except SpecError:
+        pass
+
+
+class TestParseFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.characters(codec="utf-8"), max_size=200))
+    def test_arbitrary_text(self, text):
+        _parse_and_encode(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="stdynaglexwvhoc'=+-*^(){},.0123456789# \n", max_size=120))
+    def test_spec_alphabet_text(self, text):
+        _parse_and_encode(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_EDITS)
+    def test_edited_dubins(self, edits):
+        _parse_and_encode(_edited_dubins(edits))
