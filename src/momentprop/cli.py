@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 import tempfile
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -272,8 +271,7 @@ def _cmd_compare(args) -> int:
     _write_atomic(args.output, report.to_csv(_metadata(args)))
     if args.plot_data:
         _write_atomic(args.plot_data, report.plot_data_csv())
-    worst = max((abs(r.z_exact) for r in report.rows), default=0.0)
-    print(f"max |z| exact vs MC: {worst:.3f}; flagged rows: {len(report.flagged)}", file=sys.stderr)
+    print(f"max |z| exact vs MC: {report.max_abs_z_exact:.3f}; flagged rows: {len(report.flagged)}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .polyring import MultiIndex, Polynomial, monomial_name, pow_multiindex
-from .sysspec import DependenceGraph, PolynomialSystem, TrigPair, components_of_support
+from .sysspec import MAX_DEGREE, DependenceGraph, PolynomialSystem, TrigPair, components_of_support
 
 
 class BasisExplosionError(RuntimeError):
@@ -237,7 +237,7 @@ def complete_basis(
     seed: Iterable[MultiIndex],
     reduced: bool = True,
     max_basis: int = 10_000,
-    max_degree: int = 32,
+    max_degree: int = MAX_DEGREE,
 ) -> tuple[MomentBasis, tuple[MomentUpdateForm, ...]]:
     """Grow `seed` into a complete moment basis by depth-first expansion.
 
@@ -316,7 +316,7 @@ def compile_moment_system(
     seed: Iterable[MultiIndex],
     reduced: bool = True,
     max_basis: int = 10_000,
-    max_degree: int = 32,
+    max_degree: int = MAX_DEGREE,
 ) -> MomentStateSystem:
     """Compile a polynomial system into an executable moment-state system."""
     basis, forms = complete_basis(system, seed, reduced, max_basis, max_degree)

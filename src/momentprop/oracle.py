@@ -352,12 +352,12 @@ class ComparisonRow:
 class ComparisonReport:
     rows: list[ComparisonRow]
     max_abs_z_exact: float
-    flagged: list[tuple[int, str, float]]  # (t, moment, z) with |z| > 5
+    flagged: list[tuple[int, str, float]]  # (t, moment, z) with |z| > 5 or z NaN
 
     def to_csv(self, metadata: Mapping[str, str] | None = None) -> str:
         lines = [f"# {k}: {v}" for k, v in (metadata or {}).items()]
         lines.append(f"# max |z| exact vs MC: {self.max_abs_z_exact:.3f}")
-        lines.append(f"# flagged rows (|z| > 5): {len(self.flagged)}")
+        lines.append(f"# flagged rows (|z| > 5 or NaN): {len(self.flagged)}")
         lines.append("t,moment,exact,mc_mean,mc_se,z_exact,lin_value,z_lin")
         for r in self.rows:
             lin_v = "" if r.lin_value is None else format(r.lin_value, ".17g")
@@ -432,7 +432,7 @@ def compare_tables(
                 ComparisonRow(t, name, float(exact[t, j]), float(mc_means[t, j]),
                               float(mc_ses[t, j]), z, lin_v, lin_z)
             )
-            if abs(z) > 5:
+            if not abs(z) <= 5:  # NaN too
                 flagged.append((t, name, z))
             max_z = max(max_z, abs(z)) if np.isfinite(z) else float("inf")
     return ComparisonReport(rows, max_z, flagged)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -23,7 +23,11 @@ from .compiler import MomentStateSystem
 from .distmoments import DisturbanceModel, Distribution
 from .oracle import rollouts
 from .propagator import MomentState, MomentTrajectory, PropagationError, init_deterministic, mean_cov, propagate
-from .sysspec import SystemSpec
+from .sysspec import SystemSpec, TrigPair
+
+# The vehicle's state names; its heading is the spec's one angle.
+POSITION = ("x", "y")
+SPEED = "v"
 
 
 # -- geometry -----------------------------------------------------------------
@@ -38,9 +42,9 @@ class Polytope:
     def __post_init__(self):
         if len(self.halfspaces) < 3:
             raise ValueError("bounded obstacles need at least three half-spaces")
-        for (ax, ay), _ in self.halfspaces:
-            if ax * ax + ay * ay == 0.0:
-                raise ValueError("degenerate half-space normal")
+        for (ax, ay), b in self.halfspaces:
+            if not (ax * ax + ay * ay > 0.0 and math.isfinite(ax + ay + b)):
+                raise ValueError("degenerate or non-finite half-space")
 
     @classmethod
     def from_vertices(cls, vertices: Sequence[tuple[float, float]]) -> "Polytope":
@@ -98,7 +102,8 @@ def parse_environment(text: str) -> Environment:
 
     Lines: `bounds xmin ymin xmax ymax`, `start x y heading`,
     `goal x y radius`, and one `obstacle x1 y1 x2 y2 ...` per polygon
-    (counterclockwise winding).  '#' starts a comment.
+    (counterclockwise winding).  '#' starts a comment.  Every value must be
+    finite, and the bounds must have positive, finite widths.
     """
     bounds = start = goal = None
     obstacles = []
@@ -111,7 +116,12 @@ def parse_environment(text: str) -> Environment:
             values = [float(tok) for tok in rest]
         except ValueError:
             raise ValueError(f"environment line {line_no}: non-numeric value") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"environment line {line_no}: non-finite value")
         if head == "bounds" and len(values) == 4:
+            xmin, ymin, xmax, ymax = values
+            if not (0.0 < xmax - xmin < math.inf and 0.0 < ymax - ymin < math.inf):
+                raise ValueError(f"environment line {line_no}: bounds need xmin < xmax and ymin < ymax with finite widths")
             bounds = tuple(values)
         elif head == "start" and len(values) == 3:
             start = tuple(values)
@@ -160,7 +170,7 @@ def obstacle_risk(mu: np.ndarray, sigma: np.ndarray, obstacle: Polytope) -> floa
     return best
 
 
-def trajectory_risk(traj: MomentTrajectory, env: Environment, position=("x", "y")) -> float:
+def trajectory_risk(traj: MomentTrajectory, env: Environment) -> float:
     """Union bound over steps t = 1..T and obstacles; may exceed 1.
 
     Equals summing :func:`obstacle_risk` step by step, then obstacle by
@@ -170,7 +180,7 @@ def trajectory_risk(traj: MomentTrajectory, env: Environment, position=("x", "y"
     """
     if not env.obstacles:
         return 0.0
-    means, covs = mean_cov(traj, position)
+    means, covs = mean_cov(traj, POSITION)
     (ax, ay, b, axx, axy2, ayy), starts = env._faces
     mu0, mu1 = means[1:, 0:1], means[1:, 1:2]
     s00, s01, s11 = covs[1:, 0, 0:1], covs[1:, 0, 1:2], covs[1:, 1, 1:2]
@@ -328,18 +338,28 @@ def dubins_steer(
 # -- stochastic steering -----------------------------------------------------------
 
 
-def steered_disturbance(msys: MomentStateSystem, name: str | None = None) -> str:
-    """The disturbance that steering offsets (the angular noise source)."""
-    sources = [p.source for p in msys.dist_pairs if p.source is not None]
-    if name is not None:
-        if name not in sources:
-            raise KeyError(f"{name!r} is not an angular disturbance of this system")
-        return name
+def _heading(state_vars: Sequence[str], state_pairs: Sequence[TrigPair]) -> TrigPair:
+    """The heading's (cos, sin) pair, once the state is checked to be the planar vehicle."""
+    needed = (*POSITION, SPEED)
+    missing = [name for name in needed if name not in state_vars]
+    if missing:
+        raise ValueError(f"the planner needs state variables {' '.join(needed)}; this spec lacks {', '.join(missing)}")
+    if len(state_pairs) != 1:
+        raise ValueError(f"the planner needs exactly one angle, the heading; this spec has {len(state_pairs)}")
+    return state_pairs[0]
+
+
+def _start_state(env: Environment, heading: TrigPair, speed: float) -> dict[str, float]:
+    sx, sy, sh = env.start
+    return {POSITION[0]: sx, POSITION[1]: sy, SPEED: speed, heading.source: sh}
+
+
+def steered_disturbance(msys: MomentStateSystem) -> str:
+    """The disturbance that steering offsets: the system's one angular noise source."""
+    sources = {p.source for p in msys.dist_pairs} - {None}
     if len(sources) != 1:
-        raise ValueError(
-            f"system has {len(sources)} angular disturbances; name the steered one explicitly"
-        )
-    return sources[0]
+        raise ValueError(f"the planner steers exactly one angular disturbance; this spec has {len(sources)}")
+    return sources.pop()
 
 
 def stochastic_steer(
@@ -347,15 +367,13 @@ def stochastic_steer(
     controls: np.ndarray,
     msys: MomentStateSystem,
     distributions: Mapping[str, Distribution],
-    steer_source: str | None = None,
 ) -> MomentTrajectory:
     """Propagate moments along an edge, offsetting the angular noise by the controls.
 
     The control schedule is edge-local: its first entry applies to the first
     step out of `state` regardless of how many steps led up to it.
     """
-    source = steered_disturbance(msys, steer_source)
-    model = DisturbanceModel(msys, distributions, shifts={source: np.asarray(controls, dtype=float)})
+    model = DisturbanceModel(msys, distributions, {steered_disturbance(msys): np.asarray(controls, dtype=float)})
     edge_start = MomentState(state.values, 0)
     return propagate(msys, edge_start, model, len(controls))
 
@@ -378,11 +396,6 @@ class PlannerConfig:
     speed: float = 0.05  # distance per step
     turn_radius: float = 0.3
     max_edge_steps: int = 40
-    heading_weight: float | None = None  # defaults to turn_radius
-    initial_speed: float | None = None  # defaults to speed
-
-    def weight(self) -> float:
-        return self.turn_radius if self.heading_weight is None else self.heading_weight
 
 
 @dataclass
@@ -400,9 +413,6 @@ class TreeNode:
 class RrtResult:
     nodes: list[TreeNode]
     goal_node: int | None
-    iterations: int
-    seed: int
-    epsilon: float
 
     @property
     def found(self) -> bool:
@@ -427,10 +437,6 @@ class RrtResult:
         return [(node.parent, i) for i, node in enumerate(self.nodes) if node.parent >= 0]
 
 
-def _angle_diff(a: float, b: float) -> float:
-    return abs(math.remainder(a - b, 2.0 * math.pi))
-
-
 def build_rrt(
     env: Environment,
     msys: MomentStateSystem,
@@ -439,7 +445,6 @@ def build_rrt(
     iterations: int,
     seed: int,
     config: PlannerConfig | None = None,
-    steer_source: str | None = None,
 ) -> RrtResult:
     """Grow a risk-bounded tree; deterministic for a fixed seed.
 
@@ -447,20 +452,20 @@ def build_rrt(
     parent) <= epsilon; accepted nodes store the arrival mean, covariance
     and accumulated bound.  The returned goal node, when found, is the
     accepted node with the smallest bound whose mean position lies inside
-    the goal disc.
+    the goal disc.  The system must be the planar vehicle: state x, y, v,
+    one angle (the heading) and one angular disturbance (the steered one).
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("chance constraint must lie in (0, 1)")
+    heading = _heading(msys.state_vars, msys.state_pairs)
+    steered_disturbance(msys)  # each edge resolves it again; fail before the first
     cfg = config or PlannerConfig()
     rng = np.random.Generator(np.random.PCG64(seed))
     xmin, ymin, xmax, ymax = env.bounds
     gx, gy, g_radius = env.goal
 
-    v0 = cfg.speed if cfg.initial_speed is None else cfg.initial_speed
     sx, sy, sh = env.start
-    root_state = init_deterministic(
-        msys, {"x": sx, "y": sy, "v": v0, **_heading_init(msys, sh)}
-    )
+    root_state = init_deterministic(msys, _start_state(env, heading, cfg.speed))
     root = TreeNode(
         pose=(sx, sy, sh),
         moment_state=root_state,
@@ -479,11 +484,10 @@ def build_rrt(
             rng.uniform(ymin, ymax),
             rng.uniform(-math.pi, math.pi),
         )
-        weight = cfg.weight()
         nearest = min(
             range(len(nodes)),
             key=lambda i: math.hypot(sample[0] - nodes[i].pose[0], sample[1] - nodes[i].pose[1])
-            + weight * _angle_diff(sample[2], nodes[i].pose[2]),
+            + cfg.turn_radius * abs(math.remainder(sample[2] - nodes[i].pose[2], 2.0 * math.pi)),
         )
         parent = nodes[nearest]
         try:
@@ -494,17 +498,20 @@ def build_rrt(
             continue
         controls = controls[: cfg.max_edge_steps]
         try:
-            traj = stochastic_steer(parent.moment_state, controls, msys, distributions, steer_source)
+            traj = stochastic_steer(parent.moment_state, controls, msys, distributions)
         except PropagationError:
             continue
         edge_risk = trajectory_risk(traj, env)
         new_risk = parent.risk_to_node + edge_risk
         if new_risk > epsilon:
             continue
-        means, covs = mean_cov(traj, ("x", "y"))
-        heading = _heading_mean(msys, traj)
+        means, covs = mean_cov(traj, POSITION)
+        # Mean heading at arrival, recovered as atan2(E[sin], E[cos]).
+        mean_heading = math.atan2(
+            traj.moment_series(heading.sin_var)[-1], traj.moment_series(heading.cos_var)[-1]
+        )
         node = TreeNode(
-            pose=(float(means[-1, 0]), float(means[-1, 1]), heading),
+            pose=(float(means[-1, 0]), float(means[-1, 1]), mean_heading),
             moment_state=traj.state(traj.n_steps),
             risk_to_node=new_risk,
             parent=nearest,
@@ -516,24 +523,7 @@ def build_rrt(
         if math.hypot(node.mean[0] - gx, node.mean[1] - gy) <= g_radius:
             if goal_node is None or new_risk < nodes[goal_node].risk_to_node:
                 goal_node = len(nodes) - 1
-    return RrtResult(nodes, goal_node, iterations, seed, epsilon)
-
-
-def _heading_init(msys: MomentStateSystem, heading: float) -> dict[str, float]:
-    if not msys.state_pairs:
-        return {}
-    pair = msys.state_pairs[0]
-    if pair.source is not None:
-        return {pair.source: heading}
-    return {pair.cos_var: math.cos(heading), pair.sin_var: math.sin(heading)}
-
-
-def _heading_mean(msys: MomentStateSystem, traj: MomentTrajectory) -> float:
-    """Mean heading at arrival, recovered as atan2(E[sin], E[cos])."""
-    pair = msys.state_pairs[0]
-    c = traj.moment_series(pair.cos_var)[-1]
-    s = traj.moment_series(pair.sin_var)[-1]
-    return math.atan2(s, c)
+    return RrtResult(nodes, goal_node)
 
 
 # -- plan validation & output -------------------------------------------------------
@@ -555,19 +545,18 @@ def estimate_plan_collision(
     Simulates the ORIGINAL trigonometric dynamics under the open-loop
     steering schedule, with the Monte Carlo oracle's rollout engine; a
     rollout counts as a collision when its position enters any obstacle at
-    any step after the start.  An unknown `steer_source` raises KeyError.
+    any step after the start.  The spec must hold x, y, v and one angle, as
+    for :func:`build_rrt`; an unknown `steer_source` raises KeyError.
     """
-    sx, sy, sh = env.start
-    x0 = {"x": sx, "y": sy, "v": initial_speed}
-    for name in spec.angle_vars:
-        x0[name] = sh
-    model = DisturbanceModel(sysspec.trig_encode(spec), distributions, {steer_source: controls})
+    system = sysspec.trig_encode(spec)
+    x0 = _start_state(env, _heading(system.vars, system.state_pairs), initial_speed)
+    model = DisturbanceModel(system, distributions, {steer_source: controls})
     hit_count = 0
     for nb, states in rollouts(spec, model, x0, len(controls), n_rollouts, seed, batch_size):
         collided = np.zeros(nb, dtype=bool)
         for state in itertools.islice(states, 1, None):
             for obs in env.obstacles:
-                collided |= obs.contains(state["x"], state["y"])
+                collided |= obs.contains(*(state[name] for name in POSITION))
         hit_count += int(np.sum(collided))
     return hit_count / n_rollouts
 

@@ -17,7 +17,6 @@ the disturbance pair (cos wt, sin wt).
 from __future__ import annotations
 
 from . import compiler, distmoments, sysspec
-from .polyring import MultiIndex
 
 DUBINS_SPEC = """\
 # Planar unicycle with actuation noise in speed and heading.
@@ -45,11 +44,6 @@ def dubins_spec() -> sysspec.SystemSpec:
 
 def dubins_system() -> sysspec.PolynomialSystem:
     return sysspec.trig_encode(dubins_spec())
-
-
-def dubins_seed() -> tuple[MultiIndex, ...]:
-    """First and second position moments: x, y, xy, x^2, y^2 (encoded)."""
-    return dubins_system().target_moments
 
 
 def compile_dubins(reduced: bool = True) -> compiler.MomentStateSystem:

@@ -11,7 +11,7 @@ import numpy as np
 from . import _kernels
 from .compiler import MomentStateSystem
 from .distmoments import DisturbanceModel
-from .polyring import MultiIndex
+from .polyring import MultiIndex, monomial_name
 
 _TRIG_CONSISTENCY_TOL = 1e-9
 
@@ -192,7 +192,7 @@ def _pair_indices(msys: MomentStateSystem, names: Sequence[str]) -> dict[str, in
     out = {}
     for key, mi in needed.items():
         if mi not in msys.basis:
-            raise KeyError(f"basis lacks the moment E[{key.replace('a', a).replace('b', b)}]")
+            raise KeyError(f"basis lacks the moment E[{monomial_name(msys.state_vars, mi)}]")
         out[key] = msys.basis.index_of(mi)
     cache[pair] = out
     return out

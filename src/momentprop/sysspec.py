@@ -192,6 +192,13 @@ def _tokenize_line(text: str, line_no: int) -> list[_Token]:
 # would overrun Python's default recursion limit of 1000.
 _MAX_PAREN_DEPTH = 200
 
+# Moment degree beyond which compilation stops; no exponent may exceed it.
+MAX_DEGREE = 32
+
+# A literal's exact value is built from its text, so the text is checked first:
+# at most this many digits, and a decimal exponent at most this large in magnitude.
+_LITERAL_LIMIT = 400
+
 
 class _ExprParser:
     """Recursive-descent parser for the update-expression grammar."""
@@ -250,7 +257,10 @@ class _ExprParser:
         tok = self.next()
         if tok.kind != "num" or not tok.text.isdigit():
             raise SpecError("exponent must be an unsigned integer", tok.line, tok.col)
-        return int(tok.text)
+        digits = tok.text.lstrip("0") or "0"
+        if len(digits) > 9 or int(digits) > MAX_DEGREE:
+            raise SpecError(f"exponent exceeds the degree limit {MAX_DEGREE}", tok.line, tok.col)
+        return int(digits)
 
     def parse_base(self) -> Expr:
         tok = self.next()
@@ -278,6 +288,12 @@ class _ExprParser:
 
 def _literal(tok: _Token) -> Fraction:
     """Exact value of a numeric literal; one beyond the range of a double is an input error."""
+    mantissa, _, exponent = tok.text.lower().partition("e")
+    exponent = exponent.lstrip("+-").lstrip("0") or "0"
+    if len(mantissa.replace(".", "")) > _LITERAL_LIMIT or len(exponent) > 9 or int(exponent) > _LITERAL_LIMIT:
+        raise SpecError(
+            f"numeric literal exceeds {_LITERAL_LIMIT} digits or a decimal exponent of {_LITERAL_LIMIT}", tok.line, tok.col
+        )
     if math.isinf(float(tok.text)):
         raise SpecError(f"numeric literal {tok.text} is too large for a double", tok.line, tok.col)
     return Fraction(tok.text)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentprop import cli, compiler, distmoments, oracle, presets, propagator
 from momentprop.cli import EXIT_INPUT, EXIT_NO_PLAN, EXIT_OK
+from test_planner import NOT_A_VEHICLE
 
 
 @pytest.fixture()
@@ -61,6 +64,17 @@ class TestCompile:
         assert run("compile", spec, "-o", workdir / "nope.msys") == EXIT_INPUT
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: line 3, column 10")
+
+    @pytest.mark.parametrize(
+        "update, message",
+        [("(x+w)^2000", "line 3, column 16: exponent exceeds"), ("1e-5000*x + w", "line 3, column 10: numeric")],
+    )
+    def test_oversized_spec_token_exits_2(self, workdir, capsys, update, message):
+        spec = workdir / "big.spec"
+        spec.write_text(f"state x\ndisturbance w\ndyn x' = {update}\nmoments x\n")
+        assert run("compile", spec, "-o", workdir / "nope.msys") == EXIT_INPUT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
 
 
 LONG_LINES = {
@@ -250,6 +264,16 @@ class TestPipeline:
         assert meta == {"note": "none"} and header == ["t", "x", "x^2"]
         assert values.shape == (0, 3)
 
+    @pytest.mark.parametrize("exact", ["t,x,y\n0,,0\n1,0,0\n", "t,x,y\n0,0,0\n1,0,\n"], ids=["nan-first", "nan-last"])
+    def test_compare_empty_cell_flagged(self, workdir, capsys, exact):
+        (workdir / "exact.csv").write_text(exact)
+        (workdir / "mc.csv").write_text("t,x,x_se,y,y_se\n0,0,1,0,1\n1,7,1,0,1\n")
+        capsys.readouterr()
+        assert run("compare", workdir / "exact.csv", workdir / "mc.csv", "-o", workdir / "r.csv") == EXIT_OK
+        assert capsys.readouterr().err == "max |z| exact vs MC: inf; flagged rows: 2\n"
+        header = workdir.joinpath("r.csv").read_text()
+        assert "# max |z| exact vs MC: inf\n# flagged rows (|z| > 5 or NaN): 2\n" in header
+
     def test_compare_horizon_mismatch_exit_2(self, workdir):
         a = workdir / "a.csv"
         b = workdir / "b.csv"
@@ -283,9 +307,68 @@ class TestPlan:
         )
         assert code == EXIT_NO_PLAN
 
+    @pytest.mark.parametrize("requirement", NOT_A_VEHICLE)
+    def test_other_vehicle_exits_2(self, workdir, capsys, requirement):
+        spec = workdir / "other.spec"
+        spec.write_text(NOT_A_VEHICLE[requirement])
+        code = run("plan", spec, "--env", workdir / "env.txt", "--eps", 0.1, "-o", workdir / "plan.csv")
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: the planner ") and requirement in err[0]
+
+    @pytest.mark.parametrize(
+        "env, line",
+        [
+            ("bounds 0 0 inf 2.5\nstart 0.3 0.3 0\ngoal 2.1 2.1 0.25\n", 1),
+            ("bounds 0 0 2.5 2.5\nstart 0.3 0.3 nan\ngoal 2.1 2.1 0.25\n", 2),
+        ],
+        ids=["inf-bounds", "nan-start"],
+    )
+    def test_non_finite_environment_exits_2(self, workdir, capsys, env, line):
+        (workdir / "env.txt").write_text(env)
+        code = run("plan", workdir / "planner.spec", "--env", workdir / "env.txt", "--eps", 0.1,
+                   "-o", workdir / "plan.csv")
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: environment line {line}: non-finite value"]
+
     def test_missing_env_exit_2(self, workdir):
         code = run(
             "plan", workdir / "planner.spec", "--env", workdir / "missing.txt",
             "--eps", 0.1, "-o", workdir / "plan.csv",
         )
         assert code == EXIT_INPUT
+
+
+class TestReadCsvFuzz:
+    """Any file ends in (metadata, header, values) or a ValueError, so commands exit 2."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "in.csv"
+
+    @staticmethod
+    def _check(path, data: bytes):
+        path.write_bytes(data)
+        try:
+            metadata, header, values = cli._read_csv(str(path))
+        except ValueError:
+            return
+        assert all(isinstance(k, str) and isinstance(v, str) for k, v in metadata.items())
+        assert header and all(isinstance(name, str) for name in header)
+        assert values.dtype == np.float64 and values.ndim == 2 and values.shape[1] == len(header)
+
+    @given(st.binary(max_size=200))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes(self, path, data):
+        self._check(path, data)
+
+    @given(st.text(max_size=200))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text(self, path, text):
+        self._check(path, text.encode("utf-8", "surrogatepass"))
+
+    @given(st.text(alphabet="#:, \t\n\r.0123456789e-+naifNx_", max_size=200))
+    @settings(max_examples=300, deadline=None)
+    def test_csv_alphabet(self, path, text):
+        self._check(path, text.encode())

@@ -290,6 +290,13 @@ class TestCompare:
         assert len(report.flagged) == 1
         assert report.flagged[0][2] == pytest.approx(10.0)
 
+    def test_nan_z_flagged(self):
+        exact = np.array([[0.0, 1.0], [np.nan, 2.0], [1.0, 3.0]])
+        report = compare_tables(["a", "b"], exact, np.zeros((3, 2)), np.ones((3, 2)))
+        assert [(t, name) for t, name, _ in report.flagged] == [(1, "a")]
+        assert math.isnan(report.flagged[0][2])
+        assert report.max_abs_z_exact == math.inf
+
     def test_zero_se_tolerance_scales_with_value(self):
         big = 1e6
         exact = np.array([[big], [big], [1.0], [1.0]])

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentprop import planner, presets
+from momentprop import compiler, planner, presets, sysspec
 from momentprop.distmoments import Degenerate, DisturbanceModel, Gaussian
 from momentprop.planner import (
     Environment,
@@ -28,6 +30,43 @@ from momentprop.propagator import MomentTrajectory, init_deterministic, mean_cov
 
 
 UNIT_SQUARE = Polytope.from_vertices([(1, 1), (2, 1), (2, 2), (1, 2)])
+
+
+def _dubins_variant(*edits: tuple[str, str]) -> str:
+    text = presets.DUBINS_SPEC
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+# Specs the planner cannot steer, keyed by the requirement its error names.
+NOT_A_VEHICLE = {
+    "lacks x, y": _dubins_variant(
+        ("state x y v theta", "state px py v theta"),
+        ("dyn x'     = x", "dyn px' = px"),
+        ("dyn y'     = y", "dyn py' = py"),
+        ("moments x y x*y x^2 y^2", "moments px py px*py px^2 py^2"),
+    ),
+    "lacks v": _dubins_variant(
+        ("state x y v theta", "state x y s theta"),
+        ("v*cos", "s*cos"),
+        ("v*sin", "s*sin"),
+        ("dyn v'     = v", "dyn s' = s"),
+        ("{v}", "{s}"),
+    ),
+    "exactly one angle,": _dubins_variant(
+        ("state x y v theta", "state x y v theta phi"),
+        ("angle theta", "angle theta phi"),
+        ("dyn theta' = theta + wt", "dyn theta' = theta + wt\ndyn phi' = phi + wt"),
+        ("{theta}", "{theta phi}"),
+    ),
+    "exactly one angular disturbance": _dubins_variant(
+        ("disturbance wv wt", "disturbance wv wt wa"),
+        ("dyn v'     = v + wv", "dyn v'     = v + wv + 0.001*cos(wa)"),
+        ("dist wt = gaussian(0.04, 0.03)", "dist wt = gaussian(0.04, 0.03)\ndist wa = gaussian(0, 0.01)"),
+    ),
+}
 
 
 class TestCantelli:
@@ -209,6 +248,63 @@ class TestEnvironment:
         with pytest.raises(ValueError, match="line 2"):
             parse_environment("bounds 0 0 1 1\nstart zero 0 0\ngoal 1 1 0.1\n")
 
+    @pytest.mark.parametrize(
+        "line, value",
+        [("bounds", "inf"), ("start", "nan"), ("goal", "-inf"), ("obstacle", "NaN"), ("bounds", "1e309")],
+    )
+    def test_non_finite_value_rejected(self, line, value):
+        lines = presets.PLANNER_ENV.splitlines()
+        at = next(i for i, text in enumerate(lines) if text.startswith(line))
+        tokens = lines[at].split()
+        lines[at] = " ".join([*tokens[:3], value, *tokens[4:]])
+        with pytest.raises(ValueError, match=f"line {at + 1}: non-finite value"):
+            parse_environment("\n".join(lines))
+
+    @pytest.mark.parametrize("bounds", ["0 0 0 1", "0 1 1 0", "-1e308 0 1e308 1", "0 -1e308 1 1e308"])
+    def test_empty_or_overflowing_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="line 1: bounds need"):
+            parse_environment(f"bounds {bounds}\nstart 0.5 0.5 0\ngoal 0.9 0.9 0.1\n")
+
+    def test_far_apart_obstacle_vertices_rejected(self):
+        with pytest.raises(ValueError, match="non-finite half-space"):
+            parse_environment("bounds 0 0 1 1\nstart 0.5 0.5 0\ngoal 0.9 0.9 0.1\nobstacle 1e308 0  -1e308 0  0 1\n")
+
+    _env_token = st.one_of(
+        st.sampled_from(["bounds", "start", "goal", "obstacle", "#", "\n", "\n", " ", "x"]),
+        st.sampled_from(["0", "1", "2.5", "-1", "1e308", "-1e308", "1e-320", "nan", "inf", "-inf", "1_0"]),
+        st.floats(-10, 10).map(repr),
+    )
+
+    @staticmethod
+    def _check_parse(text):
+        try:
+            env = parse_environment(text)
+        except ValueError:
+            return
+        assert isinstance(env, Environment)
+        values = [*env.bounds, *env.start, *env.goal]
+        values += [v for obs in env.obstacles for (ax, ay), b in obs.halfspaces for v in (ax, ay, b)]
+        assert all(math.isfinite(v) for v in values)
+
+    @given(st.text())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_arbitrary_text(self, text):
+        self._check_parse(text)
+
+    @given(st.lists(_env_token, max_size=60).map(" ".join))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_environment_alphabet(self, text):
+        self._check_parse(text)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_edited_environment(self, data):
+        tokens = presets.PLANNER_ENV.replace("\n", " \n ").split(" ")
+        for _ in range(data.draw(st.integers(1, 4))):
+            i = data.draw(st.integers(0, len(tokens) - 1))
+            tokens[i] = data.draw(self._env_token)
+        self._check_parse(" ".join(tokens))
+
     # Coordinates on obstacle edges give faces with an exactly zero mean.
     _coord = st.one_of(st.floats(-0.5, 3.0), st.sampled_from([0.4, 0.8, 1.0, 1.4, 1.6, 2.1]))
     _step = st.tuples(
@@ -277,6 +373,20 @@ def test_build_rrt_matches_scalar_reference(dubins_reduced, seed, monkeypatch):
         assert (a.pose, a.risk_to_node, a.parent) == (b.pose, b.risk_to_node, b.parent)
         for x, y in ((a.mean, b.mean), (a.cov, b.cov), (a.moment_state.values, b.moment_state.values)):
             assert np.array_equal(x, y)
+
+
+def test_trees_match_golden_digest(dubins_reduced):
+    """Every node of seeds 0-29 at 100 iterations, bit for bit as recorded."""
+    env = parse_environment(presets.PLANNER_ENV)
+    digest = hashlib.sha256()
+    for seed in range(30):
+        result = build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, 100, seed)
+        digest.update(np.int64(-1 if result.goal_node is None else result.goal_node).tobytes())
+        for n in result.nodes:
+            for part in (n.pose, n.risk_to_node, n.mean, n.cov, n.moment_state.values, n.controls):
+                digest.update(np.asarray(part, dtype=np.float64).tobytes())
+            digest.update(np.int64(n.parent).tobytes())
+    assert digest.hexdigest() == "f8bd8adab0bfa963b3d78d166c3559e7c66012e578471ca2ccca083128f91d59"
 
 
 @pytest.fixture(scope="module")
@@ -353,6 +463,34 @@ class TestBuildRrt:
             steer_source="wt", initial_speed=0.05,
         )
         assert freq <= 0.1
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("ran before the vehicle was checked")
+
+
+@pytest.mark.parametrize("requirement", NOT_A_VEHICLE)
+def test_build_rrt_rejects_other_vehicles_up_front(requirement, monkeypatch):
+    spec = sysspec.parse_spec(NOT_A_VEHICLE[requirement])
+    system = sysspec.trig_encode(spec)
+    msys = compiler.compile_moment_system(system, system.target_moments)
+    monkeypatch.setattr(planner, "propagate", _never)
+    env = parse_environment(presets.PLANNER_ENV)
+    with pytest.raises(ValueError, match=requirement):
+        build_rrt(env, msys, spec.distributions, 0.1, 10, 0)
+
+
+@pytest.mark.parametrize("requirement", list(NOT_A_VEHICLE)[:3])
+def test_plan_collision_rejects_other_vehicles_up_front(requirement, monkeypatch):
+    spec = sysspec.parse_spec(NOT_A_VEHICLE[requirement])
+    monkeypatch.setattr(planner, "rollouts", _never)
+    env = parse_environment(presets.PLANNER_ENV)
+    with pytest.raises(ValueError, match=requirement):
+        estimate_plan_collision(spec, spec.distributions, env, np.zeros(5), 10, 0, "wt", 0.05)
+
+
+def test_planner_config_has_three_fields():
+    assert [f.name for f in dataclasses.fields(PlannerConfig)] == ["speed", "turn_radius", "max_edge_steps"]
 
 
 class TestPlanCollision:

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -227,6 +228,24 @@ class TestMeanCov:
         traj = propagate(walk, init, DisturbanceModel(walk, {"w": Degenerate(0)}), 0)
         with pytest.raises(KeyError):
             mean_cov(traj, ("x", "y"))
+
+    @pytest.mark.parametrize(
+        "state, seed, names, missing",
+        [
+            (("b", "a"), [(0, 1)], ("b", "a"), "E[b]"),
+            (("x", "y"), [(1, 0), (0, 1), (2, 0), (0, 2)], ("x", "y"), "E[x*y]"),
+        ],
+    )
+    def test_missing_moment_named(self, state, seed, names, missing):
+        joint = (*state, "w")
+        p, q, w = Polynomial.variables(joint)
+        system = PolynomialSystem(
+            vars=state, dist_vars=("w",), f=(p + w, q + w), graph=DependenceGraph.complete(state)
+        )
+        msys = compile_moment_system(system, [MultiIndex(mi) for mi in seed])
+        traj = propagator.MomentTrajectory(msys, np.zeros((1, len(msys.basis))))
+        with pytest.raises(KeyError, match=re.escape(f"basis lacks the moment {missing}")):
+            mean_cov(traj, names)
 
     def test_psd_along_benchmark_run(self, dubins_reduced):
         from momentprop import presets

@@ -90,6 +90,36 @@ class TestParse:
         tiny = parse_spec("state x\ndisturbance w\ndyn x' = 1e-400*x + w\n")
         assert evaluate(tiny.updates["x"], {"x": 2.0, "w": 1.0}) == 1.0
 
+    @pytest.mark.parametrize(
+        "update, col, message",
+        [
+            ("(x+w)^2000", 16, "exponent exceeds the degree limit 32"),
+            ("x^33 + w", 12, "exponent exceeds the degree limit 32"),
+            ("x^" + "9" * 5000 + " + w", 12, "exponent exceeds"),
+            ("1e-5000*x + w", 10, "exceeds 400 digits or a decimal exponent of 400"),
+            ("1e-30000000*x + w", 10, "exceeds 400 digits or a decimal exponent of 400"),
+            ("1e" + "9" * 5000 + "*x + w", 10, "exceeds 400 digits or a decimal exponent of 400"),
+            ("0." + "0" * 400 + "1*x + w", 10, "exceeds 400 digits"),
+        ],
+        ids=["power-2000", "power-33", "power-5000-digits", "1e-5000", "1e-30000000", "exponent-5000-digits",
+             "402-digits"],
+    )
+    def test_oversized_token_rejected(self, update, col, message):
+        with pytest.raises(SpecError, match=message) as err:
+            parse_spec(f"state x\ndisturbance w\ndyn x' = {update}\n")
+        assert (err.value.line, err.value.col) == (3, col)
+
+    def test_sizes_at_the_limits_accepted(self):
+        spec = parse_spec(
+            "state x\ndisturbance w\n"
+            f"dyn x' = x^32 + x^0032*{'1' * 400}e-400 + 1e-0000400*x + w\n"
+            "moments x^32\n"
+        )
+        assert spec.target_moments == (MultiIndex((32,)),)
+        with pytest.raises(SpecError, match="exponent exceeds the degree limit 32") as err:
+            parse_spec("state x\ndisturbance w\ndyn x' = x + w\nmoments x^16*x x^33\n")
+        assert err.value.line == 4
+
     def test_missing_update(self):
         with pytest.raises(SpecError, match="no 'dyn' update"):
             parse_spec("state x y\ndisturbance w\ndyn x' = x + w\n")
