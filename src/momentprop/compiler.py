@@ -11,7 +11,7 @@ its own update forms.  Coefficients stay exact rationals throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -182,6 +182,15 @@ class MomentBasis:
         return self.elements == other.elements
 
 
+class TermTable(NamedTuple):
+    """Term k adds coeff[k] * E[w^req[k]] * (state moments at fact[k], -1 pads) to moment target[k]."""
+
+    target: np.ndarray
+    coeff: np.ndarray
+    req: np.ndarray
+    fact: np.ndarray
+
+
 @dataclass(frozen=True)
 class MomentStateSystem:
     """Compiled deterministic recursion on a complete vector of state moments."""
@@ -193,16 +202,51 @@ class MomentStateSystem:
     dist_vars: tuple[str, ...]
     state_pairs: tuple[TrigPair, ...] = ()
     dist_pairs: tuple[TrigPair, ...] = ()
+    _pair_positions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.forms) != len(self.basis):
             raise ValueError("one update form per basis element required")
 
-    @property
+    @cached_property
     def dist_requirements(self) -> tuple[MultiIndex, ...]:
         """All disturbance moment multi-indices the recursion consumes, grlex order."""
         needed = {term.dist_index for form in self.forms for term in form.terms}
         return tuple(sorted(needed, key=MultiIndex.grlex_key))
+
+    @cached_property
+    def term_table(self) -> TermTable:
+        """The forms' terms as the flat arrays the propagation kernel runs on."""
+        req_index = {mi: i for i, mi in enumerate(self.dist_requirements)}
+        targets, coeffs, reqs, facts = [], [], [], []
+        width = max([len(t.state_factors) for form in self.forms for t in form.terms] + [1])
+        for i, form in enumerate(self.forms):
+            for term in form.terms:
+                targets.append(i)
+                coeffs.append(float(term.coeff))
+                reqs.append(req_index[term.dist_index])
+                row = [self.basis.index_of(f) for f in term.state_factors]
+                facts.append(row + [-1] * (width - len(row)))
+        return TermTable(
+            target=np.asarray(targets, dtype=np.int64),
+            coeff=np.asarray(coeffs, dtype=np.float64),
+            req=np.asarray(reqs, dtype=np.int64),
+            fact=np.asarray(facts, dtype=np.int64).reshape(len(targets), width),
+        )
+
+    def pair_positions(self, a: str, b: str) -> tuple[int, int, int, int, int]:
+        """Basis positions of E[a], E[b], E[a^2], E[a*b] and E[b^2]; cached per pair."""
+        if (a, b) not in self._pair_positions:
+            try:
+                ua, ub = (MultiIndex.unit(len(self.state_vars), self.state_vars.index(v)) for v in (a, b))
+            except ValueError:
+                raise KeyError(f"state variables {(a, b)!r} not present in {self.state_vars}") from None
+            needed = (ua, ub, ua.plus(ua), ua.plus(ub), ub.plus(ub))
+            for mi in needed:
+                if mi not in self.basis:
+                    raise KeyError(f"basis lacks the moment E[{monomial_name(self.state_vars, mi)}]")
+            self._pair_positions[a, b] = tuple(map(self.basis.index_of, needed))
+        return self._pair_positions[a, b]
 
     def moment_names(self) -> tuple[str, ...]:
         return tuple(monomial_name(self.state_vars, mi) for mi in self.basis)
@@ -341,21 +385,19 @@ def ltv_matrices(
     """
     if msys.reduced:
         raise ValueError("linear time-varying form requires an un-reduced system")
+    missing = [mi for mi in msys.dist_requirements if mi not in dist_values]
+    if missing:
+        raise KeyError(f"missing disturbance moment E[{monomial_name(msys.dist_vars, missing[0])}]")
+    w = np.array([dist_values[mi] for mi in msys.dist_requirements], dtype=np.float64)
+    table = msys.term_table
+    scaled = table.coeff * w[table.req]
+    j = table.fact[:, 0]
     n = len(msys.basis)
     A = np.zeros((n, n))
     b = np.zeros(n)
-    for i, form in enumerate(msys.forms):
-        for term in form.terms:
-            try:
-                w = dist_values[term.dist_index]
-            except KeyError:
-                name = monomial_name(msys.dist_vars, term.dist_index)
-                raise KeyError(f"missing disturbance moment E[{name}]") from None
-            if term.state_factors:
-                j = msys.basis.index_of(term.state_factors[0])
-                A[i, j] += float(term.coeff) * w
-            else:
-                b[i] += float(term.coeff) * w
+    # np.add.at adds in term order, as the forms list them.
+    np.add.at(A, (table.target[j >= 0], j[j >= 0]), scaled[j >= 0])
+    np.add.at(b, table.target[j < 0], scaled[j < 0])
     return A, b
 
 
@@ -424,11 +466,15 @@ def dumps(msys: MomentStateSystem) -> str:
     ]
     term_lines = []
     for i, form in enumerate(msys.forms):
-        for term in form.terms:
-            beta_w = " ".join(map(str, term.dist_index))
-            factor_idx = " ".join(str(msys.basis.index_of(f)) for f in term.state_factors)
-            coeff = f"{term.coeff.numerator}/{term.coeff.denominator}"
-            term_lines.append(f"{i} | {coeff} | {beta_w} | {factor_idx}")
+        try:
+            for term in form.terms:
+                beta_w = " ".join(map(str, term.dist_index))
+                factor_idx = " ".join(str(msys.basis.index_of(f)) for f in term.state_factors)
+                coeff = f"{term.coeff.numerator}/{term.coeff.denominator}"
+                term_lines.append(f"{i} | {coeff} | {beta_w} | {factor_idx}")
+        except ValueError:  # Python's limit on the digits of an integer written as text
+            name = monomial_name(msys.state_vars, form.target)
+            raise ValueError(f"the update of E[{name}] has an exact coefficient too long to write") from None
     lines.append(f"terms {len(term_lines)}")
     lines.extend(term_lines)
     return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -227,18 +227,26 @@ def raw_moment(dist: Distribution, shift, k: int):
 # -- disturbance models -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _RawSlot:
+class _RawSlot(NamedTuple):
     index: int
     source: str
 
 
-@dataclass(frozen=True)
-class _TrigSlot:
+class _TrigSlot(NamedTuple):
     cos_index: int
     sin_index: int
     source: str | None
     base_shift: float
+
+
+@lru_cache(maxsize=None)
+def _slots(dist_vars: tuple[str, ...], pairs: tuple) -> tuple[tuple[_RawSlot, ...], tuple[_TrigSlot, ...]]:
+    """Slots of an encoded disturbance layout: one per (cos, sin) pair, one per other variable."""
+    index = {name: i for i, name in enumerate(dist_vars)}
+    trig = tuple(_TrigSlot(index[p.cos_var], index[p.sin_var], p.source, float(p.shift)) for p in pairs)
+    paired = {name for p in pairs for name in (p.cos_var, p.sin_var)}
+    raw = tuple(_RawSlot(i, name) for i, name in enumerate(dist_vars) if name not in paired)
+    return raw, trig
 
 
 class DisturbanceModel:
@@ -256,31 +264,14 @@ class DisturbanceModel:
         distributions: Mapping[str, Distribution],
         shifts: Mapping[str, Sequence[float]] | None = None,
     ):
-        dist_vars = tuple(system.dist_vars)
-        pairs = tuple(system.dist_pairs)
-        self._system = system
-        self.dist_vars = dist_vars
+        self.dist_vars = tuple(system.dist_vars)
         self.distributions = dict(distributions)
         self.shifts = {name: np.asarray(vals, dtype=float) for name, vals in (shifts or {}).items()}
+        self._raw_slots, self._trig_slots = _slots(self.dist_vars, tuple(system.dist_pairs))
         for name in self.shifts:
-            if name not in self.distributions and not any(p.source == name for p in pairs):
+            if name not in self.distributions and not any(slot.source == name for slot in self._trig_slots):
                 raise KeyError(f"shift schedule for unknown disturbance {name!r}")
-
-        index = {name: i for i, name in enumerate(dist_vars)}
-        paired = set()
-        self._trig_slots: list[_TrigSlot] = []
-        for p in pairs:
-            self._trig_slots.append(
-                _TrigSlot(index[p.cos_var], index[p.sin_var], p.source, float(p.shift))
-            )
-            paired.update((p.cos_var, p.sin_var))
-        self._raw_slots = [
-            _RawSlot(i, name) for i, name in enumerate(dist_vars) if name not in paired
-        ]
-        for slot in self._raw_slots:
-            if slot.source not in self.distributions:
-                raise KeyError(f"no distribution given for disturbance {slot.source!r}")
-        for slot in self._trig_slots:
+        for slot in (*self._raw_slots, *self._trig_slots):
             if slot.source is not None and slot.source not in self.distributions:
                 raise KeyError(f"no distribution given for disturbance {slot.source!r}")
 
@@ -329,17 +320,6 @@ class DisturbanceModel:
                 out = out * trig_moment(self._dist_of(slot.source), total_shift, m, n)
         return out
 
-    def _table_layout(self, requirements: Sequence[MultiIndex]) -> "_TableLayout":
-        """Layout of `requirements`, cached on the bound system (one per system)."""
-        cached = getattr(self._system, "_moment_table_layout", None)
-        if cached is not None and (
-            cached.requirements is requirements or cached.requirements == tuple(requirements)
-        ):
-            return cached
-        layout = _TableLayout.build(tuple(requirements), self)
-        object.__setattr__(self._system, "_moment_table_layout", layout)
-        return layout
-
     def moment_table(
         self, requirements: Sequence[MultiIndex], n_steps: int, start: int = 0
     ) -> np.ndarray:
@@ -352,7 +332,7 @@ class DisturbanceModel:
         schedules every row is the same, so one row is evaluated and
         returned as a read-only broadcast (row stride 0).
         """
-        layout = self._table_layout(requirements)
+        layout = _TableLayout.build(tuple(requirements), self._raw_slots, self._trig_slots)
         steps = np.arange(start, start + (n_steps if self.shifts else min(n_steps, 1)))
         rows = [np.ones(len(steps))]
         for pos, orders in layout.raw:
@@ -378,24 +358,31 @@ class _TableLayout:
     moments in `raw` order, then the trigonometric moments in `trig` order.
     """
 
-    requirements: tuple[MultiIndex, ...]
     raw: tuple[tuple[int, tuple[int, ...]], ...]  # (raw slot position, orders k)
     trig: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]  # (trig slot position, (m, n) pairs)
     factors: np.ndarray  # (n_req, n_factors) slot-moment rows, multiplied left to right; 0 pads
 
     @classmethod
-    def build(cls, requirements: tuple[MultiIndex, ...], model: DisturbanceModel) -> "_TableLayout":
-        if any(len(beta_w) != len(model.dist_vars) for beta_w in requirements):
+    @lru_cache(maxsize=None)
+    def build(
+        cls,
+        requirements: tuple[MultiIndex, ...],
+        raw_slots: tuple[_RawSlot, ...],
+        trig_slots: tuple[_TrigSlot, ...],
+    ) -> "_TableLayout":
+        """Layout of `requirements` over the slots; one per distinct (requirements, slots)."""
+        width = len(raw_slots) + 2 * len(trig_slots)
+        if any(len(beta_w) != width for beta_w in requirements):
             raise ValueError("disturbance multi-index length mismatch")
 
         def slot_keys(beta_w: MultiIndex) -> list[tuple]:
             # (0, raw slot position, k) then (1, trig slot position, (m, n)), as in `moment`
             keys: list[tuple] = [
                 (0, pos, beta_w[slot.index])
-                for pos, slot in enumerate(model._raw_slots)
+                for pos, slot in enumerate(raw_slots)
                 if beta_w[slot.index]
             ]
-            for pos, slot in enumerate(model._trig_slots):
+            for pos, slot in enumerate(trig_slots):
                 m, n = beta_w[slot.cos_index], beta_w[slot.sin_index]
                 if m or n:
                     keys.append((1, pos, (m, n)))
@@ -412,4 +399,5 @@ class _TableLayout:
         factors = np.zeros((len(requirements), max([len(k) for k in per_requirement] + [1])), dtype=np.intp)
         for i, req_keys in enumerate(per_requirement):
             factors[i, : len(req_keys)] = [row_of[key] for key in req_keys]
-        return cls(requirements, tuple(raw), tuple(trig), factors)
+        factors.flags.writeable = False
+        return cls(tuple(raw), tuple(trig), factors)

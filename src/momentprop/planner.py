@@ -397,6 +397,14 @@ class PlannerConfig:
     turn_radius: float = 0.3
     max_edge_steps: int = 40
 
+    def __post_init__(self):
+        if not 0.0 < self.speed < math.inf:
+            raise ValueError(f"speed must be positive and finite, got {self.speed}")
+        if not 0.0 < self.turn_radius < math.inf:
+            raise ValueError(f"turn radius must be positive and finite, got {self.turn_radius}")
+        if self.max_edge_steps < 1:
+            raise ValueError(f"max edge steps must be at least 1, got {self.max_edge_steps}")
+
 
 @dataclass
 class TreeNode:
@@ -457,6 +465,8 @@ def build_rrt(
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("chance constraint must lie in (0, 1)")
+    if iterations < 0:
+        raise ValueError(f"iteration count must be nonnegative, got {iterations}")
     heading = _heading(msys.state_vars, msys.state_pairs)
     steered_disturbance(msys)  # each edge resolves it again; fail before the first
     cfg = config or PlannerConfig()

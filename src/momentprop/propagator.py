@@ -11,7 +11,6 @@ import numpy as np
 from . import _kernels
 from .compiler import MomentStateSystem
 from .distmoments import DisturbanceModel
-from .polyring import MultiIndex, monomial_name
 
 _TRIG_CONSISTENCY_TOL = 1e-9
 
@@ -45,45 +44,6 @@ class MomentTrajectory:
 
     def moment_series(self, name: str) -> np.ndarray:
         return self.values[:, self.system.moment_index(name)]
-
-
-@dataclass
-class _RuntimeArrays:
-    """Flattened term table for the inner loop; cached per compiled system."""
-
-    requirements: tuple[MultiIndex, ...]
-    target: np.ndarray
-    coeff: np.ndarray
-    req: np.ndarray
-    fact: np.ndarray
-
-
-def _runtime_arrays(msys: MomentStateSystem) -> _RuntimeArrays:
-    cached = getattr(msys, "_runtime_arrays_cache", None)
-    if cached is not None:
-        return cached
-    requirements = msys.dist_requirements
-    req_index = {mi: i for i, mi in enumerate(requirements)}
-    targets, coeffs, reqs, facts = [], [], [], []
-    width = max(
-        [len(t.state_factors) for form in msys.forms for t in form.terms] + [1]
-    )
-    for i, form in enumerate(msys.forms):
-        for term in form.terms:
-            targets.append(i)
-            coeffs.append(float(term.coeff))
-            reqs.append(req_index[term.dist_index])
-            row = [msys.basis.index_of(f) for f in term.state_factors]
-            facts.append(row + [-1] * (width - len(row)))
-    arrays = _RuntimeArrays(
-        requirements=requirements,
-        target=np.asarray(targets, dtype=np.int64),
-        coeff=np.asarray(coeffs, dtype=np.float64),
-        req=np.asarray(reqs, dtype=np.int64),
-        fact=np.asarray(facts, dtype=np.int64).reshape(len(targets), width),
-    )
-    object.__setattr__(msys, "_runtime_arrays_cache", arrays)
-    return arrays
 
 
 def init_deterministic(msys: MomentStateSystem, x0: Mapping[str, float]) -> MomentState:
@@ -145,15 +105,11 @@ def propagate(
     """
     if n_steps < 0:
         raise ValueError("step count must be nonnegative")
-    arrays = _runtime_arrays(msys)
     out = np.empty((n_steps + 1, len(msys.basis)))
     bad_t, bad_j = _kernels.run_steps(
         np.asarray(init.values, dtype=np.float64),
-        model.moment_table(arrays.requirements, n_steps, start=init.time),
-        arrays.target,
-        arrays.coeff,
-        arrays.req,
-        arrays.fact,
+        model.moment_table(msys.dist_requirements, n_steps, start=init.time),
+        *msys.term_table,
         out,
     )
     if bad_t >= 0:
@@ -169,47 +125,19 @@ def step(msys: MomentStateSystem, state: MomentState, model: DisturbanceModel) -
     return propagate(msys, state, model, 1).state(1)
 
 
-def _pair_indices(msys: MomentStateSystem, names: Sequence[str]) -> dict[str, int]:
-    """Basis positions of the moments `mean_cov` reads; cached per compiled system."""
-    cache = msys.__dict__.setdefault("_pair_indices_cache", {})
-    pair = tuple(names)
-    if pair in cache:
-        return cache[pair]
-    a, b = pair
-    n = len(msys.state_vars)
-    try:
-        ia = msys.state_vars.index(a)
-        ib = msys.state_vars.index(b)
-    except ValueError:
-        raise KeyError(f"state variables {names!r} not present in {msys.state_vars}") from None
-    needed = {
-        "a": MultiIndex.unit(n, ia),
-        "b": MultiIndex.unit(n, ib),
-        "aa": MultiIndex.unit(n, ia, 2),
-        "ab": MultiIndex.unit(n, ia).plus(MultiIndex.unit(n, ib)),
-        "bb": MultiIndex.unit(n, ib, 2),
-    }
-    out = {}
-    for key, mi in needed.items():
-        if mi not in msys.basis:
-            raise KeyError(f"basis lacks the moment E[{monomial_name(msys.state_vars, mi)}]")
-        out[key] = msys.basis.index_of(mi)
-    cache[pair] = out
-    return out
-
-
 def mean_cov(traj: MomentTrajectory, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Per-step mean vectors and 2x2 covariances of two state variables.
 
     Requires the basis to track both first moments, both second moments and
     the cross moment.  Covariances are symmetric by construction.
     """
-    idx = _pair_indices(traj.system, names)
+    a, b = names
+    ia, ib, iaa, iab, ibb = traj.system.pair_positions(a, b)
     vals = traj.values
-    mean = np.stack([vals[:, idx["a"]], vals[:, idx["b"]]], axis=1)
-    var_a = vals[:, idx["aa"]] - mean[:, 0] ** 2
-    var_b = vals[:, idx["bb"]] - mean[:, 1] ** 2
-    cov_ab = vals[:, idx["ab"]] - mean[:, 0] * mean[:, 1]
+    mean = np.stack([vals[:, ia], vals[:, ib]], axis=1)
+    var_a = vals[:, iaa] - mean[:, 0] ** 2
+    var_b = vals[:, ibb] - mean[:, 1] ** 2
+    cov_ab = vals[:, iab] - mean[:, 0] * mean[:, 1]
     cov = np.empty((vals.shape[0], 2, 2))
     cov[:, 0, 0] = var_a
     cov[:, 1, 1] = var_b

@@ -140,6 +140,21 @@ def fold(expr: Expr, leaf: Callable[[Const | Sym | Trig], Any]):
     return leaf(expr)
 
 
+class _Degree(int):
+    """Degree bound under :func:`fold`, sin/cos counting 1: + and - take the larger, * adds, ** multiplies."""
+
+    def __add__(self, other):
+        return _Degree(max(self, other))
+
+    __sub__ = __add__
+
+    def __mul__(self, other):
+        return _Degree(int(self) + other)
+
+    def __pow__(self, exponent):
+        return _Degree(int(self) * exponent)
+
+
 def evaluate(expr: Expr, env: Mapping[str, float | np.ndarray]):
     """Numeric evaluation; sin/cos evaluated with numpy, so values may be arrays."""
 
@@ -246,8 +261,15 @@ class _ExprParser:
 
     def parse_factor(self) -> Expr:
         base = self.parse_base()
+        caret = self.peek()
         exponent = self.parse_exponent()
-        return base if exponent is None else Power(base, exponent)
+        if exponent is None:
+            return base
+        # Nested powers multiply their exponents: bound the degree of the whole power.
+        power = Power(base, exponent)
+        if fold(power, lambda node: _Degree(0 if isinstance(node, Const) else 1)) > MAX_DEGREE:
+            raise SpecError(f"power exceeds the degree limit {MAX_DEGREE}", caret.line, caret.col)
+        return power
 
     def parse_exponent(self) -> int | None:
         """The unsigned integer after a '^', or None when no '^' follows."""

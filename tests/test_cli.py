@@ -67,7 +67,11 @@ class TestCompile:
 
     @pytest.mark.parametrize(
         "update, message",
-        [("(x+w)^2000", "line 3, column 16: exponent exceeds"), ("1e-5000*x + w", "line 3, column 10: numeric")],
+        [
+            ("(x+w)^2000", "line 3, column 16: exponent exceeds"),
+            ("1e-5000*x + w", "line 3, column 10: numeric"),
+            ("((x+w)^16)^16", "line 3, column 20: power exceeds the degree limit 32"),
+        ],
     )
     def test_oversized_spec_token_exits_2(self, workdir, capsys, update, message):
         spec = workdir / "big.spec"
@@ -75,6 +79,15 @@ class TestCompile:
         assert run("compile", spec, "-o", workdir / "nope.msys") == EXIT_INPUT
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
+
+    def test_coefficient_too_long_to_write_exits_2(self, workdir, capsys):
+        """(10^-400)^11 in the update of E[x^11] has more digits than Python writes as text."""
+        spec = workdir / "long.spec"
+        spec.write_text("state x\ndisturbance w\ndyn x' = 1e-400*x + w\nmoments x^11\n")
+        assert run("compile", spec, "-o", workdir / "nope.msys") == EXIT_INPUT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: the update of E[x^11] has an exact coefficient too long to write"]
+        assert not (workdir / "nope.msys").exists()
 
 
 LONG_LINES = {
@@ -331,6 +344,23 @@ class TestPlan:
         assert code == EXIT_INPUT
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: environment line {line}: non-finite value"]
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--speed", "0"), ("--speed", "-0.05"), ("--speed", "nan"),
+            ("--turn-radius", "0"), ("--turn-radius", "nan"),
+            ("--max-edge-steps", "0"), ("--max-edge-steps", "-5"),
+            ("--iterations", "-1"),
+        ],
+    )
+    def test_invalid_setting_exits_2(self, workdir, capsys, option, value):
+        code = run("plan", workdir / "planner.spec", "--env", workdir / "env.txt", "--eps", 0.1,
+                   f"{option}={value}", "-o", workdir / "plan.csv")
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (workdir / "plan.csv").exists()
 
     def test_missing_env_exit_2(self, workdir):
         code = run(

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from momentprop.distmoments import (
     trig_moment,
 )
 from momentprop.polyring import MultiIndex
-from momentprop.sysspec import parse_spec, trig_encode
+from momentprop.sysspec import TrigPair, parse_spec, trig_encode
 
 
 def quad_trig_moment(dist, shift, m, n):
@@ -307,6 +308,30 @@ class TestDisturbanceModel:
         assert model.moment_table([], 2).shape == (2, 0)
         assert model.moment_table(reqs, 0).shape == (0, 2)
 
+    @pytest.mark.parametrize(
+        "layouts",
+        [
+            ((("a", "b"), ()), (("b", "a"), ())),
+            ((("w", "c_u", "s_u"), (TrigPair("c_u", "s_u", "u"),)), (("c_u", "s_u", "w"), (TrigPair("c_u", "s_u", "u"),))),
+        ],
+        ids=["raw-swapped", "raw-and-pair-swapped"],
+    )
+    def test_moment_table_layout_keyed_on_disturbance_layout(self, layouts):
+        """Equal requirement lists over different disturbance layouts get their own tables."""
+        distributions = {"a": Gaussian(0.3, 0.2), "b": Uniform(-0.5, 1.5), "w": Beta(2, 3), "u": Gaussian(0.1, 0.4)}
+        requirements = [MultiIndex((1, 0, 0)), MultiIndex((0, 2, 1)), MultiIndex((2, 1, 1)), MultiIndex((0, 0, 0))]
+        tables = []
+        for dist_vars, pairs in layouts:
+            # A model reads only the layout of the system it is bound to.
+            system = SimpleNamespace(dist_vars=dist_vars, dist_pairs=pairs)
+            reqs = [MultiIndex(beta[: len(dist_vars)]) for beta in requirements]
+            model = DisturbanceModel(system, distributions)
+            table = model.moment_table(reqs, 3)
+            expected = np.array([[model.moment(beta, t) for beta in reqs] for t in range(3)])
+            np.testing.assert_array_equal(table, expected)
+            tables.append(table)
+        assert not np.array_equal(tables[0], tables[1])
+
     def test_moment_table_rejects_non_real_residue(self, monkeypatch):
         from momentprop import distmoments
 
@@ -325,3 +350,14 @@ class TestDisturbanceModel:
     def test_missing_distribution(self):
         with pytest.raises(KeyError, match="wt"):
             DisturbanceModel(self.system, {"wv": Gaussian(0, 1)})
+
+
+def test_model_bound_to_polynomial_or_compiled_system_gives_same_table(dubins_system, dubins_reduced):
+    shifts = {"wt": np.linspace(-0.3, 0.3, 12), "wv": np.linspace(0.0, 0.01, 12)}
+    tables = [
+        DisturbanceModel(system, {"wv": Beta(10, 1000), "wt": Gaussian(0.04, 0.03)}, shifts).moment_table(
+            dubins_reduced.dist_requirements, 12
+        )
+        for system in (dubins_system, dubins_reduced)
+    ]
+    assert np.array_equal(tables[0].view(np.int64), tables[1].view(np.int64))

@@ -493,6 +493,33 @@ def test_planner_config_has_three_fields():
     assert [f.name for f in dataclasses.fields(PlannerConfig)] == ["speed", "turn_radius", "max_edge_steps"]
 
 
+INVALID_SETTINGS = {
+    "speed 0": ("speed", 0.0),
+    "speed -0.05": ("speed", -0.05),
+    "speed nan": ("speed", math.nan),
+    "speed inf": ("speed", math.inf),
+    "turn radius 0": ("turn_radius", 0.0),
+    "turn radius nan": ("turn_radius", math.nan),
+    "max edge steps 0": ("max_edge_steps", 0),
+    "max edge steps -5": ("max_edge_steps", -5),
+}
+
+
+@pytest.mark.parametrize("setting", INVALID_SETTINGS)
+def test_planner_config_rejects_invalid_settings(setting):
+    name, value = INVALID_SETTINGS[setting]
+    with pytest.raises(ValueError, match=name.replace("_", " ")):
+        PlannerConfig(**{name: value})
+
+
+def test_build_rrt_rejects_negative_iterations_up_front(dubins_reduced, monkeypatch):
+    monkeypatch.setattr(planner, "propagate", _never)
+    env = parse_environment(presets.PLANNER_ENV)
+    with pytest.raises(ValueError, match="iteration count"):
+        build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, -1, 0)
+    assert len(build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, 0, 0).nodes) == 1
+
+
 class TestPlanCollision:
     NOISY = {"wv": Gaussian(0.0, 1e-4), "wt": Gaussian(0.0, 0.05)}
 

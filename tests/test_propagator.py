@@ -318,7 +318,7 @@ class TestKernelOracle:
 
 def run_both(msys, values0, table):
     """((bad_t, bad_j), out) from the loaded backend and from the Python loop."""
-    arrays = propagator._runtime_arrays(msys)
+    arrays = msys.term_table
     results = []
     for run in (_kernels.run_steps, _kernels.run_steps_python):
         out = np.full((table.shape[0] + 1, len(values0)), 7.0)
@@ -341,7 +341,7 @@ class TestCompiledKernelAgreement:
     def test_dubins_broadcast_row(self, dubins_reduced):
         model = DisturbanceModel(dubins_reduced, presets.benchmark_noise())
         init = init_deterministic(dubins_reduced, {"x": 0.3, "y": -1, "v": 1.2, "theta": 0.4})
-        requirements = propagator._runtime_arrays(dubins_reduced).requirements
+        requirements = dubins_reduced.dist_requirements
         row = model.moment_table(requirements, 1)
         table = np.broadcast_to(row, (200, row.shape[1]))
         assert_bit_identical(run_both(dubins_reduced, init.values, table))
@@ -352,13 +352,13 @@ class TestCompiledKernelAgreement:
             dubins_reduced, presets.benchmark_noise(), shifts={"wt": shifts, "wv": shifts / 10}
         )
         init = init_deterministic(dubins_reduced, {"x": 0.3, "y": -1, "v": 1.2, "theta": 0.4})
-        requirements = propagator._runtime_arrays(dubins_reduced).requirements
+        requirements = dubins_reduced.dist_requirements
         table = model.moment_table(requirements, 60)
         assert_bit_identical(run_both(dubins_reduced, init.values, table))
 
     def test_random_systems(self):
         for msys, model, init in oracle_systems():
-            requirements = propagator._runtime_arrays(msys).requirements
+            requirements = msys.dist_requirements
             table = model.moment_table(requirements, 5)
             assert_bit_identical(run_both(msys, init.values, table))
 
@@ -371,7 +371,7 @@ class TestCompiledKernelAgreement:
         msys = compile_moment_system(system, [MultiIndex((1,))])
         model = DisturbanceModel(msys, {"w": Degenerate(0.0)})
         init = init_deterministic(msys, {"x": 1.0})
-        requirements = propagator._runtime_arrays(msys).requirements
+        requirements = msys.dist_requirements
         table = model.moment_table(requirements, 5000)
         results = run_both(msys, init.values, table)
         assert results[1][0] != (-1, -1)
@@ -385,7 +385,7 @@ class TestCKernel:
         run = _kernels._load_c()
         (lib,) = (tmp_path / "momentprop").iterdir()
         assert lib.name.startswith("run_steps-") and lib.suffix == ".so"
-        arrays = propagator._runtime_arrays(walk)
+        arrays = walk.term_table
         args = (np.array([0.5, 0.25]), np.array([[1.0, 0.1, 0.02]] * 3),
                 arrays.target, arrays.coeff, arrays.req, arrays.fact)
         out, ref = np.empty((4, 2)), np.empty((4, 2))
@@ -393,8 +393,8 @@ class TestCKernel:
         assert np.array_equal(out, ref)
 
     def test_rejects_bad_index_and_shape(self, walk):
-        arrays = propagator._runtime_arrays(walk)
-        table = np.ones((3, len(arrays.requirements)))
+        arrays = walk.term_table
+        table = np.ones((3, len(walk.dist_requirements)))
         values0 = np.ones(len(walk.basis))
         out = np.empty((4, len(walk.basis)))
         bad_fact = arrays.fact.copy()

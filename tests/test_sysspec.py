@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import math
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from momentprop import distmoments, oracle
 from momentprop.polyring import MultiIndex, Polynomial
 from momentprop.sysspec import (
+    MAX_DEGREE,
     DependenceGraph,
     SpecError,
     components_of_support,
@@ -100,9 +102,13 @@ class TestParse:
             ("1e-30000000*x + w", 10, "exceeds 400 digits or a decimal exponent of 400"),
             ("1e" + "9" * 5000 + "*x + w", 10, "exceeds 400 digits or a decimal exponent of 400"),
             ("0." + "0" * 400 + "1*x + w", 10, "exceeds 400 digits"),
+            ("((x+w)^16)^16", 20, "power exceeds the degree limit 32"),
+            ("((x+w)^32)^32", 20, "power exceeds the degree limit 32"),
+            ("(x*(x+w)^4)^8", 21, "power exceeds the degree limit 32"),
+            ("x + ((w^8)^2 + 1)^3", 27, "power exceeds the degree limit 32"),
         ],
         ids=["power-2000", "power-33", "power-5000-digits", "1e-5000", "1e-30000000", "exponent-5000-digits",
-             "402-digits"],
+             "402-digits", "power-16-of-16", "power-32-of-32", "power-8-of-degree-5", "power-3-of-degree-16"],
     )
     def test_oversized_token_rejected(self, update, col, message):
         with pytest.raises(SpecError, match=message) as err:
@@ -119,6 +125,17 @@ class TestParse:
         with pytest.raises(SpecError, match="exponent exceeds the degree limit 32") as err:
             parse_spec("state x\ndisturbance w\ndyn x' = x + w\nmoments x^16*x x^33\n")
         assert err.value.line == 4
+
+    def test_nested_power_at_the_limit_compiles(self):
+        from momentprop.compiler import compile_moment_system
+
+        spec = parse_spec(
+            "state x y\ndisturbance w\ndyn x' = x + w\ndyn y' = ((x+w)^4)^8\nmoments y\n"
+        )
+        system = trig_encode(spec)
+        assert max(mi.total_degree() for mi in system.f[1].terms) == 32
+        msys = compile_moment_system(system, system.target_moments)
+        assert MultiIndex((32, 0)) in msys.basis
 
     def test_missing_update(self):
         with pytest.raises(SpecError, match="no 'dyn' update"):
@@ -426,17 +443,52 @@ def _outcome(fn):
     return "nan" if math.isnan(value) else value
 
 
+def _power_over_degree_limit(text):
+    """Whether some power in `text` has a degree bound above MAX_DEGREE, read with Python's own parser.
+
+    The bound folds as the spec grammar's: a constant is 0, a symbol or sin/cos is 1,
+    + and - take the larger, * adds and ^ multiplies.
+    """
+    over = False
+
+    def degree(node):
+        nonlocal over
+        if isinstance(node, ast.Constant):
+            return 0
+        if isinstance(node, (ast.Name, ast.Call)):
+            return 1
+        if isinstance(node, ast.UnaryOp):
+            return degree(node.operand)
+        left, right = degree(node.left), degree(node.right)
+        if isinstance(node.op, ast.Pow):
+            bound = left * node.right.value
+            over = over or bound > MAX_DEGREE
+            return bound
+        return left + right if isinstance(node.op, ast.Mult) else max(left, right)
+
+    degree(ast.parse(text.replace("^", "**"), mode="eval").body)
+    return over
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     st.recursive(_LEAVES, _expressions, max_leaves=20),
     st.tuples(*[st.floats(-2.0, 2.0)] * 5),
 )
 def test_evaluate_equals_python_float_arithmetic(text, point):
-    """evaluate(parse(text)) equals Python's own evaluation of the text, with ^ as **."""
-    spec = parse_spec(
+    """evaluate(parse(text)) equals Python's own evaluation of the text, with ^ as **.
+
+    A text with a power above the degree limit is not a valid update: the parser rejects it.
+    """
+    source = (
         "state x y a\nangle a\ndisturbance w u q\n"
         f"dyn x' = {text}\ndyn y' = y\ndyn a' = a + w\n"
     )
+    if _power_over_degree_limit(text):
+        with pytest.raises(SpecError, match=f"power exceeds the degree limit {MAX_DEGREE}"):
+            parse_spec(source)
+        return
+    spec = parse_spec(source)
     env = dict(zip("xyaqu", point))
     ours = _outcome(lambda: evaluate(spec.updates["x"], env))
     python = _outcome(lambda: eval(text.replace("^", "**"), {"sin": np.sin, "cos": np.cos}, env))
