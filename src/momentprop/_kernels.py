@@ -154,31 +154,41 @@ def _load_c():
     fn.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [ctypes.c_void_p] * 6
     fn.restype = ctypes.c_int
 
+    last_terms = [()]  # (arrays passed, checked_terms result) for the last term table that needed no copy
+
+    def checked_terms(*passed):
+        """(n_terms, max_f, data pointers, arrays) of the term arrays, made contiguous; checked once
+        per table, since the kernel itself range-checks every entry on every call."""
+        last = last_terms[0]  # read once: another thread may replace it
+        if last and all(a is b for a, b in zip(last[0], passed)):
+            return last[1]
+        target, coeff, req, fact = arrays = [np.ascontiguousarray(arr, dtype=np.float64 if i == 1 else np.int64)
+                                             for i, arr in enumerate(passed)]
+        n_terms = target.shape[0]
+        if fact.ndim != 2 or (target.shape, coeff.shape, req.shape, fact.shape[0]) != ((n_terms,),) * 3 + (n_terms,):
+            raise ValueError("run_steps: target, coeff, req and fact must have one entry per term, fact 2-d")
+        checked = (n_terms, fact.shape[1], [arr.ctypes.data for arr in arrays], arrays)
+        if all(a is b for a, b in zip(arrays, passed)):
+            last_terms[0] = (passed, checked)
+        return checked
+
     def run_steps_c(values0, table, target, coeff, req, fact, out):
         values0 = np.ascontiguousarray(values0, dtype=np.float64)
-        target = np.ascontiguousarray(target, dtype=np.int64)
-        coeff = np.ascontiguousarray(coeff, dtype=np.float64)
-        req = np.ascontiguousarray(req, dtype=np.int64)
-        fact = np.ascontiguousarray(fact, dtype=np.int64)
         table = np.asarray(table, dtype=np.float64)
-        if table.ndim != 2 or fact.ndim != 2 or values0.ndim != 1:
-            raise ValueError("run_steps: table and fact must be 2-d, values0 1-d")
+        if table.ndim != 2 or values0.ndim != 1:
+            raise ValueError("run_steps: table must be 2-d and values0 1-d")
+        n_terms, max_f, term_pointers, _ = checked_terms(target, coeff, req, fact)
         if table.strides[0] % 8 or (table.shape[1] > 1 and table.strides[1] != 8):
             table = np.ascontiguousarray(table)
-        (n,), (n_steps, n_req), n_terms = values0.shape, table.shape, target.shape[0]
-        if target.shape != (n_terms,) or coeff.shape != (n_terms,) or req.shape != (n_terms,) \
-                or fact.shape[0] != n_terms:
-            raise ValueError("run_steps: target, coeff, req and fact must have one entry per term")
+        (n,), (n_steps, n_req) = values0.shape, table.shape
         if out.shape != (n_steps + 1, n) or out.dtype != np.float64 \
                 or not (out.flags.c_contiguous and out.flags.writeable):
             raise ValueError("run_steps: out must be a writable C-ordered float64 (steps + 1, n) array")
-        bad = np.empty(2, dtype=np.int64)
-        if fn(n, n_steps, n_terms, fact.shape[1], n_req,
-              values0.ctypes.data, table.ctypes.data, table.strides[0] // 8,
-              target.ctypes.data, coeff.ctypes.data, req.ctypes.data, fact.ctypes.data,
-              out.ctypes.data, bad.ctypes.data):
+        bad = (ctypes.c_int64 * 2)()
+        if fn(n, n_steps, n_terms, max_f, n_req, values0.ctypes.data, table.ctypes.data, table.strides[0] // 8,
+              *term_pointers, out.ctypes.data, bad):
             raise IndexError("run_steps: a term's target, requirement or factor index is out of range")
-        return int(bad[0]), int(bad[1])
+        return bad[0], bad[1]
 
     return run_steps_c
 

@@ -11,6 +11,7 @@ its own update forms.  Coefficients stay exact rationals throughout.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -410,23 +411,34 @@ def render_equations(msys: MomentStateSystem) -> str:
     for form in msys.forms:
         lhs = f"E[{monomial_name(msys.state_vars, form.target)}]'"
         parts = []
-        for term in form.terms:
-            factors = []
-            if abs(term.coeff) != 1:
-                factors.append(str(abs(term.coeff)))
-            if not term.dist_index.is_zero():
-                factors.append(f"E[{monomial_name(msys.dist_vars, term.dist_index)}]")
-            for f in term.state_factors:
-                factors.append(f"E[{monomial_name(msys.state_vars, f)}]")
-            if not factors:
-                factors.append(str(abs(term.coeff)))
-            body = "*".join(factors)
-            if not parts:
-                parts.append(body if term.coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if term.coeff > 0 else f"- {body}")
+        with _coefficients_written(msys, form):
+            for term in form.terms:
+                factors = []
+                if abs(term.coeff) != 1:
+                    factors.append(str(abs(term.coeff)))
+                if not term.dist_index.is_zero():
+                    factors.append(f"E[{monomial_name(msys.dist_vars, term.dist_index)}]")
+                for f in term.state_factors:
+                    factors.append(f"E[{monomial_name(msys.state_vars, f)}]")
+                if not factors:
+                    factors.append(str(abs(term.coeff)))
+                body = "*".join(factors)
+                if not parts:
+                    parts.append(body if term.coeff > 0 else f"-{body}")
+                else:
+                    parts.append(f"+ {body}" if term.coeff > 0 else f"- {body}")
         lines.append(f"{lhs} = " + " ".join(parts))
     return "\n".join(lines)
+
+
+@contextlib.contextmanager
+def _coefficients_written(msys: MomentStateSystem, form: MomentUpdateForm):
+    """Name the moment whose update holds an exact coefficient too long to write as text."""
+    try:
+        yield
+    except ValueError:  # Python's limit on the digits of an integer written as text
+        name = monomial_name(msys.state_vars, form.target)
+        raise ValueError(f"the update of E[{name}] has an exact coefficient too long to write") from None
 
 
 _FORMAT_HEADER = "momentprop-system v1"
@@ -466,15 +478,12 @@ def dumps(msys: MomentStateSystem) -> str:
     ]
     term_lines = []
     for i, form in enumerate(msys.forms):
-        try:
+        with _coefficients_written(msys, form):
             for term in form.terms:
                 beta_w = " ".join(map(str, term.dist_index))
                 factor_idx = " ".join(str(msys.basis.index_of(f)) for f in term.state_factors)
                 coeff = f"{term.coeff.numerator}/{term.coeff.denominator}"
                 term_lines.append(f"{i} | {coeff} | {beta_w} | {factor_idx}")
-        except ValueError:  # Python's limit on the digits of an integer written as text
-            name = monomial_name(msys.state_vars, form.target)
-            raise ValueError(f"the update of E[{name}] has an exact coefficient too long to write") from None
     lines.append(f"terms {len(term_lines)}")
     lines.extend(term_lines)
     return "\n".join(lines) + "\n"

@@ -89,42 +89,44 @@ def variance(dist: Distribution) -> float:
 # -- characteristic functions ----------------------------------------------
 
 
-def char_fn(dist: Distribution, shift, t: int):
+def char_fn(dist: Distribution, shift, t):
     """Characteristic function of (X + shift) at integer t: E[e^{it(X+shift)}].
 
-    `shift` may be a scalar or an ndarray; the result matches its shape.
+    `shift` and `t` may be scalars or ndarrays (t of integer values); the result
+    has their broadcast shape, and is a complex scalar when both are scalars.
     """
     shift = np.asarray(shift, dtype=float)
-    scalar = shift.ndim == 0
+    t = np.asarray(t)
     if isinstance(dist, Degenerate):
         out = np.exp(1j * t * (dist.value + shift))
     elif isinstance(dist, Gaussian):
         out = np.exp(1j * t * (dist.mean + shift) - dist.variance * t * t / 2.0)
     elif isinstance(dist, Uniform):
-        if t == 0:
-            out = np.ones_like(shift, dtype=complex)
-        else:
-            a = dist.lower + shift
-            b = dist.upper + shift
+        a = dist.lower + shift
+        b = dist.upper + shift
+        with np.errstate(divide="ignore", invalid="ignore"):  # t = 0 is taken from the limit 1
             out = (np.exp(1j * t * b) - np.exp(1j * t * a)) / (1j * t * (dist.upper - dist.lower))
+        out = np.where(t == 0, 1.0 + 0j, out)
     elif isinstance(dist, Beta):
         raise UnsupportedMomentError("characteristic function of beta distributions is not supported")
     else:
         raise TypeError(f"unknown distribution {dist!r}")
-    return complex(out) if scalar else out
+    return complex(out) if out.ndim == 0 else out
 
 
 # -- trigonometric moments ---------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _laurent_matrix(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], np.ndarray]:
+def _laurent_matrix(pairs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
     """Laurent coefficients in e^{ix} of cos^m(x) sin^n(x) for each (m, n) in `pairs`.
 
     cos^m sin^n = (e^{ix}+e^{-ix})^m (e^{ix}-e^{-ix})^n / (i^n 2^(m+n)),
     expanded with exact integer counts.  Returns the sorted frequencies that
-    occur and a read-only (pairs x frequencies) matrix whose row r holds the
-    coefficients of pair r, 0 at frequencies it lacks.
+    occur, as a read-only array of integer-valued floats (so that
+    :func:`char_fn` needs no integer casts), and a read-only (frequencies x
+    pairs) matrix whose column r holds the coefficients of pair r, 0 at
+    frequencies it lacks.
     """
     rows = []
     for m, n in pairs:
@@ -135,33 +137,36 @@ def _laurent_matrix(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...]
                 counts[freq] = counts.get(freq, 0) + math.comb(m, j) * math.comb(n, k) * (-1) ** k
         rows.append({freq: c for freq, c in counts.items() if c})
     freqs = sorted(set().union(*rows))
-    coefficients = np.zeros((len(pairs), len(freqs)), dtype=complex)
+    coefficients = np.zeros((len(freqs), len(pairs)), dtype=complex)
     for r, ((m, n), row) in enumerate(zip(pairs, rows)):
         inv_re, inv_im = ((1, 0), (0, -1), (-1, 0), (0, 1))[n % 4]  # 1 / i^n
         for freq, c in row.items():
-            coefficients[r, freqs.index(freq)] = complex(c * inv_re / 2 ** (m + n), c * inv_im / 2 ** (m + n))
-    coefficients.flags.writeable = False
-    return tuple(freqs), coefficients
+            coefficients[freqs.index(freq), r] = complex(c * inv_re / 2 ** (m + n), c * inv_im / 2 ** (m + n))
+    freq_array = np.array(freqs, dtype=float)
+    freq_array.flags.writeable = coefficients.flags.writeable = False
+    return freq_array, coefficients
 
 
 _IMAG_RESIDUE_TOL = 1e-12
 
 
-def _trig_moments(dist: Distribution, shift, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """E[cos^m(X + shift) sin^n(X + shift)] for each (m, n) in `pairs`, stacked on axis 0.
+def _trig_moments(dist: Distribution, shift, freqs: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """E[cos^m(X + shift) sin^n(X + shift)] for the pairs of a :func:`_laurent_matrix`, stacked on axis 0.
 
-    The characteristic function is evaluated once per frequency, and each
-    Laurent sum is taken left to right in frequency order (a sequential sum,
-    not a BLAS product, which may fuse and reorder the multiply-adds).
+    The characteristic function is evaluated in one call over all
+    frequencies, and each Laurent sum is taken left to right in frequency
+    order (a sequential sum, not a BLAS product, which may fuse and reorder
+    the multiply-adds).
     """
     if isinstance(dist, Beta):
         raise UnsupportedMomentError("trigonometric moments of beta-distributed angles are not supported")
-    freqs, coefficients = _laurent_matrix(pairs)
     shift = np.asarray(shift, dtype=float)
-    values = np.array([char_fn(dist, shift, f) for f in freqs])
-    terms = coefficients.reshape(coefficients.shape + (1,) * shift.ndim) * values
-    sums = np.cumsum(terms, axis=1)[:, -1]
-    residue = float(np.max(np.abs(sums.imag), initial=0.0))
+    values = char_fn(dist, shift, freqs.reshape(freqs.shape + (1,) * shift.ndim))
+    terms = coefficients.reshape(coefficients.shape + (1,) * (values.ndim - 1)) * values[:, None]
+    sums = terms[0]
+    for term in terms[1:]:
+        sums += term
+    residue = np.maximum.reduce(np.abs(sums.imag), axis=None, initial=0.0)
     if residue > _IMAG_RESIDUE_TOL:
         raise ArithmeticError(f"trig moment has non-real residue {residue:g}")
     return sums.real
@@ -174,7 +179,7 @@ def trig_moment(dist: Distribution, shift, m: int, n: int):
     """
     if m < 0 or n < 0 or m + n < 1:
         raise ValueError("trig_moment requires m, n >= 0 and m + n >= 1")
-    values = _trig_moments(dist, shift, ((m, n),))[0]
+    values = _trig_moments(dist, shift, *_laurent_matrix(((m, n),)))[0]
     return float(values) if np.ndim(shift) == 0 else values
 
 
@@ -266,7 +271,7 @@ class DisturbanceModel:
     ):
         self.dist_vars = tuple(system.dist_vars)
         self.distributions = dict(distributions)
-        self.shifts = {name: np.asarray(vals, dtype=float) for name, vals in (shifts or {}).items()}
+        self.shifts = {name: np.ascontiguousarray(vals, dtype=float) for name, vals in (shifts or {}).items()}
         self._raw_slots, self._trig_slots = _slots(self.dist_vars, tuple(system.dist_pairs))
         for name in self.shifts:
             if name not in self.distributions and not any(slot.source == name for slot in self._trig_slots):
@@ -326,78 +331,89 @@ class DisturbanceModel:
         """(n_steps, len(requirements)) table of disturbance moments per step.
 
         Row k holds the moments for step `start + k`; each column equals
-        :meth:`moment` of its requirement.  Every needed raw moment and
-        trigonometric moment is evaluated once per slot over all steps, and
-        each requirement is the product of its slot moments.  Without shift
-        schedules every row is the same, so one row is evaluated and
-        returned as a read-only broadcast (row stride 0).
+        :meth:`moment` of its requirement over an array of steps, and is the
+        product of its slot moments.  A call evaluates only the slots whose
+        source has a shift schedule, over all steps at once (one
+        :func:`char_fn` call per trigonometric slot); everything else is
+        cached by :func:`_table_plan`.  When no needed slot is scheduled every
+        row is the same, so one row is returned as a read-only broadcast
+        (row stride 0).
         """
-        layout = _TableLayout.build(tuple(requirements), self._raw_slots, self._trig_slots)
-        steps = np.arange(start, start + (n_steps if self.shifts else min(n_steps, 1)))
-        rows = [np.ones(len(steps))]
-        for pos, orders in layout.raw:
-            slot = self._raw_slots[pos]
-            shift = self.shift_at(slot.source, steps)
-            rows.extend(raw_moment(self.distributions[slot.source], shift, k) for k in orders)
-        for pos, pairs in layout.trig:
-            slot = self._trig_slots[pos]
-            shift = slot.base_shift + self.shift_at(slot.source, steps)
-            rows.extend(_trig_moments(self._dist_of(slot.source), shift, pairs))
-        slot_moments = np.stack(rows, axis=1)
-        table = slot_moments[:, layout.factors[:, 0]]
-        for p in range(1, layout.factors.shape[1]):
-            table = table * slot_moments[:, layout.factors[:, p]]
-        return table if self.shifts else np.broadcast_to(table, (n_steps, table.shape[1]))
+        slot_dists = tuple(
+            None if slot.source in self.shifts else self._dist_of(slot.source)
+            for slot in (*self._raw_slots, *self._trig_slots)
+        )
+        fixed, scheduled, factors = _table_plan(tuple(requirements), self._raw_slots, self._trig_slots, slot_dists)
+        slot_moments = np.empty((n_steps if scheduled else min(n_steps, 1), len(fixed)))
+        slot_moments[:] = fixed
+        for source, first, orders, laurent in scheduled:
+            schedule, dist = self.shifts[source], self.distributions[source]
+            if n_steps and not 0 <= start <= len(schedule) - n_steps:
+                raise IndexError(f"shift schedule for {source!r} has length {len(schedule)}, "
+                                 f"needed steps {start} to {start + n_steps - 1}")
+            shift = schedule[start : start + n_steps]
+            if laurent is None:
+                moments = np.array([raw_moment(dist, shift, k) for k in orders])
+            else:
+                moments = _trig_moments(dist, laurent[0] + shift, *laurent[1:])
+            slot_moments[:, first : first + len(orders)] = moments.T
+        table = slot_moments.take(factors[0], axis=1)
+        for factor in factors[1:]:
+            table *= slot_moments.take(factor, axis=1)
+        return table if scheduled else np.broadcast_to(table, (n_steps, table.shape[1]))
 
 
-@dataclass(frozen=True)
-class _TableLayout:
-    """Which slot moments `moment_table` evaluates, and how requirements combine them.
+@lru_cache(maxsize=1024)
+def _table_plan(
+    requirements: tuple[MultiIndex, ...],
+    raw_slots: tuple[_RawSlot, ...],
+    trig_slots: tuple[_TrigSlot, ...],
+    slot_dists: tuple[Distribution | None, ...],
+) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """What `moment_table` needs besides the slots it evaluates per call.
 
-    Slot moments are stacked as rows: row 0 is all ones, then the raw
-    moments in `raw` order, then the trigonometric moments in `trig` order.
+    `slot_dists` holds each slot's distribution, raw slots first, or None
+    where its source is scheduled.  Slot moments are columns: column 0 is
+    all ones, then one per (slot, order) that a requirement needs, in slot
+    order and then order.  Returns the read-only row of unscheduled columns
+    (NaN in scheduled ones), the scheduled slots as (source, first column,
+    orders, None for a raw slot or (base shift, frequencies, Laurent
+    matrix)), and the read-only (n_factors, n_req) columns multiplied into
+    each requirement, in order, 0 padding.  Unscheduled moments are
+    evaluated at a one-element zero shift, on the array path that per-step
+    evaluation takes: numpy's scalar arithmetic may round powers otherwise.
     """
+    if any(len(beta_w) != len(raw_slots) + 2 * len(trig_slots) for beta_w in requirements):
+        raise ValueError("disturbance multi-index length mismatch")
 
-    raw: tuple[tuple[int, tuple[int, ...]], ...]  # (raw slot position, orders k)
-    trig: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]  # (trig slot position, (m, n) pairs)
-    factors: np.ndarray  # (n_req, n_factors) slot-moment rows, multiplied left to right; 0 pads
+    def slot_keys(beta_w: MultiIndex) -> list[tuple]:
+        # (slot position, order k or (m, n)), raw slots before trig slots, as in `moment`
+        keys: list[tuple] = [(pos, beta_w[slot.index]) for pos, slot in enumerate(raw_slots) if beta_w[slot.index]]
+        for pos, slot in enumerate(trig_slots, len(raw_slots)):
+            if beta_w[slot.cos_index] or beta_w[slot.sin_index]:
+                keys.append((pos, (beta_w[slot.cos_index], beta_w[slot.sin_index])))
+        return keys
 
-    @classmethod
-    @lru_cache(maxsize=None)
-    def build(
-        cls,
-        requirements: tuple[MultiIndex, ...],
-        raw_slots: tuple[_RawSlot, ...],
-        trig_slots: tuple[_TrigSlot, ...],
-    ) -> "_TableLayout":
-        """Layout of `requirements` over the slots; one per distinct (requirements, slots)."""
-        width = len(raw_slots) + 2 * len(trig_slots)
-        if any(len(beta_w) != width for beta_w in requirements):
-            raise ValueError("disturbance multi-index length mismatch")
-
-        def slot_keys(beta_w: MultiIndex) -> list[tuple]:
-            # (0, raw slot position, k) then (1, trig slot position, (m, n)), as in `moment`
-            keys: list[tuple] = [
-                (0, pos, beta_w[slot.index])
-                for pos, slot in enumerate(raw_slots)
-                if beta_w[slot.index]
-            ]
-            for pos, slot in enumerate(trig_slots):
-                m, n = beta_w[slot.cos_index], beta_w[slot.sin_index]
-                if m or n:
-                    keys.append((1, pos, (m, n)))
-            return keys
-
-        per_requirement = [slot_keys(beta_w) for beta_w in requirements]
-        keys = sorted(set().union(*per_requirement))
-        raw, trig = [], []
-        for (kind, pos), group in groupby(keys, key=lambda key: key[:2]):
-            needed = tuple(key[2] for key in group)
-            (raw if kind == 0 else trig).append((pos, needed))
-
-        row_of = {key: i + 1 for i, key in enumerate(keys)}
-        factors = np.zeros((len(requirements), max([len(k) for k in per_requirement] + [1])), dtype=np.intp)
-        for i, req_keys in enumerate(per_requirement):
-            factors[i, : len(req_keys)] = [row_of[key] for key in req_keys]
-        factors.flags.writeable = False
-        return cls(tuple(raw), tuple(trig), factors)
+    per_requirement = [slot_keys(beta_w) for beta_w in requirements]
+    keys = sorted(set().union(*per_requirement))
+    column_of = {key: column for column, key in enumerate(keys, 1)}
+    factors = np.zeros((max([1, *map(len, per_requirement)]), len(requirements)), dtype=np.intp)
+    for i, req_keys in enumerate(per_requirement):
+        factors[: len(req_keys), i] = [column_of[key] for key in req_keys]
+    fixed = np.full(len(keys) + 1, np.nan)
+    fixed[0] = 1.0
+    zero, scheduled = np.zeros(1), []
+    for pos, group in groupby(keys, key=lambda key: key[0]):
+        orders = tuple(order for _, order in group)
+        first, dist = column_of[pos, orders[0]], slot_dists[pos]
+        laurent = None
+        if pos >= len(raw_slots):
+            laurent = (trig_slots[pos - len(raw_slots)].base_shift, *_laurent_matrix(orders))
+        if dist is None:
+            scheduled.append(((raw_slots + trig_slots)[pos].source, first, orders, laurent))
+        elif laurent is None:
+            fixed[first : first + len(orders)] = [raw_moment(dist, zero, k)[0] for k in orders]
+        else:
+            fixed[first : first + len(orders)] = _trig_moments(dist, laurent[0] + zero, *laurent[1:])[:, 0]
+    fixed.flags.writeable = factors.flags.writeable = False
+    return fixed, tuple(scheduled), factors

@@ -87,14 +87,14 @@ class Environment:
 
     @cached_property
     def _faces(self) -> tuple[np.ndarray, np.ndarray]:
-        """Face rows ax, ay, b, ax*ax, 2*ax*ay, ay*ay of all obstacles, and each one's first column."""
+        """Face columns ax, ay, b, ax*ax, 2*ax*ay, ay*ay of all obstacles, and each one's first face."""
         faces = [
             (ax, ay, b, ax * ax, 2.0 * ax * ay, ay * ay)
             for obs in self.obstacles
             for (ax, ay), b in obs.halfspaces
         ]
         starts = np.cumsum([0] + [len(obs.halfspaces) for obs in self.obstacles[:-1]])
-        return np.array(faces, dtype=float).T, starts
+        return np.array(faces, dtype=float).T[:, :, None], starts
 
 
 def parse_environment(text: str) -> Environment:
@@ -180,17 +180,19 @@ def trajectory_risk(traj: MomentTrajectory, env: Environment) -> float:
     """
     if not env.obstacles:
         return 0.0
-    means, covs = mean_cov(traj, POSITION)
+    # Position means and covariances of steps 1..T by mean_cov's formulas, then bounds as (faces, steps) arrays.
+    ia, ib, iaa, iab, ibb = traj.system.pair_positions(*POSITION)
+    vals = traj.values[1:]
+    mu0, mu1 = vals[:, ia], vals[:, ib]
+    s00, s01, s11 = vals[:, iaa] - mu0**2, vals[:, iab] - mu0 * mu1, vals[:, ibb] - mu1**2
     (ax, ay, b, axx, axy2, ayy), starts = env._faces
-    mu0, mu1 = means[1:, 0:1], means[1:, 1:2]
-    s00, s01, s11 = covs[1:, 0, 0:1], covs[1:, 0, 1:2], covs[1:, 1, 1:2]
     mean = ax * mu0 + ay * mu1 + b
     var = np.maximum(axx * s00 + axy2 * s01 + ayy * s11, 0.0)
-    bound = np.divide(var, var + mean * mean, out=np.zeros_like(var), where=var != 0.0)
-    bound[mean < 0] = 1.0
+    bound = np.divide(var, var + mean * mean, out=np.zeros(var.shape), where=var != 0.0)
+    np.copyto(bound, 1.0, where=mean < 0)
     # Least risky face per obstacle; fmin skips NaN as min(1.0, ...) over faces does.
-    risks = np.fmin(np.fmin.reduceat(bound, starts, axis=1), 1.0)
-    return float(np.cumsum(risks)[-1]) if risks.size else 0.0
+    risks = np.fmin(np.fmin.reduceat(bound, starts, axis=0), 1.0)
+    return float(risks.T.cumsum()[-1]) if risks.size else 0.0
 
 
 # -- deterministic shortest bounded-curvature paths -------------------------------
@@ -308,11 +310,13 @@ def dubins_steer(
     to_pose: Sequence[float],
     speed: float,
     radius: float,
+    max_steps: float = math.inf,
 ) -> np.ndarray:
     """Per-step heading increments tracking the shortest path at constant speed.
 
-    Step count is ceil(length / speed); increments are bounded by
-    speed / radius.  Returns an empty array when the poses coincide.
+    Step count is ceil(length / speed), of which only the first `max_steps`
+    are computed; increments are bounded by speed / radius.  Returns an
+    empty array when the poses coincide.
     """
     if speed <= 0:
         raise ValueError("speed must be positive")
@@ -320,7 +324,7 @@ def dubins_steer(
     length = path.length
     if length <= 1e-12:
         return np.zeros(0)
-    n_steps = max(1, math.ceil(length / speed))
+    n_steps = min(max(1, math.ceil(length / speed)), max_steps)
     # Heading at each step's arc length s, segment by segment: each segment
     # turns by min(remaining s, its length) / radius.
     s = np.minimum(np.arange(n_steps + 1) * speed, length)
@@ -332,7 +336,24 @@ def dubins_steer(
         elif mode == "R":
             headings = headings - take / radius
         s = s - take
-    return np.diff(headings)
+    return headings[1:] - headings[:-1]
+
+
+def _nearest(poses: np.ndarray, sample: Sequence[float], radius: float) -> int:
+    """First row of `poses` minimizing hypot(dx, dy) + radius * |remainder(dh, 2 pi)| to `sample`.
+
+    |fmod(dh, 2 pi)| folded onto [0, pi] is that remainder exactly (Sterbenz), but np.hypot
+    may differ from math.hypot by an ulp, so near-ties are settled with the scalar key.
+    """
+    dx, dy, dh = (np.asarray(sample) - poses).T
+    a = np.abs(np.fmod(dh, 2.0 * math.pi))
+    score = np.hypot(dx, dy) + radius * np.minimum(a, 2.0 * math.pi - a)
+    near = (score <= score.min() * (1.0 + 1e-9)).nonzero()[0].tolist()
+    return near[0] if len(near) == 1 else min(
+        near,
+        key=lambda i: math.hypot(sample[0] - poses[i, 0], sample[1] - poses[i, 1])
+        + radius * abs(math.remainder(sample[2] - poses[i, 2], 2.0 * math.pi)),
+    )
 
 
 # -- stochastic steering -----------------------------------------------------------
@@ -468,7 +489,7 @@ def build_rrt(
     if iterations < 0:
         raise ValueError(f"iteration count must be nonnegative, got {iterations}")
     heading = _heading(msys.state_vars, msys.state_pairs)
-    steered_disturbance(msys)  # each edge resolves it again; fail before the first
+    steered_disturbance(msys)  # stochastic_steer resolves it per edge; fail before the first
     cfg = config or PlannerConfig()
     rng = np.random.Generator(np.random.PCG64(seed))
     xmin, ymin, xmax, ymax = env.bounds
@@ -486,6 +507,8 @@ def build_rrt(
         cov=np.zeros((2, 2)),
     )
     nodes = [root]
+    poses = np.empty((iterations + 1, 3))  # row i is nodes[i].pose
+    poses[0] = root.pose
     goal_node: int | None = None
 
     for _ in range(iterations):
@@ -494,19 +517,14 @@ def build_rrt(
             rng.uniform(ymin, ymax),
             rng.uniform(-math.pi, math.pi),
         )
-        nearest = min(
-            range(len(nodes)),
-            key=lambda i: math.hypot(sample[0] - nodes[i].pose[0], sample[1] - nodes[i].pose[1])
-            + cfg.turn_radius * abs(math.remainder(sample[2] - nodes[i].pose[2], 2.0 * math.pi)),
-        )
+        nearest = _nearest(poses[: len(nodes)], sample, cfg.turn_radius)
         parent = nodes[nearest]
         try:
-            controls = dubins_steer(parent.pose, sample, cfg.speed, cfg.turn_radius)
+            controls = dubins_steer(parent.pose, sample, cfg.speed, cfg.turn_radius, cfg.max_edge_steps)
         except ValueError:
             continue
         if len(controls) == 0:
             continue
-        controls = controls[: cfg.max_edge_steps]
         try:
             traj = stochastic_steer(parent.moment_state, controls, msys, distributions)
         except PropagationError:
@@ -529,6 +547,7 @@ def build_rrt(
             mean=means[-1],
             cov=covs[-1],
         )
+        poses[len(nodes)] = node.pose
         nodes.append(node)
         if math.hypot(node.mean[0] - gx, node.mean[1] - gy) <= g_radius:
             if goal_node is None or new_risk < nodes[goal_node].risk_to_node:

@@ -474,6 +474,13 @@ class TestRenderEquations:
         assert lines[0].startswith("E[x]' = ")
         assert "E[v]*E[c_theta]" in lines[0]
 
+    def test_coefficient_too_long_to_write_names_the_moment(self):
+        """(10^-400)^11 in the update of E[x^11] has more digits than Python writes as text."""
+        system = trig_encode(parse_spec("state x\ndisturbance w\ndyn x' = 1e-400*x + w\nmoments x^11\n"))
+        msys = compiler.compile_moment_system(system, system.target_moments)
+        with pytest.raises(ValueError, match=r"^the update of E\[x\^11\] has an exact coefficient too long to write$"):
+            compiler.render_equations(msys)
+
     def test_exact_one_step_oracle_random_systems(self):
         """Compiled one-step moments must equal deterministic simulation exactly.
 

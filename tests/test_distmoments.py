@@ -1,10 +1,13 @@
+import itertools
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from momentprop import distmoments
 from momentprop.distmoments import (
     Beta,
     Degenerate,
@@ -350,6 +353,66 @@ class TestDisturbanceModel:
     def test_missing_distribution(self):
         with pytest.raises(KeyError, match="wt"):
             DisturbanceModel(self.system, {"wv": Gaussian(0, 1)})
+
+
+class TestCachedTable:
+    """moment_table evaluates scheduled slots per call and takes everything else from a cache."""
+
+    # Raw slots a (scheduled) and b, trig slots u (scheduled) and z, interleaved in the layout.
+    SYSTEM = SimpleNamespace(
+        dist_vars=("c_u", "a", "s_u", "c_z", "b", "s_z"),
+        dist_pairs=(TrigPair("c_u", "s_u", "u"), TrigPair("c_z", "s_z", "z", Fraction(1, 3))),
+    )
+    REQUIREMENTS = [MultiIndex(e) for e in itertools.product(range(3), repeat=6) if sum(e) <= 3]
+    N_STEPS, START = 7, 2
+
+    def model(self, raw, angle, other=Gaussian(0.2, 0.3)):
+        rng = np.random.default_rng(9)
+        schedule = {"a": rng.uniform(-0.5, 0.5, 10), "u": rng.uniform(-2, 2, 10)}
+        return DisturbanceModel(self.SYSTEM, {"a": raw, "b": other, "u": angle, "z": angle}, schedule)
+
+    def expected(self, model):
+        steps = np.arange(self.START, self.START + self.N_STEPS)
+        return np.stack([model.moment(beta, steps) for beta in self.REQUIREMENTS], axis=1)
+
+    @pytest.mark.parametrize(
+        "raw, angle",
+        [
+            (Degenerate(0.4), Degenerate(-0.7)),
+            (Gaussian(0.3, 0.2), Gaussian(0.04, 0.03)),
+            (Uniform(-0.2, 0.9), Uniform(-1.0, 0.5)),
+            (Beta(2.5, 4.0), Gaussian(-0.3, 0.5)),
+        ],
+        ids=["degenerate", "gaussian", "uniform", "beta"],
+    )
+    def test_equals_moment_bit_for_bit(self, raw, angle, monkeypatch):
+        """Scheduled and unscheduled slots of each kind, equal to `moment` over an array of steps."""
+        model = self.model(raw, angle, other=raw)
+        expected = self.expected(model)
+        np.testing.assert_array_equal(model.moment_table(self.REQUIREMENTS, self.N_STEPS, start=self.START), expected)
+        calls = []
+        original = distmoments.char_fn
+        monkeypatch.setattr(distmoments, "char_fn", lambda *args: calls.append(args) or original(*args))
+        table = model.moment_table(self.REQUIREMENTS, self.N_STEPS, start=self.START)  # from the cache
+        np.testing.assert_array_equal(table, expected)
+        assert len(calls) == 1 and np.shape(calls[0][2]) == (7, 1)  # u only: one call over its frequencies -3..3
+        table[:] = np.nan  # the result is the caller's; the cache is untouched
+        np.testing.assert_array_equal(model.moment_table(self.REQUIREMENTS, self.N_STEPS, start=self.START), expected)
+
+    def test_same_layout_different_distributions(self):
+        """A cache keyed on the layout alone would hand the second model the first one's table."""
+        tables = []
+        for other in (Gaussian(0.2, 0.3), Uniform(-0.2, 0.9)):
+            model = self.model(Gaussian(0.1, 0.4), Gaussian(0.04, 0.03), other)
+            table = model.moment_table(self.REQUIREMENTS, self.N_STEPS, start=self.START)
+            np.testing.assert_array_equal(table, self.expected(model))
+            tables.append(table)
+        assert not np.array_equal(tables[0], tables[1])
+        stationary = [
+            DisturbanceModel(self.SYSTEM, dict.fromkeys("abuz", dist)).moment_table(self.REQUIREMENTS, 3)
+            for dist in (Gaussian(0.2, 0.3), Gaussian(0.2, 0.4))
+        ]
+        assert not np.array_equal(stationary[0], stationary[1])
 
 
 def test_model_bound_to_polynomial_or_compiled_system_gives_same_table(dubins_system, dubins_reduced):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,10 +206,88 @@ class TestDubinsSteer:
             headings = [heading_after(path, min(k * speed, path.length), p0[2]) for k in range(n_steps + 1)]
             assert np.array_equal(dubins_steer(p0, p1, speed, radius), np.diff(headings))
 
+    def test_step_cap_computes_only_the_kept_steps(self):
+        """A 10^4-wide edge capped at 40 steps: the full path's first 40 controls, at a 40-step edge's memory."""
+
+        def peak_bytes(*args):
+            tracemalloc.start()
+            try:
+                dubins_steer(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        p0, far = (0.0, 0.0, 0.0), (1e4, 1e4, 1.0)
+        full = dubins_steer(p0, far, 0.05, 0.3)
+        assert len(full) > 280_000
+        capped = dubins_steer(p0, far, 0.05, 0.3, 40)
+        assert np.array_equal(capped, full[:40])
+        # The uncapped path allocates about 9 MB; within 2 kB, no array can hold more than a few hundred steps.
+        near = (1.4, 1.4, math.pi / 4)
+        start = (0.0, 0.0, math.pi / 4)
+        assert len(dubins_steer(start, near, 0.05, 0.3)) == 40
+        peak_bytes(p0, far, 0.05, 0.3, 40)  # warm-up
+        assert peak_bytes(p0, far, 0.05, 0.3, 40) <= peak_bytes(start, near, 0.05, 0.3) + 2048
+
     def test_path_length_is_shortest_of_words(self):
         # For a far-away aligned target the path is essentially straight.
         path = dubins_shortest_path((0, 0, 0), (10, 0, 0), 1.0)
         assert path.length == pytest.approx(10.0, abs=1e-9)
+
+
+def _scalar_nearest(poses, sample, radius):
+    """The nearest-node rule as a scalar key: first minimum of min(range(...), key=...)."""
+    return min(
+        range(len(poses)),
+        key=lambda i: math.hypot(sample[0] - poses[i][0], sample[1] - poses[i][1])
+        + radius * abs(math.remainder(sample[2] - poses[i][2], 2.0 * math.pi)),
+    )
+
+
+class TestNearest:
+    SPECIAL_GAPS = [0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 3 * math.pi, -5 * math.pi, 40 * math.pi,
+                    math.nextafter(math.pi, 4.0), math.nextafter(math.pi, 3.0), math.pi / 2, -math.pi / 2, 1e-300]
+
+    def test_folded_fmod_equals_remainder(self):
+        rng = np.random.default_rng(2)
+        gaps = np.concatenate([self.SPECIAL_GAPS, -np.array(self.SPECIAL_GAPS), rng.uniform(-50, 50, 5000),
+                               rng.integers(-20, 20, 200) * 2 * math.pi, rng.integers(-20, 20, 200) * math.pi])
+        a = np.abs(np.fmod(gaps, 2.0 * math.pi))
+        folded = np.minimum(a, 2.0 * math.pi - a)
+        assert folded.tolist() == [abs(math.remainder(g, 2.0 * math.pi)) for g in gaps.tolist()]
+
+    def test_matches_scalar_key(self):
+        """Random trees with repeated poses, equidistant poses and heading gaps of +-pi and multiples of 2 pi."""
+        rng = np.random.default_rng(4)
+        for _ in range(400):
+            sample = (rng.uniform(0, 2.5), rng.uniform(0, 2.5), rng.uniform(-math.pi, math.pi))
+            poses = [(rng.uniform(0, 2.5), rng.uniform(0, 2.5), rng.uniform(-7, 7)) for _ in range(rng.integers(1, 30))]
+            for _ in range(rng.integers(0, 6)):
+                kind = rng.integers(3)
+                if kind == 0:  # a repeat of an earlier pose: a tie that the first index wins
+                    poses.append(poses[rng.integers(len(poses))])
+                else:  # on a circle around the sample, heading gap +-pi or a multiple of 2 pi
+                    d, phi = rng.uniform(0, 1), rng.choice([0.0, math.pi / 2, math.pi, -math.pi / 2])
+                    gap = rng.choice(self.SPECIAL_GAPS)
+                    poses.append((sample[0] + d * math.cos(phi), sample[1] + d * math.sin(phi), sample[2] - gap))
+            order = rng.permutation(len(poses))
+            arr = np.array([poses[i] for i in order], dtype=float)
+            radius = rng.choice([0.0, 0.3, 1.0])
+            assert planner._nearest(arr, sample, radius) == _scalar_nearest(arr.tolist(), sample, radius)
+
+    def test_hypot_ulp_near_tie_settled_by_scalar_key(self):
+        """Where np.hypot rounds below math.hypot, a vector argmin alone would pick the later of two tied poses."""
+        rng = np.random.default_rng(0)
+        dx, dy = rng.uniform(-3, 3, (2, 20_000))
+        low = np.flatnonzero(np.hypot(dx, dy) < [math.hypot(a, b) for a, b in zip(dx.tolist(), dy.tolist())])
+        if not len(low):
+            pytest.skip("np.hypot agrees with math.hypot on every sample here")
+        a, b = float(dx[low[0]]), float(dy[low[0]])
+        exact = math.hypot(a, b)
+        sample = (0.0, 0.0, 0.0)
+        poses = np.array([(-exact, 0.0, 0.0), (-a, -b, 0.0)])  # scalar keys tie at `exact`
+        assert int(np.argmin(np.hypot(-poses[:, 0], -poses[:, 1]))) == 1
+        assert planner._nearest(poses, sample, 0.3) == _scalar_nearest(poses.tolist(), sample, 0.3) == 0
 
 
 class TestStochasticSteer:

@@ -1,9 +1,10 @@
 """The benchmark's tracer must still find every library function it wraps."""
 
+import collections
 import importlib.util
 from pathlib import Path
 
-from momentprop import _kernels
+from momentprop import _kernels, distmoments, planner, presets, propagator
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -21,3 +22,45 @@ def test_perfbench_span_targets_exist():
     # perfbench/run.py reads both when it records the run's metadata.
     assert callable(_kernels.run_steps)
     assert hasattr(_kernels, "HAVE_NUMBA")
+
+
+def test_planner_seams_run_once_per_edge(dubins_reduced, monkeypatch):
+    """The per-edge functions the tracer and the reference test replace are each called once per edge.
+
+    Every edge with controls calls planner.stochastic_steer, planner.propagate
+    and DisturbanceModel.moment_table once; every edge whose propagation does
+    not fail is then scored by planner.trajectory_risk.  Every fourth
+    propagation is made to fail after it runs, to exercise the rejection path.
+    """
+    counts = collections.Counter()
+
+    def counting(owner, name, check=None):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            result = original(*args, **kwargs)
+            return result if check is None else check(result)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def fail_every_fourth(traj):
+        if counts["propagate"] % 4 == 0:
+            counts["failed"] += 1
+            raise propagator.PropagationError("injected")
+        return traj
+
+    def count_edge(controls):
+        counts["edges"] += len(controls) > 0
+        return controls
+
+    counting(planner, "dubins_steer", count_edge)
+    counting(planner, "stochastic_steer")
+    counting(planner, "propagate", fail_every_fourth)
+    counting(distmoments.DisturbanceModel, "moment_table")
+    counting(planner, "trajectory_risk")
+    env = planner.parse_environment(presets.PLANNER_ENV)
+    planner.build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, 60, 3)
+    assert counts["edges"] > 40 and counts["failed"] > 10
+    assert counts["stochastic_steer"] == counts["propagate"] == counts["moment_table"] == counts["edges"]
+    assert counts["trajectory_risk"] == counts["edges"] - counts["failed"]
