@@ -128,12 +128,16 @@ def _cmd_compile(args) -> int:
     return EXIT_OK
 
 
+def _distributions(spec: sysspec.SystemSpec) -> dict[str, distmoments.Distribution]:
+    if not spec.distributions:
+        raise SpecError("spec declares no 'dist' lines for the disturbances")
+    return spec.distributions
+
+
 def _model_from_spec(
     system, spec: sysspec.SystemSpec, shifts: Mapping[str, np.ndarray] | None
 ) -> distmoments.DisturbanceModel:
-    if not spec.distributions:
-        raise SpecError("spec declares no 'dist' lines for the disturbances")
-    return distmoments.DisturbanceModel(system, spec.distributions, shifts)
+    return distmoments.DisturbanceModel(system, _distributions(spec), shifts)
 
 
 def _cmd_propagate(args) -> int:
@@ -277,8 +281,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_plan(args) -> int:
     spec = _parse_spec_file(args.spec)
-    if not spec.distributions:
-        raise SpecError("spec declares no 'dist' lines for the disturbances")
+    distributions = _distributions(spec)
     system = sysspec.trig_encode(spec)
     msys = compiler.compile_moment_system(system, _target_moments(system))
     env = planner.parse_environment(_read_text(args.env))
@@ -290,7 +293,7 @@ def _cmd_plan(args) -> int:
     result = planner.build_rrt(
         env,
         msys,
-        spec.distributions,
+        distributions,
         epsilon=args.eps,
         iterations=args.iterations,
         seed=args.seed,

@@ -1,5 +1,8 @@
 """Exact raw and trigonometric moments of disturbance distributions.
 
+Each distribution family is one frozen class with its own `sample(rng, size)`,
+`char_fn(shift, t)` and `raw_moment(shift, k)` on arrays of shifts, named in
+specs by its :data:`KINDS` entry: a new family is one class plus one entry.
 Raw moments come from closed forms; trigonometric moments E[cos^m(X) sin^n(X)]
 come from expanding the exponential forms of sin and cos into a Laurent
 polynomial in e^{iX} (exact Gaussian-integer coefficients) and evaluating the
@@ -30,6 +33,15 @@ class Degenerate:
 
     value: float
 
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return np.full(size, self.value)
+
+    def char_fn(self, shift: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return np.exp(1j * t * (self.value + shift))
+
+    def raw_moment(self, shift: np.ndarray, k: int) -> np.ndarray:
+        return (self.value + shift) ** k
+
 
 @dataclass(frozen=True)
 class Gaussian:
@@ -39,6 +51,20 @@ class Gaussian:
     def __post_init__(self):
         if self.variance < 0:
             raise ValueError("gaussian variance must be >= 0")
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.normal(self.mean, math.sqrt(self.variance), size)
+
+    def char_fn(self, shift: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return np.exp(1j * t * (self.mean + shift) - self.variance * t * t / 2.0)
+
+    def raw_moment(self, shift: np.ndarray, k: int) -> np.ndarray:
+        loc = self.mean + shift
+        out = np.zeros_like(shift)
+        for j in range(0, k + 1, 2):  # odd central moments vanish
+            central = self.variance ** (j // 2) * math.prod(range(j - 1, 0, -2))  # sigma^j (j-1)!!
+            out = out + math.comb(k, j) * central * loc ** (k - j)
+        return out
 
 
 @dataclass(frozen=True)
@@ -50,6 +76,21 @@ class Uniform:
         if not self.lower < self.upper:
             raise ValueError("uniform requires lower < upper")
 
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.uniform(self.lower, self.upper, size)
+
+    def char_fn(self, shift: np.ndarray, t: np.ndarray) -> np.ndarray:
+        a = self.lower + shift
+        b = self.upper + shift
+        with np.errstate(divide="ignore", invalid="ignore"):  # t = 0 is taken from the limit 1
+            out = (np.exp(1j * t * b) - np.exp(1j * t * a)) / (1j * t * (self.upper - self.lower))
+        return np.where(t == 0, 1.0 + 0j, out)
+
+    def raw_moment(self, shift: np.ndarray, k: int) -> np.ndarray:
+        a = self.lower + shift
+        b = self.upper + shift
+        return (b ** (k + 1) - a ** (k + 1)) / ((k + 1) * (self.upper - self.lower))
+
 
 @dataclass(frozen=True)
 class Beta:
@@ -60,33 +101,49 @@ class Beta:
         if self.a <= 0 or self.b <= 0:
             raise ValueError("beta requires a > 0 and b > 0")
 
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.beta(self.a, self.b, size)
+
+    def char_fn(self, shift: np.ndarray, t: np.ndarray) -> np.ndarray:
+        raise UnsupportedMomentError("trigonometric moments of beta-distributed angles are not supported")
+
+    def raw_moment(self, shift: np.ndarray, k: int) -> np.ndarray:
+        out = np.zeros_like(shift)
+        unshifted = 1.0  # E[X^j] = prod_{r < j} (a + r) / (a + b + r)
+        for j in range(k + 1):
+            out = out + math.comb(k, j) * unshifted * shift ** (k - j)
+            unshifted *= (self.a + j) / (self.a + self.b + j)
+        return out
+
 
 Distribution = Union[Degenerate, Gaussian, Uniform, Beta]
+
+# The distribution family of each spec keyword; a family's parameters are its class's fields, in order.
+KINDS: dict[str, type] = {"degenerate": Degenerate, "gaussian": Gaussian, "uniform": Uniform, "beta": Beta}
+
+
+def _as_steps(shift) -> tuple[np.ndarray, bool]:
+    """`shift` as a float array of steps, and whether it was a scalar (then one step).
+
+    numpy's scalar `**` rounds differently from its array loop, so a scalar
+    query takes the array path of a per-step table, and the two agree bit for bit.
+    """
+    shift = np.asarray(shift, dtype=float)
+    return (shift.reshape(1), True) if shift.ndim == 0 else (shift, False)
 
 
 def sample(dist: Distribution, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw `size` independent samples from `dist`."""
-    if isinstance(dist, Degenerate):
-        return np.full(size, dist.value)
-    if isinstance(dist, Gaussian):
-        return rng.normal(dist.mean, math.sqrt(dist.variance), size)
-    if isinstance(dist, Uniform):
-        return rng.uniform(dist.lower, dist.upper, size)
-    if isinstance(dist, Beta):
-        return rng.beta(dist.a, dist.b, size)
-    raise TypeError(f"unknown distribution {dist!r}")
+    return dist.sample(rng, size)
 
 
 def mean(dist: Distribution) -> float:
-    return float(raw_moment(dist, 0.0, 1))
+    return raw_moment(dist, 0.0, 1)
 
 
 def variance(dist: Distribution) -> float:
-    m1 = float(raw_moment(dist, 0.0, 1))
-    return float(raw_moment(dist, 0.0, 2)) - m1 * m1
-
-
-# -- characteristic functions ----------------------------------------------
+    m1 = mean(dist)
+    return raw_moment(dist, 0.0, 2) - m1 * m1
 
 
 def char_fn(dist: Distribution, shift, t):
@@ -95,23 +152,17 @@ def char_fn(dist: Distribution, shift, t):
     `shift` and `t` may be scalars or ndarrays (t of integer values); the result
     has their broadcast shape, and is a complex scalar when both are scalars.
     """
-    shift = np.asarray(shift, dtype=float)
-    t = np.asarray(t)
-    if isinstance(dist, Degenerate):
-        out = np.exp(1j * t * (dist.value + shift))
-    elif isinstance(dist, Gaussian):
-        out = np.exp(1j * t * (dist.mean + shift) - dist.variance * t * t / 2.0)
-    elif isinstance(dist, Uniform):
-        a = dist.lower + shift
-        b = dist.upper + shift
-        with np.errstate(divide="ignore", invalid="ignore"):  # t = 0 is taken from the limit 1
-            out = (np.exp(1j * t * b) - np.exp(1j * t * a)) / (1j * t * (dist.upper - dist.lower))
-        out = np.where(t == 0, 1.0 + 0j, out)
-    elif isinstance(dist, Beta):
-        raise UnsupportedMomentError("characteristic function of beta distributions is not supported")
-    else:
-        raise TypeError(f"unknown distribution {dist!r}")
+    out = dist.char_fn(np.asarray(shift, dtype=float), np.asarray(t))
     return complex(out) if out.ndim == 0 else out
+
+
+def raw_moment(dist: Distribution, shift, k: int):
+    """E[(X + shift)^k] in closed form.  `shift` broadcasts like in :func:`char_fn`."""
+    if k < 0:
+        raise ValueError("moment order must be nonnegative")
+    steps, scalar = _as_steps(shift)
+    out = dist.raw_moment(steps, k) if k else np.ones_like(steps)
+    return float(out[0]) if scalar else out
 
 
 # -- trigonometric moments ---------------------------------------------------
@@ -150,7 +201,7 @@ def _laurent_matrix(pairs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.
 _IMAG_RESIDUE_TOL = 1e-12
 
 
-def _trig_moments(dist: Distribution, shift, freqs: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+def _trig_moments(dist: Distribution, shift: np.ndarray, freqs: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """E[cos^m(X + shift) sin^n(X + shift)] for the pairs of a :func:`_laurent_matrix`, stacked on axis 0.
 
     The characteristic function is evaluated in one call over all
@@ -158,9 +209,6 @@ def _trig_moments(dist: Distribution, shift, freqs: np.ndarray, coefficients: np
     order (a sequential sum, not a BLAS product, which may fuse and reorder
     the multiply-adds).
     """
-    if isinstance(dist, Beta):
-        raise UnsupportedMomentError("trigonometric moments of beta-distributed angles are not supported")
-    shift = np.asarray(shift, dtype=float)
     values = char_fn(dist, shift, freqs.reshape(freqs.shape + (1,) * shift.ndim))
     terms = coefficients.reshape(coefficients.shape + (1,) * (values.ndim - 1)) * values[:, None]
     sums = terms[0]
@@ -179,54 +227,22 @@ def trig_moment(dist: Distribution, shift, m: int, n: int):
     """
     if m < 0 or n < 0 or m + n < 1:
         raise ValueError("trig_moment requires m, n >= 0 and m + n >= 1")
-    values = _trig_moments(dist, shift, *_laurent_matrix(((m, n),)))[0]
-    return float(values) if np.ndim(shift) == 0 else values
+    steps, scalar = _as_steps(shift)
+    values = _trig_moments(dist, steps, *_laurent_matrix(((m, n),)))[0]
+    return float(values[0]) if scalar else values
 
 
-# -- raw moments -------------------------------------------------------------
+def _slot_moments(dist: Distribution, shift, orders: tuple, laurent: tuple | None) -> np.ndarray:
+    """Moments of one slot at `shift`, one row per order (one value each for a scalar shift).
 
-
-def _gaussian_central(variance: float, j: int) -> float:
-    if j % 2:
-        return 0.0
-    # sigma^j (j-1)!!
-    return variance ** (j // 2) * math.prod(range(j - 1, 0, -2)) if j else 1.0
-
-
-@lru_cache(maxsize=None)
-def _beta_raw(a: float, b: float, j: int) -> float:
-    out = 1.0
-    for r in range(j):
-        out *= (a + r) / (a + b + r)
-    return out
-
-
-def raw_moment(dist: Distribution, shift, k: int):
-    """E[(X + shift)^k] in closed form.  `shift` broadcasts like in :func:`char_fn`."""
-    if k < 0:
-        raise ValueError("moment order must be nonnegative")
-    shift_arr = np.asarray(shift, dtype=float)
-    scalar = shift_arr.ndim == 0
-    if k == 0:
-        out = np.ones_like(shift_arr)
-    elif isinstance(dist, Degenerate):
-        out = (dist.value + shift_arr) ** k
-    elif isinstance(dist, Gaussian):
-        loc = dist.mean + shift_arr
-        out = np.zeros_like(shift_arr)
-        for j in range(0, k + 1, 2):
-            out = out + math.comb(k, j) * _gaussian_central(dist.variance, j) * loc ** (k - j)
-    elif isinstance(dist, Uniform):
-        a = dist.lower + shift_arr
-        b = dist.upper + shift_arr
-        out = (b ** (k + 1) - a ** (k + 1)) / ((k + 1) * (dist.upper - dist.lower))
-    elif isinstance(dist, Beta):
-        out = np.zeros_like(shift_arr)
-        for j in range(k + 1):
-            out = out + math.comb(k, j) * _beta_raw(dist.a, dist.b, j) * shift_arr ** (k - j)
+    Raw slots have orders k; trig slots have (m, n) pairs and `laurent` = (base shift, frequencies, Laurent matrix).
+    """
+    steps, scalar = _as_steps(shift)
+    if laurent is None:
+        moments = np.array([dist.raw_moment(steps, k) for k in orders])  # slot orders are >= 1
     else:
-        raise TypeError(f"unknown distribution {dist!r}")
-    return float(out) if scalar else out
+        moments = _trig_moments(dist, laurent[0] + steps, *laurent[1:])
+    return moments[:, 0] if scalar else moments
 
 
 # -- disturbance models -------------------------------------------------------
@@ -242,6 +258,10 @@ class _TrigSlot(NamedTuple):
     sin_index: int
     source: str | None
     base_shift: float
+
+
+# The distribution of a trig pair with no source variable: the fixed angle is all in its base shift.
+_NO_SOURCE = Degenerate(0.0)
 
 
 @lru_cache(maxsize=None)
@@ -280,28 +300,16 @@ class DisturbanceModel:
             if slot.source is not None and slot.source not in self.distributions:
                 raise KeyError(f"no distribution given for disturbance {slot.source!r}")
 
-    def _dist_of(self, source: str | None) -> Distribution:
-        if source is None:
-            return Degenerate(0.0)
-        return self.distributions[source]
-
     def shift_at(self, source: str | None, t):
-        """Control shift of `source` at step t (scalar t or array of steps)."""
+        """Control shift of `source` at step t (scalar t or array of steps), each step on its schedule."""
         if source is None or source not in self.shifts:
             return np.zeros(np.shape(t)) if np.ndim(t) else 0.0
         schedule = self.shifts[source]
         t_arr = np.asarray(t)
-        if np.any(t_arr >= len(schedule)):
-            raise IndexError(
-                f"shift schedule for {source!r} has length {len(schedule)}, needed step {int(np.max(t_arr))}"
-            )
+        if t_arr.size and not 0 <= t_arr.min() <= t_arr.max() < len(schedule):
+            raise IndexError(f"shift schedule for {source!r} has length {len(schedule)}, "
+                             f"needed steps {t_arr.min()} to {t_arr.max()}")
         return schedule[t_arr]
-
-    def horizon(self) -> int | None:
-        """Shortest shift schedule length, or None when all schedules are empty."""
-        if not self.shifts:
-            return None
-        return min(len(s) for s in self.shifts.values())
 
     def moment(self, beta_w: MultiIndex, t) -> float | np.ndarray:
         """E[w_t^beta_w] over the encoded disturbance variables at step t.
@@ -322,7 +330,7 @@ class DisturbanceModel:
             n = beta_w[slot.sin_index]
             if m or n:
                 total_shift = slot.base_shift + self.shift_at(slot.source, t)
-                out = out * trig_moment(self._dist_of(slot.source), total_shift, m, n)
+                out = out * trig_moment(self.distributions.get(slot.source, _NO_SOURCE), total_shift, m, n)
         return out
 
     def moment_table(
@@ -331,31 +339,26 @@ class DisturbanceModel:
         """(n_steps, len(requirements)) table of disturbance moments per step.
 
         Row k holds the moments for step `start + k`; each column equals
-        :meth:`moment` of its requirement over an array of steps, and is the
-        product of its slot moments.  A call evaluates only the slots whose
-        source has a shift schedule, over all steps at once (one
-        :func:`char_fn` call per trigonometric slot); everything else is
-        cached by :func:`_table_plan`.  When no needed slot is scheduled every
-        row is the same, so one row is returned as a read-only broadcast
-        (row stride 0).
+        :meth:`moment` of its requirement, and is the product of its slot
+        moments.  A call evaluates only the slots whose source has a shift
+        schedule, over all steps at once (one :func:`char_fn` call per
+        trigonometric slot); everything else is cached by :func:`_table_plan`.
+        When no needed slot is scheduled every row is the same, so one row is
+        returned as a read-only broadcast (row stride 0).
         """
         slot_dists = tuple(
-            None if slot.source in self.shifts else self._dist_of(slot.source)
+            None if slot.source in self.shifts else self.distributions.get(slot.source, _NO_SOURCE)
             for slot in (*self._raw_slots, *self._trig_slots)
         )
         fixed, scheduled, factors = _table_plan(tuple(requirements), self._raw_slots, self._trig_slots, slot_dists)
         slot_moments = np.empty((n_steps if scheduled else min(n_steps, 1), len(fixed)))
         slot_moments[:] = fixed
         for source, first, orders, laurent in scheduled:
-            schedule, dist = self.shifts[source], self.distributions[source]
+            schedule = self.shifts[source]
             if n_steps and not 0 <= start <= len(schedule) - n_steps:
                 raise IndexError(f"shift schedule for {source!r} has length {len(schedule)}, "
                                  f"needed steps {start} to {start + n_steps - 1}")
-            shift = schedule[start : start + n_steps]
-            if laurent is None:
-                moments = np.array([raw_moment(dist, shift, k) for k in orders])
-            else:
-                moments = _trig_moments(dist, laurent[0] + shift, *laurent[1:])
+            moments = _slot_moments(self.distributions[source], schedule[start : start + n_steps], orders, laurent)
             slot_moments[:, first : first + len(orders)] = moments.T
         table = slot_moments.take(factors[0], axis=1)
         for factor in factors[1:]:
@@ -379,9 +382,7 @@ def _table_plan(
     (NaN in scheduled ones), the scheduled slots as (source, first column,
     orders, None for a raw slot or (base shift, frequencies, Laurent
     matrix)), and the read-only (n_factors, n_req) columns multiplied into
-    each requirement, in order, 0 padding.  Unscheduled moments are
-    evaluated at a one-element zero shift, on the array path that per-step
-    evaluation takes: numpy's scalar arithmetic may round powers otherwise.
+    each requirement, in order, 0 padding.
     """
     if any(len(beta_w) != len(raw_slots) + 2 * len(trig_slots) for beta_w in requirements):
         raise ValueError("disturbance multi-index length mismatch")
@@ -402,7 +403,7 @@ def _table_plan(
         factors[: len(req_keys), i] = [column_of[key] for key in req_keys]
     fixed = np.full(len(keys) + 1, np.nan)
     fixed[0] = 1.0
-    zero, scheduled = np.zeros(1), []
+    scheduled = []
     for pos, group in groupby(keys, key=lambda key: key[0]):
         orders = tuple(order for _, order in group)
         first, dist = column_of[pos, orders[0]], slot_dists[pos]
@@ -411,9 +412,7 @@ def _table_plan(
             laurent = (trig_slots[pos - len(raw_slots)].base_shift, *_laurent_matrix(orders))
         if dist is None:
             scheduled.append(((raw_slots + trig_slots)[pos].source, first, orders, laurent))
-        elif laurent is None:
-            fixed[first : first + len(orders)] = [raw_moment(dist, zero, k)[0] for k in orders]
         else:
-            fixed[first : first + len(orders)] = _trig_moments(dist, laurent[0] + zero, *laurent[1:])[:, 0]
+            fixed[first : first + len(orders)] = _slot_moments(dist, 0.0, orders, laurent)
     fixed.flags.writeable = factors.flags.writeable = False
     return fixed, tuple(scheduled), factors

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -358,19 +358,14 @@ def _parse_dist_value(tokens: list[_Token], start: int) -> distmoments.Distribut
             break
         if not (tok.kind == "punct" and tok.text == ","):
             raise SpecError("expected ',' or ')'", tok.line, tok.col)
-    makers = {
-        "degenerate": (1, lambda a: distmoments.Degenerate(a[0])),
-        "gaussian": (2, lambda a: distmoments.Gaussian(a[0], a[1])),
-        "uniform": (2, lambda a: distmoments.Uniform(a[0], a[1])),
-        "beta": (2, lambda a: distmoments.Beta(a[0], a[1])),
-    }
-    if kind.text not in makers:
+    if kind.text not in distmoments.KINDS:
         raise SpecError(f"unknown distribution kind {kind.text!r}", kind.line, kind.col)
-    arity, make = makers[kind.text]
+    family = distmoments.KINDS[kind.text]
+    arity = len(fields(family))
     if len(args) != arity:
         raise SpecError(f"{kind.text} takes {arity} parameter(s)", kind.line, kind.col)
     try:
-        return make(args)
+        return family(*args)
     except ValueError as exc:
         raise SpecError(str(exc), kind.line, kind.col) from None
 

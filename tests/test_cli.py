@@ -110,6 +110,25 @@ def test_long_update_line_runs_every_command(workdir, kind):
     assert run("linearize", spec, *common, "-o", workdir / "lin.csv") == EXIT_OK
 
 
+@pytest.mark.parametrize("command", ["propagate", "mc", "linearize", "plan"])
+def test_spec_without_dist_lines_exits_2(workdir, capsys, command):
+    bare = workdir / "bare.spec"
+    bare.write_text("".join(line for line in presets.DUBINS_SPEC.splitlines(True) if not line.startswith("dist ")))
+    assert run("compile", bare, "-o", workdir / "bare.msys", "--listing", workdir / "eq.txt") == EXIT_OK
+    capsys.readouterr()
+    out = workdir / "out.csv"
+    common = ("--init", workdir / "init.csv", "-T", 3, "-o", out)
+    argv = {
+        "propagate": ("propagate", workdir / "bare.msys", "--dist", bare, *common),
+        "mc": ("mc", bare, "-N", 10, *common),
+        "linearize": ("linearize", bare, *common),
+        "plan": ("plan", bare, "--env", workdir / "env.txt", "--eps", 0.1, "-o", out),
+    }[command]
+    assert run(*argv) == EXIT_INPUT
+    assert capsys.readouterr().err.splitlines() == ["error: spec declares no 'dist' lines for the disturbances"]
+    assert not out.exists()
+
+
 class TestPropagate:
     def test_zero_steps_single_row(self, workdir):
         msys_path = workdir / "dubins.msys"

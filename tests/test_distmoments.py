@@ -202,6 +202,28 @@ class TestRawMoments:
         assert raw_moment(Degenerate(2.0), 1.0, 3) == pytest.approx(27.0)
 
 
+SHIFTS_300 = np.random.default_rng(11).uniform(-3.0, 3.0, 300)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [Degenerate(0.7), Gaussian(0.3, 0.5), Uniform(-0.4, 1.1), Beta(2.5, 4.0)],
+    ids=["degenerate", "gaussian", "uniform", "beta"],
+)
+def test_scalar_shift_rounds_like_its_array_element(dist):
+    """A scalar query gives the bits of its element in an array query, for raw and trig moments."""
+    for k in range(1, 9):
+        values = raw_moment(dist, SHIFTS_300, k)
+        scalars = np.array([raw_moment(dist, float(u), k) for u in SHIFTS_300])
+        np.testing.assert_array_equal(scalars.view(np.int64), values.view(np.int64), err_msg=f"raw order {k}")
+        if isinstance(dist, Beta):
+            continue
+        for m, n in [(k, 0), (0, k), (k - k // 2, k // 2)]:
+            values = trig_moment(dist, SHIFTS_300, m, n)
+            scalars = np.array([trig_moment(dist, float(u), m, n) for u in SHIFTS_300])
+            np.testing.assert_array_equal(scalars.view(np.int64), values.view(np.int64), err_msg=f"trig ({m}, {n})")
+
+
 class TestDisturbanceModel:
     def setup_method(self):
         self.system = trig_encode(
@@ -251,13 +273,39 @@ class TestDisturbanceModel:
             {"wv": Gaussian(0, 1), "wt": Gaussian(0, 1)},
             shifts={"wt": [0.1, 0.2]},
         )
-        assert model.horizon() == 2
         first = model.moment(MultiIndex((0, 1, 0)), 0)
         second = model.moment(MultiIndex((0, 1, 0)), 1)
         assert first == pytest.approx(trig_moment(Gaussian(0, 1), 0.1, 1, 0), rel=1e-13)
         assert second == pytest.approx(trig_moment(Gaussian(0, 1), 0.2, 1, 0), rel=1e-13)
         with pytest.raises(IndexError):
             model.moment(MultiIndex((0, 1, 0)), 2)
+
+    @pytest.mark.parametrize(
+        "steps, needed",
+        [(-1, "-1 to -1"), (3, "3 to 3"), (np.array([0, 1, -1]), "-1 to 1"), (np.array([2, 3, 1]), "1 to 3")],
+        ids=["negative", "past-the-end", "array-with-a-negative", "array-past-the-end"],
+    )
+    def test_steps_off_the_schedule_rejected(self, steps, needed):
+        """A negative step is not indexed from the end of the schedule."""
+        model = DisturbanceModel(
+            self.system, {"wv": Gaussian(0, 1), "wt": Gaussian(0, 1)}, shifts={"wt": [0.1, 0.2, 0.3]}
+        )
+        message = f"shift schedule for 'wt' has length 3, needed steps {needed}"
+        with pytest.raises(IndexError, match=message):
+            model.shift_at("wt", steps)
+        with pytest.raises(IndexError, match=message):
+            model.moment(MultiIndex((0, 1, 0)), steps)
+        with pytest.raises(IndexError, match="shift schedule for 'wt' has length 3, needed steps -1 to 0"):
+            model.moment_table([MultiIndex((0, 1, 0))], 2, start=-1)
+
+    def test_scalar_step_moment_equals_table_row(self):
+        model = DisturbanceModel(
+            self.system, {"wv": Gaussian(0.1, 0.2), "wt": Gaussian(0, 1)}, shifts={"wv": [0.5, 0.6, 0.7]}
+        )
+        requirements = [MultiIndex((k, 0, 0)) for k in range(5)]
+        table = model.moment_table(requirements, 3)
+        for t in range(3):
+            np.testing.assert_array_equal([model.moment(beta, t) for beta in requirements], table[t])
 
     def test_unknown_shift_rejected(self):
         with pytest.raises(KeyError):

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -136,6 +137,28 @@ class TestParse:
         assert max(mi.total_degree() for mi in system.f[1].terms) == 32
         msys = compile_moment_system(system, system.target_moments)
         assert MultiIndex((32, 0)) in msys.basis
+
+    @pytest.mark.parametrize("kind, arity", [("degenerate", 1), ("gaussian", 2), ("uniform", 2), ("beta", 2)])
+    def test_distribution_kind_parses_to_its_family(self, kind, arity):
+        params = (0.25, 0.75)[:arity]
+        spec = parse_spec(f"state x\ndisturbance w\ndyn x' = x + w\ndist w = {kind}({', '.join(map(str, params))})\n")
+        family = distmoments.KINDS[kind]
+        assert len(fields(family)) == arity
+        assert type(spec.distributions["w"]) is family and spec.distributions["w"] == family(*params)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("gaussian(1)", "gaussian takes 2 parameter(s)"),
+            ("beta(1, 2, 3)", "beta takes 2 parameter(s)"),
+            ("cauchy(0, 1)", "unknown distribution kind 'cauchy'"),
+            ("uniform(1, 0)", "uniform requires lower < upper"),
+        ],
+    )
+    def test_bad_distribution_rejected_at_its_kind(self, value, message):
+        with pytest.raises(SpecError) as err:
+            parse_spec(f"state x\ndisturbance w\ndyn x' = x + w\ndist w = {value}\n")
+        assert str(err.value) == f"line 4, column 10: {message}"
 
     def test_missing_update(self):
         with pytest.raises(SpecError, match="no 'dyn' update"):
