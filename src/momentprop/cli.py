@@ -78,15 +78,31 @@ def _read_csv(path: str) -> tuple[dict[str, str], list[str], np.ndarray]:
     return metadata, header, np.asarray(rows, dtype=float).reshape(len(rows), len(header))
 
 
+def _check_finite(path: str, header: Sequence[str], values: np.ndarray) -> None:
+    """Reject the first empty (NaN) or non-finite cell of a table read by `_read_csv`."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, col = bad[0]
+        # Only this error path needs line numbers: re-read the non-comment lines (header first).
+        lines = ((n, raw.strip()) for n, raw in enumerate(_read_text(path).splitlines(), start=1))
+        line_no, line = [(n, text) for n, text in lines if text and not text.startswith("#")][row + 1]
+        raise ValueError(
+            f"{path}, line {line_no}, column {col + 1} ({header[col]}): "
+            f"expected a finite number, got {line.split(',')[col].strip()!r}"
+        )
+
+
 def _read_init(path: str) -> dict[str, float]:
     _, header, values = _read_csv(path)
     if values.shape[0] != 1:
         raise ValueError(f"{path}: initial-state CSV needs exactly one data row")
+    _check_finite(path, header, values)
     return dict(zip(header, map(float, values[0])))
 
 
 def _read_shifts(path: str) -> dict[str, np.ndarray]:
     _, header, values = _read_csv(path)
+    _check_finite(path, header, values)
     return {name: values[:, j] for j, name in enumerate(header)}
 
 
@@ -263,14 +279,7 @@ def _cmd_compare(args) -> int:
         _, lin_header, lin_values = _read_csv(args.linearized)
         if lin_values.shape[0] != ex_values.shape[0]:
             raise ValueError("horizon mismatch between exact and linearized tables")
-        pred = _lin_prediction(lin_header, lin_values)
-        moments = {}
-        for name in kept:
-            try:
-                moments[name] = sysspec.parse_monomial(name, pred.state_vars)
-            except SpecError:
-                continue  # a variable the linear model does not track
-        lin_map = oracle.linear_series(pred, pred.state_vars, moments)
+        lin_map = oracle.linear_series(_lin_prediction(lin_header, lin_values), kept)
     report = oracle.compare_tables(kept, exact_tbl, mc_means, mc_ses, lin_map)
     _write_atomic(args.output, report.to_csv(_metadata(args)))
     if args.plot_data:

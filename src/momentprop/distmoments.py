@@ -142,8 +142,8 @@ def mean(dist: Distribution) -> float:
 
 
 def variance(dist: Distribution) -> float:
-    m1 = mean(dist)
-    return raw_moment(dist, 0.0, 2) - m1 * m1
+    """E[(X - E[X])^2], in the central form: E[X^2] - E[X]^2 cancels when the mean dwarfs the spread."""
+    return raw_moment(dist, -mean(dist), 2)
 
 
 def char_fn(dist: Distribution, shift, t):

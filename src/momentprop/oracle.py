@@ -457,23 +457,23 @@ def compare(
     exact_tbl = np.stack([exact.moment_series(name) for name in names], axis=1)
     mc_means = np.stack([mc.means[:, j] for j, _ in kept], axis=1)
     mc_ses = np.stack([mc.ses[:, j] for j, _ in kept], axis=1)
-    lin_map = None
-    if lin is not None:
-        moments = {name: mc.moments[j] for j, name in kept}
-        lin_map = linear_series(lin, exact.system.state_vars, moments)
+    lin_map = None if lin is None else linear_series(lin, names)
     return compare_tables(names, exact_tbl, mc_means, mc_ses, lin_map)
 
 
-def linear_series(
-    lin: LinearPrediction, variables: Sequence[str], moments: Mapping[str, MultiIndex]
-) -> dict[str, np.ndarray]:
-    """Linearized raw-moment series by name, for the moments `lin` can express.
+def linear_series(lin: LinearPrediction, names: Sequence[str]) -> dict[str, np.ndarray]:
+    """Linearized raw-moment series by moment name, for the names `lin` can express.
 
-    `moments` maps names to multi-indices over `variables`.
+    A name is matched as a monomial over `lin.state_vars`; one naming another
+    variable (such as an angle's cos/sin) or of degree above 2 is left out.
     """
     out = {}
-    for name, alpha in moments.items():
-        series = lin.raw_moment(variables, alpha)
+    for name in names:
+        try:
+            alpha = sysspec.parse_monomial(name, lin.state_vars)
+        except sysspec.SpecError:
+            continue
+        series = lin.raw_moment(lin.state_vars, alpha)
         if series is not None:
             out[name] = series
     return out

@@ -25,7 +25,8 @@ import math
 import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -86,34 +87,34 @@ class Power:
 Expr = Const | Sym | Trig | Sum | Product | Power
 
 
-def _leaves(expr: Expr) -> Iterator[Const | Sym | Trig]:
-    """The Const, Sym and Trig nodes of `expr`, found without recursion."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Sum):
-            stack.extend(term for _, term in node.terms)
-        elif isinstance(node, Product):
-            stack.extend(node.factors)
-        elif isinstance(node, Power):
-            stack.append(node.base)
-        else:
-            yield node
+@dataclass(frozen=True)
+class Usage:
+    """The names one expression uses; each tuple lists them in order of first appearance."""
 
+    names: tuple[str, ...]  # bare or inside sin/cos
+    bare: tuple[str, ...]  # outside any sin()/cos()
+    trig: tuple[str, ...]  # as the argument of a sin() or cos()
 
-def expr_symbols(expr: Expr) -> set[str]:
-    """All variable names referenced, whether bare or inside sin/cos."""
-    return trig_usages(expr) | bare_usages(expr)
-
-
-def trig_usages(expr: Expr) -> set[str]:
-    """Names that appear inside a sin() or cos()."""
-    return {node.arg for node in _leaves(expr) if isinstance(node, Trig)}
-
-
-def bare_usages(expr: Expr) -> set[str]:
-    """Names that appear outside any sin()/cos()."""
-    return {node.name for node in _leaves(expr) if isinstance(node, Sym)}
+    @classmethod
+    def of(cls, expr: Expr) -> "Usage":
+        """One left-to-right walk over the leaves of `expr`, without recursion."""
+        names: dict[str, None] = {}
+        bare: dict[str, None] = {}
+        trig: dict[str, None] = {}
+        stack = [expr]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Sum):
+                stack.extend(term for _, term in reversed(node.terms))
+            elif isinstance(node, Product):
+                stack.extend(reversed(node.factors))
+            elif isinstance(node, Power):
+                stack.append(node.base)
+            elif isinstance(node, Sym):
+                names[node.name] = bare[node.name] = None
+            elif isinstance(node, Trig):
+                names[node.arg] = trig[node.arg] = None
+        return cls(tuple(names), tuple(bare), tuple(trig))
 
 
 def fold(expr: Expr, leaf: Callable[[Const | Sym | Trig], Any]):
@@ -326,7 +327,11 @@ def _literal(tok: _Token) -> Fraction:
 
 @dataclass
 class SystemSpec:
-    """Parsed and structurally validated system description."""
+    """Parsed and structurally validated system description.
+
+    `increments` and `trig_offsets` are filled in by :func:`parse_spec` as it
+    checks the angle updates and the disturbances' trig usage.
+    """
 
     state_vars: tuple[str, ...]
     angle_vars: tuple[str, ...]
@@ -335,6 +340,16 @@ class SystemSpec:
     independence_decls: tuple[tuple[frozenset[str], frozenset[str]], ...] = ()
     target_moments: tuple[MultiIndex, ...] = ()
     distributions: dict[str, distmoments.Distribution] = field(default_factory=dict)
+    # angle -> (disturbance or None, constant offset) of its update angle + increment
+    increments: dict[str, tuple[str | None, Fraction]] = field(default_factory=dict)
+    # disturbance used as an angle increment or inside sin/cos -> its one constant offset,
+    # angle increments first (in angle order), then the other updates' trig usage in source order
+    trig_offsets: dict[str, Fraction] = field(default_factory=dict)
+
+    @cached_property
+    def usage(self) -> dict[str, Usage]:
+        """Each update's :class:`Usage`, by updated state variable."""
+        return {name: Usage.of(expr) for name, expr in self.updates.items()}
 
 
 def _parse_dist_value(tokens: list[_Token], start: int) -> distmoments.Distribution:
@@ -489,8 +504,9 @@ def parse_spec(text: str) -> SystemSpec:
     for name in updates:
         if name not in state:
             raise SpecError(f"'dyn' update for undeclared state variable {name!r}", update_lines[name])
-    for name, expr in updates.items():
-        for sym in expr_symbols(expr):
+    spec = SystemSpec(state, angles, dists, updates, tuple(independence), distributions=distributions)
+    for name, use in spec.usage.items():
+        for sym in use.names:
             if sym not in declared:
                 raise SpecError(f"undeclared symbol {sym!r} in update of {name!r}", update_lines[name])
 
@@ -506,17 +522,9 @@ def parse_spec(text: str) -> SystemSpec:
         if first & second:
             raise SpecError(f"independence declaration groups overlap: {sorted(first & second)}")
 
-    spec = SystemSpec(
-        state_vars=state,
-        angle_vars=angles,
-        disturbance_vars=dists,
-        updates=updates,
-        independence_decls=tuple(independence),
-        target_moments=tuple(parse_monomial(chunk, state, ln) for chunk, ln in moment_chunks),
-        distributions=distributions,
-    )
-    _check_angle_updates(spec, update_lines)
-    _check_disturbance_usage(spec, update_lines)
+    spec.target_moments = tuple(parse_monomial(chunk, state, ln) for chunk, ln in moment_chunks)
+    spec.increments = _angle_increments(spec, update_lines)
+    spec.trig_offsets = _trig_offsets(spec)
     return spec
 
 
@@ -533,13 +541,13 @@ def _flatten_sum(expr: Expr) -> list[tuple[int, Expr]]:
     return out
 
 
-def angle_increment(spec: SystemSpec, angle: str) -> tuple[str | None, Fraction]:
+def _angle_increment(angle: str, update: Expr, disturbances: Sequence[str]) -> tuple[str | None, Fraction]:
     """Decompose an angle update theta' = theta + delta.
 
     Returns (disturbance variable or None, constant offset).  Raises
     SpecError when the update is not of that shape.
     """
-    terms = _flatten_sum(spec.updates[angle])
+    terms = _flatten_sum(update)
     self_terms = [(s, t) for s, t in terms if isinstance(t, Sym) and t.name == angle]
     if len(self_terms) != 1 or self_terms[0][0] != 1:
         raise SpecError(f"angle {angle!r} update must have the form {angle} + <increment>")
@@ -550,7 +558,7 @@ def angle_increment(spec: SystemSpec, angle: str) -> tuple[str | None, Fraction]
             continue
         if isinstance(term, Const):
             offset += sign * term.value
-        elif isinstance(term, Sym) and term.name in spec.disturbance_vars:
+        elif isinstance(term, Sym) and term.name in disturbances:
             if sign != 1:
                 raise SpecError(f"angle {angle!r} increment must add its disturbance, not subtract it")
             if source is not None:
@@ -563,58 +571,60 @@ def angle_increment(spec: SystemSpec, angle: str) -> tuple[str | None, Fraction]
     return source, offset
 
 
-def _check_angle_updates(spec: SystemSpec, update_lines: dict[str, int]) -> None:
+def _angle_increments(
+    spec: SystemSpec, update_lines: dict[str, int]
+) -> dict[str, tuple[str | None, Fraction]]:
+    """Each angle's increment; angles appear bare only in their own update, and sin/cos only of angles."""
+    increments = {}
     for angle in spec.angle_vars:
         try:
-            angle_increment(spec, angle)
+            increments[angle] = _angle_increment(angle, spec.updates[angle], spec.disturbance_vars)
         except SpecError as exc:
             raise SpecError(str(exc), update_lines.get(angle)) from None
-        for name, expr in spec.updates.items():
-            if name != angle and angle in bare_usages(expr):
+        for name, use in spec.usage.items():
+            if name != angle and angle in use.bare:
                 raise SpecError(
                     f"angle {angle!r} may appear only inside sin()/cos() outside its own update",
                     update_lines.get(name),
                 )
-    for name, expr in spec.updates.items():
-        for arg in trig_usages(expr):
+    for name, use in spec.usage.items():
+        for arg in use.trig:
             if arg in spec.state_vars and arg not in spec.angle_vars:
                 raise SpecError(
                     f"sin/cos applied to non-angle state variable {arg!r}", update_lines.get(name)
                 )
+    return increments
 
 
-def _disturbance_usage(spec: SystemSpec) -> tuple[dict[str, set], set[str]]:
-    """Map disturbance -> set of trig usage keys (base shifts), plus polynomially-used set."""
-    trig_shifts: dict[str, set] = {}
+def _trig_offsets(spec: SystemSpec) -> dict[str, Fraction]:
+    """The `trig_offsets` of a spec whose `increments` are known.
+
+    A disturbance used both polynomially and trigonometrically, or
+    trigonometrically with two constant offsets, is an input error.
+    """
+    offsets: dict[str, set[Fraction]] = {}
     poly_used: set[str] = set()
-    for angle in spec.angle_vars:
-        source, offset = angle_increment(spec, angle)
+    for source, offset in spec.increments.values():
         if source is not None:
-            trig_shifts.setdefault(source, set()).add(offset)
-    for name, expr in spec.updates.items():
+            offsets.setdefault(source, set()).add(offset)
+    for name, use in spec.usage.items():
         if name in spec.angle_vars:
             continue
-        for sym in bare_usages(expr):
-            if sym in spec.disturbance_vars:
-                poly_used.add(sym)
-        for arg in trig_usages(expr):
+        poly_used.update(use.bare)
+        for arg in use.trig:
             if arg in spec.disturbance_vars:
-                trig_shifts.setdefault(arg, set()).add(Fraction(0))
-    return trig_shifts, poly_used
-
-
-def _check_disturbance_usage(spec: SystemSpec, update_lines: dict[str, int]) -> None:
-    trig_shifts, poly_used = _disturbance_usage(spec)
-    for name, shifts in trig_shifts.items():
+                offsets.setdefault(arg, set()).add(Fraction(0))
+    for name, found in offsets.items():
         if name in poly_used:
             raise SpecError(
                 f"disturbance {name!r} is used both polynomially and trigonometrically"
             )
-        if len(shifts) > 1:
+        if len(found) > 1:
             raise SpecError(
                 f"disturbance {name!r} is used trigonometrically with different constant offsets; "
                 "the encoded pairs would wrongly be treated as independent"
             )
+    return {name: found.pop() for name, found in offsets.items()}
 
 
 # -- dependence graph ---------------------------------------------------------
@@ -649,10 +659,6 @@ class DependenceGraph:
     def without_edges(self, pairs: Iterable[tuple[str, str]]) -> "DependenceGraph":
         removed = {frozenset(p) for p in pairs}
         return DependenceGraph(self.vertices, self.edges - removed)
-
-    def with_edges(self, pairs: Iterable[tuple[str, str]]) -> "DependenceGraph":
-        added = {frozenset(p) for p in pairs}
-        return DependenceGraph(self.vertices, self.edges | added)
 
     def components(self, subset: Iterable[str]) -> list[tuple[str, ...]]:
         """Connected components of the restriction to `subset`, in vertex order."""
@@ -743,42 +749,24 @@ def trig_encode(spec: SystemSpec) -> PolynomialSystem:
     """
     taken = set(spec.state_vars) | set(spec.disturbance_vars)
 
-    state_pairs: dict[str, TrigPair] = {}
-    for angle in spec.angle_vars:
-        c = _fresh_name(f"c_{angle}", taken)
-        s = _fresh_name(f"s_{angle}", taken)
-        state_pairs[angle] = TrigPair(c, s, angle)
+    def new_pair(base: str, source: str | None, shift: Fraction = Fraction(0)) -> TrigPair:
+        return TrigPair(_fresh_name(f"c_{base}", taken), _fresh_name(f"s_{base}", taken), source, shift)
 
+    state_pairs = {angle: new_pair(angle, angle) for angle in spec.angle_vars}
     # Encoded state order: angles replaced in place by their (cos, sin) pair.
-    new_vars: list[str] = []
-    for name in spec.state_vars:
-        if name in state_pairs:
-            new_vars.extend((state_pairs[name].cos_var, state_pairs[name].sin_var))
-        else:
-            new_vars.append(name)
+    encoded = {name: (name,) for name in spec.state_vars}
+    encoded.update((angle, (pair.cos_var, pair.sin_var)) for angle, pair in state_pairs.items())
+    new_vars = [var for name in spec.state_vars for var in encoded[name]]
 
-    trig_shifts, _ = _disturbance_usage(spec)
+    # One pair per (source, shift): the angle increments in angle order, then the other sin/cos usage.
     dist_pairs: dict[tuple[str | None, Fraction], TrigPair] = {}
-
-    def pair_for(source: str | None, shift: Fraction) -> TrigPair:
-        key = (source, shift)
+    for key in [*spec.increments.values(), *spec.trig_offsets.items()]:
         if key not in dist_pairs:
-            base = source if source is not None else "u"
-            c = _fresh_name(f"c_{base}", taken)
-            s = _fresh_name(f"s_{base}", taken)
-            dist_pairs[key] = TrigPair(c, s, source, shift)
-        return dist_pairs[key]
+            dist_pairs[key] = new_pair(key[0] or "u", *key)
 
-    for angle in spec.angle_vars:
-        source, offset = angle_increment(spec, angle)
-        pair_for(source, offset)
-    for source in trig_shifts:
-        if source not in {p.source for p in dist_pairs.values()}:
-            pair_for(source, Fraction(0))
-
-    used = set().union(*map(expr_symbols, spec.updates.values()))
+    used = {name for use in spec.usage.values() for name in use.names}
     new_dist_vars: list[str] = [
-        w for w in spec.disturbance_vars if w not in trig_shifts and w in used
+        w for w in spec.disturbance_vars if w not in spec.trig_offsets and w in used
     ]
     for pair in dist_pairs.values():
         new_dist_vars.extend((pair.cos_var, pair.sin_var))
@@ -803,10 +791,8 @@ def trig_encode(spec: SystemSpec) -> PolynomialSystem:
     f: list[Polynomial] = []
     for name in spec.state_vars:
         if name in state_pairs:
-            pair = state_pairs[name]
-            source, offset = angle_increment(spec, name)
-            wpair = dist_pairs[(source, offset)]
-            c, s = gens[pair.cos_var], gens[pair.sin_var]
+            c, s = (gens[v] for v in encoded[name])
+            wpair = dist_pairs[spec.increments[name]]
             cw, sw = gens[wpair.cos_var], gens[wpair.sin_var]
             f.append(c * cw - s * sw)
             f.append(s * cw + c * sw)
@@ -828,41 +814,25 @@ def trig_encode(spec: SystemSpec) -> PolynomialSystem:
             exps[var_index[name]] = e
         targets.append(MultiIndex(exps))
 
-    graph = _build_graph(spec, tuple(new_vars), state_pairs)
+    # Complete graph minus declared independences.  An angle's (c, s) pair stays
+    # joined: a declaration's groups are disjoint, so no removed edge joins one pair.
+    graph = DependenceGraph.complete(new_vars).without_edges(
+        (ea, eb)
+        for first, second in spec.independence_decls
+        for a in first
+        for b in second
+        for ea in encoded[a]
+        for eb in encoded[b]
+    )
     return PolynomialSystem(
         vars=tuple(new_vars),
         dist_vars=tuple(new_dist_vars),
         f=tuple(f),
         graph=graph,
-        state_pairs=tuple(state_pairs[a] for a in spec.angle_vars),
+        state_pairs=tuple(state_pairs.values()),
         dist_pairs=tuple(dist_pairs.values()),
         target_moments=tuple(targets),
     )
-
-
-def _build_graph(
-    spec: SystemSpec, encoded_vars: tuple[str, ...], state_pairs: Mapping[str, TrigPair]
-) -> DependenceGraph:
-    """Complete graph minus declared independences; (c, s) pairs always stay joined."""
-
-    def encode_names(name: str) -> tuple[str, ...]:
-        if name in state_pairs:
-            return (state_pairs[name].cos_var, state_pairs[name].sin_var)
-        return (name,)
-
-    graph = DependenceGraph.complete(encoded_vars)
-    removed = []
-    for first, second in spec.independence_decls:
-        for a in first:
-            for b in second:
-                for ea in encode_names(a):
-                    for eb in encode_names(b):
-                        removed.append((ea, eb))
-    graph = graph.without_edges(removed)
-    graph = graph.with_edges(
-        (pair.cos_var, pair.sin_var) for pair in state_pairs.values()
-    )
-    return graph
 
 
 # -- independence diagnostics ---------------------------------------------------
@@ -879,7 +849,7 @@ def validate_independence(spec: SystemSpec) -> list[str]:
     refs: dict[str, set[str]] = {}
     dists: dict[str, set[str]] = {}
     for name in spec.state_vars:
-        syms = expr_symbols(spec.updates[name])
+        syms = set(spec.usage[name].names)
         refs[name] = syms & state
         dists[name] = syms & set(spec.disturbance_vars)
 

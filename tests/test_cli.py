@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +93,37 @@ class TestCompile:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: the update of E[x^11] has an exact coefficient too long to write"]
         assert not (workdir / "nope.msys").exists()
+
+    def test_output_and_errors_follow_source_order_under_any_hash_seed(self, tmp_path):
+        """The encoded layout, the .msys text and the first offender named do not depend on PYTHONHASHSEED."""
+        specs = {
+            "two.spec": "state x\ndisturbance uu qq\ndyn x' = x + cos(uu) + sin(qq)\nmoments x x^2\n",
+            "undeclared.spec": "state x\ndisturbance w\ndyn x' = x + zz + w + aa\n",
+            "non_angle.spec": "state x y z\ndyn x' = x + cos(z) + sin(y)\ndyn y' = y\ndyn z' = z\n",
+        }
+        for name, text in specs.items():
+            (tmp_path / name).write_text(text)
+        compile_each = (
+            "import sys\nfrom momentprop import cli\n"
+            "for spec in sys.argv[1:]:\n    cli.main(['compile', spec, '-o', spec + '.msys', '--listing', spec + '.txt'])\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        msys_texts = set()
+        for seed in range(8):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed))
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            result = subprocess.run(
+                [sys.executable, "-c", compile_each, *specs],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert result.stderr.splitlines() == [
+                "compiled 2 moment equations (reduced) -> two.spec.msys",
+                "error: line 3: undeclared symbol 'zz' in update of 'x'",
+                "error: line 2: sin/cos applied to non-angle state variable 'z'",
+            ], f"PYTHONHASHSEED={seed}"
+            msys_texts.add((tmp_path / "two.spec.msys").read_text())
+        (text,) = msys_texts
+        assert compiler.loads(text).dist_vars == ("c_uu", "s_uu", "c_qq", "s_qq")
 
 
 LONG_LINES = {
@@ -288,6 +324,33 @@ class TestPipeline:
         assert code == EXIT_INPUT
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
+    @pytest.mark.parametrize("command", ["propagate", "mc", "linearize"])
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("init.csv", "x,y,v,theta\n0,,1,0\n", "line 2, column 2 (y): expected a finite number, got ''"),
+            ("init.csv", "x,y,v,theta\n0,0,1,inf\n", "line 2, column 4 (theta): expected a finite number, got 'inf'"),
+            ("shifts.csv", "wt\n0\nnan\n0\n", "line 3, column 1 (wt): expected a finite number, got 'nan'"),
+        ],
+        ids=["empty-init-cell", "inf-init-cell", "nan-shift"],
+    )
+    def test_non_finite_csv_cell_exit_2(self, workdir, capsys, command, name, text, message):
+        """--init and --shifts cells must be finite numbers; compare still reads NaN cells."""
+        (workdir / "shifts.csv").write_text("wt\n0\n0\n0\n")
+        (workdir / name).write_text(text)
+        run("compile", workdir / "dubins.spec", "-o", workdir / "dubins.msys", "--listing", workdir / "eq.txt")
+        capsys.readouterr()
+        out = workdir / "out.csv"
+        common = ("--init", workdir / "init.csv", "--shifts", workdir / "shifts.csv", "-T", 3, "-o", out)
+        argv = {
+            "propagate": ("propagate", workdir / "dubins.msys", "--dist", workdir / "dubins.spec", *common),
+            "mc": ("mc", workdir / "dubins.spec", "-N", 100, *common),
+            "linearize": ("linearize", workdir / "dubins.spec", *common),
+        }[command]
+        assert run(*argv) == EXIT_INPUT
+        assert capsys.readouterr().err.splitlines() == [f"error: {workdir / name}, {message}"]
+        assert not out.exists()
 
     def test_read_csv_header_only(self, workdir):
         path = workdir / "empty.csv"

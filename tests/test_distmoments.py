@@ -201,6 +201,19 @@ class TestRawMoments:
     def test_degenerate_power(self):
         assert raw_moment(Degenerate(2.0), 1.0, 3) == pytest.approx(27.0)
 
+    @pytest.mark.parametrize(
+        "dist, expected, rel",
+        [
+            (Uniform(1e4, 1e4 + 0.01), 0.01**2 / 12, 1e-7),
+            (Gaussian(1e5, 1e-8), 1e-8, 0.0),
+            (Gaussian(0.04, 0.03), 0.03, 0.0),
+        ],
+        ids=["uniform-far-from-zero", "gaussian-far-from-zero", "gaussian-dubins"],
+    )
+    def test_variance_does_not_cancel(self, dist, expected, rel):
+        """A mean that dwarfs the spread must not swamp the variance (E[X^2] - E[X]^2 does); a Gaussian's is exact."""
+        assert distmoments.variance(dist) == pytest.approx(expected, rel=rel, abs=0.0)
+
 
 SHIFTS_300 = np.random.default_rng(11).uniform(-3.0, 3.0, 300)
 
