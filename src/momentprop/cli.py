@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import __version__, compiler, distmoments, oracle, planner, propagator, sysspec
+from . import __version__, compiler, distmoments, oracle, planner, propagator, sysspec, tables
 from .compiler import BasisExplosionError
 from .polyring import MultiIndex
 from .propagator import PropagationError
@@ -45,23 +45,16 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _read_csv(path: str) -> tuple[dict[str, str], list[str], np.ndarray]:
-    """Read a CSV with '#'-comment metadata; returns (metadata, header, values).
+def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
+    """Read a CSV, skipping blank and '#' lines; returns (header, values).
 
     `values` has one row per data line and one column per header name.
     """
-    metadata: dict[str, str] = {}
     header: list[str] | None = None
     rows = []
     for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" in body:
-                key, value = body.split(":", 1)
-                metadata[key.strip()] = value.strip()
+        if not line or line.startswith("#"):
             continue
         cells = line.split(",")
         if header is None:
@@ -75,7 +68,7 @@ def _read_csv(path: str) -> tuple[dict[str, str], list[str], np.ndarray]:
             raise ValueError(f"{path}, line {line_no}: {exc}") from None
     if header is None:
         raise ValueError(f"{path}: no CSV header found")
-    return metadata, header, np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+    return header, np.asarray(rows, dtype=float).reshape(len(rows), len(header))
 
 
 def _check_finite(path: str, header: Sequence[str], values: np.ndarray) -> None:
@@ -93,7 +86,7 @@ def _check_finite(path: str, header: Sequence[str], values: np.ndarray) -> None:
 
 
 def _read_init(path: str) -> dict[str, float]:
-    _, header, values = _read_csv(path)
+    header, values = _read_csv(path)
     if values.shape[0] != 1:
         raise ValueError(f"{path}: initial-state CSV needs exactly one data row")
     _check_finite(path, header, values)
@@ -101,15 +94,13 @@ def _read_init(path: str) -> dict[str, float]:
 
 
 def _read_shifts(path: str) -> dict[str, np.ndarray]:
-    _, header, values = _read_csv(path)
+    header, values = _read_csv(path)
     _check_finite(path, header, values)
     return {name: values[:, j] for j, name in enumerate(header)}
 
 
 def _metadata(args: argparse.Namespace, **extra: str) -> dict[str, str]:
-    meta = {"tool": f"momentprop {__version__}", "command": args.command}
-    meta.update(extra)
-    return meta
+    return {"tool": f"momentprop {__version__}", "command": args.command, **extra}
 
 
 def _parse_spec_file(path: str) -> sysspec.SystemSpec:
@@ -169,19 +160,10 @@ def _cmd_propagate(args) -> int:
 
 
 def _mc_csv(mc: oracle.McEstimate, meta: Mapping[str, str]) -> str:
-    lines = [f"# {k}: {v}" for k, v in meta.items()]
-    lines.append(f"# n_samples: {mc.n_samples}")
-    header = ["t"]
-    for name in mc.names:
-        header.extend([name, f"{name}_se"])
-    lines.append(",".join(header))
-    for t in range(mc.n_steps + 1):
-        row = [str(t)]
-        for j in range(len(mc.names)):
-            row.append(format(mc.means[t, j], ".17g"))
-            row.append(format(mc.ses[t, j], ".17g"))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    header = ["t", *(col for name in mc.names for col in (name, f"{name}_se"))]
+    cells = np.stack([mc.means, mc.ses], axis=2).reshape(mc.n_steps + 1, -1)  # each mean, then its SE
+    rows = ([t, *row] for t, row in enumerate(cells))
+    return tables.csv_text(header, rows, {**meta, "n_samples": mc.n_samples})
 
 
 def _cmd_mc(args) -> int:
@@ -208,21 +190,10 @@ def _cmd_mc(args) -> int:
 
 def _lin_csv(pred: oracle.LinearPrediction, meta: Mapping[str, str]) -> str:
     names = pred.state_vars
-    lines = [f"# {k}: {v}" for k, v in meta.items()]
-    header = ["t"] + [f"mu_{v}" for v in names]
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            if j >= i:
-                header.append(f"sigma_{a}_{b}")
-    lines.append(",".join(header))
-    for t in range(pred.n_steps + 1):
-        row = [str(t)] + [format(v, ".17g") for v in pred.means[t]]
-        for i in range(len(names)):
-            for j in range(len(names)):
-                if j >= i:
-                    row.append(format(pred.covs[t, i, j], ".17g"))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    upper = [(i, j) for i in range(len(names)) for j in range(i, len(names))]
+    header = ["t"] + [f"mu_{v}" for v in names] + [f"sigma_{names[i]}_{names[j]}" for i, j in upper]
+    rows = [[t, *pred.means[t], *(pred.covs[t, i, j] for i, j in upper)] for t in range(pred.n_steps + 1)]
+    return tables.csv_text(header, rows, meta)
 
 
 def _cmd_linearize(args) -> int:
@@ -257,8 +228,8 @@ def _lin_prediction(header: Sequence[str], values: np.ndarray) -> oracle.LinearP
 
 
 def _cmd_compare(args) -> int:
-    _, ex_header, ex_values = _read_csv(args.exact)
-    _, mc_header, mc_values = _read_csv(args.mc)
+    ex_header, ex_values = _read_csv(args.exact)
+    mc_header, mc_values = _read_csv(args.mc)
     if ex_header[0] != "t" or mc_header[0] != "t":
         raise ValueError("trajectory CSVs must start with a 't' column")
     names = ex_header[1:]
@@ -276,7 +247,7 @@ def _cmd_compare(args) -> int:
     mc_ses = np.stack([mc_values[:, mc_cols[f"{n}_se"]] for n in kept], axis=1)
     lin_map = None
     if args.linearized:
-        _, lin_header, lin_values = _read_csv(args.linearized)
+        lin_header, lin_values = _read_csv(args.linearized)
         if lin_values.shape[0] != ex_values.shape[0]:
             raise ValueError("horizon mismatch between exact and linearized tables")
         lin_map = oracle.linear_series(_lin_prediction(lin_header, lin_values), kept)

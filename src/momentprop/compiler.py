@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .polyring import MultiIndex, Polynomial, monomial_name, pow_multiindex
+from .polyring import MultiIndex, Polynomial, monomial_name, pow_multiindex, signed_sum
 from .sysspec import MAX_DEGREE, DependenceGraph, PolynomialSystem, TrigPair, components_of_support
 
 
@@ -410,24 +410,14 @@ def render_equations(msys: MomentStateSystem) -> str:
     lines = []
     for form in msys.forms:
         lhs = f"E[{monomial_name(msys.state_vars, form.target)}]'"
-        parts = []
+        terms = []
+        for term in form.terms:
+            factors = [f"E[{monomial_name(msys.state_vars, f)}]" for f in term.state_factors]
+            if not term.dist_index.is_zero():
+                factors.insert(0, f"E[{monomial_name(msys.dist_vars, term.dist_index)}]")
+            terms.append((term.coeff, factors))
         with _coefficients_written(msys, form):
-            for term in form.terms:
-                factors = []
-                if abs(term.coeff) != 1:
-                    factors.append(str(abs(term.coeff)))
-                if not term.dist_index.is_zero():
-                    factors.append(f"E[{monomial_name(msys.dist_vars, term.dist_index)}]")
-                for f in term.state_factors:
-                    factors.append(f"E[{monomial_name(msys.state_vars, f)}]")
-                if not factors:
-                    factors.append(str(abs(term.coeff)))
-                body = "*".join(factors)
-                if not parts:
-                    parts.append(body if term.coeff > 0 else f"-{body}")
-                else:
-                    parts.append(f"+ {body}" if term.coeff > 0 else f"- {body}")
-        lines.append(f"{lhs} = " + " ".join(parts))
+            lines.append(f"{lhs} = {signed_sum(terms)}")
     return "\n".join(lines)
 
 

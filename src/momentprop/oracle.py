@@ -20,6 +20,7 @@ from .distmoments import DisturbanceModel
 from .polyring import MultiIndex, monomial_name
 from .propagator import MomentTrajectory
 from .sysspec import PolynomialSystem, SystemSpec
+from .tables import csv_text
 
 
 @dataclass
@@ -239,7 +240,10 @@ def linearize(
     expression.  With dt = 1 the affine model's step equals the first-order
     expansion of the true update about (x*, w*); other dt values rescale the
     deviation from identity as for Euler-discretized continuous dynamics.
+    dt must be positive and finite.
     """
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if w_star is None:
         w_star = {}
     env: dict[str, float] = {name: float(x_star[name]) for name in spec.state_vars}
@@ -355,29 +359,24 @@ class ComparisonReport:
     flagged: list[tuple[int, str, float]]  # (t, moment, z) with |z| > 5 or z NaN
 
     def to_csv(self, metadata: Mapping[str, str] | None = None) -> str:
-        lines = [f"# {k}: {v}" for k, v in (metadata or {}).items()]
-        lines.append(f"# max |z| exact vs MC: {self.max_abs_z_exact:.3f}")
-        lines.append(f"# flagged rows (|z| > 5 or NaN): {len(self.flagged)}")
-        lines.append("t,moment,exact,mc_mean,mc_se,z_exact,lin_value,z_lin")
-        for r in self.rows:
-            lin_v = "" if r.lin_value is None else format(r.lin_value, ".17g")
-            lin_z = "" if r.z_lin is None else format(r.z_lin, ".6g")
-            lines.append(
-                f"{r.t},{r.moment},{r.exact:.17g},{r.mc_mean:.17g},{r.mc_se:.17g},"
-                f"{r.z_exact:.6g},{lin_v},{lin_z}"
-            )
-        return "\n".join(lines) + "\n"
+        summary = {"max |z| exact vs MC": format(self.max_abs_z_exact, ".3f"),
+                   "flagged rows (|z| > 5 or NaN)": len(self.flagged)}
+        rows = [(r.t, r.moment, r.exact, r.mc_mean, r.mc_se, format(r.z_exact, ".6g"),
+                 "" if r.lin_value is None else r.lin_value, "" if r.z_lin is None else format(r.z_lin, ".6g"))
+                for r in self.rows]
+        header = "t,moment,exact,mc_mean,mc_se,z_exact,lin_value,z_lin".split(",")
+        return csv_text(header, rows, {**(metadata or {}), **summary})
 
     def plot_data_csv(self) -> str:
         """Long-format per-moment series for external plotting."""
-        lines = ["series,t,moment,value"]
+        rows = []
         for r in self.rows:
-            lines.append(f"exact,{r.t},{r.moment},{r.exact:.17g}")
-            lines.append(f"mc,{r.t},{r.moment},{r.mc_mean:.17g}")
-            lines.append(f"mc_se,{r.t},{r.moment},{r.mc_se:.17g}")
+            rows.append(("exact", r.t, r.moment, r.exact))
+            rows.append(("mc", r.t, r.moment, r.mc_mean))
+            rows.append(("mc_se", r.t, r.moment, r.mc_se))
             if r.lin_value is not None:
-                lines.append(f"linearized,{r.t},{r.moment},{r.lin_value:.17g}")
-        return "\n".join(lines) + "\n"
+                rows.append(("linearized", r.t, r.moment, r.lin_value))
+        return csv_text(["series", "t", "moment", "value"], rows)
 
 
 # Per step and per unit of moment scale; see `compare_tables` for the rule.

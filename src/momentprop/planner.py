@@ -24,6 +24,7 @@ from .distmoments import DisturbanceModel, Distribution
 from .oracle import rollouts
 from .propagator import MomentState, MomentTrajectory, PropagationError, init_deterministic, mean_cov, propagate
 from .sysspec import SystemSpec, TrigPair
+from .tables import csv_text
 
 # The vehicle's state names; its heading is the spec's one angle.
 POSITION = ("x", "y")
@@ -103,9 +104,10 @@ def parse_environment(text: str) -> Environment:
     Lines: `bounds xmin ymin xmax ymax`, `start x y heading`,
     `goal x y radius`, and one `obstacle x1 y1 x2 y2 ...` per polygon
     (counterclockwise winding).  '#' starts a comment.  Every value must be
-    finite, and the bounds must have positive, finite widths.
+    finite, the bounds must have positive, finite widths, the goal radius
+    must be positive, and `bounds`, `start` and `goal` appear once each.
     """
-    bounds = start = goal = None
+    singles: dict[str, tuple[float, ...]] = {}
     obstacles = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -118,23 +120,27 @@ def parse_environment(text: str) -> Environment:
             raise ValueError(f"environment line {line_no}: non-numeric value") from None
         if not all(map(math.isfinite, values)):
             raise ValueError(f"environment line {line_no}: non-finite value")
+        if head in singles:
+            raise ValueError(f"environment line {line_no}: repeated {head!r} line")
         if head == "bounds" and len(values) == 4:
             xmin, ymin, xmax, ymax = values
             if not (0.0 < xmax - xmin < math.inf and 0.0 < ymax - ymin < math.inf):
                 raise ValueError(f"environment line {line_no}: bounds need xmin < xmax and ymin < ymax with finite widths")
-            bounds = tuple(values)
+            singles[head] = tuple(values)
         elif head == "start" and len(values) == 3:
-            start = tuple(values)
+            singles[head] = tuple(values)
         elif head == "goal" and len(values) == 3:
-            goal = tuple(values)
+            if values[2] <= 0.0:
+                raise ValueError(f"environment line {line_no}: goal radius must be positive")
+            singles[head] = tuple(values)
         elif head == "obstacle" and len(values) >= 6 and len(values) % 2 == 0:
             vertices = list(zip(values[::2], values[1::2]))
             obstacles.append(Polytope.from_vertices(vertices))
         else:
             raise ValueError(f"environment line {line_no}: bad declaration {head!r}")
-    if bounds is None or start is None or goal is None:
+    if len(singles) < 3:
         raise ValueError("environment needs 'bounds', 'start' and 'goal' lines")
-    return Environment(bounds, start, goal, tuple(obstacles))
+    return Environment(singles["bounds"], singles["start"], singles["goal"], tuple(obstacles))
 
 
 # -- risk bounds ----------------------------------------------------------------
@@ -592,24 +598,14 @@ def estimate_plan_collision(
 
 def plan_to_csv(result: RrtResult, metadata: Mapping[str, str] | None = None) -> str:
     """CSV of the root-to-goal path: pose, accumulated bound, mean and covariance."""
-    lines = [f"# {k}: {v}" for k, v in (metadata or {}).items()]
-    lines.append("node,x,y,heading,risk_to_node,mu_x,mu_y,sigma_xx,sigma_xy,sigma_yy")
-    for i in result.path_indices():
-        n = result.nodes[i]
-        lines.append(
-            f"{i},{n.pose[0]:.17g},{n.pose[1]:.17g},{n.pose[2]:.17g},{n.risk_to_node:.17g},"
-            f"{n.mean[0]:.17g},{n.mean[1]:.17g},"
-            f"{n.cov[0, 0]:.17g},{n.cov[0, 1]:.17g},{n.cov[1, 1]:.17g}"
-        )
-    return "\n".join(lines) + "\n"
+    header = "node,x,y,heading,risk_to_node,mu_x,mu_y,sigma_xx,sigma_xy,sigma_yy".split(",")
+    path = [(i, result.nodes[i]) for i in result.path_indices()]
+    rows = [(i, *n.pose, n.risk_to_node, *n.mean[:2], n.cov[0, 0], n.cov[0, 1], n.cov[1, 1]) for i, n in path]
+    return csv_text(header, rows, metadata)
 
 
 def tree_to_csv(result: RrtResult) -> str:
     """Edge list (parent and child poses) for external plotting."""
-    lines = ["parent,child,x_parent,y_parent,x_child,y_child"]
-    for parent, child in result.edges():
-        p, c = result.nodes[parent], result.nodes[child]
-        lines.append(
-            f"{parent},{child},{p.pose[0]:.17g},{p.pose[1]:.17g},{c.pose[0]:.17g},{c.pose[1]:.17g}"
-        )
-    return "\n".join(lines) + "\n"
+    pose = [node.pose for node in result.nodes]
+    rows = [(p, c, pose[p][0], pose[p][1], pose[c][0], pose[c][1]) for p, c in result.edges()]
+    return csv_text(["parent", "child", "x_parent", "y_parent", "x_child", "y_child"], rows)

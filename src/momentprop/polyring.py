@@ -87,6 +87,23 @@ def monomial_name(variables: Sequence[str], alpha: MultiIndex) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def signed_sum(terms: Iterable[tuple[Fraction, Sequence[str]]]) -> str:
+    """Text of a sum of (coefficient, factors) terms, e.g. ``-x + 2*y - 1/3``.
+
+    The first term is signed only when negative, later ones are joined by
+    ``+`` or ``-``, and a coefficient of magnitude 1 is left out of a term
+    that has factors.
+    """
+    parts: list[str] = []
+    for coeff, factors in terms:
+        body = "*".join(factors if factors and abs(coeff) == 1 else [str(abs(coeff)), *factors])
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(parts)
+
+
 def _coerce_coeff(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -157,10 +174,6 @@ class Polynomial:
         """One generator polynomial per ambient variable, in order."""
         var_tuple = tuple(variables)
         return tuple(cls.variable(var_tuple, name) for name in var_tuple)
-
-    @classmethod
-    def monomial(cls, variables: Sequence[str], alpha: MultiIndex, coeff=1) -> "Polynomial":
-        return cls(variables, {alpha: _coerce_coeff(coeff)})
 
     # -- accessors ---------------------------------------------------------
 
@@ -265,22 +278,9 @@ class Polynomial:
         return total
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for mi, coeff in self.sorted_terms():
-            name = monomial_name(self._vars, mi)
-            if name == "1":
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = name
-            else:
-                body = f"{abs(coeff)}*{name}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts)
+        terms = [(coeff, [] if mi.is_zero() else [monomial_name(self._vars, mi)])
+                 for mi, coeff in self.sorted_terms()]
+        return signed_sum(terms) or "0"
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"

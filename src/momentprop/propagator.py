@@ -11,6 +11,7 @@ import numpy as np
 from . import _kernels
 from .compiler import MomentStateSystem
 from .distmoments import DisturbanceModel
+from .tables import csv_text
 
 _TRIG_CONSISTENCY_TOL = 1e-9
 
@@ -148,9 +149,5 @@ def mean_cov(traj: MomentTrajectory, names: Sequence[str]) -> tuple[np.ndarray, 
 
 def trajectory_to_csv(traj: MomentTrajectory, metadata: Mapping[str, str] | None = None) -> str:
     """Render as CSV: header t,<moment names>, one row per step."""
-    lines = [f"# {k}: {v}" for k, v in (metadata or {}).items()]
-    lines.append("t," + ",".join(traj.system.moment_names()))
-    for k in range(traj.values.shape[0]):
-        row = ",".join(format(v, ".17g") for v in traj.values[k])
-        lines.append(f"{traj.t0 + k},{row}")
-    return "\n".join(lines) + "\n"
+    rows = ((traj.t0 + k, *values) for k, values in enumerate(traj.values))
+    return csv_text(["t", *traj.system.moment_names()], rows, metadata)

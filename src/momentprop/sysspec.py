@@ -482,6 +482,8 @@ def parse_spec(text: str) -> SystemSpec:
             name_tok = tokens[1] if len(tokens) > 1 else head
             if name_tok.kind != "ident":
                 raise SpecError("expected a disturbance name after 'dist'", line_no, name_tok.col)
+            if name_tok.text in distributions:
+                raise SpecError(f"duplicate distribution for {name_tok.text!r}", line_no, name_tok.col)
             parser = _ExprParser(tokens, 2)
             parser.expect_punct("=")
             distributions[name_tok.text] = _parse_dist_value(tokens, parser.i)

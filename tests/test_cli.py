@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -294,6 +295,16 @@ class TestPipeline:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize("dt", ["nan", "inf", "0", "-1"])
+    def test_linearize_bad_dt_exit_2(self, workdir, capsys, dt):
+        out = workdir / "lin.csv"
+        code = run("linearize", workdir / "dubins.spec", "--init", workdir / "init.csv", "-T", 5,
+                   f"--dt={dt}", "-o", out)
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: dt must be positive and finite")
+        assert not out.exists()
+
     def test_linearize_unknown_shift_column_exit_2(self, workdir, capsys):
         shifts = workdir / "shifts.csv"
         shifts.write_text("wt,nope\n" + "0,0\n" * 5)
@@ -355,8 +366,8 @@ class TestPipeline:
     def test_read_csv_header_only(self, workdir):
         path = workdir / "empty.csv"
         path.write_text("# note: none\nt,x,x^2\n")
-        meta, header, values = cli._read_csv(str(path))
-        assert meta == {"note": "none"} and header == ["t", "x", "x^2"]
+        header, values = cli._read_csv(str(path))
+        assert header == ["t", "x", "x^2"]
         assert values.shape == (0, 3)
 
     @pytest.mark.parametrize("exact", ["t,x,y\n0,,0\n1,0,0\n", "t,x,y\n0,0,0\n1,0,\n"], ids=["nan-first", "nan-last"])
@@ -375,6 +386,45 @@ class TestPipeline:
         a.write_text("t,x,x_se\n0,0,0\n1,0,0\n")
         b.write_text("t,x,x_se\n0,0,0\n")
         assert run("compare", a, b, "-o", workdir / "r.csv") == EXIT_INPUT
+
+
+# sha256 of every file the pipeline in test_cli_outputs_are_byte_stable writes.
+PIPELINE_DIGESTS = {
+    "dubins.msys": "ee799860be9e39859526e4060908fd64bb66cd8f706a19820e56a25c67a9a31a",
+    "eq.txt": "fefe57e7bafb0161d3d020eb3a154e9ffff40c0fa7cb81b2307671dd78efe798",
+    "exact.csv": "f4ddfe99ee7e6f8b3dc5d101ecd5f436a890ab915239b4fa215b5361293ae945",
+    "exact_shifted.csv": "b30b482e859bd001b1d4ae13c2fed1bb8ebdfb586dd5ab2befc32387f4f89214",
+    "mc.csv": "b744feb22cf7eb36bf46fe76e48a086b5ec44263807d5a1a594e85294e658320",
+    "mc_shifted.csv": "1e8ffbd9c40e2300d64bd54413d7437b977927f332fe4d3707bd4516551fec06",
+    "lin.csv": "f143471a9e203a316426066fac2ac2d55f3508807793b1571a3d5a9598181414",
+    "lin_shifted.csv": "e32c0a99de2f6e019a12aa6e759911f5b8b76dfa84d67e10d37135de33b8e0ee",
+    "report.csv": "b9edea33721df3087ad022febf073619402622a28113dc1e55e6e7a17773f956",
+    "plot.csv": "ae384dacc04770779ebfb4810b6dc767d52be43b41389c70d5f85154afd5ff7b",
+    "plan.csv": "e8f65ef797f83edb05dd937818b49373e8d42679359ddb11bd1a87c107f13d07",
+    "tree.csv": "38edf3719a228b8f87852f1ed34ca46615cff9832a67268becd9cd61a59c2508",
+}
+
+
+def test_cli_outputs_are_byte_stable(workdir, monkeypatch):
+    """Every file the CLI writes, pinned byte for byte: metadata lines, header, cells and newlines."""
+    monkeypatch.chdir(workdir)  # relative paths: `propagate` echoes its compiled path into the metadata
+    rows = [f"{0.002 * (k % 7):.3f},{0.01 * (k % 5 - 2):.2f}" for k in range(50)]
+    Path("shifts.csv").write_text("wv,wt\n" + "\n".join(rows) + "\n")
+    common = ("--init", "init.csv", "-T", 50)
+    for shifts, suffix in ((), ""), (("--shifts", "shifts.csv"), "_shifted"):
+        if not suffix:
+            assert run("compile", "dubins.spec", "-o", "dubins.msys", "--listing", "eq.txt") == EXIT_OK
+        assert run("propagate", "dubins.msys", "--dist", "dubins.spec", *common, *shifts,
+                   "-o", f"exact{suffix}.csv") == EXIT_OK
+        assert run("mc", "dubins.spec", *common, "-N", 4000, "--seed", 3, *shifts,
+                   "-o", f"mc{suffix}.csv") == EXIT_OK
+        assert run("linearize", "dubins.spec", *common, *shifts, "-o", f"lin{suffix}.csv") == EXIT_OK
+    assert run("compare", "exact.csv", "mc.csv", "lin.csv", "-o", "report.csv",
+               "--plot-data", "plot.csv") == EXIT_OK
+    assert run("plan", "planner.spec", "--env", "env.txt", "--eps", 0.1, "--seed", 11,
+               "--iterations", 400, "-o", "plan.csv", "--tree", "tree.csv") == EXIT_OK
+    digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in PIPELINE_DIGESTS}
+    assert digests == PIPELINE_DIGESTS
 
 
 class TestPlan:
@@ -453,7 +503,7 @@ class TestPlan:
 
 
 class TestReadCsvFuzz:
-    """Any file ends in (metadata, header, values) or a ValueError, so commands exit 2."""
+    """Any file ends in (header, values) or a ValueError, so commands exit 2."""
 
     @pytest.fixture(scope="class")
     def path(self, tmp_path_factory):
@@ -463,10 +513,9 @@ class TestReadCsvFuzz:
     def _check(path, data: bytes):
         path.write_bytes(data)
         try:
-            metadata, header, values = cli._read_csv(str(path))
+            header, values = cli._read_csv(str(path))
         except ValueError:
             return
-        assert all(isinstance(k, str) and isinstance(v, str) for k, v in metadata.items())
         assert header and all(isinstance(name, str) for name in header)
         assert values.dtype == np.float64 and values.ndim == 2 and values.shape[1] == len(header)
 

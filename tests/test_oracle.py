@@ -202,6 +202,12 @@ class TestLinearize:
                 ) / (2 * h)
                 assert (np.eye(4) + lin.A)[i, j] == pytest.approx(fd, abs=1e-6)
 
+    def test_dt_must_be_positive_and_finite(self, dubins_spec):
+        x_star = {"x": 0, "y": 0, "v": 1, "theta": 0.2}
+        for dt in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                linearize(dubins_spec, x_star, dt=dt)
+
     def test_dt_scaling(self, dubins_spec):
         x_star = {"x": 0, "y": 0, "v": 1, "theta": 0.2}
         full = linearize(dubins_spec, x_star, dt=1.0)

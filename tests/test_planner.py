@@ -344,6 +344,25 @@ class TestEnvironment:
         with pytest.raises(ValueError, match="line 1: bounds need"):
             parse_environment(f"bounds {bounds}\nstart 0.5 0.5 0\ngoal 0.9 0.9 0.1\n")
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("bounds 0 0 3 3", "line 8: repeated 'bounds' line"),
+            ("start 0.3 0.4 0", "line 8: repeated 'start' line"),
+            ("goal 2 2 0.3", "line 8: repeated 'goal' line"),
+        ],
+        ids=["bounds", "start", "goal"],
+    )
+    def test_repeated_line_rejected(self, extra, message):
+        with pytest.raises(ValueError, match=message):
+            parse_environment(presets.PLANNER_ENV + extra + "\n")
+
+    @pytest.mark.parametrize("radius", ["0", "-1", "-0.0"])
+    def test_goal_radius_must_be_positive(self, radius):
+        """No node can reach a goal of radius <= 0, so `plan` would spend its whole budget."""
+        with pytest.raises(ValueError, match="line 3: goal radius must be positive"):
+            parse_environment(f"bounds 0 0 10 10\nstart 1 1 0\ngoal 5 5 {radius}\n")
+
     def test_far_apart_obstacle_vertices_rejected(self):
         with pytest.raises(ValueError, match="non-finite half-space"):
             parse_environment("bounds 0 0 1 1\nstart 0.5 0.5 0\ngoal 0.9 0.9 0.1\nobstacle 1e308 0  -1e308 0  0 1\n")
@@ -364,6 +383,7 @@ class TestEnvironment:
         values = [*env.bounds, *env.start, *env.goal]
         values += [v for obs in env.obstacles for (ax, ay), b in obs.halfspaces for v in (ax, ay, b)]
         assert all(math.isfinite(v) for v in values)
+        assert env.goal[2] > 0
 
     @given(st.text())
     @settings(max_examples=300, deadline=None)

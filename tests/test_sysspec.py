@@ -62,6 +62,13 @@ class TestParse:
         with pytest.raises(SpecError, match="line 3"):
             parse_spec("state x\ndisturbance w\ndyn x' = x + q\n")
 
+    def test_repeated_dist_line_rejected(self):
+        """A second 'dist' line for one disturbance is an error at its name, as a second 'dyn' line is."""
+        text = DUBINS + "dist wt = uniform(0, 1)\n"
+        with pytest.raises(SpecError, match="duplicate distribution for 'wt'") as err:
+            parse_spec(text)
+        assert (err.value.line, err.value.col) == (len(DUBINS.splitlines()) + 1, 6)
+
     def test_syntax_error_position(self):
         with pytest.raises(SpecError) as err:
             parse_spec("state x\ndisturbance w\ndyn x' = x + * w\n")
