@@ -232,26 +232,12 @@ def _cmd_compare(args) -> int:
     mc_header, mc_values = _read_csv(args.mc)
     if ex_header[0] != "t" or mc_header[0] != "t":
         raise ValueError("trajectory CSVs must start with a 't' column")
-    names = ex_header[1:]
+    # The MC table (see _mc_csv) holds each moment's mean and then its standard error, `<name>_se`.
     mc_cols = {name: j for j, name in enumerate(mc_header)}
-    missing = [n for n in names if n not in mc_cols or f"{n}_se" not in mc_cols]
-    kept = [n for n in names if n not in missing]
-    if not kept:
-        raise ValueError("no common moments between the exact and MC tables")
-    if ex_values.shape[0] != mc_values.shape[0]:
-        raise ValueError(
-            f"horizon mismatch: exact has {ex_values.shape[0]} rows, MC has {mc_values.shape[0]}"
-        )
-    exact_tbl = np.stack([ex_values[:, ex_header.index(n)] for n in kept], axis=1)
-    mc_means = np.stack([mc_values[:, mc_cols[n]] for n in kept], axis=1)
-    mc_ses = np.stack([mc_values[:, mc_cols[f"{n}_se"]] for n in kept], axis=1)
-    lin_map = None
-    if args.linearized:
-        lin_header, lin_values = _read_csv(args.linearized)
-        if lin_values.shape[0] != ex_values.shape[0]:
-            raise ValueError("horizon mismatch between exact and linearized tables")
-        lin_map = oracle.linear_series(_lin_prediction(lin_header, lin_values), kept)
-    report = oracle.compare_tables(kept, exact_tbl, mc_means, mc_ses, lin_map)
+    mc_names = [name for name in mc_header[1:] if name + "_se" in mc_cols]
+    mc_means, mc_ses = (mc_values[:, [mc_cols[name + suffix] for name in mc_names]] for suffix in ("", "_se"))
+    lin = _lin_prediction(*_read_csv(args.linearized)) if args.linearized else None
+    report = oracle.compare_columns(ex_header[1:], ex_values[:, 1:], mc_names, mc_means, mc_ses, lin)
     _write_atomic(args.output, report.to_csv(_metadata(args)))
     if args.plot_data:
         _write_atomic(args.plot_data, report.plot_data_csv())
@@ -374,7 +360,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (SpecError, FileNotFoundError, ValueError, KeyError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message; print the message itself.
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) and exc.args else exc}", file=sys.stderr)
         return EXIT_INPUT
     except (PropagationError, BasisExplosionError, ArithmeticError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

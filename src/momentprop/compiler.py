@@ -15,12 +15,13 @@ import contextlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .polyring import MultiIndex, Polynomial, monomial_name, pow_multiindex, signed_sum
-from .sysspec import MAX_DEGREE, DependenceGraph, PolynomialSystem, TrigPair, components_of_support
+from .sysspec import MAX_DEGREE, DependenceGraph, PolynomialSystem, SpecError, TrigPair
+from .sysspec import components_of_support, parse_monomial
 
 
 class BasisExplosionError(RuntimeError):
@@ -238,29 +239,32 @@ class MomentStateSystem:
     def pair_positions(self, a: str, b: str) -> tuple[int, int, int, int, int]:
         """Basis positions of E[a], E[b], E[a^2], E[a*b] and E[b^2]; cached per pair."""
         if (a, b) not in self._pair_positions:
-            try:
-                ua, ub = (MultiIndex.unit(len(self.state_vars), self.state_vars.index(v)) for v in (a, b))
-            except ValueError:
-                raise KeyError(f"state variables {(a, b)!r} not present in {self.state_vars}") from None
-            needed = (ua, ub, ua.plus(ua), ua.plus(ub), ub.plus(ub))
-            for mi in needed:
-                if mi not in self.basis:
-                    raise KeyError(f"basis lacks the moment E[{monomial_name(self.state_vars, mi)}]")
+            needed = second_moment_indices(self.state_vars, a, b, self.basis)
             self._pair_positions[a, b] = tuple(map(self.basis.index_of, needed))
         return self._pair_positions[a, b]
 
     def moment_names(self) -> tuple[str, ...]:
         return tuple(monomial_name(self.state_vars, mi) for mi in self.basis)
 
-    @cached_property
-    def _moment_positions(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.moment_names())}
-
     def moment_index(self, name: str) -> int:
+        """Basis position of a moment named as in a spec's `moments` line (``x*y``, ``y*x``, ``x^2``)."""
         try:
-            return self._moment_positions[name]
-        except KeyError:
+            return self.basis.index_of(parse_monomial(name, self.state_vars))
+        except (SpecError, KeyError):
             raise KeyError(f"moment {name!r} is not in the compiled basis") from None
+
+
+def second_moment_indices(state_vars: Sequence[str], a: str, b: str, moments: Container[MultiIndex]) -> tuple:
+    """E[a], E[b], E[a^2], E[a*b] and E[b^2] over `state_vars`, each checked to be in `moments`."""
+    try:
+        ua, ub = (MultiIndex.unit(len(state_vars), state_vars.index(v)) for v in (a, b))
+    except ValueError:
+        raise KeyError(f"state variables {(a, b)!r} not present in {tuple(state_vars)}") from None
+    needed = (ua, ub, ua.plus(ua), ua.plus(ub), ub.plus(ub))
+    for mi in needed:
+        if mi not in moments:
+            raise KeyError(f"basis lacks the moment E[{monomial_name(state_vars, mi)}]")
+    return needed
 
 
 def is_complete(

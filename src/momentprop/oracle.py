@@ -16,9 +16,10 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from . import distmoments, sysspec
+from .compiler import second_moment_indices
 from .distmoments import DisturbanceModel
 from .polyring import MultiIndex, monomial_name
-from .propagator import MomentTrajectory
+from .propagator import MomentTrajectory, central_second_moments, initial_values
 from .sysspec import PolynomialSystem, SystemSpec
 from .tables import csv_text
 
@@ -27,8 +28,8 @@ from .tables import csv_text
 class McEstimate:
     """Per-step Monte Carlo estimates of a set of state moments."""
 
-    names: tuple[str, ...]
-    moments: tuple[MultiIndex, ...]
+    state_vars: tuple[str, ...]
+    moments: tuple[MultiIndex, ...]  # over state_vars
     means: np.ndarray  # (n_steps + 1, n_moments)
     ses: np.ndarray  # standard errors: sample std / sqrt(N)
     n_samples: int
@@ -39,10 +40,15 @@ class McEstimate:
     def n_steps(self) -> int:
         return self.means.shape[0] - 1
 
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(monomial_name(self.state_vars, alpha) for alpha in self.moments)
+
     def column(self, name: str) -> int:
+        """Column of a moment named as in a spec's `moments` line (``x*y``, ``y*x``, ``x^2``)."""
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self.moments.index(sysspec.parse_monomial(name, self.state_vars))
+        except ValueError:  # a SpecError too
             raise KeyError(f"moment {name!r} was not estimated") from None
 
 
@@ -73,12 +79,14 @@ def rollouts(
     (variable -> samples) at t = 0..n_steps.  Each batch draws from its own
     child seed spawned from `seed`, sampling the disturbances in spec order
     at every step and adding the model's shift.  A negative step count or a
-    batch size below 1 raises ValueError at the call.
+    batch size below 1 raises ValueError at the call, and a state missing
+    from `x0` raises KeyError there.
     """
     if n_steps < 0:
         raise ValueError("step count must be nonnegative")
     if batch_size < 1:
         raise ValueError(f"batch size must be at least 1, got {batch_size}")
+    x0 = initial_values(spec.state_vars, x0)
     sizes = [batch_size] * (n_samples // batch_size)
     if n_samples % batch_size:
         sizes.append(n_samples % batch_size)
@@ -88,7 +96,7 @@ def rollouts(
 
 def _batch_states(spec, model, x0, n_steps, nb, seed_seq):
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    state = {name: np.full(nb, float(x0[name])) for name in spec.state_vars}
+    state = {name: np.full(nb, x0[name]) for name in spec.state_vars}
     yield state
     for t in range(n_steps):
         full = dict(state)
@@ -145,7 +153,7 @@ def mc_simulate(
 
     ses = np.sqrt(m2 / (count - 1) / count)
     return McEstimate(
-        names=tuple(monomial_name(system.vars, alpha) for alpha in wanted),
+        state_vars=system.vars,
         moments=wanted,
         means=mean,
         ses=ses,
@@ -246,7 +254,7 @@ def linearize(
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if w_star is None:
         w_star = {}
-    env: dict[str, float] = {name: float(x_star[name]) for name in spec.state_vars}
+    env = initial_values(spec.state_vars, x_star)
     for w in spec.disturbance_vars:
         env[w] = float(w_star.get(w, 0.0))
     n = len(spec.state_vars)
@@ -437,27 +445,31 @@ def compare_tables(
     return ComparisonReport(rows, max_z, flagged)
 
 
-def compare(
-    exact: MomentTrajectory,
-    mc: McEstimate,
-    lin: LinearPrediction | None = None,
-) -> ComparisonReport:
-    """Tabulate exact vs MC (z-scores) and, when given, the linearized baseline.
+def compare(exact: MomentTrajectory, mc: McEstimate, lin: LinearPrediction | None = None) -> ComparisonReport:
+    """Tabulate exact vs MC (z-scores) and, when given, the linearized baseline; see :func:`compare_columns`."""
+    return compare_columns(exact.system.moment_names(), exact.values, mc.names, mc.means, mc.ses, lin)
 
-    Linearized values are filled in only for moments of total degree <= 2
-    in variables the linear model tracks (angle-pair moments have no
-    linearized counterpart).
+
+def compare_columns(exact_names: Sequence[str], exact: np.ndarray, mc_names: Sequence[str], mc_means: np.ndarray,
+                    mc_ses: np.ndarray, lin: LinearPrediction | None = None) -> ComparisonReport:
+    """Compare the moments that both tables name, in the exact table's column order.
+
+    Tables have one row per step and one column per name.  Linearized values
+    are filled in only for moments of total degree <= 2 in variables the
+    linear model tracks (angle-pair moments have no linearized counterpart).
     """
-    if exact.n_steps != mc.n_steps or (lin is not None and lin.n_steps != mc.n_steps):
-        raise ValueError("trajectory, MC and linearized horizons must match")
-    basis_names = exact.system.moment_names()
-    kept = [(j, name) for j, name in enumerate(mc.names) if name in basis_names]
-    names = [name for _, name in kept]
-    exact_tbl = np.stack([exact.moment_series(name) for name in names], axis=1)
-    mc_means = np.stack([mc.means[:, j] for j, _ in kept], axis=1)
-    mc_ses = np.stack([mc.ses[:, j] for j, _ in kept], axis=1)
+    mc_column = {name: j for j, name in enumerate(mc_names)}
+    kept = [(i, mc_column[name]) for i, name in enumerate(exact_names) if name in mc_column]
+    if not kept:
+        raise ValueError("no common moments between the exact and MC tables")
+    horizons = [("MC", mc_means.shape[0])] + ([] if lin is None else [("linearized", lin.means.shape[0])])
+    for what, rows in horizons:
+        if rows != exact.shape[0]:
+            raise ValueError(f"horizon mismatch: exact has {exact.shape[0]} rows, {what} has {rows}")
+    ex_cols, mc_cols = (list(cols) for cols in zip(*kept))
+    names = [exact_names[i] for i in ex_cols]
     lin_map = None if lin is None else linear_series(lin, names)
-    return compare_tables(names, exact_tbl, mc_means, mc_ses, lin_map)
+    return compare_tables(names, exact[:, ex_cols], mc_means[:, mc_cols], mc_ses[:, mc_cols], lin_map)
 
 
 def linear_series(lin: LinearPrediction, names: Sequence[str]) -> dict[str, np.ndarray]:
@@ -486,20 +498,13 @@ def central_second_moment_stats(mc: McEstimate, names: tuple[str, str]) -> dict[
     fourth moments.  Returns {"var_a", "var_b", "cov_ab"} -> (estimate, se).
     """
     a, b = names
-    cols = {key: mc.column(key) for key in (a, b, f"{a}^2", f"{b}^2")}
-    cross = f"{a}*{b}" if f"{a}*{b}" in mc.names else f"{b}*{a}"
-    cols["ab"] = mc.column(cross)
-    bm = mc.batch_means  # (B, T+1, M)
-    out = {}
-    per_batch = {
-        "var_" + a: bm[:, :, cols[f"{a}^2"]] - bm[:, :, cols[a]] ** 2,
-        "var_" + b: bm[:, :, cols[f"{b}^2"]] - bm[:, :, cols[b]] ** 2,
-        "cov_" + a + b: bm[:, :, cols["ab"]] - bm[:, :, cols[a]] * bm[:, :, cols[b]],
-    }
-    n_batches = bm.shape[0]
+    positions = [mc.moments.index(mi) for mi in second_moment_indices(mc.state_vars, a, b, mc.moments)]
+    n_batches = mc.batch_means.shape[0]
     if n_batches < 2:
         raise ValueError("need at least two batches for central-moment standard errors")
-    for key, series in per_batch.items():
+    _, _, *per_batch = central_second_moments(mc.batch_means, positions)  # each (B, T+1)
+    out = {}
+    for key, series in zip(("var_" + a, "var_" + b, "cov_" + a + b), per_batch):
         est = np.mean(series, axis=0)
         se = np.std(series, axis=0, ddof=1) / np.sqrt(n_batches)
         out[key] = (est, se)

@@ -22,7 +22,8 @@ from . import sysspec
 from .compiler import MomentStateSystem
 from .distmoments import DisturbanceModel, Distribution
 from .oracle import rollouts
-from .propagator import MomentState, MomentTrajectory, PropagationError, init_deterministic, mean_cov, propagate
+from .propagator import MomentState, MomentTrajectory, PropagationError, central_second_moments, init_deterministic
+from .propagator import mean_cov, propagate
 from .sysspec import SystemSpec, TrigPair
 from .tables import csv_text
 
@@ -186,11 +187,8 @@ def trajectory_risk(traj: MomentTrajectory, env: Environment) -> float:
     """
     if not env.obstacles:
         return 0.0
-    # Position means and covariances of steps 1..T by mean_cov's formulas, then bounds as (faces, steps) arrays.
-    ia, ib, iaa, iab, ibb = traj.system.pair_positions(*POSITION)
-    vals = traj.values[1:]
-    mu0, mu1 = vals[:, ia], vals[:, ib]
-    s00, s01, s11 = vals[:, iaa] - mu0**2, vals[:, iab] - mu0 * mu1, vals[:, ibb] - mu1**2
+    # Position means and covariances of steps 1..T, then bounds as (faces, steps) arrays.
+    mu0, mu1, s00, s11, s01 = central_second_moments(traj.values[1:], traj.system.pair_positions(*POSITION))
     (ax, ay, b, axx, axy2, ayy), starts = env._faces
     mean = ax * mu0 + ay * mu1 + b
     var = np.maximum(axx * s00 + axy2 * s01 + ayy * s11, 0.0)
@@ -495,6 +493,7 @@ def build_rrt(
     if iterations < 0:
         raise ValueError(f"iteration count must be nonnegative, got {iterations}")
     heading = _heading(msys.state_vars, msys.state_pairs)
+    i_cos, i_sin = msys.moment_index(heading.cos_var), msys.moment_index(heading.sin_var)
     steered_disturbance(msys)  # stochastic_steer resolves it per edge; fail before the first
     cfg = config or PlannerConfig()
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -541,9 +540,7 @@ def build_rrt(
             continue
         means, covs = mean_cov(traj, POSITION)
         # Mean heading at arrival, recovered as atan2(E[sin], E[cos]).
-        mean_heading = math.atan2(
-            traj.moment_series(heading.sin_var)[-1], traj.moment_series(heading.cos_var)[-1]
-        )
+        mean_heading = math.atan2(traj.values[-1, i_sin], traj.values[-1, i_cos])
         node = TreeNode(
             pose=(float(means[-1, 0]), float(means[-1, 1]), mean_heading),
             moment_state=traj.state(traj.n_steps),

@@ -11,6 +11,7 @@ import numpy as np
 from . import _kernels
 from .compiler import MomentStateSystem
 from .distmoments import DisturbanceModel
+from .polyring import monomial_name
 from .tables import csv_text
 
 _TRIG_CONSISTENCY_TOL = 1e-9
@@ -75,12 +76,7 @@ def init_deterministic(msys: MomentStateSystem, x0: Mapping[str, float]) -> Mome
                 )
             values_by_var[pair.cos_var] = c
             values_by_var[pair.sin_var] = s
-    for name in msys.state_vars:
-        if name not in values_by_var:
-            if name not in x0:
-                raise KeyError(f"initial state value missing for {name!r}")
-            values_by_var[name] = float(x0[name])
-
+    values_by_var.update(initial_values([name for name in msys.state_vars if name not in values_by_var], x0))
     point = [values_by_var[name] for name in msys.state_vars]
     values = np.empty(len(msys.basis))
     for i, alpha in enumerate(msys.basis):
@@ -90,6 +86,14 @@ def init_deterministic(msys: MomentStateSystem, x0: Mapping[str, float]) -> Mome
                 v *= x**e
         values[i] = v
     return MomentState(values, 0)
+
+
+def initial_values(names: Sequence[str], x0: Mapping[str, float]) -> dict[str, float]:
+    """The values of `names` in `x0` as floats; KeyError names the first one missing."""
+    for name in names:
+        if name not in x0:
+            raise KeyError(f"initial state value missing for {name!r}")
+    return {name: float(x0[name]) for name in names}
 
 
 def propagate(
@@ -114,10 +118,8 @@ def propagate(
         out,
     )
     if bad_t >= 0:
-        name = msys.moment_names()[bad_j]
-        raise PropagationError(
-            f"moment E[{name}] became non-finite at step {init.time + int(bad_t)}"
-        )
+        name = monomial_name(msys.state_vars, msys.basis[bad_j])
+        raise PropagationError(f"moment E[{name}] became non-finite at step {init.time + int(bad_t)}")
     return MomentTrajectory(msys, out, t0=init.time)
 
 
@@ -126,25 +128,25 @@ def step(msys: MomentStateSystem, state: MomentState, model: DisturbanceModel) -
     return propagate(msys, state, model, 1).state(1)
 
 
+def central_second_moments(values: np.ndarray, positions: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Means, variances and covariance of a and b from their raw moments.
+
+    `positions` index E[a], E[b], E[a^2], E[a*b] and E[b^2] along the last
+    axis of `values`; returns the columns (mean_a, mean_b, var_a, var_b, cov_ab).
+    """
+    ea, eb, eaa, eab, ebb = (values[..., i] for i in positions)
+    return ea, eb, eaa - ea**2, ebb - eb**2, eab - ea * eb
+
+
 def mean_cov(traj: MomentTrajectory, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Per-step mean vectors and 2x2 covariances of two state variables.
 
     Requires the basis to track both first moments, both second moments and
     the cross moment.  Covariances are symmetric by construction.
     """
-    a, b = names
-    ia, ib, iaa, iab, ibb = traj.system.pair_positions(a, b)
-    vals = traj.values
-    mean = np.stack([vals[:, ia], vals[:, ib]], axis=1)
-    var_a = vals[:, iaa] - mean[:, 0] ** 2
-    var_b = vals[:, ibb] - mean[:, 1] ** 2
-    cov_ab = vals[:, iab] - mean[:, 0] * mean[:, 1]
-    cov = np.empty((vals.shape[0], 2, 2))
-    cov[:, 0, 0] = var_a
-    cov[:, 1, 1] = var_b
-    cov[:, 0, 1] = cov_ab
-    cov[:, 1, 0] = cov_ab
-    return mean, cov
+    mean_a, mean_b, var_a, var_b, cov_ab = central_second_moments(traj.values, traj.system.pair_positions(*names))
+    cov = np.stack([var_a, cov_ab, cov_ab, var_b], axis=1).reshape(-1, 2, 2)
+    return np.stack([mean_a, mean_b], axis=1), cov
 
 
 def trajectory_to_csv(traj: MomentTrajectory, metadata: Mapping[str, str] | None = None) -> str:

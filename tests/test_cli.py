@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentprop import cli, compiler, distmoments, oracle, presets, propagator
+from momentprop import cli, compiler, distmoments, oracle, presets, propagator, sysspec
 from momentprop.cli import EXIT_INPUT, EXIT_NO_PLAN, EXIT_OK
+from momentprop.polyring import MultiIndex
 from test_planner import NOT_A_VEHICLE
 
 
@@ -379,6 +380,46 @@ class TestPipeline:
         assert capsys.readouterr().err == "max |z| exact vs MC: inf; flagged rows: 2\n"
         header = workdir.joinpath("r.csv").read_text()
         assert "# max |z| exact vs MC: inf\n# flagged rows (|z| > 5 or NaN): 2\n" in header
+
+    @pytest.mark.parametrize("case", ["no-common-moment", "horizon-mismatch"])
+    def test_compare_errors_match_library(self, workdir, capsys, case):
+        """`compare` and oracle.compare align the same tables and fail with the same message."""
+        system = sysspec.trig_encode(sysspec.parse_spec("state x\ndisturbance w\ndyn x' = x + w\nmoments x x^2\n"))
+        msys = compiler.compile_moment_system(system, system.target_moments)
+        traj = propagator.MomentTrajectory(msys, np.zeros((3, len(msys.basis))))
+        moments = (MultiIndex((3,)),) if case == "no-common-moment" else tuple(msys.basis)
+        rows = np.ones((3 if case == "no-common-moment" else 4, len(moments)))
+        mc = oracle.McEstimate(msys.state_vars, moments, rows, rows, 100, 0, np.stack([rows, rows]))
+        (workdir / "exact.csv").write_text(propagator.trajectory_to_csv(traj))
+        (workdir / "mc.csv").write_text(cli._mc_csv(mc, {}))
+        with pytest.raises(ValueError, match="no common moments|horizon mismatch") as library:
+            oracle.compare(traj, mc)
+        capsys.readouterr()
+        assert run("compare", workdir / "exact.csv", workdir / "mc.csv", "-o", workdir / "r.csv") == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {library.value}\n"
+
+    @pytest.mark.parametrize("command", ["propagate", "mc", "linearize"])
+    @pytest.mark.parametrize(
+        "init, missing",
+        [("x,y,theta\n0,0,0\n", "v"), ("x,y,v,c_theta,s_theta\n0,0,1,1,0\n", "theta")],
+        ids=["no-speed", "angle-as-pair"],
+    )
+    def test_missing_initial_value_named(self, workdir, capsys, command, init, missing):
+        """Every command names a missing initial value alike; only `propagate` takes an angle's cos/sin pair."""
+        (workdir / "init.csv").write_text(init)
+        run("compile", workdir / "dubins.spec", "-o", workdir / "dubins.msys", "--listing", workdir / "eq.txt")
+        capsys.readouterr()
+        common = ("--init", workdir / "init.csv", "-T", 3, "-o", workdir / "out.csv")
+        argv = {
+            "propagate": ("propagate", workdir / "dubins.msys", "--dist", workdir / "dubins.spec", *common),
+            "mc": ("mc", workdir / "dubins.spec", "-N", 100, *common),
+            "linearize": ("linearize", workdir / "dubins.spec", *common),
+        }[command]
+        if command == "propagate" and missing == "theta":
+            assert run(*argv) == EXIT_OK
+        else:
+            assert run(*argv) == EXIT_INPUT
+            assert capsys.readouterr().err == f"error: initial state value missing for '{missing}'\n"
 
     def test_compare_horizon_mismatch_exit_2(self, workdir):
         a = workdir / "a.csv"

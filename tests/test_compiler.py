@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from momentprop import compiler, presets
+from momentprop import compiler, oracle, presets
 from momentprop.compiler import (
     BasisExplosionError,
     MomentBasis,
@@ -18,7 +18,7 @@ from momentprop.compiler import (
     moment_update_form,
     reduce_form,
 )
-from momentprop.polyring import MultiIndex, Polynomial, pow_multiindex
+from momentprop.polyring import MultiIndex, Polynomial, monomial_name, pow_multiindex
 from momentprop.propagator import MomentTrajectory, mean_cov
 from momentprop.sysspec import DependenceGraph, PolynomialSystem, parse_spec, trig_encode
 
@@ -464,6 +464,49 @@ def test_msys_text_matches_golden(case, reduced):
         msys = compile_moment_system(system, system.target_moments, reduced=reduced)
     digest = hashlib.sha256(compiler.dumps(msys).encode()).hexdigest()
     assert digest == GOLDEN_MSYS_SHA256[case, reduced]
+
+
+@functools.lru_cache(maxsize=None)
+def compiled_ladder(k: int):
+    system = trig_encode(parse_spec(ladder_spec_text(k, 1.013, 0.947)))
+    return compile_moment_system(system, system.target_moments)
+
+
+def name_lookups(msys):
+    """moment_index, moment_series and McEstimate.column, each mapping a name to a basis position."""
+    values = np.arange(2.0 * len(msys.basis)).reshape(2, -1)  # row 0 holds the positions
+    traj = MomentTrajectory(msys, values)
+    mc = oracle.McEstimate(msys.state_vars, tuple(msys.basis), values, values, 2, 0, values[None])
+
+    def series_position(name):
+        return int(traj.moment_series(name)[0])
+
+    return msys.moment_index, series_position, mc.column
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_spelling_of_a_basis_moment_finds_it(data):
+    """A moment's rendered name and any reordering or split of its powers resolve to its basis position."""
+    msys = compiled_ladder(data.draw(st.integers(2, 5), label="k"))
+    i = data.draw(st.integers(0, len(msys.basis) - 1), label="position")
+    factors = []
+    for var, e in zip(msys.state_vars, msys.basis[i]):
+        while e:  # split x^e into powers that add up to e: x^3 as x*x^2, x*x*x, ...
+            part = data.draw(st.integers(1, e))
+            factors.append(var if part == 1 else f"{var}^{part}")
+            e -= part
+    spelling = "*".join(data.draw(st.permutations(factors), label="factors"))
+    for lookup in name_lookups(msys):
+        assert lookup(monomial_name(msys.state_vars, msys.basis[i])) == i
+        assert lookup(spelling) == i
+
+
+@pytest.mark.parametrize("name", ["q", "x^7", "x+y", "2*x", "x^", "1", ""])
+def test_names_outside_the_basis_raise_key_error(dubins_reduced, name):
+    for lookup in name_lookups(dubins_reduced):
+        with pytest.raises(KeyError, match="not in the compiled basis|was not estimated"):
+            lookup(name)
 
 
 class TestRenderEquations:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from momentprop import oracle, propagator
+from momentprop.compiler import compile_moment_system
 from momentprop.distmoments import (
     Beta,
     Degenerate,
@@ -375,3 +376,19 @@ class TestCentralStats:
         assert abs(var_y[3] - 1.0) <= 6 * se_y[3]
         cov, se_c = stats["cov_xy"]
         assert abs(cov[3]) <= 6 * se_c[3]
+
+    def test_swapped_pair_gives_swapped_keys_bit_for_bit(self):
+        """The cross moment E[x*y] is found by its multi-index whichever variable comes first."""
+        spec = parse_spec("state x y\ndisturbance w u\ndyn x' = x + w + u\ndyn y' = y + u*x\n")
+        system = trig_encode(spec)
+        seed = [MultiIndex((1, 0)), MultiIndex((0, 1)), MultiIndex((1, 1)), MultiIndex((2, 0)), MultiIndex((0, 2))]
+        msys = compile_moment_system(system, seed)
+        model = DisturbanceModel(msys, {"w": Gaussian(0, 1), "u": Uniform(-1, 1)})
+        mc = mc_simulate(spec, system, model, {"x": 0.5, "y": -1}, 3, 4000, seed=4,
+                         moments=tuple(msys.basis), batch_size=500)
+        xy = central_second_moment_stats(mc, ("x", "y"))
+        yx = central_second_moment_stats(mc, ("y", "x"))
+        assert set(xy) == {"var_x", "var_y", "cov_xy"} and set(yx) == {"var_y", "var_x", "cov_yx"}
+        for key_xy, key_yx in (("var_x", "var_x"), ("var_y", "var_y"), ("cov_xy", "cov_yx")):
+            for got, want in zip(yx[key_yx], xy[key_xy]):
+                assert got.tobytes() == want.tobytes()
