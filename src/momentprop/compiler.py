@@ -12,14 +12,16 @@ its own update forms.  Coefficients stay exact rationals throughout.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from operator import itemgetter
 from typing import Callable, Container, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .polyring import MultiIndex, Polynomial, monomial_name, pow_multiindex, signed_sum
+from .polyring import MultiIndex, Polynomial, degree_vector, monomial_name, pow_multiindex, signed_sum
 from .sysspec import MAX_DEGREE, DependenceGraph, PolynomialSystem, SpecError, TrigPair
 from .sysspec import components_of_support, parse_monomial
 
@@ -69,42 +71,77 @@ def _sorted_form(target: MultiIndex, terms: list[MufTerm], reduced: bool) -> Mom
     return MomentUpdateForm(target, tuple(terms), reduced)
 
 
-def _expansion_terms(expansion: Polynomial, n: int) -> list[MufTerm]:
-    """Un-reduced terms of f^alpha over the joint ambient: n state variables first."""
-    terms = []
-    for mi, coeff in expansion.terms.items():
-        beta_x, beta_w = mi.split(n)
-        terms.append(MufTerm(coeff, beta_w, () if beta_x.is_zero() else (beta_x,)))
-    return terms
-
-
 def moment_update_form(system: PolynomialSystem, alpha: MultiIndex) -> MomentUpdateForm:
     """Un-reduced moment update form of E[x_{t+1}^alpha]."""
     if len(alpha) != len(system.vars):
         raise ValueError("target multi-index length does not match state variable count")
-    terms = _expansion_terms(pow_multiindex(system.f, alpha), len(system.vars))
+    terms = []
+    for mi, coeff in pow_multiindex(system.f, alpha).terms.items():
+        beta_x, beta_w = mi.split(len(alpha))
+        terms.append(MufTerm(coeff, beta_w, () if beta_x.is_zero() else (beta_x,)))
     return _sorted_form(alpha, terms, reduced=False)
 
 
-def _power_builder(f: Sequence[Polynomial]) -> Callable[[MultiIndex], Polynomial]:
-    """Map alpha to f^alpha, equal to ``pow_multiindex(f, alpha)``, memoising every power built.
+class _Packing(NamedTuple):
+    """Monomials over `n` variables as one int: `width` bits per exponent, the first variable highest.
 
+    While every exponent is below 2**width, the ints order monomials
+    lexicographically, a monomial product is one integer add, and `key`
+    orders monomials as `MultiIndex.grlex_key` does.
+    """
+
+    n: int
+    width: int
+
+    def pack(self, mi: Sequence[int]) -> int:
+        packed = 0
+        for e in mi:
+            packed = (packed << self.width) | e
+        return packed
+
+    def unpack(self, packed: int) -> MultiIndex:
+        ones = (1 << self.width) - 1
+        return MultiIndex((packed >> (self.width * (self.n - 1 - i))) & ones for i in range(self.n))
+
+    def key(self, mi: MultiIndex) -> int:
+        """Grlex sort key: the total degree above all fields, then the complement of the packed int."""
+        fields = self.width * self.n
+        return (sum(mi) << fields) | ((1 << fields) - 1 - self.pack(mi))
+
+
+def _field_width(f: Sequence[Polynomial], max_degree: int) -> int:
+    """Bits per exponent that hold every exponent of any f^alpha with |alpha| <= max_degree."""
+    return (max_degree * max([1, *degree_vector(f)])).bit_length()
+
+
+def _packed_power_builder(f: Sequence[Polynomial], joint: _Packing) -> Callable[[int], tuple[dict[int, int], int]]:
+    """Map packed alpha to f^alpha as packed-monomial numerators over one denominator, memoising every power.
+
+    alpha is packed over the len(f) state variables at `joint`'s width.
     f^alpha is the cached f^(alpha - e_i) times f_i, with i the last nonzero
     entry of alpha; the chain down to a cached power is walked iteratively.
-    Exact arithmetic makes the order of the products irrelevant.
     """
-    powers = {MultiIndex.zero(len(f)): Polynomial.constant(f[0].vars, 1)}
+    factors = []
+    for p in f:
+        den = math.lcm(*(c.denominator for c in p.terms.values()))
+        factors.append(({joint.pack(mi): c.numerator * (den // c.denominator) for mi, c in p.terms.items()}, den))
+    powers: dict[int, tuple[dict[int, int], int]] = {0: ({0: 1}, 1)}
 
-    def power(alpha: MultiIndex) -> Polynomial:
+    def power(alpha: int) -> tuple[dict[int, int], int]:
         chain = []
         while alpha not in powers:
-            i = alpha.support()[-1]
-            chain.append((alpha, i))
-            alpha = MultiIndex((*alpha[:i], alpha[i] - 1, *alpha[i + 1 :]))
-        result = powers[alpha]
-        for mi, i in reversed(chain):
-            result = powers[mi] = result * f[i]
-        return result
+            lowest = ((alpha & -alpha).bit_length() - 1) // joint.width
+            chain.append((alpha, len(f) - 1 - lowest))
+            alpha -= 1 << (joint.width * lowest)
+        terms, den = powers[alpha]
+        for packed, i in reversed(chain):
+            out: dict[int, int] = {}
+            f_terms, f_den = factors[i]
+            for ka, ca in terms.items():
+                for kb, cb in f_terms.items():
+                    out[ka + kb] = out.get(ka + kb, 0) + ca * cb
+            terms, den = powers[packed] = {k: c for k, c in out.items() if c}, den * f_den
+        return terms, den
 
     return power
 
@@ -137,21 +174,13 @@ def reduce_form(form: MomentUpdateForm, graph: DependenceGraph) -> MomentUpdateF
     """
     if form.reduced:
         raise ValueError("form is already reduced")
-    return _reduce(form.target, form.terms, _block_splitter(graph))
-
-
-def _reduce(
-    target: MultiIndex,
-    terms: Iterable[MufTerm],
-    blocks: Callable[[MultiIndex], tuple[MultiIndex, ...]],
-) -> MomentUpdateForm:
+    blocks = _block_splitter(graph)
     merged: dict[tuple[MultiIndex, tuple[MultiIndex, ...]], Fraction] = {}
-    for term in terms:
+    for term in form.terms:
         key = (term.dist_index, blocks(term.state_factors[0]) if term.state_factors else ())
-        prev = merged.get(key)
-        merged[key] = term.coeff if prev is None else prev + term.coeff
+        merged[key] = merged.get(key, 0) + term.coeff
     out = [MufTerm(c, beta_w, factors) for (beta_w, factors), c in merged.items() if c]
-    return _sorted_form(target, out, reduced=True)
+    return _sorted_form(form.target, out, reduced=True)
 
 
 class MomentBasis:
@@ -296,6 +325,9 @@ def complete_basis(
     basis-size guards turn runaway expansions (dynamics of degree > 1
     generically never close) into a diagnosable error.
     """
+    for name, guard in (("max_degree", max_degree), ("max_basis", max_basis)):
+        if not isinstance(guard, int) or isinstance(guard, bool) or guard < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {guard!r}")
     seed_list = [mi if isinstance(mi, MultiIndex) else MultiIndex(mi) for mi in seed]
     if not seed_list:
         raise ValueError("seed moment basis must be nonempty")
@@ -304,57 +336,78 @@ def complete_basis(
             raise ValueError("seed multi-index length does not match state variable count")
         if mi.is_zero():
             raise ValueError("the trivial moment E[x^0] cannot seed a basis")
+        if mi.total_degree() > max_degree:  # checked before packing: its exponents may not fit a field
+            name = monomial_name(system.vars, mi)
+            raise BasisExplosionError(f"moment degree guard ({max_degree}) exceeded at {name}", [name])
 
-    def render(mi: MultiIndex) -> str:
-        return monomial_name(system.vars, mi)
-
-    def chain_of(mi: MultiIndex) -> list[str]:
-        chain = [render(mi)]
-        while mi in parent:
-            mi = parent[mi]
-            chain.append(render(mi))
-        return chain[::-1]
-
-    # Both caches live for this call only, so memory does not grow across compiles.
-    n = len(system.vars)
-    power = _power_builder(system.f)
+    # Below, a state moment is named by its grlex key and a monomial over the
+    # joint ambient (state vars, then dist vars) by its packed int.  The field
+    # width holds every exponent the degree guard lets through.
+    n, m = len(system.vars), len(system.dist_vars)
+    width = _field_width(system.f, max_degree)
+    state, dist = _Packing(n, width), _Packing(m, width)
+    state_ones = (1 << width * n) - 1
+    dist_bits = width * m
+    dist_ones = (1 << dist_bits) - 1
+    # The caches live for this call only, so memory does not grow across compiles.
+    power = _packed_power_builder(system.f, _Packing(n + m, width))
     blocks = _block_splitter(system.graph)
+    moments: dict[int, MultiIndex] = {}
 
-    order: list[MultiIndex] = []
-    forms: dict[MultiIndex, MomentUpdateForm] = {}
-    parent: dict[MultiIndex, MultiIndex] = {}
-    stack = list(reversed(seed_list))
+    @cache
+    def dist_part(beta_w: int) -> tuple[int, MultiIndex]:
+        mi = dist.unpack(beta_w)
+        return dist.key(mi), mi
+
+    @cache
+    def state_part(beta_x: int) -> tuple[tuple[int, ...], tuple[MultiIndex, ...]]:
+        if not beta_x:
+            return (), ()
+        factors = blocks(state.unpack(beta_x)) if reduced else (state.unpack(beta_x),)
+        keys = tuple(map(state.key, factors))
+        return keys, tuple(moments.setdefault(k, b) for k, b in zip(keys, factors))
+
+    def render(key: int) -> str:
+        return monomial_name(system.vars, moments[key])
+
+    def explode(guard: str, key: int) -> BasisExplosionError:
+        chain = [render(key)]
+        while key in parent:
+            key = parent[key]
+            chain.append(render(key))
+        return BasisExplosionError(f"moment {guard} exceeded at {chain[0]}", chain[::-1])
+
+    order: list[int] = []
+    forms: dict[int, MomentUpdateForm] = {}
+    parent: dict[int, int] = {}
+    moments.update((state.key(mi), mi) for mi in seed_list)
+    stack = [state.key(mi) for mi in reversed(seed_list)]
     while stack:
-        alpha = stack.pop()
-        if alpha in forms:
+        key = stack.pop()
+        if key in forms:
             continue
-        if alpha.total_degree() > max_degree:
-            raise BasisExplosionError(
-                f"moment degree guard ({max_degree}) exceeded at {render(alpha)}", chain_of(alpha)
-            )
+        if key >> (width * n) > max_degree:
+            raise explode(f"degree guard ({max_degree})", key)
         if len(order) >= max_basis:
-            raise BasisExplosionError(
-                f"moment basis size guard ({max_basis}) exceeded at {render(alpha)}", chain_of(alpha)
-            )
-        terms = _expansion_terms(power(alpha), n)
-        form = _reduce(alpha, terms, blocks) if reduced else _sorted_form(alpha, terms, reduced=False)
-        order.append(alpha)
-        forms[alpha] = form
-        children = sorted(
-            {
-                factor
-                for term in form.terms
-                for factor in term.state_factors
-                if factor not in forms
-            },
-            key=MultiIndex.grlex_key,
-        )
+            raise explode(f"basis size guard ({max_basis})", key)
+        terms, den = power(state_ones - (key & state_ones))
+        keyed = []
+        children = set()
+        for packed, num in terms.items():
+            dist_key, beta_w = dist_part(packed & dist_ones)
+            factor_keys, factors = state_part(packed >> dist_bits)
+            keyed.append(((dist_key, factor_keys), MufTerm(Fraction(num, den), beta_w, factors)))
+            children.update(factor_keys)
+        keyed.sort(key=itemgetter(0))
+        order.append(key)
+        forms[key] = MomentUpdateForm(moments[key], tuple(term for _, term in keyed), reduced)
+        children = sorted(children.difference(forms))
         for child in children:
-            parent.setdefault(child, alpha)
+            parent.setdefault(child, key)
         stack.extend(reversed(children))
 
-    basis = MomentBasis(order)
-    form_tuple = tuple(forms[mi] for mi in order)
+    basis = MomentBasis(moments[key] for key in order)
+    form_tuple = tuple(forms[key] for key in order)
     if not is_complete(basis, form_tuple, reduced):
         raise AssertionError("completion search produced an incomplete basis")
     return basis, form_tuple

@@ -729,6 +729,10 @@ class PolynomialSystem:
     def __post_init__(self):
         if len(self.f) != len(self.vars):
             raise ValueError("component count of f must equal the state variable count")
+        joint = self.vars + self.dist_vars
+        for name, p in zip(self.vars, self.f):
+            if p.vars != joint:
+                raise ValueError(f"the update of {name} is over {p.vars}, not the joint ambient {joint}")
 
 
 def _fresh_name(base: str, taken: set[str]) -> str:

@@ -20,7 +20,7 @@ from momentprop.compiler import (
 )
 from momentprop.polyring import MultiIndex, Polynomial, monomial_name, pow_multiindex
 from momentprop.propagator import MomentTrajectory, mean_cov
-from momentprop.sysspec import DependenceGraph, PolynomialSystem, parse_spec, trig_encode
+from momentprop.sysspec import MAX_DEGREE, DependenceGraph, PolynomialSystem, parse_spec, trig_encode
 
 from randsys import random_system, random_target
 
@@ -32,6 +32,19 @@ def scalar_walk_system():
     return PolynomialSystem(
         vars=("x",), dist_vars=("w",), f=(x + w,), graph=DependenceGraph.complete(("x",))
     )
+
+
+def packed_power(f, max_degree=MAX_DEGREE):
+    """The completion's packed f^alpha at the field width of `max_degree`, from a MultiIndex to a Polynomial."""
+    width = compiler._field_width(f, max_degree)
+    state, joint = compiler._Packing(len(f), width), compiler._Packing(len(f[0].vars), width)
+    power = compiler._packed_power_builder(f, joint)
+
+    def as_polynomial(alpha):
+        terms, den = power(state.pack(alpha))
+        return Polynomial(f[0].vars, {joint.unpack(k): Fraction(c, den) for k, c in terms.items()})
+
+    return as_polynomial
 
 
 def term_map(form):
@@ -172,10 +185,35 @@ class TestCompletion:
         rng = np.random.default_rng(11)
         for _ in range(20):
             system = random_system(rng)
-            power = compiler._power_builder(system.f)
+            power = packed_power(system.f)
             alphas = [random_target(rng, len(system.vars)) for _ in range(8)]
             for alpha in [*alphas, *reversed(alphas), MultiIndex.zero(len(system.vars))]:
                 assert power(alpha) == pow_multiindex(system.f, alpha)
+
+    def test_packed_power_at_the_degree_guard(self, dubins_system):
+        """|alpha| = MAX_DEGREE on degree-2 updates: f^alpha reaches degree 64 and no exponent overflows its field."""
+        n = len(dubins_system.vars)
+        half = MAX_DEGREE // 2
+        alphas = [
+            MultiIndex.unit(n, 0, MAX_DEGREE),  # x' = x + v*c
+            MultiIndex.unit(n, 0, half).plus(MultiIndex.unit(n, 1, half)),
+            MultiIndex.unit(n, 3, MAX_DEGREE),  # c' = c*cw - s*sw
+        ]
+        power = packed_power(dubins_system.f)
+        for alpha in alphas:
+            expected = pow_multiindex(dubins_system.f, alpha)
+            assert expected.degree() == 2 * MAX_DEGREE
+            assert power(alpha) == expected
+
+    def test_completion_above_max_degree_equals_uncached_forms(self, dubins_system):
+        degree = MAX_DEGREE + 8
+        cases = [(scalar_walk_system(), [MultiIndex((degree,))]), (dubins_system, dubins_system.target_moments)]
+        for system, seed in cases:
+            for reduced in (True, False):
+                basis, forms = compiler.complete_basis(system, seed, reduced, max_degree=degree)
+                for alpha, form in zip(basis, forms):
+                    expected = moment_update_form(system, alpha)
+                    assert form == (reduce_form(expected, system.graph) if reduced else expected)
 
     def test_cached_completion_equals_uncached_forms(self, dubins_system):
         """Each form of a completion equals the public, cache-free moment_update_form/reduce_form."""
@@ -231,6 +269,34 @@ class TestCompletion:
     def test_zero_seed_rejected(self):
         with pytest.raises(ValueError):
             compile_moment_system(scalar_walk_system(), [MultiIndex((0,))])
+
+    def test_seed_above_the_degree_guard_raises(self):
+        # x^40 does not fit the 5-bit fields that max_degree=16 gives, so it is refused before packing.
+        with pytest.raises(BasisExplosionError, match=r"guard \(16\) exceeded at x\^40"):
+            compile_moment_system(scalar_walk_system(), [MultiIndex((1,)), MultiIndex((40,))], max_degree=16)
+
+    @pytest.mark.parametrize("guard", ["max_degree", "max_basis"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, False, 0, -1, "4", None])
+    def test_guard_arguments_must_be_positive_ints(self, guard, value):
+        for compile_ in (compiler.complete_basis, compile_moment_system):
+            with pytest.raises(ValueError, match=f"{guard} must be an integer >= 1"):
+                compile_(scalar_walk_system(), [MultiIndex((2,))], **{guard: value})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_key_orders_as_grlex(data):
+    """Packing round-trips, and the packed key orders multi-indices as grlex_key does, up to the field maximum."""
+    n, width = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+    top = (1 << width) - 1
+    exponent = st.one_of(st.just(top), st.integers(0, top))
+    indices = data.draw(st.lists(st.lists(exponent, min_size=n, max_size=n).map(MultiIndex), min_size=2, max_size=12))
+    packing = compiler._Packing(n, width)
+    for a in indices:
+        assert packing.unpack(packing.pack(a)) == a
+        for b in indices:
+            assert (packing.key(a) < packing.key(b)) == (a.grlex_key() < b.grlex_key())
+            assert (packing.key(a) == packing.key(b)) == (a == b)
 
 
 class TestLtv:

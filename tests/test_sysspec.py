@@ -14,6 +14,7 @@ from momentprop.polyring import MultiIndex, Polynomial
 from momentprop.sysspec import (
     MAX_DEGREE,
     DependenceGraph,
+    PolynomialSystem,
     SpecError,
     components_of_support,
     evaluate,
@@ -349,6 +350,25 @@ class TestDependenceGraph:
             MultiIndex((1, 0, 0)),
             MultiIndex((0, 1, 0)),
         ]
+
+
+class TestPolynomialSystemAmbient:
+    """Each update must be written over the joint ambient: state vars, then dist vars."""
+
+    def system(self, ambient):
+        x = Polynomial.variable(ambient, "x")
+        w = Polynomial.variable(ambient, "w") if "w" in ambient else Polynomial.zero(ambient)
+        return PolynomialSystem(
+            vars=("x",), dist_vars=("w",), f=(2 * x + w,), graph=DependenceGraph.complete(("x",))
+        )
+
+    def test_joint_ambient_accepted(self):
+        assert self.system(("x", "w")).f[0].vars == ("x", "w")
+
+    @pytest.mark.parametrize("ambient", [("w", "x"), ("x",), ("x", "w", "u")])
+    def test_other_ambient_rejected_naming_the_update(self, ambient):
+        with pytest.raises(ValueError, match=r"the update of x is over .*not the joint ambient \('x', 'w'\)"):
+            self.system(ambient)
 
 
 class TestValidateIndependence:
