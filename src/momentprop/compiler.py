@@ -11,13 +11,13 @@ its own update forms.  Coefficients stay exact rationals throughout.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import chain
 from operator import itemgetter
-from typing import Callable, Container, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -107,6 +107,10 @@ class _Packing(NamedTuple):
         """Grlex sort key: the total degree above all fields, then the complement of the packed int."""
         fields = self.width * self.n
         return (sum(mi) << fields) | ((1 << fields) - 1 - self.pack(mi))
+
+    def unkey(self, key: int) -> MultiIndex:
+        ones = (1 << self.width * self.n) - 1
+        return self.unpack(ones - (key & ones))
 
 
 def _field_width(f: Sequence[Polynomial], max_degree: int) -> int:
@@ -221,13 +225,24 @@ class TermTable(NamedTuple):
     req: np.ndarray
     fact: np.ndarray
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TermTable) and all(map(np.array_equal, self, other))
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
 
 @dataclass(frozen=True)
 class MomentStateSystem:
-    """Compiled deterministic recursion on a complete vector of state moments."""
+    """Compiled deterministic recursion on a complete vector of state moments, held as its term table.
+
+    Rows are in target order, `req` indexes `dist_requirements` (grlex order) and `exact_coeffs` is in lowest terms.
+    """
 
     basis: MomentBasis
-    forms: tuple[MomentUpdateForm, ...]
+    term_table: TermTable
+    exact_coeffs: tuple[tuple[int, int], ...]
+    dist_requirements: tuple[MultiIndex, ...]
     reduced: bool
     state_vars: tuple[str, ...]
     dist_vars: tuple[str, ...]
@@ -235,35 +250,20 @@ class MomentStateSystem:
     dist_pairs: tuple[TrigPair, ...] = ()
     _pair_positions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if len(self.forms) != len(self.basis):
-            raise ValueError("one update form per basis element required")
+    def _terms(self) -> Iterator[tuple[int, tuple[int, int], MultiIndex, list[int]]]:
+        """(target, exact coefficient, disturbance multi-index, factor positions) of each term, in table order."""
+        table = self.term_table
+        dists = map(self.dist_requirements.__getitem__, table.req.tolist())
+        factors = ([j for j in row if j >= 0] for row in table.fact.tolist())
+        return zip(table.target.tolist(), self.exact_coeffs, dists, factors)
 
     @cached_property
-    def dist_requirements(self) -> tuple[MultiIndex, ...]:
-        """All disturbance moment multi-indices the recursion consumes, grlex order."""
-        needed = {term.dist_index for form in self.forms for term in form.terms}
-        return tuple(sorted(needed, key=MultiIndex.grlex_key))
-
-    @cached_property
-    def term_table(self) -> TermTable:
-        """The forms' terms as the flat arrays the propagation kernel runs on."""
-        req_index = {mi: i for i, mi in enumerate(self.dist_requirements)}
-        targets, coeffs, reqs, facts = [], [], [], []
-        width = max([len(t.state_factors) for form in self.forms for t in form.terms] + [1])
-        for i, form in enumerate(self.forms):
-            for term in form.terms:
-                targets.append(i)
-                coeffs.append(float(term.coeff))
-                reqs.append(req_index[term.dist_index])
-                row = [self.basis.index_of(f) for f in term.state_factors]
-                facts.append(row + [-1] * (width - len(row)))
-        return TermTable(
-            target=np.asarray(targets, dtype=np.int64),
-            coeff=np.asarray(coeffs, dtype=np.float64),
-            req=np.asarray(reqs, dtype=np.int64),
-            fact=np.asarray(facts, dtype=np.int64).reshape(len(targets), width),
-        )
+    def forms(self) -> tuple[MomentUpdateForm, ...]:
+        """The term table as one update form per basis moment, built on first use."""
+        terms: list[list[MufTerm]] = [[] for _ in self.basis]
+        for target, coeff, dist, factors in self._terms():
+            terms[target].append(MufTerm(Fraction(*coeff), dist, tuple(self.basis[j] for j in factors)))
+        return tuple(MomentUpdateForm(mi, tuple(t), self.reduced) for mi, t in zip(self.basis, terms))
 
     def pair_positions(self, a: str, b: str) -> tuple[int, int, int, int, int]:
         """Basis positions of E[a], E[b], E[a^2], E[a*b] and E[b^2]; cached per pair."""
@@ -281,6 +281,42 @@ class MomentStateSystem:
             return self.basis.index_of(parse_monomial(name, self.state_vars))
         except (SpecError, KeyError):
             raise KeyError(f"moment {name!r} is not in the compiled basis") from None
+
+
+def _coefficient_error(state_vars: Sequence[str], target: MultiIndex, problem: str) -> ValueError:
+    return ValueError(f"the update of E[{monomial_name(state_vars, target)}] has an exact coefficient {problem}")
+
+
+def _system_from_rows(basis: MomentBasis, rows: list[tuple], dist_of: Callable, position, **fields) -> MomentStateSystem:
+    """The system whose term k is rows[k] = (target, (num, den), dist key, factor keys), rows in target order.
+
+    `dist_of` maps a dist key to its disturbance multi-index, `position` a factor key to its basis position.
+    """
+    targets, pairs, dist_keys, factor_keys = zip(*rows) if rows else ((),) * 4
+    dist_at = {k: dist_of(k) for k in set(dist_keys)}
+    requirements = tuple(sorted(set(dist_at.values()), key=MultiIndex.grlex_key))
+    req_of = {k: requirements.index(mi) for k, mi in dist_at.items()}
+    width = max([1, *map(len, factor_keys)])
+    try:
+        fact_of = {keys: [position[k] for k in keys] + [-1] * (width - len(keys)) for keys in set(factor_keys)}
+    except KeyError:
+        raise AssertionError("completion search produced an incomplete basis") from None
+    exact = {}
+    for num, den in dict.fromkeys(pairs):
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        try:  # num / den on ints is correctly rounded, as float(Fraction(num, den)) is
+            exact[num, den] = (num // g, den // g), num / den
+        except OverflowError:
+            target = basis[targets[pairs.index((num, den))]]
+            raise _coefficient_error(fields["state_vars"], target, "too large for a float") from None
+    coeffs = [exact[pair] for pair in pairs]
+    table = TermTable(
+        target=np.array(targets, dtype=np.int64),
+        coeff=np.array([c for _, c in coeffs], dtype=np.float64),
+        req=np.array([req_of[k] for k in dist_keys], dtype=np.int64),
+        fact=np.fromiter(chain.from_iterable(map(fact_of.__getitem__, factor_keys)), np.int64).reshape(len(rows), width),
+    )
+    return MomentStateSystem(basis, table, tuple(pair for pair, _ in coeffs), requirements, **fields)
 
 
 def second_moment_indices(state_vars: Sequence[str], a: str, b: str, moments: Container[MultiIndex]) -> tuple:
@@ -310,15 +346,16 @@ def is_complete(
     return True
 
 
-def complete_basis(
+def compile_moment_system(
     system: PolynomialSystem,
     seed: Iterable[MultiIndex],
     reduced: bool = True,
     max_basis: int = 10_000,
     max_degree: int = MAX_DEGREE,
-) -> tuple[MomentBasis, tuple[MomentUpdateForm, ...]]:
-    """Grow `seed` into a complete moment basis by depth-first expansion.
+) -> MomentStateSystem:
+    """Compile a polynomial system into an executable moment-state system.
 
+    `seed` grows into a complete moment basis by depth-first expansion.
     Every moment added gets its (possibly reduced) update form; state
     factors not yet tracked are expanded recursively in graded-lexicographic
     order, so the resulting basis order is reproducible.  The degree and
@@ -340,8 +377,8 @@ def complete_basis(
             name = monomial_name(system.vars, mi)
             raise BasisExplosionError(f"moment degree guard ({max_degree}) exceeded at {name}", [name])
 
-    # Below, a state moment is named by its grlex key and a monomial over the
-    # joint ambient (state vars, then dist vars) by its packed int.  The field
+    # Below, a moment is named by its grlex key and a monomial over the joint
+    # ambient (state vars, then dist vars) by its packed int.  The field
     # width holds every exponent the degree guard lets through.
     n, m = len(system.vars), len(system.dist_vars)
     width = _field_width(system.f, max_degree)
@@ -352,79 +389,52 @@ def complete_basis(
     # The caches live for this call only, so memory does not grow across compiles.
     power = _packed_power_builder(system.f, _Packing(n + m, width))
     blocks = _block_splitter(system.graph)
-    moments: dict[int, MultiIndex] = {}
 
     @cache
-    def dist_part(beta_w: int) -> tuple[int, MultiIndex]:
-        mi = dist.unpack(beta_w)
-        return dist.key(mi), mi
+    def dist_part(beta_w: int) -> int:
+        return dist.key(dist.unpack(beta_w))
 
     @cache
-    def state_part(beta_x: int) -> tuple[tuple[int, ...], tuple[MultiIndex, ...]]:
+    def state_part(beta_x: int) -> tuple[int, ...]:
         if not beta_x:
-            return (), ()
+            return ()
         factors = blocks(state.unpack(beta_x)) if reduced else (state.unpack(beta_x),)
-        keys = tuple(map(state.key, factors))
-        return keys, tuple(moments.setdefault(k, b) for k, b in zip(keys, factors))
-
-    def render(key: int) -> str:
-        return monomial_name(system.vars, moments[key])
+        return tuple(map(state.key, factors))
 
     def explode(guard: str, key: int) -> BasisExplosionError:
-        chain = [render(key)]
-        while key in parent:
-            key = parent[key]
-            chain.append(render(key))
-        return BasisExplosionError(f"moment {guard} exceeded at {chain[0]}", chain[::-1])
+        chain = [key]
+        while chain[-1] in parent:
+            chain.append(parent[chain[-1]])
+        names = [monomial_name(system.vars, state.unkey(k)) for k in reversed(chain)]
+        return BasisExplosionError(f"moment {guard} exceeded at {names[-1]}", names)
 
-    order: list[int] = []
-    forms: dict[int, MomentUpdateForm] = {}
+    position: dict[int, int] = {}  # basis position of each expanded moment
     parent: dict[int, int] = {}
-    moments.update((state.key(mi), mi) for mi in seed_list)
+    rows: list[tuple] = []
     stack = [state.key(mi) for mi in reversed(seed_list)]
     while stack:
         key = stack.pop()
-        if key in forms:
+        if key in position:
             continue
         if key >> (width * n) > max_degree:
             raise explode(f"degree guard ({max_degree})", key)
-        if len(order) >= max_basis:
+        if len(position) >= max_basis:
             raise explode(f"basis size guard ({max_basis})", key)
+        target = position[key] = len(position)
         terms, den = power(state_ones - (key & state_ones))
-        keyed = []
-        children = set()
-        for packed, num in terms.items():
-            dist_key, beta_w = dist_part(packed & dist_ones)
-            factor_keys, factors = state_part(packed >> dist_bits)
-            keyed.append(((dist_key, factor_keys), MufTerm(Fraction(num, den), beta_w, factors)))
-            children.update(factor_keys)
-        keyed.sort(key=itemgetter(0))
-        order.append(key)
-        forms[key] = MomentUpdateForm(moments[key], tuple(term for _, term in keyed), reduced)
-        children = sorted(children.difference(forms))
+        # (dist key, factor keys) is distinct per term, so the numerators are never compared.
+        keyed = sorted((dist_part(p & dist_ones), state_part(p >> dist_bits), num) for p, num in terms.items())
+        rows.extend((target, (num, den), dist_key, factor_keys) for dist_key, factor_keys, num in keyed)
+        children = sorted({k for _, factor_keys, _ in keyed for k in factor_keys}.difference(position))
         for child in children:
             parent.setdefault(child, key)
         stack.extend(reversed(children))
 
-    basis = MomentBasis(moments[key] for key in order)
-    form_tuple = tuple(forms[key] for key in order)
-    if not is_complete(basis, form_tuple, reduced):
-        raise AssertionError("completion search produced an incomplete basis")
-    return basis, form_tuple
-
-
-def compile_moment_system(
-    system: PolynomialSystem,
-    seed: Iterable[MultiIndex],
-    reduced: bool = True,
-    max_basis: int = 10_000,
-    max_degree: int = MAX_DEGREE,
-) -> MomentStateSystem:
-    """Compile a polynomial system into an executable moment-state system."""
-    basis, forms = complete_basis(system, seed, reduced, max_basis, max_degree)
-    return MomentStateSystem(
-        basis=basis,
-        forms=forms,
+    return _system_from_rows(
+        MomentBasis(map(state.unkey, position)),
+        rows,
+        dist.unkey,
+        position,
         reduced=reduced,
         state_vars=system.vars,
         dist_vars=system.dist_vars,
@@ -464,28 +474,20 @@ def ltv_matrices(
 
 def render_equations(msys: MomentStateSystem) -> str:
     """Human-readable listing: one update equation per basis moment."""
+    names = [f"E[{name}]" for name in msys.moment_names()]
+    terms: list[list] = [[] for _ in names]
+    for target, coeff, dist, factors in msys._terms():
+        named = [names[j] for j in factors]
+        if not dist.is_zero():
+            named.insert(0, f"E[{monomial_name(msys.dist_vars, dist)}]")
+        terms[target].append((Fraction(*coeff), named))
     lines = []
-    for form in msys.forms:
-        lhs = f"E[{monomial_name(msys.state_vars, form.target)}]'"
-        terms = []
-        for term in form.terms:
-            factors = [f"E[{monomial_name(msys.state_vars, f)}]" for f in term.state_factors]
-            if not term.dist_index.is_zero():
-                factors.insert(0, f"E[{monomial_name(msys.dist_vars, term.dist_index)}]")
-            terms.append((term.coeff, factors))
-        with _coefficients_written(msys, form):
-            lines.append(f"{lhs} = {signed_sum(terms)}")
-    return "\n".join(lines)
-
-
-@contextlib.contextmanager
-def _coefficients_written(msys: MomentStateSystem, form: MomentUpdateForm):
-    """Name the moment whose update holds an exact coefficient too long to write as text."""
     try:
-        yield
+        for target, name in enumerate(names):
+            lines.append(f"{name}' = {signed_sum(terms[target])}")
     except ValueError:  # Python's limit on the digits of an integer written as text
-        name = monomial_name(msys.state_vars, form.target)
-        raise ValueError(f"the update of E[{name}] has an exact coefficient too long to write") from None
+        raise _coefficient_error(msys.state_vars, msys.basis[target], "too long to write") from None
+    return "\n".join(lines)
 
 
 _FORMAT_HEADER = "momentprop-system v1"
@@ -522,17 +524,14 @@ def dumps(msys: MomentStateSystem) -> str:
         *(_pair_line(p) for p in msys.dist_pairs),
         f"basis {len(msys.basis)}",
         *(" ".join(map(str, mi)) for mi in msys.basis),
+        f"terms {len(msys.exact_coeffs)}",
     ]
-    term_lines = []
-    for i, form in enumerate(msys.forms):
-        with _coefficients_written(msys, form):
-            for term in form.terms:
-                beta_w = " ".join(map(str, term.dist_index))
-                factor_idx = " ".join(str(msys.basis.index_of(f)) for f in term.state_factors)
-                coeff = f"{term.coeff.numerator}/{term.coeff.denominator}"
-                term_lines.append(f"{i} | {coeff} | {beta_w} | {factor_idx}")
-    lines.append(f"terms {len(term_lines)}")
-    lines.extend(term_lines)
+    dist_text = {mi: " ".join(map(str, mi)) for mi in msys.dist_requirements}
+    try:
+        for target, (num, den), dist, factors in msys._terms():
+            lines.append(f"{target} | {num}/{den} | {dist_text[dist]} | {' '.join(map(str, factors))}")
+    except ValueError:  # Python's limit on the digits of an integer written as text
+        raise _coefficient_error(msys.state_vars, msys.basis[target], "too long to write") from None
     return "\n".join(lines) + "\n"
 
 
@@ -541,7 +540,7 @@ def loads(text: str) -> MomentStateSystem:
 
     Any text that is not a whole, self-consistent file (truncated, an index
     out of range, a multi-index of the wrong length, trailing lines) raises
-    ValueError.
+    ValueError.  Term lines may come in any order; a target's terms keep their file order.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     it = iter(lines)
@@ -582,21 +581,19 @@ def loads(text: str) -> MomentStateSystem:
     reduced_s = take("reduced")
     if reduced_s not in ("0", "1"):
         raise ValueError(f"'reduced' must be 0 or 1, got {reduced_s!r}")
-    reduced = reduced_s == "1"
     state_vars = tuple(take("statevars").split())
     dist_vars = tuple(take("distvars").split())
     state_pairs = pairs("statepairs", state_vars)
     dist_pairs = pairs("distpairs", dist_vars)
     n_basis = count("basis")
-    elements = [multi_index(line(), len(state_vars), "basis") for _ in range(n_basis)]
-    basis = MomentBasis(elements)
-    terms_per_target: list[list[MufTerm]] = [[] for _ in range(n_basis)]
-    # Terms repeat few distinct coefficients and disturbance indices: parse each once.
-    coeffs: dict[str, Fraction] = {}
-    dist_indices: dict[str, MultiIndex] = {}
+    basis = MomentBasis([multi_index(line(), len(state_vars), "basis") for _ in range(n_basis)])
+    rows = []
+    # Terms repeat few distinct coefficients and factor lists: parse each once (and disturbance indices, in the builder).
+    coeffs: dict[str, tuple[int, int]] = {}
+    factor_lists: dict[str, tuple[int, ...]] = {}
     for _ in range(count("terms")):
         ln = line()
-        fields = [p.strip() for p in ln.split("|")]
+        fields = ln.split("|")
         if len(fields) != 4:
             raise ValueError(f"term line needs 4 '|'-separated fields: {ln!r}")
         target_s, coeff_s, beta_w_s, factors_s = fields
@@ -604,35 +601,28 @@ def loads(text: str) -> MomentStateSystem:
             num, den = coeff_s.split("/")
             if int(den) == 0:
                 raise ValueError(f"zero denominator in term line {ln!r}")
-            coeffs[coeff_s] = Fraction(int(num), int(den))
-        if beta_w_s not in dist_indices:
-            dist_indices[beta_w_s] = multi_index(beta_w_s, len(dist_vars), "disturbance")
-        target = int(target_s)
-        factor_idx = [int(j) for j in factors_s.split()]
-        if not all(0 <= j < n_basis for j in (target, *factor_idx)):
+            coeffs[coeff_s] = int(num), int(den)
+        if factors_s not in factor_lists:
+            factor_lists[factors_s] = tuple(map(int, factors_s.split()))
+        ids = (int(target_s), *factor_lists[factors_s])
+        if not (0 <= min(ids) and max(ids) < n_basis):
             raise ValueError(f"basis index out of range in term line {ln!r}")
-        terms_per_target[target].append(
-            MufTerm(coeffs[coeff_s], dist_indices[beta_w_s], tuple(elements[j] for j in factor_idx))
-        )
+        rows.append((ids[0], coeffs[coeff_s], beta_w_s, ids[1:]))
     extra = next(it, None)
     if extra is not None:
         raise ValueError(f"unexpected line after the terms of a compiled-system file: {extra!r}")
-    forms = tuple(
-        MomentUpdateForm(elements[i], tuple(terms), reduced)
-        for i, terms in enumerate(terms_per_target)
-    )
-    msys = MomentStateSystem(
-        basis=basis,
-        forms=forms,
-        reduced=reduced,
+    rows.sort(key=itemgetter(0))  # stable, so each target's terms keep their file order
+    return _system_from_rows(
+        basis,
+        rows,
+        lambda beta_w_s: multi_index(beta_w_s.strip(), len(dist_vars), "disturbance"),
+        range(n_basis),  # a factor key is already its basis position
+        reduced=reduced_s == "1",
         state_vars=state_vars,
         dist_vars=dist_vars,
         state_pairs=state_pairs,
         dist_pairs=dist_pairs,
     )
-    if not is_complete(basis, forms, reduced):
-        raise ValueError("compiled-system file is not complete w.r.t. its own forms")
-    return msys
 
 
 def save(msys: MomentStateSystem, path) -> None:

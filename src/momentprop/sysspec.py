@@ -306,7 +306,8 @@ class _ExprParser:
             self.expect_punct(")")
             self.depth -= 1
             return expr
-        raise SpecError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+        hint = ": a sign may start only an expression or a parenthesised group, as in (-0.5)*x"
+        raise SpecError(f"unexpected token {tok.text!r}{hint if tok.text in ('+', '-') else ''}", tok.line, tok.col)
 
 
 def _literal(tok: _Token) -> Fraction:

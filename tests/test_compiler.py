@@ -19,7 +19,8 @@ from momentprop.compiler import (
     reduce_form,
 )
 from momentprop.polyring import MultiIndex, Polynomial, monomial_name, pow_multiindex
-from momentprop.propagator import MomentTrajectory, mean_cov
+from momentprop.distmoments import DisturbanceModel
+from momentprop.propagator import MomentTrajectory, init_deterministic, mean_cov, propagate
 from momentprop.sysspec import MAX_DEGREE, DependenceGraph, PolynomialSystem, parse_spec, trig_encode
 
 from randsys import random_system, random_target
@@ -136,7 +137,7 @@ class TestReduceForm:
 
 class TestCompletion:
     def test_scalar_square_completion(self):
-        basis, forms = compiler.complete_basis(scalar_walk_system(), [MultiIndex((2,))])
+        basis = compile_moment_system(scalar_walk_system(), [MultiIndex((2,))]).basis
         assert set(basis) == {MultiIndex((2,)), MultiIndex((1,))}
 
     def test_dubins_reduced_is_exact_twenty(self, dubins_reduced):
@@ -210,8 +211,8 @@ class TestCompletion:
         cases = [(scalar_walk_system(), [MultiIndex((degree,))]), (dubins_system, dubins_system.target_moments)]
         for system, seed in cases:
             for reduced in (True, False):
-                basis, forms = compiler.complete_basis(system, seed, reduced, max_degree=degree)
-                for alpha, form in zip(basis, forms):
+                msys = compile_moment_system(system, seed, reduced, max_degree=degree)
+                for alpha, form in zip(msys.basis, msys.forms):
                     expected = moment_update_form(system, alpha)
                     assert form == (reduce_form(expected, system.graph) if reduced else expected)
 
@@ -228,8 +229,8 @@ class TestCompletion:
         cases += [(system, [random_target(rng, len(system.vars), 3)]) for system in linear]
         for system, seed in cases:
             for reduced in (True, False):
-                basis, forms = compiler.complete_basis(system, seed, reduced)
-                for alpha, form in zip(basis, forms):
+                msys = compile_moment_system(system, seed, reduced)
+                for alpha, form in zip(msys.basis, msys.forms):
                     expected = moment_update_form(system, alpha)
                     if reduced:
                         expected = reduce_form(expected, system.graph)
@@ -278,9 +279,8 @@ class TestCompletion:
     @pytest.mark.parametrize("guard", ["max_degree", "max_basis"])
     @pytest.mark.parametrize("value", [2.5, 4.0, True, False, 0, -1, "4", None])
     def test_guard_arguments_must_be_positive_ints(self, guard, value):
-        for compile_ in (compiler.complete_basis, compile_moment_system):
-            with pytest.raises(ValueError, match=f"{guard} must be an integer >= 1"):
-                compile_(scalar_walk_system(), [MultiIndex((2,))], **{guard: value})
+        with pytest.raises(ValueError, match=f"{guard} must be an integer >= 1"):
+            compile_moment_system(scalar_walk_system(), [MultiIndex((2,))], **{guard: value})
 
 
 @settings(max_examples=200, deadline=None)
@@ -297,6 +297,19 @@ def test_packed_key_orders_as_grlex(data):
         for b in indices:
             assert (packing.key(a) < packing.key(b)) == (a.grlex_key() < b.grlex_key())
             assert (packing.key(a) == packing.key(b)) == (a == b)
+
+
+def test_hot_path_never_builds_the_forms_view(dubins_system):
+    """compile -> dumps -> loads -> propagate -> ltv_matrices -> render_equations reads only the term table."""
+    msys = compile_moment_system(dubins_system, dubins_system.target_moments, reduced=False)
+    loaded = compiler.loads(compiler.dumps(msys))
+    model = DisturbanceModel(loaded, presets.benchmark_noise())
+    propagate(loaded, init_deterministic(loaded, {"x": 0.3, "y": -1.0, "v": 1.2, "theta": 0.4}), model, 5)
+    values = {mi: 0.5 for mi in msys.dist_requirements}
+    for system in (msys, loaded):
+        ltv_matrices(system, values)
+        compiler.render_equations(system)
+    assert "forms" not in msys.__dict__ and "forms" not in loaded.__dict__
 
 
 class TestLtv:
@@ -472,6 +485,40 @@ class TestSerialization:
             fields[j] = data.draw(_FIELD_VALUES)
             lines[i] = " ".join(fields)
         assert_rejected_or_round_trips("\n".join(lines) + "\n")
+
+    def test_interleaved_term_lines_load_as_grouped(self, dubins_reduced):
+        """Term lines may alternate between targets: each target keeps its terms in file order."""
+        grouped = compiler.dumps(dubins_reduced)
+        lines = grouped.splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("terms ")) + 1
+        per_target: dict[str, list[str]] = {}
+        for ln in lines[at:]:
+            per_target.setdefault(ln.split("|")[0], []).append(ln)
+        queues = list(per_target.values())
+        interleaved = []
+        while any(queues):
+            for queue in queues:
+                if queue:
+                    interleaved.append(queue.pop(0))
+        assert interleaved != lines[at:]
+        loaded = compiler.loads("\n".join(lines[:at] + interleaved) + "\n")
+        assert loaded == compiler.loads(grouped) == dubins_reduced
+        assert compiler.dumps(loaded) == grouped
+        model = DisturbanceModel(loaded, presets.benchmark_noise())
+        init = init_deterministic(loaded, {"x": 0.3, "y": -1.0, "v": 1.2, "theta": 0.4})
+        ours = propagate(loaded, init, model, 20).values
+        ref = propagate(dubins_reduced, init, DisturbanceModel(dubins_reduced, presets.benchmark_noise()), 20).values
+        assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+
+    def test_coefficient_too_large_for_a_float_is_named(self):
+        """(10^300)^2 in the update of E[x^2] has no float: compile and load name the moment."""
+        system = trig_encode(parse_spec("state x\ndisturbance w\ndyn x' = 1e300*x + w\nmoments x^2\n"))
+        with pytest.raises(ValueError, match=r"the update of E\[x\^2\] has an exact coefficient too large for a float"):
+            compile_moment_system(system, system.target_moments)
+        text = compiler.dumps(compile_moment_system(scalar_walk_system(), [MultiIndex((2,))], reduced=False))
+        assert "| 1/1 |" in text
+        with pytest.raises(ValueError, match=r"the update of E\[x\^2\] has an exact coefficient too large"):
+            compiler.loads(text.replace("| 1/1 |", f"| {10**400}/1 |", 1))
 
     def test_file_round_trip(self, tmp_path, dubins_unreduced):
         path = tmp_path / "system.msys"

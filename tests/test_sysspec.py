@@ -179,6 +179,14 @@ class TestParse:
         system = trig_encode(spec)
         assert system.f[0].terms[MultiIndex((1, 0))] == Fraction(1, 10)
 
+    @pytest.mark.parametrize("update, col", [("x + -0.5*x + w", 14), ("x*-2 + w", 12), ("x - -w", 14)])
+    def test_sign_after_an_operator_names_the_rule(self, update, col):
+        """A sign may start only an expression or a parenthesised group; the error says so at the sign."""
+        with pytest.raises(SpecError, match=r"a sign may start only an expression or a parenthesised group") as err:
+            parse_spec(f"state x\ndisturbance w\ndyn x' = {update}\n")
+        assert "(-0.5)*x" in str(err.value)
+        assert (err.value.line, err.value.col) == (3, col)
+
     def test_leading_minus_accepted(self):
         spec = parse_spec("state x\ndisturbance w\ndyn x' = -x + w\n")
         system = trig_encode(spec)
