@@ -288,6 +288,17 @@ def _cmd_plan(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds only with nonnegative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="momentprop",
@@ -316,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", required=True)
     p.add_argument("-T", "--steps", type=int, required=True)
     p.add_argument("-N", "--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--shifts")
     p.add_argument("--batch-size", type=int, default=100_000)
     p.add_argument("-o", "--output", required=True)
@@ -343,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--env", required=True, help="environment file")
     p.add_argument("--eps", type=float, required=True, help="chance constraint in (0, 1)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--iterations", type=int, default=500)
     p.add_argument("--speed", type=float, default=0.05)
     p.add_argument("--turn-radius", type=float, default=0.3)

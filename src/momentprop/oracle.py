@@ -10,6 +10,7 @@ engine: the Monte Carlo oracle and the planner's plan check both consume it.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -19,7 +20,7 @@ from . import distmoments, sysspec
 from .compiler import second_moment_indices
 from .distmoments import DisturbanceModel
 from .polyring import MultiIndex, monomial_name
-from .propagator import MomentTrajectory, central_second_moments, initial_values
+from .propagator import MomentTrajectory, PropagationError, central_second_moments, initial_values
 from .sysspec import PolynomialSystem, SystemSpec
 from .tables import csv_text
 
@@ -53,15 +54,19 @@ class McEstimate:
 
 
 def _encoded_arrays(
-    system: PolynomialSystem, state: Mapping[str, np.ndarray]
+    system: PolynomialSystem, state: Mapping[str, np.ndarray], known: Mapping[tuple[str, str], np.ndarray]
 ) -> list[np.ndarray]:
-    """Realize the encoded state variables from original-variable samples."""
+    """Realize the encoded state variables from original-variable samples and their angles' cos/sin."""
     by_name = dict(state)
     for pair in system.state_pairs:
-        theta = state[pair.source]
-        by_name[pair.cos_var] = np.cos(theta)
-        by_name[pair.sin_var] = np.sin(theta)
+        by_name[pair.cos_var] = known["cos", pair.source]
+        by_name[pair.sin_var] = known["sin", pair.source]
     return [by_name[name] for name in system.vars]
+
+
+def _angle_trig(angles: Sequence[str], state: Mapping[str, np.ndarray]) -> dict[tuple[str, str], np.ndarray]:
+    """cos and sin of each angle of `state`, by (fn, angle)."""
+    return {(fn, a): sysspec.trig(fn, state[a]) for a in angles for fn in ("cos", "sin")}
 
 
 def rollouts(
@@ -72,15 +77,17 @@ def rollouts(
     n_samples: int,
     seed: int,
     batch_size: int,
-) -> Iterator[tuple[int, Iterator[dict[str, np.ndarray]]]]:
+) -> Iterator[tuple[int, Iterator[tuple[dict[str, np.ndarray], dict[tuple[str, str], np.ndarray]]]]]:
     """Seeded, batched rollouts of the original system, in batch order.
 
-    Yields (batch size, states) per batch; `states` yields the batch's state
-    (variable -> samples) at t = 0..n_steps.  Each batch draws from its own
-    child seed spawned from `seed`, sampling the disturbances in spec order
-    at every step and adding the model's shift.  A negative step count or a
-    batch size below 1 raises ValueError at the call, and a state missing
-    from `x0` raises KeyError there.
+    Yields (batch size, states) per batch; `states` yields, at t = 0..n_steps,
+    the batch's state (variable -> samples) and the cos and sin of its angles
+    (("cos" or "sin", angle) -> samples), which the next step's update reads
+    too.  Each batch draws from its own child seed spawned from `seed`,
+    sampling the disturbances in spec order at every step and adding the
+    model's shift.  A negative step count or a batch size below 1 raises
+    ValueError at the call, and a state missing from `x0` raises KeyError
+    there.
     """
     if n_steps < 0:
         raise ValueError("step count must be nonnegative")
@@ -96,17 +103,34 @@ def rollouts(
 
 def _batch_states(spec, model, x0, n_steps, nb, seed_seq):
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    state = {name: np.full(nb, x0[name]) for name in spec.state_vars}
-    yield state
-    for t in range(n_steps):
-        full = dict(state)
+
+    def draw(t):
+        out = {}
         for w in spec.disturbance_vars:
             dist = model.distributions.get(w)
             if dist is None:
                 raise KeyError(f"no distribution given for disturbance {w!r}")
-            full[w] = distmoments.sample(dist, rng, nb) + float(model.shift_at(w, t))
-        state = {name: sysspec.evaluate(spec.updates[name], full) for name in spec.state_vars}
-        yield state
+            out[w] = distmoments.sample(dist, rng, nb) + float(model.shift_at(w, t))
+        return out
+
+    state = {name: np.full(nb, x0[name]) for name in spec.state_vars}
+    known = _angle_trig(spec.angle_vars, state)
+    # The draws do not depend on the state, so step t + 1's are made on one
+    # helper thread (numpy's samplers and ufuncs release the GIL) while this
+    # thread evaluates step t and the consumer records it.  Only the helper
+    # touches `rng`, one step at a time and in spec order, so the stream is
+    # the sequential one.  Leaving the block, by finishing, raising or
+    # close(), joins the thread.
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(draw, 0) if n_steps else None
+        yield state, known
+        for t in range(n_steps):
+            env = {**state, **pending.result()}
+            if t + 1 < n_steps:
+                pending = helper.submit(draw, t + 1)
+            state = {name: sysspec._evaluate(spec.updates[name], env, known) for name in spec.state_vars}
+            known = _angle_trig(spec.angle_vars, state)
+            yield state, known
 
 
 def mc_simulate(
@@ -125,6 +149,8 @@ def mc_simulate(
     `moments` are multi-indices over the encoded state variables (default:
     the system's target moments).  Estimates carry exact standard errors
     (pooled per-sample variance) plus per-batch means for derived statistics.
+    A mean or standard error that overflows raises PropagationError naming
+    the first step and moment.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
@@ -138,21 +164,23 @@ def mc_simulate(
     m2 = np.zeros((n_steps + 1, n_mom))
     batch_means = []
 
-    for nb, states in rollouts(spec, model, x0, n_steps, n_samples, seed, batch_size):
-        b_mean = np.empty((n_steps + 1, n_mom))
-        b_m2 = np.empty((n_steps + 1, n_mom))
-        for t, state in enumerate(states):
-            _record(system, state, wanted, b_mean[t], b_m2[t])
-        batch_means.append(b_mean)
-        # Chan's parallel variance merge, applied in fixed batch order.
-        delta = b_mean - mean
-        total = count + nb
-        mean = mean + delta * (nb / total)
-        m2 = m2 + b_m2 + delta**2 * (count * nb / total)
-        count = total
-
-    ses = np.sqrt(m2 / (count - 1) / count)
-    return McEstimate(
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once, on the finished tables
+        for nb, states in rollouts(spec, model, x0, n_steps, n_samples, seed, batch_size):
+            b_mean = np.empty((n_steps + 1, n_mom))
+            b_m2 = np.empty((n_steps + 1, n_mom))
+            buffers = np.empty((2, nb))
+            for t, (state, known) in enumerate(states):
+                _record(_encoded_arrays(system, state, known), wanted, b_mean[t], b_m2[t], buffers)
+            batch_means.append(b_mean)
+            # Chan's parallel variance merge, applied in fixed batch order.  The
+            # cross term is 0 for the first batch, whose delta**2 may overflow.
+            delta = b_mean - mean
+            total = count + nb
+            mean = mean + delta * (nb / total)
+            m2 = m2 + b_m2 + (delta**2 * (count * nb / total) if count else 0.0)
+            count = total
+        ses = np.sqrt(m2 / (count - 1) / count)
+    estimate = McEstimate(
         state_vars=system.vars,
         moments=wanted,
         means=mean,
@@ -161,16 +189,21 @@ def mc_simulate(
         seed=seed,
         batch_means=np.stack(batch_means),
     )
+    _require_finite([f"E[{name}]" for name in estimate.names], mean, ses)
+    return estimate
 
 
-def _record(system, state, wanted, mean_row, m2_row):
-    values = _encoded_arrays(system, state)
+def _record(values, wanted, mean_row, m2_row, buffers):
+    # Products, acc - shift and d * d are written into the two reused rows of
+    # `buffers`, with the ufuncs that `acc * p`, `arr**e`, `acc - shift` and
+    # `d * d` call, in the same order, so every sum sees the same bits.
+    prod, scratch = buffers
     for j, alpha in enumerate(wanted):
         acc = None
         for arr, e in zip(values, alpha):
             if e:
-                p = arr if e == 1 else arr**e
-                acc = p if acc is None else acc * p
+                p = arr if e == 1 else _power(arr, e, prod if acc is None else scratch)
+                acc = p if acc is None else np.multiply(acc, p, out=prod)
         if acc is None:
             mean_row[j] = 1.0
             m2_row[j] = 0.0
@@ -179,10 +212,25 @@ def _record(system, state, wanted, mean_row, m2_row):
             # 1983): a column of identical samples gives its value exactly
             # and m2 = 0, so a point mass has a standard error of exactly 0.
             shift = acc[0]
-            d = acc - shift
+            d = np.subtract(acc, shift, out=scratch)
             s = np.sum(d)
             mean_row[j] = shift + s / acc.size
-            m2_row[j] = max(np.sum(d * d) - s * s / acc.size, 0.0)
+            m2_row[j] = max(np.sum(np.multiply(d, d, out=prod)) - s * s / acc.size, 0.0)
+
+
+def _power(arr, e, out):
+    """arr**e into `out`, by the ufunc the operator calls: np.square for e == 2, np.power otherwise."""
+    return np.square(arr, out=out) if e == 2 else np.power(arr, e, out=out)
+
+
+def _require_finite(names: Sequence[str], values: np.ndarray, ses: np.ndarray | None = None) -> None:
+    """PropagationError naming the first step, then the first column, where a table is not finite."""
+    bad = ~np.isfinite(values) if ses is None else ~(np.isfinite(values) & np.isfinite(ses))
+    hits = np.argwhere(bad)
+    if hits.size:
+        t, j = hits[0]
+        what = "moment" if not np.isfinite(values[t, j]) else "the standard error of moment"
+        raise PropagationError(f"{what} {names[j]} became non-finite at step {t}")
 
 
 def sampler_moments(dist: distmoments.Distribution, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -322,7 +370,9 @@ def linear_propagate(
 ) -> LinearPrediction:
     """Mean/covariance recursion of the affine model under independent noise.
 
-    Covariances are symmetrized every step and stay PSD up to roundoff.
+    Covariances are symmetrized every step and stay PSD up to roundoff.  A
+    mean or covariance that overflows raises PropagationError naming the
+    first step and the moment, as E[x], Var[x] or Cov[x, y].
     """
     if n_steps < 0:
         raise ValueError("step count must be nonnegative")
@@ -333,15 +383,20 @@ def linear_propagate(
     covs[0] = np.asarray(sigma0, dtype=float)
     phi = np.eye(n) + lin.A
     w_var = np.array([distmoments.variance(model.distributions[w]) for w in lin.dist_vars])
-    for t in range(n_steps):
-        w_mean = np.empty(len(lin.dist_vars))
-        for j, w in enumerate(lin.dist_vars):
-            dist = model.distributions[w]
-            shift = float(model.shift_at(w, t))
-            w_mean[j] = distmoments.raw_moment(dist, shift, 1)
-        mus[t + 1] = phi @ mus[t] + lin.B @ w_mean + lin.c
-        cov = phi @ covs[t] @ phi.T + (lin.B * w_var) @ lin.B.T
-        covs[t + 1] = (cov + cov.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once, on the finished tables
+        for t in range(n_steps):
+            w_mean = np.empty(len(lin.dist_vars))
+            for j, w in enumerate(lin.dist_vars):
+                dist = model.distributions[w]
+                shift = float(model.shift_at(w, t))
+                w_mean[j] = distmoments.raw_moment(dist, shift, 1)
+            mus[t + 1] = phi @ mus[t] + lin.B @ w_mean + lin.c
+            cov = phi @ covs[t] @ phi.T + (lin.B * w_var) @ lin.B.T
+            covs[t + 1] = (cov + cov.T) / 2.0
+    i, j = np.triu_indices(n)
+    v = lin.state_vars
+    names = [f"E[{a}]" for a in v] + [f"Var[{v[a]}]" if a == b else f"Cov[{v[a]}, {v[b]}]" for a, b in zip(i, j)]
+    _require_finite(names, np.concatenate([mus, covs[:, i, j]], axis=1))
     return LinearPrediction(lin.state_vars, mus, covs)
 
 

@@ -586,7 +586,7 @@ def estimate_plan_collision(
     hit_count = 0
     for nb, states in rollouts(spec, model, x0, len(controls), n_rollouts, seed, batch_size):
         collided = np.zeros(nb, dtype=bool)
-        for state in itertools.islice(states, 1, None):
+        for state, _ in itertools.islice(states, 1, None):
             for obs in env.obstacles:
                 collided |= obs.contains(*(state[name] for name in POSITION))
         hit_count += int(np.sum(collided))

@@ -158,13 +158,29 @@ class _Degree(int):
 
 def evaluate(expr: Expr, env: Mapping[str, float | np.ndarray]):
     """Numeric evaluation; sin/cos evaluated with numpy, so values may be arrays."""
+    return _evaluate(expr, env, {})
+
+
+def trig(fn: str, value):
+    """sin or cos of `value` with numpy, as `evaluate` computes a Trig leaf."""
+    return np.sin(value) if fn == "sin" else np.cos(value)
+
+
+def _evaluate(expr: Expr, env: Mapping[str, float | np.ndarray], known: Mapping[tuple[str, str], Any]):
+    """`evaluate`, taking sin/cos of a name from `known[fn, name]` where it holds one.
+
+    The rollout engine passes the cos and sin of the state's angles, which the
+    Monte Carlo recorder reads too, so each is computed once per step; any
+    other Trig leaf, such as that of a disturbance, is computed here.
+    """
 
     def leaf(node):
         if isinstance(node, Const):
             return float(node.value)
         if isinstance(node, Sym):
             return env[node.name]
-        return np.sin(env[node.arg]) if node.fn == "sin" else np.cos(env[node.arg])
+        key = (node.fn, node.arg)
+        return known[key] if key in known else trig(node.fn, env[node.arg])
 
     return fold(expr, leaf)
 

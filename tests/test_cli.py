@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentprop import cli, compiler, distmoments, oracle, presets, propagator, sysspec
-from momentprop.cli import EXIT_INPUT, EXIT_NO_PLAN, EXIT_OK
+from momentprop.cli import EXIT_INPUT, EXIT_NO_PLAN, EXIT_OK, EXIT_RUNTIME
 from momentprop.polyring import MultiIndex
 from test_planner import NOT_A_VEHICLE
 
@@ -165,6 +166,50 @@ def test_spec_without_dist_lines_exits_2(workdir, capsys, command):
     assert run(*argv) == EXIT_INPUT
     assert capsys.readouterr().err.splitlines() == ["error: spec declares no 'dist' lines for the disturbances"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("propagate", "moment E[x^2] became non-finite at step 16"),
+        ("mc", "the standard error of moment E[x^2] became non-finite at step 9"),
+        ("linearize", "moment Var[x] became non-finite at step 17"),
+    ],
+)
+def test_non_finite_result_exits_1_with_one_line(workdir, capsys, command, message):
+    """Every engine stops at the first non-finite moment, writes nothing and warns nothing."""
+    spec = workdir / "blowup.spec"
+    spec.write_text("state x\ndisturbance w\ndyn x' = 1e10*x + w\nmoments x x^2\ndist w = gaussian(0, 1)\n")
+    (workdir / "init.csv").write_text("x\n10\n")
+    assert run("compile", spec, "-o", workdir / "blowup.msys", "--listing", workdir / "eq.txt") == EXIT_OK
+    capsys.readouterr()
+    out = workdir / "out.csv"
+    common = ("--init", workdir / "init.csv", "-T", 40, "-o", out)
+    argv = {
+        "propagate": ("propagate", workdir / "blowup.msys", "--dist", spec, *common),
+        "mc": ("mc", spec, "-N", 100, *common),
+        "linearize": ("linearize", spec, *common),
+    }[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(*argv) == EXIT_RUNTIME
+    assert capsys.readouterr().err.splitlines() == [f"runtime error: {message}"]
+    assert caught == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["mc", "plan"])
+def test_negative_seed_is_rejected_by_name(workdir, capsys, command):
+    argv = {
+        "mc": ("mc", workdir / "dubins.spec", "--init", workdir / "init.csv", "-T", 3, "-N", 10),
+        "plan": ("plan", workdir / "planner.spec", "--env", workdir / "env.txt", "--eps", 0.1),
+    }[command]
+    with pytest.raises(SystemExit) as caught:
+        run(*argv, "--seed", -1, "-o", workdir / "out.csv")
+    assert caught.value.code == EXIT_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"momentprop {command}: error: argument --seed: must be a nonnegative integer, got -1"
+    assert not (workdir / "out.csv").exists()
 
 
 class TestPropagate:

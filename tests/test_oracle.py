@@ -1,9 +1,12 @@
+import itertools
 import math
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
-from momentprop import oracle, propagator
+from momentprop import distmoments, oracle, presets, propagator, sysspec
 from momentprop.compiler import compile_moment_system
 from momentprop.distmoments import (
     Beta,
@@ -21,9 +24,11 @@ from momentprop.oracle import (
     linear_propagate,
     linearize,
     mc_simulate,
+    rollouts,
     sampler_moments,
 )
 from momentprop.polyring import MultiIndex
+from momentprop.propagator import PropagationError
 from momentprop.sysspec import parse_spec, trig_encode
 
 WALK = "state x\ndisturbance w\ndyn x' = x + w\n"
@@ -392,3 +397,178 @@ class TestCentralStats:
         for key_xy, key_yx in (("var_x", "var_x"), ("var_y", "var_y"), ("cov_xy", "cov_yx")):
             for got, want in zip(yx[key_yx], xy[key_xy]):
                 assert got.tobytes() == want.tobytes()
+
+
+# -- the rollout engine against a sequential reference ----------------------------
+
+
+def sequential_mc(spec, system, model, x0, n_steps, n_samples, seed, moments, batch_size):
+    """The Monte Carlo estimate on one thread, one step after another.
+
+    Each step draws its disturbances inline, evaluates the updates with
+    `sysspec.evaluate`, takes cos/sin of the angles afresh for the recorder
+    and builds every product in a new array.
+    """
+    sizes = [batch_size] * (n_samples // batch_size) + ([n_samples % batch_size] if n_samples % batch_size else [])
+    count = 0
+    mean = np.zeros((n_steps + 1, len(moments)))
+    m2 = np.zeros((n_steps + 1, len(moments)))
+    batch_means = []
+    for nb, child in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
+        rng = np.random.Generator(np.random.PCG64(child))
+        state = {name: np.full(nb, float(x0[name])) for name in spec.state_vars}
+        b_mean = np.empty((n_steps + 1, len(moments)))
+        b_m2 = np.empty((n_steps + 1, len(moments)))
+        for t in range(n_steps + 1):
+            if t:
+                full = dict(state)
+                for w in spec.disturbance_vars:
+                    full[w] = distmoments.sample(model.distributions[w], rng, nb) + float(model.shift_at(w, t - 1))
+                state = {name: sysspec.evaluate(spec.updates[name], full) for name in spec.state_vars}
+            by_name = dict(state)
+            for pair in system.state_pairs:
+                by_name[pair.cos_var] = np.cos(state[pair.source])
+                by_name[pair.sin_var] = np.sin(state[pair.source])
+            values = [by_name[name] for name in system.vars]
+            for j, alpha in enumerate(moments):
+                acc = None
+                for arr, e in zip(values, alpha):
+                    if e:
+                        p = arr if e == 1 else arr**e
+                        acc = p if acc is None else acc * p
+                if acc is None:
+                    b_mean[t, j], b_m2[t, j] = 1.0, 0.0
+                else:
+                    shift = acc[0]
+                    d = acc - shift
+                    s = np.sum(d)
+                    b_mean[t, j] = shift + s / acc.size
+                    b_m2[t, j] = max(np.sum(d * d) - s * s / acc.size, 0.0)
+        batch_means.append(b_mean)
+        delta = b_mean - mean
+        total = count + nb
+        mean = mean + delta * (nb / total)
+        m2 = m2 + b_m2 + delta**2 * (count * nb / total)
+        count = total
+    return mean, np.sqrt(m2 / (count - 1) / count), np.stack(batch_means)
+
+
+# x and y both read theta; the second spec reads cos and sin of a disturbance too.
+TRIG_OF_DISTURBANCE = """\
+state x theta
+angle theta
+disturbance w u
+dyn x' = x*cos(w) + sin(theta)*u + cos(theta) - sin(w)
+dyn theta' = theta + w
+"""
+WT = Gaussian(0.04, 0.03)
+REFERENCE_CASES = {
+    "degenerate": (presets.DUBINS_SPEC, {"wv": Degenerate(0.01), "wt": WT}, None, 6, 600, 600),
+    "gaussian": (presets.DUBINS_SPEC, {"wv": Gaussian(0.0, 0.01), "wt": WT}, None, 6, 600, 600),
+    "uniform": (presets.DUBINS_SPEC, {"wv": Uniform(-0.1, 0.2), "wt": WT}, None, 6, 600, 600),
+    "beta": (presets.DUBINS_SPEC, {"wv": Beta(10, 1000), "wt": WT}, None, 6, 600, 600),
+    "shift-schedule": (presets.DUBINS_SPEC, {"wv": Beta(10, 1000), "wt": WT},
+                       {"wv": [0.1, 0.0, -0.2, 0.3, 0.0, 0.05], "wt": [0.2, -0.1, 0.0, 0.4, 0.3, -0.5]}, 6, 600, 600),
+    "short-last-batch": (presets.DUBINS_SPEC, {"wv": Beta(10, 1000), "wt": WT}, None, 6, 1000, 300),
+    "cos-of-disturbance": (TRIG_OF_DISTURBANCE, {"w": Uniform(-0.2, 0.3), "u": Gaussian(0.1, 0.5)}, None, 6, 700, 300),
+    "zero-steps": (presets.DUBINS_SPEC, {"wv": Beta(10, 1000), "wt": WT}, None, 0, 600, 250),
+}
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_mc_equals_sequential_reference(case):
+    """Drawing a step ahead on a helper thread, sharing cos/sin and reusing buffers leave every bit as it was."""
+    text, dists, shifts, n_steps, n_samples, batch_size = REFERENCE_CASES[case]
+    spec = parse_spec(text)
+    system = trig_encode(spec)
+    model = DisturbanceModel(system, dists, shifts)
+    x0 = {name: 0.3 + 0.1 * k for k, name in enumerate(spec.state_vars)}
+    # Every monomial of degree <= 3 in the encoded variables, the constant included.
+    moments = tuple(MultiIndex(alpha) for alpha in itertools.product(range(4), repeat=len(system.vars))
+                    if sum(alpha) <= 3)
+    mc = mc_simulate(spec, system, model, x0, n_steps, n_samples, 11, moments=moments, batch_size=batch_size)
+    means, ses, batch_means = sequential_mc(spec, system, model, x0, n_steps, n_samples, 11, moments, batch_size)
+    assert mc.means.tobytes() == means.tobytes()
+    assert mc.ses.tobytes() == ses.tobytes()
+    assert mc.batch_means.tobytes() == batch_means.tobytes()
+
+
+class TestHelperThread:
+    """The thread that draws a step ahead lives only as long as its batch."""
+
+    def test_joined_when_mc_returns(self, dubins_spec, dubins_system, dubins_reduced):
+        model = DisturbanceModel(dubins_reduced, dubins_spec.distributions)
+        baseline = threading.active_count()
+        mc_simulate(dubins_spec, dubins_system, model, {"x": 0, "y": 0, "v": 1, "theta": 0.3}, 5, 1000, 2,
+                    batch_size=400)
+        assert threading.active_count() == baseline
+
+    def test_joined_when_a_distribution_is_missing(self):
+        # A model of the random walk, which has no u, run on a spec that draws u.
+        spec = parse_spec("state x y\ndisturbance w u\ndyn x' = x + w\ndyn y' = y + u\n")
+        system = trig_encode(spec)
+        model = DisturbanceModel(trig_encode(parse_spec(WALK)), {"w": Gaussian(0, 1)})
+        baseline = threading.active_count()
+        with pytest.raises(KeyError) as caught:
+            mc_simulate(spec, system, model, {"x": 0, "y": 0}, 3, 100, 0, moments=[MultiIndex((1, 0))])
+        assert caught.value.args == ("no distribution given for disturbance 'u'",)
+        assert threading.active_count() == baseline
+
+    def test_joined_when_a_batch_is_closed_partway(self, dubins_spec, dubins_reduced):
+        model = DisturbanceModel(dubins_reduced, dubins_spec.distributions)
+        baseline = threading.active_count()
+        nb, states = next(iter(rollouts(dubins_spec, model, {"x": 0, "y": 0, "v": 1, "theta": 0.3}, 10, 500, 0, 200)))
+        next(states)
+        next(states)
+        assert threading.active_count() == baseline + 1
+        states.close()
+        assert threading.active_count() == baseline
+
+
+BLOW_UP = "state x\ndisturbance w\ndyn x' = 1e10*x + w\nmoments x x^2\n"
+
+
+class TestNonFinite:
+    """An overflowing result raises PropagationError at its first step, as propagate does, and warns nothing."""
+
+    def setup_method(self):
+        self.spec = parse_spec(BLOW_UP)
+        self.system = trig_encode(self.spec)
+        self.msys = compile_moment_system(self.system, self.system.target_moments)
+
+    def test_mc_point_mass_fails_where_propagate_does(self):
+        model = DisturbanceModel(self.msys, {"w": Degenerate(0.0)})
+        init = propagator.init_deterministic(self.msys, {"x": 10.0})
+        with pytest.raises(PropagationError) as exact:
+            propagator.propagate(self.msys, init, model, 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PropagationError) as mc:
+                mc_simulate(self.spec, self.system, model, {"x": 10.0}, 40, 100, 0)
+        assert str(mc.value) == str(exact.value) == "moment E[x^2] became non-finite at step 16"
+
+    def test_mc_names_a_standard_error_that_overflows_first(self):
+        model = DisturbanceModel(self.msys, {"w": Gaussian(0.0, 1.0)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PropagationError, match=r"^the standard error of moment E\[x\^2\] became "
+                                                       r"non-finite at step 9$"):
+                mc_simulate(self.spec, self.system, model, {"x": 10.0}, 40, 100, 0, batch_size=30)
+
+    def test_linear_propagate_names_the_first_moment(self):
+        model = DisturbanceModel(self.msys, {"w": Gaussian(0.0, 1.0)})
+        lin = linearize(self.spec, {"x": 10.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PropagationError, match=r"^moment Var\[x\] became non-finite at step 17$"):
+                linear_propagate(lin, np.array([10.0]), np.zeros((1, 1)), model, 40)
+            with pytest.raises(PropagationError, match=r"^moment E\[x\] became non-finite at step 31$"):
+                linear_propagate(lin, np.array([10.0]), np.zeros((1, 1)), DisturbanceModel(
+                    self.msys, {"w": Degenerate(0.0)}), 40)
+
+    def test_finite_results_pass(self):
+        model = DisturbanceModel(self.msys, {"w": Gaussian(0.0, 1.0)})
+        mc = mc_simulate(self.spec, self.system, model, {"x": 10.0}, 8, 100, 0)
+        pred = linear_propagate(linearize(self.spec, {"x": 10.0}), np.array([10.0]), np.zeros((1, 1)), model, 15)
+        assert np.isfinite(mc.means).all() and np.isfinite(mc.ses).all()
+        assert np.isfinite(pred.means).all() and np.isfinite(pred.covs).all()
