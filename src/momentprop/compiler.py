@@ -208,6 +208,11 @@ class MomentBasis:
     def __getitem__(self, i: int) -> MultiIndex:
         return self.elements[i]
 
+    @cached_property
+    def powers(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """(variable position, exponent) of each nonzero entry of each element, in order."""
+        return tuple(tuple((i, e) for i, e in enumerate(mi) if e) for mi in self.elements)
+
     def index_of(self, mi: MultiIndex) -> int:
         return self._index[mi]
 

@@ -343,16 +343,19 @@ class DisturbanceModel:
         moments.  A call evaluates only the slots whose source has a shift
         schedule, over all steps at once (one :func:`char_fn` call per
         trigonometric slot); everything else is cached by :func:`_table_plan`.
-        When no needed slot is scheduled every row is the same, so one row is
-        returned as a read-only broadcast (row stride 0).
+        When no needed slot is scheduled every row is the same: the plan holds
+        that finished row, and the call returns it as a read-only view with
+        row stride 0, so it multiplies nothing.
         """
         slot_dists = tuple(
             None if slot.source in self.shifts else self.distributions.get(slot.source, _NO_SOURCE)
             for slot in (*self._raw_slots, *self._trig_slots)
         )
-        fixed, scheduled, factors = _table_plan(tuple(requirements), self._raw_slots, self._trig_slots, slot_dists)
-        slot_moments = np.empty((n_steps if scheduled else min(n_steps, 1), len(fixed)))
-        slot_moments[:] = fixed
+        row, scheduled, factors = _table_plan(tuple(requirements), self._raw_slots, self._trig_slots, slot_dists)
+        if not scheduled:
+            return np.ndarray((n_steps, len(row)), row.dtype, row, 0, (0, row.itemsize))
+        slot_moments = np.empty((n_steps, len(row)))
+        slot_moments[:] = row
         for source, first, orders, laurent in scheduled:
             schedule = self.shifts[source]
             if n_steps and not 0 <= start <= len(schedule) - n_steps:
@@ -360,10 +363,15 @@ class DisturbanceModel:
                                  f"needed steps {start} to {start + n_steps - 1}")
             moments = _slot_moments(self.distributions[source], schedule[start : start + n_steps], orders, laurent)
             slot_moments[:, first : first + len(orders)] = moments.T
-        table = slot_moments.take(factors[0], axis=1)
-        for factor in factors[1:]:
-            table *= slot_moments.take(factor, axis=1)
-        return table if scheduled else np.broadcast_to(table, (n_steps, table.shape[1]))
+        return _products(slot_moments, factors)
+
+
+def _products(slot_moments: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Each requirement's column: the product of its slot-moment columns `factors`, in order."""
+    table = slot_moments.take(factors[0], axis=1)
+    for factor in factors[1:]:
+        table *= slot_moments.take(factor, axis=1)
+    return table
 
 
 @lru_cache(maxsize=1024)
@@ -382,7 +390,9 @@ def _table_plan(
     (NaN in scheduled ones), the scheduled slots as (source, first column,
     orders, None for a raw slot or (base shift, frequencies, Laurent
     matrix)), and the read-only (n_factors, n_req) columns multiplied into
-    each requirement, in order, 0 padding.
+    each requirement, in order, 0 padding.  When no needed slot is
+    scheduled, the row returned is instead the finished, read-only row of
+    requirement moments, and the factors are None.
     """
     if any(len(beta_w) != len(raw_slots) + 2 * len(trig_slots) for beta_w in requirements):
         raise ValueError("disturbance multi-index length mismatch")
@@ -414,5 +424,8 @@ def _table_plan(
             scheduled.append(((raw_slots + trig_slots)[pos].source, first, orders, laurent))
         else:
             fixed[first : first + len(orders)] = _slot_moments(dist, 0.0, orders, laurent)
-    fixed.flags.writeable = factors.flags.writeable = False
+    factors.flags.writeable = False
+    if not scheduled:
+        fixed, factors = _products(fixed[None], factors)[0], None
+    fixed.flags.writeable = False
     return fixed, tuple(scheduled), factors

@@ -78,14 +78,13 @@ def init_deterministic(msys: MomentStateSystem, x0: Mapping[str, float]) -> Mome
             values_by_var[pair.sin_var] = s
     values_by_var.update(initial_values([name for name in msys.state_vars if name not in values_by_var], x0))
     point = [values_by_var[name] for name in msys.state_vars]
-    values = np.empty(len(msys.basis))
-    for i, alpha in enumerate(msys.basis):
+    values = []
+    for powers in msys.basis.powers:
         v = 1.0
-        for x, e in zip(point, alpha):
-            if e:
-                v *= x**e
-        values[i] = v
-    return MomentState(values, 0)
+        for i, e in powers:
+            v *= point[i] ** e
+        values.append(v)
+    return MomentState(np.array(values), 0)
 
 
 def initial_values(names: Sequence[str], x0: Mapping[str, float]) -> dict[str, float]:
@@ -104,19 +103,22 @@ def propagate(
 ) -> MomentTrajectory:
     """Apply the compiled recursion for `n_steps` steps from `init`.
 
-    Work is linear in n_steps times the number of update-form terms.
-    Disturbance moments are resolved once per step and shared across forms;
-    shift schedules are indexed starting at `init.time`.
+    Work is linear in n_steps times the number of terms.  The disturbance
+    moments come from one `model.moment_table` call: a stationary model's
+    table is one row, built once per model layout and shared by every step;
+    shift schedules are evaluated over all steps at once, indexed starting
+    at `init.time`.
     """
     if n_steps < 0:
         raise ValueError("step count must be nonnegative")
-    out = np.empty((n_steps + 1, len(msys.basis)))
-    bad_t, bad_j = _kernels.run_steps(
-        np.asarray(init.values, dtype=np.float64),
-        model.moment_table(msys.dist_requirements, n_steps, start=init.time),
-        *msys.term_table,
-        out,
-    )
+    values0 = np.asarray(init.values, dtype=np.float64)
+    n = len(msys.basis)
+    if values0.shape != (n,):
+        got = f"{values0.shape[0]} moment values" if values0.ndim == 1 else f"shape {values0.shape}"
+        raise ValueError(f"initial state has {got}, but the system has {n} moments")
+    out = np.empty((n_steps + 1, n))
+    table = model.moment_table(msys.dist_requirements, n_steps, start=init.time)
+    bad_t, bad_j = _kernels.run_steps(values0, table, *msys.term_table, out)
     if bad_t >= 0:
         name = monomial_name(msys.state_vars, msys.basis[bad_j])
         raise PropagationError(f"moment E[{name}] became non-finite at step {init.time + int(bad_t)}")

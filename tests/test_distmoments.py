@@ -460,6 +460,17 @@ class TestCachedTable:
         table[:] = np.nan  # the result is the caller's; the cache is untouched
         np.testing.assert_array_equal(model.moment_table(self.REQUIREMENTS, self.N_STEPS, start=self.START), expected)
 
+    def test_stationary_table_is_one_cached_row(self, monkeypatch):
+        """With no schedule the plan holds the finished row: a call multiplies nothing and returns a view of it."""
+        model = DisturbanceModel(self.SYSTEM, dict.fromkeys("abuz", Gaussian(0.2, 0.3)))
+        first = model.moment_table(self.REQUIREMENTS, self.N_STEPS, start=self.START)
+        np.testing.assert_array_equal(first, self.expected(model))
+        monkeypatch.setattr(distmoments, "_products", None)  # a call that multiplied would raise
+        later = model.moment_table(self.REQUIREMENTS, 1000)
+        assert later.strides[0] == first.strides[0] == 0 and not later.flags.writeable
+        assert later.base is first.base
+        np.testing.assert_array_equal(later[999], first[0])
+
     def test_same_layout_different_distributions(self):
         """A cache keyed on the layout alone would hand the second model the first one's table."""
         tables = []

@@ -1,9 +1,12 @@
 import math
 import re
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentprop import _kernels, compiler, presets, propagator
 from momentprop.compiler import compile_moment_system
@@ -334,6 +337,55 @@ def assert_bit_identical(results):
     assert np.array_equal(out.view(np.int64), ref_out.view(np.int64))
 
 
+# Every arithmetic corner the kernel meets: signed zeros, subnormals, the
+# largest finite magnitudes, infinities and NaN.
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.1e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+                  math.inf, -math.inf, math.nan)
+kernel_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(-4.0, 4.0), st.floats(width=64))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_kernel_matches_python_loop_on_any_term_table(data):
+    """Term tables the compiler never emits: unsorted targets (a target split over
+    several runs), 0 to 5 factor slots with -1 pads anywhere (4 and 5 take the
+    kernel's generic loop), stride-0 and strided tables, and special values everywhere."""
+    n, n_req = data.draw(st.integers(1, 5), label="n"), data.draw(st.integers(1, 4), label="n_req")
+    n_terms, max_f = data.draw(st.integers(0, 12), label="n_terms"), data.draw(st.integers(0, 5), label="max_f")
+    n_steps = data.draw(st.integers(0, 6), label="n_steps")
+
+    def ints(lo, hi, size):
+        return np.array(data.draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)), dtype=np.int64)
+
+    def floats(size):
+        return np.array(data.draw(st.lists(kernel_floats, min_size=size, max_size=size)), dtype=np.float64)
+
+    target, req = ints(0, n - 1, n_terms), ints(0, n_req - 1, n_terms)
+    fact = ints(-1, n - 1, n_terms * max_f).reshape(n_terms, max_f)
+    coeff, values0 = floats(n_terms), floats(n)
+    layout = data.draw(st.sampled_from(["contiguous", "stride 0", "every other row", "every other column"]))
+    if layout == "stride 0":
+        table = np.broadcast_to(floats(n_req), (n_steps, n_req))
+    elif layout == "every other row":
+        table = floats(2 * n_steps * n_req).reshape(2 * n_steps, n_req)[::2]
+    elif layout == "every other column":
+        table = floats(2 * n_steps * n_req).reshape(n_steps, 2 * n_req)[:, ::2]
+    else:
+        table = floats(n_steps * n_req).reshape(n_steps, n_req)
+    results = []
+    for run in (_kernels.run_steps, _kernels.run_steps_python):
+        out = np.full((n_steps + 1, n), 7.0)
+        results.append((run(values0, table, target, coeff, req, fact, out), out))
+    (bad, out), (ref_bad, ref_out) = results
+    assert bad == ref_bad
+    # Bit for bit, except that any NaN equals any NaN: when both operands are NaN,
+    # IEEE 754 leaves open whose payload the result carries, and the C compiler and
+    # numpy may order the operands of + and * differently.
+    assert np.array_equal(np.isnan(out), np.isnan(ref_out))
+    assert np.array_equal(np.where(np.isnan(out), 0.0, out).view(np.int64),
+                          np.where(np.isnan(ref_out), 0.0, ref_out).view(np.int64))
+
+
 @pytest.mark.skipif(_kernels.BACKEND == "python", reason="no compiled backend loaded")
 class TestCompiledKernelAgreement:
     """The compiled backend must reproduce the Python loop bit for bit."""
@@ -421,6 +473,38 @@ def test_python_fallback_without_compiler(monkeypatch, dubins_reduced):
         _kernels._backend.cache_clear()
     assert np.array_equal(fallback.view(np.int64), compiled.view(np.int64))
     assert _kernels.BACKEND == "c"
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
+def test_unwritable_cache_still_loads_the_c_kernel(monkeypatch, tmp_path, walk):
+    """A cache path that cannot be a directory: the kernel is built and loaded from a temporary directory."""
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    _kernels._backend.cache_clear()
+    try:
+        assert _kernels.BACKEND == "c"
+        arrays = walk.term_table
+        args = (np.array([0.5, 0.25]), np.array([[1.0, 0.1, 0.02]] * 3),
+                arrays.target, arrays.coeff, arrays.req, arrays.fact)
+        out, ref = np.empty((4, 2)), np.empty((4, 2))
+        assert _kernels.run_steps(*args, out) == _kernels.run_steps_python(*args, ref) == (-1, -1)
+        assert np.array_equal(out, ref)
+    finally:
+        monkeypatch.undo()
+        _kernels._backend.cache_clear()
+    assert blocker.read_text() == "" and not any(scratch.iterdir())  # the build directory is gone
+
+
+def test_wrong_length_initial_state_names_both_lengths(dubins_reduced):
+    model = DisturbanceModel(dubins_reduced, presets.benchmark_noise())
+    with pytest.raises(ValueError, match=r"^initial state has 19 moment values, but the system has 20 moments$"):
+        propagate(dubins_reduced, propagator.MomentState(np.ones(19)), model, 10)
+    with pytest.raises(ValueError, match=r"^initial state has shape \(1, 20\), but the system has 20 moments$"):
+        propagate(dubins_reduced, propagator.MomentState(np.ones((1, 20))), model, 10)
 
 
 def test_python_fallback_overflow_raises_without_warning(monkeypatch):
