@@ -1,5 +1,8 @@
+import logging
 import math
 import re
+import sys
+import sysconfig
 import tempfile
 from fractions import Fraction
 
@@ -497,6 +500,97 @@ def test_unwritable_cache_still_loads_the_c_kernel(monkeypatch, tmp_path, walk):
         monkeypatch.undo()
         _kernels._backend.cache_clear()
     assert blocker.read_text() == "" and not any(scratch.iterdir())  # the build directory is gone
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
+def test_python_fallback_without_headers(monkeypatch, tmp_path, caplog, dubins_reduced):
+    """No Python.h: the warning names the header and where it was looked for, and the Python loop is used."""
+    model = DisturbanceModel(dubins_reduced, presets.benchmark_noise())
+    init = init_deterministic(dubins_reduced, {"x": 0.3, "y": -1, "v": 1.2, "theta": 0.4})
+    compiled = propagate(dubins_reduced, init, model, 200).values
+    empty = tmp_path / "include"
+    empty.mkdir()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(sysconfig, "get_paths", lambda: {"include": str(empty)})
+    _kernels._backend.cache_clear()
+    try:
+        with caplog.at_level(logging.WARNING, logger=_kernels.__name__):
+            assert _kernels.BACKEND == "python"
+        fallback = propagate(dubins_reduced, init, model, 200).values
+    finally:
+        monkeypatch.undo()
+        _kernels._backend.cache_clear()
+    assert f"Python.h is not in {empty}" in caplog.text
+    assert np.array_equal(fallback.view(np.int64), compiled.view(np.int64))
+    assert _kernels.BACKEND == "c"
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
+def test_cache_name_carries_the_abi_tag(monkeypatch, tmp_path):
+    """Interpreters with different ABI tags build and load different files."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    suffixes = (sysconfig.get_config_var("EXT_SUFFIX"), ".cpython-399-x86_64-linux-gnu.so")
+    for suffix in suffixes:
+        monkeypatch.setitem(sysconfig.get_config_vars(), "EXT_SUFFIX", suffix)
+        _kernels._load_c()
+    hashes = dict(re.fullmatch(r"run_steps-([0-9a-f]{16})(.+)", lib.name).group(2, 1)
+                  for lib in (tmp_path / "momentprop").iterdir())
+    assert sorted(hashes) == sorted(suffixes)
+    assert len(set(hashes.values())) == 2  # the hash covers the tag too
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
+def test_kernel_releases_buffers_on_every_path(walk):
+    """Every array the kernel took a buffer of is released, whether the call returns or raises."""
+    arrays = walk.term_table
+    bad_fact = arrays.fact.copy()
+    bad_fact[0, 0] = len(walk.basis)
+    frozen = np.empty((4, 2))
+    frozen.flags.writeable = False
+    cases = ((arrays.fact, np.empty((4, 2)), None), (bad_fact, np.empty((4, 2)), IndexError),
+             (arrays.fact, np.empty((3, 2)), ValueError), (arrays.fact, frozen, ValueError))
+    for fact, out, expected in cases:
+        args = (np.array([0.5, 0.25]), np.array([[1.0, 0.1, 0.02]] * 3),
+                arrays.target, arrays.coeff, arrays.req, fact, out)
+        before = [sys.getrefcount(arr) for arr in args]
+        try:
+            _kernels.run_steps(*args)
+            raised = None
+        except (IndexError, ValueError) as exc:
+            raised = type(exc)
+        assert raised is expected
+        assert [sys.getrefcount(arr) for arr in args] == before
+
+
+def test_kernel_converts_odd_inputs(dubins_reduced):
+    """Inputs the C loop cannot read in place (other dtypes, other layouts) give the reference's bits."""
+    shifts = np.linspace(-0.3, 0.3, 30)
+    model = DisturbanceModel(dubins_reduced, presets.benchmark_noise(), shifts={"wt": shifts, "wv": shifts / 10})
+    init = init_deterministic(dubins_reduced, {"x": 0.3, "y": -1, "v": 1.2, "theta": 0.4})
+    table = model.moment_table(dubins_reduced.dist_requirements, 30)
+    terms = dubins_reduced.term_table
+
+    def spread(arr):
+        """The same entries, every other row of an array twice as long."""
+        wide = np.zeros((2 * arr.shape[0], *arr.shape[1:]), arr.dtype)
+        wide[::2] = arr
+        return wide[::2]
+
+    cases = {
+        "int values0": (np.rint(init.values * 4).astype(np.int64), table, *terms),
+        "float32 table": (init.values, table.astype(np.float32), *terms),
+        "Fortran-ordered table": (init.values, np.asfortranarray(table), *terms),
+        "column-strided table": (init.values, np.repeat(table, 2, axis=1)[:, ::2], *terms),
+        "non-contiguous term arrays": (init.values, table, *map(spread, terms)),
+        "Fortran-ordered fact": (init.values, table, *terms[:3], np.asfortranarray(terms[3])),
+    }
+    for name, args in cases.items():
+        results = []
+        for run in (_kernels.run_steps, _kernels.run_steps_python):
+            out = np.full((31, len(dubins_reduced.basis)), 7.0)
+            results.append((run(*args, out), out))
+        assert results[0][0] == (-1, -1), name
+        assert_bit_identical(results)
 
 
 def test_wrong_length_initial_state_names_both_lengths(dubins_reduced):
