@@ -1,28 +1,31 @@
-"""Inner propagation loop: one call runs the whole horizon.
+"""Compiled inner loops: the propagation horizon and the planner's risk bound.
 
 Per-step Python/numpy dispatch overhead alone would dwarf the
-sub-microsecond step budget of small compiled systems, so the loop runs
-compiled.  `run_steps` uses the first of two backends that loads:
+sub-microsecond step budget of small compiled systems, and about 25 numpy
+calls per candidate edge would dwarf the arithmetic of its risk bound, so
+both run compiled.  One extension module has two entry points, `run_steps`
+and `risk_bound`, and both use the first of two backends that loads:
 
-- ``"c"``: the loop in C (`_C_SOURCE`), a CPython extension module that reads
-  the arrays through the buffer protocol.  On first use it is built with the
-  system C compiler (``cc`` or ``gcc``, about 0.6 s, once) and the Python
-  headers (``Python.h``, from ``python3-dev`` or the like) into
+- ``"c"``: both loops in C (`_C_SOURCE`), one CPython extension module that
+  reads the arrays through the buffer protocol.  On first use it is built
+  with the system C compiler (``cc`` or ``gcc``, about 0.6 s, once) and the
+  Python headers (``Python.h``, from ``python3-dev`` or the like) into
   ``$XDG_CACHE_HOME/momentprop`` (default ``~/.cache/momentprop``), named
   ``run_steps-<hash><EXT_SUFFIX>``: the hash covers the source, the flags,
   the machine and the ABI tag, so each interpreter loads only its own build.
   If that directory cannot be written, the module is built and loaded from a
   temporary directory instead.  Superseded ``run_steps-*`` files are never
   removed, since another checkout or interpreter may still load them; they
-  are safe to delete.  A call costs about 5 us warm and 55 us right after
-  other work has evicted the caches, besides the loop itself.
+  are safe to delete.  A `run_steps` call costs about 5 us warm and 55 us
+  right after other work has evicted the caches, besides the loop itself.
 - ``"python"``: `run_steps_python`, about 200 us per step on the 20-moment
-  Dubins system.  It is the fallback when there is no C compiler or no
-  ``Python.h``, or the build fails, and the reference that the C loop must
+  Dubins system, and `risk_bound_python`, numpy over all steps and faces at
+  once.  They are the fallback when there is no C compiler or no
+  ``Python.h``, or the build fails, and the references that the C loops must
   match bit for bit.
 
 `BACKEND` names the backend in use; reading it, or the first call of
-`run_steps`, makes the choice.
+`run_steps` or `risk_bound`, makes the choice.
 """
 
 from __future__ import annotations
@@ -79,6 +82,37 @@ def run_steps_python(values0, table, target, coeff, req, fact, out):
                 if not np.isfinite(out[t + 1, j]):
                     return t + 1, j
     return -1, -1
+
+
+def risk_bound(values, positions, faces, starts):
+    """risk_bound_python on the chosen backend; see its docstring."""
+    return _backend()[2](values, positions, faces, starts)
+
+
+def risk_bound_python(values, positions, faces, starts):
+    """Union bound on P(the position is inside an obstacle) over steps 1..T, obstacles and faces.
+
+    values[t] is the moment state at step t; `positions` index E[x], E[y],
+    E[x^2], E[x*y] and E[y^2] in it.  Columns of the (6, F) `faces` table are
+    the obstacles' half-spaces ax*x + ay*y + b <= 0, as rows ax, ay, b, ax*ax,
+    2*ax*ay, ay*ay; obstacle i's faces start at column starts[i].  A face's
+    Cantelli bound is 0 where its variance is 0 and 1 where its mean is
+    negative; an obstacle's is its least risky face's (fmin, so NaN is
+    skipped), at most 1; the total is summed left to right, step by step and
+    then obstacle by obstacle.  May exceed 1.
+    """
+    from .propagator import central_second_moments  # propagator imports this module
+
+    # Non-finite moments give a bound, not a warning, as in the C loop.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu0, mu1, s00, s11, s01 = central_second_moments(values[1:], positions)
+        ax, ay, b, axx, axy2, ayy = faces[:, :, None]
+        mean = ax * mu0 + ay * mu1 + b
+        var = np.maximum(axx * s00 + axy2 * s01 + ayy * s11, 0.0)
+        bound = np.divide(var, var + mean * mean, out=np.zeros(var.shape), where=var != 0.0)
+        np.copyto(bound, 1.0, where=mean < 0)
+        risks = np.fmin(np.fmin.reduceat(bound, starts, axis=0), 1.0)
+    return float(risks.T.cumsum()[-1]) if risks.size else 0.0
 
 
 # The loop of run_steps_python in two phases per step.  Phase 1 computes every
@@ -215,6 +249,34 @@ done:
     return status;
 }
 
+/* risk_bound_python's bound, operation for operation: the same products, sums and quotients in the same order.
+   Obstacle o's faces run from starts[o] to the next start, or to the last face, as np.fmin.reduceat takes them. */
+static double risk_bound(int64_t n_rows, int64_t n, const double *values, const int64_t *pos, int64_t n_faces,
+                         const double *faces, int64_t n_obs, const int64_t *starts)
+{
+    const double *ax = faces, *ay = ax + n_faces, *b = ay + n_faces;
+    const double *axx = b + n_faces, *axy2 = axx + n_faces, *ayy = axy2 + n_faces;
+    double total = 0.0;
+    for (int64_t t = 1; t < n_rows; t++) {
+        const double *v = values + t * n;
+        double mu0 = v[pos[0]], mu1 = v[pos[1]];
+        double s00 = v[pos[2]] - mu0 * mu0, s11 = v[pos[4]] - mu1 * mu1, s01 = v[pos[3]] - mu0 * mu1;
+        for (int64_t o = 0; o < n_obs; o++) {
+            int64_t end = o + 1 == n_obs ? n_faces : starts[o + 1] > starts[o] ? starts[o + 1] : starts[o] + 1;
+            double best = NAN;
+            for (int64_t f = starts[o]; f < end; f++) {
+                double mean = ax[f] * mu0 + ay[f] * mu1 + b[f];
+                double var = axx[f] * s00 + axy2[f] * s01 + ayy[f] * s11;
+                var = var < 0.0 ? 0.0 : var; /* np.maximum(var, 0.0): NaN and -0.0 stay */
+                double bound = var != 0.0 ? var / (var + mean * mean) : 0.0;
+                best = fmin(best, mean < 0.0 ? 1.0 : bound);
+            }
+            total += fmin(best, 1.0);
+        }
+    }
+    return total;
+}
+
 static int f8(const Py_buffer *b) { return b->itemsize == 8 && !strcmp(b->format, "d"); }
 static int i8(const Py_buffer *b) { return b->itemsize == 8 && (!strcmp(b->format, "l") || !strcmp(b->format, "q")); }
 static int dense(Py_buffer *b) { return PyBuffer_IsContiguous(b, 'C'); }
@@ -261,7 +323,44 @@ release:
     return result;
 }
 
-static PyMethodDef methods[] = {{"run_steps", (PyCFunction)(void (*)(void))py_run_steps, METH_FASTCALL, NULL}, {0}};
+#undef FAIL
+#define FAIL(exc, msg) do { PyErr_SetString(exc, "risk_bound: " msg); goto release; } while (0)
+
+/* risk_bound(values, positions, faces, starts) -> float, on the arrays' buffers.  TypeError means an input is not
+   float64 (int64 for positions and starts) or not C-contiguous; IndexError, a position or start out of range. */
+static PyObject *py_risk_bound(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer b[4], *v = b, *pos = b + 1, *fc = b + 2, *st = b + 3;
+    PyObject *result = NULL;
+    int got = 0;
+    if (nargs != 4)
+        return PyErr_Format(PyExc_TypeError, "risk_bound takes 4 arguments (%zd given)", nargs);
+    for (; got < 4; got++)
+        if (PyObject_GetBuffer(args[got], b + got, PyBUF_RECORDS_RO))
+            goto release;
+    if (!(f8(v) && i8(pos) && f8(fc) && i8(st)))
+        FAIL(PyExc_TypeError, "values and faces must be float64, positions and starts int64");
+    if (!(dense(v) && dense(pos) && dense(fc) && dense(st)))
+        FAIL(PyExc_TypeError, "the arrays must be C-contiguous");
+    if (v->ndim != 2 || pos->ndim != 1 || pos->shape[0] != 5 || fc->ndim != 2 || fc->shape[0] != 6 || st->ndim != 1)
+        FAIL(PyExc_ValueError, "values must be 2-d, positions hold 5 entries, faces 6 rows and starts 1-d");
+    const int64_t *p = pos->buf, *s = st->buf;
+    for (int i = 0; i < 5; i++)
+        if (p[i] < 0 || p[i] >= v->shape[1])
+            FAIL(PyExc_IndexError, "a position is out of range");
+    for (Py_ssize_t i = 0; i < st->shape[0]; i++)
+        if (s[i] < 0 || s[i] >= fc->shape[1])
+            FAIL(PyExc_IndexError, "an obstacle's first face is out of range");
+    result = PyFloat_FromDouble(
+        risk_bound(v->shape[0], v->shape[1], v->buf, p, fc->shape[1], fc->buf, st->shape[0], s));
+release:
+    while (got--)
+        PyBuffer_Release(b + got);
+    return result;
+}
+
+static PyMethodDef methods[] = {{"run_steps", (PyCFunction)(void (*)(void))py_run_steps, METH_FASTCALL, NULL},
+                                {"risk_bound", (PyCFunction)(void (*)(void))py_risk_bound, METH_FASTCALL, NULL}, {0}};
 static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "run_steps", NULL, -1, methods};
 PyMODINIT_FUNC PyInit_run_steps(void) { return PyModule_Create(&module); }
 """
@@ -309,7 +408,7 @@ def _build_c(cc: str, lib_path: Path) -> object:
 
 
 def _load_c():
-    """run_steps backed by the C loop, building the extension module if not cached."""
+    """(run_steps, risk_bound) backed by the C loops, building the extension module if not cached."""
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         raise OSError("no C compiler (cc or gcc) on PATH")
@@ -317,7 +416,8 @@ def _load_c():
     key = hashlib.sha256("\0".join((_C_SOURCE, *_C_FLAGS, platform.machine(), suffix)).encode())
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "momentprop"
     lib_path = cache / f"run_steps-{key.hexdigest()[:16]}{suffix}"
-    kernel = (_import(lib_path) if lib_path.exists() else _build_c(cc, lib_path)).run_steps
+    module = _import(lib_path) if lib_path.exists() else _build_c(cc, lib_path)
+    kernel = module.run_steps
 
     def run_steps_c(values0, table, target, coeff, req, fact, out):
         try:
@@ -326,17 +426,17 @@ def _load_c():
             f8, i8 = (functools.partial(np.ascontiguousarray, dtype=dtype) for dtype in (np.float64, np.int64))
             return kernel(f8(values0), f8(table), i8(target), f8(coeff), i8(req), i8(fact), out)
 
-    return run_steps_c
+    return run_steps_c, module.risk_bound
 
 
 @functools.cache
 def _backend():
-    """(name, function) of the first backend that loads."""
+    """(name, run_steps, risk_bound) of the first backend that loads."""
     try:
-        return "c", _load_c()
+        return "c", *_load_c()
     except (OSError, ImportError, RuntimeError, subprocess.SubprocessError) as exc:
         log.warning("C propagation kernel unavailable (%s); using the Python loop", exc)
-        return "python", run_steps_python
+        return "python", run_steps_python, risk_bound_python
 
 
 def run_steps(values0, table, target, coeff, req, fact, out):

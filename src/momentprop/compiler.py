@@ -270,11 +270,13 @@ class MomentStateSystem:
             terms[target].append(MufTerm(Fraction(*coeff), dist, tuple(self.basis[j] for j in factors)))
         return tuple(MomentUpdateForm(mi, tuple(t), self.reduced) for mi, t in zip(self.basis, terms))
 
-    def pair_positions(self, a: str, b: str) -> tuple[int, int, int, int, int]:
-        """Basis positions of E[a], E[b], E[a^2], E[a*b] and E[b^2]; cached per pair."""
+    def pair_positions(self, a: str, b: str) -> np.ndarray:
+        """Basis positions of E[a], E[b], E[a^2], E[a*b] and E[b^2], read-only int64; cached per pair."""
         if (a, b) not in self._pair_positions:
             needed = second_moment_indices(self.state_vars, a, b, self.basis)
-            self._pair_positions[a, b] = tuple(map(self.basis.index_of, needed))
+            positions = np.array([self.basis.index_of(mi) for mi in needed], dtype=np.int64)
+            positions.flags.writeable = False
+            self._pair_positions[a, b] = positions
         return self._pair_positions[a, b]
 
     def moment_names(self) -> tuple[str, ...]:

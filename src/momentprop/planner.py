@@ -12,18 +12,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import sysspec
+from . import _kernels, sysspec
 from .compiler import MomentStateSystem
 from .distmoments import DisturbanceModel, Distribution
 from .oracle import rollouts
 from .propagator import MomentState, MomentTrajectory, PropagationError, central_second_moments, init_deterministic
-from .propagator import mean_cov, propagate
+from .propagator import propagate
 from .sysspec import SystemSpec, TrigPair
 from .tables import csv_text
 
@@ -50,7 +51,12 @@ class Polytope:
 
     @classmethod
     def from_vertices(cls, vertices: Sequence[tuple[float, float]]) -> "Polytope":
-        """Build from a counterclockwise vertex list (unit outward normals)."""
+        """Build from a convex polygon's vertices, counterclockwise (unit outward normals).
+
+        The polygon must have positive area.  Any other vertex list raises
+        ValueError: its half-spaces would not bound the polygon, so `contains`
+        and the risk bound would not see it.
+        """
         if len(vertices) < 3:
             raise ValueError("polygon needs at least three vertices")
         halfspaces = []
@@ -64,7 +70,15 @@ class Polytope:
                 raise ValueError("repeated polygon vertex")
             ax, ay = dy / norm, -dx / norm  # outward for ccw winding
             halfspaces.append(((ax, ay), -(ax * x1 + ay * y1)))
-        return cls(tuple(halfspaces))
+        polytope = cls(tuple(halfspaces))
+        # The turn at each vertex, from one edge's normal to the next: a convex counterclockwise
+        # polygon turns left (or goes straight on) at every vertex, by 2 pi in all.
+        normals = [a for a, _ in halfspaces]
+        turns = [math.atan2(ax1 * ay2 - ay1 * ax2, ax1 * ax2 + ay1 * ay2)
+                 for (ax1, ay1), (ax2, ay2) in zip(normals, normals[1:] + normals[:1])]
+        if min(turns) < -_GEOM_EPS or max(turns) > math.pi - _GEOM_EPS or sum(turns) > 3.0 * math.pi:
+            raise ValueError("obstacle vertices must go counterclockwise around a convex polygon of positive area")
+        return polytope
 
     def contains(self, x, y):
         """Pointwise membership; x, y may be arrays."""
@@ -89,24 +103,25 @@ class Environment:
 
     @cached_property
     def _faces(self) -> tuple[np.ndarray, np.ndarray]:
-        """Face columns ax, ay, b, ax*ax, 2*ax*ay, ay*ay of all obstacles, and each one's first face."""
+        """(6, F) table of all obstacles' faces (rows ax, ay, b, ax*ax, 2*ax*ay, ay*ay), and each one's first face."""
         faces = [
             (ax, ay, b, ax * ax, 2.0 * ax * ay, ay * ay)
             for obs in self.obstacles
             for (ax, ay), b in obs.halfspaces
         ]
-        starts = np.cumsum([0] + [len(obs.halfspaces) for obs in self.obstacles[:-1]])
-        return np.array(faces, dtype=float).T[:, :, None], starts
+        starts = np.cumsum([0] + [len(obs.halfspaces) for obs in self.obstacles[:-1]], dtype=np.int64)
+        return np.ascontiguousarray(np.array(faces, dtype=float).T), starts
 
 
 def parse_environment(text: str) -> Environment:
     """Parse the line-oriented environment format.
 
     Lines: `bounds xmin ymin xmax ymax`, `start x y heading`,
-    `goal x y radius`, and one `obstacle x1 y1 x2 y2 ...` per polygon
-    (counterclockwise winding).  '#' starts a comment.  Every value must be
-    finite, the bounds must have positive, finite widths, the goal radius
-    must be positive, and `bounds`, `start` and `goal` appear once each.
+    `goal x y radius`, and one `obstacle x1 y1 x2 y2 ...` per convex
+    polygon of positive area, its vertices counterclockwise.  '#' starts a
+    comment.  Every value must be finite, the bounds must have positive,
+    finite widths, the goal radius must be positive, and `bounds`, `start`
+    and `goal` appear once each.
     """
     singles: dict[str, tuple[float, ...]] = {}
     obstacles = []
@@ -135,8 +150,10 @@ def parse_environment(text: str) -> Environment:
                 raise ValueError(f"environment line {line_no}: goal radius must be positive")
             singles[head] = tuple(values)
         elif head == "obstacle" and len(values) >= 6 and len(values) % 2 == 0:
-            vertices = list(zip(values[::2], values[1::2]))
-            obstacles.append(Polytope.from_vertices(vertices))
+            try:
+                obstacles.append(Polytope.from_vertices(list(zip(values[::2], values[1::2]))))
+            except ValueError as exc:
+                raise ValueError(f"environment line {line_no}: {exc}") from None
         else:
             raise ValueError(f"environment line {line_no}: bad declaration {head!r}")
     if len(singles) < 3:
@@ -147,56 +164,22 @@ def parse_environment(text: str) -> Environment:
 # -- risk bounds ----------------------------------------------------------------
 
 
-def cantelli_bound(mean: float, variance: float) -> float:
-    """One-sided tail bound on P(g <= 0) from the mean and variance of g.
-
-    Valid for every distribution with these two moments.  The bound is 1
-    when the mean is negative (the average case already violates), and the
-    zero-mean zero-variance corner is defined as 0.
-    """
-    if variance < 0:
-        raise ValueError("variance must be nonnegative")
-    if mean < 0:
-        return 1.0
-    if variance == 0.0:
-        return 0.0
-    return variance / (variance + mean * mean)
-
-
-def obstacle_risk(mu: np.ndarray, sigma: np.ndarray, obstacle: Polytope) -> float:
-    """Upper bound on P(position inside obstacle): least risky face wins."""
-    best = 1.0
-    for (ax, ay), b in obstacle.halfspaces:
-        mean = ax * mu[0] + ay * mu[1] + b
-        var = (
-            ax * ax * sigma[0, 0]
-            + 2.0 * ax * ay * sigma[0, 1]
-            + ay * ay * sigma[1, 1]
-        )
-        best = min(best, cantelli_bound(mean, max(var, 0.0)))
-    return best
-
-
 def trajectory_risk(traj: MomentTrajectory, env: Environment) -> float:
     """Union bound over steps t = 1..T and obstacles; may exceed 1.
 
-    Equals summing :func:`obstacle_risk` step by step, then obstacle by
-    obstacle, left to right: the bounds of all steps and faces come from one
-    array expression that keeps the scalar association order and the rules
-    of :func:`cantelli_bound`, and the total is a sequential cumulative sum.
+    Each step's position mean and covariance bound each obstacle face by the
+    one-sided Cantelli inequality (1 for a negative mean, 0 for a zero
+    variance); an obstacle takes its least risky face, and the bounds are
+    summed step by step, then obstacle by obstacle, left to right.  One
+    `_kernels.risk_bound` call does all of it.  The scalar loop in
+    ``tests/reference.py`` (`cantelli_bound`, `obstacle_risk`) is the
+    reference it equals bit for bit.
     """
     if not env.obstacles:
         return 0.0
-    # Position means and covariances of steps 1..T, then bounds as (faces, steps) arrays.
-    mu0, mu1, s00, s11, s01 = central_second_moments(traj.values[1:], traj.system.pair_positions(*POSITION))
-    (ax, ay, b, axx, axy2, ayy), starts = env._faces
-    mean = ax * mu0 + ay * mu1 + b
-    var = np.maximum(axx * s00 + axy2 * s01 + ayy * s11, 0.0)
-    bound = np.divide(var, var + mean * mean, out=np.zeros(var.shape), where=var != 0.0)
-    np.copyto(bound, 1.0, where=mean < 0)
-    # Least risky face per obstacle; fmin skips NaN as min(1.0, ...) over faces does.
-    risks = np.fmin(np.fmin.reduceat(bound, starts, axis=0), 1.0)
-    return float(risks.T.cumsum()[-1]) if risks.size else 0.0
+    faces, starts = env._faces
+    values = np.ascontiguousarray(traj.values, dtype=np.float64)  # no copy for propagate's own trajectories
+    return _kernels.risk_bound(values, traj.system.pair_positions(*POSITION), faces, starts)
 
 
 # -- deterministic shortest bounded-curvature paths -------------------------------
@@ -309,21 +292,29 @@ def simulate_controls(
     return out
 
 
+def _is_step_count(n) -> bool:
+    """Whether n is an integer of at least 1; a bool is not."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+
+
 def dubins_steer(
     from_pose: Sequence[float],
     to_pose: Sequence[float],
     speed: float,
     radius: float,
-    max_steps: float = math.inf,
+    max_steps: int | float = math.inf,
 ) -> np.ndarray:
     """Per-step heading increments tracking the shortest path at constant speed.
 
     Step count is ceil(length / speed), of which only the first `max_steps`
-    are computed; increments are bounded by speed / radius.  Returns an
-    empty array when the poses coincide.
+    (an int of at least 1, or math.inf for no cap) are computed; increments
+    are bounded by speed / radius.  Returns an empty array when the poses
+    coincide.
     """
     if speed <= 0:
         raise ValueError("speed must be positive")
+    if max_steps != math.inf and not _is_step_count(max_steps):
+        raise ValueError(f"max steps must be an integer of at least 1 or math.inf, got {max_steps!r}")
     path = dubins_shortest_path(from_pose, to_pose, radius)
     length = path.length
     if length <= 1e-12:
@@ -427,8 +418,8 @@ class PlannerConfig:
             raise ValueError(f"speed must be positive and finite, got {self.speed}")
         if not 0.0 < self.turn_radius < math.inf:
             raise ValueError(f"turn radius must be positive and finite, got {self.turn_radius}")
-        if self.max_edge_steps < 1:
-            raise ValueError(f"max edge steps must be at least 1, got {self.max_edge_steps}")
+        if not _is_step_count(self.max_edge_steps):
+            raise ValueError(f"max edge steps must be an integer of at least 1, got {self.max_edge_steps!r}")
 
 
 @dataclass
@@ -494,6 +485,7 @@ def build_rrt(
         raise ValueError(f"iteration count must be nonnegative, got {iterations}")
     heading = _heading(msys.state_vars, msys.state_pairs)
     i_cos, i_sin = msys.moment_index(heading.cos_var), msys.moment_index(heading.sin_var)
+    positions = msys.pair_positions(*POSITION)
     steered_disturbance(msys)  # stochastic_steer resolves it per edge; fail before the first
     cfg = config or PlannerConfig()
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -538,17 +530,18 @@ def build_rrt(
         new_risk = parent.risk_to_node + edge_risk
         if new_risk > epsilon:
             continue
-        means, covs = mean_cov(traj, POSITION)
+        arrival = traj.values[-1]
+        mx, my, sxx, syy, sxy = central_second_moments(arrival, positions)
         # Mean heading at arrival, recovered as atan2(E[sin], E[cos]).
-        mean_heading = math.atan2(traj.values[-1, i_sin], traj.values[-1, i_cos])
+        mean_heading = math.atan2(arrival[i_sin], arrival[i_cos])
         node = TreeNode(
-            pose=(float(means[-1, 0]), float(means[-1, 1]), mean_heading),
+            pose=(float(mx), float(my), mean_heading),
             moment_state=traj.state(traj.n_steps),
             risk_to_node=new_risk,
             parent=nearest,
             controls=controls,
-            mean=means[-1],
-            cov=covs[-1],
+            mean=np.array([mx, my]),
+            cov=np.array([[sxx, sxy], [sxy, syy]]),
         )
         poses[len(nodes)] = node.pose
         nodes.append(node)

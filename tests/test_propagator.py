@@ -437,7 +437,7 @@ class TestCompiledKernelAgreement:
 class TestCKernel:
     def test_builds_into_cache_dir(self, monkeypatch, tmp_path, walk):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        run = _kernels._load_c()
+        run, _ = _kernels._load_c()
         (lib,) = (tmp_path / "momentprop").iterdir()
         assert lib.name.startswith("run_steps-") and lib.suffix == ".so"
         arrays = walk.term_table
@@ -560,6 +560,86 @@ def test_kernel_releases_buffers_on_every_path(walk):
             raised = type(exc)
         assert raised is expected
         assert [sys.getrefcount(arr) for arr in args] == before
+
+
+# Ordinary floats round in every product and sum; small halves make a face's mean exactly 0 often;
+# special values reach every branch of the bound.
+risk_floats = st.one_of(st.floats(-4.0, 4.0), st.sampled_from((0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0)), kernel_floats)
+# A variance as the planner meets it: spread, exactly 0, or slightly negative from rounding.
+risk_variances = st.one_of(st.floats(0.0, 0.5), st.sampled_from((0.0, -1e-13, 1e-13)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_risk_bound_matches_python_reference(data):
+    """Any moments, faces and first faces: T = 0 to 6 steps, 0 to 3 obstacles (any starts, as
+    np.fmin.reduceat takes them), NaN, infinities, -0.0, slightly negative variances, zero means."""
+    n, n_steps = data.draw(st.integers(5, 7), label="n"), data.draw(st.integers(0, 6), label="T")
+    positions = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=5, max_size=5)), dtype=np.int64)
+    values = np.array(data.draw(st.lists(risk_floats, min_size=(n_steps + 1) * n, max_size=(n_steps + 1) * n)))
+    values = values.reshape(n_steps + 1, n)
+    for t in range(1, n_steps + 1):
+        if data.draw(st.booleans(), label="second moments from a mean and a covariance"):
+            mx, my = values[t, positions[:2]]
+            s00, s11, r = data.draw(risk_variances), data.draw(risk_variances), data.draw(st.floats(-1.0, 1.0))
+            s01 = r * math.sqrt(s00 * s11) if s00 > 0 and s11 > 0 else 0.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                values[t, positions[2:]] = s00 + mx * mx, s01 + mx * my, s11 + my * my
+    n_faces = data.draw(st.integers(0, 8), label="faces")
+    ax, ay, b = np.empty(n_faces), np.empty(n_faces), np.empty(n_faces)
+    for f in range(n_faces):
+        if data.draw(st.booleans(), label="unit normal"):
+            angle = data.draw(st.floats(0.0, 2 * math.pi))
+            ax[f], ay[f], b[f] = math.cos(angle), math.sin(angle), data.draw(st.floats(-3.0, 3.0))
+        else:
+            ax[f], ay[f], b[f] = data.draw(risk_floats), data.draw(risk_floats), data.draw(risk_floats)
+    with np.errstate(over="ignore", invalid="ignore"):
+        faces = np.array([ax, ay, b, ax * ax, 2.0 * ax * ay, ay * ay])
+    n_obs = data.draw(st.integers(min(n_faces, 1), min(n_faces, 3)), label="obstacles")
+    face = st.integers(0, max(n_faces - 1, 0))
+    if data.draw(st.booleans(), label="increasing starts"):
+        starts = sorted(data.draw(st.sets(face, min_size=n_obs, max_size=n_obs)))
+    else:
+        starts = data.draw(st.lists(face, min_size=n_obs, max_size=n_obs))
+    starts = np.array(starts, dtype=np.int64)
+    got = _kernels.risk_bound(values, positions, faces, starts)
+    assert type(got) is float
+    assert got.hex() == _kernels.risk_bound_python(values, positions, faces, starts).hex()
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
+def test_risk_bound_rejects_bad_input_and_releases_buffers():
+    """Wrong dtypes, layouts, shapes and indices raise; every buffer taken is released either way."""
+    values, positions = np.linspace(0.0, 1.0, 18).reshape(3, 6), np.arange(5, dtype=np.int64)
+    faces, starts = np.ones((6, 4)), np.array([0, 2], dtype=np.int64)
+    cases = {
+        "valid": ((values, positions, faces, starts), None),
+        "int32 positions": ((values, positions.astype(np.int32), faces, starts), TypeError),
+        "float32 faces": ((values, positions, faces.astype(np.float32), starts), TypeError),
+        "float starts": ((values, positions, faces, starts.astype(float)), TypeError),
+        "Fortran-ordered values": ((np.asfortranarray(values), positions, faces, starts), TypeError),
+        "a list": ((values, positions, faces, [0, 2]), TypeError),
+        "1-d values": ((values[0], positions, faces, starts), ValueError),
+        "4 positions": ((values, positions[:4], faces, starts), ValueError),
+        "5 face rows": ((values, positions, faces[:5], starts), ValueError),
+        "2-d starts": ((values, positions, faces, starts.reshape(1, 2)), ValueError),
+        "position past the last moment": ((values, np.array([0, 1, 2, 3, 6]), faces, starts), IndexError),
+        "negative position": ((values, np.array([-1, 1, 2, 3, 4]), faces, starts), IndexError),
+        "start past the last face": ((values, positions, faces, np.array([0, 4])), IndexError),
+        "negative start": ((values, positions, faces, np.array([-1, 2])), IndexError),
+    }
+    for name, (args, expected) in cases.items():
+        before = [sys.getrefcount(arr) for arr in args]
+        try:
+            _kernels.risk_bound(*args)
+            raised = None
+        except (TypeError, ValueError, IndexError) as exc:
+            raised = type(exc)
+            assert str(exc).startswith("risk_bound: ") or name == "a list", name
+        assert raised is expected, name
+        assert [sys.getrefcount(arr) for arr in args] == before, name
+    with pytest.raises(TypeError, match="takes 4 arguments"):
+        _kernels._backend()[2](values, positions, faces)
 
 
 def test_kernel_converts_odd_inputs(dubins_reduced):
