@@ -1,31 +1,48 @@
-"""Compiled inner loops: the propagation horizon and the planner's risk bound.
+"""Compiled inner loops: the propagation horizon, the planner's risk bound and its geometry.
 
 Per-step Python/numpy dispatch overhead alone would dwarf the
-sub-microsecond step budget of small compiled systems, and about 25 numpy
-calls per candidate edge would dwarf the arithmetic of its risk bound, so
-both run compiled.  One extension module has two entry points, `run_steps`
-and `risk_bound`, and both use the first of two backends that loads:
+sub-microsecond step budget of small compiled systems, and numpy calls on
+arrays of a few dozen entries would dwarf the arithmetic of each candidate
+edge, so these run compiled.  One extension module has four entry points,
+and all four use the first of two backends that loads:
 
-- ``"c"``: both loops in C (`_C_SOURCE`), one CPython extension module that
+- ``"c"``: the loops in C (`_C_SOURCE`), one CPython extension module that
   reads the arrays through the buffer protocol.  On first use it is built
-  with the system C compiler (``cc`` or ``gcc``, about 0.6 s, once) and the
+  with the system C compiler (``cc`` or ``gcc``, about 0.7 s, once) and the
   Python headers (``Python.h``, from ``python3-dev`` or the like) into
   ``$XDG_CACHE_HOME/momentprop`` (default ``~/.cache/momentprop``), named
   ``run_steps-<hash><EXT_SUFFIX>``: the hash covers the source, the flags,
-  the machine and the ABI tag, so each interpreter loads only its own build.
-  If that directory cannot be written, the module is built and loaded from a
-  temporary directory instead.  Superseded ``run_steps-*`` files are never
-  removed, since another checkout or interpreter may still load them; they
-  are safe to delete.  A `run_steps` call costs about 5 us warm and 55 us
-  right after other work has evicted the caches, besides the loop itself.
-- ``"python"``: `run_steps_python`, about 200 us per step on the 20-moment
-  Dubins system, and `risk_bound_python`, numpy over all steps and faces at
-  once.  They are the fallback when there is no C compiler or no
-  ``Python.h``, or the build fails, and the references that the C loops must
-  match bit for bit.
+  the machine and the ABI tag, so each interpreter loads only its own build,
+  and a changed source is built once per cache.  If that directory cannot be
+  written, the module is built and loaded from a temporary directory instead.
+  Superseded ``run_steps-*`` files are never removed, since another checkout
+  or interpreter may still load them; they are safe to delete.
+- ``"python"``: the twins, which are the fallback when there is no C
+  compiler or no ``Python.h``, or the build fails, and the references that
+  the C code must match bit for bit.
 
-`BACKEND` names the backend in use; reading it, or the first call of
-`run_steps` or `risk_bound`, makes the choice.
+The entry points, their twins, and their cost per call on a 2-vCPU Xeon VM:
+
+- `run_steps`: `run_steps_python`, the moment recursion over a horizon.  In
+  C about 5 us warm and 55 us right after other work has evicted the caches,
+  besides the loop itself; the Python loop takes about 200 us per step on the
+  20-moment Dubins system.
+- `risk_bound`: `risk_bound_python`, numpy over all steps and faces at once;
+  about 3 us in C against 42 us in numpy for a 40-step edge.
+- `dubins_steer`: `planner._steer_python`, the shortest Dubins word and its
+  per-step heading increments; about 1 us in C against 20 us in numpy for a
+  40-step edge.
+- `nearest`: `planner._nearest_python`, the nearest-node scores of a tree's
+  poses; about 1 us for 60 poses in C against 11 us in numpy.
+
+Two of Python's operations are not the C library's.  Python's float ``%``
+is ``fmod`` followed by a sign fix, which the C code repeats.
+`math.hypot` is CPython's own algorithm, so `dubins_steer` takes the
+distance as an argument; `nearest` scores with libm's ``hypot``, as numpy's
+``np.hypot`` does, and leaves a near-tie to the caller.
+
+`BACKEND` names the backend in use; reading it, or the first call of an
+entry point, makes the choice.
 """
 
 from __future__ import annotations
@@ -359,10 +376,215 @@ release:
     return result;
 }
 
+#undef FAIL
+
+/* The planner's geometry, as planner._shortest_path, planner._steer_python and planner._nearest_python compute it:
+   every libm call, product, sum and comparison in the same order.  Python's float % is fmod with the divisor's
+   sign; math.sin, cos, atan2, acos and sqrt are libm's for these arguments; math.hypot is not, so it is an input. */
+static const double PI = 3.141592653589793, TWO_PI = 2.0 * 3.141592653589793, EPS = 1e-9;
+
+static double mod2pi(double a)
+{
+    double m = fmod(a, TWO_PI);
+    return m ? (m < 0.0 ? m + TWO_PI : m) : 0.0;
+}
+
+static double max0(double a) { return 0.0 > a ? 0.0 : a; } /* Python's max(a, 0.0) */
+
+/* Word w (t, p, q) replaces the best so far if it is the first feasible word or strictly shorter. */
+static void consider(double t, double p, double q, const char *w, int *found, double best[4], const char **word)
+{
+    double cost = t + p + q;
+    if (!*found || cost < best[0]) {
+        *found = 1;
+        best[0] = cost, best[1] = t, best[2] = p, best[3] = q;
+        *word = w;
+    }
+}
+
+/* planner._dubins_words and the first shortest of them; 0 if none is feasible. */
+static int shortest_word(double alpha, double beta, double d, double best[4], const char **word)
+{
+    double sa = sin(alpha), ca = cos(alpha), sb = sin(beta), cb = cos(beta), c_ab = cos(alpha - beta);
+    double p_sq, p, tmp, t;
+    int found = 0;
+    p_sq = 2.0 + d * d - 2.0 * c_ab + 2.0 * d * (sa - sb);
+    if (p_sq >= -EPS) {
+        tmp = atan2(cb - ca, d + sa - sb);
+        consider(mod2pi(-alpha + tmp), sqrt(max0(p_sq)), mod2pi(beta - tmp), "LSL", &found, best, word);
+    }
+    p_sq = 2.0 + d * d - 2.0 * c_ab + 2.0 * d * (sb - sa);
+    if (p_sq >= -EPS) {
+        tmp = atan2(ca - cb, d - sa + sb);
+        consider(mod2pi(alpha - tmp), sqrt(max0(p_sq)), mod2pi(-beta + tmp), "RSR", &found, best, word);
+    }
+    p_sq = -2.0 + d * d + 2.0 * c_ab + 2.0 * d * (sa + sb);
+    if (p_sq >= -EPS) {
+        p = sqrt(max0(p_sq));
+        tmp = atan2(-ca - cb, d + sa + sb) - atan2(-2.0, p);
+        consider(mod2pi(-alpha + tmp), p, mod2pi(-mod2pi(beta) + tmp), "LSR", &found, best, word);
+    }
+    p_sq = d * d - 2.0 + 2.0 * c_ab - 2.0 * d * (sa + sb);
+    if (p_sq >= -EPS) {
+        p = sqrt(max0(p_sq));
+        tmp = atan2(ca + cb, d - sa - sb) - atan2(2.0, p);
+        consider(mod2pi(alpha - tmp), p, mod2pi(beta - tmp), "RSL", &found, best, word);
+    }
+    tmp = (6.0 - d * d + 2.0 * c_ab + 2.0 * d * (sa - sb)) / 8.0;
+    if (fabs(tmp) <= 1.0) {
+        p = mod2pi(2.0 * PI - acos(tmp));
+        t = mod2pi(alpha - atan2(ca - cb, d - sa + sb) + p / 2.0);
+        consider(t, p, mod2pi(alpha - beta - t + p), "RLR", &found, best, word);
+    }
+    tmp = (6.0 - d * d + 2.0 * c_ab + 2.0 * d * (sb - sa)) / 8.0;
+    if (fabs(tmp) <= 1.0) {
+        p = mod2pi(2.0 * PI - acos(tmp));
+        t = mod2pi(-alpha + atan2(-ca + cb, d + sa - sb) + p / 2.0);
+        consider(t, p, mod2pi(mod2pi(beta) - alpha - t + p), "LRL", &found, best, word);
+    }
+    return found;
+}
+
+/* The heading after arc length s along the segments, as the numpy steps do it element by element. */
+static double heading_at(double s, double h, int n_seg, const double *seg, const char *mode, double radius)
+{
+    for (int i = 0; i < n_seg; i++) {
+        double take = s < seg[i] ? s : seg[i];
+        if (mode[i] == 'L')
+            h = h + take / radius;
+        else if (mode[i] == 'R')
+            h = h - take / radius;
+        s = s - take;
+    }
+    return h;
+}
+
+static PyObject *empty; /* numpy.empty, which makes dubins_steer's result */
+
+/* dubins_steer(dx, dy, dist, h0, h1, speed, radius, max_steps) -> float64 array, or None if no word is feasible:
+   planner._steer_python.  The arguments are read as floats; max_steps may be inf. */
+static PyObject *py_dubins_steer(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    double a[8], best[4] = {0.0}, seg[3], length = 0.0;
+    const char *word;
+    char mode[3];
+    int n_seg = 0;
+    if (nargs != 8)
+        return PyErr_Format(PyExc_TypeError, "dubins_steer takes 8 arguments (%zd given)", nargs);
+    for (int i = 0; i < 8; i++)
+        if ((a[i] = PyFloat_AsDouble(args[i])) == -1.0 && PyErr_Occurred())
+            return NULL;
+    double dx = a[0], dy = a[1], dist = a[2], h0 = a[3], h1 = a[4], speed = a[5], radius = a[6], cap = a[7];
+    double theta = dist > 1e-12 ? atan2(dy, dx) : 0.0;
+    if (!shortest_word(mod2pi(h0 - theta), mod2pi(h1 - theta), dist / radius, best, &word))
+        Py_RETURN_NONE;
+    for (int i = 0; i < 3; i++) {
+        double len = best[i + 1] * radius;
+        if (len > 1e-12) {
+            seg[n_seg] = len;
+            mode[n_seg++] = word[i];
+            length += len;
+        }
+    }
+    double n = 0.0;
+    if (length > 1e-12) {
+        double q = length / speed;
+        if (isnan(q))
+            return PyErr_Format(PyExc_ValueError, "cannot convert float NaN to integer");
+        if (isinf(q))
+            return PyErr_Format(PyExc_OverflowError, "cannot convert float infinity to integer");
+        n = ceil(q) < 1.0 ? 1.0 : ceil(q);
+        n = cap < n ? cap : n;
+    }
+    PyObject *count = PyLong_FromDouble(n), *out = count ? PyObject_CallOneArg(empty, count) : NULL;
+    Py_XDECREF(count);
+    Py_buffer b;
+    if (!out || PyObject_GetBuffer(out, &b, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS)) {
+        Py_XDECREF(out);
+        return NULL;
+    }
+    double *controls = b.buf, prev = heading_at(0.0, h0, n_seg, seg, mode, radius);
+    for (Py_ssize_t k = 1, steps = b.len / 8; k <= steps; k++) {
+        double s = (double)k * speed;
+        double h = heading_at(s < length ? s : length, h0, n_seg, seg, mode, radius);
+        controls[k - 1] = h - prev;
+        prev = h;
+    }
+    PyBuffer_Release(&b);
+    return out;
+}
+
+/* nearest(poses, x, y, h, radius) -> int or list: planner._nearest_python on a C-contiguous float64 (n, 3) array.
+   Each row scores hypot(x - px, y - py) + radius * min(a, 2 pi - a), a = |fmod(h - ph, 2 pi)|; the rows within
+   1e-9 of the least score (NaN propagating, as in numpy's min) form the band.  A band of one row is returned as its
+   index, any other band as a list. */
+static PyObject *py_nearest(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    double q[4];
+    Py_buffer b;
+    PyObject *result = NULL;
+    if (nargs != 5)
+        return PyErr_Format(PyExc_TypeError, "nearest takes 5 arguments (%zd given)", nargs);
+    for (int i = 0; i < 4; i++)
+        if ((q[i] = PyFloat_AsDouble(args[i + 1])) == -1.0 && PyErr_Occurred())
+            return NULL;
+    if (PyObject_GetBuffer(args[0], &b, PyBUF_RECORDS_RO))
+        return NULL;
+    if (!f8(&b) || !dense(&b) || b.ndim != 2 || b.shape[1] != 3) {
+        PyErr_SetString(PyExc_TypeError, "nearest: poses must be a C-contiguous float64 (n, 3) array");
+        goto release;
+    }
+    Py_ssize_t n = b.shape[0], count = 0, first = -1;
+    const double *pose = b.buf;
+    double *score = PyMem_Malloc((n ? n : 1) * sizeof *score), least = INFINITY;
+    if (!score) {
+        PyErr_NoMemory();
+        goto release;
+    }
+    for (Py_ssize_t i = 0; i < n; i++, pose += 3) {
+        double a = fabs(fmod(q[2] - pose[2], TWO_PI)), other = TWO_PI - a;
+        score[i] = hypot(q[0] - pose[0], q[1] - pose[1]) + q[3] * (a <= other ? a : other);
+        least = isnan(score[i]) || score[i] < least ? score[i] : least;
+        if (isnan(least))
+            break;
+    }
+    double band = least * (1.0 + 1e-9);
+    for (Py_ssize_t i = 0; i < n && !isnan(least); i++)
+        if (score[i] <= band && !count++)
+            first = i;
+    if (count == 1) {
+        result = PyLong_FromSsize_t(first);
+    } else if ((result = PyList_New(count))) {
+        for (Py_ssize_t i = first, j = 0; j < count; i++) {
+            PyObject *index = score[i] <= band ? PyLong_FromSsize_t(i) : NULL;
+            if (index)
+                PyList_SET_ITEM(result, j++, index);
+            else if (PyErr_Occurred()) {
+                Py_CLEAR(result);
+                break;
+            }
+        }
+    }
+    PyMem_Free(score);
+release:
+    PyBuffer_Release(&b);
+    return result;
+}
+
 static PyMethodDef methods[] = {{"run_steps", (PyCFunction)(void (*)(void))py_run_steps, METH_FASTCALL, NULL},
-                                {"risk_bound", (PyCFunction)(void (*)(void))py_risk_bound, METH_FASTCALL, NULL}, {0}};
+                                {"risk_bound", (PyCFunction)(void (*)(void))py_risk_bound, METH_FASTCALL, NULL},
+                                {"dubins_steer", (PyCFunction)(void (*)(void))py_dubins_steer, METH_FASTCALL, NULL},
+                                {"nearest", (PyCFunction)(void (*)(void))py_nearest, METH_FASTCALL, NULL}, {0}};
 static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "run_steps", NULL, -1, methods};
-PyMODINIT_FUNC PyInit_run_steps(void) { return PyModule_Create(&module); }
+
+PyMODINIT_FUNC PyInit_run_steps(void)
+{
+    PyObject *numpy = PyImport_ImportModule("numpy");
+    if (numpy && !empty)
+        empty = PyObject_GetAttrString(numpy, "empty");
+    Py_XDECREF(numpy);
+    return empty ? PyModule_Create(&module) : NULL;
+}
 """
 # No fused multiply-add: the C loop must round exactly as the Python loop does.
 _C_FLAGS = ("-O2", "-funroll-loops", "-shared", "-fPIC", "-ffp-contract=off")
@@ -403,12 +625,12 @@ def _build_c(cc: str, lib_path: Path) -> object:
         if lib_path is None:
             return _import(built)
         os.replace(built, lib_path)
-    log.info("built the C propagation kernel at %s", lib_path)
+    log.info("built the C kernel module at %s", lib_path)
     return _import(lib_path)
 
 
 def _load_c():
-    """(run_steps, risk_bound) backed by the C loops, building the extension module if not cached."""
+    """run_steps backed by the C loop, and the extension module, built if not cached."""
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         raise OSError("no C compiler (cc or gcc) on PATH")
@@ -426,22 +648,35 @@ def _load_c():
             f8, i8 = (functools.partial(np.ascontiguousarray, dtype=dtype) for dtype in (np.float64, np.int64))
             return kernel(f8(values0), f8(table), i8(target), f8(coeff), i8(req), i8(fact), out)
 
-    return run_steps_c, module.risk_bound
+    return run_steps_c, module
 
 
 @functools.cache
 def _backend():
-    """(name, run_steps, risk_bound) of the first backend that loads."""
+    """(name, run_steps, risk_bound, dubins_steer, nearest) of the first backend that loads."""
     try:
-        return "c", *_load_c()
+        run_steps_c, module = _load_c()
+        return "c", run_steps_c, module.risk_bound, module.dubins_steer, module.nearest
     except (OSError, ImportError, RuntimeError, subprocess.SubprocessError) as exc:
-        log.warning("C propagation kernel unavailable (%s); using the Python loop", exc)
-        return "python", run_steps_python, risk_bound_python
+        log.warning("C kernel module unavailable (%s); using the Python twins", exc)
+        from .planner import _nearest_python, _steer_python  # planner imports this module
+
+        return "python", run_steps_python, risk_bound_python, _steer_python, _nearest_python
 
 
 def run_steps(values0, table, target, coeff, req, fact, out):
     """run_steps_python on the chosen backend; see its docstring."""
     return _backend()[1](values0, table, target, coeff, req, fact, out)
+
+
+def dubins_steer(dx, dy, dist, h0, h1, speed, radius, max_steps):
+    """planner._steer_python on the chosen backend; see its docstring."""
+    return _backend()[3](dx, dy, dist, h0, h1, speed, radius, max_steps)
+
+
+def nearest(poses, x, y, h, radius):
+    """planner._nearest_python on the chosen backend; see its docstring."""
+    return _backend()[4](poses, x, y, h, radius)
 
 
 def __getattr__(name):

@@ -192,6 +192,24 @@ def _mod2pi(angle: float) -> float:
 _GEOM_EPS = 1e-9
 
 
+def _check_length(name: str, value: float) -> None:
+    """Raise ValueError naming `name` unless value is positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+class InfeasiblePathError(ValueError):
+    """No bounded-curvature word joins the two poses, as when a pose holds a NaN."""
+
+
+def _relative(from_pose: Sequence[float], to_pose: Sequence[float]) -> tuple[float, float, float, float, float]:
+    """(dx, dy, hypot(dx, dy), h0, h1) of two poses, in floats: the steering kernels' view of them."""
+    x0, y0, h0 = map(float, from_pose)
+    x1, y1, h1 = map(float, to_pose)
+    dx, dy = x1 - x0, y1 - y0
+    return dx, dy, math.hypot(dx, dy), h0, h1
+
+
 def _dubins_words(alpha: float, beta: float, d: float):
     """Candidate (t, p, q, word) solutions in normalized units (radius 1)."""
     sa, ca = math.sin(alpha), math.cos(alpha)
@@ -247,16 +265,8 @@ class DubinsPath:
         return sum(length for _, length in self.segments)
 
 
-def dubins_shortest_path(
-    from_pose: Sequence[float], to_pose: Sequence[float], radius: float
-) -> DubinsPath:
-    """Shortest of the six standard word types between planar poses."""
-    if radius <= 0:
-        raise ValueError("turn radius must be positive")
-    x0, y0, h0 = from_pose
-    x1, y1, h1 = to_pose
-    dx, dy = x1 - x0, y1 - y0
-    dist = math.hypot(dx, dy)
+def _shortest_path(dx: float, dy: float, dist: float, h0: float, h1: float, radius: float) -> DubinsPath | None:
+    """The first shortest word from `_relative`'s view of two poses, or None if no word is feasible."""
     d = dist / radius
     theta = math.atan2(dy, dx) if dist > 1e-12 else 0.0
     alpha = _mod2pi(h0 - theta)
@@ -267,7 +277,7 @@ def dubins_shortest_path(
         if best is None or cost < best[0]:
             best = (cost, t, p, q, word)
     if best is None:
-        raise ValueError("no feasible bounded-curvature path")
+        return None
     _, t, p, q, word = best
     segments = []
     for mode, n_units in zip(word, (t, p, q)):
@@ -275,6 +285,21 @@ def dubins_shortest_path(
         if length > 1e-12:
             segments.append((mode, length))
     return DubinsPath(tuple(segments), radius)
+
+
+def dubins_shortest_path(
+    from_pose: Sequence[float], to_pose: Sequence[float], radius: float
+) -> DubinsPath:
+    """Shortest of the six standard word types between planar poses.
+
+    The radius must be positive and finite; InfeasiblePathError (a
+    ValueError) means no word joins the poses, as when one holds a NaN.
+    """
+    _check_length("radius", radius)
+    path = _shortest_path(*_relative(from_pose, to_pose), radius)
+    if path is None:
+        raise InfeasiblePathError("no feasible bounded-curvature path")
+    return path
 
 
 def simulate_controls(
@@ -309,13 +334,26 @@ def dubins_steer(
     Step count is ceil(length / speed), of which only the first `max_steps`
     (an int of at least 1, or math.inf for no cap) are computed; increments
     are bounded by speed / radius.  Returns an empty array when the poses
-    coincide.
+    coincide.  Speed and radius must be positive and finite; the poses are
+    read as floats.  InfeasiblePathError (a ValueError) means no word joins
+    the poses, as when one holds a NaN.  `_kernels.dubins_steer` does the
+    arithmetic, in C or in `_steer_python`.
     """
-    if speed <= 0:
-        raise ValueError("speed must be positive")
+    _check_length("speed", speed)
+    _check_length("radius", radius)
     if max_steps != math.inf and not _is_step_count(max_steps):
         raise ValueError(f"max steps must be an integer of at least 1 or math.inf, got {max_steps!r}")
-    path = dubins_shortest_path(from_pose, to_pose, radius)
+    controls = _kernels.dubins_steer(*_relative(from_pose, to_pose), float(speed), float(radius), max_steps)
+    if controls is None:
+        raise InfeasiblePathError("no feasible bounded-curvature path")
+    return controls
+
+
+def _steer_python(dx, dy, dist, h0, h1, speed, radius, max_steps):
+    """dubins_steer's arithmetic after its checks, or None if no word is feasible: the C steering's twin."""
+    path = _shortest_path(dx, dy, dist, h0, h1, radius)
+    if path is None:
+        return None
     length = path.length
     if length <= 1e-12:
         return np.zeros(0)
@@ -323,7 +361,7 @@ def dubins_steer(
     # Heading at each step's arc length s, segment by segment: each segment
     # turns by min(remaining s, its length) / radius.
     s = np.minimum(np.arange(n_steps + 1) * speed, length)
-    headings = np.full(n_steps + 1, float(from_pose[2]))
+    headings = np.full(n_steps + 1, h0)
     for mode, seg_length in path.segments:
         take = np.minimum(s, seg_length)
         if mode == "L":
@@ -337,18 +375,28 @@ def dubins_steer(
 def _nearest(poses: np.ndarray, sample: Sequence[float], radius: float) -> int:
     """First row of `poses` minimizing hypot(dx, dy) + radius * |remainder(dh, 2 pi)| to `sample`.
 
-    |fmod(dh, 2 pi)| folded onto [0, pi] is that remainder exactly (Sterbenz), but np.hypot
-    may differ from math.hypot by an ulp, so near-ties are settled with the scalar key.
+    `_kernels.nearest` scores every row with libm's hypot and fmod and returns
+    the best row when no other scores within 1e-9 of it.  |fmod(dh, 2 pi)|
+    folded onto [0, pi] is that remainder exactly (Sterbenz), but libm's hypot
+    may differ from math.hypot by an ulp, so a near-tie band is settled here
+    with the scalar key.  `poses` is a C-contiguous float64 (n, 3) array.
     """
-    dx, dy, dh = (np.asarray(sample) - poses).T
+    x, y, h = sample
+    near = _kernels.nearest(poses, x, y, h, radius)
+    return near if isinstance(near, int) else min(
+        near,
+        key=lambda i: math.hypot(x - poses[i, 0], y - poses[i, 1])
+        + radius * abs(math.remainder(h - poses[i, 2], 2.0 * math.pi)),
+    )
+
+
+def _nearest_python(poses, x, y, h, radius):
+    """The C nearest-node scan's twin: the first best row if it is alone in the near-tie band, else the band."""
+    dx, dy, dh = (np.array((x, y, h)) - poses).T
     a = np.abs(np.fmod(dh, 2.0 * math.pi))
     score = np.hypot(dx, dy) + radius * np.minimum(a, 2.0 * math.pi - a)
     near = (score <= score.min() * (1.0 + 1e-9)).nonzero()[0].tolist()
-    return near[0] if len(near) == 1 else min(
-        near,
-        key=lambda i: math.hypot(sample[0] - poses[i, 0], sample[1] - poses[i, 1])
-        + radius * abs(math.remainder(sample[2] - poses[i, 2], 2.0 * math.pi)),
-    )
+    return near[0] if len(near) == 1 else near
 
 
 # -- stochastic steering -----------------------------------------------------------
@@ -397,9 +445,9 @@ def stochastic_steer(
 # -- tree construction ---------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlannerConfig:
-    """Steering and sampling parameters (none are dictated by the math).
+    """Steering and sampling parameters (none are dictated by the math); checked once, then frozen.
 
     The default speed keeps the discretized steering endpoint within the
     (0.05 m, 0.05 rad) tolerance; the endpoint offset of the forward-Euler
@@ -414,10 +462,8 @@ class PlannerConfig:
     max_edge_steps: int = 40
 
     def __post_init__(self):
-        if not 0.0 < self.speed < math.inf:
-            raise ValueError(f"speed must be positive and finite, got {self.speed}")
-        if not 0.0 < self.turn_radius < math.inf:
-            raise ValueError(f"turn radius must be positive and finite, got {self.turn_radius}")
+        _check_length("speed", self.speed)
+        _check_length("turn radius", self.turn_radius)
         if not _is_step_count(self.max_edge_steps):
             raise ValueError(f"max edge steps must be an integer of at least 1, got {self.max_edge_steps!r}")
 
@@ -518,7 +564,7 @@ def build_rrt(
         parent = nodes[nearest]
         try:
             controls = dubins_steer(parent.pose, sample, cfg.speed, cfg.turn_radius, cfg.max_edge_steps)
-        except ValueError:
+        except InfeasiblePathError:
             continue
         if len(controls) == 0:
             continue

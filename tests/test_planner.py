@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from momentprop import _kernels, compiler, planner, presets, sysspec
 from momentprop.distmoments import Degenerate, DisturbanceModel, Gaussian
 from momentprop.planner import (
     Environment,
+    InfeasiblePathError,
     PlannerConfig,
     Polytope,
     build_rrt,
@@ -328,6 +330,153 @@ class TestNearest:
         poses = np.array([(-exact, 0.0, 0.0), (-a, -b, 0.0)])  # scalar keys tie at `exact`
         assert int(np.argmin(np.hypot(-poses[:, 0], -poses[:, 1]))) == 1
         assert planner._nearest(poses, sample, 0.3) == _scalar_nearest(poses.tolist(), sample, 0.3) == 0
+
+
+@pytest.fixture(params=["c", "python"])
+def backend(request, monkeypatch):
+    """Each kernel backend in turn; the Python one as when no C compiler is found."""
+    if request.param == "c" and _kernels.BACKEND != "c":
+        pytest.skip("C backend not loaded")
+    if request.param == "python":
+        monkeypatch.setattr(_kernels.shutil, "which", lambda name: None)
+    _kernels._backend.cache_clear()
+    try:
+        assert _kernels.BACKEND == request.param
+        yield request.param
+    finally:
+        monkeypatch.undo()
+        _kernels._backend.cache_clear()
+
+
+class TestSteeringArguments:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -0.05])
+    @pytest.mark.parametrize("name", ["speed", "radius"])
+    def test_dubins_steer_names_a_bad_speed_or_radius(self, backend, name, value):
+        args = {"speed": 0.05, "radius": 0.3, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+            dubins_steer((0, 0, 0), (1, 0.5, 1.0), **args)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_dubins_shortest_path_names_a_bad_radius(self, backend, value):
+        with pytest.raises(ValueError, match=f"^radius must be positive and finite, got {value}$"):
+            dubins_shortest_path((0, 0, 0), (1, 0.5, 1.0), value)
+
+    @pytest.mark.parametrize("pose", [(math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, math.nan)])
+    def test_nan_pose_is_an_infeasible_path(self, backend, pose):
+        with pytest.raises(InfeasiblePathError, match="no feasible bounded-curvature path"):
+            dubins_steer((0.5, 0.5, 0.0), pose, 0.05, 0.3, 40)
+        with pytest.raises(InfeasiblePathError, match="no feasible bounded-curvature path"):
+            dubins_shortest_path(pose, (0.5, 0.5, 0.0), 0.3)
+
+
+def _word_margins(p0, p1, radius):
+    """|p^2| of the four CSC words and ||tmp| - 1| of the two CCC words, as _dubins_words computes them."""
+    dx, dy, dist, h0, h1 = planner._relative(p0, p1)
+    theta = math.atan2(dy, dx) if dist > 1e-12 else 0.0
+    alpha, beta, d = planner._mod2pi(h0 - theta), planner._mod2pi(h1 - theta), dist / radius
+    sa, ca, sb, cb, c_ab = math.sin(alpha), math.cos(alpha), math.sin(beta), math.cos(beta), math.cos(alpha - beta)
+    p_sq = (2 + d * d - 2 * c_ab + 2 * d * (sa - sb), 2 + d * d - 2 * c_ab + 2 * d * (sb - sa),
+            -2 + d * d + 2 * c_ab + 2 * d * (sa + sb), d * d - 2 + 2 * c_ab - 2 * d * (sa + sb))
+    tmp = ((6.0 - d * d + 2 * c_ab + 2 * d * (sa - sb)) / 8.0, (6.0 - d * d + 2 * c_ab + 2 * d * (sb - sa)) / 8.0)
+    return min(map(abs, p_sq)), min(abs(abs(x) - 1.0) for x in tmp)
+
+
+def _turn_centre(pose, radius, side):
+    """Centre of the circle the pose turns on: side +1 to the left, -1 to the right."""
+    x, y, h = pose
+    return x - side * radius * math.sin(h), y + side * radius * math.cos(h)
+
+
+def _pose_on_circle(centre, radius, side, heading):
+    """The pose with `heading` that turns on the circle about `centre` (side as in _turn_centre)."""
+    return centre[0] + side * radius * math.sin(heading), centre[1] - side * radius * math.cos(heading), heading
+
+
+_coords, _angles = st.floats(-3.0, 3.0), st.one_of(st.floats(-7.0, 7.0), st.sampled_from(
+    [0.0, math.pi, -math.pi, math.pi / 2, 2 * math.pi, math.nextafter(math.pi, 4.0)]))
+# How the goal pose relates to the start; the circle kinds put the poses at a word's feasibility edge.
+_GOALS = ["random", "coincident", "same position", "antipodal", "same circle", "tangent circles", "circles 4r apart"]
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_c_steering_matches_python_twin(data):
+    """The C steering's controls equal _steer_python's bit for bit, at the words' feasibility edges too."""
+    radius = data.draw(st.one_of(st.sampled_from([0.1, 0.3, 1.0]), st.floats(0.05, 2.0)), label="radius")
+    speed = data.draw(st.one_of(st.sampled_from([0.013, 0.05, 0.5]), st.floats(0.01, 1.0)), label="speed")
+    cap = data.draw(st.sampled_from([1, 40, math.inf]), label="cap")
+    p0 = (data.draw(_coords), data.draw(_coords), data.draw(_angles))
+    kind = data.draw(st.sampled_from(_GOALS), label="goal")
+    if kind == "random":
+        p1 = (data.draw(_coords), data.draw(_coords), data.draw(_angles))
+    elif kind == "coincident":
+        p1 = p0
+    elif kind == "same position":
+        p1 = (p0[0], p0[1], data.draw(_angles))
+    elif kind == "antipodal":
+        p1 = (data.draw(_coords), data.draw(_coords), p0[2] + data.draw(st.sampled_from([math.pi, -math.pi])))
+    else:
+        # Same-side circles 0 or 4 radii apart: LSL or RSR's p^2 is 0, or LRL or RLR's |tmp| is 1; opposite
+        # sides 2 radii apart: LSR or RSL's p^2 is 0.
+        side0 = data.draw(st.sampled_from([1, -1]))
+        side1 = -side0 if kind == "tangent circles" else side0
+        apart = {"same circle": 0.0, "tangent circles": 2.0, "circles 4r apart": 4.0}[kind] * radius
+        phi = data.draw(st.floats(-math.pi, math.pi))
+        cx, cy = _turn_centre(p0, radius, side0)
+        p1 = _pose_on_circle((cx + apart * math.cos(phi), cy + apart * math.sin(phi)), radius, side1, data.draw(_angles))
+        p_sq, tmp = _word_margins(p0, p1, radius)
+        assert min(p_sq, tmp) < 1e-9
+    args = (*planner._relative(p0, p1), speed, radius, cap)
+    got, want = dubins_steer(p0, p1, speed, radius, cap), planner._steer_python(*args)
+    assert got.dtype == want.dtype == np.float64 and got.flags.writeable
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_c_nearest_matches_scalar_key_on_repeats_and_near_ties(data):
+    """Repeated poses, poses at one distance from the sample, a few ulps off it, and heading gaps of pi."""
+    sample = (data.draw(st.floats(0.0, 2.5)), data.draw(st.floats(0.0, 2.5)), data.draw(st.floats(-math.pi, math.pi)))
+    pose = st.tuples(st.floats(0.0, 2.5), st.floats(0.0, 2.5), st.floats(-7.0, 7.0))
+    poses = data.draw(st.lists(pose, min_size=1, max_size=12))
+    d = data.draw(st.floats(0.0, 1.0))
+    for _ in range(data.draw(st.integers(0, 6))):
+        kind = data.draw(st.sampled_from(["repeat", "equidistant", "ulps off"]))
+        if kind == "repeat":
+            poses.append(data.draw(st.sampled_from(poses)))
+        else:
+            phi = data.draw(st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2, 1.0]))
+            r = d if kind == "equidistant" else d + data.draw(st.integers(-3, 3)) * math.ulp(d)
+            gap = data.draw(st.sampled_from(TestNearest.SPECIAL_GAPS))
+            poses.append((sample[0] + r * math.cos(phi), sample[1] + r * math.sin(phi), sample[2] - gap))
+    arr = np.array(data.draw(st.permutations(poses)), dtype=float)
+    radius = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+    assert planner._nearest(arr, sample, radius) == _scalar_nearest(arr.tolist(), sample, radius)
+    assert _kernels.nearest(arr, *sample, radius) == planner._nearest_python(arr, *sample, radius)
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
+def test_c_geometry_rejects_bad_input_and_releases_buffers():
+    poses = np.zeros((4, 3))
+    for bad in (poses.astype(np.float32), np.zeros((3, 4)).T, np.zeros((4, 2)), np.zeros(3), [[0.0, 0.0, 0.0]]):
+        before = sys.getrefcount(bad)
+        with pytest.raises(TypeError):
+            _kernels.nearest(bad, 0.0, 0.0, 0.0, 0.3)
+        assert sys.getrefcount(bad) == before
+    with pytest.raises(TypeError, match="nearest: poses must be a C-contiguous float64"):
+        _kernels.nearest(poses.T, 0.0, 0.0, 0.0, 0.3)
+    before = sys.getrefcount(poses)
+    assert _kernels.nearest(poses, 1.0, 0.0, 0.0, 0.3) == [0, 1, 2, 3]
+    assert _kernels.nearest(poses[:0], 1.0, 0.0, 0.0, 0.3) == []
+    assert sys.getrefcount(poses) == before
+    with pytest.raises(TypeError, match="takes 5 arguments"):
+        _kernels._backend()[4](poses, 0.0, 0.0, 0.0)
+    with pytest.raises(TypeError, match="takes 8 arguments"):
+        _kernels._backend()[3](1.0, 0.0, 1.0, 0.0, 0.0, 0.05, 0.3)
+    with pytest.raises(TypeError):
+        _kernels.dubins_steer(1.0, 0.0, 1.0, "0", 0.0, 0.05, 0.3, 40)
 
 
 class TestStochasticSteer:
@@ -679,6 +828,24 @@ def test_planner_config_rejects_invalid_settings(setting):
     name, value = INVALID_SETTINGS[setting]
     with pytest.raises(ValueError, match=name.replace("_", " ")):
         PlannerConfig(**{name: value})
+
+
+def test_planner_config_is_frozen():
+    cfg = PlannerConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.max_edge_steps = 0
+    assert cfg == PlannerConfig(0.05, 0.3, 40)
+
+
+@pytest.mark.parametrize("setting", ["max edge steps 0", "speed inf", "turn radius 0"])
+def test_build_rrt_raises_a_bad_setting_instead_of_reading_it_as_a_failed_steer(dubins_reduced, setting):
+    """A setting forced past the frozen config's checks fails the first steer; it does not give a one-node tree."""
+    cfg = PlannerConfig()
+    name, value = INVALID_SETTINGS[setting]
+    object.__setattr__(cfg, name, value)
+    env = parse_environment(presets.PLANNER_ENV)
+    with pytest.raises(ValueError, match="max steps|speed|radius"):
+        build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, 10, 0, cfg)
 
 
 def test_build_rrt_rejects_negative_iterations_up_front(dubins_reduced, monkeypatch):

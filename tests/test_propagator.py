@@ -6,6 +6,7 @@ import sysconfig
 import tempfile
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from momentprop.propagator import (
 from momentprop.sysspec import DependenceGraph, PolynomialSystem
 
 from randsys import monomial_arrays, poly_eval_arrays, random_system
+from reference import propagate_mp
 
 
 @pytest.fixture(scope="module")
@@ -431,6 +433,25 @@ class TestCompiledKernelAgreement:
         results = run_both(msys, init.values, table)
         assert results[1][0] != (-1, -1)
         assert_bit_identical(results)
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+@pytest.mark.parametrize("noise, n_steps, shifts", [
+    (presets.benchmark_noise(), 200, None),
+    (presets.planner_noise(), 40, {"wt": np.linspace(-0.1, 0.15, 40)}),
+], ids=["benchmark noise, 200 steps", "steered planner noise, 40 steps"])
+def test_run_steps_within_rounding_bound_of_mp_reference(reduced, noise, n_steps, shifts, dubins_reduced, dubins_unreduced):
+    """Every moment of every step lies within the rounding bound that the term table and the horizon give."""
+    msys = dubins_reduced if reduced else dubins_unreduced
+    model = DisturbanceModel(msys, noise, shifts or {})
+    init = init_deterministic(msys, {"x": 0.3, "y": -1, "v": 1.2, "theta": 0.4})
+    table = model.moment_table(msys.dist_requirements, n_steps)
+    out = np.empty((n_steps + 1, len(msys.basis)))
+    assert _kernels.run_steps(init.values, table, *msys.term_table, out) == (-1, -1)
+    values, bound = propagate_mp(msys, init.values, table)
+    for t, (got, ref, err) in enumerate(zip(out.tolist(), values, bound)):
+        for j, (g, r, e) in enumerate(zip(got, ref, err)):
+            assert abs(mpmath.mpf(g) - r) <= e, (t, msys.moment_names()[j])
 
 
 @pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
