@@ -14,10 +14,7 @@ from .compiler import (
     MomentStateSystem,
     MomentUpdateForm,
     compile_moment_system,
-    is_complete,
     ltv_matrices,
-    moment_update_form,
-    reduce_form,
 )
 from .distmoments import (
     Beta,
@@ -30,7 +27,7 @@ from .distmoments import (
     raw_moment,
     trig_moment,
 )
-from .polyring import MultiIndex, Polynomial, degree_vector, monomial_name, pow_multiindex
+from .polyring import MultiIndex, Polynomial, degree_vector, monomial_name
 from .propagator import (
     MomentState,
     MomentTrajectory,
@@ -38,7 +35,6 @@ from .propagator import (
     init_deterministic,
     mean_cov,
     propagate,
-    step,
 )
 from .sysspec import (
     DependenceGraph,

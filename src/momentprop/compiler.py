@@ -21,7 +21,7 @@ from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple,
 
 import numpy as np
 
-from .polyring import MultiIndex, Polynomial, degree_vector, monomial_name, pow_multiindex, signed_sum
+from .polyring import MultiIndex, Polynomial, degree_vector, monomial_name, signed_sum
 from .sysspec import MAX_DEGREE, DependenceGraph, PolynomialSystem, SpecError, TrigPair
 from .sysspec import components_of_support, parse_monomial
 
@@ -55,31 +55,6 @@ class MomentUpdateForm:
     target: MultiIndex
     terms: tuple[MufTerm, ...]
     reduced: bool
-
-
-def _term_sort_key(term: MufTerm):
-    return (
-        term.dist_index.grlex_key(),
-        tuple(f.grlex_key() for f in term.state_factors),
-    )
-
-
-def _sorted_form(target: MultiIndex, terms: list[MufTerm], reduced: bool) -> MomentUpdateForm:
-    # The key is total on distinct (dist_index, state_factors), so the
-    # order of `terms` on entry cannot change the result.
-    terms.sort(key=_term_sort_key)
-    return MomentUpdateForm(target, tuple(terms), reduced)
-
-
-def moment_update_form(system: PolynomialSystem, alpha: MultiIndex) -> MomentUpdateForm:
-    """Un-reduced moment update form of E[x_{t+1}^alpha]."""
-    if len(alpha) != len(system.vars):
-        raise ValueError("target multi-index length does not match state variable count")
-    terms = []
-    for mi, coeff in pow_multiindex(system.f, alpha).terms.items():
-        beta_x, beta_w = mi.split(len(alpha))
-        terms.append(MufTerm(coeff, beta_w, () if beta_x.is_zero() else (beta_x,)))
-    return _sorted_form(alpha, terms, reduced=False)
 
 
 class _Packing(NamedTuple):
@@ -168,23 +143,6 @@ def _block_splitter(graph: DependenceGraph) -> Callable[[MultiIndex], tuple[Mult
         return tuple(sorted((beta_x.masked(c) for c in comps), key=MultiIndex.grlex_key))
 
     return blocks
-
-
-def reduce_form(form: MomentUpdateForm, graph: DependenceGraph) -> MomentUpdateForm:
-    """Factor each term's state moment along the dependence graph components.
-
-    Terms that become identical after factoring are merged by coefficient
-    addition.
-    """
-    if form.reduced:
-        raise ValueError("form is already reduced")
-    blocks = _block_splitter(graph)
-    merged: dict[tuple[MultiIndex, tuple[MultiIndex, ...]], Fraction] = {}
-    for term in form.terms:
-        key = (term.dist_index, blocks(term.state_factors[0]) if term.state_factors else ())
-        merged[key] = merged.get(key, 0) + term.coeff
-    out = [MufTerm(c, beta_w, factors) for (beta_w, factors), c in merged.items() if c]
-    return _sorted_form(form.target, out, reduced=True)
 
 
 class MomentBasis:
@@ -337,20 +295,6 @@ def second_moment_indices(state_vars: Sequence[str], a: str, b: str, moments: Co
         if mi not in moments:
             raise KeyError(f"basis lacks the moment E[{monomial_name(state_vars, mi)}]")
     return needed
-
-
-def is_complete(
-    basis: MomentBasis, forms: Sequence[MomentUpdateForm], reduced: bool
-) -> bool:
-    """True iff every state factor used by the forms is itself in the basis."""
-    for form in forms:
-        if form.reduced != reduced:
-            return False
-        for term in form.terms:
-            for factor in term.state_factors:
-                if factor not in basis:
-                    return False
-    return True
 
 
 def compile_moment_system(

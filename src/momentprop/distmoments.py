@@ -311,41 +311,22 @@ class DisturbanceModel:
                              f"needed steps {t_arr.min()} to {t_arr.max()}")
         return schedule[t_arr]
 
-    def moment(self, beta_w: MultiIndex, t) -> float | np.ndarray:
-        """E[w_t^beta_w] over the encoded disturbance variables at step t.
-
-        Independent components multiply; each encoded (cos, sin) pair is
-        resolved jointly through one trigonometric moment.  `t` may be an
-        int or an array of step indices.
-        """
-        if len(beta_w) != len(self.dist_vars):
-            raise ValueError("disturbance multi-index length mismatch")
-        out = np.ones(np.shape(t)) if np.ndim(t) else 1.0
-        for slot in self._raw_slots:
-            k = beta_w[slot.index]
-            if k:
-                out = out * raw_moment(self.distributions[slot.source], self.shift_at(slot.source, t), k)
-        for slot in self._trig_slots:
-            m = beta_w[slot.cos_index]
-            n = beta_w[slot.sin_index]
-            if m or n:
-                total_shift = slot.base_shift + self.shift_at(slot.source, t)
-                out = out * trig_moment(self.distributions.get(slot.source, _NO_SOURCE), total_shift, m, n)
-        return out
-
     def moment_table(
         self, requirements: Sequence[MultiIndex], n_steps: int, start: int = 0
     ) -> np.ndarray:
         """(n_steps, len(requirements)) table of disturbance moments per step.
 
-        Row k holds the moments for step `start + k`; each column equals
-        :meth:`moment` of its requirement, and is the product of its slot
-        moments.  A call evaluates only the slots whose source has a shift
-        schedule, over all steps at once (one :func:`char_fn` call per
-        trigonometric slot); everything else is cached by :func:`_table_plan`.
-        When no needed slot is scheduled every row is the same: the plan holds
-        that finished row, and the call returns it as a read-only view with
-        row stride 0, so it multiplies nothing.
+        Row k holds the moments for step `start + k`; each column is
+        E[w^beta_w] of its requirement: independent components multiply, and
+        each encoded (cos, sin) pair is resolved jointly through one
+        trigonometric moment.  The column is the product of its slot
+        moments, raw slots first, each in slot order.  A call evaluates only
+        the slots whose source has a shift schedule, over all steps at once
+        (one :func:`char_fn` call per trigonometric slot); everything else is
+        cached by :func:`_table_plan`.  When no needed slot is scheduled every
+        row is the same: the plan holds that finished row, and the call
+        returns it as a read-only view with row stride 0, so it multiplies
+        nothing.
         """
         slot_dists = tuple(
             None if slot.source in self.shifts else self.distributions.get(slot.source, _NO_SOURCE)
@@ -398,7 +379,7 @@ def _table_plan(
         raise ValueError("disturbance multi-index length mismatch")
 
     def slot_keys(beta_w: MultiIndex) -> list[tuple]:
-        # (slot position, order k or (m, n)), raw slots before trig slots, as in `moment`
+        # (slot position, order k or (m, n)), raw slots before trig slots
         keys: list[tuple] = [(pos, beta_w[slot.index]) for pos, slot in enumerate(raw_slots) if beta_w[slot.index]]
         for pos, slot in enumerate(trig_slots, len(raw_slots)):
             if beta_w[slot.cos_index] or beta_w[slot.sin_index]:

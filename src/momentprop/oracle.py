@@ -17,10 +17,9 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from . import distmoments, sysspec
-from .compiler import second_moment_indices
 from .distmoments import DisturbanceModel
 from .polyring import MultiIndex, monomial_name
-from .propagator import MomentTrajectory, PropagationError, central_second_moments, initial_values
+from .propagator import MomentTrajectory, PropagationError, initial_values
 from .sysspec import PolynomialSystem, SystemSpec
 from .tables import csv_text
 
@@ -231,15 +230,6 @@ def _require_finite(names: Sequence[str], values: np.ndarray, ses: np.ndarray | 
         t, j = hits[0]
         what = "moment" if not np.isfinite(values[t, j]) else "the standard error of moment"
         raise PropagationError(f"{what} {names[j]} became non-finite at step {t}")
-
-
-def sampler_moments(dist: distmoments.Distribution, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """First four sample moments and their standard errors (sampler validation)."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    x = distmoments.sample(dist, rng, n)
-    means = np.array([np.mean(x**k) for k in range(1, 5)])
-    ses = np.array([np.std(x**k, ddof=1) / np.sqrt(n) for k in range(1, 5)])
-    return means, ses
 
 
 # -- linearized baseline --------------------------------------------------------
@@ -544,23 +534,3 @@ def linear_series(lin: LinearPrediction, names: Sequence[str]) -> dict[str, np.n
             out[name] = series
     return out
 
-
-def central_second_moment_stats(mc: McEstimate, names: tuple[str, str]) -> dict[str, tuple[float, float]]:
-    """Variance/covariance estimates with SEs from the per-batch spread.
-
-    Each batch yields its own Var/Cov estimate from its raw moment means;
-    the spread of those B estimates gives a standard error without tracking
-    fourth moments.  Returns {"var_a", "var_b", "cov_ab"} -> (estimate, se).
-    """
-    a, b = names
-    positions = [mc.moments.index(mi) for mi in second_moment_indices(mc.state_vars, a, b, mc.moments)]
-    n_batches = mc.batch_means.shape[0]
-    if n_batches < 2:
-        raise ValueError("need at least two batches for central-moment standard errors")
-    _, _, *per_batch = central_second_moments(mc.batch_means, positions)  # each (B, T+1)
-    out = {}
-    for key, series in zip(("var_" + a, "var_" + b, "cov_" + a + b), per_batch):
-        est = np.mean(series, axis=0)
-        se = np.std(series, axis=0, ddof=1) / np.sqrt(n_batches)
-        out[key] = (est, se)
-    return out

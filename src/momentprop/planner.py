@@ -202,12 +202,24 @@ class InfeasiblePathError(ValueError):
     """No bounded-curvature word joins the two poses, as when a pose holds a NaN."""
 
 
-def _relative(from_pose: Sequence[float], to_pose: Sequence[float]) -> tuple[float, float, float, float, float]:
-    """(dx, dy, hypot(dx, dy), h0, h1) of two poses, in floats: the steering kernels' view of them."""
-    x0, y0, h0 = map(float, from_pose)
-    x1, y1, h1 = map(float, to_pose)
+def _relative(
+    from_pose: Sequence[float], to_pose: Sequence[float], radius: float
+) -> tuple[float, float, float, float, float]:
+    """(dx, dy, hypot(dx, dy), h0, h1) of two poses, in floats: the steering kernels' view of them.
+
+    Raises ValueError, naming the values, for an infinite coordinate or a
+    distance that overflows when measured in turning radii.  A NaN passes:
+    the kernels then find no word.
+    """
+    x0, y0, h0 = from_pose = tuple(map(float, from_pose))
+    x1, y1, h1 = to_pose = tuple(map(float, to_pose))
+    if any(map(math.isinf, (*from_pose, *to_pose))):
+        raise ValueError(f"pose coordinates must not be infinite, got {from_pose} and {to_pose}")
     dx, dy = x1 - x0, y1 - y0
-    return dx, dy, math.hypot(dx, dy), h0, h1
+    dist = math.hypot(dx, dy)
+    if math.isinf(dist / radius):
+        raise ValueError(f"distance / radius must be finite, got {dist} / {radius}")
+    return dx, dy, dist, h0, h1
 
 
 def _dubins_words(alpha: float, beta: float, d: float):
@@ -292,34 +304,21 @@ def dubins_shortest_path(
 ) -> DubinsPath:
     """Shortest of the six standard word types between planar poses.
 
-    The radius must be positive and finite; InfeasiblePathError (a
-    ValueError) means no word joins the poses, as when one holds a NaN.
+    The radius must be positive and finite, the poses must hold no infinite
+    coordinate, and their distance over the radius must be finite.
+    InfeasiblePathError (a ValueError) means no word joins the poses, as
+    when one holds a NaN.
     """
     _check_length("radius", radius)
-    path = _shortest_path(*_relative(from_pose, to_pose), radius)
+    path = _shortest_path(*_relative(from_pose, to_pose, radius), radius)
     if path is None:
         raise InfeasiblePathError("no feasible bounded-curvature path")
     return path
 
 
-def simulate_controls(
-    pose: Sequence[float], controls: np.ndarray, speed: float
-) -> np.ndarray:
-    """Discrete rollout of the noise-free unicycle: returns poses, t = 0..N."""
-    out = np.empty((len(controls) + 1, 3))
-    out[0] = pose
-    x, y, h = pose
-    for k, u in enumerate(controls):
-        x += speed * math.cos(h)
-        y += speed * math.sin(h)
-        h += u
-        out[k + 1] = (x, y, h)
-    return out
-
-
-def _is_step_count(n) -> bool:
-    """Whether n is an integer of at least 1; a bool is not."""
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+def _is_count(n, least: int) -> bool:
+    """Whether n is an integer of at least `least`; a bool is not."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= least
 
 
 def dubins_steer(
@@ -335,15 +334,16 @@ def dubins_steer(
     (an int of at least 1, or math.inf for no cap) are computed; increments
     are bounded by speed / radius.  Returns an empty array when the poses
     coincide.  Speed and radius must be positive and finite; the poses are
-    read as floats.  InfeasiblePathError (a ValueError) means no word joins
-    the poses, as when one holds a NaN.  `_kernels.dubins_steer` does the
-    arithmetic, in C or in `_steer_python`.
+    read as floats, must hold no infinite coordinate, and their distance
+    over the radius must be finite.  InfeasiblePathError (a ValueError)
+    means no word joins the poses, as when one holds a NaN.
+    `_kernels.dubins_steer` does the arithmetic, in C or in `_steer_python`.
     """
     _check_length("speed", speed)
     _check_length("radius", radius)
-    if max_steps != math.inf and not _is_step_count(max_steps):
+    if max_steps != math.inf and not _is_count(max_steps, 1):
         raise ValueError(f"max steps must be an integer of at least 1 or math.inf, got {max_steps!r}")
-    controls = _kernels.dubins_steer(*_relative(from_pose, to_pose), float(speed), float(radius), max_steps)
+    controls = _kernels.dubins_steer(*_relative(from_pose, to_pose, radius), float(speed), float(radius), max_steps)
     if controls is None:
         raise InfeasiblePathError("no feasible bounded-curvature path")
     return controls
@@ -464,7 +464,7 @@ class PlannerConfig:
     def __post_init__(self):
         _check_length("speed", self.speed)
         _check_length("turn radius", self.turn_radius)
-        if not _is_step_count(self.max_edge_steps):
+        if not _is_count(self.max_edge_steps, 1):
             raise ValueError(f"max edge steps must be an integer of at least 1, got {self.max_edge_steps!r}")
 
 
@@ -527,8 +527,8 @@ def build_rrt(
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("chance constraint must lie in (0, 1)")
-    if iterations < 0:
-        raise ValueError(f"iteration count must be nonnegative, got {iterations}")
+    if not _is_count(iterations, 0):
+        raise ValueError(f"iteration count must be an integer of at least 0, got {iterations!r}")
     heading = _heading(msys.state_vars, msys.state_pairs)
     i_cos, i_sin = msys.moment_index(heading.cos_var), msys.moment_index(heading.sin_var)
     positions = msys.pair_positions(*POSITION)

@@ -263,19 +263,7 @@ class Polynomial:
 
     __hash__ = None
 
-    # -- evaluation & rendering --------------------------------------------
-
-    def evaluate(self, assignment: Mapping[str, Fraction | int]) -> Fraction:
-        """Exact evaluation at a rational point (all ambient variables assigned)."""
-        values = [Fraction(assignment[name]) for name in self._vars]
-        total = Fraction(0)
-        for mi, coeff in self._terms.items():
-            term = coeff
-            for v, e in zip(values, mi):
-                if e:
-                    term *= v**e
-            total += term
-        return total
+    # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
         terms = [(coeff, [] if mi.is_zero() else [monomial_name(self._vars, mi)])
@@ -290,18 +278,3 @@ def degree_vector(components: Sequence[Polynomial]) -> tuple[int, ...]:
     """Per-component degrees of a vector-valued polynomial."""
     return tuple(p.degree() for p in components)
 
-
-def pow_multiindex(components: Sequence[Polynomial], alpha: MultiIndex) -> Polynomial:
-    """Componentwise power product of a polynomial vector: prod_i p_i^alpha_i.
-
-    The result degree is sum_i alpha_i * deg(p_i) when no component is zero.
-    """
-    if len(alpha) != len(components):
-        raise ValueError(f"multi-index length {len(alpha)} does not match component count {len(components)}")
-    if not components:
-        raise ValueError("empty polynomial vector")
-    result = Polynomial.constant(components[0].vars, 1)
-    for p, e in zip(components, alpha):
-        if e:
-            result = result * p**e
-    return result

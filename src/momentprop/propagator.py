@@ -125,11 +125,6 @@ def propagate(
     return MomentTrajectory(msys, out, t0=init.time)
 
 
-def step(msys: MomentStateSystem, state: MomentState, model: DisturbanceModel) -> MomentState:
-    """One application of the moment recursion: a one-step :func:`propagate`."""
-    return propagate(msys, state, model, 1).state(1)
-
-
 def central_second_moments(values: np.ndarray, positions: Sequence[int]) -> tuple[np.ndarray, ...]:
     """Means, variances and covariance of a and b from their raw moments.
 

@@ -1,46 +1,163 @@
-"""Scalar reference implementations that the tests compare the library against.
+"""Reference implementations that the tests compare the library against.
 
-The library computes these quantities in bulk; the versions here follow the
-textbook definitions one value at a time.
+The library computes these quantities in bulk, cached or compiled; the
+versions here follow the textbook definitions one value at a time, and no
+library code calls them.  Each checks one production path:
+
+- `evaluate_polynomial`: exact evaluation of a `Polynomial` at a rational
+  point, the simulation that the compiled moments are checked against.
+- `pow_multiindex`: f^alpha by repeated `Polynomial` products, against the
+  compiler's packed, memoised powers (`compiler._packed_power_builder`).
+- `moment_update_form` and `reduce_form`: one target's update form, cache-free,
+  against each form of `compile_moment_system` (seen through
+  `MomentStateSystem.forms`).  `reduce_form` splits blocks with the public
+  `sysspec.components_of_support`, not the compiler's cached splitter.
+- `is_complete`: closure of a basis under its forms, checked on compiled systems.
+- `moment`: one disturbance moment E[w_t^beta_w] of a `DisturbanceModel`,
+  against each column of `DisturbanceModel.moment_table`.
+- `step`: one application of the recursion, a one-step `propagator.propagate`.
+- `propagate_mp`: the term table's recursion in high precision, with a bound
+  on a float64 run's distance from it, against `_kernels.run_steps`.
+- `sampler_moments`: the first four sample moments of `distmoments.sample`.
+- `central_second_moment_stats`: Monte Carlo variances and covariance with
+  per-batch standard errors, from `oracle.mc_simulate`'s batch means.
+- `simulate_controls`: the noise-free unicycle rollout of
+  `planner.dubins_steer`'s controls.
+- `cantelli_bound` and `obstacle_risk`: the scalar risk bound per step and
+  obstacle, against `planner.trajectory_risk`.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from typing import Mapping, Sequence
+
 import mpmath
 import numpy as np
 
-from momentprop.compiler import MomentStateSystem
+from momentprop import distmoments
+from momentprop.compiler import MomentBasis, MomentStateSystem, MomentUpdateForm, MufTerm, second_moment_indices
+from momentprop.distmoments import Degenerate, DisturbanceModel, raw_moment, trig_moment
+from momentprop.oracle import McEstimate
 from momentprop.planner import Polytope
+from momentprop.polyring import MultiIndex, Polynomial
+from momentprop.propagator import MomentState, central_second_moments, propagate
+from momentprop.sysspec import DependenceGraph, PolynomialSystem, components_of_support
 
 
-def cantelli_bound(mean: float, variance: float) -> float:
-    """One-sided tail bound on P(g <= 0) from the mean and variance of g.
+# -- polynomials and compiled forms ------------------------------------------------
 
-    Valid for every distribution with these two moments.  The bound is 1
-    when the mean is negative (the average case already violates), and the
-    zero-mean zero-variance corner is defined as 0.
+
+def evaluate_polynomial(p: Polynomial, assignment: Mapping[str, Fraction | int]) -> Fraction:
+    """Exact evaluation at a rational point (all ambient variables assigned)."""
+    values = [Fraction(assignment[name]) for name in p.vars]
+    total = Fraction(0)
+    for mi, coeff in p.terms.items():
+        term = coeff
+        for v, e in zip(values, mi):
+            if e:
+                term *= v**e
+        total += term
+    return total
+
+
+def pow_multiindex(components: Sequence[Polynomial], alpha: MultiIndex) -> Polynomial:
+    """Componentwise power product of a polynomial vector: prod_i p_i^alpha_i.
+
+    The result degree is sum_i alpha_i * deg(p_i) when no component is zero.
     """
-    if variance < 0:
-        raise ValueError("variance must be nonnegative")
-    if mean < 0:
-        return 1.0
-    if variance == 0.0:
-        return 0.0
-    return variance / (variance + mean * mean)
+    if len(alpha) != len(components):
+        raise ValueError(f"multi-index length {len(alpha)} does not match component count {len(components)}")
+    if not components:
+        raise ValueError("empty polynomial vector")
+    result = Polynomial.constant(components[0].vars, 1)
+    for p, e in zip(components, alpha):
+        if e:
+            result = result * p**e
+    return result
 
 
-def obstacle_risk(mu: np.ndarray, sigma: np.ndarray, obstacle: Polytope) -> float:
-    """Upper bound on P(position inside obstacle): least risky face wins."""
-    best = 1.0
-    for (ax, ay), b in obstacle.halfspaces:
-        mean = ax * mu[0] + ay * mu[1] + b
-        var = (
-            ax * ax * sigma[0, 0]
-            + 2.0 * ax * ay * sigma[0, 1]
-            + ay * ay * sigma[1, 1]
-        )
-        best = min(best, cantelli_bound(mean, max(var, 0.0)))
-    return best
+def _sorted_form(target: MultiIndex, terms: list[MufTerm], reduced: bool) -> MomentUpdateForm:
+    # The key is total on distinct (dist_index, state_factors), so the
+    # order of `terms` on entry cannot change the result.
+    terms.sort(key=lambda term: (term.dist_index.grlex_key(), tuple(f.grlex_key() for f in term.state_factors)))
+    return MomentUpdateForm(target, tuple(terms), reduced)
+
+
+def moment_update_form(system: PolynomialSystem, alpha: MultiIndex) -> MomentUpdateForm:
+    """Un-reduced moment update form of E[x_{t+1}^alpha]."""
+    if len(alpha) != len(system.vars):
+        raise ValueError("target multi-index length does not match state variable count")
+    terms = []
+    for mi, coeff in pow_multiindex(system.f, alpha).terms.items():
+        beta_x, beta_w = mi.split(len(alpha))
+        terms.append(MufTerm(coeff, beta_w, () if beta_x.is_zero() else (beta_x,)))
+    return _sorted_form(alpha, terms, reduced=False)
+
+
+def reduce_form(form: MomentUpdateForm, graph: DependenceGraph) -> MomentUpdateForm:
+    """Factor each term's state moment along the dependence graph components.
+
+    Terms that become identical after factoring are merged by coefficient
+    addition.
+    """
+    if form.reduced:
+        raise ValueError("form is already reduced")
+    merged: dict[tuple[MultiIndex, tuple[MultiIndex, ...]], Fraction] = {}
+    for term in form.terms:
+        blocks = ()
+        if term.state_factors:
+            blocks = tuple(sorted(components_of_support(graph, term.state_factors[0]), key=MultiIndex.grlex_key))
+        key = (term.dist_index, blocks)
+        merged[key] = merged.get(key, 0) + term.coeff
+    out = [MufTerm(c, beta_w, factors) for (beta_w, factors), c in merged.items() if c]
+    return _sorted_form(form.target, out, reduced=True)
+
+
+def is_complete(basis: MomentBasis, forms: Sequence[MomentUpdateForm], reduced: bool) -> bool:
+    """True iff every state factor used by the forms is itself in the basis."""
+    for form in forms:
+        if form.reduced != reduced:
+            return False
+        for term in form.terms:
+            for factor in term.state_factors:
+                if factor not in basis:
+                    return False
+    return True
+
+
+# -- disturbance moments and propagation ---------------------------------------------
+
+
+def moment(model: DisturbanceModel, beta_w: MultiIndex, t) -> float | np.ndarray:
+    """E[w_t^beta_w] over the encoded disturbance variables at step t.
+
+    Independent components multiply; each encoded (cos, sin) pair is
+    resolved jointly through one trigonometric moment.  `t` may be an
+    int or an array of step indices.
+    """
+    if len(beta_w) != len(model.dist_vars):
+        raise ValueError("disturbance multi-index length mismatch")
+    out = np.ones(np.shape(t)) if np.ndim(t) else 1.0
+    for slot in model._raw_slots:
+        k = beta_w[slot.index]
+        if k:
+            out = out * raw_moment(model.distributions[slot.source], model.shift_at(slot.source, t), k)
+    for slot in model._trig_slots:
+        m = beta_w[slot.cos_index]
+        n = beta_w[slot.sin_index]
+        if m or n:
+            total_shift = slot.base_shift + model.shift_at(slot.source, t)
+            # A pair with no source variable has its whole angle in the base shift.
+            dist = model.distributions.get(slot.source, Degenerate(0.0))
+            out = out * trig_moment(dist, total_shift, m, n)
+    return out
+
+
+def step(msys: MomentStateSystem, state: MomentState, model: DisturbanceModel) -> MomentState:
+    """One application of the moment recursion: a one-step :func:`propagate`."""
+    return propagate(msys, state, model, 1).state(1)
 
 
 def propagate_mp(msys: MomentStateSystem, values0: np.ndarray, table: np.ndarray, dps: int = 60):
@@ -81,3 +198,82 @@ def propagate_mp(msys: MomentStateSystem, values0: np.ndarray, table: np.ndarray
             values.append(nxt)
             bound.append(err)
     return values, bound
+
+
+# -- oracles -----------------------------------------------------------------------
+
+
+def sampler_moments(dist: distmoments.Distribution, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """First four sample moments and their standard errors (sampler validation)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = distmoments.sample(dist, rng, n)
+    means = np.array([np.mean(x**k) for k in range(1, 5)])
+    ses = np.array([np.std(x**k, ddof=1) / np.sqrt(n) for k in range(1, 5)])
+    return means, ses
+
+
+def central_second_moment_stats(mc: McEstimate, names: tuple[str, str]) -> dict[str, tuple[float, float]]:
+    """Variance/covariance estimates with SEs from the per-batch spread.
+
+    Each batch yields its own Var/Cov estimate from its raw moment means;
+    the spread of those B estimates gives a standard error without tracking
+    fourth moments.  Returns {"var_a", "var_b", "cov_ab"} -> (estimate, se).
+    """
+    a, b = names
+    positions = [mc.moments.index(mi) for mi in second_moment_indices(mc.state_vars, a, b, mc.moments)]
+    n_batches = mc.batch_means.shape[0]
+    if n_batches < 2:
+        raise ValueError("need at least two batches for central-moment standard errors")
+    _, _, *per_batch = central_second_moments(mc.batch_means, positions)  # each (B, T+1)
+    out = {}
+    for key, series in zip(("var_" + a, "var_" + b, "cov_" + a + b), per_batch):
+        est = np.mean(series, axis=0)
+        se = np.std(series, axis=0, ddof=1) / np.sqrt(n_batches)
+        out[key] = (est, se)
+    return out
+
+
+# -- planner -----------------------------------------------------------------------
+
+
+def simulate_controls(pose: Sequence[float], controls: np.ndarray, speed: float) -> np.ndarray:
+    """Discrete rollout of the noise-free unicycle: returns poses, t = 0..N."""
+    out = np.empty((len(controls) + 1, 3))
+    out[0] = pose
+    x, y, h = pose
+    for k, u in enumerate(controls):
+        x += speed * math.cos(h)
+        y += speed * math.sin(h)
+        h += u
+        out[k + 1] = (x, y, h)
+    return out
+
+
+def cantelli_bound(mean: float, variance: float) -> float:
+    """One-sided tail bound on P(g <= 0) from the mean and variance of g.
+
+    Valid for every distribution with these two moments.  The bound is 1
+    when the mean is negative (the average case already violates), and the
+    zero-mean zero-variance corner is defined as 0.
+    """
+    if variance < 0:
+        raise ValueError("variance must be nonnegative")
+    if mean < 0:
+        return 1.0
+    if variance == 0.0:
+        return 0.0
+    return variance / (variance + mean * mean)
+
+
+def obstacle_risk(mu: np.ndarray, sigma: np.ndarray, obstacle: Polytope) -> float:
+    """Upper bound on P(position inside obstacle): least risky face wins."""
+    best = 1.0
+    for (ax, ay), b in obstacle.halfspaces:
+        mean = ax * mu[0] + ay * mu[1] + b
+        var = (
+            ax * ax * sigma[0, 0]
+            + 2.0 * ax * ay * sigma[0, 1]
+            + ay * ay * sigma[1, 1]
+        )
+        best = min(best, cantelli_bound(mean, max(var, 0.0)))
+    return best

@@ -13,17 +13,15 @@ from momentprop.compiler import (
     MomentBasis,
     MufTerm,
     compile_moment_system,
-    is_complete,
     ltv_matrices,
-    moment_update_form,
-    reduce_form,
 )
-from momentprop.polyring import MultiIndex, Polynomial, monomial_name, pow_multiindex
+from momentprop.polyring import MultiIndex, Polynomial, monomial_name
 from momentprop.distmoments import DisturbanceModel
 from momentprop.propagator import MomentTrajectory, init_deterministic, mean_cov, propagate
 from momentprop.sysspec import MAX_DEGREE, DependenceGraph, PolynomialSystem, parse_spec, trig_encode
 
 from randsys import random_system, random_target
+from reference import evaluate_polynomial, is_complete, moment_update_form, pow_multiindex, reduce_form
 
 
 def scalar_walk_system():
@@ -217,7 +215,7 @@ class TestCompletion:
                     assert form == (reduce_form(expected, system.graph) if reduced else expected)
 
     def test_cached_completion_equals_uncached_forms(self, dubins_system):
-        """Each form of a completion equals the public, cache-free moment_update_form/reduce_form."""
+        """Each form of a completion equals the cache-free reference moment_update_form/reduce_form."""
         ladder = trig_encode(parse_spec(ladder_spec_text(3, 1.013, 0.947)))
         rng = np.random.default_rng(13)
         linear = []
@@ -651,7 +649,7 @@ class TestRenderEquations:
             x0 = {v: Fraction(int(rng.integers(-2, 3)), 2) for v in system.vars}
             w0 = {w: Fraction(int(rng.integers(-2, 3)), 3) for w in system.dist_vars}
             point = {**x0, **w0}
-            x1 = [p.evaluate(point) for p in system.f]
+            x1 = [evaluate_polynomial(p, point) for p in system.f]
             expected = Fraction(1)
             for value, e in zip(x1, alpha):
                 expected *= value**e

@@ -18,18 +18,17 @@ from momentprop.distmoments import (
 )
 from momentprop.oracle import (
     LinearPrediction,
-    central_second_moment_stats,
     compare,
     compare_tables,
     linear_propagate,
     linearize,
     mc_simulate,
     rollouts,
-    sampler_moments,
 )
 from momentprop.polyring import MultiIndex
 from momentprop.propagator import PropagationError
 from momentprop.sysspec import parse_spec, trig_encode
+from reference import central_second_moment_stats, sampler_moments
 
 WALK = "state x\ndisturbance w\ndyn x' = x + w\n"
 

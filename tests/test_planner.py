@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import sys
 import tracemalloc
 
@@ -22,13 +23,12 @@ from momentprop.planner import (
     estimate_plan_collision,
     parse_environment,
     plan_to_csv,
-    simulate_controls,
     stochastic_steer,
     trajectory_risk,
     tree_to_csv,
 )
 from momentprop.propagator import MomentTrajectory, init_deterministic, mean_cov
-from reference import cantelli_bound, obstacle_risk
+from reference import cantelli_bound, moment, obstacle_risk, simulate_controls
 
 
 UNIT_SQUARE = Polytope.from_vertices([(1, 1), (2, 1), (2, 2), (1, 2)])
@@ -368,10 +368,29 @@ class TestSteeringArguments:
         with pytest.raises(InfeasiblePathError, match="no feasible bounded-curvature path"):
             dubins_shortest_path(pose, (0.5, 0.5, 0.0), 0.3)
 
+    @pytest.mark.parametrize("pose", [(math.inf, 0.0, 0.0), (0.0, -math.inf, 0.0), (0.0, 0.0, math.inf)])
+    def test_infinite_pose_is_named(self, backend, pose):
+        message = "^" + re.escape(f"pose coordinates must not be infinite, got {pose} and (0.5, 0.5, 0.0)") + "$"
+        with pytest.raises(ValueError, match=message) as steer:
+            dubins_steer(pose, (0.5, 0.5, 0.0), 0.05, 0.3, 40)
+        with pytest.raises(ValueError, match=message) as shortest:
+            dubins_shortest_path(pose, (0.5, 0.5, 0.0), 0.3)
+        assert not isinstance(steer.value, InfeasiblePathError) and not isinstance(shortest.value, InfeasiblePathError)
+
+    @pytest.mark.parametrize("start, end, radius, message", [
+        ((0.0, 0.0, 0.0), (0.5, 0.5, 0.0), 1e-310, "0.7071067811865476 / 1e-310"),  # the quotient overflows
+        ((-1e308, 0.0, 0.0), (1e308, 0.0, 0.0), 0.3, "inf / 0.3"),  # dx overflows
+    ])
+    def test_distance_overflowing_in_radii_is_named(self, backend, start, end, radius, message):
+        with pytest.raises(ValueError, match=f"^distance / radius must be finite, got {message}$"):
+            dubins_steer(start, end, 0.05, radius, 40)
+        with pytest.raises(ValueError, match=f"^distance / radius must be finite, got {message}$"):
+            dubins_shortest_path(start, end, radius)
+
 
 def _word_margins(p0, p1, radius):
     """|p^2| of the four CSC words and ||tmp| - 1| of the two CCC words, as _dubins_words computes them."""
-    dx, dy, dist, h0, h1 = planner._relative(p0, p1)
+    dx, dy, dist, h0, h1 = planner._relative(p0, p1, radius)
     theta = math.atan2(dy, dx) if dist > 1e-12 else 0.0
     alpha, beta, d = planner._mod2pi(h0 - theta), planner._mod2pi(h1 - theta), dist / radius
     sa, ca, sb, cb, c_ab = math.sin(alpha), math.cos(alpha), math.sin(beta), math.cos(beta), math.cos(alpha - beta)
@@ -427,7 +446,7 @@ def test_c_steering_matches_python_twin(data):
         p1 = _pose_on_circle((cx + apart * math.cos(phi), cy + apart * math.sin(phi)), radius, side1, data.draw(_angles))
         p_sq, tmp = _word_margins(p0, p1, radius)
         assert min(p_sq, tmp) < 1e-9
-    args = (*planner._relative(p0, p1), speed, radius, cap)
+    args = (*planner._relative(p0, p1, radius), speed, radius, cap)
     got, want = dubins_steer(p0, p1, speed, radius, cap), planner._steer_python(*args)
     assert got.dtype == want.dtype == np.float64 and got.flags.writeable
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
@@ -648,7 +667,7 @@ def _per_requirement_table(self, requirements, n_steps, start=0):
     steps = np.arange(start, start + n_steps)
     table = np.empty((n_steps, len(requirements)))
     for j, beta_w in enumerate(requirements):
-        table[:, j] = self.moment(beta_w, steps)
+        table[:, j] = moment(self, beta_w, steps)
     return table
 
 
@@ -854,6 +873,16 @@ def test_build_rrt_rejects_negative_iterations_up_front(dubins_reduced, monkeypa
     with pytest.raises(ValueError, match="iteration count"):
         build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, -1, 0)
     assert len(build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, 0, 0).nodes) == 1
+
+
+@pytest.mark.parametrize("iterations", [2.5, "3", True])
+def test_build_rrt_names_a_non_integer_iteration_count(dubins_reduced, monkeypatch, iterations):
+    """As max_edge_steps is checked: a float, a string or a bool is not a count, and nothing runs."""
+    monkeypatch.setattr(planner, "propagate", _never)
+    env = parse_environment(presets.PLANNER_ENV)
+    message = "^" + re.escape(f"iteration count must be an integer of at least 0, got {iterations!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, iterations, 0)
 
 
 class TestPlanCollision:

@@ -22,6 +22,7 @@ from momentprop.sysspec import (
     trig_encode,
     validate_independence,
 )
+from reference import evaluate_polynomial
 
 DUBINS = """
 state x y v theta
@@ -267,7 +268,7 @@ class TestTrigEncode:
             }
             enc_point = {**enc, "wv": wv, "c_wt": math.cos(wt), "s_wt": math.sin(wt)}
             enc = {
-                name: float(poly.evaluate({k: Fraction(v) for k, v in enc_point.items()}))
+                name: float(evaluate_polynomial(poly, {k: Fraction(v) for k, v in enc_point.items()}))
                 for name, poly in zip(system.vars, system.f)
             }
             assert abs(enc["x"] - state["x"]) <= 1e-12 * max(1.0, abs(state["x"]))
@@ -316,7 +317,7 @@ class TestTrigEncode:
         }
         for _ in range(200):
             frac_env = {k: Fraction(v) for k, v in env.items()}
-            new = {n: float(p.evaluate(frac_env)) for n, p in zip(system.vars, system.f)}
+            new = {n: float(evaluate_polynomial(p, frac_env)) for n, p in zip(system.vars, system.f)}
             env.update(new)
             assert abs(env["c_theta"] ** 2 + env["s_theta"] ** 2 - 1.0) <= 1e-12
 

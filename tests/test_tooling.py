@@ -1,9 +1,13 @@
-"""The benchmark's tracer must still find every library function it wraps."""
+"""The benchmark's tracer must still find every library function it wraps.
+
+The public API is pinned, so that it changes only on purpose.
+"""
 
 import collections
 import importlib.util
 from pathlib import Path
 
+import momentprop
 from momentprop import _kernels, distmoments, planner, presets, propagator
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -64,3 +68,18 @@ def test_planner_seams_run_once_per_edge(dubins_reduced, monkeypatch):
     assert counts["edges"] > 40 and counts["failed"] > 10
     assert counts["stochastic_steer"] == counts["propagate"] == counts["moment_table"] == counts["edges"]
     assert counts["trajectory_risk"] == counts["edges"] - counts["failed"]
+
+
+# momentprop.__all__ as released.  A name added or removed here is an API change: list it in the README.
+PUBLIC_API = [
+    "BasisExplosionError", "Beta", "Degenerate", "DependenceGraph", "DisturbanceModel", "Gaussian", "MomentBasis",
+    "MomentState", "MomentStateSystem", "MomentTrajectory", "MomentUpdateForm", "MultiIndex", "Polynomial",
+    "PolynomialSystem", "PropagationError", "SpecError", "SystemSpec", "Uniform", "UnsupportedMomentError", "char_fn",
+    "compile_moment_system", "compiler", "components_of_support", "degree_vector", "distmoments",
+    "init_deterministic", "ltv_matrices", "mean_cov", "monomial_name", "parse_spec", "polyring", "propagate",
+    "propagator", "raw_moment", "sysspec", "tables", "trig_encode", "trig_moment", "validate_independence",
+]
+
+
+def test_public_api_is_pinned():
+    assert sorted(momentprop.__all__) == PUBLIC_API
