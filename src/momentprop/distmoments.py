@@ -20,6 +20,7 @@ from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
+from . import _kernels
 from .polyring import MultiIndex
 
 
@@ -201,23 +202,42 @@ def _laurent_matrix(pairs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.
 _IMAG_RESIDUE_TOL = 1e-12
 
 
-def _trig_moments(dist: Distribution, shift: np.ndarray, freqs: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """E[cos^m(X + shift) sin^n(X + shift)] for the pairs of a :func:`_laurent_matrix`, stacked on axis 0.
+def _trig_moments(
+    dist: Distribution, shift: np.ndarray, freqs: np.ndarray, coefficients: np.ndarray, out: np.ndarray
+) -> float:
+    """Write E[cos^m(X + s) sin^n(X + s)] into the (steps, pairs) `out`, per step s of the 1-d `shift`.
 
-    The characteristic function is evaluated in one call over all
-    frequencies, and each Laurent sum is taken left to right in frequency
-    order (a sequential sum, not a BLAS product, which may fuse and reorder
-    the multiply-adds).
+    The pairs are those of a :func:`_laurent_matrix`.  The characteristic
+    function is evaluated in one call over all frequencies, and each Laurent
+    sum is taken left to right in frequency order (a sequential sum, not a
+    BLAS product, which may fuse and reorder the multiply-adds).  Returns
+    the largest |imaginary part| of the sums, NaN if one is NaN.
     """
-    values = char_fn(dist, shift, freqs.reshape(freqs.shape + (1,) * shift.ndim))
-    terms = coefficients.reshape(coefficients.shape + (1,) * (values.ndim - 1)) * values[:, None]
+    values = char_fn(dist, shift, freqs[:, None])
+    terms = coefficients[:, :, None] * values[:, None]
     sums = terms[0]
     for term in terms[1:]:
         sums += term
-    residue = np.maximum.reduce(np.abs(sums.imag), axis=None, initial=0.0)
-    if residue > _IMAG_RESIDUE_TOL:
-        raise ArithmeticError(f"trig moment has non-real residue {residue:g}")
-    return sums.real
+    out[...] = sums.real.T
+    return float(np.maximum.reduce(np.abs(sums.imag), axis=None, initial=0.0))
+
+
+def _trig_moments_python(shifts, base, loc, variance, freqs, coefficients, out) -> float:
+    """`_trig_moments` of Gaussian(loc, variance) at base + shifts: the C `trig_moments`' twin.
+
+    A variance of 0 gives Degenerate(loc)'s values bit for bit: (0 * t) * t
+    / 2 is +0 for every finite t, and subtracting +0 changes no bit.
+    """
+    return _trig_moments(Gaussian(loc, variance), base + shifts, freqs, coefficients, out)
+
+
+def _cexp_params(dist: Distribution) -> tuple[float, float] | None:
+    """(location, variance) of a distribution whose trig moments `_kernels.trig_moments` takes, else None."""
+    if type(dist) is Gaussian:
+        return float(dist.mean), float(dist.variance)
+    if type(dist) is Degenerate:
+        return float(dist.value), 0.0
+    return None
 
 
 def trig_moment(dist: Distribution, shift, m: int, n: int):
@@ -228,21 +248,31 @@ def trig_moment(dist: Distribution, shift, m: int, n: int):
     if m < 0 or n < 0 or m + n < 1:
         raise ValueError("trig_moment requires m, n >= 0 and m + n >= 1")
     steps, scalar = _as_steps(shift)
-    values = _trig_moments(dist, steps, *_laurent_matrix(((m, n),)))[0]
-    return float(values[0]) if scalar else values
+    out = np.empty((steps.size, 1))
+    # -0.0 + s is s for every s, so the base shift adds nothing.
+    _slot_moments(dist, steps.reshape(-1), ((m, n),), (-0.0, *_laurent_matrix(((m, n),))), out)
+    return float(out[0, 0]) if scalar else out.reshape(steps.shape)
 
 
-def _slot_moments(dist: Distribution, shift, orders: tuple, laurent: tuple | None) -> np.ndarray:
-    """Moments of one slot at `shift`, one row per order (one value each for a scalar shift).
+def _slot_moments(dist: Distribution, steps: np.ndarray, orders: tuple, laurent: tuple | None, out: np.ndarray) -> None:
+    """Write the moments of one slot into `out`, one row per entry of the 1-d `steps`, one column per order.
 
-    Raw slots have orders k; trig slots have (m, n) pairs and `laurent` = (base shift, frequencies, Laurent matrix).
+    Raw slots have orders k; trig slots have (m, n) pairs and `laurent` =
+    (base shift, frequencies, Laurent matrix).  Gaussian and degenerate
+    trig slots are evaluated by `_kernels.trig_moments`, the others by
+    `_trig_moments`.
     """
-    steps, scalar = _as_steps(shift)
     if laurent is None:
-        moments = np.array([dist.raw_moment(steps, k) for k in orders])  # slot orders are >= 1
+        for column, k in enumerate(orders):  # slot orders are >= 1
+            out[:, column] = dist.raw_moment(steps, k)
+        return
+    params = _cexp_params(dist)
+    if params is None:
+        residue = _trig_moments(dist, laurent[0] + steps, *laurent[1:], out)
     else:
-        moments = _trig_moments(dist, laurent[0] + steps, *laurent[1:])
-    return moments[:, 0] if scalar else moments
+        residue = _kernels.trig_moments(steps, laurent[0], *params, *laurent[1:], out)
+    if residue > _IMAG_RESIDUE_TOL:
+        raise ArithmeticError(f"trig moment has non-real residue {residue:g}")
 
 
 # -- disturbance models -------------------------------------------------------
@@ -321,12 +351,14 @@ class DisturbanceModel:
         each encoded (cos, sin) pair is resolved jointly through one
         trigonometric moment.  The column is the product of its slot
         moments, raw slots first, each in slot order.  A call evaluates only
-        the slots whose source has a shift schedule, over all steps at once
-        (one :func:`char_fn` call per trigonometric slot); everything else is
-        cached by :func:`_table_plan`.  When no needed slot is scheduled every
-        row is the same: the plan holds that finished row, and the call
-        returns it as a read-only view with row stride 0, so it multiplies
-        nothing.
+        the slots whose source has a shift schedule, over all steps at once,
+        straight into the table's columns: a Gaussian or degenerate
+        trigonometric slot in one `_kernels.trig_moments` call (C, or its
+        numpy twin), any other in one :func:`char_fn` call over all its
+        frequencies; everything else is cached by :func:`_table_plan`.
+        When no needed slot is scheduled every row is the same: the plan
+        holds that finished row, and the call returns it as a read-only view
+        with row stride 0, so it multiplies nothing.
         """
         slot_dists = tuple(
             None if slot.source in self.shifts else self.distributions.get(slot.source, _NO_SOURCE)
@@ -342,8 +374,8 @@ class DisturbanceModel:
             if n_steps and not 0 <= start <= len(schedule) - n_steps:
                 raise IndexError(f"shift schedule for {source!r} has length {len(schedule)}, "
                                  f"needed steps {start} to {start + n_steps - 1}")
-            moments = _slot_moments(self.distributions[source], schedule[start : start + n_steps], orders, laurent)
-            slot_moments[:, first : first + len(orders)] = moments.T
+            _slot_moments(self.distributions[source], schedule[start : start + n_steps], orders, laurent,
+                          slot_moments[:, first : first + len(orders)])
         return _products(slot_moments, factors)
 
 
@@ -404,7 +436,7 @@ def _table_plan(
         if dist is None:
             scheduled.append(((raw_slots + trig_slots)[pos].source, first, orders, laurent))
         else:
-            fixed[first : first + len(orders)] = _slot_moments(dist, 0.0, orders, laurent)
+            _slot_moments(dist, np.zeros(1), orders, laurent, fixed[None, first : first + len(orders)])
     factors.flags.writeable = False
     if not scheduled:
         fixed, factors = _products(fixed[None], factors)[0], None

@@ -294,6 +294,8 @@ def _shortest_path(dx: float, dy: float, dist: float, h0: float, h1: float, radi
     segments = []
     for mode, n_units in zip(word, (t, p, q)):
         length = n_units * radius
+        if math.isinf(length):
+            raise ValueError(f"path segment length must be finite, got {n_units} * {radius}")
         if length > 1e-12:
             segments.append((mode, length))
     return DubinsPath(tuple(segments), radius)
@@ -305,9 +307,9 @@ def dubins_shortest_path(
     """Shortest of the six standard word types between planar poses.
 
     The radius must be positive and finite, the poses must hold no infinite
-    coordinate, and their distance over the radius must be finite.
-    InfeasiblePathError (a ValueError) means no word joins the poses, as
-    when one holds a NaN.
+    coordinate, and their distance over the radius and each segment's length
+    must be finite.  InfeasiblePathError (a ValueError) means no word joins
+    the poses, as when one holds a NaN.
     """
     _check_length("radius", radius)
     path = _shortest_path(*_relative(from_pose, to_pose, radius), radius)
@@ -335,8 +337,9 @@ def dubins_steer(
     are bounded by speed / radius.  Returns an empty array when the poses
     coincide.  Speed and radius must be positive and finite; the poses are
     read as floats, must hold no infinite coordinate, and their distance
-    over the radius must be finite.  InfeasiblePathError (a ValueError)
-    means no word joins the poses, as when one holds a NaN.
+    over the radius, each segment's length and the capped step count must be
+    finite.  InfeasiblePathError (a ValueError) means no word joins the
+    poses, as when one holds a NaN.
     `_kernels.dubins_steer` does the arithmetic, in C or in `_steer_python`.
     """
     _check_length("speed", speed)
@@ -357,7 +360,10 @@ def _steer_python(dx, dy, dist, h0, h1, speed, radius, max_steps):
     length = path.length
     if length <= 1e-12:
         return np.zeros(0)
-    n_steps = min(max(1, math.ceil(length / speed)), max_steps)
+    steps = min(length / speed, max_steps)  # capped before the count becomes an integer
+    if math.isinf(steps):
+        raise ValueError(f"step count must be finite, got length {length} / speed {speed}")
+    n_steps = max(1, math.ceil(steps))
     # Heading at each step's arc length s, segment by segment: each segment
     # turns by min(remaining s, its length) / radius.
     s = np.minimum(np.arange(n_steps + 1) * speed, length)
@@ -380,9 +386,16 @@ def _nearest(poses: np.ndarray, sample: Sequence[float], radius: float) -> int:
     folded onto [0, pi] is that remainder exactly (Sterbenz), but libm's hypot
     may differ from math.hypot by an ulp, so a near-tie band is settled here
     with the scalar key.  `poses` is a C-contiguous float64 (n, 3) array.
+    A NaN score (from a non-finite pose, sample or radius) raises ValueError
+    naming it.
     """
     x, y, h = sample
     near = _kernels.nearest(poses, x, y, h, radius)
+    if near == []:
+        if not math.isfinite(radius):
+            raise ValueError(f"nearest-node radius must be finite, got {radius}")
+        bad = [tuple(pose) for pose in (sample, *poses.tolist()) if not all(map(math.isfinite, pose))]
+        raise ValueError(f"nearest-node poses must be finite, got {bad[0]}" if bad else "no poses to search")
     return near if isinstance(near, int) else min(
         near,
         key=lambda i: math.hypot(x - poses[i, 0], y - poses[i, 1])

@@ -1,13 +1,16 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from momentprop import distmoments
+from momentprop import _kernels, distmoments
 from momentprop.distmoments import (
     Beta,
     Degenerate,
@@ -397,9 +400,10 @@ class TestDisturbanceModel:
             tables.append(table)
         assert not np.array_equal(tables[0], tables[1])
 
-    def test_moment_table_rejects_non_real_residue(self, monkeypatch):
+    def test_moment_table_rejects_non_real_residue(self, monkeypatch, python_twins):
         from momentprop import distmoments
 
+        python_twins()  # the C trig_moments does not call char_fn; test_c_trig_moments_reject_non_real_sums covers it
         original = distmoments.char_fn
         monkeypatch.setattr(distmoments, "char_fn", lambda dist, shift, t: original(dist, shift, t) + 1e-9j)
         model = DisturbanceModel(self.system, {"wv": Gaussian(0, 1), "wt": Gaussian(0, 1)})
@@ -447,11 +451,12 @@ class TestCachedTable:
         ],
         ids=["degenerate", "gaussian", "uniform", "beta"],
     )
-    def test_equals_moment_bit_for_bit(self, raw, angle, monkeypatch):
+    def test_equals_moment_bit_for_bit(self, raw, angle, monkeypatch, python_twins):
         """Scheduled and unscheduled slots of each kind, equal to `moment` over an array of steps."""
         model = self.model(raw, angle, other=raw)
         expected = self.expected(model)
         np.testing.assert_array_equal(model.moment_table(self.REQUIREMENTS, self.N_STEPS, start=self.START), expected)
+        python_twins()  # the twin of the C trig_moments calls char_fn, so the calls can be counted
         calls = []
         original = distmoments.char_fn
         monkeypatch.setattr(distmoments, "char_fn", lambda *args: calls.append(args) or original(*args))
@@ -497,3 +502,127 @@ def test_model_bound_to_polynomial_or_compiled_system_gives_same_table(dubins_sy
         for system in (dubins_system, dubins_reduced)
     ]
     assert np.array_equal(tables[0].view(np.int64), tables[1].view(np.int64))
+
+
+# -- the C trigonometric moments ----------------------------------------------
+
+ORDERS_TO_8 = [(m, n) for m in range(9) for n in range(9) if 1 <= m + n <= 8]
+SPECIAL_SHIFTS = [1e6, -1e6, math.inf, -math.inf, math.nan, 0.0, -0.0]
+
+
+def _out(n_steps, n_pairs, layout):
+    """A (steps, pairs) float64 array of the given layout, filled with a marker."""
+    if layout == "columns of a wider table":  # as moment_table passes its slot's columns
+        return np.full((n_steps, n_pairs + 3), -7.0)[:, 2 : 2 + n_pairs]
+    if layout == "every other column":
+        return np.full((n_steps, 2 * n_pairs), -7.0)[:, ::2]
+    if layout == "column-major":
+        return np.asfortranarray(np.full((n_steps, n_pairs), -7.0))
+    return np.full((n_steps, n_pairs), -7.0)
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_c_trig_moments_match_numpy_twin(data):
+    """The C trig_moments equals `_trig_moments` bit for bit, moments and residue.
+
+    Gaussian and degenerate angles (the C code takes the latter as variance
+    0); variances whose exp(-variance t^2 / 2) underflows to a subnormal or
+    to 0, where a fused and an unfused product give zeros of different signs;
+    infinite and NaN shifts, which leave NaN moments and a NaN residue.
+    """
+    # (1, 0) always: its real coefficients at frequencies -1 and 1 are a Laurent sum whose every term can round to 0.
+    others = data.draw(
+        st.lists(st.sampled_from([pair for pair in ORDERS_TO_8 if pair != (1, 0)]), max_size=3, unique=True)
+    )
+    pairs = tuple(data.draw(st.permutations([(1, 0), *others])))
+    freqs, coefficients = distmoments._laurent_matrix(pairs)
+    n_steps = data.draw(st.sampled_from([0, 1, 40, 1000]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shifts = rng.uniform(-4.0, 4.0, n_steps) * data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    for _ in range(data.draw(st.integers(0, 4)) if n_steps else 0):
+        shifts[data.draw(st.integers(0, n_steps - 1))] = data.draw(st.sampled_from(SPECIAL_SHIFTS))
+    base = data.draw(st.sampled_from([0.0, -0.0, 1 / 3]) | st.floats(-4.0, 4.0))
+    loc = data.draw(st.sampled_from([0.0, -0.0]) | st.floats(-4.0, 4.0))
+    if data.draw(st.booleans()):
+        dist, variance = Degenerate(loc), 0.0
+    else:
+        # At frequency t the factor is exp(-e), e = variance t^2 / 2: subnormal for e in (708.4, 744.4), and within
+        # a few ulps of 0 for e near 744, where half of it rounds to zero (at the first-order pair's frequency 1).
+        t = data.draw(st.sampled_from(sorted(set(np.abs(freqs).tolist()) - {0.0})))
+        variance = data.draw(
+            st.sampled_from([0.0, 1e-8, 1e4, 1e300])
+            | st.floats(0.0, 2.0)
+            | st.floats(708.0, 746.0).map(lambda e: 2 * e / t**2)
+            | st.floats(743.0, 744.5).map(lambda e: 2 * e)
+        )
+        dist = Gaussian(loc, variance)
+    out = _out(n_steps, len(pairs), data.draw(st.sampled_from(
+        ["C-ordered", "columns of a wider table", "every other column", "column-major"])))
+    residue = _kernels.trig_moments(shifts, base, loc, variance, freqs, coefficients, out)
+    expected = np.empty(out.shape)
+    with np.errstate(invalid="ignore", over="ignore"):  # numpy warns on the non-finite shifts
+        expected_residue = distmoments._trig_moments(dist, base + shifts, freqs, coefficients, expected)
+    assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+    assert residue == expected_residue or math.isnan(residue) and math.isnan(expected_residue)
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
+def test_c_trig_moments_keep_the_sign_of_a_product_rounded_to_zero():
+    """E[cos(X + s)] where exp(-variance / 2) is a few ulps above 0: numpy's fused product keeps -0.0, and so must C."""
+    freqs, coefficients = distmoments._laurent_matrix(((1, 0),))
+    shifts, out, expected = np.linspace(-4.0, 4.0, 401), np.empty((401, 1)), np.empty((401, 1))
+    for variance in (2 * 743.0, 2 * 743.7, 2 * 744.3):
+        _kernels.trig_moments(shifts, 0.0, 0.0, variance, freqs, coefficients, out)
+        distmoments._trig_moments(Gaussian(0.0, variance), shifts, freqs, coefficients, expected)
+        assert np.signbit(expected[expected == 0.0]).any()  # an unfused product makes these +0.0
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
+def test_c_trig_moments_reject_bad_input_and_release_buffers():
+    freqs, coefficients = distmoments._laurent_matrix(((1, 0), (0, 1)))
+    good = [np.zeros(3), 0.0, 0.1, 0.2, freqs, coefficients, np.empty((3, 2))]
+    read_only = np.empty((3, 2))
+    read_only.flags.writeable = False
+    for position, bad, error, message in [
+        (0, np.zeros(3, dtype=np.float32), TypeError, "must be float64"),
+        (0, np.zeros((3, 1)), ValueError, "must be 1-d"),
+        (0, np.zeros(4), ValueError, r"out \(shifts, pairs\)"),
+        (0, [0.0, 0.0, 0.0], TypeError, None),
+        (1, "0", TypeError, None),
+        (4, freqs[::-1], TypeError, "must be C-contiguous"),
+        (4, freqs[:1], ValueError, r"coefficients \(freqs, pairs\)"),
+        (5, coefficients.real, TypeError, "coefficients complex128"),
+        (5, np.asfortranarray(coefficients), TypeError, "must be C-contiguous"),
+        (6, np.empty((3, 2), dtype=np.float32), TypeError, "must be float64"),
+        (6, np.empty((3, 3)), ValueError, r"out \(shifts, pairs\)"),
+        (6, read_only, ValueError, "out must be writable"),
+    ]:
+        args = [*good[:position], bad, *good[position + 1 :]]
+        before = [sys.getrefcount(arg) for arg in args]
+        with pytest.raises(error, match=message and "^trig_moments: .*" + message):
+            _kernels.trig_moments(*args)
+        assert [sys.getrefcount(arg) for arg in args] == before
+    with pytest.raises(TypeError, match="takes 7 arguments"):
+        _kernels._backend()[5](*good[:6])
+    before = [sys.getrefcount(arg) for arg in good]
+    assert _kernels.trig_moments(*good) == 0.0
+    assert [sys.getrefcount(arg) for arg in good] == before
+    expected = np.empty((3, 2))
+    assert distmoments._trig_moments_python(*good[:6], expected) == 0.0
+    assert np.array_equal(good[6], expected)
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
+def test_c_trig_moments_reject_non_real_sums():
+    """Coefficients of e^{ix} / 2 alone, a pure real coefficient with a non-real sum: the C path raises too."""
+    freqs, coefficients = distmoments._laurent_matrix(((1, 0),))
+    one_sided = coefficients.copy()
+    one_sided[0] = 0.0
+    shifts, out = np.linspace(0.0, 1.0, 5), np.empty((5, 1))
+    residue = _kernels.trig_moments(shifts, 0.25, 0.1, 0.3, freqs, one_sided, out)
+    assert residue == distmoments._trig_moments_python(shifts, 0.25, 0.1, 0.3, freqs, one_sided, np.empty((5, 1))) > 0.1
+    with pytest.raises(ArithmeticError, match="non-real residue"):
+        distmoments._slot_moments(Gaussian(0.1, 0.3), shifts, ((1, 0),), (0.25, freqs, one_sided), out)

@@ -290,6 +290,16 @@ class TestNearest:
     SPECIAL_GAPS = [0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 3 * math.pi, -5 * math.pi, 40 * math.pi,
                     math.nextafter(math.pi, 4.0), math.nextafter(math.pi, 3.0), math.pi / 2, -math.pi / 2, 1e-300]
 
+    def test_nan_score_names_the_pose_or_radius(self, backend):
+        """A NaN score leaves an empty near-tie band; the message names its cause instead of min() of nothing."""
+        poses = np.array([(0.0, 0.0, 0.0), (1.0, math.nan, 0.0)])
+        with pytest.raises(ValueError, match=r"^nearest-node poses must be finite, got \(1\.0, nan, 0\.0\)$"):
+            planner._nearest(poses, (0.5, 0.5, 0.0), 0.3)
+        with pytest.raises(ValueError, match=r"^nearest-node poses must be finite, got \(nan, 0\.5, 0\.0\)$"):
+            planner._nearest(poses[:1], (math.nan, 0.5, 0.0), 0.3)
+        with pytest.raises(ValueError, match="^nearest-node radius must be finite, got nan$"):
+            planner._nearest(poses[:1], (0.5, 0.5, 0.0), math.nan)
+
     def test_folded_fmod_equals_remainder(self):
         rng = np.random.default_rng(2)
         gaps = np.concatenate([self.SPECIAL_GAPS, -np.array(self.SPECIAL_GAPS), rng.uniform(-50, 50, 5000),
@@ -333,19 +343,13 @@ class TestNearest:
 
 
 @pytest.fixture(params=["c", "python"])
-def backend(request, monkeypatch):
+def backend(request, python_twins):
     """Each kernel backend in turn; the Python one as when no C compiler is found."""
     if request.param == "c" and _kernels.BACKEND != "c":
         pytest.skip("C backend not loaded")
     if request.param == "python":
-        monkeypatch.setattr(_kernels.shutil, "which", lambda name: None)
-    _kernels._backend.cache_clear()
-    try:
-        assert _kernels.BACKEND == request.param
-        yield request.param
-    finally:
-        monkeypatch.undo()
-        _kernels._backend.cache_clear()
+        python_twins()
+    return request.param
 
 
 class TestSteeringArguments:
@@ -386,6 +390,22 @@ class TestSteeringArguments:
             dubins_steer(start, end, 0.05, radius, 40)
         with pytest.raises(ValueError, match=f"^distance / radius must be finite, got {message}$"):
             dubins_shortest_path(start, end, radius)
+
+    def test_step_count_is_capped_before_it_becomes_an_integer(self, backend):
+        """length / speed overflows; capped, it is the cap, and uncapped it is named instead of an OverflowError."""
+        controls = dubins_steer((0, 0, 0), (1e10, 0, 0), 1e-300, 1.0, 40)
+        assert np.array_equal(controls, np.zeros(40))  # a straight word turns by nothing
+        with pytest.raises(ValueError, match=r"^step count must be finite, got length 10000000000\.0 / speed 1e-300$"):
+            dubins_steer((0, 0, 0), (1e10, 0, 0), 1e-300, 1.0)
+
+    def test_infinite_segment_length_is_named(self, backend):
+        """A huge radius makes a turn's length t * radius overflow on finite poses."""
+        message = r"^path segment length must be finite, got 5\.799045340204974 \* 1e\+308$"
+        with pytest.raises(ValueError, match=message) as steer:
+            dubins_steer((0, 0, 0), (0.01, 0, 1.0), 0.05, 1e308, 40)
+        with pytest.raises(ValueError, match=message) as shortest:
+            dubins_shortest_path((0, 0, 0), (0.01, 0, 1.0), 1e308)
+        assert not isinstance(steer.value, InfeasiblePathError) and not isinstance(shortest.value, InfeasiblePathError)
 
 
 def _word_margins(p0, p1, radius):
