@@ -21,23 +21,18 @@ and all five use the first of two backends that loads:
   compiler or no ``Python.h``, or the build fails, and the references that
   the C code must match bit for bit.
 
-The entry points, their twins, and their cost per call on a 2-vCPU Xeon VM:
+The entry points and their twins (the README's kernel table gives each
+one's cost per call in C and in Python):
 
-- `run_steps`: `run_steps_python`, the moment recursion over a horizon.  In
-  C about 5 us warm and 55 us right after other work has evicted the caches,
-  besides the loop itself; the Python loop takes about 200 us per step on the
-  20-moment Dubins system.
-- `risk_bound`: `risk_bound_python`, numpy over all steps and faces at once;
-  about 3 us in C against 42 us in numpy for a 40-step edge.
+- `run_steps`: `run_steps_python`, the moment recursion over a horizon.
+- `risk_bound`: `risk_bound_python`, the planner's per-edge risk bound.
 - `dubins_steer`: `planner._steer_python`, the shortest Dubins word and its
-  per-step heading increments; about 1 us in C against 20 us in numpy for a
-  40-step edge.
+  per-step heading increments.
 - `nearest`: `planner._nearest_python`, the nearest-node scores of a tree's
-  poses; about 1 us for 60 poses in C against 11 us in numpy.
+  poses.
 - `trig_moments`: `distmoments._trig_moments_python`, the trigonometric
   moments of a Gaussian or degenerate angle at each step of a shift
-  schedule, written into the caller's (steps, pairs) view; about 7 us in C
-  against 23 us in numpy for a 40-step edge's five (m, n) pairs.
+  schedule, written into the caller's (steps, pairs) view.
 
 Two of Python's operations are not the C library's.  Python's float ``%``
 is ``fmod`` followed by a sign fix, which the C code repeats.
@@ -50,8 +45,12 @@ fused where the CPU has FMA: `trig_moments` rounds as it does without an
 FMA instruction, which is exact only because each Laurent coefficient is
 purely real or purely imaginary (see the C source).
 
-`BACKEND` names the backend in use; reading it, or the first call of an
-entry point, makes the choice.
+`BACKEND` names the backend in use.  It and the five entry points are
+bound as attributes of this module on first use: reading any of them
+chooses the backend and binds all six, so later calls go straight to the
+extension module's functions (or the twins).  Only `run_steps` keeps a
+wrapper, which passes an input of another dtype or layout in again as a
+contiguous copy.
 """
 
 from __future__ import annotations
@@ -108,11 +107,6 @@ def run_steps_python(values0, table, target, coeff, req, fact, out):
                 if not np.isfinite(out[t + 1, j]):
                     return t + 1, j
     return -1, -1
-
-
-def risk_bound(values, positions, faces, starts):
-    """risk_bound_python on the chosen backend; see its docstring."""
-    return _backend()[2](values, positions, faces, starts)
 
 
 def risk_bound_python(values, positions, faces, starts):
@@ -749,7 +743,7 @@ def _build_c(cc: str, lib_path: Path) -> object:
 
 
 def _load_c():
-    """run_steps backed by the C loop, and the extension module, built if not cached."""
+    """The extension module built from _C_SOURCE, built if not cached."""
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         raise OSError("no C compiler (cc or gcc) on PATH")
@@ -757,54 +751,39 @@ def _load_c():
     key = hashlib.sha256("\0".join((_C_SOURCE, *_C_FLAGS, platform.machine(), suffix)).encode())
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "momentprop"
     lib_path = cache / f"run_steps-{key.hexdigest()[:16]}{suffix}"
-    module = _import(lib_path) if lib_path.exists() else _build_c(cc, lib_path)
-    kernel = module.run_steps
-
-    def run_steps_c(values0, table, target, coeff, req, fact, out):
-        try:
-            return kernel(values0, table, target, coeff, req, fact, out)
-        except TypeError:  # an odd dtype or layout: made contiguous once, then passed in again
-            f8, i8 = (functools.partial(np.ascontiguousarray, dtype=dtype) for dtype in (np.float64, np.int64))
-            return kernel(f8(values0), f8(table), i8(target), f8(coeff), i8(req), i8(fact), out)
-
-    return run_steps_c, module
+    return _import(lib_path) if lib_path.exists() else _build_c(cc, lib_path)
 
 
-@functools.cache
-def _backend():
-    """(name, run_steps, risk_bound, dubins_steer, nearest, trig_moments) of the first backend that loads."""
+# The names __getattr__ binds on first use, in the order _choose returns their values.
+_BOUND = ("BACKEND", "run_steps", "risk_bound", "dubins_steer", "nearest", "trig_moments")
+
+
+def _choose() -> tuple:
+    """The values of _BOUND for the first backend that loads."""
     try:
-        run_steps_c, module = _load_c()
-        return "c", run_steps_c, module.risk_bound, module.dubins_steer, module.nearest, module.trig_moments
+        module = _load_c()
     except (OSError, ImportError, RuntimeError, subprocess.SubprocessError) as exc:
         log.warning("C kernel module unavailable (%s); using the Python twins", exc)
         from .distmoments import _trig_moments_python  # both modules import this one
         from .planner import _nearest_python, _steer_python
 
         return "python", run_steps_python, risk_bound_python, _steer_python, _nearest_python, _trig_moments_python
+    kernel = module.run_steps
 
+    def run_steps(values0, table, target, coeff, req, fact, out):
+        """run_steps_python in C; see its docstring."""
+        try:
+            return kernel(values0, table, target, coeff, req, fact, out)
+        except TypeError:  # an odd dtype or layout: made contiguous once, then passed in again
+            f8, i8 = (functools.partial(np.ascontiguousarray, dtype=dtype) for dtype in (np.float64, np.int64))
+            return kernel(f8(values0), f8(table), i8(target), f8(coeff), i8(req), i8(fact), out)
 
-def run_steps(values0, table, target, coeff, req, fact, out):
-    """run_steps_python on the chosen backend; see its docstring."""
-    return _backend()[1](values0, table, target, coeff, req, fact, out)
-
-
-def dubins_steer(dx, dy, dist, h0, h1, speed, radius, max_steps):
-    """planner._steer_python on the chosen backend; see its docstring."""
-    return _backend()[3](dx, dy, dist, h0, h1, speed, radius, max_steps)
-
-
-def nearest(poses, x, y, h, radius):
-    """planner._nearest_python on the chosen backend; see its docstring."""
-    return _backend()[4](poses, x, y, h, radius)
-
-
-def trig_moments(shifts, base, loc, variance, freqs, coefficients, out):
-    """distmoments._trig_moments_python on the chosen backend; see its docstring."""
-    return _backend()[5](shifts, base, loc, variance, freqs, coefficients, out)
+    return "c", run_steps, module.risk_bound, module.dubins_steer, module.nearest, module.trig_moments
 
 
 def __getattr__(name):
-    if name == "BACKEND":
-        return _backend()[0]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """Bind BACKEND and the entry points on the first read of any of them (PEP 562)."""
+    if name not in _BOUND:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals().update(zip(_BOUND, _choose()))
+    return globals()[name]

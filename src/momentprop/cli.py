@@ -141,17 +141,11 @@ def _distributions(spec: sysspec.SystemSpec) -> dict[str, distmoments.Distributi
     return spec.distributions
 
 
-def _model_from_spec(
-    system, spec: sysspec.SystemSpec, shifts: Mapping[str, np.ndarray] | None
-) -> distmoments.DisturbanceModel:
-    return distmoments.DisturbanceModel(system, _distributions(spec), shifts)
-
-
 def _cmd_propagate(args) -> int:
     msys = compiler.load(args.compiled)
     spec = _parse_spec_file(args.dist)
     shifts = _read_shifts(args.shifts) if args.shifts else None
-    model = _model_from_spec(msys, spec, shifts)
+    model = distmoments.DisturbanceModel(msys, _distributions(spec), shifts)
     init = propagator.init_deterministic(msys, _read_init(args.init))
     traj = propagator.propagate(msys, init, model, args.steps)
     meta = _metadata(args, steps=str(args.steps), compiled=args.compiled)
@@ -171,7 +165,7 @@ def _cmd_mc(args) -> int:
     system = sysspec.trig_encode(spec)
     msys = compiler.compile_moment_system(system, _target_moments(system))
     shifts = _read_shifts(args.shifts) if args.shifts else None
-    model = _model_from_spec(msys, spec, shifts)
+    model = distmoments.DisturbanceModel(msys, _distributions(spec), shifts)
     mc = oracle.mc_simulate(
         spec,
         system,
@@ -199,7 +193,7 @@ def _lin_csv(pred: oracle.LinearPrediction, meta: Mapping[str, str]) -> str:
 def _cmd_linearize(args) -> int:
     spec = _parse_spec_file(args.spec)
     shifts = _read_shifts(args.shifts) if args.shifts else None
-    model = _model_from_spec(sysspec.trig_encode(spec), spec, shifts)
+    model = distmoments.DisturbanceModel(sysspec.trig_encode(spec), _distributions(spec), shifts)
     x0 = _read_init(args.init)
     w_star = {w: distmoments.mean(d) for w, d in spec.distributions.items()}
     lin = oracle.linearize(spec, x0, w_star, dt=args.dt)

@@ -19,7 +19,7 @@ import numpy as np
 from . import distmoments, sysspec
 from .distmoments import DisturbanceModel
 from .polyring import MultiIndex, monomial_name
-from .propagator import MomentTrajectory, PropagationError, initial_values
+from .propagator import MomentTrajectory, PropagationError, _check_count, initial_values
 from .sysspec import PolynomialSystem, SystemSpec
 from .tables import csv_text
 
@@ -84,14 +84,14 @@ def rollouts(
     (("cos" or "sin", angle) -> samples), which the next step's update reads
     too.  Each batch draws from its own child seed spawned from `seed`,
     sampling the disturbances in spec order at every step and adding the
-    model's shift.  A negative step count or a batch size below 1 raises
+    model's shift.  A step count that is not an integer of at least 0, or a
+    sample count or batch size that is not one of at least 1, raises
     ValueError at the call, and a state missing from `x0` raises KeyError
     there.
     """
-    if n_steps < 0:
-        raise ValueError("step count must be nonnegative")
-    if batch_size < 1:
-        raise ValueError(f"batch size must be at least 1, got {batch_size}")
+    _check_count("step count", n_steps, 0)
+    _check_count("sample count", n_samples, 1)
+    _check_count("batch size", batch_size, 1)
     x0 = initial_values(spec.state_vars, x0)
     sizes = [batch_size] * (n_samples // batch_size)
     if n_samples % batch_size:
@@ -151,8 +151,8 @@ def mc_simulate(
     A mean or standard error that overflows raises PropagationError naming
     the first step and moment.
     """
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
+    _check_count("sample count", n_samples, 2)
+    batches = rollouts(spec, model, x0, n_steps, n_samples, seed, batch_size)  # checks the other counts at the call
     wanted = tuple(moments if moments is not None else system.target_moments)
     if not wanted:
         raise ValueError("no moments requested")
@@ -164,7 +164,7 @@ def mc_simulate(
     batch_means = []
 
     with np.errstate(over="ignore", invalid="ignore"):  # checked once, on the finished tables
-        for nb, states in rollouts(spec, model, x0, n_steps, n_samples, seed, batch_size):
+        for nb, states in batches:
             b_mean = np.empty((n_steps + 1, n_mom))
             b_m2 = np.empty((n_steps + 1, n_mom))
             buffers = np.empty((2, nb))
@@ -364,8 +364,7 @@ def linear_propagate(
     mean or covariance that overflows raises PropagationError naming the
     first step and the moment, as E[x], Var[x] or Cov[x, y].
     """
-    if n_steps < 0:
-        raise ValueError("step count must be nonnegative")
+    _check_count("step count", n_steps, 0)
     n = len(lin.state_vars)
     mus = np.empty((n_steps + 1, n))
     covs = np.empty((n_steps + 1, n, n))

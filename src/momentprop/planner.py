@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -24,7 +23,7 @@ from .compiler import MomentStateSystem
 from .distmoments import DisturbanceModel, Distribution
 from .oracle import rollouts
 from .propagator import MomentState, MomentTrajectory, PropagationError, central_second_moments, init_deterministic
-from .propagator import propagate
+from .propagator import _check_count, _is_count, propagate
 from .sysspec import SystemSpec, TrigPair
 from .tables import csv_text
 
@@ -274,7 +273,11 @@ class DubinsPath:
 
     @property
     def length(self) -> float:
-        return sum(length for _, length in self.segments)
+        """Segment lengths added left to right, as the C steering adds them; sum() compensates from Python 3.12 on."""
+        total = 0.0
+        for _, length in self.segments:
+            total += length
+        return total
 
 
 def _shortest_path(dx: float, dy: float, dist: float, h0: float, h1: float, radius: float) -> DubinsPath | None:
@@ -316,11 +319,6 @@ def dubins_shortest_path(
     if path is None:
         raise InfeasiblePathError("no feasible bounded-curvature path")
     return path
-
-
-def _is_count(n, least: int) -> bool:
-    """Whether n is an integer of at least `least`; a bool is not."""
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= least
 
 
 def dubins_steer(
@@ -477,8 +475,7 @@ class PlannerConfig:
     def __post_init__(self):
         _check_length("speed", self.speed)
         _check_length("turn radius", self.turn_radius)
-        if not _is_count(self.max_edge_steps, 1):
-            raise ValueError(f"max edge steps must be an integer of at least 1, got {self.max_edge_steps!r}")
+        _check_count("max edge steps", self.max_edge_steps, 1)
 
 
 @dataclass
@@ -540,8 +537,7 @@ def build_rrt(
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("chance constraint must lie in (0, 1)")
-    if not _is_count(iterations, 0):
-        raise ValueError(f"iteration count must be an integer of at least 0, got {iterations!r}")
+    _check_count("iteration count", iterations, 0)
     heading = _heading(msys.state_vars, msys.state_pairs)
     i_cos, i_sin = msys.moment_index(heading.cos_var), msys.moment_index(heading.sin_var)
     positions = msys.pair_positions(*POSITION)

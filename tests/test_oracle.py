@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import threading
 import warnings
 
@@ -571,3 +572,42 @@ class TestNonFinite:
         pred = linear_propagate(linearize(self.spec, {"x": 10.0}), np.array([10.0]), np.zeros((1, 1)), model, 15)
         assert np.isfinite(mc.means).all() and np.isfinite(mc.ses).all()
         assert np.isfinite(pred.means).all() and np.isfinite(pred.covs).all()
+
+
+class TestCountArguments:
+    """A count that is not an integer (a float, a string or a bool) or is too small is a ValueError naming it."""
+
+    @staticmethod
+    def message(what, least, value):
+        return "^" + re.escape(f"{what} must be an integer of at least {least}, got {value!r}") + "$"
+
+    @pytest.mark.parametrize("what, least, value, position", [
+        ("step count", 0, 2.0, 3), ("step count", 0, True, 3), ("step count", 0, -1, 3),
+        ("sample count", 1, 100.5, 4), ("sample count", 1, 0, 4),
+        ("batch size", 1, "10", 6), ("batch size", 1, 0, 6),
+    ])
+    def test_rollouts(self, what, least, value, position):
+        spec, _, _, model = walk_setup(Gaussian(0.0, 1.0))
+        args = [spec, model, {"x": 0.0}, 3, 100, 0, 10]
+        args[position] = value
+        with pytest.raises(ValueError, match=self.message(what, least, value)):
+            rollouts(*args)
+
+    @pytest.mark.parametrize("what, least, kwargs", [
+        ("step count", 0, {"n_steps": True}), ("step count", 0, {"n_steps": 2.0}),
+        ("sample count", 2, {"n_samples": 100.5}), ("sample count", 2, {"n_samples": 1}),
+        ("batch size", 1, {"batch_size": 2.5}),
+    ])
+    def test_mc_simulate(self, what, least, kwargs):
+        spec, system, msys, model = walk_setup(Gaussian(0.0, 1.0))
+        args = {"x0": {"x": 0.0}, "n_steps": 3, "n_samples": 100, "seed": 0, "moments": tuple(msys.basis), **kwargs}
+        (value,) = kwargs.values()
+        with pytest.raises(ValueError, match=self.message(what, least, value)):
+            mc_simulate(spec, system, model, **args)
+
+    @pytest.mark.parametrize("value", [2.0, True, "4", -1])
+    def test_linear_propagate(self, value):
+        spec, _, _, model = walk_setup(Gaussian(0.0, 0.3))
+        lin = linearize(spec, {"x": 0.0}, {"w": 0.0})
+        with pytest.raises(ValueError, match=self.message("step count", 0, value)):
+            linear_propagate(lin, np.zeros(1), np.zeros((1, 1)), model, value)

@@ -28,6 +28,8 @@ from momentprop.planner import (
     tree_to_csv,
 )
 from momentprop.propagator import MomentTrajectory, init_deterministic, mean_cov
+
+from conftest import unbind_kernels
 from reference import cantelli_bound, moment, obstacle_risk, simulate_controls
 
 
@@ -276,6 +278,11 @@ class TestDubinsSteer:
         path = dubins_shortest_path((0, 0, 0), (10, 0, 0), 1.0)
         assert path.length == pytest.approx(10.0, abs=1e-9)
 
+    def test_path_length_adds_left_to_right(self):
+        """As the C steering adds the segments: sum() on Python 3.12 and later would give 0.6 here."""
+        path = planner.DubinsPath((("L", 0.1), ("S", 0.2), ("R", 0.3)), 1.0)
+        assert path.length == (0.0 + 0.1 + 0.2) + 0.3 == 0.6000000000000001
+
 
 def _scalar_nearest(poses, sample, radius):
     """The nearest-node rule as a scalar key: first minimum of min(range(...), key=...)."""
@@ -511,9 +518,9 @@ def test_c_geometry_rejects_bad_input_and_releases_buffers():
     assert _kernels.nearest(poses[:0], 1.0, 0.0, 0.0, 0.3) == []
     assert sys.getrefcount(poses) == before
     with pytest.raises(TypeError, match="takes 5 arguments"):
-        _kernels._backend()[4](poses, 0.0, 0.0, 0.0)
+        _kernels.nearest(poses, 0.0, 0.0, 0.0)
     with pytest.raises(TypeError, match="takes 8 arguments"):
-        _kernels._backend()[3](1.0, 0.0, 1.0, 0.0, 0.0, 0.05, 0.3)
+        _kernels.dubins_steer(1.0, 0.0, 1.0, 0.0, 0.0, 0.05, 0.3)
     with pytest.raises(TypeError):
         _kernels.dubins_steer(1.0, 0.0, 1.0, "0", 0.0, 0.05, 0.3, 40)
 
@@ -728,13 +735,13 @@ def test_python_fallback_grows_the_same_tree(dubins_reduced, seed, monkeypatch):
     args = (parse_environment(presets.PLANNER_ENV), dubins_reduced, presets.planner_noise(), 0.1, 100, seed)
     compiled = build_rrt(*args)
     monkeypatch.setattr(_kernels.shutil, "which", lambda name: None)
-    _kernels._backend.cache_clear()
+    unbind_kernels()
     try:
         assert _kernels.BACKEND == "python"
         fallback = build_rrt(*args)
     finally:
         monkeypatch.undo()
-        _kernels._backend.cache_clear()
+        unbind_kernels()
     assert fallback.goal_node == compiled.goal_node
     assert len(fallback.nodes) == len(compiled.nodes) > 1
     for a, b in zip(fallback.nodes, compiled.nodes):
@@ -924,3 +931,14 @@ class TestPlanCollision:
             estimate_plan_collision(
                 dubins_spec, self.NOISY, env, np.full(30, 0.02), 100, 3, "nope", 0.05
             )
+
+
+@pytest.mark.parametrize("n_rollouts", [100.5, True, 0])
+def test_plan_collision_names_a_rollout_count_that_is_not_a_count(dubins_spec, n_rollouts):
+    """The rollout engine checks the count: no ZeroDivisionError for 0, no single rollout for True."""
+    env = parse_environment(presets.PLANNER_ENV)
+    message = "^" + re.escape(f"sample count must be an integer of at least 1, got {n_rollouts!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        estimate_plan_collision(
+            dubins_spec, TestPlanCollision.NOISY, env, np.full(30, 0.02), n_rollouts, 3, "wt", 0.05
+        )

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentprop import _kernels, compiler, presets, propagator
+from momentprop import _kernels, compiler, planner, presets, propagator
 from momentprop.compiler import compile_moment_system
 from momentprop.distmoments import Degenerate, DisturbanceModel, Gaussian
 from momentprop.polyring import MultiIndex, Polynomial
@@ -25,6 +25,7 @@ from momentprop.propagator import (
 )
 from momentprop.sysspec import DependenceGraph, PolynomialSystem
 
+from conftest import unbind_kernels
 from randsys import monomial_arrays, poly_eval_arrays, random_system
 from reference import evaluate_polynomial, moment, propagate_mp, step
 
@@ -457,7 +458,7 @@ def test_run_steps_within_rounding_bound_of_mp_reference(reduced, noise, n_steps
 class TestCKernel:
     def test_builds_into_cache_dir(self, monkeypatch, tmp_path, walk):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        run, _ = _kernels._load_c()
+        run = _kernels._load_c().run_steps
         (lib,) = (tmp_path / "momentprop").iterdir()
         assert lib.name.startswith("run_steps-") and lib.suffix == ".so"
         arrays = walk.term_table
@@ -487,15 +488,31 @@ def test_python_fallback_without_compiler(monkeypatch, dubins_reduced):
     init = init_deterministic(dubins_reduced, {"x": 0.3, "y": -1, "v": 1.2, "theta": 0.4})
     compiled = propagate(dubins_reduced, init, model, 200).values
     monkeypatch.setattr(_kernels.shutil, "which", lambda name: None)
-    _kernels._backend.cache_clear()
+    unbind_kernels()
     try:
         assert _kernels.BACKEND == "python"
         fallback = propagate(dubins_reduced, init, model, 200).values
     finally:
         monkeypatch.undo()
-        _kernels._backend.cache_clear()
+        unbind_kernels()
     assert np.array_equal(fallback.view(np.int64), compiled.view(np.int64))
     assert _kernels.BACKEND == "c"
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
+def test_c_entry_points_are_the_extension_module_functions(monkeypatch):
+    """Four entry points are the module's own functions, with no forwarder; C is bound again after the twins."""
+    names = ("risk_bound", "dubins_steer", "nearest", "trig_moments")
+    module = _kernels._load_c()
+    assert all(getattr(_kernels, name) is getattr(module, name) for name in names)
+    monkeypatch.setattr(_kernels.shutil, "which", lambda name: None)
+    unbind_kernels()
+    assert _kernels.BACKEND == "python"
+    assert _kernels.nearest is planner._nearest_python and _kernels.run_steps is _kernels.run_steps_python
+    monkeypatch.undo()
+    unbind_kernels()
+    assert _kernels.BACKEND == "c"
+    assert all(getattr(_kernels, name) is getattr(module, name) for name in names)
 
 
 @pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
@@ -507,7 +524,7 @@ def test_unwritable_cache_still_loads_the_c_kernel(monkeypatch, tmp_path, walk):
     scratch.mkdir()
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
-    _kernels._backend.cache_clear()
+    unbind_kernels()
     try:
         assert _kernels.BACKEND == "c"
         arrays = walk.term_table
@@ -518,7 +535,7 @@ def test_unwritable_cache_still_loads_the_c_kernel(monkeypatch, tmp_path, walk):
         assert np.array_equal(out, ref)
     finally:
         monkeypatch.undo()
-        _kernels._backend.cache_clear()
+        unbind_kernels()
     assert blocker.read_text() == "" and not any(scratch.iterdir())  # the build directory is gone
 
 
@@ -532,14 +549,14 @@ def test_python_fallback_without_headers(monkeypatch, tmp_path, caplog, dubins_r
     empty.mkdir()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(sysconfig, "get_paths", lambda: {"include": str(empty)})
-    _kernels._backend.cache_clear()
+    unbind_kernels()
     try:
         with caplog.at_level(logging.WARNING, logger=_kernels.__name__):
             assert _kernels.BACKEND == "python"
         fallback = propagate(dubins_reduced, init, model, 200).values
     finally:
         monkeypatch.undo()
-        _kernels._backend.cache_clear()
+        unbind_kernels()
     assert f"Python.h is not in {empty}" in caplog.text
     assert np.array_equal(fallback.view(np.int64), compiled.view(np.int64))
     assert _kernels.BACKEND == "c"
@@ -659,7 +676,7 @@ def test_risk_bound_rejects_bad_input_and_releases_buffers():
         assert raised is expected, name
         assert [sys.getrefcount(arr) for arr in args] == before, name
     with pytest.raises(TypeError, match="takes 4 arguments"):
-        _kernels._backend()[2](values, positions, faces)
+        _kernels.risk_bound(values, positions, faces)
 
 
 def test_kernel_converts_odd_inputs(dubins_reduced):
@@ -693,6 +710,15 @@ def test_kernel_converts_odd_inputs(dubins_reduced):
         assert_bit_identical(results)
 
 
+@pytest.mark.parametrize("n_steps", [2.0, True, "3", -1])
+def test_propagate_names_a_step_count_that_is_not_a_count(walk, n_steps):
+    """A float, a bool, a string or a negative number of steps is a ValueError naming it, before any work."""
+    model = DisturbanceModel(walk, {"w": Gaussian(0.0, 1.0)})
+    message = "^" + re.escape(f"step count must be an integer of at least 0, got {n_steps!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        propagate(walk, init_deterministic(walk, {"x": 1.0}), model, n_steps)
+
+
 def test_wrong_length_initial_state_names_both_lengths(dubins_reduced):
     model = DisturbanceModel(dubins_reduced, presets.benchmark_noise())
     with pytest.raises(ValueError, match=r"^initial state has 19 moment values, but the system has 20 moments$"):
@@ -712,11 +738,11 @@ def test_python_fallback_overflow_raises_without_warning(monkeypatch):
     model = DisturbanceModel(msys, {"w": Degenerate(0.0)})
     init = init_deterministic(msys, {"x": 1.0})
     monkeypatch.setattr(_kernels.shutil, "which", lambda name: None)
-    _kernels._backend.cache_clear()
+    unbind_kernels()
     try:
         assert _kernels.BACKEND == "python"
         with pytest.raises(PropagationError, match=r"E\[x\] became non-finite at step 1024"):
             propagate(msys, init, model, 1100)
     finally:
         monkeypatch.undo()
-        _kernels._backend.cache_clear()
+        unbind_kernels()
