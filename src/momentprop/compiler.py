@@ -12,16 +12,16 @@ its own update forms.  Coefficients stay exact rationals throughout.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
-from itertools import chain
-from operator import itemgetter
+from functools import cache, cached_property, partial
+from itertools import chain, compress, islice, repeat
 from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .polyring import MultiIndex, Polynomial, degree_vector, monomial_name, signed_sum
+from .polyring import MultiIndex, Polynomial, _is_count, degree_vector, monomial_name, signed_sum
 from .sysspec import MAX_DEGREE, DependenceGraph, PolynomialSystem, SpecError, TrigPair
 from .sysspec import components_of_support, parse_monomial
 
@@ -252,36 +252,38 @@ def _coefficient_error(state_vars: Sequence[str], target: MultiIndex, problem: s
     return ValueError(f"the update of E[{monomial_name(state_vars, target)}] has an exact coefficient {problem}")
 
 
-def _system_from_rows(basis: MomentBasis, rows: list[tuple], dist_of: Callable, position, **fields) -> MomentStateSystem:
-    """The system whose term k is rows[k] = (target, (num, den), dist key, factor keys), rows in target order.
+def _distinct(column: Sequence, parse: Callable) -> tuple[list, np.ndarray]:
+    """`parse` of each distinct key of `column`, in first-seen order, and each row's index into that list."""
+    code = {k: i for i, k in enumerate(dict.fromkeys(column))}
+    return list(map(parse, code)), np.fromiter(map(code.__getitem__, column), np.intp, len(column))
 
-    `dist_of` maps a dist key to its disturbance multi-index, `position` a factor key to its basis position.
+
+def _system_from_columns(basis: MomentBasis, columns: Sequence, parsers: Sequence, **fields) -> MomentStateSystem:
+    """The system whose term k has the target, coefficient, dist and factor keys `columns[0..3][k]`.
+
+    `parsers` map each distinct key to a basis position, (num, den), disturbance multi-index or factor
+    positions.  Rows are stably sorted by target, unless they already are.
     """
-    targets, pairs, dist_keys, factor_keys = zip(*rows) if rows else ((),) * 4
-    dist_at = {k: dist_of(k) for k in set(dist_keys)}
-    requirements = tuple(sorted(set(dist_at.values()), key=MultiIndex.grlex_key))
-    req_of = {k: requirements.index(mi) for k, mi in dist_at.items()}
-    width = max([1, *map(len, factor_keys)])
-    try:
-        fact_of = {keys: [position[k] for k in keys] + [-1] * (width - len(keys)) for keys in set(factor_keys)}
-    except KeyError:
-        raise AssertionError("completion search produced an incomplete basis") from None
-    exact = {}
-    for num, den in dict.fromkeys(pairs):
+    (targets, target), (pairs, coeff), (dists, req), (positions, fact) = map(_distinct, columns, parsers)
+    target = np.array(targets, dtype=np.int64)[target]
+    order = np.argsort(target, kind="stable") if np.any(target[1:] < target[:-1]) else slice(None)
+    target, coeff, req, fact = target[order], coeff[order], req[order], fact[order]
+    requirements = tuple(sorted(set(dists), key=MultiIndex.grlex_key))
+    rank = {mi: i for i, mi in enumerate(requirements)}
+    width = max([1, *map(len, positions)])
+    exact, floats = [], []
+    for code, (num, den) in enumerate(pairs):
         g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        exact.append((num // g, den // g))
         try:  # num / den on ints is correctly rounded, as float(Fraction(num, den)) is
-            exact[num, den] = (num // g, den // g), num / den
+            floats.append(num / den)
         except OverflowError:
-            target = basis[targets[pairs.index((num, den))]]
-            raise _coefficient_error(fields["state_vars"], target, "too large for a float") from None
-    coeffs = [exact[pair] for pair in pairs]
-    table = TermTable(
-        target=np.array(targets, dtype=np.int64),
-        coeff=np.array([c for _, c in coeffs], dtype=np.float64),
-        req=np.array([req_of[k] for k in dist_keys], dtype=np.int64),
-        fact=np.fromiter(chain.from_iterable(map(fact_of.__getitem__, factor_keys)), np.int64).reshape(len(rows), width),
-    )
-    return MomentStateSystem(basis, table, tuple(pair for pair, _ in coeffs), requirements, **fields)
+            at = basis[target[np.argmax(coeff == code)]]
+            raise _coefficient_error(fields["state_vars"], at, "too large for a float") from None
+    padded = np.array([[*p, *[-1] * (width - len(p))] for p in positions], dtype=np.int64).reshape(-1, width)
+    req = np.array([rank[mi] for mi in dists], dtype=np.int64)[req]
+    table = TermTable(target, np.array(floats)[coeff], req, padded[fact])
+    return MomentStateSystem(basis, table, tuple(map(exact.__getitem__, coeff.tolist())), requirements, **fields)
 
 
 def second_moment_indices(state_vars: Sequence[str], a: str, b: str, moments: Container[MultiIndex]) -> tuple:
@@ -314,8 +316,9 @@ def compile_moment_system(
     generically never close) into a diagnosable error.
     """
     for name, guard in (("max_degree", max_degree), ("max_basis", max_basis)):
-        if not isinstance(guard, int) or isinstance(guard, bool) or guard < 1:
+        if not _is_count(guard, 1):
             raise ValueError(f"{name} must be an integer >= 1, got {guard!r}")
+    max_degree, max_basis = operator.index(max_degree), operator.index(max_basis)
     seed_list = [mi if isinstance(mi, MultiIndex) else MultiIndex(mi) for mi in seed]
     if not seed_list:
         raise ValueError("seed moment basis must be nonempty")
@@ -361,7 +364,7 @@ def compile_moment_system(
 
     position: dict[int, int] = {}  # basis position of each expanded moment
     parent: dict[int, int] = {}
-    rows: list[tuple] = []
+    columns: tuple[list, ...] = ([], [], [], [])  # target, (num, den), dist key and factor keys of each term
     stack = [state.key(mi) for mi in reversed(seed_list)]
     while stack:
         key = stack.pop()
@@ -373,19 +376,20 @@ def compile_moment_system(
             raise explode(f"basis size guard ({max_basis})", key)
         target = position[key] = len(position)
         terms, den = power(state_ones - (key & state_ones))
-        # (dist key, factor keys) is distinct per term, so the numerators are never compared.
-        keyed = sorted((dist_part(p & dist_ones), state_part(p >> dist_bits), num) for p, num in terms.items())
-        rows.extend((target, (num, den), dist_key, factor_keys) for dist_key, factor_keys, num in keyed)
-        children = sorted({k for _, factor_keys, _ in keyed for k in factor_keys}.difference(position))
+        # (dist key, factor keys) is distinct per term, so the coefficients are never compared.
+        keyed = sorted((dist_part(p & dist_ones), state_part(p >> dist_bits), (num, den)) for p, num in terms.items())
+        dist_keys, factor_keys, pairs = zip(*keyed) if keyed else ((),) * 3
+        for column, part in zip(columns, (repeat(target, len(keyed)), pairs, dist_keys, factor_keys)):
+            column.extend(part)
+        children = sorted(set(chain.from_iterable(factor_keys)).difference(position))
         for child in children:
             parent.setdefault(child, key)
         stack.extend(reversed(children))
 
-    return _system_from_rows(
+    return _system_from_columns(
         MomentBasis(map(state.unkey, position)),
-        rows,
-        dist.unkey,
-        position,
+        columns,
+        (int, tuple, dist.unkey, lambda keys: tuple(map(position.__getitem__, keys))),
         reduced=reduced,
         state_vars=system.vars,
         dist_vars=system.dist_vars,
@@ -477,13 +481,26 @@ def dumps(msys: MomentStateSystem) -> str:
         *(" ".join(map(str, mi)) for mi in msys.basis),
         f"terms {len(msys.exact_coeffs)}",
     ]
-    dist_text = {mi: " ".join(map(str, mi)) for mi in msys.dist_requirements}
+    # Each distinct coefficient, disturbance index and basis position is written once, then gathered per term.
+    table = msys.term_table
+    coeff_text = {}
     try:
-        for target, (num, den), dist, factors in msys._terms():
-            lines.append(f"{target} | {num}/{den} | {dist_text[dist]} | {' '.join(map(str, factors))}")
+        for num, den in dict.fromkeys(msys.exact_coeffs):
+            coeff_text[num, den] = f" | {num}/{den} | "
     except ValueError:  # Python's limit on the digits of an integer written as text
+        target = table.target[msys.exact_coeffs.index((num, den))]
         raise _coefficient_error(msys.state_vars, msys.basis[target], "too long to write") from None
-    return "\n".join(lines) + "\n"
+    dist_text = [" ".join(map(str, mi)) + " | " for mi in msys.dist_requirements]
+    # Basis positions as text, and a -1 pad, the last entry, as "".  Factor j > 0 is written after a space.
+    numbers = [*map(str, range(len(msys.basis))), ""]
+    spaced = [" " + s if s else "" for s in numbers]
+    columns = [
+        map(numbers.__getitem__, table.target.tolist()),
+        map(coeff_text.__getitem__, msys.exact_coeffs),
+        map(dist_text.__getitem__, table.req.tolist()),
+        *(map((spaced if j else numbers).__getitem__, col) for j, col in enumerate(table.fact.T.tolist())),
+    ]
+    return "\n".join([*lines, *map("".join, zip(*columns))]) + "\n"
 
 
 def loads(text: str) -> MomentStateSystem:
@@ -493,8 +510,7 @@ def loads(text: str) -> MomentStateSystem:
     out of range, a multi-index of the wrong length, trailing lines) raises
     ValueError.  Term lines may come in any order; a target's terms keep their file order.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    it = iter(lines)
+    it = filter(str.strip, text.splitlines())
 
     def line() -> str:
         try:
@@ -538,36 +554,40 @@ def loads(text: str) -> MomentStateSystem:
     dist_pairs = pairs("distpairs", dist_vars)
     n_basis = count("basis")
     basis = MomentBasis([multi_index(line(), len(state_vars), "basis") for _ in range(n_basis)])
-    rows = []
-    # Terms repeat few distinct coefficients and factor lists: parse each once (and disturbance indices, in the builder).
-    coeffs: dict[str, tuple[int, int]] = {}
-    factor_lists: dict[str, tuple[int, ...]] = {}
-    for _ in range(count("terms")):
-        ln = line()
-        fields = ln.split("|")
-        if len(fields) != 4:
-            raise ValueError(f"term line needs 4 '|'-separated fields: {ln!r}")
-        target_s, coeff_s, beta_w_s, factors_s = fields
-        if coeff_s not in coeffs:
-            num, den = coeff_s.split("/")
-            if int(den) == 0:
-                raise ValueError(f"zero denominator in term line {ln!r}")
-            coeffs[coeff_s] = int(num), int(den)
-        if factors_s not in factor_lists:
-            factor_lists[factors_s] = tuple(map(int, factors_s.split()))
-        ids = (int(target_s), *factor_lists[factors_s])
-        if not (0 <= min(ids) and max(ids) < n_basis):
-            raise ValueError(f"basis index out of range in term line {ln!r}")
-        rows.append((ids[0], coeffs[coeff_s], beta_w_s, ids[1:]))
-    extra = next(it, None)
-    if extra is not None:
+    n_terms = count("terms")
+    term_lines = list(islice(it, n_terms))
+    if len(term_lines) < n_terms:
+        raise ValueError("compiled-system file is truncated")
+    for extra in it:
         raise ValueError(f"unexpected line after the terms of a compiled-system file: {extra!r}")
-    rows.sort(key=itemgetter(0))  # stable, so each target's terms keep their file order
-    return _system_from_rows(
+    for bad in compress(term_lines, map((3).__ne__, map(str.count, term_lines, repeat("|")))):
+        raise ValueError(f"term line needs 4 '|'-separated fields: {bad!r}")
+    # Split flat, a chunk at a time; terms repeat few fields, kept as one string each and parsed once.
+    columns: tuple[list, ...] = ([], [], [], [])
+    seen: dict[str, str] = {}
+    for start in range(0, n_terms, 2048):
+        fields = "|".join(term_lines[start:start + 2048]).split("|")
+        for j, column in enumerate(columns):
+            column.extend(map(seen.setdefault, fields[j::4], fields[j::4]))
+
+    def positions(j: int, key: str):
+        """The target (j = 0) or factor positions (j = 3) that field j of a term line names."""
+        ids = tuple(map(int, key.split())) if j else (int(key),)
+        if ids and not (0 <= min(ids) and max(ids) < n_basis):
+            raise ValueError(f"basis index out of range in term line {term_lines[columns[j].index(key)]!r}")
+        return ids if j else ids[0]
+
+    def coefficient(coeff_s: str) -> tuple[int, int]:
+        num, den = coeff_s.split("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in term line {term_lines[columns[1].index(coeff_s)]!r}")
+        return int(num), int(den)
+
+    return _system_from_columns(
         basis,
-        rows,
-        lambda beta_w_s: multi_index(beta_w_s.strip(), len(dist_vars), "disturbance"),
-        range(n_basis),  # a factor key is already its basis position
+        columns,
+        (partial(positions, 0), coefficient, lambda s: multi_index(s.strip(), len(dist_vars), "disturbance"),
+         partial(positions, 3)),
         reduced=reduced_s == "1",
         state_vars=state_vars,
         dist_vars=dist_vars,

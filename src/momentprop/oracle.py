@@ -18,8 +18,8 @@ import numpy as np
 
 from . import distmoments, sysspec
 from .distmoments import DisturbanceModel
-from .polyring import MultiIndex, monomial_name
-from .propagator import MomentTrajectory, PropagationError, _check_count, initial_values
+from .polyring import MultiIndex, _check_count, monomial_name
+from .propagator import MomentTrajectory, PropagationError, initial_values
 from .sysspec import PolynomialSystem, SystemSpec
 from .tables import csv_text
 

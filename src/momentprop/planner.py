@@ -22,8 +22,9 @@ from . import _kernels, sysspec
 from .compiler import MomentStateSystem
 from .distmoments import DisturbanceModel, Distribution
 from .oracle import rollouts
+from .polyring import _check_count, _is_count
 from .propagator import MomentState, MomentTrajectory, PropagationError, central_second_moments, init_deterministic
-from .propagator import _check_count, _is_count, propagate
+from .propagator import propagate
 from .sysspec import SystemSpec, TrigPair
 from .tables import csv_text
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -12,7 +11,7 @@ import numpy as np
 from . import _kernels
 from .compiler import MomentStateSystem
 from .distmoments import DisturbanceModel
-from .polyring import monomial_name
+from .polyring import _check_count, monomial_name
 from .tables import csv_text
 
 _TRIG_CONSISTENCY_TOL = 1e-9
@@ -94,18 +93,6 @@ def initial_values(names: Sequence[str], x0: Mapping[str, float]) -> dict[str, f
         if name not in x0:
             raise KeyError(f"initial state value missing for {name!r}")
     return {name: float(x0[name]) for name in names}
-
-
-def _is_count(n, least: int) -> bool:
-    """Whether n is an integer of at least `least`; a bool is not."""
-    # An int is let through first: the check against the ABC takes about 0.6 us (2-vCPU Xeon VM).
-    return (type(n) is int or isinstance(n, numbers.Integral) and not isinstance(n, bool)) and n >= least
-
-
-def _check_count(what: str, n, least: int) -> None:
-    """ValueError naming `what` and n, unless n is an integer of at least `least`."""
-    if not _is_count(n, least):
-        raise ValueError(f"{what} must be an integer of at least {least}, got {n!r}")
 
 
 def propagate(

@@ -280,6 +280,15 @@ class TestCompletion:
         with pytest.raises(ValueError, match=f"{guard} must be an integer >= 1"):
             compile_moment_system(scalar_walk_system(), [MultiIndex((2,))], **{guard: value})
 
+    def test_numpy_integer_guards_compile_the_same_system(self, dubins_system):
+        """A numpy integer is a count: max_degree=np.int64(4) compiles to the bytes that max_degree=4 gives."""
+        seed = dubins_system.target_moments
+        plain = compiler.dumps(compile_moment_system(dubins_system, seed, max_degree=4, max_basis=100))
+        numpy = compile_moment_system(dubins_system, seed, max_degree=np.int64(4), max_basis=np.int32(100))
+        assert compiler.dumps(numpy) == plain
+        with pytest.raises(BasisExplosionError, match=r"basis size guard \(10\) exceeded"):
+            compile_moment_system(dubins_system, seed, max_basis=np.int64(10))
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
@@ -578,9 +587,80 @@ def test_msys_text_matches_golden(case, reduced):
 
 
 @functools.lru_cache(maxsize=None)
-def compiled_ladder(k: int):
+def compiled_ladder(k: int, reduced: bool = True):
     system = trig_encode(parse_spec(ladder_spec_text(k, 1.013, 0.947)))
-    return compile_moment_system(system, system.target_moments)
+    return compile_moment_system(system, system.target_moments, reduced=reduced)
+
+
+@pytest.mark.parametrize("reduced", [True, False])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_ladder_round_trips(k, reduced):
+    """Every compile-ladder rung loads back to the same system, with the same array types, and writes the same bytes."""
+    msys = compiled_ladder(k, reduced)
+    text = compiler.dumps(msys)
+    loaded = compiler.loads(text)
+    assert loaded == msys
+    for ours, theirs in zip(loaded.term_table, msys.term_table):
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape and ours.flags.c_contiguous
+    assert compiler.dumps(loaded) == text
+
+
+@pytest.mark.parametrize("reduced", [True, False])
+def test_targets_without_terms_round_trip(reduced):
+    """E[x*y] under x' = 0 has no terms, and E[x], E[x^2] under it make a file with no term lines at all."""
+    mixed = trig_encode(parse_spec("state x y\ndisturbance w\ndyn x' = 0\ndyn y' = x*y + w\nmoments x*y y\n"))
+    alone = trig_encode(parse_spec("state x\ndisturbance w\ndyn x' = 0\nmoments x x^2\n"))
+    for system, lines in ((mixed, ["terms 2", "1 | 1/1 | 0 | 0", "1 | 1/1 | 1 | "]), (alone, ["terms 0"])):
+        msys = compile_moment_system(system, system.target_moments, reduced=reduced)
+        text = compiler.dumps(msys)
+        assert text.endswith("\n".join(lines) + "\n")
+        loaded = compiler.loads(text)
+        assert loaded == msys
+        assert loaded.term_table.fact.shape == (len(lines) - 1, 1)
+        assert compiler.dumps(loaded) == text
+
+
+def _fields_message(line, width):
+    return f"term line needs 4 '|'-separated fields: {line!r}"
+
+
+def _range_message(line, width):
+    return f"basis index out of range in term line {line!r}"
+
+
+def _dist_message(line, width):
+    dist = line.split(" | ")[2]
+    return f"disturbance multi-index {dist!r} has {len(dist.split())} entries, expected {width}"
+
+
+# Each kind of defect in one term line: the edit of its fields, given the basis size, and the
+# message `loads` gives for the edited line, given the disturbance width.
+TERM_LINE_DEFECTS = {
+    "five fields": (lambda f, n: [*f, "7"], _fields_message),
+    "three fields": (lambda f, n: [f[0], f[1], f[2] + " " + f[3]], _fields_message),
+    "zero denominator": (lambda f, n: [f[0], "3/0", *f[2:]], lambda line, _: f"zero denominator in term line {line!r}"),
+    "target too large": (lambda f, n: [str(n), *f[1:]], _range_message),
+    "negative target": (lambda f, n: ["-1", *f[1:]], _range_message),
+    "factor too large": (lambda f, n: [*f[:3], f"{f[3]} {n}"], _range_message),
+    "negative factor": (lambda f, n: [*f[:3], f"-1 {f[3]}"], _range_message),
+    "long disturbance": (lambda f, n: [*f[:2], f[2] + " 0", f[3]], _dist_message),
+    "short disturbance": (lambda f, n: [*f[:2], f[2].rsplit(" ", 1)[0], f[3]], _dist_message),
+}
+
+
+@pytest.mark.parametrize("where", ["middle", "last"])
+@pytest.mark.parametrize("defect", list(TERM_LINE_DEFECTS))
+def test_loader_names_a_defect_deep_in_the_file(defect, where):
+    """One defective term line in the middle or at the end of the k = 5 file: `loads` names that line."""
+    msys = compiled_ladder(5)
+    lines = compiler.dumps(msys).splitlines()
+    at = len(lines) - 1 if where == "last" else len(lines) - len(msys.exact_coeffs) // 2
+    edit, message = TERM_LINE_DEFECTS[defect]
+    lines[at] = " | ".join(edit(lines[at].split(" | "), len(msys.basis)))
+    assert lines.count(lines[at]) == 1
+    with pytest.raises(ValueError) as caught:
+        compiler.loads("\n".join(lines) + "\n")
+    assert str(caught.value) == message(lines[at], len(msys.dist_vars))
 
 
 def name_lookups(msys):
@@ -632,8 +712,10 @@ class TestRenderEquations:
         """(10^-400)^11 in the update of E[x^11] has more digits than Python writes as text."""
         system = trig_encode(parse_spec("state x\ndisturbance w\ndyn x' = 1e-400*x + w\nmoments x^11\n"))
         msys = compiler.compile_moment_system(system, system.target_moments)
-        with pytest.raises(ValueError, match=r"^the update of E\[x\^11\] has an exact coefficient too long to write$"):
-            compiler.render_equations(msys)
+        message = r"^the update of E\[x\^11\] has an exact coefficient too long to write$"
+        for write in (compiler.render_equations, compiler.dumps):
+            with pytest.raises(ValueError, match=message):
+                write(msys)
 
     def test_exact_one_step_oracle_random_systems(self):
         """Compiled one-step moments must equal deterministic simulation exactly.
