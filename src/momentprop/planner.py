@@ -542,10 +542,13 @@ def build_rrt(
     heading = _heading(msys.state_vars, msys.state_pairs)
     i_cos, i_sin = msys.moment_index(heading.cos_var), msys.moment_index(heading.sin_var)
     positions = msys.pair_positions(*POSITION)
-    steered_disturbance(msys)  # stochastic_steer resolves it per edge; fail before the first
+    steered = steered_disturbance(msys)
+    model = DisturbanceModel(msys, distributions, {steered: np.zeros(0)})  # per tree; edges rebind the schedule
     cfg = config or PlannerConfig()
     rng = np.random.Generator(np.random.PCG64(seed))
     xmin, ymin, xmax, ymax = env.bounds
+    # Row by row, the same doubles as three scalar draws (x, y, heading) per iteration.
+    samples = rng.uniform((xmin, ymin, -math.pi), (xmax, ymax, math.pi), size=(iterations, 3)).tolist()
     gx, gy, g_radius = env.goal
 
     sx, sy, sh = env.start
@@ -564,12 +567,7 @@ def build_rrt(
     poses[0] = root.pose
     goal_node: int | None = None
 
-    for _ in range(iterations):
-        sample = (
-            rng.uniform(xmin, xmax),
-            rng.uniform(ymin, ymax),
-            rng.uniform(-math.pi, math.pi),
-        )
+    for sample in samples:
         nearest = _nearest(poses[: len(nodes)], sample, cfg.turn_radius)
         parent = nodes[nearest]
         try:
@@ -578,20 +576,21 @@ def build_rrt(
             continue
         if len(controls) == 0:
             continue
+        model.shifts[steered] = controls
         try:
-            traj = stochastic_steer(parent.moment_state, controls, msys, distributions)
+            traj = propagate(msys, MomentState(parent.moment_state.values, 0), model, len(controls))
         except PropagationError:
             continue
         edge_risk = trajectory_risk(traj, env)
         new_risk = parent.risk_to_node + edge_risk
         if new_risk > epsilon:
             continue
-        arrival = traj.values[-1]
+        arrival = traj.values[-1].tolist()
         mx, my, sxx, syy, sxy = central_second_moments(arrival, positions)
         # Mean heading at arrival, recovered as atan2(E[sin], E[cos]).
         mean_heading = math.atan2(arrival[i_sin], arrival[i_cos])
         node = TreeNode(
-            pose=(float(mx), float(my), mean_heading),
+            pose=(mx, my, mean_heading),
             moment_state=traj.state(traj.n_steps),
             risk_to_node=new_risk,
             parent=nearest,

@@ -124,14 +124,15 @@ def propagate(
     return MomentTrajectory(msys, out, t0=init.time)
 
 
-def central_second_moments(values: np.ndarray, positions: Sequence[int]) -> tuple[np.ndarray, ...]:
+def central_second_moments(values, positions: Sequence[int]) -> tuple:
     """Means, variances and covariance of a and b from their raw moments.
 
-    `positions` index E[a], E[b], E[a^2], E[a*b] and E[b^2] along the last
-    axis of `values`; returns the columns (mean_a, mean_b, var_a, var_b, cov_ab).
+    `positions` index E[a], E[b], E[a^2], E[a*b] and E[b^2] along the last axis of the array `values`,
+    or in a sequence of floats; returns the columns (mean_a, mean_b, var_a, var_b, cov_ab).  Squares
+    are products, as a scalar's `** 2` (pow) may round otherwise: every input gives the same bits.
     """
-    ea, eb, eaa, eab, ebb = (values[..., i] for i in positions)
-    return ea, eb, eaa - ea**2, ebb - eb**2, eab - ea * eb
+    ea, eb, eaa, eab, ebb = (values[..., i] if isinstance(values, np.ndarray) else values[i] for i in positions)
+    return ea, eb, eaa - ea * ea, ebb - eb * eb, eab - ea * eb
 
 
 def mean_cov(traj: MomentTrajectory, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:

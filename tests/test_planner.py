@@ -750,6 +750,19 @@ def test_python_fallback_grows_the_same_tree(dubins_reduced, seed, monkeypatch):
             assert np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
+def test_one_draw_per_tree_equals_three_scalar_draws_per_iteration():
+    """build_rrt's (iterations, 3) draw gives, row by row, the doubles of three scalar draws per iteration."""
+    xmin, ymin, xmax, ymax = parse_environment(presets.PLANNER_ENV).bounds
+    for seed in range(200):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        scalar = [(rng.uniform(xmin, xmax), rng.uniform(ymin, ymax), rng.uniform(-math.pi, math.pi)) for _ in range(100)]
+        rng = np.random.Generator(np.random.PCG64(seed))
+        block = rng.uniform((xmin, ymin, -math.pi), (xmax, ymax, math.pi), size=(100, 3))
+        assert np.array_equal(block.view(np.int64), np.array(scalar).view(np.int64)), (
+            f"seed {seed}: numpy's array uniform draw no longer equals its scalar draws, so every planner tree changes"
+        )
+
+
 @pytest.fixture(scope="module")
 def small_run(dubins_reduced):
     env = parse_environment(presets.PLANNER_ENV)
@@ -839,6 +852,17 @@ def test_build_rrt_rejects_other_vehicles_up_front(requirement, monkeypatch):
     env = parse_environment(presets.PLANNER_ENV)
     with pytest.raises(ValueError, match=requirement):
         build_rrt(env, msys, spec.distributions, 0.1, 10, 0)
+
+
+@pytest.mark.parametrize("iterations", [0, 10])
+@pytest.mark.parametrize("missing", ["wt", "wv"])
+def test_build_rrt_names_a_missing_distribution_before_steering(dubins_reduced, monkeypatch, missing, iterations):
+    """The tree's one disturbance model is built before the first iteration, steered source or not."""
+    monkeypatch.setattr(planner, "dubins_steer", _never)
+    noise = {name: dist for name, dist in presets.planner_noise().items() if name != missing}
+    env = parse_environment(presets.PLANNER_ENV)
+    with pytest.raises(KeyError, match=f"no distribution given for disturbance '{missing}'"):
+        build_rrt(env, dubins_reduced, noise, 0.1, iterations, 0)
 
 
 @pytest.mark.parametrize("requirement", list(NOT_A_VEHICLE)[:3])

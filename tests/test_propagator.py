@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momentprop import _kernels, compiler, planner, presets, propagator
@@ -18,6 +18,7 @@ from momentprop.distmoments import Degenerate, DisturbanceModel, Gaussian
 from momentprop.polyring import MultiIndex, Polynomial
 from momentprop.propagator import (
     PropagationError,
+    central_second_moments,
     init_deterministic,
     mean_cov,
     propagate,
@@ -254,6 +255,20 @@ class TestMeanCov:
         traj = propagator.MomentTrajectory(msys, np.zeros((1, len(msys.basis))))
         with pytest.raises(KeyError, match=re.escape(f"basis lacks the moment {missing}")):
             mean_cov(traj, names)
+
+    # Python's and numpy's scalar `** 2` call the C library's pow(), which may round a square otherwise
+    # than x * x (glibc does for these two examples); numpy's array `** 2` is x * x.
+    @given(st.lists(st.floats(-1e150, 1e150), min_size=5, max_size=5), st.permutations(range(5)))
+    @example([5.824036061928649e-25, 1.6446543248756444e125, 1.0, 2.0, 3.0], [0, 1, 2, 3, 4])
+    @settings(max_examples=300, deadline=None)
+    def test_floats_numpy_scalars_and_arrays_give_the_same_bits(self, moments, positions):
+        def bits(out):
+            return np.array(out, dtype=np.float64).ravel().view(np.int64).tolist()
+
+        ea, eb, eaa, eab, ebb = (moments[i] for i in positions)
+        expected = bits((ea, eb, eaa - ea * ea, ebb - eb * eb, eab - ea * eb))
+        for values in (moments, [np.float64(m) for m in moments], np.array(moments), np.array([moments])):
+            assert bits(central_second_moments(values, positions)) == expected
 
     def test_psd_along_benchmark_run(self, dubins_reduced):
         from momentprop import presets

@@ -31,10 +31,11 @@ def test_perfbench_span_targets_exist():
 def test_planner_seams_run_once_per_edge(dubins_reduced, monkeypatch):
     """The per-edge functions the tracer and the reference test replace are each called once per edge.
 
-    Every edge with controls calls planner.stochastic_steer, planner.propagate
-    and DisturbanceModel.moment_table once; every edge whose propagation does
-    not fail is then scored by planner.trajectory_risk.  Every fourth
-    propagation is made to fail after it runs, to exercise the rejection path.
+    Each tree builds one DisturbanceModel.  Every edge with controls calls
+    planner.propagate and DisturbanceModel.moment_table once; every edge
+    whose propagation does not fail is then scored by planner.trajectory_risk.
+    Every fourth propagation is made to fail after it runs, to exercise the
+    rejection path.
     """
     counts = collections.Counter()
 
@@ -59,14 +60,16 @@ def test_planner_seams_run_once_per_edge(dubins_reduced, monkeypatch):
         return controls
 
     counting(planner, "dubins_steer", count_edge)
-    counting(planner, "stochastic_steer")
+    counting(distmoments.DisturbanceModel, "__init__")
     counting(planner, "propagate", fail_every_fourth)
     counting(distmoments.DisturbanceModel, "moment_table")
     counting(planner, "trajectory_risk")
     env = planner.parse_environment(presets.PLANNER_ENV)
-    planner.build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, 60, 3)
-    assert counts["edges"] > 40 and counts["failed"] > 10
-    assert counts["stochastic_steer"] == counts["propagate"] == counts["moment_table"] == counts["edges"]
+    for seed in (3, 4):
+        planner.build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, 60, seed)
+    assert counts["edges"] > 80 and counts["failed"] > 20
+    assert counts["__init__"] == 2
+    assert counts["propagate"] == counts["moment_table"] == counts["edges"]
     assert counts["trajectory_risk"] == counts["edges"] - counts["failed"]
 
 
