@@ -1,0 +1,567 @@
+/* The compiled kernels of momentprop: one CPython extension module, `run_steps`, with five entry points (run_steps,
+   risk_bound, dubins_steer, nearest, trig_moments).  momentprop._kernels builds it on first use with the flags in
+   _kernels._C_FLAGS; -ffp-contract=off keeps every product and sum rounded on its own, as numpy and Python round
+   them.  Each entry point computes what its twin in tests/reference.py computes, bit for bit, and the tests hold it
+   to that.
+
+   run_steps evaluates the loop of reference.run_steps_python in two phases per step.  Phase 1 computes every
+   term's product: coeff * row[req], then times each factor in factor order.  The terms are grouped by factor
+   count, so no -1 pad is multiplied.  Phase 2 sums each target's run of terms in table order, in a register that
+   starts from the target's current value, so a target split over several runs adds in the same order too.  Each
+   product and each sum is the reference's, operand for operand; only the order in which different terms and
+   targets are evaluated changes, and no value depends on that.  With a table stride of 0 (one row serves every
+   step) coeff * row[req] is taken once per call, the same product every step.  The grouped index arrays are
+   built once per call, in O(terms), after the range checks, so int32 holds every index.  Returns 1 if an index
+   is out of range, 2 if the index arrays cannot be allocated, else 0 with the first non-finite (step, moment) or
+   (-1, -1) in bad. */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <complex.h>
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+/* Phase 1 for terms lo..hi-1, each with c factors; base is coeff, or coeff * row[req] when stationary. */
+static inline __attribute__((always_inline)) void
+products(int64_t c, int stationary, int64_t lo, int64_t hi, const double *base, const int32_t *req,
+         const double *row, const int32_t *f, const double *cur, const int32_t *slot, double *prod)
+{
+    for (int64_t g = lo; g < hi; g++, f += c) {
+        double v = stationary ? base[g] : base[g] * row[req[g]];
+        for (int64_t i = 0; i < c; i++)
+            v *= cur[f[i]];
+        prod[slot[g]] = v;
+    }
+}
+
+/* Phase 1 for every group; the common factor counts get a loop with a constant trip count. */
+static inline __attribute__((always_inline)) void
+all_products(int stationary, int64_t max_f, const int64_t *first, const double *base, const int32_t *req,
+             const double *row, const int32_t *f, const double *cur, const int32_t *slot, double *prod)
+{
+    for (int64_t c = 0; c <= max_f; f += c * (first[c + 1] - first[c]), c++) {
+        switch (c) {
+        case 0: products(0, stationary, first[0], first[1], base, req, row, f, cur, slot, prod); break;
+        case 1: products(1, stationary, first[1], first[2], base, req, row, f, cur, slot, prod); break;
+        case 2: products(2, stationary, first[2], first[3], base, req, row, f, cur, slot, prod); break;
+        case 3: products(3, stationary, first[3], first[4], base, req, row, f, cur, slot, prod); break;
+        default: products(c, stationary, first[c], first[c + 1], base, req, row, f, cur, slot, prod);
+        }
+    }
+}
+
+int run_steps(int64_t n, int64_t n_steps, int64_t n_terms, int64_t max_f,
+              int64_t n_req, const double *values0, const double *table,
+              int64_t table_stride, const int64_t *target, const double *coeff,
+              const int64_t *req, const int64_t *fact, double *out, int64_t *bad)
+{
+    if (n > INT32_MAX || n_req > INT32_MAX || n_terms > INT32_MAX / (max_f + 5))
+        return 2;
+    /* Group c holds the terms with c factors, in table order, at first[c] .. first[c + 1] - 1. */
+    int64_t *first = calloc(3 * max_f + 4, sizeof *first);
+    double *base = malloc(2 * n_terms * sizeof *base + (5 + max_f) * n_terms * sizeof(int32_t) + 1);
+    if (!first || !base) {
+        free(first);
+        free(base);
+        return 2;
+    }
+    int64_t *fill = first + max_f + 2, *fill_f = fill + max_f + 1;
+    double *prod = base + n_terms;
+    int32_t *slot = (int32_t *)(prod + n_terms), *greq = slot + n_terms, *count = greq + n_terms;
+    int32_t *run_target = count + n_terms, *run_end = run_target + n_terms, *gfact = run_end + n_terms;
+    int stationary = table_stride == 0 && n_steps > 0, status = 1;
+    int64_t n_runs = 0;
+    for (int64_t k = 0; k < n_terms; k++) {
+        if (target[k] < 0 || target[k] >= n || req[k] < 0 || req[k] >= n_req)
+            goto done;
+        int32_t c = 0;
+        for (int64_t i = 0; i < max_f; i++) {
+            if (fact[k * max_f + i] < -1 || fact[k * max_f + i] >= n)
+                goto done;
+            c += fact[k * max_f + i] >= 0;
+        }
+        count[k] = c;
+        first[c + 1]++;
+    }
+    for (int64_t c = 0; c <= max_f; c++) {
+        first[c + 1] += first[c];
+        fill[c] = first[c];
+        fill_f[c] = c ? fill_f[c - 1] + (c - 1) * (first[c] - first[c - 1]) : 0;
+    }
+    for (int64_t k = 0; k < n_terms; k++) {
+        const int64_t *f = fact + k * max_f;
+        int64_t g = fill[count[k]]++;
+        slot[g] = (int32_t)k;
+        greq[g] = (int32_t)req[k];
+        base[g] = stationary ? coeff[k] * table[req[k]] : coeff[k];
+        for (int64_t i = 0; i < max_f; i++)
+            if (f[i] >= 0)
+                gfact[fill_f[count[k]]++] = (int32_t)f[i];
+        if (k == 0 || target[k] != target[k - 1])
+            run_target[n_runs++] = (int32_t)target[k];
+        run_end[n_runs - 1] = (int32_t)(k + 1);
+    }
+    status = 0;
+    bad[0] = -1;
+    bad[1] = -1;
+    for (int64_t j = 0; j < n; j++)
+        out[j] = values0[j];
+    for (int64_t t = 0; t < n_steps; t++) {
+        const double *cur = out + t * n;
+        double *next = out + (t + 1) * n;
+        if (stationary)
+            all_products(1, max_f, first, base, greq, table, gfact, cur, slot, prod);
+        else
+            all_products(0, max_f, first, base, greq, table + t * table_stride, gfact, cur, slot, prod);
+        for (int64_t j = 0; j < n; j++)
+            next[j] = 0.0;
+        for (int64_t r = 0, k = 0; r < n_runs; r++) {
+            double sum = next[run_target[r]];
+            for (; k < run_end[r]; k++)
+                sum += prod[k];
+            next[run_target[r]] = sum;
+        }
+        for (int64_t j = 0; j < n; j++) {
+            if (!isfinite(next[j])) {
+                bad[0] = t + 1;
+                bad[1] = j;
+                goto done;
+            }
+        }
+    }
+done:
+    free(first);
+    free(base);
+    return status;
+}
+
+/* reference.risk_bound_python's bound, operation for operation: the same products, sums and quotients in the
+   same order.  Obstacle o's faces run from starts[o] to the next start, or to the last face, as np.fmin.reduceat
+   takes them. */
+static double risk_bound(int64_t n_rows, int64_t n, const double *values, const int64_t *pos, int64_t n_faces,
+                         const double *faces, int64_t n_obs, const int64_t *starts)
+{
+    const double *ax = faces, *ay = ax + n_faces, *b = ay + n_faces;
+    const double *axx = b + n_faces, *axy2 = axx + n_faces, *ayy = axy2 + n_faces;
+    double total = 0.0;
+    for (int64_t t = 1; t < n_rows; t++) {
+        const double *v = values + t * n;
+        double mu0 = v[pos[0]], mu1 = v[pos[1]];
+        double s00 = v[pos[2]] - mu0 * mu0, s11 = v[pos[4]] - mu1 * mu1, s01 = v[pos[3]] - mu0 * mu1;
+        for (int64_t o = 0; o < n_obs; o++) {
+            int64_t end = o + 1 == n_obs ? n_faces : starts[o + 1] > starts[o] ? starts[o + 1] : starts[o] + 1;
+            double best = NAN;
+            for (int64_t f = starts[o]; f < end; f++) {
+                double mean = ax[f] * mu0 + ay[f] * mu1 + b[f];
+                double var = axx[f] * s00 + axy2[f] * s01 + ayy[f] * s11;
+                var = var < 0.0 ? 0.0 : var; /* np.maximum(var, 0.0): NaN and -0.0 stay */
+                double bound = var != 0.0 ? var / (var + mean * mean) : 0.0;
+                best = fmin(best, mean < 0.0 ? 1.0 : bound);
+            }
+            total += fmin(best, 1.0);
+        }
+    }
+    return total;
+}
+
+static int f8(const Py_buffer *b) { return b->itemsize == 8 && !strcmp(b->format, "d"); }
+static int i8(const Py_buffer *b) { return b->itemsize == 8 && (!strcmp(b->format, "l") || !strcmp(b->format, "q")); }
+static int dense(Py_buffer *b) { return PyBuffer_IsContiguous(b, 'C'); }
+#define FAIL(exc, msg) do { PyErr_SetString(exc, "run_steps: " msg); goto release; } while (0)
+
+/* run_steps(values0, table, target, coeff, req, fact, out) -> (bad_t, bad_j), on the arrays' buffers.  TypeError
+   means an input is not float64 (int64 for target, req and fact) or not laid out as the loop reads it. */
+static PyObject *py_run_steps(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer b[7], *v = b, *tab = b + 1, *tg = b + 2, *co = b + 3, *rq = b + 4, *fa = b + 5, *out = b + 6;
+    PyObject *result = NULL;
+    int got = 0, status;
+    int64_t bad[2];
+    if (nargs != 7)
+        return PyErr_Format(PyExc_TypeError, "run_steps takes 7 arguments (%zd given)", nargs);
+    for (; got < 7; got++)
+        if (PyObject_GetBuffer(args[got], b + got, PyBUF_RECORDS_RO))
+            goto release;
+    if (!(f8(v) && f8(tab) && i8(tg) && f8(co) && i8(rq) && i8(fa)))
+        FAIL(PyExc_TypeError, "values0, table and coeff must be float64, target, req and fact int64");
+    if (tg->ndim != 1 || co->ndim != 1 || rq->ndim != 1 || fa->ndim != 2 || co->shape[0] != tg->shape[0]
+        || rq->shape[0] != tg->shape[0] || fa->shape[0] != tg->shape[0])
+        FAIL(PyExc_ValueError, "target, coeff, req and fact must have one entry per term, fact 2-d");
+    if (tab->ndim != 2 || v->ndim != 1)
+        FAIL(PyExc_ValueError, "table must be 2-d and values0 1-d");
+    if (!f8(out) || out->readonly || out->ndim != 2 || out->shape[0] != tab->shape[0] + 1
+        || out->shape[1] != v->shape[0] || !dense(out))
+        FAIL(PyExc_ValueError, "out must be a writable C-ordered float64 (steps + 1, n) array");
+    if (!(dense(v) && dense(tg) && dense(co) && dense(rq) && dense(fa)) || tab->strides[0] % 8
+        || (tab->shape[1] > 1 && tab->strides[1] != 8))
+        FAIL(PyExc_TypeError, "the arrays must be contiguous, the table's rows 8-byte aligned and its columns 8 bytes apart");
+    Py_BEGIN_ALLOW_THREADS
+    status = run_steps(v->shape[0], tab->shape[0], tg->shape[0], fa->shape[1], tab->shape[1], v->buf, tab->buf,
+                       tab->strides[0] / 8, tg->buf, co->buf, rq->buf, fa->buf, out->buf, bad);
+    Py_END_ALLOW_THREADS
+    if (status == 1)
+        FAIL(PyExc_IndexError, "a term's target, requirement or factor index is out of range");
+    if (status)
+        FAIL(PyExc_MemoryError, "the kernel's index arrays cannot be allocated");
+    result = Py_BuildValue("(LL)", (long long)bad[0], (long long)bad[1]);
+release:
+    while (got--)
+        PyBuffer_Release(b + got);
+    return result;
+}
+
+#undef FAIL
+#define FAIL(exc, msg) do { PyErr_SetString(exc, "risk_bound: " msg); goto release; } while (0)
+
+/* risk_bound(values, positions, faces, starts) -> float, on the arrays' buffers.  TypeError means an input is not
+   float64 (int64 for positions and starts) or not C-contiguous; IndexError, a position or start out of range. */
+static PyObject *py_risk_bound(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer b[4], *v = b, *pos = b + 1, *fc = b + 2, *st = b + 3;
+    PyObject *result = NULL;
+    int got = 0;
+    if (nargs != 4)
+        return PyErr_Format(PyExc_TypeError, "risk_bound takes 4 arguments (%zd given)", nargs);
+    for (; got < 4; got++)
+        if (PyObject_GetBuffer(args[got], b + got, PyBUF_RECORDS_RO))
+            goto release;
+    if (!(f8(v) && i8(pos) && f8(fc) && i8(st)))
+        FAIL(PyExc_TypeError, "values and faces must be float64, positions and starts int64");
+    if (!(dense(v) && dense(pos) && dense(fc) && dense(st)))
+        FAIL(PyExc_TypeError, "the arrays must be C-contiguous");
+    if (v->ndim != 2 || pos->ndim != 1 || pos->shape[0] != 5 || fc->ndim != 2 || fc->shape[0] != 6 || st->ndim != 1)
+        FAIL(PyExc_ValueError, "values must be 2-d, positions hold 5 entries, faces 6 rows and starts 1-d");
+    const int64_t *p = pos->buf, *s = st->buf;
+    for (int i = 0; i < 5; i++)
+        if (p[i] < 0 || p[i] >= v->shape[1])
+            FAIL(PyExc_IndexError, "a position is out of range");
+    for (Py_ssize_t i = 0; i < st->shape[0]; i++)
+        if (s[i] < 0 || s[i] >= fc->shape[1])
+            FAIL(PyExc_IndexError, "an obstacle's first face is out of range");
+    result = PyFloat_FromDouble(
+        risk_bound(v->shape[0], v->shape[1], v->buf, p, fc->shape[1], fc->buf, st->shape[0], s));
+release:
+    while (got--)
+        PyBuffer_Release(b + got);
+    return result;
+}
+
+#undef FAIL
+
+/* The planner's geometry, as planner._shortest_path, reference.steer_python and reference.nearest_python compute it:
+   every libm call, product, sum and comparison in the same order.  Python's float % is fmod with the divisor's
+   sign; math.sin, cos, atan2, acos and sqrt are libm's for these arguments; math.hypot is not, so it is an input. */
+static const double PI = 3.141592653589793, TWO_PI = 2.0 * 3.141592653589793, EPS = 1e-9;
+
+static double mod2pi(double a)
+{
+    double m = fmod(a, TWO_PI);
+    return m ? (m < 0.0 ? m + TWO_PI : m) : 0.0;
+}
+
+static double max0(double a) { return 0.0 > a ? 0.0 : a; } /* Python's max(a, 0.0) */
+
+/* Word w (t, p, q) replaces the best so far if it is the first feasible word or strictly shorter. */
+static void consider(double t, double p, double q, const char *w, int *found, double best[4], const char **word)
+{
+    double cost = t + p + q;
+    if (!*found || cost < best[0]) {
+        *found = 1;
+        best[0] = cost, best[1] = t, best[2] = p, best[3] = q;
+        *word = w;
+    }
+}
+
+/* planner._dubins_words and the first shortest of them; 0 if none is feasible. */
+static int shortest_word(double alpha, double beta, double d, double best[4], const char **word)
+{
+    double sa = sin(alpha), ca = cos(alpha), sb = sin(beta), cb = cos(beta), c_ab = cos(alpha - beta);
+    double p_sq, p, tmp, t;
+    int found = 0;
+    p_sq = 2.0 + d * d - 2.0 * c_ab + 2.0 * d * (sa - sb);
+    if (p_sq >= -EPS) {
+        tmp = atan2(cb - ca, d + sa - sb);
+        consider(mod2pi(-alpha + tmp), sqrt(max0(p_sq)), mod2pi(beta - tmp), "LSL", &found, best, word);
+    }
+    p_sq = 2.0 + d * d - 2.0 * c_ab + 2.0 * d * (sb - sa);
+    if (p_sq >= -EPS) {
+        tmp = atan2(ca - cb, d - sa + sb);
+        consider(mod2pi(alpha - tmp), sqrt(max0(p_sq)), mod2pi(-beta + tmp), "RSR", &found, best, word);
+    }
+    p_sq = -2.0 + d * d + 2.0 * c_ab + 2.0 * d * (sa + sb);
+    if (p_sq >= -EPS) {
+        p = sqrt(max0(p_sq));
+        tmp = atan2(-ca - cb, d + sa + sb) - atan2(-2.0, p);
+        consider(mod2pi(-alpha + tmp), p, mod2pi(-mod2pi(beta) + tmp), "LSR", &found, best, word);
+    }
+    p_sq = d * d - 2.0 + 2.0 * c_ab - 2.0 * d * (sa + sb);
+    if (p_sq >= -EPS) {
+        p = sqrt(max0(p_sq));
+        tmp = atan2(ca + cb, d - sa - sb) - atan2(2.0, p);
+        consider(mod2pi(alpha - tmp), p, mod2pi(beta - tmp), "RSL", &found, best, word);
+    }
+    tmp = (6.0 - d * d + 2.0 * c_ab + 2.0 * d * (sa - sb)) / 8.0;
+    if (fabs(tmp) <= 1.0) {
+        p = mod2pi(2.0 * PI - acos(tmp));
+        t = mod2pi(alpha - atan2(ca - cb, d - sa + sb) + p / 2.0);
+        consider(t, p, mod2pi(alpha - beta - t + p), "RLR", &found, best, word);
+    }
+    tmp = (6.0 - d * d + 2.0 * c_ab + 2.0 * d * (sb - sa)) / 8.0;
+    if (fabs(tmp) <= 1.0) {
+        p = mod2pi(2.0 * PI - acos(tmp));
+        t = mod2pi(-alpha + atan2(-ca + cb, d + sa - sb) + p / 2.0);
+        consider(t, p, mod2pi(mod2pi(beta) - alpha - t + p), "LRL", &found, best, word);
+    }
+    return found;
+}
+
+/* The heading after arc length s along the segments, as the numpy steps do it element by element. */
+static double heading_at(double s, double h, int n_seg, const double *seg, const char *mode, double radius)
+{
+    for (int i = 0; i < n_seg; i++) {
+        double take = s < seg[i] ? s : seg[i];
+        if (mode[i] == 'L')
+            h = h + take / radius;
+        else if (mode[i] == 'R')
+            h = h - take / radius;
+        s = s - take;
+    }
+    return h;
+}
+
+static PyObject *empty; /* numpy.empty, which makes dubins_steer's result */
+
+/* NULL with a ValueError whose format shows a and b as Python floats. */
+static PyObject *value_error(const char *format, double a, double b)
+{
+    PyObject *x = PyFloat_FromDouble(a), *y = PyFloat_FromDouble(b);
+    if (x && y)
+        PyErr_Format(PyExc_ValueError, format, x, y);
+    Py_XDECREF(x);
+    Py_XDECREF(y);
+    return NULL;
+}
+
+/* dubins_steer(dx, dy, dist, h0, h1, speed, radius, max_steps) -> float64 array, or None if no word is feasible:
+   reference.steer_python.  The arguments are read as floats; max_steps may be inf. */
+static PyObject *py_dubins_steer(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    double a[8], best[4] = {0.0}, seg[3], length = 0.0;
+    const char *word;
+    char mode[3];
+    int n_seg = 0;
+    if (nargs != 8)
+        return PyErr_Format(PyExc_TypeError, "dubins_steer takes 8 arguments (%zd given)", nargs);
+    for (int i = 0; i < 8; i++)
+        if ((a[i] = PyFloat_AsDouble(args[i])) == -1.0 && PyErr_Occurred())
+            return NULL;
+    double dx = a[0], dy = a[1], dist = a[2], h0 = a[3], h1 = a[4], speed = a[5], radius = a[6], cap = a[7];
+    double theta = dist > 1e-12 ? atan2(dy, dx) : 0.0;
+    if (!shortest_word(mod2pi(h0 - theta), mod2pi(h1 - theta), dist / radius, best, &word))
+        Py_RETURN_NONE;
+    for (int i = 0; i < 3; i++) {
+        double len = best[i + 1] * radius;
+        if (isinf(len))
+            return value_error("path segment length must be finite, got %R * %R", best[i + 1], radius);
+        if (len > 1e-12) {
+            seg[n_seg] = len;
+            mode[n_seg++] = word[i];
+            length += len;
+        }
+    }
+    double n = 0.0;
+    if (length > 1e-12) {
+        double q = length / speed;
+        q = cap < q ? cap : q; /* capped before the count becomes an integer */
+        if (isnan(q))
+            return PyErr_Format(PyExc_ValueError, "cannot convert float NaN to integer");
+        if (isinf(q))
+            return value_error("step count must be finite, got length %R / speed %R", length, speed);
+        n = ceil(q) < 1.0 ? 1.0 : ceil(q);
+    }
+    PyObject *count = PyLong_FromDouble(n), *out = count ? PyObject_CallOneArg(empty, count) : NULL;
+    Py_XDECREF(count);
+    Py_buffer b;
+    if (!out || PyObject_GetBuffer(out, &b, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS)) {
+        Py_XDECREF(out);
+        return NULL;
+    }
+    double *controls = b.buf, prev = heading_at(0.0, h0, n_seg, seg, mode, radius);
+    for (Py_ssize_t k = 1, steps = b.len / 8; k <= steps; k++) {
+        double s = (double)k * speed;
+        double h = heading_at(s < length ? s : length, h0, n_seg, seg, mode, radius);
+        controls[k - 1] = h - prev;
+        prev = h;
+    }
+    PyBuffer_Release(&b);
+    return out;
+}
+
+/* nearest(poses, x, y, h, radius) -> int or list: reference.nearest_python on a C-contiguous float64 (n, 3) array.
+   Each row scores hypot(x - px, y - py) + radius * min(a, 2 pi - a), a = |fmod(h - ph, 2 pi)|; the rows within
+   1e-9 of the least score (NaN propagating, as in numpy's min) form the band.  A band of one row is returned as its
+   index, any other band as a list. */
+static PyObject *py_nearest(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    double q[4];
+    Py_buffer b;
+    PyObject *result = NULL;
+    if (nargs != 5)
+        return PyErr_Format(PyExc_TypeError, "nearest takes 5 arguments (%zd given)", nargs);
+    for (int i = 0; i < 4; i++)
+        if ((q[i] = PyFloat_AsDouble(args[i + 1])) == -1.0 && PyErr_Occurred())
+            return NULL;
+    if (PyObject_GetBuffer(args[0], &b, PyBUF_RECORDS_RO))
+        return NULL;
+    if (!f8(&b) || !dense(&b) || b.ndim != 2 || b.shape[1] != 3) {
+        PyErr_SetString(PyExc_TypeError, "nearest: poses must be a C-contiguous float64 (n, 3) array");
+        goto release;
+    }
+    Py_ssize_t n = b.shape[0], count = 0, first = -1;
+    const double *pose = b.buf;
+    double *score = PyMem_Malloc((n ? n : 1) * sizeof *score), least = INFINITY;
+    if (!score) {
+        PyErr_NoMemory();
+        goto release;
+    }
+    for (Py_ssize_t i = 0; i < n; i++, pose += 3) {
+        double a = fabs(fmod(q[2] - pose[2], TWO_PI)), other = TWO_PI - a;
+        score[i] = hypot(q[0] - pose[0], q[1] - pose[1]) + q[3] * (a <= other ? a : other);
+        least = isnan(score[i]) || score[i] < least ? score[i] : least;
+        if (isnan(least))
+            break;
+    }
+    double band = least * (1.0 + 1e-9);
+    for (Py_ssize_t i = 0; i < n && !isnan(least); i++)
+        if (score[i] <= band && !count++)
+            first = i;
+    if (count == 1) {
+        result = PyLong_FromSsize_t(first);
+    } else if ((result = PyList_New(count))) {
+        for (Py_ssize_t i = first, j = 0; j < count; i++) {
+            PyObject *index = score[i] <= band ? PyLong_FromSsize_t(i) : NULL;
+            if (index)
+                PyList_SET_ITEM(result, j++, index);
+            else if (PyErr_Occurred()) {
+                Py_CLEAR(result);
+                break;
+            }
+        }
+    }
+    PyMem_Free(score);
+release:
+    PyBuffer_Release(&b);
+    return result;
+}
+
+/* The FMA trap.  numpy's SIMD complex product is fused (fmaddsub) on a CPU with FMA: its real part is
+   fma(ar, br, -(ai * bi)) and its imaginary part fma(ar, bi, ai * br).  An unfused a * b + c rounds the same where
+   a * b is exact (ar = 0: a purely imaginary coefficient), and where c is a zero or NaN (ai = 0: a purely real
+   coefficient) in every case but one: a nonzero a * b that rounds to zero keeps its sign when fused, while the
+   unfused -0.0 + +0.0 is +0.0.  fused() repeats that case, so on the Laurent coefficients, each purely real or
+   purely imaginary, it gives fma's bits (and differs from numpy without FMA only in that zero's sign).  It is not
+   libm's fma, which is a slow software loop on a CPU without the instruction. */
+static inline double fused(double a, double b, double c)
+{
+    double p = a * b;
+    return p == 0.0 && a != 0.0 && b != 0.0 && c == 0.0 ? p : p + c;
+}
+
+/* reference.trig_moments_python, operation for operation.  Each step's characteristic function values are numpy's
+   exp(1j * t * (loc + (base + s)) - variance * t * t / 2.0) at every frequency t: 1j * t is the complex product
+   (0 + 1i)(t + 0i), its product with the real argument is a complex product with (x + 0i), and the subtraction is a
+   complex one with (g + 0i); numpy's complex exp is the C library's cexp.  Each Laurent sum then starts from the first
+   frequency's product and adds the others in frequency order.  Returns the largest |imaginary part| of the sums, NaN
+   if one is NaN, as np.maximum.reduce takes it. */
+static double trig_moments(Py_ssize_t n_steps, const char *s, Py_ssize_t s_stride, double base, double loc,
+                           double var, Py_ssize_t n_freqs, const double *freqs, Py_ssize_t n_pairs,
+                           const double *coef, char *out, Py_ssize_t row_stride, Py_ssize_t col_stride,
+                           double complex *v)
+{
+    double residue = 0.0;
+    for (Py_ssize_t k = 0; k < n_steps; k++) {
+        double x = loc + (base + *(const double *)(s + k * s_stride));
+        for (Py_ssize_t f = 0; f < n_freqs; f++) {
+            double t = freqs[f], r = 0.0 * t - 1.0 * 0.0;
+            double re = r * x - t * 0.0, im = r * 0.0 + t * x, g = var * t * t / 2.0;
+            v[f] = cexp(CMPLX(re - g, im - 0.0));
+        }
+        for (Py_ssize_t p = 0; p < n_pairs; p++) {
+            double sr = 0.0, si = 0.0;
+            for (Py_ssize_t f = 0; f < n_freqs; f++) {
+                const double *c = coef + 2 * (f * n_pairs + p);
+                double vr = creal(v[f]), vi = cimag(v[f]);
+                double pr = fused(c[0], vr, -(c[1] * vi)), pi = fused(c[0], vi, c[1] * vr);
+                sr = f ? sr + pr : pr;
+                si = f ? si + pi : pi;
+            }
+            *(double *)(out + k * row_stride + p * col_stride) = sr;
+            double a = fabs(si);
+            residue = isnan(a) || a > residue ? a : residue;
+        }
+    }
+    return residue;
+}
+
+#define FAIL(exc, msg) do { PyErr_SetString(exc, "trig_moments: " msg); goto release; } while (0)
+
+/* trig_moments(shifts, base, loc, variance, freqs, coefficients, out) -> float, on the arrays' buffers: shifts and
+   out may be strided, freqs (F,) and the complex (F, P) coefficients, each purely real or purely imaginary (as
+   distmoments._laurent_matrix makes them), must be C-contiguous, and out is (steps, P). */
+static PyObject *py_trig_moments(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer b[4], *sh = b, *fr = b + 1, *co = b + 2, *out = b + 3;
+    PyObject *result = NULL;
+    double p[3];
+    int got = 0;
+    if (nargs != 7)
+        return PyErr_Format(PyExc_TypeError, "trig_moments takes 7 arguments (%zd given)", nargs);
+    for (int i = 0; i < 3; i++)
+        if ((p[i] = PyFloat_AsDouble(args[i + 1])) == -1.0 && PyErr_Occurred())
+            return NULL;
+    for (; got < 4; got++)
+        if (PyObject_GetBuffer(args[got ? got + 3 : 0], b + got, PyBUF_RECORDS_RO))
+            goto release;
+    if (!(f8(sh) && f8(fr) && f8(out) && co->itemsize == 16 && !strcmp(co->format, "Zd")))
+        FAIL(PyExc_TypeError, "shifts, freqs and out must be float64, coefficients complex128");
+    if (sh->ndim != 1 || fr->ndim != 1 || co->ndim != 2 || co->shape[0] != fr->shape[0] || out->ndim != 2
+        || out->shape[0] != sh->shape[0] || out->shape[1] != co->shape[1])
+        FAIL(PyExc_ValueError, "shifts and freqs must be 1-d, coefficients (freqs, pairs) and out (shifts, pairs)");
+    if (out->readonly)
+        FAIL(PyExc_ValueError, "out must be writable");
+    if (!(dense(fr) && dense(co)) || sh->strides[0] % 8 || out->strides[0] % 8 || out->strides[1] % 8)
+        FAIL(PyExc_TypeError, "freqs and coefficients must be C-contiguous, shifts and out 8-byte aligned");
+    double complex *v = PyMem_Malloc((fr->shape[0] ? fr->shape[0] : 1) * sizeof *v);
+    if (!v) {
+        PyErr_NoMemory();
+        goto release;
+    }
+    result = PyFloat_FromDouble(trig_moments(sh->shape[0], sh->buf, sh->strides[0], p[0], p[1], p[2], fr->shape[0],
+                                             fr->buf, co->shape[1], co->buf, out->buf, out->strides[0],
+                                             out->strides[1], v));
+    PyMem_Free(v);
+release:
+    while (got--)
+        PyBuffer_Release(b + got);
+    return result;
+}
+
+#undef FAIL
+
+static PyMethodDef methods[] = {{"run_steps", (PyCFunction)(void (*)(void))py_run_steps, METH_FASTCALL, NULL},
+                                {"risk_bound", (PyCFunction)(void (*)(void))py_risk_bound, METH_FASTCALL, NULL},
+                                {"dubins_steer", (PyCFunction)(void (*)(void))py_dubins_steer, METH_FASTCALL, NULL},
+                                {"nearest", (PyCFunction)(void (*)(void))py_nearest, METH_FASTCALL, NULL},
+                                {"trig_moments", (PyCFunction)(void (*)(void))py_trig_moments, METH_FASTCALL, NULL},
+                                {0}};
+static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "run_steps", NULL, -1, methods};
+
+PyMODINIT_FUNC PyInit_run_steps(void)
+{
+    PyObject *numpy = PyImport_ImportModule("numpy");
+    if (numpy && !empty)
+        empty = PyObject_GetAttrString(numpy, "empty");
+    Py_XDECREF(numpy);
+    return empty ? PyModule_Create(&module) : NULL;
+}

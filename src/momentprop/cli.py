@@ -364,7 +364,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (SpecError, FileNotFoundError, ValueError, KeyError, IndexError) as exc:
+    except (SpecError, OSError, ValueError, KeyError, IndexError) as exc:
         # str() of a KeyError is the repr of its message; print the message itself.
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) and exc.args else exc}", file=sys.stderr)
         return EXIT_INPUT

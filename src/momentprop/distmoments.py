@@ -222,15 +222,6 @@ def _trig_moments(
     return float(np.maximum.reduce(np.abs(sums.imag), axis=None, initial=0.0))
 
 
-def _trig_moments_python(shifts, base, loc, variance, freqs, coefficients, out) -> float:
-    """`_trig_moments` of Gaussian(loc, variance) at base + shifts: the C `trig_moments`' twin.
-
-    A variance of 0 gives Degenerate(loc)'s values bit for bit: (0 * t) * t
-    / 2 is +0 for every finite t, and subtracting +0 changes no bit.
-    """
-    return _trig_moments(Gaussian(loc, variance), base + shifts, freqs, coefficients, out)
-
-
 def _cexp_params(dist: Distribution) -> tuple[float, float] | None:
     """(location, variance) of a distribution whose trig moments `_kernels.trig_moments` takes, else None."""
     if type(dist) is Gaussian:
@@ -353,9 +344,9 @@ class DisturbanceModel:
         moments, raw slots first, each in slot order.  A call evaluates only
         the slots whose source has a shift schedule, over all steps at once,
         straight into the table's columns: a Gaussian or degenerate
-        trigonometric slot in one `_kernels.trig_moments` call (C, or its
-        numpy twin), any other in one :func:`char_fn` call over all its
-        frequencies; everything else is cached by :func:`_table_plan`.
+        trigonometric slot in one C `_kernels.trig_moments` call, any other
+        in one :func:`char_fn` call over all its frequencies; everything else
+        is cached by :func:`_table_plan`.
         When no needed slot is scheduled every row is the same: the plan
         holds that finished row, and the call returns it as a read-only view
         with row stride 0, so it multiplies nothing.

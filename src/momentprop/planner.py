@@ -339,7 +339,7 @@ def dubins_steer(
     over the radius, each segment's length and the capped step count must be
     finite.  InfeasiblePathError (a ValueError) means no word joins the
     poses, as when one holds a NaN.
-    `_kernels.dubins_steer` does the arithmetic, in C or in `_steer_python`.
+    `_kernels.dubins_steer` does the arithmetic in C.
     """
     _check_length("speed", speed)
     _check_length("radius", radius)
@@ -349,32 +349,6 @@ def dubins_steer(
     if controls is None:
         raise InfeasiblePathError("no feasible bounded-curvature path")
     return controls
-
-
-def _steer_python(dx, dy, dist, h0, h1, speed, radius, max_steps):
-    """dubins_steer's arithmetic after its checks, or None if no word is feasible: the C steering's twin."""
-    path = _shortest_path(dx, dy, dist, h0, h1, radius)
-    if path is None:
-        return None
-    length = path.length
-    if length <= 1e-12:
-        return np.zeros(0)
-    steps = min(length / speed, max_steps)  # capped before the count becomes an integer
-    if math.isinf(steps):
-        raise ValueError(f"step count must be finite, got length {length} / speed {speed}")
-    n_steps = max(1, math.ceil(steps))
-    # Heading at each step's arc length s, segment by segment: each segment
-    # turns by min(remaining s, its length) / radius.
-    s = np.minimum(np.arange(n_steps + 1) * speed, length)
-    headings = np.full(n_steps + 1, h0)
-    for mode, seg_length in path.segments:
-        take = np.minimum(s, seg_length)
-        if mode == "L":
-            headings = headings + take / radius
-        elif mode == "R":
-            headings = headings - take / radius
-        s = s - take
-    return headings[1:] - headings[:-1]
 
 
 def _nearest(poses: np.ndarray, sample: Sequence[float], radius: float) -> int:
@@ -400,15 +374,6 @@ def _nearest(poses: np.ndarray, sample: Sequence[float], radius: float) -> int:
         key=lambda i: math.hypot(x - poses[i, 0], y - poses[i, 1])
         + radius * abs(math.remainder(h - poses[i, 2], 2.0 * math.pi)),
     )
-
-
-def _nearest_python(poses, x, y, h, radius):
-    """The C nearest-node scan's twin: the first best row if it is alone in the near-tie band, else the band."""
-    dx, dy, dh = (np.array((x, y, h)) - poses).T
-    a = np.abs(np.fmod(dh, 2.0 * math.pi))
-    score = np.hypot(dx, dy) + radius * np.minimum(a, 2.0 * math.pi - a)
-    near = (score <= score.min() * (1.0 + 1e-9)).nonzero()[0].tolist()
-    return near[0] if len(near) == 1 else near
 
 
 # -- stochastic steering -----------------------------------------------------------

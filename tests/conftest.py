@@ -2,6 +2,8 @@ import pytest
 
 from momentprop import _kernels, presets
 
+import reference
+
 
 @pytest.fixture(scope="session")
 def dubins_reduced():
@@ -24,21 +26,14 @@ def dubins_spec():
 
 
 def unbind_kernels():
-    """Unbind `_kernels.BACKEND` and the entry points, so that the next read of one chooses the backend again."""
+    """Unbind `_kernels.BACKEND` and the entry points, so that the next read of one loads the C module again."""
     for name in _kernels._BOUND:
         vars(_kernels).pop(name, None)
 
 
-@pytest.fixture
-def python_twins(monkeypatch):
-    """A call that switches the kernel backend to the Python twins, as when no C compiler is found, until teardown."""
-
-    def switch():
-        monkeypatch.setattr(_kernels.shutil, "which", lambda name: None)
-        unbind_kernels()
-        assert _kernels.BACKEND == "python"
-
-    yield switch
-    monkeypatch.undo()
-    unbind_kernels()
-    _kernels.BACKEND  # binds the backend again, now with the compiler found, so later tests find C bound
+def use_kernel_twins(monkeypatch):
+    """Set the twins from `reference` in place of `_kernels`' five entry points, until `monkeypatch` undoes it."""
+    twins = (reference.run_steps_python, reference.risk_bound_python, reference.steer_python,
+             reference.nearest_python, reference.trig_moments_python)
+    for name, twin in zip(_kernels._BOUND[1:], twins, strict=True):
+        monkeypatch.setattr(_kernels, name, twin)

@@ -25,6 +25,10 @@ library code calls them.  Each checks one production path:
   `planner.dubins_steer`'s controls.
 - `cantelli_bound` and `obstacle_risk`: the scalar risk bound per step and
   obstacle, against `planner.trajectory_risk`.
+- `run_steps_python`, `risk_bound_python`, `steer_python`, `nearest_python`
+  and `trig_moments_python`: numpy and Python twins of the five C entry
+  points of `momentprop._kernels`, operation for operation, against which
+  each is checked bit for bit.
 """
 
 from __future__ import annotations
@@ -38,9 +42,9 @@ import numpy as np
 
 from momentprop import distmoments
 from momentprop.compiler import MomentBasis, MomentStateSystem, MomentUpdateForm, MufTerm, second_moment_indices
-from momentprop.distmoments import Degenerate, DisturbanceModel, raw_moment, trig_moment
+from momentprop.distmoments import Degenerate, DisturbanceModel, Gaussian, raw_moment, trig_moment
 from momentprop.oracle import McEstimate
-from momentprop.planner import Polytope
+from momentprop.planner import Polytope, _shortest_path
 from momentprop.polyring import MultiIndex, Polynomial
 from momentprop.propagator import MomentState, central_second_moments, propagate
 from momentprop.sysspec import DependenceGraph, PolynomialSystem, components_of_support
@@ -277,3 +281,109 @@ def obstacle_risk(mu: np.ndarray, sigma: np.ndarray, obstacle: Polytope) -> floa
         )
         best = min(best, cantelli_bound(mean, max(var, 0.0)))
     return best
+
+
+# -- kernel twins ------------------------------------------------------------------
+# Each computes what one C entry point of `momentprop._kernels` computes, with the
+# same IEEE operations on the same operands in the same order, so the two agree bit
+# for bit.  conftest's `use_kernel_twins` sets them in place of the entry points.
+
+
+def run_steps_python(values0, table, target, coeff, req, fact, out):
+    """Evaluate the moment recursion for table.shape[0] steps: `_kernels.run_steps`' twin.
+
+    out[t] is the moment state at step t; fact holds per-term factor indices
+    padded with -1.  Returns (step, moment index) of the first non-finite
+    value, or (-1, -1) on success.
+    """
+    n = values0.shape[0]
+    n_steps = table.shape[0]
+    n_terms = target.shape[0]
+    max_f = fact.shape[1]
+    for j in range(n):
+        out[0, j] = values0[j]
+    # A non-finite value is reported through the return value, as the C loop
+    # does, so numpy's overflow and invalid-value warnings are not raised.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(n_steps):
+            for j in range(n):
+                out[t + 1, j] = 0.0
+            for k in range(n_terms):
+                v = coeff[k] * table[t, req[k]]
+                for fi in range(max_f):
+                    idx = fact[k, fi]
+                    if idx >= 0:
+                        v *= out[t, idx]
+                out[t + 1, target[k]] += v
+            for j in range(n):
+                if not np.isfinite(out[t + 1, j]):
+                    return t + 1, j
+    return -1, -1
+
+
+def risk_bound_python(values, positions, faces, starts):
+    """Union bound on P(inside an obstacle) over steps 1..T, obstacles and faces: `_kernels.risk_bound`' twin.
+
+    values[t] is the moment state at step t; `positions` index E[x], E[y],
+    E[x^2], E[x*y] and E[y^2] in it.  Columns of the (6, F) `faces` table are
+    the obstacles' half-spaces ax*x + ay*y + b <= 0, as rows ax, ay, b, ax*ax,
+    2*ax*ay, ay*ay; obstacle i's faces start at column starts[i].  A face's
+    Cantelli bound is 0 where its variance is 0 and 1 where its mean is
+    negative; an obstacle's is its least risky face's (fmin, so NaN is
+    skipped), at most 1; the total is summed left to right, step by step and
+    then obstacle by obstacle.  May exceed 1.
+    """
+    # Non-finite moments give a bound, not a warning, as in the C loop.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu0, mu1, s00, s11, s01 = central_second_moments(values[1:], positions)
+        ax, ay, b, axx, axy2, ayy = faces[:, :, None]
+        mean = ax * mu0 + ay * mu1 + b
+        var = np.maximum(axx * s00 + axy2 * s01 + ayy * s11, 0.0)
+        bound = np.divide(var, var + mean * mean, out=np.zeros(var.shape), where=var != 0.0)
+        np.copyto(bound, 1.0, where=mean < 0)
+        risks = np.fmin(np.fmin.reduceat(bound, starts, axis=0), 1.0)
+    return float(risks.T.cumsum()[-1]) if risks.size else 0.0
+
+
+def steer_python(dx, dy, dist, h0, h1, speed, radius, max_steps):
+    """dubins_steer's arithmetic after its checks, or None if no word is feasible: `_kernels.dubins_steer`' twin."""
+    path = _shortest_path(dx, dy, dist, h0, h1, radius)
+    if path is None:
+        return None
+    length = path.length
+    if length <= 1e-12:
+        return np.zeros(0)
+    steps = min(length / speed, max_steps)  # capped before the count becomes an integer
+    if math.isinf(steps):
+        raise ValueError(f"step count must be finite, got length {length} / speed {speed}")
+    n_steps = max(1, math.ceil(steps))
+    # Heading at each step's arc length s, segment by segment: each segment
+    # turns by min(remaining s, its length) / radius.
+    s = np.minimum(np.arange(n_steps + 1) * speed, length)
+    headings = np.full(n_steps + 1, h0)
+    for mode, seg_length in path.segments:
+        take = np.minimum(s, seg_length)
+        if mode == "L":
+            headings = headings + take / radius
+        elif mode == "R":
+            headings = headings - take / radius
+        s = s - take
+    return headings[1:] - headings[:-1]
+
+
+def nearest_python(poses, x, y, h, radius):
+    """The first best row if it is alone in the near-tie band, else the band: `_kernels.nearest`' twin."""
+    dx, dy, dh = (np.array((x, y, h)) - poses).T
+    a = np.abs(np.fmod(dh, 2.0 * math.pi))
+    score = np.hypot(dx, dy) + radius * np.minimum(a, 2.0 * math.pi - a)
+    near = (score <= score.min() * (1.0 + 1e-9)).nonzero()[0].tolist()
+    return near[0] if len(near) == 1 else near
+
+
+def trig_moments_python(shifts, base, loc, variance, freqs, coefficients, out) -> float:
+    """`distmoments._trig_moments` of Gaussian(loc, variance) at base + shifts: `_kernels.trig_moments`' twin.
+
+    A variance of 0 gives Degenerate(loc)'s values bit for bit: (0 * t) * t
+    / 2 is +0 for every finite t, and subtracting +0 changes no bit.
+    """
+    return distmoments._trig_moments(Gaussian(loc, variance), base + shifts, freqs, coefficients, out)

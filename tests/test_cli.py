@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import sysconfig
 import warnings
 from pathlib import Path
 
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentprop import cli, compiler, distmoments, oracle, presets, propagator, sysspec
+from momentprop import _kernels, cli, compiler, distmoments, oracle, presets, propagator, sysspec
 from momentprop.cli import EXIT_INPUT, EXIT_NO_PLAN, EXIT_OK, EXIT_RUNTIME
 from momentprop.polyring import MultiIndex
+from conftest import unbind_kernels
 from test_planner import NOT_A_VEHICLE
 
 
@@ -212,6 +214,51 @@ def test_negative_seed_is_rejected_by_name(workdir, capsys, command):
     assert not (workdir / "out.csv").exists()
 
 
+def _propagate_argv(workdir):
+    """A compiled Dubins system and the propagate command line that needs the C kernel for it."""
+    code = run("compile", workdir / "dubins.spec", "-o", workdir / "dubins.msys", "--listing", workdir / "eq.txt")
+    assert code == EXIT_OK
+    return ["propagate", str(workdir / "dubins.msys"), "--dist", str(workdir / "dubins.spec"),
+            "--init", str(workdir / "init.csv"), "-T", "3", "-o", str(workdir / "out.csv")]
+
+
+def test_no_c_compiler_exits_2_with_one_line(workdir):
+    """No cc or gcc on PATH and an empty kernel cache: the first kernel call ends the command with one line."""
+    argv = _propagate_argv(workdir)
+    (workdir / "bin").mkdir()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PATH=str(workdir / "bin"), XDG_CACHE_HOME=str(workdir / "cache"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "momentprop", *argv], env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == EXIT_INPUT
+    assert result.stderr.splitlines() == ["error: C kernel module unavailable: no C compiler (cc or gcc) on PATH"]
+    assert not (workdir / "out.csv").exists()
+
+
+def test_no_python_headers_exits_2_with_one_line(workdir, capsys, monkeypatch):
+    """No Python.h and an empty kernel cache: the line names the header and where it was looked for."""
+    argv = _propagate_argv(workdir)
+    capsys.readouterr()
+    include = workdir / "include"
+    include.mkdir()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(workdir / "cache"))
+    monkeypatch.setattr(sysconfig, "get_paths", lambda: {"include": str(include)})
+    unbind_kernels()
+    try:
+        code = run(*argv)
+    finally:
+        monkeypatch.undo()
+        unbind_kernels()
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: C kernel module unavailable: the Python header Python.h is not in {include} "
+        "(install python3-dev or the like)"
+    ]
+    assert not (workdir / "out.csv").exists()
+    assert _kernels.BACKEND == "c"
+
+
 class TestPropagate:
     def test_zero_steps_single_row(self, workdir):
         msys_path = workdir / "dubins.msys"
@@ -370,14 +417,18 @@ class TestPipeline:
             (("-T", 3, "--batch-size", 0), "x,y,v,theta\n0,0,1,0\n", "batch size"),
             (("-T", -1), "x,y,v,theta\n0,0,1,0\n", "step count"),
             (("-T", 3), "x,y,v,theta\n0,0,1\n", "init.csv, line 2: 3 values for 4 columns"),
+            (("-T", 3, "--init", "."), "x,y,v,theta\n0,0,1,0\n", "Is a directory: '.'"),
+            (("-T", 3, "-o", "init.csv/mc.csv"), "x,y,v,theta\n0,0,1,0\n", "Not a directory"),
         ],
-        ids=["zero-batch-size", "negative-steps", "ragged-init-row"],
+        ids=["zero-batch-size", "negative-steps", "ragged-init-row", "init-is-a-directory", "output-under-a-file"],
     )
-    def test_mc_bad_input_exit_2(self, workdir, capsys, argv, init, message):
+    def test_mc_bad_input_exit_2(self, workdir, capsys, monkeypatch, argv, init, message):
+        """Bad values and unusable paths (relative to the working directory) exit 2 with one line."""
         (workdir / "init.csv").write_text(init)
+        monkeypatch.chdir(workdir)
         capsys.readouterr()
         code = run("mc", workdir / "dubins.spec", "--init", workdir / "init.csv", "-N", 100,
-                   *argv, "-o", workdir / "mc.csv")
+                   "-o", workdir / "mc.csv", *argv)
         assert code == EXIT_INPUT
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0]

@@ -25,7 +25,7 @@ from momentprop.distmoments import (
 )
 from momentprop.polyring import MultiIndex
 from momentprop.sysspec import TrigPair, parse_spec, trig_encode
-from reference import moment
+from reference import moment, trig_moments_python
 
 
 def quad_trig_moment(dist, shift, m, n):
@@ -400,10 +400,11 @@ class TestDisturbanceModel:
             tables.append(table)
         assert not np.array_equal(tables[0], tables[1])
 
-    def test_moment_table_rejects_non_real_residue(self, monkeypatch, python_twins):
+    def test_moment_table_rejects_non_real_residue(self, monkeypatch):
         from momentprop import distmoments
 
-        python_twins()  # the C trig_moments does not call char_fn; test_c_trig_moments_reject_non_real_sums covers it
+        # The C trig_moments does not call char_fn (test_c_trig_moments_reject_non_real_sums covers it); its twin does.
+        monkeypatch.setattr(_kernels, "trig_moments", trig_moments_python)
         original = distmoments.char_fn
         monkeypatch.setattr(distmoments, "char_fn", lambda dist, shift, t: original(dist, shift, t) + 1e-9j)
         model = DisturbanceModel(self.system, {"wv": Gaussian(0, 1), "wt": Gaussian(0, 1)})
@@ -451,12 +452,13 @@ class TestCachedTable:
         ],
         ids=["degenerate", "gaussian", "uniform", "beta"],
     )
-    def test_equals_moment_bit_for_bit(self, raw, angle, monkeypatch, python_twins):
+    def test_equals_moment_bit_for_bit(self, raw, angle, monkeypatch):
         """Scheduled and unscheduled slots of each kind, equal to `moment` over an array of steps."""
         model = self.model(raw, angle, other=raw)
         expected = self.expected(model)
         np.testing.assert_array_equal(model.moment_table(self.REQUIREMENTS, self.N_STEPS, start=self.START), expected)
-        python_twins()  # the twin of the C trig_moments calls char_fn, so the calls can be counted
+        # The twin of the C trig_moments calls char_fn, so the calls can be counted.
+        monkeypatch.setattr(_kernels, "trig_moments", trig_moments_python)
         calls = []
         original = distmoments.char_fn
         monkeypatch.setattr(distmoments, "char_fn", lambda *args: calls.append(args) or original(*args))
@@ -521,7 +523,6 @@ def _out(n_steps, n_pairs, layout):
     return np.full((n_steps, n_pairs), -7.0)
 
 
-@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_c_trig_moments_match_numpy_twin(data):
@@ -568,7 +569,6 @@ def test_c_trig_moments_match_numpy_twin(data):
     assert residue == expected_residue or math.isnan(residue) and math.isnan(expected_residue)
 
 
-@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
 def test_c_trig_moments_keep_the_sign_of_a_product_rounded_to_zero():
     """E[cos(X + s)] where exp(-variance / 2) is a few ulps above 0: numpy's fused product keeps -0.0, and so must C."""
     freqs, coefficients = distmoments._laurent_matrix(((1, 0),))
@@ -580,7 +580,6 @@ def test_c_trig_moments_keep_the_sign_of_a_product_rounded_to_zero():
         assert np.array_equal(out.view(np.int64), expected.view(np.int64))
 
 
-@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
 def test_c_trig_moments_reject_bad_input_and_release_buffers():
     freqs, coefficients = distmoments._laurent_matrix(((1, 0), (0, 1)))
     good = [np.zeros(3), 0.0, 0.1, 0.2, freqs, coefficients, np.empty((3, 2))]
@@ -611,11 +610,10 @@ def test_c_trig_moments_reject_bad_input_and_release_buffers():
     assert _kernels.trig_moments(*good) == 0.0
     assert [sys.getrefcount(arg) for arg in good] == before
     expected = np.empty((3, 2))
-    assert distmoments._trig_moments_python(*good[:6], expected) == 0.0
+    assert trig_moments_python(*good[:6], expected) == 0.0
     assert np.array_equal(good[6], expected)
 
 
-@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
 def test_c_trig_moments_reject_non_real_sums():
     """Coefficients of e^{ix} / 2 alone, a pure real coefficient with a non-real sum: the C path raises too."""
     freqs, coefficients = distmoments._laurent_matrix(((1, 0),))
@@ -623,6 +621,6 @@ def test_c_trig_moments_reject_non_real_sums():
     one_sided[0] = 0.0
     shifts, out = np.linspace(0.0, 1.0, 5), np.empty((5, 1))
     residue = _kernels.trig_moments(shifts, 0.25, 0.1, 0.3, freqs, one_sided, out)
-    assert residue == distmoments._trig_moments_python(shifts, 0.25, 0.1, 0.3, freqs, one_sided, np.empty((5, 1))) > 0.1
+    assert residue == trig_moments_python(shifts, 0.25, 0.1, 0.3, freqs, one_sided, np.empty((5, 1))) > 0.1
     with pytest.raises(ArithmeticError, match="non-real residue"):
         distmoments._slot_moments(Gaussian(0.1, 0.3), shifts, ((1, 0),), (0.25, freqs, one_sided), out)

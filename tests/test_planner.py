@@ -29,8 +29,8 @@ from momentprop.planner import (
 )
 from momentprop.propagator import MomentTrajectory, init_deterministic, mean_cov
 
-from conftest import unbind_kernels
-from reference import cantelli_bound, moment, obstacle_risk, simulate_controls
+from conftest import use_kernel_twins
+from reference import cantelli_bound, moment, nearest_python, obstacle_risk, simulate_controls, steer_python
 
 
 UNIT_SQUARE = Polytope.from_vertices([(1, 1), (2, 1), (2, 2), (1, 2)])
@@ -297,7 +297,7 @@ class TestNearest:
     SPECIAL_GAPS = [0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 3 * math.pi, -5 * math.pi, 40 * math.pi,
                     math.nextafter(math.pi, 4.0), math.nextafter(math.pi, 3.0), math.pi / 2, -math.pi / 2, 1e-300]
 
-    def test_nan_score_names_the_pose_or_radius(self, backend):
+    def test_nan_score_names_the_pose_or_radius(self, kernels):
         """A NaN score leaves an empty near-tie band; the message names its cause instead of min() of nothing."""
         poses = np.array([(0.0, 0.0, 0.0), (1.0, math.nan, 0.0)])
         with pytest.raises(ValueError, match=r"^nearest-node poses must be finite, got \(1\.0, nan, 0\.0\)$"):
@@ -350,37 +350,35 @@ class TestNearest:
 
 
 @pytest.fixture(params=["c", "python"])
-def backend(request, python_twins):
-    """Each kernel backend in turn; the Python one as when no C compiler is found."""
-    if request.param == "c" and _kernels.BACKEND != "c":
-        pytest.skip("C backend not loaded")
+def kernels(request, monkeypatch):
+    """The C entry points, then their twins from `reference` in their place: the twins must fail as C does."""
     if request.param == "python":
-        python_twins()
+        use_kernel_twins(monkeypatch)
     return request.param
 
 
 class TestSteeringArguments:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -0.05])
     @pytest.mark.parametrize("name", ["speed", "radius"])
-    def test_dubins_steer_names_a_bad_speed_or_radius(self, backend, name, value):
+    def test_dubins_steer_names_a_bad_speed_or_radius(self, kernels, name, value):
         args = {"speed": 0.05, "radius": 0.3, name: value}
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
             dubins_steer((0, 0, 0), (1, 0.5, 1.0), **args)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
-    def test_dubins_shortest_path_names_a_bad_radius(self, backend, value):
+    def test_dubins_shortest_path_names_a_bad_radius(self, kernels, value):
         with pytest.raises(ValueError, match=f"^radius must be positive and finite, got {value}$"):
             dubins_shortest_path((0, 0, 0), (1, 0.5, 1.0), value)
 
     @pytest.mark.parametrize("pose", [(math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, math.nan)])
-    def test_nan_pose_is_an_infeasible_path(self, backend, pose):
+    def test_nan_pose_is_an_infeasible_path(self, kernels, pose):
         with pytest.raises(InfeasiblePathError, match="no feasible bounded-curvature path"):
             dubins_steer((0.5, 0.5, 0.0), pose, 0.05, 0.3, 40)
         with pytest.raises(InfeasiblePathError, match="no feasible bounded-curvature path"):
             dubins_shortest_path(pose, (0.5, 0.5, 0.0), 0.3)
 
     @pytest.mark.parametrize("pose", [(math.inf, 0.0, 0.0), (0.0, -math.inf, 0.0), (0.0, 0.0, math.inf)])
-    def test_infinite_pose_is_named(self, backend, pose):
+    def test_infinite_pose_is_named(self, kernels, pose):
         message = "^" + re.escape(f"pose coordinates must not be infinite, got {pose} and (0.5, 0.5, 0.0)") + "$"
         with pytest.raises(ValueError, match=message) as steer:
             dubins_steer(pose, (0.5, 0.5, 0.0), 0.05, 0.3, 40)
@@ -392,20 +390,20 @@ class TestSteeringArguments:
         ((0.0, 0.0, 0.0), (0.5, 0.5, 0.0), 1e-310, "0.7071067811865476 / 1e-310"),  # the quotient overflows
         ((-1e308, 0.0, 0.0), (1e308, 0.0, 0.0), 0.3, "inf / 0.3"),  # dx overflows
     ])
-    def test_distance_overflowing_in_radii_is_named(self, backend, start, end, radius, message):
+    def test_distance_overflowing_in_radii_is_named(self, kernels, start, end, radius, message):
         with pytest.raises(ValueError, match=f"^distance / radius must be finite, got {message}$"):
             dubins_steer(start, end, 0.05, radius, 40)
         with pytest.raises(ValueError, match=f"^distance / radius must be finite, got {message}$"):
             dubins_shortest_path(start, end, radius)
 
-    def test_step_count_is_capped_before_it_becomes_an_integer(self, backend):
+    def test_step_count_is_capped_before_it_becomes_an_integer(self, kernels):
         """length / speed overflows; capped, it is the cap, and uncapped it is named instead of an OverflowError."""
         controls = dubins_steer((0, 0, 0), (1e10, 0, 0), 1e-300, 1.0, 40)
         assert np.array_equal(controls, np.zeros(40))  # a straight word turns by nothing
         with pytest.raises(ValueError, match=r"^step count must be finite, got length 10000000000\.0 / speed 1e-300$"):
             dubins_steer((0, 0, 0), (1e10, 0, 0), 1e-300, 1.0)
 
-    def test_infinite_segment_length_is_named(self, backend):
+    def test_infinite_segment_length_is_named(self, kernels):
         """A huge radius makes a turn's length t * radius overflow on finite poses."""
         message = r"^path segment length must be finite, got 5\.799045340204974 \* 1e\+308$"
         with pytest.raises(ValueError, match=message) as steer:
@@ -444,11 +442,10 @@ _coords, _angles = st.floats(-3.0, 3.0), st.one_of(st.floats(-7.0, 7.0), st.samp
 _GOALS = ["random", "coincident", "same position", "antipodal", "same circle", "tangent circles", "circles 4r apart"]
 
 
-@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
 @settings(max_examples=600, deadline=None)
 @given(st.data())
 def test_c_steering_matches_python_twin(data):
-    """The C steering's controls equal _steer_python's bit for bit, at the words' feasibility edges too."""
+    """The C steering's controls equal its twin's bit for bit, at the words' feasibility edges too."""
     radius = data.draw(st.one_of(st.sampled_from([0.1, 0.3, 1.0]), st.floats(0.05, 2.0)), label="radius")
     speed = data.draw(st.one_of(st.sampled_from([0.013, 0.05, 0.5]), st.floats(0.01, 1.0)), label="speed")
     cap = data.draw(st.sampled_from([1, 40, math.inf]), label="cap")
@@ -474,12 +471,11 @@ def test_c_steering_matches_python_twin(data):
         p_sq, tmp = _word_margins(p0, p1, radius)
         assert min(p_sq, tmp) < 1e-9
     args = (*planner._relative(p0, p1, radius), speed, radius, cap)
-    got, want = dubins_steer(p0, p1, speed, radius, cap), planner._steer_python(*args)
+    got, want = dubins_steer(p0, p1, speed, radius, cap), steer_python(*args)
     assert got.dtype == want.dtype == np.float64 and got.flags.writeable
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
-@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_c_nearest_matches_scalar_key_on_repeats_and_near_ties(data):
@@ -500,10 +496,9 @@ def test_c_nearest_matches_scalar_key_on_repeats_and_near_ties(data):
     arr = np.array(data.draw(st.permutations(poses)), dtype=float)
     radius = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
     assert planner._nearest(arr, sample, radius) == _scalar_nearest(arr.tolist(), sample, radius)
-    assert _kernels.nearest(arr, *sample, radius) == planner._nearest_python(arr, *sample, radius)
+    assert _kernels.nearest(arr, *sample, radius) == nearest_python(arr, *sample, radius)
 
 
-@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
 def test_c_geometry_rejects_bad_input_and_releases_buffers():
     poses = np.zeros((4, 3))
     for bad in (poses.astype(np.float32), np.zeros((3, 4)).T, np.zeros((4, 2)), np.zeros(3), [[0.0, 0.0, 0.0]]):
@@ -728,23 +723,16 @@ def test_trees_match_golden_digest(dubins_reduced):
     assert digest.hexdigest() == "f8bd8adab0bfa963b3d78d166c3559e7c66012e578471ca2ccca083128f91d59"
 
 
-@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
 @pytest.mark.parametrize("seed", [3, 17])
-def test_python_fallback_grows_the_same_tree(dubins_reduced, seed, monkeypatch):
-    """The Python propagation loop and risk bound give every node bit for bit as the C ones do."""
+def test_reference_twins_grow_the_same_tree(dubins_reduced, seed, monkeypatch):
+    """The twins from `reference`, in place of the five C entry points, give every node bit for bit."""
     args = (parse_environment(presets.PLANNER_ENV), dubins_reduced, presets.planner_noise(), 0.1, 100, seed)
     compiled = build_rrt(*args)
-    monkeypatch.setattr(_kernels.shutil, "which", lambda name: None)
-    unbind_kernels()
-    try:
-        assert _kernels.BACKEND == "python"
-        fallback = build_rrt(*args)
-    finally:
-        monkeypatch.undo()
-        unbind_kernels()
-    assert fallback.goal_node == compiled.goal_node
-    assert len(fallback.nodes) == len(compiled.nodes) > 1
-    for a, b in zip(fallback.nodes, compiled.nodes):
+    use_kernel_twins(monkeypatch)
+    twins = build_rrt(*args)
+    assert twins.goal_node == compiled.goal_node
+    assert len(twins.nodes) == len(compiled.nodes) > 1
+    for a, b in zip(twins.nodes, compiled.nodes):
         assert (a.pose, a.risk_to_node, a.parent) == (b.pose, b.risk_to_node, b.parent)
         for x, y in ((a.mean, b.mean), (a.cov, b.cov), (a.moment_state.values, b.moment_state.values)):
             assert np.array_equal(x.view(np.int64), y.view(np.int64))

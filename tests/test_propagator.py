@@ -1,4 +1,3 @@
-import logging
 import math
 import re
 import sys
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from momentprop import _kernels, compiler, planner, presets, propagator
+from momentprop import _kernels, compiler, presets, propagator
 from momentprop.compiler import compile_moment_system
 from momentprop.distmoments import Degenerate, DisturbanceModel, Gaussian
 from momentprop.polyring import MultiIndex, Polynomial
@@ -28,7 +27,7 @@ from momentprop.sysspec import DependenceGraph, PolynomialSystem
 
 from conftest import unbind_kernels
 from randsys import monomial_arrays, poly_eval_arrays, random_system
-from reference import evaluate_polynomial, moment, propagate_mp, step
+from reference import evaluate_polynomial, moment, propagate_mp, risk_bound_python, run_steps_python, step
 
 
 @pytest.fixture(scope="module")
@@ -340,10 +339,10 @@ class TestKernelOracle:
 
 
 def run_both(msys, values0, table):
-    """((bad_t, bad_j), out) from the loaded backend and from the Python loop."""
+    """((bad_t, bad_j), out) from the C kernel and from its twin."""
     arrays = msys.term_table
     results = []
-    for run in (_kernels.run_steps, _kernels.run_steps_python):
+    for run in (_kernels.run_steps, run_steps_python):
         out = np.full((table.shape[0] + 1, len(values0)), 7.0)
         with np.errstate(over="ignore", invalid="ignore"):
             bad = run(values0, table, arrays.target, arrays.coeff, arrays.req, arrays.fact, out)
@@ -393,7 +392,7 @@ def test_kernel_matches_python_loop_on_any_term_table(data):
     else:
         table = floats(n_steps * n_req).reshape(n_steps, n_req)
     results = []
-    for run in (_kernels.run_steps, _kernels.run_steps_python):
+    for run in (_kernels.run_steps, run_steps_python):
         out = np.full((n_steps + 1, n), 7.0)
         results.append((run(values0, table, target, coeff, req, fact, out), out))
     (bad, out), (ref_bad, ref_out) = results
@@ -406,9 +405,8 @@ def test_kernel_matches_python_loop_on_any_term_table(data):
                           np.where(np.isnan(ref_out), 0.0, ref_out).view(np.int64))
 
 
-@pytest.mark.skipif(_kernels.BACKEND == "python", reason="no compiled backend loaded")
 class TestCompiledKernelAgreement:
-    """The compiled backend must reproduce the Python loop bit for bit."""
+    """The C kernel must reproduce its twin bit for bit."""
 
     def test_dubins_broadcast_row(self, dubins_reduced):
         model = DisturbanceModel(dubins_reduced, presets.benchmark_noise())
@@ -469,7 +467,6 @@ def test_run_steps_within_rounding_bound_of_mp_reference(reduced, noise, n_steps
             assert abs(mpmath.mpf(g) - r) <= e, (t, msys.moment_names()[j])
 
 
-@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
 class TestCKernel:
     def test_builds_into_cache_dir(self, monkeypatch, tmp_path, walk):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -480,7 +477,7 @@ class TestCKernel:
         args = (np.array([0.5, 0.25]), np.array([[1.0, 0.1, 0.02]] * 3),
                 arrays.target, arrays.coeff, arrays.req, arrays.fact)
         out, ref = np.empty((4, 2)), np.empty((4, 2))
-        assert run(*args, out) == _kernels.run_steps_python(*args, ref) == (-1, -1)
+        assert run(*args, out) == run_steps_python(*args, ref) == (-1, -1)
         assert np.array_equal(out, ref)
 
     def test_rejects_bad_index_and_shape(self, walk):
@@ -497,40 +494,14 @@ class TestCKernel:
                                arrays.fact, out[:3])
 
 
-@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
-def test_python_fallback_without_compiler(monkeypatch, dubins_reduced):
-    model = DisturbanceModel(dubins_reduced, presets.benchmark_noise())
-    init = init_deterministic(dubins_reduced, {"x": 0.3, "y": -1, "v": 1.2, "theta": 0.4})
-    compiled = propagate(dubins_reduced, init, model, 200).values
-    monkeypatch.setattr(_kernels.shutil, "which", lambda name: None)
-    unbind_kernels()
-    try:
-        assert _kernels.BACKEND == "python"
-        fallback = propagate(dubins_reduced, init, model, 200).values
-    finally:
-        monkeypatch.undo()
-        unbind_kernels()
-    assert np.array_equal(fallback.view(np.int64), compiled.view(np.int64))
-    assert _kernels.BACKEND == "c"
-
-
-@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
-def test_c_entry_points_are_the_extension_module_functions(monkeypatch):
-    """Four entry points are the module's own functions, with no forwarder; C is bound again after the twins."""
+def test_c_entry_points_are_the_extension_module_functions():
+    """Four entry points are the module's own functions, with no forwarder, and C is the one backend."""
     names = ("risk_bound", "dubins_steer", "nearest", "trig_moments")
     module = _kernels._load_c()
-    assert all(getattr(_kernels, name) is getattr(module, name) for name in names)
-    monkeypatch.setattr(_kernels.shutil, "which", lambda name: None)
-    unbind_kernels()
-    assert _kernels.BACKEND == "python"
-    assert _kernels.nearest is planner._nearest_python and _kernels.run_steps is _kernels.run_steps_python
-    monkeypatch.undo()
-    unbind_kernels()
     assert _kernels.BACKEND == "c"
     assert all(getattr(_kernels, name) is getattr(module, name) for name in names)
 
 
-@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
 def test_unwritable_cache_still_loads_the_c_kernel(monkeypatch, tmp_path, walk):
     """A cache path that cannot be a directory: the kernel is built and loaded from a temporary directory."""
     blocker = tmp_path / "not-a-directory"
@@ -546,7 +517,7 @@ def test_unwritable_cache_still_loads_the_c_kernel(monkeypatch, tmp_path, walk):
         args = (np.array([0.5, 0.25]), np.array([[1.0, 0.1, 0.02]] * 3),
                 arrays.target, arrays.coeff, arrays.req, arrays.fact)
         out, ref = np.empty((4, 2)), np.empty((4, 2))
-        assert _kernels.run_steps(*args, out) == _kernels.run_steps_python(*args, ref) == (-1, -1)
+        assert _kernels.run_steps(*args, out) == run_steps_python(*args, ref) == (-1, -1)
         assert np.array_equal(out, ref)
     finally:
         monkeypatch.undo()
@@ -554,30 +525,6 @@ def test_unwritable_cache_still_loads_the_c_kernel(monkeypatch, tmp_path, walk):
     assert blocker.read_text() == "" and not any(scratch.iterdir())  # the build directory is gone
 
 
-@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
-def test_python_fallback_without_headers(monkeypatch, tmp_path, caplog, dubins_reduced):
-    """No Python.h: the warning names the header and where it was looked for, and the Python loop is used."""
-    model = DisturbanceModel(dubins_reduced, presets.benchmark_noise())
-    init = init_deterministic(dubins_reduced, {"x": 0.3, "y": -1, "v": 1.2, "theta": 0.4})
-    compiled = propagate(dubins_reduced, init, model, 200).values
-    empty = tmp_path / "include"
-    empty.mkdir()
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    monkeypatch.setattr(sysconfig, "get_paths", lambda: {"include": str(empty)})
-    unbind_kernels()
-    try:
-        with caplog.at_level(logging.WARNING, logger=_kernels.__name__):
-            assert _kernels.BACKEND == "python"
-        fallback = propagate(dubins_reduced, init, model, 200).values
-    finally:
-        monkeypatch.undo()
-        unbind_kernels()
-    assert f"Python.h is not in {empty}" in caplog.text
-    assert np.array_equal(fallback.view(np.int64), compiled.view(np.int64))
-    assert _kernels.BACKEND == "c"
-
-
-@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
 def test_cache_name_carries_the_abi_tag(monkeypatch, tmp_path):
     """Interpreters with different ABI tags build and load different files."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -591,7 +538,17 @@ def test_cache_name_carries_the_abi_tag(monkeypatch, tmp_path):
     assert len(set(hashes.values())) == 2  # the hash covers the tag too
 
 
-@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
+def test_build_compiles_the_source_file_in_place(monkeypatch, tmp_path):
+    """The cache key covers the source file's bytes, and the compiler's diagnostics name that file."""
+    source = tmp_path / "_kernels.c"
+    source.write_text(_kernels._C_PATH.read_text() + "\nint broken(void) { return }\n")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(_kernels, "_C_PATH", source)
+    with pytest.raises(OSError, match=re.escape(f"{source}:{len(source.read_text().splitlines())}:")):
+        _kernels._load_c()
+    assert not any((tmp_path / "cache" / "momentprop").iterdir())  # neither a module nor a build directory is left
+
+
 def test_kernel_releases_buffers_on_every_path(walk):
     """Every array the kernel took a buffer of is released, whether the call returns or raises."""
     arrays = walk.term_table
@@ -656,10 +613,9 @@ def test_risk_bound_matches_python_reference(data):
     starts = np.array(starts, dtype=np.int64)
     got = _kernels.risk_bound(values, positions, faces, starts)
     assert type(got) is float
-    assert got.hex() == _kernels.risk_bound_python(values, positions, faces, starts).hex()
+    assert got.hex() == risk_bound_python(values, positions, faces, starts).hex()
 
 
-@pytest.mark.skipif(_kernels.BACKEND != "c", reason="C backend not loaded")
 def test_risk_bound_rejects_bad_input_and_releases_buffers():
     """Wrong dtypes, layouts, shapes and indices raise; every buffer taken is released either way."""
     values, positions = np.linspace(0.0, 1.0, 18).reshape(3, 6), np.arange(5, dtype=np.int64)
@@ -718,7 +674,7 @@ def test_kernel_converts_odd_inputs(dubins_reduced):
     }
     for name, args in cases.items():
         results = []
-        for run in (_kernels.run_steps, _kernels.run_steps_python):
+        for run in (_kernels.run_steps, run_steps_python):
             out = np.full((31, len(dubins_reduced.basis)), 7.0)
             results.append((run(*args, out), out))
         assert results[0][0] == (-1, -1), name
@@ -742,7 +698,7 @@ def test_wrong_length_initial_state_names_both_lengths(dubins_reduced):
         propagate(dubins_reduced, propagator.MomentState(np.ones((1, 20))), model, 10)
 
 
-def test_python_fallback_overflow_raises_without_warning(monkeypatch):
+def test_overflow_raises_without_warning():
     """The suite turns RuntimeWarning into an error, so a warning before PropagationError fails here."""
     x, w = Polynomial.variables(("x", "w"))
     system = PolynomialSystem(
@@ -752,12 +708,5 @@ def test_python_fallback_overflow_raises_without_warning(monkeypatch):
     msys = compile_moment_system(system, [MultiIndex((1,))])
     model = DisturbanceModel(msys, {"w": Degenerate(0.0)})
     init = init_deterministic(msys, {"x": 1.0})
-    monkeypatch.setattr(_kernels.shutil, "which", lambda name: None)
-    unbind_kernels()
-    try:
-        assert _kernels.BACKEND == "python"
-        with pytest.raises(PropagationError, match=r"E\[x\] became non-finite at step 1024"):
-            propagate(msys, init, model, 1100)
-    finally:
-        monkeypatch.undo()
-        unbind_kernels()
+    with pytest.raises(PropagationError, match=r"E\[x\] became non-finite at step 1024"):
+        propagate(msys, init, model, 1100)
