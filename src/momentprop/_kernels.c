@@ -249,7 +249,7 @@ release:
 
 #undef FAIL
 
-/* The planner's geometry, as planner._shortest_path, reference.steer_python and reference.nearest_python compute it:
+/* The planner's geometry, as reference.shortest_path, reference.steer_python and reference.nearest_python compute it:
    every libm call, product, sum and comparison in the same order.  Python's float % is fmod with the divisor's
    sign; math.sin, cos, atan2, acos and sqrt are libm's for these arguments; math.hypot is not, so it is an input. */
 static const double PI = 3.141592653589793, TWO_PI = 2.0 * 3.141592653589793, EPS = 1e-9;
@@ -273,7 +273,7 @@ static void consider(double t, double p, double q, const char *w, int *found, do
     }
 }
 
-/* planner._dubins_words and the first shortest of them; 0 if none is feasible. */
+/* reference.dubins_words and the first shortest of them; 0 if none is feasible.  The library's only word search. */
 static int shortest_word(double alpha, double beta, double d, double best[4], const char **word)
 {
     double sa = sin(alpha), ca = cos(alpha), sb = sin(beta), cb = cos(beta), c_ab = cos(alpha - beta);

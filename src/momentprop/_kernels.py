@@ -107,7 +107,14 @@ def _build_c(cc: str, lib_path: Path) -> object:
             capture_output=True, text=True, timeout=120,
         )
         if proc.returncode:
-            raise OSError(f"{cc} failed: {proc.stderr.strip()}")
+            # One line for the error: the first that says "error:" (the first line is often only
+            # "In function ..."), else the first; the whole output goes to this module's logger.
+            log.info("%s failed with exit status %d:\n%s", cc, proc.returncode, proc.stderr)
+            lines = proc.stderr.strip().splitlines() or [f"exit status {proc.returncode}"]
+            shown = next((line for line in lines if "error:" in line), lines[0])
+            rest = len(lines) - 1
+            more = f" (and {rest} more line{'s' * (rest > 1)} in the {log.name} log)" if rest else ""
+            raise OSError(f"{cc} failed: {shown}{more}")
         if lib_path is None:
             return _import(built)
         os.replace(built, lib_path)

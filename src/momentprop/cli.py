@@ -368,7 +368,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # str() of a KeyError is the repr of its message; print the message itself.
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) and exc.args else exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (PropagationError, BasisExplosionError, ArithmeticError) as exc:
+    except (PropagationError, BasisExplosionError, ArithmeticError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

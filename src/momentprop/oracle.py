@@ -127,7 +127,7 @@ def _batch_states(spec, model, x0, n_steps, nb, seed_seq):
             env = {**state, **pending.result()}
             if t + 1 < n_steps:
                 pending = helper.submit(draw, t + 1)
-            state = {name: sysspec._evaluate(spec.updates[name], env, known) for name in spec.state_vars}
+            state = {name: sysspec.evaluate(spec.updates[name], env, known) for name in spec.state_vars}
             known = _angle_trig(spec.angle_vars, state)
             yield state, known
 

@@ -185,10 +185,6 @@ def trajectory_risk(traj: MomentTrajectory, env: Environment) -> float:
 # -- deterministic shortest bounded-curvature paths -------------------------------
 
 
-def _mod2pi(angle: float) -> float:
-    return angle % (2.0 * math.pi)
-
-
 _GEOM_EPS = 1e-9
 
 
@@ -222,106 +218,6 @@ def _relative(
     return dx, dy, dist, h0, h1
 
 
-def _dubins_words(alpha: float, beta: float, d: float):
-    """Candidate (t, p, q, word) solutions in normalized units (radius 1)."""
-    sa, ca = math.sin(alpha), math.cos(alpha)
-    sb, cb = math.sin(beta), math.cos(beta)
-    c_ab = math.cos(alpha - beta)
-    out = []
-
-    p_sq = 2 + d * d - 2 * c_ab + 2 * d * (sa - sb)
-    if p_sq >= -_GEOM_EPS:
-        tmp = math.atan2(cb - ca, d + sa - sb)
-        out.append((_mod2pi(-alpha + tmp), math.sqrt(max(p_sq, 0.0)), _mod2pi(beta - tmp), "LSL"))
-
-    p_sq = 2 + d * d - 2 * c_ab + 2 * d * (sb - sa)
-    if p_sq >= -_GEOM_EPS:
-        tmp = math.atan2(ca - cb, d - sa + sb)
-        out.append((_mod2pi(alpha - tmp), math.sqrt(max(p_sq, 0.0)), _mod2pi(-beta + tmp), "RSR"))
-
-    p_sq = -2 + d * d + 2 * c_ab + 2 * d * (sa + sb)
-    if p_sq >= -_GEOM_EPS:
-        p = math.sqrt(max(p_sq, 0.0))
-        tmp = math.atan2(-ca - cb, d + sa + sb) - math.atan2(-2.0, p)
-        out.append((_mod2pi(-alpha + tmp), p, _mod2pi(-_mod2pi(beta) + tmp), "LSR"))
-
-    p_sq = d * d - 2 + 2 * c_ab - 2 * d * (sa + sb)
-    if p_sq >= -_GEOM_EPS:
-        p = math.sqrt(max(p_sq, 0.0))
-        tmp = math.atan2(ca + cb, d - sa - sb) - math.atan2(2.0, p)
-        out.append((_mod2pi(alpha - tmp), p, _mod2pi(beta - tmp), "RSL"))
-
-    tmp = (6.0 - d * d + 2 * c_ab + 2 * d * (sa - sb)) / 8.0
-    if abs(tmp) <= 1.0:
-        p = _mod2pi(2.0 * math.pi - math.acos(tmp))
-        t = _mod2pi(alpha - math.atan2(ca - cb, d - sa + sb) + p / 2.0)
-        out.append((t, p, _mod2pi(alpha - beta - t + p), "RLR"))
-
-    tmp = (6.0 - d * d + 2 * c_ab + 2 * d * (sb - sa)) / 8.0
-    if abs(tmp) <= 1.0:
-        p = _mod2pi(2.0 * math.pi - math.acos(tmp))
-        t = _mod2pi(-alpha + math.atan2(-ca + cb, d + sa - sb) + p / 2.0)
-        out.append((t, p, _mod2pi(_mod2pi(beta) - alpha - t + p), "LRL"))
-    return out
-
-
-@dataclass(frozen=True)
-class DubinsPath:
-    """Shortest path as (mode, length) segments in real units."""
-
-    segments: tuple[tuple[str, float], ...]
-    radius: float
-
-    @property
-    def length(self) -> float:
-        """Segment lengths added left to right, as the C steering adds them; sum() compensates from Python 3.12 on."""
-        total = 0.0
-        for _, length in self.segments:
-            total += length
-        return total
-
-
-def _shortest_path(dx: float, dy: float, dist: float, h0: float, h1: float, radius: float) -> DubinsPath | None:
-    """The first shortest word from `_relative`'s view of two poses, or None if no word is feasible."""
-    d = dist / radius
-    theta = math.atan2(dy, dx) if dist > 1e-12 else 0.0
-    alpha = _mod2pi(h0 - theta)
-    beta = _mod2pi(h1 - theta)
-    best = None
-    for t, p, q, word in _dubins_words(alpha, beta, d):
-        cost = t + p + q
-        if best is None or cost < best[0]:
-            best = (cost, t, p, q, word)
-    if best is None:
-        return None
-    _, t, p, q, word = best
-    segments = []
-    for mode, n_units in zip(word, (t, p, q)):
-        length = n_units * radius
-        if math.isinf(length):
-            raise ValueError(f"path segment length must be finite, got {n_units} * {radius}")
-        if length > 1e-12:
-            segments.append((mode, length))
-    return DubinsPath(tuple(segments), radius)
-
-
-def dubins_shortest_path(
-    from_pose: Sequence[float], to_pose: Sequence[float], radius: float
-) -> DubinsPath:
-    """Shortest of the six standard word types between planar poses.
-
-    The radius must be positive and finite, the poses must hold no infinite
-    coordinate, and their distance over the radius and each segment's length
-    must be finite.  InfeasiblePathError (a ValueError) means no word joins
-    the poses, as when one holds a NaN.
-    """
-    _check_length("radius", radius)
-    path = _shortest_path(*_relative(from_pose, to_pose, radius), radius)
-    if path is None:
-        raise InfeasiblePathError("no feasible bounded-curvature path")
-    return path
-
-
 def dubins_steer(
     from_pose: Sequence[float],
     to_pose: Sequence[float],
@@ -331,15 +227,17 @@ def dubins_steer(
 ) -> np.ndarray:
     """Per-step heading increments tracking the shortest path at constant speed.
 
-    Step count is ceil(length / speed), of which only the first `max_steps`
-    (an int of at least 1, or math.inf for no cap) are computed; increments
-    are bounded by speed / radius.  Returns an empty array when the poses
-    coincide.  Speed and radius must be positive and finite; the poses are
-    read as floats, must hold no infinite coordinate, and their distance
-    over the radius, each segment's length and the capped step count must be
-    finite.  InfeasiblePathError (a ValueError) means no word joins the
-    poses, as when one holds a NaN.
-    `_kernels.dubins_steer` does the arithmetic in C.
+    The path is the first shortest of the six standard word types (LSL, RSR,
+    LSR, RSL, RLR, LRL) between the poses, its length the segments' lengths
+    added left to right.  Step count is ceil(length / speed), of which only
+    the first `max_steps` (an int of at least 1, or math.inf for no cap) are
+    computed; increments are bounded by speed / radius.  Returns an empty
+    array when the poses coincide.  Speed and radius must be positive and
+    finite; the poses are read as floats, must hold no infinite coordinate,
+    and their distance over the radius, each segment's length and the capped
+    step count must be finite.  InfeasiblePathError (a ValueError) means no
+    word joins the poses, as when one holds a NaN.
+    `_kernels.dubins_steer` does the word search and the arithmetic in C.
     """
     _check_length("speed", speed)
     _check_length("radius", radius)
@@ -407,16 +305,17 @@ def stochastic_steer(
     state: MomentState,
     controls: np.ndarray,
     msys: MomentStateSystem,
-    distributions: Mapping[str, Distribution],
+    model: DisturbanceModel,
 ) -> MomentTrajectory:
     """Propagate moments along an edge, offsetting the angular noise by the controls.
 
-    The control schedule is edge-local: its first entry applies to the first
-    step out of `state` regardless of how many steps led up to it.
+    The controls become `model`'s schedule for the steered disturbance,
+    replacing any it held, so one model serves every edge of a tree.  The
+    schedule is edge-local: its first entry applies to the first step out of
+    `state` regardless of how many steps led up to it.
     """
-    model = DisturbanceModel(msys, distributions, {steered_disturbance(msys): np.asarray(controls, dtype=float)})
-    edge_start = MomentState(state.values, 0)
-    return propagate(msys, edge_start, model, len(controls))
+    model.shifts[steered_disturbance(msys)] = np.ascontiguousarray(controls, dtype=float)
+    return propagate(msys, MomentState(state.values, 0), model, len(controls))
 
 
 # -- tree construction ---------------------------------------------------------------
@@ -507,8 +406,7 @@ def build_rrt(
     heading = _heading(msys.state_vars, msys.state_pairs)
     i_cos, i_sin = msys.moment_index(heading.cos_var), msys.moment_index(heading.sin_var)
     positions = msys.pair_positions(*POSITION)
-    steered = steered_disturbance(msys)
-    model = DisturbanceModel(msys, distributions, {steered: np.zeros(0)})  # per tree; edges rebind the schedule
+    model = DisturbanceModel(msys, distributions, {steered_disturbance(msys): np.zeros(0)})  # one per tree
     cfg = config or PlannerConfig()
     rng = np.random.Generator(np.random.PCG64(seed))
     xmin, ymin, xmax, ymax = env.bounds
@@ -541,9 +439,8 @@ def build_rrt(
             continue
         if len(controls) == 0:
             continue
-        model.shifts[steered] = controls
         try:
-            traj = propagate(msys, MomentState(parent.moment_state.values, 0), model, len(controls))
+            traj = stochastic_steer(parent.moment_state, controls, msys, model)
         except PropagationError:
             continue
         edge_risk = trajectory_risk(traj, env)

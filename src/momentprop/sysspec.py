@@ -156,23 +156,20 @@ class _Degree(int):
         return _Degree(int(self) * exponent)
 
 
-def evaluate(expr: Expr, env: Mapping[str, float | np.ndarray]):
-    """Numeric evaluation; sin/cos evaluated with numpy, so values may be arrays."""
-    return _evaluate(expr, env, {})
-
-
 def trig(fn: str, value):
     """sin or cos of `value` with numpy, as `evaluate` computes a Trig leaf."""
     return np.sin(value) if fn == "sin" else np.cos(value)
 
 
-def _evaluate(expr: Expr, env: Mapping[str, float | np.ndarray], known: Mapping[tuple[str, str], Any]):
-    """`evaluate`, taking sin/cos of a name from `known[fn, name]` where it holds one.
+def evaluate(expr: Expr, env: Mapping[str, float | np.ndarray], known: Mapping[tuple[str, str], Any] | None = None):
+    """Numeric evaluation; sin/cos evaluated with numpy, so values may be arrays.
 
+    A sin/cos of a name is taken from `known[fn, name]` where it holds one.
     The rollout engine passes the cos and sin of the state's angles, which the
     Monte Carlo recorder reads too, so each is computed once per step; any
     other Trig leaf, such as that of a disturbance, is computed here.
     """
+    known = known or {}
 
     def leaf(node):
         if isinstance(node, Const):

@@ -28,12 +28,15 @@ library code calls them.  Each checks one production path:
 - `run_steps_python`, `risk_bound_python`, `steer_python`, `nearest_python`
   and `trig_moments_python`: numpy and Python twins of the five C entry
   points of `momentprop._kernels`, operation for operation, against which
-  each is checked bit for bit.
+  each is checked bit for bit.  `steer_python` finds its path with
+  `shortest_path`, the word search over `dubins_words` that the C
+  `shortest_word` repeats; the library has no other copy of it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -44,7 +47,7 @@ from momentprop import distmoments
 from momentprop.compiler import MomentBasis, MomentStateSystem, MomentUpdateForm, MufTerm, second_moment_indices
 from momentprop.distmoments import Degenerate, DisturbanceModel, Gaussian, raw_moment, trig_moment
 from momentprop.oracle import McEstimate
-from momentprop.planner import Polytope, _shortest_path
+from momentprop.planner import Polytope
 from momentprop.polyring import MultiIndex, Polynomial
 from momentprop.propagator import MomentState, central_second_moments, propagate
 from momentprop.sysspec import DependenceGraph, PolynomialSystem, components_of_support
@@ -345,9 +348,97 @@ def risk_bound_python(values, positions, faces, starts):
     return float(risks.T.cumsum()[-1]) if risks.size else 0.0
 
 
+def mod2pi(angle: float) -> float:
+    return angle % (2.0 * math.pi)
+
+
+def dubins_words(alpha: float, beta: float, d: float):
+    """Candidate (t, p, q, word) solutions in normalized units (radius 1): the six standard word types."""
+    eps = 1e-9
+    sa, ca = math.sin(alpha), math.cos(alpha)
+    sb, cb = math.sin(beta), math.cos(beta)
+    c_ab = math.cos(alpha - beta)
+    out = []
+
+    p_sq = 2 + d * d - 2 * c_ab + 2 * d * (sa - sb)
+    if p_sq >= -eps:
+        tmp = math.atan2(cb - ca, d + sa - sb)
+        out.append((mod2pi(-alpha + tmp), math.sqrt(max(p_sq, 0.0)), mod2pi(beta - tmp), "LSL"))
+
+    p_sq = 2 + d * d - 2 * c_ab + 2 * d * (sb - sa)
+    if p_sq >= -eps:
+        tmp = math.atan2(ca - cb, d - sa + sb)
+        out.append((mod2pi(alpha - tmp), math.sqrt(max(p_sq, 0.0)), mod2pi(-beta + tmp), "RSR"))
+
+    p_sq = -2 + d * d + 2 * c_ab + 2 * d * (sa + sb)
+    if p_sq >= -eps:
+        p = math.sqrt(max(p_sq, 0.0))
+        tmp = math.atan2(-ca - cb, d + sa + sb) - math.atan2(-2.0, p)
+        out.append((mod2pi(-alpha + tmp), p, mod2pi(-mod2pi(beta) + tmp), "LSR"))
+
+    p_sq = d * d - 2 + 2 * c_ab - 2 * d * (sa + sb)
+    if p_sq >= -eps:
+        p = math.sqrt(max(p_sq, 0.0))
+        tmp = math.atan2(ca + cb, d - sa - sb) - math.atan2(2.0, p)
+        out.append((mod2pi(alpha - tmp), p, mod2pi(beta - tmp), "RSL"))
+
+    tmp = (6.0 - d * d + 2 * c_ab + 2 * d * (sa - sb)) / 8.0
+    if abs(tmp) <= 1.0:
+        p = mod2pi(2.0 * math.pi - math.acos(tmp))
+        t = mod2pi(alpha - math.atan2(ca - cb, d - sa + sb) + p / 2.0)
+        out.append((t, p, mod2pi(alpha - beta - t + p), "RLR"))
+
+    tmp = (6.0 - d * d + 2 * c_ab + 2 * d * (sb - sa)) / 8.0
+    if abs(tmp) <= 1.0:
+        p = mod2pi(2.0 * math.pi - math.acos(tmp))
+        t = mod2pi(-alpha + math.atan2(-ca + cb, d + sa - sb) + p / 2.0)
+        out.append((t, p, mod2pi(mod2pi(beta) - alpha - t + p), "LRL"))
+    return out
+
+
+@dataclass(frozen=True)
+class DubinsPath:
+    """Shortest path as (mode, length) segments in real units."""
+
+    segments: tuple[tuple[str, float], ...]
+    radius: float
+
+    @property
+    def length(self) -> float:
+        """Segment lengths added left to right, as the C steering adds them; sum() compensates from Python 3.12 on."""
+        total = 0.0
+        for _, length in self.segments:
+            total += length
+        return total
+
+
+def shortest_path(dx: float, dy: float, dist: float, h0: float, h1: float, radius: float) -> DubinsPath | None:
+    """The first shortest word from `planner._relative`'s view of two poses, or None if no word is feasible."""
+    d = dist / radius
+    theta = math.atan2(dy, dx) if dist > 1e-12 else 0.0
+    alpha = mod2pi(h0 - theta)
+    beta = mod2pi(h1 - theta)
+    best = None
+    for t, p, q, word in dubins_words(alpha, beta, d):
+        cost = t + p + q
+        if best is None or cost < best[0]:
+            best = (cost, t, p, q, word)
+    if best is None:
+        return None
+    _, t, p, q, word = best
+    segments = []
+    for mode, n_units in zip(word, (t, p, q)):
+        length = n_units * radius
+        if math.isinf(length):
+            raise ValueError(f"path segment length must be finite, got {n_units} * {radius}")
+        if length > 1e-12:
+            segments.append((mode, length))
+    return DubinsPath(tuple(segments), radius)
+
+
 def steer_python(dx, dy, dist, h0, h1, speed, radius, max_steps):
     """dubins_steer's arithmetic after its checks, or None if no word is feasible: `_kernels.dubins_steer`' twin."""
-    path = _shortest_path(dx, dy, dist, h0, h1, radius)
+    path = shortest_path(dx, dy, dist, h0, h1, radius)
     if path is None:
         return None
     length = path.length

@@ -222,18 +222,58 @@ def _propagate_argv(workdir):
             "--init", str(workdir / "init.csv"), "-T", "3", "-o", str(workdir / "out.csv")]
 
 
+def _run_with_only_bin(workdir, argv):
+    """`python -m momentprop argv` with only workdir/bin on PATH and an empty kernel cache."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PATH=str(workdir / "bin"), XDG_CACHE_HOME=str(workdir / "cache"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "momentprop", *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 def test_no_c_compiler_exits_2_with_one_line(workdir):
     """No cc or gcc on PATH and an empty kernel cache: the first kernel call ends the command with one line."""
     argv = _propagate_argv(workdir)
     (workdir / "bin").mkdir()
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PATH=str(workdir / "bin"), XDG_CACHE_HOME=str(workdir / "cache"))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-m", "momentprop", *argv], env=env, capture_output=True, text=True,
-                            timeout=120)
+    result = _run_with_only_bin(workdir, argv)
     assert result.returncode == EXIT_INPUT
     assert result.stderr.splitlines() == ["error: C kernel module unavailable: no C compiler (cc or gcc) on PATH"]
     assert not (workdir / "out.csv").exists()
+
+
+def test_failing_c_compiler_exits_2_with_one_line(workdir):
+    """A cc that prints two lines and fails: the error keeps the first and counts the other."""
+    argv = _propagate_argv(workdir)
+    (workdir / "bin").mkdir()
+    cc = workdir / "bin" / "cc"
+    cc.write_text("#!/bin/sh\necho 'first: broken' >&2\necho 'second: also broken' >&2\nexit 1\n")
+    cc.chmod(0o755)
+    result = _run_with_only_bin(workdir, argv)
+    assert result.returncode == EXIT_INPUT
+    assert result.stderr.splitlines() == [
+        f"error: C kernel module unavailable: {cc} failed: first: broken "
+        "(and 1 more line in the momentprop._kernels log)"
+    ]
+    assert not (workdir / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["propagate", "linearize", "plan"])
+def test_count_too_large_to_allocate_exits_1_with_one_line(workdir, capsys, command):
+    """10^16 steps or iterations exceed any 64-bit address space, so the allocation fails before it is touched."""
+    _propagate_argv(workdir)  # compiles dubins.msys
+    out = workdir / "out.csv"
+    common = ("--init", workdir / "init.csv", "-T", 10**16, "-o", out)
+    argv = {
+        "propagate": ("propagate", workdir / "dubins.msys", "--dist", workdir / "dubins.spec", *common),
+        "linearize": ("linearize", workdir / "dubins.spec", *common),
+        "plan": ("plan", workdir / "planner.spec", "--env", workdir / "env.txt", "--eps", 0.1,
+                 "--iterations", 10**16, "-o", out),
+    }[command]
+    capsys.readouterr()
+    assert run(*argv) == EXIT_RUNTIME
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error: Unable to allocate ")
+    assert not out.exists()
 
 
 def test_no_python_headers_exits_2_with_one_line(workdir, capsys, monkeypatch):

@@ -18,7 +18,6 @@ from momentprop.planner import (
     PlannerConfig,
     Polytope,
     build_rrt,
-    dubins_shortest_path,
     dubins_steer,
     estimate_plan_collision,
     parse_environment,
@@ -30,10 +29,25 @@ from momentprop.planner import (
 from momentprop.propagator import MomentTrajectory, init_deterministic, mean_cov
 
 from conftest import use_kernel_twins
-from reference import cantelli_bound, moment, nearest_python, obstacle_risk, simulate_controls, steer_python
+from reference import (
+    DubinsPath,
+    cantelli_bound,
+    mod2pi,
+    moment,
+    nearest_python,
+    obstacle_risk,
+    shortest_path,
+    simulate_controls,
+    steer_python,
+)
 
 
 UNIT_SQUARE = Polytope.from_vertices([(1, 1), (2, 1), (2, 2), (1, 2)])
+
+
+def _planner_model(msys, noise=None):
+    """A disturbance model of `noise` (default: the planner's) for `stochastic_steer`."""
+    return DisturbanceModel(msys, noise or presets.planner_noise())
 
 
 def _dubins_variant(*edits: tuple[str, str]) -> str:
@@ -156,12 +170,12 @@ class TestTrajectoryRisk:
     def test_empty_environment(self, dubins_reduced):
         env = Environment((0, 0, 5, 5), (0, 0, 0), (4, 4, 0.5))
         state = init_deterministic(dubins_reduced, {"x": 0, "y": 0, "v": 1, "theta": 0})
-        traj = stochastic_steer(state, np.zeros(3), dubins_reduced, presets.planner_noise())
+        traj = stochastic_steer(state, np.zeros(3), dubins_reduced, _planner_model(dubins_reduced))
         assert trajectory_risk(traj, env) == 0.0
 
     def test_summation_over_steps_and_obstacles(self, dubins_reduced):
         state = init_deterministic(dubins_reduced, {"x": 0, "y": 0, "v": 1, "theta": 0})
-        traj = stochastic_steer(state, np.zeros(2), dubins_reduced, presets.planner_noise())
+        traj = stochastic_steer(state, np.zeros(2), dubins_reduced, _planner_model(dubins_reduced))
         obs = (UNIT_SQUARE, Polytope.from_vertices([(5, 5), (6, 5), (6, 6), (5, 6)]))
         env = Environment((0, 0, 10, 10), (0, 0, 0), (9, 9, 0.5), obs)
         from momentprop.propagator import mean_cov
@@ -176,7 +190,7 @@ class TestTrajectoryRisk:
     def test_any_layout_of_moments(self, dubins_reduced):
         """A trajectory whose values are strided or Fortran-ordered is bounded as its C-ordered copy is."""
         state = init_deterministic(dubins_reduced, {"x": 0.5, "y": 0.5, "v": 0.05, "theta": 0.3})
-        traj = stochastic_steer(state, np.full(20, 0.02), dubins_reduced, presets.planner_noise())
+        traj = stochastic_steer(state, np.full(20, 0.02), dubins_reduced, _planner_model(dubins_reduced))
         env = parse_environment(presets.PLANNER_ENV)
         expected = trajectory_risk(traj, env)
         assert expected > 0.0
@@ -245,7 +259,7 @@ class TestDubinsSteer:
             p0 = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-7, 7))
             p1 = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-7, 7))
             speed, radius = rng.choice([0.013, 0.05, 0.5]), rng.choice([0.1, 0.3, 1.0])
-            path = dubins_shortest_path(p0, p1, radius)
+            path = shortest_path(*planner._relative(p0, p1, radius), radius)
             n_steps = max(1, math.ceil(path.length / speed))
             headings = [heading_after(path, min(k * speed, path.length), p0[2]) for k in range(n_steps + 1)]
             assert np.array_equal(dubins_steer(p0, p1, speed, radius), np.diff(headings))
@@ -274,13 +288,13 @@ class TestDubinsSteer:
         assert peak_bytes(p0, far, 0.05, 0.3, 40) <= peak_bytes(start, near, 0.05, 0.3) + 2048
 
     def test_path_length_is_shortest_of_words(self):
-        # For a far-away aligned target the path is essentially straight.
-        path = dubins_shortest_path((0, 0, 0), (10, 0, 0), 1.0)
-        assert path.length == pytest.approx(10.0, abs=1e-9)
+        """An aligned target 10 away is reached by the straight word: ceil(10 / speed) steps."""
+        for speed in (0.05, 0.3, 0.7, 3.0):
+            assert len(dubins_steer((0, 0, 0), (10, 0, 0), speed, 1.0)) == math.ceil(10 / speed)
 
     def test_path_length_adds_left_to_right(self):
         """As the C steering adds the segments: sum() on Python 3.12 and later would give 0.6 here."""
-        path = planner.DubinsPath((("L", 0.1), ("S", 0.2), ("R", 0.3)), 1.0)
+        path = DubinsPath((("L", 0.1), ("S", 0.2), ("R", 0.3)), 1.0)
         assert path.length == (0.0 + 0.1 + 0.2) + 0.3 == 0.6000000000000001
 
 
@@ -365,26 +379,17 @@ class TestSteeringArguments:
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
             dubins_steer((0, 0, 0), (1, 0.5, 1.0), **args)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
-    def test_dubins_shortest_path_names_a_bad_radius(self, kernels, value):
-        with pytest.raises(ValueError, match=f"^radius must be positive and finite, got {value}$"):
-            dubins_shortest_path((0, 0, 0), (1, 0.5, 1.0), value)
-
     @pytest.mark.parametrize("pose", [(math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, math.nan)])
     def test_nan_pose_is_an_infeasible_path(self, kernels, pose):
         with pytest.raises(InfeasiblePathError, match="no feasible bounded-curvature path"):
             dubins_steer((0.5, 0.5, 0.0), pose, 0.05, 0.3, 40)
-        with pytest.raises(InfeasiblePathError, match="no feasible bounded-curvature path"):
-            dubins_shortest_path(pose, (0.5, 0.5, 0.0), 0.3)
 
     @pytest.mark.parametrize("pose", [(math.inf, 0.0, 0.0), (0.0, -math.inf, 0.0), (0.0, 0.0, math.inf)])
     def test_infinite_pose_is_named(self, kernels, pose):
         message = "^" + re.escape(f"pose coordinates must not be infinite, got {pose} and (0.5, 0.5, 0.0)") + "$"
         with pytest.raises(ValueError, match=message) as steer:
             dubins_steer(pose, (0.5, 0.5, 0.0), 0.05, 0.3, 40)
-        with pytest.raises(ValueError, match=message) as shortest:
-            dubins_shortest_path(pose, (0.5, 0.5, 0.0), 0.3)
-        assert not isinstance(steer.value, InfeasiblePathError) and not isinstance(shortest.value, InfeasiblePathError)
+        assert not isinstance(steer.value, InfeasiblePathError)
 
     @pytest.mark.parametrize("start, end, radius, message", [
         ((0.0, 0.0, 0.0), (0.5, 0.5, 0.0), 1e-310, "0.7071067811865476 / 1e-310"),  # the quotient overflows
@@ -393,8 +398,6 @@ class TestSteeringArguments:
     def test_distance_overflowing_in_radii_is_named(self, kernels, start, end, radius, message):
         with pytest.raises(ValueError, match=f"^distance / radius must be finite, got {message}$"):
             dubins_steer(start, end, 0.05, radius, 40)
-        with pytest.raises(ValueError, match=f"^distance / radius must be finite, got {message}$"):
-            dubins_shortest_path(start, end, radius)
 
     def test_step_count_is_capped_before_it_becomes_an_integer(self, kernels):
         """length / speed overflows; capped, it is the cap, and uncapped it is named instead of an OverflowError."""
@@ -408,16 +411,14 @@ class TestSteeringArguments:
         message = r"^path segment length must be finite, got 5\.799045340204974 \* 1e\+308$"
         with pytest.raises(ValueError, match=message) as steer:
             dubins_steer((0, 0, 0), (0.01, 0, 1.0), 0.05, 1e308, 40)
-        with pytest.raises(ValueError, match=message) as shortest:
-            dubins_shortest_path((0, 0, 0), (0.01, 0, 1.0), 1e308)
-        assert not isinstance(steer.value, InfeasiblePathError) and not isinstance(shortest.value, InfeasiblePathError)
+        assert not isinstance(steer.value, InfeasiblePathError)
 
 
 def _word_margins(p0, p1, radius):
-    """|p^2| of the four CSC words and ||tmp| - 1| of the two CCC words, as _dubins_words computes them."""
+    """|p^2| of the four CSC words and ||tmp| - 1| of the two CCC words, as reference.dubins_words computes them."""
     dx, dy, dist, h0, h1 = planner._relative(p0, p1, radius)
     theta = math.atan2(dy, dx) if dist > 1e-12 else 0.0
-    alpha, beta, d = planner._mod2pi(h0 - theta), planner._mod2pi(h1 - theta), dist / radius
+    alpha, beta, d = mod2pi(h0 - theta), mod2pi(h1 - theta), dist / radius
     sa, ca, sb, cb, c_ab = math.sin(alpha), math.cos(alpha), math.sin(beta), math.cos(beta), math.cos(alpha - beta)
     p_sq = (2 + d * d - 2 * c_ab + 2 * d * (sa - sb), 2 + d * d - 2 * c_ab + 2 * d * (sb - sa),
             -2 + d * d + 2 * c_ab + 2 * d * (sa + sb), d * d - 2 + 2 * c_ab - 2 * d * (sa + sb))
@@ -525,14 +526,14 @@ class TestStochasticSteer:
         controls = dubins_steer((0, 0, 0), (1.5, 0.8, 0.3), 0.05, 0.5)
         noise = {"wv": Degenerate(0.0), "wt": Degenerate(0.0)}
         state = init_deterministic(dubins_reduced, {"x": 0, "y": 0, "v": 0.05, "theta": 0})
-        traj = stochastic_steer(state, controls, dubins_reduced, noise)
+        traj = stochastic_steer(state, controls, dubins_reduced, _planner_model(dubins_reduced, noise))
         poses = simulate_controls((0, 0, 0), controls, 0.05)
         assert traj.moment_series("x") == pytest.approx(poses[:, 0], abs=1e-10)
         assert traj.moment_series("y") == pytest.approx(poses[:, 1], abs=1e-10)
 
     def test_small_noise_covariance_grows(self, dubins_reduced):
         state = init_deterministic(dubins_reduced, {"x": 0, "y": 0, "v": 0.05, "theta": 0})
-        traj = stochastic_steer(state, np.zeros(50), dubins_reduced, presets.planner_noise())
+        traj = stochastic_steer(state, np.zeros(50), dubins_reduced, _planner_model(dubins_reduced))
         from momentprop.propagator import mean_cov
 
         _, covs = mean_cov(traj, ("x", "y"))

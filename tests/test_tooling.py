@@ -8,7 +8,7 @@ import importlib.util
 from pathlib import Path
 
 import momentprop
-from momentprop import _kernels, distmoments, planner, presets, propagator
+from momentprop import _kernels, distmoments, oracle, planner, presets, propagator, sysspec
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -71,6 +71,46 @@ def test_planner_seams_run_once_per_edge(dubins_reduced, monkeypatch):
     assert counts["__init__"] == 2
     assert counts["propagate"] == counts["moment_table"] == counts["edges"]
     assert counts["trajectory_risk"] == counts["edges"] - counts["failed"]
+
+
+def _count_calls(counts, owner, name, monkeypatch):
+    """Count the calls to `owner.name` in `counts[name]`, until `monkeypatch` undoes it."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_build_rrt_propagates_each_edge_through_stochastic_steer(dubins_reduced, monkeypatch):
+    """The tracer's planner.stochastic_steer span: one call for each edge that has controls."""
+    counts = collections.Counter()
+    steer = planner.dubins_steer
+
+    def count_edge(*args):
+        controls = steer(*args)
+        counts["edges"] += len(controls) > 0
+        return controls
+
+    monkeypatch.setattr(planner, "dubins_steer", count_edge)
+    _count_calls(counts, planner, "stochastic_steer", monkeypatch)
+    env = planner.parse_environment(presets.PLANNER_ENV)
+    for seed in (3, 4):
+        planner.build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, 60, seed)
+    assert counts["edges"] > 80
+    assert counts["stochastic_steer"] == counts["edges"]
+
+
+def test_mc_simulate_evaluates_each_update_once_per_step_and_batch(dubins_spec, dubins_system, monkeypatch):
+    """The tracer's sysspec.evaluate span: one call per state variable, per step, per batch."""
+    counts = collections.Counter()
+    _count_calls(counts, sysspec, "evaluate", monkeypatch)
+    model = distmoments.DisturbanceModel(dubins_system, dubins_spec.distributions)
+    x0 = {"x": 0.0, "y": 0.0, "v": 1.0, "theta": 0.3}
+    oracle.mc_simulate(dubins_spec, dubins_system, model, x0, 4, 250, 5, batch_size=100)
+    assert counts["evaluate"] == len(dubins_spec.state_vars) * 4 * 3
 
 
 # momentprop.__all__ as released.  A name added or removed here is an API change: list it in the README.
