@@ -549,11 +549,123 @@ release:
 
 #undef FAIL
 
+/* record_moments(factors, out, *columns) -> None: reference.record_moments_python, the Monte Carlo recorder.  Row j
+   of the int64 (moments, max factors) factors holds moment j's codes: 2 * c for column c, 2 * c + 1 for it squared as
+   x * x (np.square), ending at the first -1.  Per sample it forms the product in code order, its difference d from
+   sample 0's (Chan, Golub & LeVeque 1983: identical samples give their value exactly and m2 = 0) and d * d; with s
+   and q their sums, out[0, j] = shift + s / n and out[1, j] = max(q - s * s / n, 0.0).  np.sum adds n values
+   pairwise: below 8 in sequence from -0.0, up to LEAF in 8 accumulators combined as below and then the rest, above
+   LEAF as two halves split at n / 2 rounded down to a multiple of 8, and then adds the result to 0.0.  TypeError
+   means that factors or a column is not C-contiguous int64, or 1-d float64 of one length n >= 1. */
+#define LEAF 128
+
+/* sums[2 j] and sums[2 j + 1]: moment j's pairwise sums of d and d * d over samples lo .. lo + n - 1, for all moments
+   in one walk of the tree; the first leaf sets the shifts, and the levels below use sums + 2 * n_mom on. */
+static void pairwise_sums(const Py_buffer *col, const int64_t *fact, int64_t n_mom, int64_t max_f, double *shift,
+                          int64_t lo, int64_t n, double *sums)
+{
+    double *right = sums + 2 * n_mom, p[LEAF];
+    if (n > LEAF) {
+        int64_t half = n / 2 - n / 2 % 8;
+        pairwise_sums(col, fact, n_mom, max_f, shift, lo, half, sums);
+        pairwise_sums(col, fact, n_mom, max_f, shift, lo + half, n - half, right);
+        for (int64_t j = 0; j < 2 * n_mom; j++)
+            sums[j] = sums[j] + right[j];
+        return;
+    }
+    for (int64_t j = 0, i, c; j < n_mom; j++) {
+        const int64_t *f = fact + j * max_f;
+        double s[8], q[8], a, b;
+        for (c = 0; c < max_f && f[c] >= 0; c++) {
+            const double *x = (const double *)col[f[c] >> 1].buf + lo;
+            switch ((c > 0) << 1 | (f[c] & 1)) {
+            case 0: for (i = 0; i < n; i++) p[i] = x[i]; break;
+            case 1: for (i = 0; i < n; i++) p[i] = x[i] * x[i]; break;
+            case 2: for (i = 0; i < n; i++) p[i] = p[i] * x[i]; break;
+            default: for (i = 0; i < n; i++) p[i] = p[i] * (x[i] * x[i]);
+            }
+        }
+        for (i = 0; !c && i < n; i++) p[i] = 1.0; /* a moment without factors */
+        shift[j] = lo ? shift[j] : p[0];
+        for (i = 0; i < 8 && n >= 8; i++) {
+            s[i] = p[i] - shift[j];
+            q[i] = s[i] * s[i];
+        }
+        for (; i < n - n % 8; i += 8)
+            for (int k = 0; k < 8; k++) {
+                double d = p[i + k] - shift[j];
+                s[k] = s[k] + d;
+                q[k] = q[k] + d * d;
+            }
+        a = n < 8 ? -0.0 : ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+        b = n < 8 ? -0.0 : ((q[0] + q[1]) + (q[2] + q[3])) + ((q[4] + q[5]) + (q[6] + q[7]));
+        for (; i < n; i++) {
+            double d = p[i] - shift[j];
+            a = a + d;
+            b = b + d * d;
+        }
+        sums[2 * j] = a;
+        sums[2 * j + 1] = b;
+    }
+}
+
+#define FAIL(exc, msg) do { PyErr_SetString(exc, "record_moments: " msg); goto release; } while (0)
+
+static PyObject *py_record_moments(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs < 3)
+        return PyErr_Format(PyExc_TypeError, "record_moments takes at least 3 arguments (%zd given)", nargs);
+    Py_buffer *b = PyMem_Malloc(nargs * sizeof *b);
+    if (!b)
+        return PyErr_NoMemory();
+    Py_buffer *fa = b, *out = b + 1, *col = b + 2;
+    Py_ssize_t got = 0, n_cols = nargs - 2;
+    PyObject *result = NULL;
+    for (; got < nargs; got++)
+        if (PyObject_GetBuffer(args[got], b + got, PyBUF_RECORDS_RO))
+            goto release;
+    if (!i8(fa) || !dense(fa) || fa->ndim != 2)
+        FAIL(PyExc_TypeError, "factors must be a C-contiguous 2-d int64 array");
+    for (Py_ssize_t c = 0; c < n_cols; c++)
+        if (!f8(col + c) || !dense(col + c) || col[c].ndim != 1 || col[c].shape[0] != col[0].shape[0] || !col[0].len)
+            FAIL(PyExc_TypeError, "columns must be C-contiguous 1-d float64 arrays of one length n >= 1");
+    if (!f8(out) || out->readonly || !dense(out) || out->ndim != 2 || out->shape[0] != 2
+        || out->shape[1] != fa->shape[0])
+        FAIL(PyExc_ValueError, "out must be a writable C-contiguous float64 (2, moments) array");
+    int64_t n = col[0].shape[0], n_mom = fa->shape[0], max_f = fa->shape[1], *fact = fa->buf;
+    for (int64_t i = 0; i < n_mom * max_f; i++)
+        if (fact[i] < -1 || fact[i] >= 2 * (int64_t)n_cols)
+            FAIL(PyExc_IndexError, "a factor code is out of range");
+    /* Each level of the tree about halves n, so bit_width(n) levels hold every level's sums. */
+    double *sums = PyMem_Malloc(2 * n_mom * (64 - __builtin_clzll(n)) * sizeof *sums + 1), *mean = out->buf;
+    if (!sums)
+        FAIL(PyExc_MemoryError, "out of memory");
+    Py_BEGIN_ALLOW_THREADS
+    pairwise_sums(col, fact, n_mom, max_f, mean, 0, n, sums); /* mean holds the shifts until the means replace them */
+    for (int64_t j = 0; j < n_mom; j++) {
+        double s = 0.0 + sums[2 * j], q = 0.0 + sums[2 * j + 1] - s * s / (double)n;
+        mean[j] = mean[j] + s / (double)n;
+        mean[n_mom + j] = 0.0 > q ? 0.0 : q; /* Python's max(q, 0.0): NaN and -0.0 stay */
+    }
+    Py_END_ALLOW_THREADS
+    PyMem_Free(sums);
+    result = Py_NewRef(Py_None);
+release:
+    while (got--)
+        PyBuffer_Release(b + got);
+    PyMem_Free(b);
+    return result;
+}
+
+#undef FAIL
+
 static PyMethodDef methods[] = {{"run_steps", (PyCFunction)(void (*)(void))py_run_steps, METH_FASTCALL, NULL},
                                 {"risk_bound", (PyCFunction)(void (*)(void))py_risk_bound, METH_FASTCALL, NULL},
                                 {"dubins_steer", (PyCFunction)(void (*)(void))py_dubins_steer, METH_FASTCALL, NULL},
                                 {"nearest", (PyCFunction)(void (*)(void))py_nearest, METH_FASTCALL, NULL},
                                 {"trig_moments", (PyCFunction)(void (*)(void))py_trig_moments, METH_FASTCALL, NULL},
+                                {"record_moments", (PyCFunction)(void (*)(void))py_record_moments, METH_FASTCALL,
+                                 NULL},
                                 {0}};
 static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "run_steps", NULL, -1, methods};
 

@@ -1,10 +1,10 @@
-"""Compiled inner loops: the propagation horizon, the planner's risk bound, its geometry and its noise moments.
+"""Compiled inner loops: the propagation horizon, the planner's risk bound, geometry and noise moments, and MC moments.
 
 Per-step Python/numpy dispatch overhead alone would dwarf the
 sub-microsecond step budget of small compiled systems, and numpy calls on
 arrays of a few dozen entries would dwarf the arithmetic of each candidate
 edge, so these run compiled.  One CPython extension module, built from
-``_kernels.c`` next to this file, has five entry points, which read the
+``_kernels.c`` next to this file, has six entry points, which read the
 arrays through the buffer protocol.  On first use the module is built with
 the system C compiler (``cc`` or ``gcc``, about 0.7 s, once) and the Python
 headers (``Python.h``, from ``python3-dev`` or the like) into
@@ -30,6 +30,8 @@ for bit:
 - `trig_moments`: the trigonometric moments of a Gaussian or degenerate
   angle at each step of a shift schedule, written into the caller's
   (steps, pairs) view.
+- `record_moments`: one Monte Carlo step's sample mean and sum of squared
+  deviations of each moment, summed in `np.sum`'s pairwise order.
 
 Two of Python's operations are not the C library's.  Python's float ``%``
 is ``fmod`` followed by a sign fix, which the C code repeats.
@@ -43,11 +45,11 @@ FMA instruction, which is exact only because each Laurent coefficient is
 purely real or purely imaginary (see the C source).
 
 `BACKEND` names the backend in use; its one value is ``"c"``.  It and the
-five entry points are bound as attributes of this module on first use:
-reading any of them builds or loads the module and binds all six, so later
+six entry points are bound as attributes of this module on first use:
+reading any of them builds or loads the module and binds all seven, so later
 calls go straight to the extension module's functions.  Only `run_steps`
-keeps a wrapper, which passes an input of another dtype or layout in again
-as a contiguous copy.
+and `record_moments` keep a wrapper, which passes an input of another dtype
+or layout in again as a contiguous copy.
 """
 
 from __future__ import annotations
@@ -135,7 +137,18 @@ def _load_c():
 
 
 # The names __getattr__ binds on first use, in the order _choose returns their values.
-_BOUND = ("BACKEND", "run_steps", "risk_bound", "dubins_steer", "nearest", "trig_moments")
+_BOUND = ("BACKEND", "run_steps", "risk_bound", "dubins_steer", "nearest", "trig_moments", "record_moments")
+_f8, _i8 = (functools.partial(np.ascontiguousarray, dtype=dtype) for dtype in (np.float64, np.int64))
+
+
+def _retrying(kernel, contiguous):
+    """`kernel`, called again on `contiguous(*args)` if it raises TypeError (an input of another dtype or layout)."""
+    def call(*args):
+        try:
+            return kernel(*args)
+        except TypeError:
+            return kernel(*contiguous(*args))
+    return call
 
 
 def _choose() -> tuple:
@@ -144,22 +157,12 @@ def _choose() -> tuple:
         module = _load_c()
     except (OSError, ImportError, RuntimeError, subprocess.SubprocessError) as exc:
         raise OSError(f"C kernel module unavailable: {exc}") from exc
-    kernel = module.run_steps
-
-    def run_steps(values0, table, target, coeff, req, fact, out):
-        """Evaluate the moment recursion for table.shape[0] steps.
-
-        out[t] is the moment state at step t; fact holds per-term factor
-        indices padded with -1.  Returns (step, moment index) of the first
-        non-finite value, or (-1, -1) on success.
-        """
-        try:
-            return kernel(values0, table, target, coeff, req, fact, out)
-        except TypeError:  # an odd dtype or layout: made contiguous once, then passed in again
-            f8, i8 = (functools.partial(np.ascontiguousarray, dtype=dtype) for dtype in (np.float64, np.int64))
-            return kernel(f8(values0), f8(table), i8(target), f8(coeff), i8(req), i8(fact), out)
-
-    return "c", run_steps, module.risk_bound, module.dubins_steer, module.nearest, module.trig_moments
+    run_steps = _retrying(module.run_steps, lambda values0, table, target, coeff, req, fact, out: (
+        _f8(values0), _f8(table), _i8(target), _f8(coeff), _i8(req), _i8(fact), out))
+    record_moments = _retrying(module.record_moments, lambda factors, out, *columns: (
+        _i8(factors), out, *map(_f8, columns)))
+    return ("c", run_steps, module.risk_bound, module.dubins_steer, module.nearest, module.trig_moments,
+            record_moments)
 
 
 def __getattr__(name):

@@ -35,7 +35,7 @@ class Degenerate:
     value: float
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.full(size, self.value)
+        return np.full(size, self.value, dtype=float)
 
     def char_fn(self, shift: np.ndarray, t: np.ndarray) -> np.ndarray:
         return np.exp(1j * t * (self.value + shift))

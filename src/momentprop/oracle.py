@@ -16,7 +16,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import distmoments, sysspec
+from . import _kernels, distmoments, sysspec
 from .distmoments import DisturbanceModel
 from .polyring import MultiIndex, _check_count, monomial_name
 from .propagator import MomentTrajectory, PropagationError, initial_values
@@ -109,7 +109,8 @@ def _batch_states(spec, model, x0, n_steps, nb, seed_seq):
             dist = model.distributions.get(w)
             if dist is None:
                 raise KeyError(f"no distribution given for disturbance {w!r}")
-            out[w] = distmoments.sample(dist, rng, nb) + float(model.shift_at(w, t))
+            out[w] = distmoments.sample(dist, rng, nb)
+            out[w] += float(model.shift_at(w, t))
         return out
 
     state = {name: np.full(nb, x0[name]) for name in spec.state_vars}
@@ -128,6 +129,7 @@ def _batch_states(spec, model, x0, n_steps, nb, seed_seq):
             if t + 1 < n_steps:
                 pending = helper.submit(draw, t + 1)
             state = {name: sysspec.evaluate(spec.updates[name], env, known) for name in spec.state_vars}
+            state = {name: v if np.ndim(v) else np.full(nb, v, dtype=float) for name, v in state.items()}  # a constant is a float
             known = _angle_trig(spec.angle_vars, state)
             yield state, known
 
@@ -158,6 +160,7 @@ def mc_simulate(
         raise ValueError("no moments requested")
     n_mom = len(wanted)
 
+    factors, powers = _factor_codes(wanted, len(system.vars))
     count = 0
     mean = np.zeros((n_steps + 1, n_mom))
     m2 = np.zeros((n_steps + 1, n_mom))
@@ -165,11 +168,11 @@ def mc_simulate(
 
     with np.errstate(over="ignore", invalid="ignore"):  # checked once, on the finished tables
         for nb, states in batches:
-            b_mean = np.empty((n_steps + 1, n_mom))
-            b_m2 = np.empty((n_steps + 1, n_mom))
-            buffers = np.empty((2, nb))
+            stats = np.empty((n_steps + 1, 2, n_mom))  # per step, each moment's mean and m2
             for t, (state, known) in enumerate(states):
-                _record(_encoded_arrays(system, state, known), wanted, b_mean[t], b_m2[t], buffers)
+                values = _encoded_arrays(system, state, known)
+                _kernels.record_moments(factors, stats[t], *values, *(np.power(values[v], e) for v, e in powers))
+            b_mean, b_m2 = stats[:, 0], stats[:, 1]
             batch_means.append(b_mean)
             # Chan's parallel variance merge, applied in fixed batch order.  The
             # cross term is 0 for the first batch, whose delta**2 may overflow.
@@ -192,34 +195,16 @@ def mc_simulate(
     return estimate
 
 
-def _record(values, wanted, mean_row, m2_row, buffers):
-    # Products, acc - shift and d * d are written into the two reused rows of
-    # `buffers`, with the ufuncs that `acc * p`, `arr**e`, `acc - shift` and
-    # `d * d` call, in the same order, so every sum sees the same bits.
-    prod, scratch = buffers
-    for j, alpha in enumerate(wanted):
-        acc = None
-        for arr, e in zip(values, alpha):
-            if e:
-                p = arr if e == 1 else _power(arr, e, prod if acc is None else scratch)
-                acc = p if acc is None else np.multiply(acc, p, out=prod)
-        if acc is None:
-            mean_row[j] = 1.0
-            m2_row[j] = 0.0
-        else:
-            # Sums about the column's first sample (Chan, Golub & LeVeque
-            # 1983): a column of identical samples gives its value exactly
-            # and m2 = 0, so a point mass has a standard error of exactly 0.
-            shift = acc[0]
-            d = np.subtract(acc, shift, out=scratch)
-            s = np.sum(d)
-            mean_row[j] = shift + s / acc.size
-            m2_row[j] = max(np.sum(np.multiply(d, d, out=prod)) - s * s / acc.size, 0.0)
+def _factor_codes(wanted: Sequence[MultiIndex], n_vars: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """`_kernels.record_moments`' factors for `wanted`, and the (v, e) whose np.power columns follow the variables'.
 
-
-def _power(arr, e, out):
-    """arr**e into `out`, by the ufunc the operator calls: np.square for e == 2, np.power otherwise."""
-    return np.square(arr, out=out) if e == 2 else np.power(arr, e, out=out)
+    Exponents 1 and 2 of variable v are the codes 2 * v and 2 * v + 1 (x * x).
+    """
+    powers = sorted({(v, e) for alpha in wanted for v, e in enumerate(alpha) if e > 2})
+    rows = [[2 * (n_vars + powers.index((v, e))) if e > 2 else 2 * v + e - 1 for v, e in enumerate(alpha) if e]
+            for alpha in wanted]
+    width = max(map(len, rows))
+    return np.array([row + [-1] * (width - len(row)) for row in rows], dtype=np.int64), powers
 
 
 def _require_finite(names: Sequence[str], values: np.ndarray, ses: np.ndarray | None = None) -> None:

@@ -25,12 +25,12 @@ library code calls them.  Each checks one production path:
   `planner.dubins_steer`'s controls.
 - `cantelli_bound` and `obstacle_risk`: the scalar risk bound per step and
   obstacle, against `planner.trajectory_risk`.
-- `run_steps_python`, `risk_bound_python`, `steer_python`, `nearest_python`
-  and `trig_moments_python`: numpy and Python twins of the five C entry
-  points of `momentprop._kernels`, operation for operation, against which
-  each is checked bit for bit.  `steer_python` finds its path with
-  `shortest_path`, the word search over `dubins_words` that the C
-  `shortest_word` repeats; the library has no other copy of it.
+- `run_steps_python`, `risk_bound_python`, `steer_python`, `nearest_python`,
+  `trig_moments_python` and `record_moments_python`: numpy and Python twins
+  of the six C entry points of `momentprop._kernels`, operation for
+  operation, against which each is checked bit for bit.  `steer_python`
+  finds its path with `shortest_path`, the word search over `dubins_words`
+  that the C `shortest_word` repeats; the library has no other copy of it.
 """
 
 from __future__ import annotations
@@ -478,3 +478,28 @@ def trig_moments_python(shifts, base, loc, variance, freqs, coefficients, out) -
     / 2 is +0 for every finite t, and subtracting +0 changes no bit.
     """
     return distmoments._trig_moments(Gaussian(loc, variance), base + shifts, freqs, coefficients, out)
+
+
+def record_moments_python(factors, out, *columns) -> None:
+    """One step's Monte Carlo sample mean and m2 of each moment: `_kernels.record_moments`' twin.
+
+    Row j of `factors` holds moment j's codes, padded with -1: 2 * c for
+    column c, 2 * c + 1 for it squared (np.square).  The product is formed in
+    code order.  The sums run about the first sample's product (Chan, Golub &
+    LeVeque 1983), so a column of identical samples gives its value exactly
+    and m2 = 0.  out[0, j] is moment j's mean and out[1, j] its m2.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, codes in enumerate(factors):
+            acc = None
+            for code in codes[codes >= 0]:
+                p = np.square(columns[code >> 1]) if code & 1 else columns[code >> 1]
+                acc = p if acc is None else acc * p
+            if acc is None:
+                out[0, j], out[1, j] = 1.0, 0.0
+            else:
+                shift = acc[0]
+                d = acc - shift
+                s = np.sum(d)
+                out[0, j] = shift + s / acc.size
+                out[1, j] = max(np.sum(d * d) - s * s / acc.size, 0.0)

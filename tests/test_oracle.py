@@ -1,13 +1,14 @@
 import itertools
 import math
 import re
+import sys
 import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from momentprop import distmoments, oracle, presets, propagator, sysspec
+from momentprop import _kernels, cli, distmoments, oracle, presets, propagator, sysspec
 from momentprop.compiler import compile_moment_system
 from momentprop.distmoments import (
     Beta,
@@ -29,7 +30,7 @@ from momentprop.oracle import (
 from momentprop.polyring import MultiIndex
 from momentprop.propagator import PropagationError
 from momentprop.sysspec import parse_spec, trig_encode
-from reference import central_second_moment_stats, sampler_moments
+from reference import central_second_moment_stats, record_moments_python, sampler_moments
 
 WALK = "state x\ndisturbance w\ndyn x' = x + w\n"
 
@@ -429,21 +430,7 @@ def sequential_mc(spec, system, model, x0, n_steps, n_samples, seed, moments, ba
             for pair in system.state_pairs:
                 by_name[pair.cos_var] = np.cos(state[pair.source])
                 by_name[pair.sin_var] = np.sin(state[pair.source])
-            values = [by_name[name] for name in system.vars]
-            for j, alpha in enumerate(moments):
-                acc = None
-                for arr, e in zip(values, alpha):
-                    if e:
-                        p = arr if e == 1 else arr**e
-                        acc = p if acc is None else acc * p
-                if acc is None:
-                    b_mean[t, j], b_m2[t, j] = 1.0, 0.0
-                else:
-                    shift = acc[0]
-                    d = acc - shift
-                    s = np.sum(d)
-                    b_mean[t, j] = shift + s / acc.size
-                    b_m2[t, j] = max(np.sum(d * d) - s * s / acc.size, 0.0)
+            record_sequential([by_name[name] for name in system.vars], moments, b_mean[t], b_m2[t])
         batch_means.append(b_mean)
         delta = b_mean - mean
         total = count + nb
@@ -451,6 +438,24 @@ def sequential_mc(spec, system, model, x0, n_steps, n_samples, seed, moments, ba
         m2 = m2 + b_m2 + delta**2 * (count * nb / total)
         count = total
     return mean, np.sqrt(m2 / (count - 1) / count), np.stack(batch_means)
+
+
+def record_sequential(values, moments, mean_row, m2_row):
+    """Each moment's sample mean and m2 over `values`, every product (`arr**e`, then `acc * p`) a new array."""
+    for j, alpha in enumerate(moments):
+        acc = None
+        for arr, e in zip(values, alpha):
+            if e:
+                p = arr if e == 1 else arr**e
+                acc = p if acc is None else acc * p
+        if acc is None:
+            mean_row[j], m2_row[j] = 1.0, 0.0
+        else:
+            shift = acc[0]
+            d = acc - shift
+            s = np.sum(d)
+            mean_row[j] = shift + s / acc.size
+            m2_row[j] = max(np.sum(d * d) - s * s / acc.size, 0.0)
 
 
 # x and y both read theta; the second spec reads cos and sin of a disturbance too.
@@ -477,7 +482,7 @@ REFERENCE_CASES = {
 
 @pytest.mark.parametrize("case", REFERENCE_CASES)
 def test_mc_equals_sequential_reference(case):
-    """Drawing a step ahead on a helper thread, sharing cos/sin and reusing buffers leave every bit as it was."""
+    """Drawing a step ahead on a helper thread, sharing cos/sin and recording in C leave every bit as it was."""
     text, dists, shifts, n_steps, n_samples, batch_size = REFERENCE_CASES[case]
     spec = parse_spec(text)
     system = trig_encode(spec)
@@ -611,3 +616,132 @@ class TestCountArguments:
         lin = linearize(spec, {"x": 0.0}, {"w": 0.0})
         with pytest.raises(ValueError, match=self.message("step count", 0, value)):
             linear_propagate(lin, np.zeros(1), np.zeros((1, 1)), model, value)
+
+
+# -- the recorder against its twin ------------------------------------------------
+
+# Exponents 0-4 of the first variable, 0-2 of the second and 0-1 of the third: the
+# constant monomial, squares (x * x) and the np.power columns of 3 and 4, alone and in products.
+RECORDED = tuple(MultiIndex(alpha) for alpha in itertools.product(range(5), range(3), range(2)))
+
+
+def record_all(values, moments=RECORDED):
+    """(mean, m2) rows of the C recorder, after checking them against its twin and the sequential reference."""
+    factors, powers = oracle._factor_codes(moments, len(values))
+    rows = [np.empty((2, len(moments))) for _ in range(3)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = values + [np.power(values[v], e) for v, e in powers]
+        _kernels.record_moments(factors, rows[0], *columns)
+        record_moments_python(factors, rows[1], *columns)
+        record_sequential(values, moments, *rows[2])
+    assert rows[0].tobytes() == rows[1].tobytes() == rows[2].tobytes()
+    return rows[0]
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 127, 128, 129, 135, 136, 137, 8192, 50_000, 100_001])
+def test_recorder_matches_its_twin_at_every_pairwise_branch(n):
+    """Sizes below 8, up to one block of 128, and split once or many times, as np.sum splits them."""
+    rng = np.random.default_rng(n)
+    values = [rng.normal(0.3, 1.0, n), rng.uniform(-2.0, 5.0, n) * 1e3, np.cos(rng.normal(0.0, 2.0, n))]
+    mean, m2 = record_all(values)
+    assert (mean[0], m2[0]) == (1.0, 0.0)  # the all-zero monomial
+    assert oracle._factor_codes(RECORDED, 3)[1] == [(0, 3), (0, 4)]
+
+
+@pytest.mark.parametrize("n", [5, 1000])
+def test_recorder_gives_a_constant_column_its_value_and_zero_m2(n):
+    values = [np.full(n, 0.3), np.full(n, -7.0), np.full(n, 1e-3)]
+    mean, m2 = record_all(values)
+    assert mean[RECORDED.index((1, 0, 0))] == 0.3 and mean[RECORDED.index((0, 1, 0))] == -7.0
+    assert not m2.any()
+
+
+@pytest.mark.parametrize("n", [6, 300])
+def test_recorder_with_infinite_and_nan_samples(n):
+    rng = np.random.default_rng(7)
+    x, y, z = rng.normal(size=(3, n))
+    x[5], y[1], y[3], z[0] = np.inf, np.nan, -np.inf, -np.inf
+    mean, m2 = record_all([x, y, z])
+    assert mean[RECORDED.index((1, 0, 0))] == np.inf and np.isnan(m2[RECORDED.index((1, 0, 0))])
+    assert np.isnan(mean[RECORDED.index((0, 0, 1))])  # -inf - -inf at sample 0
+    assert np.signbit(mean[np.isnan(mean)]).any() and not np.signbit(mean[np.isnan(mean)]).all()
+
+
+@pytest.mark.parametrize("n", [3, 300])
+def test_recorder_with_negative_zero_products(n):
+    values = [np.full(n, -0.0), np.random.default_rng(1).uniform(0.5, 1.0, n), np.full(n, 2.0)]
+    values[1][0] = 0.0
+    assert np.signbit(values[0] * values[1]).all()
+    record_all(values)
+
+
+def test_recorder_copies_a_non_contiguous_input_once():
+    """As `run_steps`: the module raises TypeError, and the wrapper passes contiguous copies in again."""
+    wide = np.random.default_rng(3).normal(size=(3, 2 * 999))
+    factors, _ = oracle._factor_codes(RECORDED[:12], 3)
+    strided, dense = [row[::2] for row in wide], [row[::2].copy() for row in wide]
+    with pytest.raises(TypeError, match="^record_moments: columns must be C-contiguous 1-d float64 arrays"):
+        _kernels._load_c().record_moments(factors, np.empty((2, 12)), *strided)
+    got, expected = np.empty((2, 12)), np.empty((2, 12))
+    _kernels.record_moments(np.asfortranarray(factors.astype(np.int32)), got, *strided)
+    _kernels.record_moments(factors, expected, *dense)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_recorder_rejects_bad_input_and_releases_buffers():
+    module = _kernels._load_c()
+    good = [np.array([[0, 3], [1, -1]]), np.empty((2, 2)), np.zeros(4), np.ones(4)]
+    read_only = np.empty((2, 2))
+    read_only.flags.writeable = False
+    for position, bad, error, message in [
+        (0, np.array([[0, 3], [1, -1]], dtype=np.int32), TypeError, "factors must be a C-contiguous 2-d int64"),
+        (0, np.array([0, 3]), TypeError, "factors must be a C-contiguous 2-d int64"),
+        (0, np.array([[0, 3]]), ValueError, r"out must be a writable C-contiguous float64 \(2, moments\) array"),
+        (0, np.array([[0, 4], [1, -1]]), IndexError, "a factor code is out of range"),
+        (0, np.array([[0, -2], [1, -1]]), IndexError, "a factor code is out of range"),
+        (1, np.empty((2, 3)), ValueError, "out must be a writable"),
+        (1, np.empty(4), ValueError, "out must be a writable"),
+        (1, np.empty((2, 2), dtype=np.float32), ValueError, "out must be a writable"),
+        (1, read_only, ValueError, "out must be a writable"),
+        (1, "out", TypeError, None),
+        (2, np.zeros(4, dtype=np.float32), TypeError, "columns must be C-contiguous 1-d float64 arrays"),
+        (2, np.zeros(8)[::2], TypeError, "columns must be C-contiguous 1-d float64 arrays"),
+        (2, np.zeros(3), TypeError, "of one length n >= 1"),
+        (2, np.zeros((2, 2)), TypeError, "columns must be C-contiguous 1-d float64 arrays"),
+        (3, np.zeros(5), TypeError, "of one length n >= 1"),
+    ]:
+        args = [*good[:position], bad, *good[position + 1 :]]
+        before = [sys.getrefcount(arg) for arg in args]
+        with pytest.raises(error, match=message and "^record_moments: .*" + message):
+            module.record_moments(*args)
+        assert [sys.getrefcount(arg) for arg in args] == before
+    with pytest.raises(TypeError, match="^record_moments: columns must .* of one length n >= 1$"):
+        module.record_moments(good[0], good[1], np.zeros(0), np.zeros(0))
+    with pytest.raises(TypeError, match="takes at least 3 arguments"):
+        module.record_moments(*good[:2])
+    before = [sys.getrefcount(arg) for arg in good]
+    assert module.record_moments(*good) is None
+    assert [sys.getrefcount(arg) for arg in good] == before
+    expected = np.empty((2, 2))
+    record_moments_python(good[0], expected, *good[2:])
+    assert good[1].tobytes() == expected.tobytes()
+
+
+CONSTANT_UPDATE = "state x\ndisturbance w\ndyn x' = 0.5\nmoments x x^2\ndist w = gaussian(0, 1)\n"
+
+
+def test_constant_update_is_a_point_mass(tmp_path):
+    """A state update that evaluates to a float is a column of that value in every sample."""
+    spec = parse_spec(CONSTANT_UPDATE)
+    system = trig_encode(spec)
+    model = DisturbanceModel(compile_moment_system(system, system.target_moments), spec.distributions)
+    mc = mc_simulate(spec, system, model, {"x": 0.1}, 3, 1000, 0)
+    assert mc.means[1:, mc.column("x")].tolist() == [0.5] * 3
+    assert mc.means[1:, mc.column("x^2")].tolist() == [0.25] * 3
+    assert not mc.ses.any()
+    (tmp_path / "c.spec").write_text(CONSTANT_UPDATE)
+    (tmp_path / "init.csv").write_text("x\n0.1\n")
+    argv = ["mc", tmp_path / "c.spec", "--init", tmp_path / "init.csv", "-T", 3, "-N", 1000, "--seed", 0,
+            "-o", tmp_path / "mc.csv"]
+    assert cli.main([str(a) for a in argv]) == 0
+    assert "\n1,0.5,0,0.25,0\n" in (tmp_path / "mc.csv").read_text()

@@ -726,7 +726,7 @@ def test_trees_match_golden_digest(dubins_reduced):
 
 @pytest.mark.parametrize("seed", [3, 17])
 def test_reference_twins_grow_the_same_tree(dubins_reduced, seed, monkeypatch):
-    """The twins from `reference`, in place of the five C entry points, give every node bit for bit."""
+    """The twins from `reference`, in place of the six C entry points, give every node bit for bit."""
     args = (parse_environment(presets.PLANNER_ENV), dubins_reduced, presets.planner_noise(), 0.1, 100, seed)
     compiled = build_rrt(*args)
     use_kernel_twins(monkeypatch)
