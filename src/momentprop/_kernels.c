@@ -1,8 +1,8 @@
-/* The compiled kernels of momentprop: one CPython extension module, `run_steps`, with five entry points (run_steps,
-   risk_bound, dubins_steer, nearest, trig_moments).  momentprop._kernels builds it on first use with the flags in
-   _kernels._C_FLAGS; -ffp-contract=off keeps every product and sum rounded on its own, as numpy and Python round
-   them.  Each entry point computes what its twin in tests/reference.py computes, bit for bit, and the tests hold it
-   to that.
+/* The compiled kernels of momentprop: one CPython extension module, `run_steps`, with six entry points (run_steps,
+   risk_bound, dubins_steer, nearest, trig_moments, record_moments).  momentprop._kernels builds it on first use
+   with the flags in _kernels._C_FLAGS; -ffp-contract=off keeps every product and sum rounded on its own, as numpy
+   and Python round them.  Each entry point computes what its twin in tests/reference.py computes, bit for bit, and
+   the tests hold it to that.
 
    run_steps evaluates the loop of reference.run_steps_python in two phases per step.  Phase 1 computes every
    term's product: coeff * row[req], then times each factor in factor order.  The terms are grouped by factor
@@ -168,7 +168,26 @@ static double risk_bound(int64_t n_rows, int64_t n, const double *values, const 
 static int f8(const Py_buffer *b) { return b->itemsize == 8 && !strcmp(b->format, "d"); }
 static int i8(const Py_buffer *b) { return b->itemsize == 8 && (!strcmp(b->format, "l") || !strcmp(b->format, "q")); }
 static int dense(Py_buffer *b) { return PyBuffer_IsContiguous(b, 'C'); }
-#define FAIL(exc, msg) do { PyErr_SetString(exc, "run_steps: " msg); goto release; } while (0)
+
+static void release_buffers(Py_buffer *b, Py_ssize_t n)
+{
+    while (n--)
+        PyBuffer_Release(b + n);
+}
+
+/* The buffers of args[0 .. n - 1] in b, with their formats, shapes and strides: 0, or -1 with none held. */
+static int get_buffers(Py_buffer *b, PyObject *const *args, Py_ssize_t n)
+{
+    for (Py_ssize_t i = 0; i < n; i++)
+        if (PyObject_GetBuffer(args[i], b + i, PyBUF_RECORDS_RO)) {
+            release_buffers(b, i);
+            return -1;
+        }
+    return 0;
+}
+
+/* Raise exc with "<entry point>: msg", the entry point named after its py_ function, and go to its release. */
+#define FAIL(exc, msg) do { PyErr_Format(exc, "%s: %s", __func__ + 3, msg); goto release; } while (0)
 
 /* run_steps(values0, table, target, coeff, req, fact, out) -> (bad_t, bad_j), on the arrays' buffers.  TypeError
    means an input is not float64 (int64 for target, req and fact) or not laid out as the loop reads it. */
@@ -176,13 +195,12 @@ static PyObject *py_run_steps(PyObject *self, PyObject *const *args, Py_ssize_t 
 {
     Py_buffer b[7], *v = b, *tab = b + 1, *tg = b + 2, *co = b + 3, *rq = b + 4, *fa = b + 5, *out = b + 6;
     PyObject *result = NULL;
-    int got = 0, status;
+    int status;
     int64_t bad[2];
     if (nargs != 7)
         return PyErr_Format(PyExc_TypeError, "run_steps takes 7 arguments (%zd given)", nargs);
-    for (; got < 7; got++)
-        if (PyObject_GetBuffer(args[got], b + got, PyBUF_RECORDS_RO))
-            goto release;
+    if (get_buffers(b, args, 7))
+        return NULL;
     if (!(f8(v) && f8(tab) && i8(tg) && f8(co) && i8(rq) && i8(fa)))
         FAIL(PyExc_TypeError, "values0, table and coeff must be float64, target, req and fact int64");
     if (tg->ndim != 1 || co->ndim != 1 || rq->ndim != 1 || fa->ndim != 2 || co->shape[0] != tg->shape[0]
@@ -206,13 +224,9 @@ static PyObject *py_run_steps(PyObject *self, PyObject *const *args, Py_ssize_t 
         FAIL(PyExc_MemoryError, "the kernel's index arrays cannot be allocated");
     result = Py_BuildValue("(LL)", (long long)bad[0], (long long)bad[1]);
 release:
-    while (got--)
-        PyBuffer_Release(b + got);
+    release_buffers(b, 7);
     return result;
 }
-
-#undef FAIL
-#define FAIL(exc, msg) do { PyErr_SetString(exc, "risk_bound: " msg); goto release; } while (0)
 
 /* risk_bound(values, positions, faces, starts) -> float, on the arrays' buffers.  TypeError means an input is not
    float64 (int64 for positions and starts) or not C-contiguous; IndexError, a position or start out of range. */
@@ -220,12 +234,10 @@ static PyObject *py_risk_bound(PyObject *self, PyObject *const *args, Py_ssize_t
 {
     Py_buffer b[4], *v = b, *pos = b + 1, *fc = b + 2, *st = b + 3;
     PyObject *result = NULL;
-    int got = 0;
     if (nargs != 4)
         return PyErr_Format(PyExc_TypeError, "risk_bound takes 4 arguments (%zd given)", nargs);
-    for (; got < 4; got++)
-        if (PyObject_GetBuffer(args[got], b + got, PyBUF_RECORDS_RO))
-            goto release;
+    if (get_buffers(b, args, 4))
+        return NULL;
     if (!(f8(v) && i8(pos) && f8(fc) && i8(st)))
         FAIL(PyExc_TypeError, "values and faces must be float64, positions and starts int64");
     if (!(dense(v) && dense(pos) && dense(fc) && dense(st)))
@@ -242,12 +254,9 @@ static PyObject *py_risk_bound(PyObject *self, PyObject *const *args, Py_ssize_t
     result = PyFloat_FromDouble(
         risk_bound(v->shape[0], v->shape[1], v->buf, p, fc->shape[1], fc->buf, st->shape[0], s));
 release:
-    while (got--)
-        PyBuffer_Release(b + got);
+    release_buffers(b, 4);
     return result;
 }
-
-#undef FAIL
 
 /* The planner's geometry, as reference.shortest_path, reference.steer_python and reference.nearest_python compute it:
    every libm call, product, sum and comparison in the same order.  Python's float % is fmod with the divisor's
@@ -412,12 +421,10 @@ static PyObject *py_nearest(PyObject *self, PyObject *const *args, Py_ssize_t na
     for (int i = 0; i < 4; i++)
         if ((q[i] = PyFloat_AsDouble(args[i + 1])) == -1.0 && PyErr_Occurred())
             return NULL;
-    if (PyObject_GetBuffer(args[0], &b, PyBUF_RECORDS_RO))
+    if (get_buffers(&b, args, 1))
         return NULL;
-    if (!f8(&b) || !dense(&b) || b.ndim != 2 || b.shape[1] != 3) {
-        PyErr_SetString(PyExc_TypeError, "nearest: poses must be a C-contiguous float64 (n, 3) array");
-        goto release;
-    }
+    if (!f8(&b) || !dense(&b) || b.ndim != 2 || b.shape[1] != 3)
+        FAIL(PyExc_TypeError, "poses must be a C-contiguous float64 (n, 3) array");
     Py_ssize_t n = b.shape[0], count = 0, first = -1;
     const double *pose = b.buf;
     double *score = PyMem_Malloc((n ? n : 1) * sizeof *score), least = INFINITY;
@@ -451,7 +458,7 @@ static PyObject *py_nearest(PyObject *self, PyObject *const *args, Py_ssize_t na
     }
     PyMem_Free(score);
 release:
-    PyBuffer_Release(&b);
+    release_buffers(&b, 1);
     return result;
 }
 
@@ -504,8 +511,6 @@ static double trig_moments(Py_ssize_t n_steps, const char *s, Py_ssize_t s_strid
     return residue;
 }
 
-#define FAIL(exc, msg) do { PyErr_SetString(exc, "trig_moments: " msg); goto release; } while (0)
-
 /* trig_moments(shifts, base, loc, variance, freqs, coefficients, out) -> float, on the arrays' buffers: shifts and
    out may be strided, freqs (F,) and the complex (F, P) coefficients, each purely real or purely imaginary (as
    distmoments._laurent_matrix makes them), must be C-contiguous, and out is (steps, P). */
@@ -514,15 +519,14 @@ static PyObject *py_trig_moments(PyObject *self, PyObject *const *args, Py_ssize
     Py_buffer b[4], *sh = b, *fr = b + 1, *co = b + 2, *out = b + 3;
     PyObject *result = NULL;
     double p[3];
-    int got = 0;
     if (nargs != 7)
         return PyErr_Format(PyExc_TypeError, "trig_moments takes 7 arguments (%zd given)", nargs);
     for (int i = 0; i < 3; i++)
         if ((p[i] = PyFloat_AsDouble(args[i + 1])) == -1.0 && PyErr_Occurred())
             return NULL;
-    for (; got < 4; got++)
-        if (PyObject_GetBuffer(args[got ? got + 3 : 0], b + got, PyBUF_RECORDS_RO))
-            goto release;
+    PyObject *arrays[4] = {args[0], args[4], args[5], args[6]};
+    if (get_buffers(b, arrays, 4))
+        return NULL;
     if (!(f8(sh) && f8(fr) && f8(out) && co->itemsize == 16 && !strcmp(co->format, "Zd")))
         FAIL(PyExc_TypeError, "shifts, freqs and out must be float64, coefficients complex128");
     if (sh->ndim != 1 || fr->ndim != 1 || co->ndim != 2 || co->shape[0] != fr->shape[0] || out->ndim != 2
@@ -542,12 +546,9 @@ static PyObject *py_trig_moments(PyObject *self, PyObject *const *args, Py_ssize
                                              out->strides[1], v));
     PyMem_Free(v);
 release:
-    while (got--)
-        PyBuffer_Release(b + got);
+    release_buffers(b, 4);
     return result;
 }
-
-#undef FAIL
 
 /* record_moments(factors, out, *columns) -> None: reference.record_moments_python, the Monte Carlo recorder.  Row j
    of the int64 (moments, max factors) factors holds moment j's codes: 2 * c for column c, 2 * c + 1 for it squared as
@@ -609,8 +610,6 @@ static void pairwise_sums(const Py_buffer *col, const int64_t *fact, int64_t n_m
     }
 }
 
-#define FAIL(exc, msg) do { PyErr_SetString(exc, "record_moments: " msg); goto release; } while (0)
-
 static PyObject *py_record_moments(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs < 3)
@@ -619,11 +618,12 @@ static PyObject *py_record_moments(PyObject *self, PyObject *const *args, Py_ssi
     if (!b)
         return PyErr_NoMemory();
     Py_buffer *fa = b, *out = b + 1, *col = b + 2;
-    Py_ssize_t got = 0, n_cols = nargs - 2;
+    Py_ssize_t n_cols = nargs - 2;
     PyObject *result = NULL;
-    for (; got < nargs; got++)
-        if (PyObject_GetBuffer(args[got], b + got, PyBUF_RECORDS_RO))
-            goto release;
+    if (get_buffers(b, args, nargs)) {
+        PyMem_Free(b);
+        return NULL;
+    }
     if (!i8(fa) || !dense(fa) || fa->ndim != 2)
         FAIL(PyExc_TypeError, "factors must be a C-contiguous 2-d int64 array");
     for (Py_ssize_t c = 0; c < n_cols; c++)
@@ -651,13 +651,10 @@ static PyObject *py_record_moments(PyObject *self, PyObject *const *args, Py_ssi
     PyMem_Free(sums);
     result = Py_NewRef(Py_None);
 release:
-    while (got--)
-        PyBuffer_Release(b + got);
+    release_buffers(b, nargs);
     PyMem_Free(b);
     return result;
 }
-
-#undef FAIL
 
 static PyMethodDef methods[] = {{"run_steps", (PyCFunction)(void (*)(void))py_run_steps, METH_FASTCALL, NULL},
                                 {"risk_bound", (PyCFunction)(void (*)(void))py_risk_bound, METH_FASTCALL, NULL},

@@ -46,15 +46,14 @@ purely real or purely imaginary (see the C source).
 
 `BACKEND` names the backend in use; its one value is ``"c"``.  It and the
 six entry points are bound as attributes of this module on first use:
-reading any of them builds or loads the module and binds all seven, so later
-calls go straight to the extension module's functions.  Only `run_steps`
-and `record_moments` keep a wrapper, which passes an input of another dtype
-or layout in again as a contiguous copy.
+reading any of them builds or loads the module and binds all seven, so each
+entry point is the extension module's function itself.  Each one raises
+TypeError for an array of another dtype or layout than it reads (see the C
+source); the callers in this package pass them as the kernels read them.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import importlib.machinery
 import importlib.util
@@ -66,8 +65,6 @@ import subprocess
 import sysconfig
 import tempfile
 from pathlib import Path
-
-import numpy as np
 
 # Always False: there is no numba backend.  Kept because the benchmark
 # harness (perfbench/run.py) reads it when it labels a run.
@@ -136,38 +133,17 @@ def _load_c():
     return _import(lib_path) if lib_path.exists() else _build_c(cc, lib_path)
 
 
-# The names __getattr__ binds on first use, in the order _choose returns their values.
+# The names __getattr__ binds on first use: BACKEND, then the extension module's functions of the same names.
 _BOUND = ("BACKEND", "run_steps", "risk_bound", "dubins_steer", "nearest", "trig_moments", "record_moments")
-_f8, _i8 = (functools.partial(np.ascontiguousarray, dtype=dtype) for dtype in (np.float64, np.int64))
 
 
-def _retrying(kernel, contiguous):
-    """`kernel`, called again on `contiguous(*args)` if it raises TypeError (an input of another dtype or layout)."""
-    def call(*args):
-        try:
-            return kernel(*args)
-        except TypeError:
-            return kernel(*contiguous(*args))
-    return call
-
-
-def _choose() -> tuple:
-    """The values of _BOUND, from the extension module; OSError if it cannot be built or loaded."""
+def __getattr__(name):
+    """Bind BACKEND and the entry points on the first read of any (PEP 562); OSError if the module is unavailable."""
+    if name not in _BOUND:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     try:
         module = _load_c()
     except (OSError, ImportError, RuntimeError, subprocess.SubprocessError) as exc:
         raise OSError(f"C kernel module unavailable: {exc}") from exc
-    run_steps = _retrying(module.run_steps, lambda values0, table, target, coeff, req, fact, out: (
-        _f8(values0), _f8(table), _i8(target), _f8(coeff), _i8(req), _i8(fact), out))
-    record_moments = _retrying(module.record_moments, lambda factors, out, *columns: (
-        _i8(factors), out, *map(_f8, columns)))
-    return ("c", run_steps, module.risk_bound, module.dubins_steer, module.nearest, module.trig_moments,
-            record_moments)
-
-
-def __getattr__(name):
-    """Bind BACKEND and the entry points on the first read of any of them (PEP 562)."""
-    if name not in _BOUND:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals().update(zip(_BOUND, _choose()))
+    globals().update(BACKEND="c", **{entry: getattr(module, entry) for entry in _BOUND[1:]})
     return globals()[name]

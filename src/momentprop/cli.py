@@ -59,6 +59,8 @@ def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
         cells = line.split(",")
         if header is None:
             header = [c.strip() for c in cells]
+            if repeated := [name for i, name in enumerate(header) if name in header[:i]]:
+                raise ValueError(f"{path}, line {line_no}: column {repeated[0]!r} appears more than once")
             continue
         if len(cells) != len(header):
             raise ValueError(f"{path}, line {line_no}: {len(cells)} values for {len(header)} columns")
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-N", "--samples", type=int, required=True)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--shifts")
-    p.add_argument("--batch-size", type=int, default=100_000)
+    p.add_argument("--batch-size", type=int, default=oracle.BATCH_SIZE)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=_cmd_mc)
 
@@ -350,9 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True, help="chance constraint in (0, 1)")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--iterations", type=int, default=500)
-    p.add_argument("--speed", type=float, default=0.05)
-    p.add_argument("--turn-radius", type=float, default=0.3)
-    p.add_argument("--max-edge-steps", type=int, default=40)
+    p.add_argument("--speed", type=float, default=planner.PlannerConfig.speed)
+    p.add_argument("--turn-radius", type=float, default=planner.PlannerConfig.turn_radius)
+    p.add_argument("--max-edge-steps", type=int, default=planner.PlannerConfig.max_edge_steps)
     p.add_argument("--tree", help="also dump the full tree as an edge list")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=_cmd_plan)

@@ -23,6 +23,8 @@ from .propagator import MomentTrajectory, PropagationError, initial_values
 from .sysspec import PolynomialSystem, SystemSpec
 from .tables import csv_text
 
+BATCH_SIZE = 100_000  # the default number of samples simulated at once, which bounds the rollouts' memory
+
 
 @dataclass
 class McEstimate:
@@ -143,7 +145,7 @@ def mc_simulate(
     n_samples: int,
     seed: int,
     moments: Sequence[MultiIndex] | None = None,
-    batch_size: int = 100_000,
+    batch_size: int = BATCH_SIZE,
 ) -> McEstimate:
     """Estimate encoded state moments by simulating the original system.
 
@@ -357,14 +359,12 @@ def linear_propagate(
     covs[0] = np.asarray(sigma0, dtype=float)
     phi = np.eye(n) + lin.A
     w_var = np.array([distmoments.variance(model.distributions[w]) for w in lin.dist_vars])
+    w_means = np.empty((n_steps, len(lin.dist_vars)))  # row t: each disturbance's mean at step t
     with np.errstate(over="ignore", invalid="ignore"):  # checked once, on the finished tables
+        for j, w in enumerate(lin.dist_vars):
+            w_means[:, j] = distmoments.raw_moment(model.distributions[w], model.shift_at(w, np.arange(n_steps)), 1)
         for t in range(n_steps):
-            w_mean = np.empty(len(lin.dist_vars))
-            for j, w in enumerate(lin.dist_vars):
-                dist = model.distributions[w]
-                shift = float(model.shift_at(w, t))
-                w_mean[j] = distmoments.raw_moment(dist, shift, 1)
-            mus[t + 1] = phi @ mus[t] + lin.B @ w_mean + lin.c
+            mus[t + 1] = phi @ mus[t] + lin.B @ w_means[t] + lin.c
             cov = phi @ covs[t] @ phi.T + (lin.B * w_var) @ lin.B.T
             covs[t + 1] = (cov + cov.T) / 2.0
     i, j = np.triu_indices(n)

@@ -21,7 +21,7 @@ import numpy as np
 from . import _kernels, sysspec
 from .compiler import MomentStateSystem
 from .distmoments import DisturbanceModel, Distribution
-from .oracle import rollouts
+from .oracle import BATCH_SIZE, rollouts
 from .polyring import _check_count, _is_count
 from .propagator import MomentState, MomentTrajectory, PropagationError, central_second_moments, init_deterministic
 from .propagator import propagate
@@ -480,7 +480,7 @@ def estimate_plan_collision(
     seed: int,
     steer_source: str,
     initial_speed: float,
-    batch_size: int = 100_000,
+    batch_size: int = BATCH_SIZE,
 ) -> float:
     """Empirical frequency of plan rollouts that touch any obstacle.
 

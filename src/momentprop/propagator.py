@@ -117,7 +117,7 @@ def propagate(
         raise ValueError(f"initial state has {got}, but the system has {n} moments")
     out = np.empty((n_steps + 1, n))
     table = model.moment_table(msys.dist_requirements, n_steps, start=init.time)
-    bad_t, bad_j = _kernels.run_steps(values0, table, *msys.term_table, out)
+    bad_t, bad_j = _kernels.run_steps(np.ascontiguousarray(values0), table, *msys.term_table, out)
     if bad_t >= 0:
         name = monomial_name(msys.state_vars, msys.basis[bad_j])
         raise PropagationError(f"moment E[{name}] became non-finite at step {init.time + int(bad_t)}")

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentprop import _kernels, cli, compiler, distmoments, oracle, presets, propagator, sysspec
+from momentprop import _kernels, cli, compiler, distmoments, oracle, planner, presets, propagator, sysspec
 from momentprop.cli import EXIT_INPUT, EXIT_NO_PLAN, EXIT_OK, EXIT_RUNTIME
 from momentprop.polyring import MultiIndex
 from conftest import unbind_kernels
@@ -500,6 +501,32 @@ class TestPipeline:
         assert capsys.readouterr().err.splitlines() == [f"error: {workdir / name}, {message}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["propagate", "mc", "linearize"])
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("init.csv", "x,y,v,theta,x\n5,0,1,0,0\n", "line 1: column 'x' appears more than once"),
+            ("shifts.csv", "# schedule\nwt,wt\n0,0\n0,0\n0,0\n", "line 2: column 'wt' appears more than once"),
+        ],
+        ids=["init", "shifts"],
+    )
+    def test_repeated_csv_column_exit_2(self, workdir, capsys, command, name, text, message):
+        """A header that names a column twice is an input error on its line, not a silent last-column-wins."""
+        (workdir / "shifts.csv").write_text("wt\n0\n0\n0\n")
+        (workdir / name).write_text(text)
+        run("compile", workdir / "dubins.spec", "-o", workdir / "dubins.msys", "--listing", workdir / "eq.txt")
+        capsys.readouterr()
+        out = workdir / "out.csv"
+        common = ("--init", workdir / "init.csv", "--shifts", workdir / "shifts.csv", "-T", 3, "-o", out)
+        argv = {
+            "propagate": ("propagate", workdir / "dubins.msys", "--dist", workdir / "dubins.spec", *common),
+            "mc": ("mc", workdir / "dubins.spec", "-N", 100, *common),
+            "linearize": ("linearize", workdir / "dubins.spec", *common),
+        }[command]
+        assert run(*argv) == EXIT_INPUT
+        assert capsys.readouterr().err.splitlines() == [f"error: {workdir / name}, {message}"]
+        assert not out.exists()
+
     def test_read_csv_header_only(self, workdir):
         path = workdir / "empty.csv"
         path.write_text("# note: none\nt,x,x^2\n")
@@ -580,6 +607,18 @@ PIPELINE_DIGESTS = {
     "plan.csv": "e8f65ef797f83edb05dd937818b49373e8d42679359ddb11bd1a87c107f13d07",
     "tree.csv": "38edf3719a228b8f87852f1ed34ca46615cff9832a67268becd9cd61a59c2508",
 }
+
+
+def test_parser_defaults_are_the_library_defaults():
+    """`plan`'s steering options and `mc`'s batch size default to what the library defaults to."""
+    parser = cli.build_parser()
+    plan = parser.parse_args(["plan", "s.spec", "--env", "env.txt", "--eps", "0.1", "-o", "out.csv"])
+    config = planner.PlannerConfig()
+    assert (plan.speed, plan.turn_radius, plan.max_edge_steps) == (
+        config.speed, config.turn_radius, config.max_edge_steps)
+    mc = parser.parse_args(["mc", "s.spec", "--init", "init.csv", "-T", "3", "-N", "100", "-o", "out.csv"])
+    for function in (oracle.mc_simulate, planner.estimate_plan_collision):
+        assert inspect.signature(function).parameters["batch_size"].default == mc.batch_size, function.__name__
 
 
 def test_cli_outputs_are_byte_stable(workdir, monkeypatch):

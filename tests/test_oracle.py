@@ -675,19 +675,6 @@ def test_recorder_with_negative_zero_products(n):
     record_all(values)
 
 
-def test_recorder_copies_a_non_contiguous_input_once():
-    """As `run_steps`: the module raises TypeError, and the wrapper passes contiguous copies in again."""
-    wide = np.random.default_rng(3).normal(size=(3, 2 * 999))
-    factors, _ = oracle._factor_codes(RECORDED[:12], 3)
-    strided, dense = [row[::2] for row in wide], [row[::2].copy() for row in wide]
-    with pytest.raises(TypeError, match="^record_moments: columns must be C-contiguous 1-d float64 arrays"):
-        _kernels._load_c().record_moments(factors, np.empty((2, 12)), *strided)
-    got, expected = np.empty((2, 12)), np.empty((2, 12))
-    _kernels.record_moments(np.asfortranarray(factors.astype(np.int32)), got, *strided)
-    _kernels.record_moments(factors, expected, *dense)
-    assert got.tobytes() == expected.tobytes()
-
-
 def test_recorder_rejects_bad_input_and_releases_buffers():
     module = _kernels._load_c()
     good = [np.array([[0, 3], [1, -1]]), np.empty((2, 2)), np.zeros(4), np.ones(4)]

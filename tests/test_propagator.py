@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import sys
@@ -368,7 +369,8 @@ kernel_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(-4.0, 4.0),
 def test_kernel_matches_python_loop_on_any_term_table(data):
     """Term tables the compiler never emits: unsorted targets (a target split over
     several runs), 0 to 5 factor slots with -1 pads anywhere (4 and 5 take the
-    kernel's generic loop), stride-0 and strided tables, and special values everywhere."""
+    kernel's generic loop), stride-0 and row-strided tables, and special values everywhere.
+    A non-empty table whose columns are not 8 bytes apart is a TypeError; its contiguous copy runs."""
     n, n_req = data.draw(st.integers(1, 5), label="n"), data.draw(st.integers(1, 4), label="n_req")
     n_terms, max_f = data.draw(st.integers(0, 12), label="n_terms"), data.draw(st.integers(0, 5), label="max_f")
     n_steps = data.draw(st.integers(0, 6), label="n_steps")
@@ -391,6 +393,10 @@ def test_kernel_matches_python_loop_on_any_term_table(data):
         table = floats(2 * n_steps * n_req).reshape(n_steps, 2 * n_req)[:, ::2]
     else:
         table = floats(n_steps * n_req).reshape(n_steps, n_req)
+    if layout == "every other column" and n_steps and n_req > 1:
+        with pytest.raises(TypeError, match="^run_steps: the arrays must be contiguous"):
+            _kernels.run_steps(values0, table, target, coeff, req, fact, np.empty((n_steps + 1, n)))
+        table = table.copy()
     results = []
     for run in (_kernels.run_steps, run_steps_python):
         out = np.full((n_steps + 1, n), 7.0)
@@ -500,6 +506,28 @@ def test_c_entry_points_are_the_extension_module_functions():
     module = _kernels._load_c()
     assert _kernels.BACKEND == "c"
     assert all(getattr(_kernels, name) is getattr(module, name) for name in names)
+
+
+def test_every_entry_point_is_a_builtin():
+    """After the first read, each bound entry point is the extension module's C function, with no Python wrapper."""
+    assert _kernels.BACKEND == "c"
+    module = _kernels._load_c()
+    for name in _kernels._BOUND[1:]:
+        assert inspect.isbuiltin(getattr(_kernels, name)), name
+        assert getattr(_kernels, name) is getattr(module, name), name
+
+
+def test_propagate_converts_an_odd_initial_state_once(dubins_reduced):
+    """A strided or integer initial state propagates to the bits of its contiguous float64 copy."""
+    model = DisturbanceModel(dubins_reduced, presets.benchmark_noise())
+    values = init_deterministic(dubins_reduced, {"x": 0.3, "y": -1, "v": 1.2, "theta": 0.4}).values
+    wide = np.zeros(2 * len(values))
+    wide[::2] = values
+    for odd in (wide[::2], np.rint(values * 4).astype(np.int64), list(values)):
+        dense = np.array(odd, dtype=np.float64)
+        got = propagate(dubins_reduced, propagator.MomentState(odd, 3), model, 40)
+        expected = propagate(dubins_reduced, propagator.MomentState(dense, 3), model, 40)
+        assert got.values.tobytes() == expected.values.tobytes()
 
 
 def test_unwritable_cache_still_loads_the_c_kernel(monkeypatch, tmp_path, walk):
@@ -650,8 +678,8 @@ def test_risk_bound_rejects_bad_input_and_releases_buffers():
         _kernels.risk_bound(values, positions, faces)
 
 
-def test_kernel_converts_odd_inputs(dubins_reduced):
-    """Inputs the C loop cannot read in place (other dtypes, other layouts) give the reference's bits."""
+def test_kernel_rejects_odd_inputs(dubins_reduced):
+    """Inputs the C loop cannot read in place (other dtypes, other layouts) are a TypeError, and no reference leaks."""
     shifts = np.linspace(-0.3, 0.3, 30)
     model = DisturbanceModel(dubins_reduced, presets.benchmark_noise(), shifts={"wt": shifts, "wv": shifts / 10})
     init = init_deterministic(dubins_reduced, {"x": 0.3, "y": -1, "v": 1.2, "theta": 0.4})
@@ -664,21 +692,23 @@ def test_kernel_converts_odd_inputs(dubins_reduced):
         wide[::2] = arr
         return wide[::2]
 
+    dtype, layout = "^run_steps: values0, table and coeff must be float64", "^run_steps: the arrays must be contiguous"
     cases = {
-        "int values0": (np.rint(init.values * 4).astype(np.int64), table, *terms),
-        "float32 table": (init.values, table.astype(np.float32), *terms),
-        "Fortran-ordered table": (init.values, np.asfortranarray(table), *terms),
-        "column-strided table": (init.values, np.repeat(table, 2, axis=1)[:, ::2], *terms),
-        "non-contiguous term arrays": (init.values, table, *map(spread, terms)),
-        "Fortran-ordered fact": (init.values, table, *terms[:3], np.asfortranarray(terms[3])),
+        "int values0": ((np.rint(init.values * 4).astype(np.int64), table, *terms), dtype),
+        "float32 table": ((init.values, table.astype(np.float32), *terms), dtype),
+        "int32 fact": ((init.values, table, *terms[:3], terms[3].astype(np.int32)), dtype),
+        "Fortran-ordered table": ((init.values, np.asfortranarray(table), *terms), layout),
+        "column-strided table": ((init.values, np.repeat(table, 2, axis=1)[:, ::2], *terms), layout),
+        "non-contiguous term arrays": ((init.values, table, *map(spread, terms)), layout),
+        "Fortran-ordered fact": ((init.values, table, *terms[:3], np.asfortranarray(terms[3])), layout),
     }
-    for name, args in cases.items():
-        results = []
-        for run in (_kernels.run_steps, run_steps_python):
-            out = np.full((31, len(dubins_reduced.basis)), 7.0)
-            results.append((run(*args, out), out))
-        assert results[0][0] == (-1, -1), name
-        assert_bit_identical(results)
+    for name, (args, message) in cases.items():
+        out = np.full((31, len(dubins_reduced.basis)), 7.0)
+        before = [sys.getrefcount(arg) for arg in (*args, out)]
+        with pytest.raises(TypeError, match=message):
+            _kernels.run_steps(*args, out)
+        assert [sys.getrefcount(arg) for arg in (*args, out)] == before, name
+        assert (out == 7.0).all(), name
 
 
 @pytest.mark.parametrize("n_steps", [2.0, True, "3", -1])

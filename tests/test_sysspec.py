@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import math
+import re
 from dataclasses import fields
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from momentprop import distmoments, oracle
+from momentprop import cli, distmoments, oracle
 from momentprop.polyring import MultiIndex, Polynomial
 from momentprop.sysspec import (
     MAX_DEGREE,
@@ -192,6 +193,69 @@ class TestParse:
         spec = parse_spec("state x\ndisturbance w\ndyn x' = -x + w\n")
         system = trig_encode(spec)
         assert system.f[0].terms[MultiIndex((1, 0))] == -1
+
+
+def _edited(*edits):
+    """DUBINS with each (old, new) edit made; each old text occurs once."""
+    text = DUBINS
+    for old, new in edits:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    return text
+
+
+# Each malformed edit of DUBINS, with the error's message and its line (None for an error of the whole spec).
+SPEC_ERRORS = {
+    "duplicate-dyn": ([("dyn v'     = v + wv", "dyn v'     = v + wv\ndyn x' = x")], "duplicate update for 'x'", 8),
+    "empty-moments": ([("moments x y x*y x^2 y^2", "moments")], "'moments' needs at least one monomial", 10),
+    "state-and-disturbance": ([("disturbance wv wt", "disturbance wv wt x")],
+                              "names declared both state and disturbance: ['x']", None),
+    "undeclared-dist": ([("dist wv =", "dist wq = gaussian(0, 1)\ndist wv =")],
+                        "'dist' declaration for undeclared disturbance 'wq'", None),
+    "independent-not-a-name": ([("{v} {theta}", "{v} {1}")], "expected a variable name", 9),
+    "independent-empty-set": ([("{v} {theta}", "{v} {}")], "empty variable set in independence declaration", 9),
+    "independent-non-state": ([("{v} {theta}", "{v} {wt}")],
+                              "independence declaration names non-state variable 'wt'", None),
+    "independent-overlap": ([("{v} {theta}", "{v} {v theta}")], "independence declaration groups overlap: ['v']", None),
+    "sin-of-a-constant": ([("sin(theta)", "sin(2)")], "sin() takes a single variable", 6),
+    "missing-comma": ([("gaussian(0.04, 0.03)", "gaussian(0.04 0.03)")], "expected ',' or ')'", 12),
+    "subtracted-disturbance": ([("theta + wt", "theta - wt")],
+                               "angle 'theta' increment must add its disturbance, not subtract it", 8),
+    "two-disturbances": ([("theta + wt", "theta + wt + wv")],
+                         "angle 'theta' increment may reference at most one disturbance", 8),
+    "state-in-increment": ([("theta + wt", "theta + v")],
+                           "angle 'theta' increment may only contain one disturbance variable and constants", 8),
+    "bare-angle": ([("v + wv", "v + wv + theta")],
+                   "angle 'theta' may appear only inside sin()/cos() outside its own update", 7),
+    "two-trig-offsets": ([("theta + wt", "theta + wt + 1"), ("v + wv", "v + wv*cos(wt)")],
+                         "disturbance 'wt' is used trigonometrically with different constant offsets", None),
+    "angle-moment": ([("moments x y x*y x^2 y^2", "moments theta")],
+                     "moments of angle 'theta' are not expressible after encoding", None),
+}
+
+
+@pytest.mark.parametrize("edits, message, line", SPEC_ERRORS.values(), ids=SPEC_ERRORS)
+def test_spec_error_names_its_line_and_compile_exits_2(tmp_path, capsys, edits, message, line):
+    """Each error raises SpecError at its line, and `momentprop compile` prints it as one line and exits 2."""
+    text = _edited(*edits)
+    with pytest.raises(SpecError, match=re.escape(message)) as err:
+        trig_encode(parse_spec(text))
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}" if line else message)
+    (tmp_path / "bad.spec").write_text(text)
+    assert cli.main(["compile", str(tmp_path / "bad.spec"), "-o", str(tmp_path / "bad.msys")]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.splitlines() == [f"error: {err.value}"]
+    assert not (tmp_path / "bad.msys").exists()
+
+
+def test_spec_edge_cases_that_parse():
+    """A negative distribution parameter is a number; a state named c_theta pushes theta's cosine to c_theta2."""
+    spec = parse_spec(_edited(("gaussian(0.04, 0.03)", "gaussian(-0.04, 0.03)")))
+    assert spec.distributions["wt"] == distmoments.Gaussian(-0.04, 0.03)
+    system = trig_encode(parse_spec(_edited(("state x y v theta", "state x y v theta c_theta"),
+                                            ("dyn v'     = v + wv", "dyn v'     = v + wv\ndyn c_theta' = c_theta"))))
+    assert system.vars == ("x", "y", "v", "c_theta2", "s_theta", "c_theta")
+    assert [(pair.source, pair.cos_var, pair.sin_var) for pair in system.state_pairs] == [("theta", "c_theta2", "s_theta")]
 
 
 class TestTrigEncode:
