@@ -13,7 +13,9 @@
    step) coeff * row[req] is taken once per call, the same product every step.  The grouped index arrays are
    built once per call, in O(terms), after the range checks, so int32 holds every index.  Returns 1 if an index
    is out of range, 2 if the index arrays cannot be allocated, else 0 with the first non-finite (step, moment) or
-   (-1, -1) in bad. */
+   (-1, -1) in bad.  With a budget, each finite row's risk bound is added up, and the loop stops once the parent's
+   risk plus that sum passes epsilon: each obstacle adds a value in [0, 1], never NaN, and rounded addition is
+   monotone, so an edge stopped early would pass epsilon had it run every step. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -51,10 +53,38 @@ all_products(int stationary, int64_t max_f, const int64_t *first, const double *
     }
 }
 
+/* risk_bound's obstacles (positions, faces, starts); run_steps' budget in (parent, epsilon) and out (steps, total). */
+struct budget {
+    const int64_t *pos, *starts; const double *faces; int64_t n_faces, n_obs, steps; double parent, epsilon, total;
+};
+
+/* Adds row v's bound to *total, obstacle by obstacle, with reference.risk_bound_python's operations in its order.
+   Obstacle o's faces run from starts[o] to the next start, or to the last face, as np.fmin.reduceat takes them. */
+static void row_risk(const double *v, const struct budget *ob, double *total)
+{
+    const int64_t *pos = ob->pos, *starts = ob->starts, n_faces = ob->n_faces, n_obs = ob->n_obs;
+    const double *ax = ob->faces, *ay = ax + n_faces, *b = ay + n_faces;
+    const double *axx = b + n_faces, *axy2 = axx + n_faces, *ayy = axy2 + n_faces;
+    double mu0 = v[pos[0]], mu1 = v[pos[1]];
+    double s00 = v[pos[2]] - mu0 * mu0, s11 = v[pos[4]] - mu1 * mu1, s01 = v[pos[3]] - mu0 * mu1;
+    for (int64_t o = 0; o < n_obs; o++) {
+        int64_t end = o + 1 == n_obs ? n_faces : starts[o + 1] > starts[o] ? starts[o + 1] : starts[o] + 1;
+        double best = NAN;
+        for (int64_t f = starts[o]; f < end; f++) {
+            double mean = ax[f] * mu0 + ay[f] * mu1 + b[f];
+            double var = axx[f] * s00 + axy2[f] * s01 + ayy[f] * s11;
+            var = var < 0.0 ? 0.0 : var; /* np.maximum(var, 0.0): NaN and -0.0 stay */
+            double bound = var != 0.0 ? var / (var + mean * mean) : 0.0;
+            best = fmin(best, mean < 0.0 ? 1.0 : bound);
+        }
+        *total += fmin(best, 1.0); /* fmin drops a NaN best: the term lies in [0, 1] */
+    }
+}
+
 int run_steps(int64_t n, int64_t n_steps, int64_t n_terms, int64_t max_f,
               int64_t n_req, const double *values0, const double *table,
               int64_t table_stride, const int64_t *target, const double *coeff,
-              const int64_t *req, const int64_t *fact, double *out, int64_t *bad)
+              const int64_t *req, const int64_t *fact, double *out, int64_t *bad, struct budget *bud)
 {
     if (n > INT32_MAX || n_req > INT32_MAX || n_terms > INT32_MAX / (max_f + 5))
         return 2;
@@ -129,40 +159,17 @@ int run_steps(int64_t n, int64_t n_steps, int64_t n_terms, int64_t max_f,
                 goto done;
             }
         }
+        if (__builtin_expect(bud != NULL, 0)) { /* out of line, so the loop without a budget is laid out as before */
+            row_risk(next, bud, &bud->total);
+            bud->steps = t + 1;
+            if (!(bud->parent + bud->total <= bud->epsilon))
+                break;
+        }
     }
 done:
     free(first);
     free(base);
     return status;
-}
-
-/* reference.risk_bound_python's bound, operation for operation: the same products, sums and quotients in the
-   same order.  Obstacle o's faces run from starts[o] to the next start, or to the last face, as np.fmin.reduceat
-   takes them. */
-static double risk_bound(int64_t n_rows, int64_t n, const double *values, const int64_t *pos, int64_t n_faces,
-                         const double *faces, int64_t n_obs, const int64_t *starts)
-{
-    const double *ax = faces, *ay = ax + n_faces, *b = ay + n_faces;
-    const double *axx = b + n_faces, *axy2 = axx + n_faces, *ayy = axy2 + n_faces;
-    double total = 0.0;
-    for (int64_t t = 1; t < n_rows; t++) {
-        const double *v = values + t * n;
-        double mu0 = v[pos[0]], mu1 = v[pos[1]];
-        double s00 = v[pos[2]] - mu0 * mu0, s11 = v[pos[4]] - mu1 * mu1, s01 = v[pos[3]] - mu0 * mu1;
-        for (int64_t o = 0; o < n_obs; o++) {
-            int64_t end = o + 1 == n_obs ? n_faces : starts[o + 1] > starts[o] ? starts[o + 1] : starts[o] + 1;
-            double best = NAN;
-            for (int64_t f = starts[o]; f < end; f++) {
-                double mean = ax[f] * mu0 + ay[f] * mu1 + b[f];
-                double var = axx[f] * s00 + axy2[f] * s01 + ayy[f] * s11;
-                var = var < 0.0 ? 0.0 : var; /* np.maximum(var, 0.0): NaN and -0.0 stay */
-                double bound = var != 0.0 ? var / (var + mean * mean) : 0.0;
-                best = fmin(best, mean < 0.0 ? 1.0 : bound);
-            }
-            total += fmin(best, 1.0);
-        }
-    }
-    return total;
 }
 
 static int f8(const Py_buffer *b) { return b->itemsize == 8 && !strcmp(b->format, "d"); }
@@ -189,17 +196,42 @@ static int get_buffers(Py_buffer *b, PyObject *const *args, Py_ssize_t n)
 /* Raise exc with "<entry point>: msg", the entry point named after its py_ function, and go to its release. */
 #define FAIL(exc, msg) do { PyErr_Format(exc, "%s: %s", __func__ + 3, msg); goto release; } while (0)
 
-/* run_steps(values0, table, target, coeff, req, fact, out) -> (bad_t, bad_j), on the arrays' buffers.  TypeError
-   means an input is not float64 (int64 for target, req and fact) or not laid out as the loop reads it. */
+/* positions, faces and starts (b[0 .. 2]) in ob, as obstacles for rows of n moments: 0, or -1 with TypeError (a
+   dtype or layout), ValueError (a shape) or IndexError (a position or first face out of range) raised for entry. */
+static int get_obstacles(const char *entry, Py_buffer *b, Py_ssize_t n, struct budget *ob)
+{
+#define REJECT(exc, msg) return PyErr_Format(exc, "%s: %s", entry, msg), -1 /* FAIL, returning -1 */
+    Py_buffer *pos = b, *fc = b + 1, *st = b + 2;
+    const int64_t *p = pos->buf, *s = st->buf;
+    if (!(i8(pos) && f8(fc) && i8(st) && dense(pos) && dense(fc) && dense(st)))
+        REJECT(PyExc_TypeError, "positions and starts must be C-contiguous int64, faces C-contiguous float64");
+    if (pos->ndim != 1 || pos->shape[0] != 5 || fc->ndim != 2 || fc->shape[0] != 6 || st->ndim != 1)
+        REJECT(PyExc_ValueError, "positions must hold 5 entries, faces 6 rows and starts 1-d");
+    for (int i = 0; i < 5; i++)
+        if (p[i] < 0 || p[i] >= n)
+            REJECT(PyExc_IndexError, "a position is out of range");
+    for (Py_ssize_t i = 0; i < st->shape[0]; i++)
+        if (s[i] < 0 || s[i] >= fc->shape[1])
+            REJECT(PyExc_IndexError, "an obstacle's first face is out of range");
+    *ob = (struct budget){.pos = p, .starts = s, .faces = fc->buf, .n_faces = fc->shape[1], .n_obs = st->shape[0]};
+    return 0;
+}
+
+/* run_steps(values0, table, target, coeff, req, fact, out) -> (bad_t, bad_j), on the arrays' buffers; with a budget,
+   run_steps(..., out, positions, faces, starts, parent_risk, epsilon) -> (bad_t, bad_j, steps_run, risk), risk being
+   parent_risk plus the bound of rows 1 .. steps_run.  TypeError means an input is not float64 (int64 for target,
+   req and fact) or not laid out as the loop reads it. */
 static PyObject *py_run_steps(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer b[7], *v = b, *tab = b + 1, *tg = b + 2, *co = b + 3, *rq = b + 4, *fa = b + 5, *out = b + 6;
+    Py_buffer b[10], *v = b, *tab = b + 1, *tg = b + 2, *co = b + 3, *rq = b + 4, *fa = b + 5, *out = b + 6;
     PyObject *result = NULL;
+    struct budget bud;
     int status;
     int64_t bad[2];
-    if (nargs != 7)
-        return PyErr_Format(PyExc_TypeError, "run_steps takes 7 arguments (%zd given)", nargs);
-    if (get_buffers(b, args, 7))
+    Py_ssize_t n_buffers = nargs == 12 ? 10 : 7;
+    if (nargs != 7 && nargs != 12)
+        return PyErr_Format(PyExc_TypeError, "run_steps takes 7 or 12 arguments (%zd given)", nargs);
+    if (get_buffers(b, args, n_buffers))
         return NULL;
     if (!(f8(v) && f8(tab) && i8(tg) && f8(co) && i8(rq) && i8(fa)))
         FAIL(PyExc_TypeError, "values0, table and coeff must be float64, target, req and fact int64");
@@ -214,45 +246,50 @@ static PyObject *py_run_steps(PyObject *self, PyObject *const *args, Py_ssize_t 
     if (!(dense(v) && dense(tg) && dense(co) && dense(rq) && dense(fa)) || tab->strides[0] % 8
         || (tab->shape[1] > 1 && tab->strides[1] != 8))
         FAIL(PyExc_TypeError, "the arrays must be contiguous, the table's rows 8-byte aligned and its columns 8 bytes apart");
+    if (nargs == 12 && get_obstacles("run_steps", b + 7, v->shape[0], &bud))
+        goto release;
+    bud.parent = nargs == 12 ? PyFloat_AsDouble(args[10]) : 0.0;
+    bud.epsilon = nargs == 12 ? PyFloat_AsDouble(args[11]) : 0.0;
+    if (PyErr_Occurred())
+        goto release;
     Py_BEGIN_ALLOW_THREADS
     status = run_steps(v->shape[0], tab->shape[0], tg->shape[0], fa->shape[1], tab->shape[1], v->buf, tab->buf,
-                       tab->strides[0] / 8, tg->buf, co->buf, rq->buf, fa->buf, out->buf, bad);
+                       tab->strides[0] / 8, tg->buf, co->buf, rq->buf, fa->buf, out->buf, bad,
+                       nargs == 12 ? &bud : NULL);
     Py_END_ALLOW_THREADS
     if (status == 1)
         FAIL(PyExc_IndexError, "a term's target, requirement or factor index is out of range");
     if (status)
         FAIL(PyExc_MemoryError, "the kernel's index arrays cannot be allocated");
-    result = Py_BuildValue("(LL)", (long long)bad[0], (long long)bad[1]);
+    result = nargs == 7 ? Py_BuildValue("(LL)", (long long)bad[0], (long long)bad[1])
+                        : Py_BuildValue("(LLLd)", (long long)bad[0], (long long)bad[1], (long long)bud.steps,
+                                        bud.parent + bud.total);
 release:
-    release_buffers(b, 7);
+    release_buffers(b, n_buffers);
     return result;
 }
 
-/* risk_bound(values, positions, faces, starts) -> float, on the arrays' buffers.  TypeError means an input is not
-   float64 (int64 for positions and starts) or not C-contiguous; IndexError, a position or start out of range. */
+/* risk_bound(values, positions, faces, starts) -> float, on the arrays' buffers: rows 1 .. T of values bounded, the
+   obstacles as get_obstacles reads them.  TypeError also means values is not C-contiguous float64. */
 static PyObject *py_risk_bound(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer b[4], *v = b, *pos = b + 1, *fc = b + 2, *st = b + 3;
+    Py_buffer b[4], *v = b;
     PyObject *result = NULL;
+    struct budget ob;
     if (nargs != 4)
         return PyErr_Format(PyExc_TypeError, "risk_bound takes 4 arguments (%zd given)", nargs);
     if (get_buffers(b, args, 4))
         return NULL;
-    if (!(f8(v) && i8(pos) && f8(fc) && i8(st)))
-        FAIL(PyExc_TypeError, "values and faces must be float64, positions and starts int64");
-    if (!(dense(v) && dense(pos) && dense(fc) && dense(st)))
-        FAIL(PyExc_TypeError, "the arrays must be C-contiguous");
-    if (v->ndim != 2 || pos->ndim != 1 || pos->shape[0] != 5 || fc->ndim != 2 || fc->shape[0] != 6 || st->ndim != 1)
-        FAIL(PyExc_ValueError, "values must be 2-d, positions hold 5 entries, faces 6 rows and starts 1-d");
-    const int64_t *p = pos->buf, *s = st->buf;
-    for (int i = 0; i < 5; i++)
-        if (p[i] < 0 || p[i] >= v->shape[1])
-            FAIL(PyExc_IndexError, "a position is out of range");
-    for (Py_ssize_t i = 0; i < st->shape[0]; i++)
-        if (s[i] < 0 || s[i] >= fc->shape[1])
-            FAIL(PyExc_IndexError, "an obstacle's first face is out of range");
-    result = PyFloat_FromDouble(
-        risk_bound(v->shape[0], v->shape[1], v->buf, p, fc->shape[1], fc->buf, st->shape[0], s));
+    if (!f8(v) || !dense(v))
+        FAIL(PyExc_TypeError, "values must be C-contiguous float64");
+    if (v->ndim != 2)
+        FAIL(PyExc_ValueError, "values must be 2-d");
+    if (get_obstacles("risk_bound", b + 1, v->shape[1], &ob))
+        goto release;
+    double total = 0.0;
+    for (Py_ssize_t t = 1; t < v->shape[0]; t++)
+        row_risk((const double *)v->buf + t * v->shape[1], &ob, &total);
+    result = PyFloat_FromDouble(total);
 release:
     release_buffers(b, 4);
     return result;

@@ -22,7 +22,7 @@ The entry points (the README's kernel table gives each one's cost per
 call); each matches its reference in the tests' ``reference`` module bit
 for bit:
 
-- `run_steps`: the moment recursion over a horizon.
+- `run_steps`: the moment recursion over a horizon, or up to a risk budget.
 - `risk_bound`: the planner's per-edge risk bound.
 - `dubins_steer`: the shortest Dubins word and its per-step heading
   increments.

@@ -363,9 +363,10 @@ def linear_propagate(
     with np.errstate(over="ignore", invalid="ignore"):  # checked once, on the finished tables
         for j, w in enumerate(lin.dist_vars):
             w_means[:, j] = distmoments.raw_moment(model.distributions[w], model.shift_at(w, np.arange(n_steps)), 1)
+        noise = (lin.B * w_var) @ lin.B.T  # the same every step
         for t in range(n_steps):
             mus[t + 1] = phi @ mus[t] + lin.B @ w_means[t] + lin.c
-            cov = phi @ covs[t] @ phi.T + (lin.B * w_var) @ lin.B.T
+            cov = phi @ covs[t] @ phi.T + noise
             covs[t + 1] = (cov + cov.T) / 2.0
     i, j = np.triu_indices(n)
     v = lin.state_vars

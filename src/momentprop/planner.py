@@ -23,7 +23,7 @@ from .compiler import MomentStateSystem
 from .distmoments import DisturbanceModel, Distribution
 from .oracle import BATCH_SIZE, rollouts
 from .polyring import _check_count, _is_count
-from .propagator import MomentState, MomentTrajectory, PropagationError, central_second_moments, init_deterministic
+from .propagator import MomentState, MomentTrajectory, central_second_moments, init_deterministic
 from .propagator import propagate
 from .sysspec import SystemSpec, TrigPair
 from .tables import csv_text
@@ -109,8 +109,8 @@ class Environment:
             for obs in self.obstacles
             for (ax, ay), b in obs.halfspaces
         ]
-        starts = np.cumsum([0] + [len(obs.halfspaces) for obs in self.obstacles[:-1]], dtype=np.int64)
-        return np.ascontiguousarray(np.array(faces, dtype=float).T), starts
+        starts = np.cumsum([0] + [len(obs.halfspaces) for obs in self.obstacles], dtype=np.int64)[:-1]
+        return np.ascontiguousarray(np.array(faces, dtype=float).reshape(-1, 6).T), starts
 
 
 def parse_environment(text: str) -> Environment:
@@ -175,8 +175,6 @@ def trajectory_risk(traj: MomentTrajectory, env: Environment) -> float:
     ``tests/reference.py`` (`cantelli_bound`, `obstacle_risk`) is the
     reference it equals bit for bit.
     """
-    if not env.obstacles:
-        return 0.0
     faces, starts = env._faces
     values = np.ascontiguousarray(traj.values, dtype=np.float64)  # no copy for propagate's own trajectories
     return _kernels.risk_bound(values, traj.system.pair_positions(*POSITION), faces, starts)
@@ -393,9 +391,11 @@ def build_rrt(
 ) -> RrtResult:
     """Grow a risk-bounded tree; deterministic for a fixed seed.
 
-    A candidate edge is accepted only when (edge risk bound) + (risk to its
-    parent) <= epsilon; accepted nodes store the arrival mean, covariance
-    and accumulated bound.  The returned goal node, when found, is the
+    A candidate edge is accepted only when (risk to its parent) + (edge risk
+    bound) <= epsilon, as one budgeted `_kernels.run_steps` call finds: it is
+    `stochastic_steer` and `trajectory_risk` in one, stopped at the step that
+    passes epsilon.  Accepted nodes store the arrival mean, covariance and
+    accumulated bound.  The returned goal node, when found, is the
     accepted node with the smallest bound whose mean position lies inside
     the goal disc.  The system must be the planar vehicle: state x, y, v,
     one angle (the heading) and one angular disturbance (the steered one).
@@ -406,7 +406,9 @@ def build_rrt(
     heading = _heading(msys.state_vars, msys.state_pairs)
     i_cos, i_sin = msys.moment_index(heading.cos_var), msys.moment_index(heading.sin_var)
     positions = msys.pair_positions(*POSITION)
-    model = DisturbanceModel(msys, distributions, {steered_disturbance(msys): np.zeros(0)})  # one per tree
+    steered, requirements, terms = steered_disturbance(msys), msys.dist_requirements, msys.term_table
+    faces, starts = env._faces
+    model = DisturbanceModel(msys, distributions, {steered: np.zeros(0)})  # one per tree
     cfg = config or PlannerConfig()
     rng = np.random.Generator(np.random.PCG64(seed))
     xmin, ymin, xmax, ymax = env.bounds
@@ -439,21 +441,20 @@ def build_rrt(
             continue
         if len(controls) == 0:
             continue
-        try:
-            traj = stochastic_steer(parent.moment_state, controls, msys, model)
-        except PropagationError:
+        model.shifts[steered] = controls
+        out = np.empty((len(controls) + 1, len(msys.basis)))
+        table = model.moment_table(requirements, len(controls))
+        bad_t, _, _, new_risk = _kernels.run_steps(parent.moment_state.values, table, *terms, out, positions, faces,
+                                                   starts, parent.risk_to_node, epsilon)
+        if bad_t >= 0 or not new_risk <= epsilon:
             continue
-        edge_risk = trajectory_risk(traj, env)
-        new_risk = parent.risk_to_node + edge_risk
-        if new_risk > epsilon:
-            continue
-        arrival = traj.values[-1].tolist()
+        arrival = out[-1].tolist()
         mx, my, sxx, syy, sxy = central_second_moments(arrival, positions)
         # Mean heading at arrival, recovered as atan2(E[sin], E[cos]).
         mean_heading = math.atan2(arrival[i_sin], arrival[i_cos])
         node = TreeNode(
             pose=(mx, my, mean_heading),
-            moment_state=traj.state(traj.n_steps),
+            moment_state=MomentState(out[-1], len(controls)),
             risk_to_node=new_risk,
             parent=nearest,
             controls=controls,

@@ -442,9 +442,10 @@ def parse_spec(text: str) -> SystemSpec:
     disturbance_vars: list[str] = []
     updates: dict[str, Expr] = {}
     update_lines: dict[str, int] = {}
-    independence: list[tuple[frozenset[str], frozenset[str]]] = []
+    independence: list[tuple[frozenset[str], frozenset[str], int]] = []
     moment_chunks: list[tuple[str, int]] = []
     distributions: dict[str, distmoments.Distribution] = {}
+    dist_lines: dict[str, int] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -465,6 +466,8 @@ def parse_spec(text: str) -> SystemSpec:
                 target = {"state": state_vars, "angle": angle_vars, "disturbance": disturbance_vars}[head.text]
                 if tok.text in target:
                     raise SpecError(f"duplicate declaration of {tok.text!r}", line_no, tok.col)
+                if tok.text in {"state": disturbance_vars, "disturbance": state_vars}.get(head.text, ()):
+                    raise SpecError(f"names declared both state and disturbance: {[tok.text]}", line_no, tok.col)
                 target.append(tok.text)
         elif head.text == "dyn":
             name_tok = tokens[1] if len(tokens) > 1 else head
@@ -485,7 +488,7 @@ def parse_spec(text: str) -> SystemSpec:
             parser = _ExprParser(tokens, 1)
             first = _parse_name_set(parser)
             second = _parse_name_set(parser)
-            independence.append((first, second))
+            independence.append((first, second, line_no))
         elif head.text == "moments":
             body = line.split(None, 1)
             if len(body) < 2:
@@ -501,6 +504,7 @@ def parse_spec(text: str) -> SystemSpec:
             parser = _ExprParser(tokens, 2)
             parser.expect_punct("=")
             distributions[name_tok.text] = _parse_dist_value(tokens, parser.i)
+            dist_lines[name_tok.text] = line_no
         else:
             raise SpecError(f"unknown declaration {head.text!r}", line_no, head.col)
 
@@ -508,8 +512,6 @@ def parse_spec(text: str) -> SystemSpec:
     angles = tuple(angle_vars)
     dists = tuple(disturbance_vars)
     declared = set(state) | set(dists)
-    if set(state) & set(dists):
-        raise SpecError(f"names declared both state and disturbance: {sorted(set(state) & set(dists))}")
     for a in angles:
         if a not in state:
             raise SpecError(f"angle {a!r} is not a declared state variable")
@@ -520,7 +522,7 @@ def parse_spec(text: str) -> SystemSpec:
     for name in updates:
         if name not in state:
             raise SpecError(f"'dyn' update for undeclared state variable {name!r}", update_lines[name])
-    spec = SystemSpec(state, angles, dists, updates, tuple(independence), distributions=distributions)
+    spec = SystemSpec(state, angles, dists, updates, tuple(d[:2] for d in independence), distributions=distributions)
     for name, use in spec.usage.items():
         for sym in use.names:
             if sym not in declared:
@@ -528,19 +530,23 @@ def parse_spec(text: str) -> SystemSpec:
 
     for name, dist in distributions.items():
         if name not in dists:
-            raise SpecError(f"'dist' declaration for undeclared disturbance {name!r}")
+            raise SpecError(f"'dist' declaration for undeclared disturbance {name!r}", dist_lines[name])
 
-    for first, second in independence:
+    for first, second, ln in independence:
         for group in (first, second):
             for sym in group:
                 if sym not in state:
-                    raise SpecError(f"independence declaration names non-state variable {sym!r}")
+                    raise SpecError(f"independence declaration names non-state variable {sym!r}", ln)
         if first & second:
-            raise SpecError(f"independence declaration groups overlap: {sorted(first & second)}")
+            raise SpecError(f"independence declaration groups overlap: {sorted(first & second)}", ln)
 
     spec.target_moments = tuple(parse_monomial(chunk, state, ln) for chunk, ln in moment_chunks)
+    for alpha, (_, ln) in zip(spec.target_moments, moment_chunks):
+        if angle := next((name for name, e in zip(state, alpha) if e and name in angles), None):
+            raise SpecError(f"moments of angle {angle!r} are not expressible after encoding; "
+                            "its cosine/sine moments appear in completions automatically", ln)
     spec.increments = _angle_increments(spec, update_lines)
-    spec.trig_offsets = _trig_offsets(spec)
+    spec.trig_offsets = _trig_offsets(spec, update_lines)
     return spec
 
 
@@ -612,24 +618,24 @@ def _angle_increments(
     return increments
 
 
-def _trig_offsets(spec: SystemSpec) -> dict[str, Fraction]:
+def _trig_offsets(spec: SystemSpec, update_lines: dict[str, int]) -> dict[str, Fraction]:
     """The `trig_offsets` of a spec whose `increments` are known.
 
     A disturbance used both polynomially and trigonometrically, or
-    trigonometrically with two constant offsets, is an input error.
+    trigonometrically with two constant offsets (named at the second), is an input error.
     """
-    offsets: dict[str, set[Fraction]] = {}
+    offsets: dict[str, dict[Fraction, int]] = {}  # each offset's first update line
     poly_used: set[str] = set()
-    for source, offset in spec.increments.values():
+    for angle, (source, offset) in spec.increments.items():
         if source is not None:
-            offsets.setdefault(source, set()).add(offset)
+            offsets.setdefault(source, {}).setdefault(offset, update_lines[angle])
     for name, use in spec.usage.items():
         if name in spec.angle_vars:
             continue
         poly_used.update(use.bare)
         for arg in use.trig:
             if arg in spec.disturbance_vars:
-                offsets.setdefault(arg, set()).add(Fraction(0))
+                offsets.setdefault(arg, {}).setdefault(Fraction(0), update_lines[name])
     for name, found in offsets.items():
         if name in poly_used:
             raise SpecError(
@@ -638,9 +644,10 @@ def _trig_offsets(spec: SystemSpec) -> dict[str, Fraction]:
         if len(found) > 1:
             raise SpecError(
                 f"disturbance {name!r} is used trigonometrically with different constant offsets; "
-                "the encoded pairs would wrongly be treated as independent"
+                "the encoded pairs would wrongly be treated as independent",
+                list(found.values())[1],
             )
-    return {name: found.pop() for name, found in offsets.items()}
+    return {name: next(iter(found)) for name, found in offsets.items()}
 
 
 # -- dependence graph ---------------------------------------------------------
@@ -824,14 +831,8 @@ def trig_encode(spec: SystemSpec) -> PolynomialSystem:
     for alpha in spec.target_moments:
         exps = [0] * len(new_vars)
         for name, e in zip(spec.state_vars, alpha):
-            if not e:
-                continue
-            if name in state_pairs:
-                raise SpecError(
-                    f"moments of angle {name!r} are not expressible after encoding; "
-                    "its cosine/sine moments appear in completions automatically"
-                )
-            exps[var_index[name]] = e
+            if e:  # parse_spec rejects a moment of an angle
+                exps[var_index[name]] = e
         targets.append(MultiIndex(exps))
 
     # Complete graph minus declared independences.  An angle's (c, s) pair stays

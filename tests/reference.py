@@ -292,13 +292,23 @@ def obstacle_risk(mu: np.ndarray, sigma: np.ndarray, obstacle: Polytope) -> floa
 # for bit.  conftest's `use_kernel_twins` sets them in place of the entry points.
 
 
-def run_steps_python(values0, table, target, coeff, req, fact, out):
+def run_steps_python(values0, table, target, coeff, req, fact, out, *budget):
     """Evaluate the moment recursion for table.shape[0] steps: `_kernels.run_steps`' twin.
 
     out[t] is the moment state at step t; fact holds per-term factor indices
     padded with -1.  Returns (step, moment index) of the first non-finite
-    value, or (-1, -1) on success.
+    value, or (-1, -1) on success.  With a budget (positions, faces, starts,
+    parent_risk, epsilon), each finite row's bound is added as it is computed
+    and the loop stops once parent_risk + bound > epsilon; the result then
+    also holds the steps bounded and parent_risk + their bound.  That bound
+    is `risk_bound_python` of the rows so far, whose running sum adds each
+    row's obstacles in the order the C loop does.
     """
+    *obstacles, parent_risk, epsilon = budget or (None, None)
+
+    def spent(rows):
+        return (rows.shape[0] - 1, parent_risk + risk_bound_python(rows, *obstacles)) if budget else ()
+
     n = values0.shape[0]
     n_steps = table.shape[0]
     n_terms = target.shape[0]
@@ -320,8 +330,12 @@ def run_steps_python(values0, table, target, coeff, req, fact, out):
                 out[t + 1, target[k]] += v
             for j in range(n):
                 if not np.isfinite(out[t + 1, j]):
-                    return t + 1, j
-    return -1, -1
+                    return (t + 1, j, *spent(out[: t + 1]))
+            if budget:
+                steps, risk = spent(out[: t + 2])
+                if not risk <= epsilon:
+                    return -1, -1, steps, risk
+    return (-1, -1, *spent(out))
 
 
 def risk_bound_python(values, positions, faces, starts):

@@ -36,6 +36,7 @@ from reference import (
     moment,
     nearest_python,
     obstacle_risk,
+    risk_bound_python,
     shortest_path,
     simulate_controls,
     steer_python,
@@ -168,10 +169,14 @@ class TestPolytope:
 
 class TestTrajectoryRisk:
     def test_empty_environment(self, dubins_reduced):
+        """No obstacles: a (6, 0) face table and no first faces, which the kernel and its twin take as they come."""
         env = Environment((0, 0, 5, 5), (0, 0, 0), (4, 4, 0.5))
+        faces, starts = env._faces
+        assert faces.shape == (6, 0) and starts.shape == (0,) and starts.dtype == np.int64
         state = init_deterministic(dubins_reduced, {"x": 0, "y": 0, "v": 1, "theta": 0})
         traj = stochastic_steer(state, np.zeros(3), dubins_reduced, _planner_model(dubins_reduced))
-        assert trajectory_risk(traj, env) == 0.0
+        positions = dubins_reduced.pair_positions("x", "y")
+        assert trajectory_risk(traj, env) == risk_bound_python(traj.values, positions, faces, starts) == 0.0
 
     def test_summation_over_steps_and_obstacles(self, dubins_reduced):
         state = init_deterministic(dubins_reduced, {"x": 0, "y": 0, "v": 1, "theta": 0})
@@ -795,7 +800,7 @@ class TestBuildRrt:
             epsilon=0.1, iterations=250, seed=4,
         )
         assert result.found
-        assert result.nodes[result.goal_node].risk_to_node == 0.0
+        assert {node.risk_to_node for node in result.nodes} == {0.0}
 
     def test_impossible_budget_gives_no_plan(self, dubins_reduced):
         env = parse_environment(presets.PLANNER_ENV)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from momentprop import _kernels, compiler, presets, propagator
+from momentprop import _kernels, compiler, planner, presets, propagator
 from momentprop.compiler import compile_moment_system
 from momentprop.distmoments import Degenerate, DisturbanceModel, Gaussian
 from momentprop.polyring import MultiIndex, Polynomial
@@ -676,6 +676,105 @@ def test_risk_bound_rejects_bad_input_and_releases_buffers():
         assert [sys.getrefcount(arr) for arr in args] == before, name
     with pytest.raises(TypeError, match="takes 4 arguments"):
         _kernels.risk_bound(values, positions, faces)
+
+
+# Obstacle tables for a budgeted edge: the planner's two boxes, none, and one rotated square.
+BUDGET_ENVS = [planner.parse_environment(text)._faces for text in (
+    presets.PLANNER_ENV,
+    "bounds 0 0 2.5 2.5\nstart 0.3 0.3 0\ngoal 2.1 2.1 0.25\n",
+    "bounds 0 0 2.5 2.5\nstart 0.3 0.3 0\ngoal 2.1 2.1 0.25\nobstacle 1 0.6 1.4 1 1 1.4 0.6 1\n",
+)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_budgeted_run_steps_matches_its_twin_and_the_two_pass_edge(dubins_reduced, data):
+    """A planner edge with a risk budget: the C loop and its twin run the same rows and return the same steps and
+    risk, bit for bit.  Against the unbudgeted call and `risk_bound`: an edge within budget has their rows and
+    parent risk + bound, an edge stopped for risk would pass epsilon had it run every step, and a non-finite row
+    is the unbudgeted call's.  Huge speeds make rows overflow part way."""
+    msys = dubins_reduced
+    n_steps = data.draw(st.integers(0, 40), label="steps")
+    controls = np.array(data.draw(st.lists(st.floats(-0.2, 0.2), min_size=n_steps, max_size=n_steps)))
+    speed = data.draw(st.one_of(st.floats(0.01, 0.2), st.sampled_from((1e152, 1e153))), label="speed")
+    pose = {"x": data.draw(st.floats(0.0, 2.5)), "y": data.draw(st.floats(0.0, 2.5)), "v": speed,
+            "theta": data.draw(st.floats(-math.pi, math.pi))}
+    model = DisturbanceModel(msys, presets.planner_noise(), {"wt": controls})
+    # The parent is the end of an earlier stretch of noise, so its variances need not be zero.
+    prefix = data.draw(st.integers(0, 30), label="prefix steps")
+    values0 = np.empty((prefix + 1, len(msys.basis)))
+    stationary = DisturbanceModel(msys, presets.planner_noise()).moment_table(msys.dist_requirements, prefix)
+    prefix_bad, _ = _kernels.run_steps(init_deterministic(msys, pose).values, stationary, *msys.term_table, values0)
+    values0 = values0[-1 if prefix_bad < 0 else 0]
+    faces, starts = data.draw(st.sampled_from(BUDGET_ENVS), label="obstacles")
+    epsilon = data.draw(st.floats(0.0, 2.0), label="epsilon")
+    parent = data.draw(st.one_of(st.floats(0.0, 1.0).map(lambda f: f * epsilon), st.floats(0.0, 3.0)), label="parent")
+    positions = msys.pair_positions("x", "y")
+    args = (values0, model.moment_table(msys.dist_requirements, n_steps), *msys.term_table)
+    budget = (positions, faces, starts, parent, epsilon)
+    got, ref, full = (np.full((n_steps + 1, len(msys.basis)), 7.0) for _ in range(3))
+    bad_t, bad_j, steps, risk = result = _kernels.run_steps(*args, got, *budget)
+    twin = run_steps_python(*args, ref, *budget)
+    assert result[:3] == twin[:3] and risk.hex() == twin[3].hex()
+    assert np.array_equal(np.isnan(got), np.isnan(ref))
+    assert np.array_equal(np.where(np.isnan(got), 0.0, got).view(np.int64),
+                          np.where(np.isnan(ref), 0.0, ref).view(np.int64))
+    unbudgeted = _kernels.run_steps(*args, full)
+    rows = steps + 1 + (bad_t >= 0)
+    assert np.array_equal(got[:rows], full[:rows], equal_nan=True) and (got[rows:] == 7.0).all()
+    assert risk.hex() == (parent + _kernels.risk_bound(got[: steps + 1], positions, faces, starts)).hex()
+    if bad_t >= 0:
+        assert unbudgeted == (bad_t, bad_j) and steps == bad_t - 1
+    elif risk <= epsilon:
+        assert unbudgeted == (-1, -1) and steps == n_steps
+    else:
+        assert unbudgeted[0] >= 0 or parent + _kernels.risk_bound(full, positions, faces, starts) > epsilon
+
+
+def test_a_row_whose_squares_overflow_adds_one_per_obstacle():
+    """E[x]^2 and E[y]^2 overflow while every moment is finite: each of the planner's two boxes bounds the row by
+    exactly 1.0, never NaN, in risk_bound, in the budgeted run_steps and in their twins."""
+    faces, starts = BUDGET_ENVS[0]
+    positions = np.arange(5, dtype=np.int64)
+    row = np.array([1e200, 1e200, 1e300, 1e300, 1e300])
+    values = np.array([row, row])
+    assert _kernels.risk_bound(values, positions, faces, starts) == risk_bound_python(values, positions, faces, starts)
+    assert _kernels.risk_bound(values, positions, faces, starts) == 2.0
+    # Each step copies every moment, so each row is the first one.
+    terms = (np.arange(5, dtype=np.int64), np.ones(5), np.zeros(5, dtype=np.int64), np.arange(5).reshape(5, 1))
+    for epsilon, expected in ((10.0, (-1, -1, 3, 6.0)), (3.0, (-1, -1, 2, 4.0)), (0.5, (-1, -1, 1, 2.0))):
+        for run in (_kernels.run_steps, run_steps_python):
+            out = np.empty((4, 5))
+            assert run(row, np.ones((3, 1)), *terms, out, positions, faces, starts, 0.0, epsilon) == expected
+
+
+def test_budgeted_run_steps_rejects_bad_obstacles_and_releases_buffers(walk):
+    """The budget's arrays are checked as risk_bound checks them, named after run_steps; every buffer is released."""
+    arrays = walk.term_table
+    values0, table, out = np.array([0.5, 0.25]), np.array([[1.0, 0.1, 0.02]] * 3), np.empty((4, 2))
+    faces, starts = BUDGET_ENVS[0]
+    positions = np.array([0, 0, 1, 1, 1], dtype=np.int64)
+    cases = {
+        "valid": ((positions, faces, starts, 0.0, 0.1), None),
+        "float positions": ((positions.astype(float), faces, starts, 0.0, 0.1), TypeError),
+        "4 positions": ((positions[:4], faces, starts, 0.0, 0.1), ValueError),
+        "position past the last moment": ((np.array([0, 0, 1, 1, 2]), faces, starts, 0.0, 0.1), IndexError),
+        "start past the last face": ((positions, faces, np.array([0, 8]), 0.0, 0.1), IndexError),
+        "a string epsilon": ((positions, faces, starts, 0.0, "0.1"), TypeError),
+    }
+    for name, (budget, expected) in cases.items():
+        args = (values0, table, *arrays, out, *budget)
+        before = [sys.getrefcount(arr) for arr in args]
+        try:
+            _kernels.run_steps(*args)
+            raised = None
+        except (TypeError, ValueError, IndexError) as exc:
+            raised = type(exc)
+            assert str(exc).startswith("run_steps: ") or name == "a string epsilon", name
+        assert raised is expected, name
+        assert [sys.getrefcount(arr) for arr in args] == before, name
+    with pytest.raises(TypeError, match="takes 7 or 12 arguments"):
+        _kernels.run_steps(values0, table, *arrays, out, positions, faces, starts, 0.0)
 
 
 def test_kernel_rejects_odd_inputs(dubins_reduced):

@@ -204,19 +204,19 @@ def _edited(*edits):
     return text
 
 
-# Each malformed edit of DUBINS, with the error's message and its line (None for an error of the whole spec).
+# Each malformed edit of DUBINS, with the error's message and the line it names.
 SPEC_ERRORS = {
     "duplicate-dyn": ([("dyn v'     = v + wv", "dyn v'     = v + wv\ndyn x' = x")], "duplicate update for 'x'", 8),
     "empty-moments": ([("moments x y x*y x^2 y^2", "moments")], "'moments' needs at least one monomial", 10),
     "state-and-disturbance": ([("disturbance wv wt", "disturbance wv wt x")],
-                              "names declared both state and disturbance: ['x']", None),
+                              "names declared both state and disturbance: ['x']", 4),
     "undeclared-dist": ([("dist wv =", "dist wq = gaussian(0, 1)\ndist wv =")],
-                        "'dist' declaration for undeclared disturbance 'wq'", None),
+                        "'dist' declaration for undeclared disturbance 'wq'", 11),
     "independent-not-a-name": ([("{v} {theta}", "{v} {1}")], "expected a variable name", 9),
     "independent-empty-set": ([("{v} {theta}", "{v} {}")], "empty variable set in independence declaration", 9),
     "independent-non-state": ([("{v} {theta}", "{v} {wt}")],
-                              "independence declaration names non-state variable 'wt'", None),
-    "independent-overlap": ([("{v} {theta}", "{v} {v theta}")], "independence declaration groups overlap: ['v']", None),
+                              "independence declaration names non-state variable 'wt'", 9),
+    "independent-overlap": ([("{v} {theta}", "{v} {v theta}")], "independence declaration groups overlap: ['v']", 9),
     "sin-of-a-constant": ([("sin(theta)", "sin(2)")], "sin() takes a single variable", 6),
     "missing-comma": ([("gaussian(0.04, 0.03)", "gaussian(0.04 0.03)")], "expected ',' or ')'", 12),
     "subtracted-disturbance": ([("theta + wt", "theta - wt")],
@@ -228,9 +228,9 @@ SPEC_ERRORS = {
     "bare-angle": ([("v + wv", "v + wv + theta")],
                    "angle 'theta' may appear only inside sin()/cos() outside its own update", 7),
     "two-trig-offsets": ([("theta + wt", "theta + wt + 1"), ("v + wv", "v + wv*cos(wt)")],
-                         "disturbance 'wt' is used trigonometrically with different constant offsets", None),
+                         "disturbance 'wt' is used trigonometrically with different constant offsets", 7),
     "angle-moment": ([("moments x y x*y x^2 y^2", "moments theta")],
-                     "moments of angle 'theta' are not expressible after encoding", None),
+                     "moments of angle 'theta' are not expressible after encoding", 10),
 }
 
 
@@ -241,7 +241,7 @@ def test_spec_error_names_its_line_and_compile_exits_2(tmp_path, capsys, edits, 
     with pytest.raises(SpecError, match=re.escape(message)) as err:
         trig_encode(parse_spec(text))
     assert err.value.line == line
-    assert str(err.value).startswith(f"line {line}" if line else message)
+    assert str(err.value).startswith(f"line {line}")
     (tmp_path / "bad.spec").write_text(text)
     assert cli.main(["compile", str(tmp_path / "bad.spec"), "-o", str(tmp_path / "bad.msys")]) == cli.EXIT_INPUT
     assert capsys.readouterr().err.splitlines() == [f"error: {err.value}"]

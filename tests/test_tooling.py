@@ -8,7 +8,7 @@ import importlib.util
 from pathlib import Path
 
 import momentprop
-from momentprop import _kernels, distmoments, oracle, planner, presets, propagator, sysspec
+from momentprop import _kernels, distmoments, oracle, planner, presets, sysspec
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -28,79 +28,90 @@ def test_perfbench_span_targets_exist():
     assert hasattr(_kernels, "HAVE_NUMBA")
 
 
+def _count_calls(counts, owner, name, monkeypatch, check=None):
+    """Count the calls to `owner.name` in `counts[name]`, passing each result through `check` if given,
+    until `monkeypatch` undoes it."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        result = original(*args, **kwargs)
+        return result if check is None else check(result)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
 def test_planner_seams_run_once_per_edge(dubins_reduced, monkeypatch):
-    """The per-edge functions the tracer and the reference test replace are each called once per edge.
+    """The per-edge functions the tracer wraps are each called once per edge.
 
     Each tree builds one DisturbanceModel.  Every edge with controls calls
-    planner.propagate and DisturbanceModel.moment_table once; every edge
-    whose propagation does not fail is then scored by planner.trajectory_risk.
-    Every fourth propagation is made to fail after it runs, to exercise the
-    rejection path.
+    DisturbanceModel.moment_table once and `_kernels.run_steps` once, with
+    the risk budget.  Every fourth kernel call whose edge would be accepted
+    returns a non-finite first row instead, and the tree must reject it.
     """
     counts = collections.Counter()
-
-    def counting(owner, name, check=None):
-        original = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            result = original(*args, **kwargs)
-            return result if check is None else check(result)
-
-        monkeypatch.setattr(owner, name, wrapper)
-
-    def fail_every_fourth(traj):
-        if counts["propagate"] % 4 == 0:
-            counts["failed"] += 1
-            raise propagator.PropagationError("injected")
-        return traj
 
     def count_edge(controls):
         counts["edges"] += len(controls) > 0
         return controls
 
-    counting(planner, "dubins_steer", count_edge)
-    counting(distmoments.DisturbanceModel, "__init__")
-    counting(planner, "propagate", fail_every_fourth)
-    counting(distmoments.DisturbanceModel, "moment_table")
-    counting(planner, "trajectory_risk")
+    run_steps = _kernels.run_steps
+
+    def budgeted(*args):
+        counts["run_steps"] += 1
+        assert len(args) == 12 and args[-1] == 0.1
+        bad_t, bad_j, steps, risk = run_steps(*args)
+        accepted = bad_t < 0 and risk <= args[-1]
+        if accepted and counts["run_steps"] % 4 == 0:
+            counts["failed"] += 1
+            return 1, 0, 0, args[-2]  # within budget, so only the non-finite row rejects it
+        counts["accepted"] += accepted
+        return bad_t, bad_j, steps, risk
+
+    _count_calls(counts, planner, "dubins_steer", monkeypatch, count_edge)
+    _count_calls(counts, distmoments.DisturbanceModel, "__init__", monkeypatch)
+    _count_calls(counts, distmoments.DisturbanceModel, "moment_table", monkeypatch)
+    monkeypatch.setattr(_kernels, "run_steps", budgeted)
     env = planner.parse_environment(presets.PLANNER_ENV)
-    for seed in (3, 4):
-        planner.build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, 60, seed)
-    assert counts["edges"] > 80 and counts["failed"] > 20
+    nodes = sum(len(planner.build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, 60, seed).nodes) - 1
+                for seed in (3, 4))
+    assert counts["edges"] > 80 and counts["failed"] > 5
     assert counts["__init__"] == 2
-    assert counts["propagate"] == counts["moment_table"] == counts["edges"]
-    assert counts["trajectory_risk"] == counts["edges"] - counts["failed"]
+    assert counts["run_steps"] == counts["moment_table"] == counts["edges"]
+    assert nodes == counts["accepted"]
 
 
-def _count_calls(counts, owner, name, monkeypatch):
-    """Count the calls to `owner.name` in `counts[name]`, until `monkeypatch` undoes it."""
-    original = getattr(owner, name)
+def test_build_rrt_runs_each_edge_in_one_budgeted_kernel_call(dubins_reduced, monkeypatch):
+    """One `_kernels.run_steps` call per edge gives what `stochastic_steer` and `trajectory_risk` give.
 
-    def wrapper(*args, **kwargs):
-        counts[name] += 1
-        return original(*args, **kwargs)
+    The call holds the edge's moment table and term table where the tracer's
+    term-step count reads them, and the parent's risk.  Some edges stop
+    before their last step; each accepted node is, bit for bit, the one-off
+    edge path's arrival state and its parent's risk plus that path's bound.
+    """
+    calls = []
+    run_steps = _kernels.run_steps
 
-    monkeypatch.setattr(owner, name, wrapper)
+    def recording(*args):
+        calls.append((args, run_steps(*args)))
+        return calls[-1][1]
 
-
-def test_build_rrt_propagates_each_edge_through_stochastic_steer(dubins_reduced, monkeypatch):
-    """The tracer's planner.stochastic_steer span: one call for each edge that has controls."""
-    counts = collections.Counter()
-    steer = planner.dubins_steer
-
-    def count_edge(*args):
-        controls = steer(*args)
-        counts["edges"] += len(controls) > 0
-        return controls
-
-    monkeypatch.setattr(planner, "dubins_steer", count_edge)
-    _count_calls(counts, planner, "stochastic_steer", monkeypatch)
+    monkeypatch.setattr(_kernels, "run_steps", recording)
     env = planner.parse_environment(presets.PLANNER_ENV)
-    for seed in (3, 4):
-        planner.build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, 60, seed)
-    assert counts["edges"] > 80
-    assert counts["stochastic_steer"] == counts["edges"]
+    result = planner.build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, 60, 3)
+    monkeypatch.undo()
+    assert len(calls) > 40
+    for args, (bad_t, _, steps, risk) in calls:
+        assert args[2] is dubins_reduced.term_table.target and steps <= args[1].shape[0] == args[6].shape[0] - 1
+    assert any(steps < args[1].shape[0] for args, (_, _, steps, _) in calls)
+    model = distmoments.DisturbanceModel(dubins_reduced, presets.planner_noise())
+    assert len(result.nodes) > 10
+    for node in result.nodes[1:]:
+        parent = result.nodes[node.parent]
+        traj = planner.stochastic_steer(parent.moment_state, node.controls, dubins_reduced, model)
+        assert node.moment_state.values.tobytes() == traj.values[-1].tobytes()
+        assert node.moment_state.time == traj.n_steps
+        assert node.risk_to_node == parent.risk_to_node + planner.trajectory_risk(traj, env)
 
 
 def test_mc_simulate_evaluates_each_update_once_per_step_and_batch(dubins_spec, dubins_system, monkeypatch):
