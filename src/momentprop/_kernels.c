@@ -15,7 +15,8 @@
    is out of range, 2 if the index arrays cannot be allocated, else 0 with the first non-finite (step, moment) or
    (-1, -1) in bad.  With a budget, each finite row's risk bound is added up, and the loop stops once the parent's
    risk plus that sum passes epsilon: each obstacle adds a value in [0, 1], never NaN, and rounded addition is
-   monotone, so an edge stopped early would pass epsilon had it run every step. */
+   monotone, so an edge stopped early would pass epsilon had it run every step.  With a moment plan too, each table
+   row is written just before its step (moment_row): a stopped edge takes no trig moments for steps it does not run. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -53,9 +54,85 @@ all_products(int stationary, int64_t max_f, const int64_t *first, const double *
     }
 }
 
-/* risk_bound's obstacles (positions, faces, starts); run_steps' budget in (parent, epsilon) and out (steps, total). */
+/* The FMA trap.  numpy's SIMD complex product is fused (fmaddsub) on a CPU with FMA: its real part is
+   fma(ar, br, -(ai * bi)) and its imaginary part fma(ar, bi, ai * br).  An unfused a * b + c rounds the same where
+   a * b is exact (ar = 0: a purely imaginary coefficient), and where c is a zero or NaN (ai = 0: a purely real
+   coefficient) in every case but one: a nonzero a * b that rounds to zero keeps its sign when fused, while the
+   unfused -0.0 + +0.0 is +0.0.  fused() repeats that case, so on the Laurent coefficients, each purely real or
+   purely imaginary, it gives fma's bits (and differs from numpy without FMA only in that zero's sign).  It is not
+   libm's fma, which is a slow software loop on a CPU without the instruction. */
+static inline double fused(double a, double b, double c)
+{
+    double p = a * b;
+    return p == 0.0 && a != 0.0 && b != 0.0 && c == 0.0 ? p : p + c;
+}
+
+/* reference.trig_moments_python, operation for operation.  Each step's characteristic function values are numpy's
+   exp(1j * t * (loc + (base + s)) - variance * t * t / 2.0) at every frequency t: 1j * t is the complex product
+   (0 + 1i)(t + 0i), its product with the real argument is a complex product with (x + 0i), and the subtraction is a
+   complex one with (g + 0i); numpy's complex exp is the C library's cexp.  Each Laurent sum then starts from the first
+   frequency's product and adds the others in frequency order.  Returns the largest |imaginary part| of the sums, NaN
+   if one is NaN, as np.maximum.reduce takes it. */
+static double trig_moments(Py_ssize_t n_steps, const char *s, Py_ssize_t s_stride, double base, double loc,
+                           double var, Py_ssize_t n_freqs, const double *freqs, Py_ssize_t n_pairs,
+                           const double *coef, char *out, Py_ssize_t row_stride, Py_ssize_t col_stride,
+                           double complex *v)
+{
+    double residue = 0.0;
+    for (Py_ssize_t k = 0; k < n_steps; k++) {
+        double x = loc + (base + *(const double *)(s + k * s_stride));
+        for (Py_ssize_t f = 0; f < n_freqs; f++) {
+            double t = freqs[f], r = 0.0 * t - 1.0 * 0.0;
+            double re = r * x - t * 0.0, im = r * 0.0 + t * x, g = var * t * t / 2.0;
+            v[f] = cexp(CMPLX(re - g, im - 0.0));
+        }
+        for (Py_ssize_t p = 0; p < n_pairs; p++) {
+            double sr = 0.0, si = 0.0;
+            for (Py_ssize_t f = 0; f < n_freqs; f++) {
+                const double *c = coef + 2 * (f * n_pairs + p);
+                double vr = creal(v[f]), vi = cimag(v[f]);
+                double pr = fused(c[0], vr, -(c[1] * vi)), pi = fused(c[0], vi, c[1] * vr);
+                sr = f ? sr + pr : pr;
+                si = f ? si + pi : pi;
+            }
+            *(double *)(out + k * row_stride + p * col_stride) = sr;
+            double a = fabs(si);
+            residue = isnan(a) || a > residue ? a : residue;
+        }
+    }
+    return residue;
+}
+
+/* run_steps' moment plan (DisturbanceModel.steering_plan): the steered slot's schedule, base, loc, var, freqs, coef
+   and n_pairs columns from first in a copy of the slot row (column 0 is 1.0), each requirement's (n_factors, n_req)
+   slot columns, the table whose rows it writes, and the residue of a row that failed. */
+struct plan {
+    const double *schedule, *freqs, *coef; const int64_t *factors; double *slots, *table; double complex *v;
+    int64_t n_req, n_freqs, n_pairs, first, n_factors; double base, loc, var, residue;
+};
+
+/* Row t of the table: step t's trig moments into the slot row, then each requirement's product of its slot columns,
+   left to right, as distmoments._products forms it.  1 if the residue passes the tolerance, else 0. */
+static int moment_row(struct plan *p, int64_t t)
+{
+    double *slots = p->slots, *row = p->table + t * p->n_req;
+    double residue = trig_moments(1, (const char *)(p->schedule + t), 0, p->base, p->loc, p->var, p->n_freqs,
+                                  p->freqs, p->n_pairs, p->coef, (char *)(slots + p->first), 0, sizeof *slots, p->v);
+    if (residue > 1e-12) /* distmoments._IMAG_RESIDUE_TOL */
+        return p->residue = residue, 1;
+    for (int64_t j = 0; j < p->n_req; j++) {
+        double v = slots[p->factors[j]];
+        for (int64_t i = 1; i < p->n_factors; i++)
+            v *= slots[p->factors[i * p->n_req + j]];
+        row[j] = v;
+    }
+    return 0;
+}
+
+/* risk_bound's obstacles; run_steps' budget in (parent, epsilon, plan or NULL) and out (steps, total). */
 struct budget {
     const int64_t *pos, *starts; const double *faces; int64_t n_faces, n_obs, steps; double parent, epsilon, total;
+    struct plan *plan;
 };
 
 /* Adds row v's bound to *total, obstacle by obstacle, with reference.risk_bound_python's operations in its order.
@@ -162,7 +239,8 @@ int run_steps(int64_t n, int64_t n_steps, int64_t n_terms, int64_t max_f,
         if (__builtin_expect(bud != NULL, 0)) { /* out of line, so the loop without a budget is laid out as before */
             row_risk(next, bud, &bud->total);
             bud->steps = t + 1;
-            if (!(bud->parent + bud->total <= bud->epsilon))
+            if (!(bud->parent + bud->total <= bud->epsilon)
+                || (bud->plan && t + 1 < n_steps && moment_row(bud->plan, t + 1))) /* row t + 1, within budget */
                 break;
         }
     }
@@ -219,19 +297,25 @@ static int get_obstacles(const char *entry, Py_buffer *b, Py_ssize_t n, struct b
 
 /* run_steps(values0, table, target, coeff, req, fact, out) -> (bad_t, bad_j), on the arrays' buffers; with a budget,
    run_steps(..., out, positions, faces, starts, parent_risk, epsilon) -> (bad_t, bad_j, steps_run, risk), risk being
-   parent_risk plus the bound of rows 1 .. steps_run.  TypeError means an input is not float64 (int64 for target,
-   req and fact) or not laid out as the loop reads it. */
+   parent_risk plus the bound of rows 1 .. steps_run; with a budget and a moment plan, run_steps(..., epsilon,
+   schedule, slots, factors, freqs, coefficients, base, loc, variance, first) also writes the table's rows.
+   TypeError means an input is not float64 (int64 for target, req, fact and factors, complex128 for coefficients)
+   or not laid out as the loop reads it. */
 static PyObject *py_run_steps(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer b[10], *v = b, *tab = b + 1, *tg = b + 2, *co = b + 3, *rq = b + 4, *fa = b + 5, *out = b + 6;
-    PyObject *result = NULL;
-    struct budget bud;
+    Py_buffer b[15], *v = b, *tab = b + 1, *tg = b + 2, *co = b + 3, *rq = b + 4, *fa = b + 5, *out = b + 6;
+    Py_buffer *sch = b + 10, *sl = b + 11, *fs = b + 12, *fr = b + 13, *lc = b + 14;
+    PyObject *result = NULL, *arrays[15];
+    struct budget bud = {0};
+    struct plan plan = {0};
     int status;
     int64_t bad[2];
-    Py_ssize_t n_buffers = nargs == 12 ? 10 : 7;
-    if (nargs != 7 && nargs != 12)
-        return PyErr_Format(PyExc_TypeError, "run_steps takes 7 or 12 arguments (%zd given)", nargs);
-    if (get_buffers(b, args, n_buffers))
+    Py_ssize_t n_buffers = nargs == 21 ? 15 : nargs == 12 ? 10 : 7;
+    if (nargs != 7 && nargs != 12 && nargs != 21)
+        return PyErr_Format(PyExc_TypeError, "run_steps takes 7 or 12 arguments, or 21 with a plan (%zd given)", nargs);
+    for (Py_ssize_t i = 0; i < n_buffers; i++)
+        arrays[i] = args[i < 10 ? i : i + 2]; /* parent_risk and epsilon are floats */
+    if (get_buffers(b, arrays, n_buffers))
         return NULL;
     if (!(f8(v) && f8(tab) && i8(tg) && f8(co) && i8(rq) && i8(fa)))
         FAIL(PyExc_TypeError, "values0, table and coeff must be float64, target, req and fact int64");
@@ -246,19 +330,53 @@ static PyObject *py_run_steps(PyObject *self, PyObject *const *args, Py_ssize_t 
     if (!(dense(v) && dense(tg) && dense(co) && dense(rq) && dense(fa)) || tab->strides[0] % 8
         || (tab->shape[1] > 1 && tab->strides[1] != 8))
         FAIL(PyExc_TypeError, "the arrays must be contiguous, the table's rows 8-byte aligned and its columns 8 bytes apart");
-    if (nargs == 12 && get_obstacles("run_steps", b + 7, v->shape[0], &bud))
+    if (nargs >= 12 && get_obstacles("run_steps", b + 7, v->shape[0], &bud))
         goto release;
-    bud.parent = nargs == 12 ? PyFloat_AsDouble(args[10]) : 0.0;
-    bud.epsilon = nargs == 12 ? PyFloat_AsDouble(args[11]) : 0.0;
+    bud.parent = nargs >= 12 ? PyFloat_AsDouble(args[10]) : 0.0;
+    bud.epsilon = nargs >= 12 ? PyFloat_AsDouble(args[11]) : 0.0;
+    if (nargs == 21) { /* the moment plan */
+        if (!(f8(sch) && f8(sl) && i8(fs) && f8(fr) && lc->itemsize == 16 && !strcmp(lc->format, "Zd") && dense(tab)
+              && dense(sch) && dense(sl) && dense(fs) && dense(fr) && dense(lc)))
+            FAIL(PyExc_TypeError, "the table and plan must be C-contiguous, factors int64, coefficients complex128");
+        if (tab->readonly || sch->ndim != 1 || sl->ndim != 1 || fs->ndim != 2 || fs->shape[0] < 1
+            || fs->shape[1] != tab->shape[1] || fr->ndim != 1 || lc->ndim != 2 || lc->shape[0] != fr->shape[0])
+            FAIL(PyExc_ValueError, "table must be writable, factors (n >= 1, requirements), coefficients (freqs, m)");
+        plan = (struct plan){.schedule = sch->buf, .freqs = fr->buf, .coef = lc->buf, .factors = fs->buf,
+                             .table = tab->buf, .n_req = tab->shape[1], .n_freqs = fr->shape[0],
+                             .n_pairs = lc->shape[1], .n_factors = fs->shape[0], .first = PyLong_AsLongLong(args[20]),
+                             .base = PyFloat_AsDouble(args[17]), .loc = PyFloat_AsDouble(args[18]),
+                             .var = PyFloat_AsDouble(args[19])};
+        if (PyErr_Occurred())
+            goto release;
+        for (Py_ssize_t i = 0; i < fs->shape[0] * fs->shape[1]; i++)
+            if (plan.factors[i] < 0 || plan.factors[i] >= sl->shape[0])
+                FAIL(PyExc_IndexError, "a factor's slot column is out of range");
+        if (sch->shape[0] < tab->shape[0] || plan.first < 0 || plan.first > sl->shape[0] - plan.n_pairs)
+            FAIL(PyExc_IndexError, "the schedule is shorter than the steps, or a steered column out of range");
+        if (!(plan.slots = PyMem_Malloc(sl->len + plan.n_freqs * sizeof *plan.v + 1)))
+            FAIL(PyExc_MemoryError, "out of memory");
+        memcpy(plan.slots, sl->buf, sl->len);
+        plan.v = (double complex *)(plan.slots + sl->shape[0]);
+        bud.plan = &plan;
+    }
     if (PyErr_Occurred())
         goto release;
     Py_BEGIN_ALLOW_THREADS
-    status = run_steps(v->shape[0], tab->shape[0], tg->shape[0], fa->shape[1], tab->shape[1], v->buf, tab->buf,
-                       tab->strides[0] / 8, tg->buf, co->buf, rq->buf, fa->buf, out->buf, bad,
-                       nargs == 12 ? &bud : NULL);
+    status = bud.plan && tab->shape[0] && moment_row(&plan, 0) ? 0 /* each later row once its step is within budget */
+           : run_steps(v->shape[0], tab->shape[0], tg->shape[0], fa->shape[1], tab->shape[1], v->buf, tab->buf,
+                       bud.plan ? plan.n_req : tab->strides[0] / 8, tg->buf, co->buf, rq->buf, fa->buf, out->buf, bad,
+                       nargs >= 12 ? &bud : NULL);
     Py_END_ALLOW_THREADS
+    PyMem_Free(plan.slots);
     if (status == 1)
         FAIL(PyExc_IndexError, "a term's target, requirement or factor index is out of range");
+    if (!status && plan.residue) {
+        char *residue = PyOS_double_to_string(plan.residue, 'g', 6, 0, NULL);
+        if (residue)
+            PyErr_Format(PyExc_ArithmeticError, "trig moment has non-real residue %s", residue);
+        PyMem_Free(residue);
+        goto release;
+    }
     if (status)
         FAIL(PyExc_MemoryError, "the kernel's index arrays cannot be allocated");
     result = nargs == 7 ? Py_BuildValue("(LL)", (long long)bad[0], (long long)bad[1])
@@ -497,55 +615,6 @@ static PyObject *py_nearest(PyObject *self, PyObject *const *args, Py_ssize_t na
 release:
     release_buffers(&b, 1);
     return result;
-}
-
-/* The FMA trap.  numpy's SIMD complex product is fused (fmaddsub) on a CPU with FMA: its real part is
-   fma(ar, br, -(ai * bi)) and its imaginary part fma(ar, bi, ai * br).  An unfused a * b + c rounds the same where
-   a * b is exact (ar = 0: a purely imaginary coefficient), and where c is a zero or NaN (ai = 0: a purely real
-   coefficient) in every case but one: a nonzero a * b that rounds to zero keeps its sign when fused, while the
-   unfused -0.0 + +0.0 is +0.0.  fused() repeats that case, so on the Laurent coefficients, each purely real or
-   purely imaginary, it gives fma's bits (and differs from numpy without FMA only in that zero's sign).  It is not
-   libm's fma, which is a slow software loop on a CPU without the instruction. */
-static inline double fused(double a, double b, double c)
-{
-    double p = a * b;
-    return p == 0.0 && a != 0.0 && b != 0.0 && c == 0.0 ? p : p + c;
-}
-
-/* reference.trig_moments_python, operation for operation.  Each step's characteristic function values are numpy's
-   exp(1j * t * (loc + (base + s)) - variance * t * t / 2.0) at every frequency t: 1j * t is the complex product
-   (0 + 1i)(t + 0i), its product with the real argument is a complex product with (x + 0i), and the subtraction is a
-   complex one with (g + 0i); numpy's complex exp is the C library's cexp.  Each Laurent sum then starts from the first
-   frequency's product and adds the others in frequency order.  Returns the largest |imaginary part| of the sums, NaN
-   if one is NaN, as np.maximum.reduce takes it. */
-static double trig_moments(Py_ssize_t n_steps, const char *s, Py_ssize_t s_stride, double base, double loc,
-                           double var, Py_ssize_t n_freqs, const double *freqs, Py_ssize_t n_pairs,
-                           const double *coef, char *out, Py_ssize_t row_stride, Py_ssize_t col_stride,
-                           double complex *v)
-{
-    double residue = 0.0;
-    for (Py_ssize_t k = 0; k < n_steps; k++) {
-        double x = loc + (base + *(const double *)(s + k * s_stride));
-        for (Py_ssize_t f = 0; f < n_freqs; f++) {
-            double t = freqs[f], r = 0.0 * t - 1.0 * 0.0;
-            double re = r * x - t * 0.0, im = r * 0.0 + t * x, g = var * t * t / 2.0;
-            v[f] = cexp(CMPLX(re - g, im - 0.0));
-        }
-        for (Py_ssize_t p = 0; p < n_pairs; p++) {
-            double sr = 0.0, si = 0.0;
-            for (Py_ssize_t f = 0; f < n_freqs; f++) {
-                const double *c = coef + 2 * (f * n_pairs + p);
-                double vr = creal(v[f]), vi = cimag(v[f]);
-                double pr = fused(c[0], vr, -(c[1] * vi)), pi = fused(c[0], vi, c[1] * vr);
-                sr = f ? sr + pr : pr;
-                si = f ? si + pi : pi;
-            }
-            *(double *)(out + k * row_stride + p * col_stride) = sr;
-            double a = fabs(si);
-            residue = isnan(a) || a > residue ? a : residue;
-        }
-    }
-    return residue;
 }
 
 /* trig_moments(shifts, base, loc, variance, freqs, coefficients, out) -> float, on the arrays' buffers: shifts and

@@ -22,7 +22,9 @@ The entry points (the README's kernel table gives each one's cost per
 call); each matches its reference in the tests' ``reference`` module bit
 for bit:
 
-- `run_steps`: the moment recursion over a horizon, or up to a risk budget.
+- `run_steps`: the moment recursion over a horizon, or up to a risk
+  budget; with a moment plan (`DisturbanceModel.steering_plan`) as well,
+  it writes each table row before its step, so unrun steps cost nothing.
 - `risk_bound`: the planner's per-edge risk bound.
 - `dubins_steer`: the shortest Dubins word and its per-step heading
   increments.

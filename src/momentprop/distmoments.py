@@ -332,9 +332,7 @@ class DisturbanceModel:
                              f"needed steps {t_arr.min()} to {t_arr.max()}")
         return schedule[t_arr]
 
-    def moment_table(
-        self, requirements: Sequence[MultiIndex], n_steps: int, start: int = 0
-    ) -> np.ndarray:
+    def moment_table(self, requirements: Sequence[MultiIndex], n_steps: int, start: int = 0) -> np.ndarray:
         """(n_steps, len(requirements)) table of disturbance moments per step.
 
         Row k holds the moments for step `start + k`; each column is
@@ -351,11 +349,7 @@ class DisturbanceModel:
         holds that finished row, and the call returns it as a read-only view
         with row stride 0, so it multiplies nothing.
         """
-        slot_dists = tuple(
-            None if slot.source in self.shifts else self.distributions.get(slot.source, _NO_SOURCE)
-            for slot in (*self._raw_slots, *self._trig_slots)
-        )
-        row, scheduled, factors = _table_plan(tuple(requirements), self._raw_slots, self._trig_slots, slot_dists)
+        row, scheduled, factors = self._plan(requirements, self.shifts)
         if not scheduled:
             return np.ndarray((n_steps, len(row)), row.dtype, row, 0, (0, row.itemsize))
         slot_moments = np.empty((n_steps, len(row)))
@@ -368,6 +362,25 @@ class DisturbanceModel:
             _slot_moments(self.distributions[source], schedule[start : start + n_steps], orders, laurent,
                           slot_moments[:, first : first + len(orders)])
         return _products(slot_moments, factors)
+
+    def steering_plan(self, requirements: Sequence[MultiIndex], source: str) -> tuple | None:
+        """(slot row, factors, freqs, Laurent matrix, base shift, loc, variance, first column): `_kernels.run_steps`
+        builds `moment_table`'s rows from it, `source` on a schedule.  None unless `source`'s slot is the one scheduled
+        and a Gaussian or degenerate trig slot; Beta, which has no trig moments, raises here."""
+        row, scheduled, factors = self._plan(requirements, {*self.shifts, source})
+        if len(scheduled) != 1 or scheduled[0][0] != source or scheduled[0][3] is None:
+            return None
+        _, first, orders, laurent = scheduled[0]
+        if (params := _cexp_params(self.distributions[source])) is None:  # one row the numpy way: Beta raises
+            _slot_moments(self.distributions[source], np.zeros(1), orders, laurent, np.empty((1, len(orders))))
+            return None
+        return row, factors, *laurent[1:], laurent[0], *params, first
+
+    def _plan(self, requirements: Sequence[MultiIndex], scheduled) -> tuple:
+        """`_table_plan` of the requirements, the slots whose source is in `scheduled` left to each call."""
+        dists = (None if slot.source in scheduled else self.distributions.get(slot.source, _NO_SOURCE)
+                 for slot in (*self._raw_slots, *self._trig_slots))
+        return _table_plan(tuple(requirements), self._raw_slots, self._trig_slots, tuple(dists))
 
 
 def _products(slot_moments: np.ndarray, factors: np.ndarray) -> np.ndarray:

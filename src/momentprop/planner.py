@@ -394,11 +394,13 @@ def build_rrt(
     A candidate edge is accepted only when (risk to its parent) + (edge risk
     bound) <= epsilon, as one budgeted `_kernels.run_steps` call finds: it is
     `stochastic_steer` and `trajectory_risk` in one, stopped at the step that
-    passes epsilon.  Accepted nodes store the arrival mean, covariance and
-    accumulated bound.  The returned goal node, when found, is the
-    accepted node with the smallest bound whose mean position lies inside
-    the goal disc.  The system must be the planar vehicle: state x, y, v,
-    one angle (the heading) and one angular disturbance (the steered one).
+    passes epsilon; with the tree's `DisturbanceModel.steering_plan` (none
+    for Uniform steered noise; Beta raises up front) it builds the moments
+    of only the steps it runs.  Accepted nodes store the arrival mean,
+    covariance and accumulated bound.  The returned goal node, when found,
+    is the accepted node with the smallest bound whose mean position lies
+    inside the goal disc.  The system must be the planar vehicle: state x,
+    y, v, one angle (the heading) and one angular disturbance (the steered one).
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("chance constraint must lie in (0, 1)")
@@ -409,6 +411,7 @@ def build_rrt(
     steered, requirements, terms = steered_disturbance(msys), msys.dist_requirements, msys.term_table
     faces, starts = env._faces
     model = DisturbanceModel(msys, distributions, {steered: np.zeros(0)})  # one per tree
+    plan = model.steering_plan(requirements, steered)
     cfg = config or PlannerConfig()
     rng = np.random.Generator(np.random.PCG64(seed))
     xmin, ymin, xmax, ymax = env.bounds
@@ -443,9 +446,12 @@ def build_rrt(
             continue
         model.shifts[steered] = controls
         out = np.empty((len(controls) + 1, len(msys.basis)))
-        table = model.moment_table(requirements, len(controls))
+        if plan is None:
+            table, planned = model.moment_table(requirements, len(controls)), ()
+        else:  # the kernel writes the rows of the steps it runs
+            table, planned = np.empty((len(controls), len(requirements))), (controls, *plan)
         bad_t, _, _, new_risk = _kernels.run_steps(parent.moment_state.values, table, *terms, out, positions, faces,
-                                                   starts, parent.risk_to_node, epsilon)
+                                                   starts, parent.risk_to_node, epsilon, *planned)
         if bad_t >= 0 or not new_risk <= epsilon:
             continue
         arrival = out[-1].tolist()

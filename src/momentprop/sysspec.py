@@ -437,9 +437,9 @@ def _parse_name_set(parser: _ExprParser) -> frozenset[str]:
 
 def parse_spec(text: str) -> SystemSpec:
     """Parse a system spec document; raises SpecError with line/column on failure."""
-    state_vars: list[str] = []
-    angle_vars: list[str] = []
-    disturbance_vars: list[str] = []
+    state_vars: dict[str, int] = {}  # each name and its declaring line, in order
+    angle_vars: dict[str, int] = {}
+    disturbance_vars: dict[str, int] = {}
     updates: dict[str, Expr] = {}
     update_lines: dict[str, int] = {}
     independence: list[tuple[frozenset[str], frozenset[str], int]] = []
@@ -468,7 +468,7 @@ def parse_spec(text: str) -> SystemSpec:
                     raise SpecError(f"duplicate declaration of {tok.text!r}", line_no, tok.col)
                 if tok.text in {"state": disturbance_vars, "disturbance": state_vars}.get(head.text, ()):
                     raise SpecError(f"names declared both state and disturbance: {[tok.text]}", line_no, tok.col)
-                target.append(tok.text)
+                target[tok.text] = line_no
         elif head.text == "dyn":
             name_tok = tokens[1] if len(tokens) > 1 else head
             if name_tok.kind != "ident":
@@ -514,11 +514,11 @@ def parse_spec(text: str) -> SystemSpec:
     declared = set(state) | set(dists)
     for a in angles:
         if a not in state:
-            raise SpecError(f"angle {a!r} is not a declared state variable")
+            raise SpecError(f"angle {a!r} is not a declared state variable", angle_vars[a])
 
     for name in state:
         if name not in updates:
-            raise SpecError(f"state variable {name!r} has no 'dyn' update")
+            raise SpecError(f"state variable {name!r} has no 'dyn' update", state_vars[name])
     for name in updates:
         if name not in state:
             raise SpecError(f"'dyn' update for undeclared state variable {name!r}", update_lines[name])
@@ -621,26 +621,26 @@ def _angle_increments(
 def _trig_offsets(spec: SystemSpec, update_lines: dict[str, int]) -> dict[str, Fraction]:
     """The `trig_offsets` of a spec whose `increments` are known.
 
-    A disturbance used both polynomially and trigonometrically, or
-    trigonometrically with two constant offsets (named at the second), is an input error.
+    A disturbance used both polynomially (named at its first such use) and
+    trigonometrically, or trigonometrically with two constant offsets (named
+    at the second), is an input error.
     """
     offsets: dict[str, dict[Fraction, int]] = {}  # each offset's first update line
-    poly_used: set[str] = set()
+    poly_used: dict[str, int] = {}  # each polynomially used name's first update line
     for angle, (source, offset) in spec.increments.items():
         if source is not None:
             offsets.setdefault(source, {}).setdefault(offset, update_lines[angle])
     for name, use in spec.usage.items():
         if name in spec.angle_vars:
             continue
-        poly_used.update(use.bare)
+        for sym in use.bare:
+            poly_used.setdefault(sym, update_lines[name])
         for arg in use.trig:
             if arg in spec.disturbance_vars:
                 offsets.setdefault(arg, {}).setdefault(Fraction(0), update_lines[name])
     for name, found in offsets.items():
         if name in poly_used:
-            raise SpecError(
-                f"disturbance {name!r} is used both polynomially and trigonometrically"
-            )
+            raise SpecError(f"disturbance {name!r} is used both polynomially and trigonometrically", poly_used[name])
         if len(found) > 1:
             raise SpecError(
                 f"disturbance {name!r} is used trigonometrically with different constant offsets; "

@@ -302,9 +302,17 @@ def run_steps_python(values0, table, target, coeff, req, fact, out, *budget):
     and the loop stops once parent_risk + bound > epsilon; the result then
     also holds the steps bounded and parent_risk + their bound.  That bound
     is `risk_bound_python` of the rows so far, whose running sum adds each
-    row's obstacles in the order the C loop does.
+    row's obstacles in the order the C loop does.  A moment plan after the
+    budget (schedule, slots, factors, freqs, coefficients, base, loc,
+    variance, first; see `DisturbanceModel.steering_plan`) writes row t of
+    the table before step t: `trig_moments_python` of schedule[t] into a copy
+    of the slot row's columns from `first` on, then `distmoments._products`.
     """
-    *obstacles, parent_risk, epsilon = budget or (None, None)
+    *obstacles, parent_risk, epsilon = budget[:5] or (None, None)
+    schedule, slots, factors, freqs, coefficients, base, loc, variance, first = budget[5:] or (None,) * 9
+    if schedule is not None and len(schedule) < table.shape[0]:
+        raise IndexError("run_steps: the schedule is shorter than the steps")
+    slots = None if schedule is None else np.array(slots)
 
     def spent(rows):
         return (rows.shape[0] - 1, parent_risk + risk_bound_python(rows, *obstacles)) if budget else ()
@@ -319,6 +327,12 @@ def run_steps_python(values0, table, target, coeff, req, fact, out, *budget):
     # does, so numpy's overflow and invalid-value warnings are not raised.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(n_steps):
+            if schedule is not None:
+                moments = slots[None, first : first + coefficients.shape[1]]
+                residue = trig_moments_python(schedule[t : t + 1], base, loc, variance, freqs, coefficients, moments)
+                if residue > distmoments._IMAG_RESIDUE_TOL:
+                    raise ArithmeticError(f"trig moment has non-real residue {residue:g}")
+                table[t] = distmoments._products(slots[None], factors)[0]
             for j in range(n):
                 out[t + 1, j] = 0.0
             for k in range(n_terms):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentprop import _kernels, compiler, planner, presets, sysspec
-from momentprop.distmoments import Degenerate, DisturbanceModel, Gaussian
+from momentprop.distmoments import Beta, Degenerate, DisturbanceModel, Gaussian, Uniform, UnsupportedMomentError
 from momentprop.planner import (
     Environment,
     InfeasiblePathError,
@@ -26,7 +26,7 @@ from momentprop.planner import (
     trajectory_risk,
     tree_to_csv,
 )
-from momentprop.propagator import MomentTrajectory, init_deterministic, mean_cov
+from momentprop.propagator import MomentState, MomentTrajectory, PropagationError, init_deterministic, mean_cov
 
 from conftest import use_kernel_twins
 from reference import (
@@ -713,6 +713,66 @@ def test_build_rrt_matches_scalar_reference(dubins_reduced, seed, monkeypatch):
         assert (a.pose, a.risk_to_node, a.parent) == (b.pose, b.risk_to_node, b.parent)
         for x, y in ((a.mean, b.mean), (a.cov, b.cov), (a.moment_state.values, b.moment_state.values)):
             assert np.array_equal(x, y)
+
+
+# Heading noise with the C trig path (Gaussian, degenerate), whose rows the kernel builds, and without it (Uniform);
+# and speed noise with a nonzero mean, so that no product of a speed and a heading moment is zero.
+EDGE_NOISE = {
+    "gaussian": presets.planner_noise(),
+    "degenerate": {**presets.planner_noise(), "wt": Degenerate(0.0)},
+    "uniform": {**presets.planner_noise(), "wt": Uniform(-0.001, 0.001)},
+    "biased-speed": {**presets.planner_noise(), "wv": Gaussian(0.001, 1e-8)},
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11, 23])
+@pytest.mark.parametrize("noise", EDGE_NOISE)
+def test_each_edge_matches_the_scalar_edge_path(dubins_reduced, noise, seed, monkeypatch):
+    """Every edge's one budgeted kernel call, against `stochastic_steer` with per-requirement moments and the scalar
+    risk: the same accept decision; parent risk plus the scalar bound of the rows the call ran, bit for bit; and,
+    for an accepted edge, the arrival row bit for bit."""
+    env = parse_environment(presets.PLANNER_ENV)
+    noise = EDGE_NOISE[noise]
+    edges, steered = [], []
+    run_steps, steer = _kernels.run_steps, planner.dubins_steer
+
+    def steering(*args):
+        steered.append(steer(*args))
+        return steered[-1]
+
+    def recording(*args):
+        result = run_steps(*args)
+        edges.append((steered[-1], args[0].copy(), args[6][-1].copy(), args[10], result))
+        return result
+
+    monkeypatch.setattr(planner, "dubins_steer", steering)
+    monkeypatch.setattr(_kernels, "run_steps", recording)
+    build_rrt(env, dubins_reduced, noise, 0.1, 100, seed)
+    monkeypatch.undo()
+    monkeypatch.setattr(DisturbanceModel, "moment_table", _per_requirement_table)
+    model = DisturbanceModel(dubins_reduced, noise)
+    assert len(edges) > 50
+    for controls, values0, arrival, parent_risk, (bad_t, _, steps, risk) in edges:
+        try:
+            traj = stochastic_steer(MomentState(values0), controls, dubins_reduced, model)
+        except PropagationError:
+            assert bad_t >= 0
+            continue
+        accepted = bad_t < 0 and risk <= 0.1
+        assert accepted == (parent_risk + _scalar_trajectory_risk(traj, env) <= 0.1)
+        ran = MomentTrajectory(dubins_reduced, traj.values[: steps + 1])
+        assert risk.hex() == (parent_risk + _scalar_trajectory_risk(ran, env)).hex()
+        if accepted:
+            assert arrival.tobytes() == traj.values[-1].tobytes()
+
+
+@pytest.mark.parametrize("iterations", [0, 10])
+def test_build_rrt_names_beta_heading_noise_before_steering(dubins_reduced, monkeypatch, iterations):
+    """Beta has no trigonometric moments: the tree raises UnsupportedMomentError once, before its first iteration."""
+    monkeypatch.setattr(planner, "dubins_steer", _never)
+    noise = {**presets.planner_noise(), "wt": Beta(2.0, 3.0)}
+    with pytest.raises(UnsupportedMomentError, match="beta"):
+        build_rrt(parse_environment(presets.PLANNER_ENV), dubins_reduced, noise, 0.1, iterations, 0)
 
 
 def test_trees_match_golden_digest(dubins_reduced):

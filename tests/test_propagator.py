@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from momentprop import _kernels, compiler, planner, presets, propagator
+from momentprop import _kernels, compiler, distmoments, planner, presets, propagator
 from momentprop.compiler import compile_moment_system
 from momentprop.distmoments import Degenerate, DisturbanceModel, Gaussian
 from momentprop.polyring import MultiIndex, Polynomial
@@ -28,7 +28,15 @@ from momentprop.sysspec import DependenceGraph, PolynomialSystem
 
 from conftest import unbind_kernels
 from randsys import monomial_arrays, poly_eval_arrays, random_system
-from reference import evaluate_polynomial, moment, propagate_mp, risk_bound_python, run_steps_python, step
+from reference import (
+    evaluate_polynomial,
+    moment,
+    propagate_mp,
+    risk_bound_python,
+    run_steps_python,
+    step,
+    trig_moments_python,
+)
 
 
 @pytest.fixture(scope="module")
@@ -775,6 +783,125 @@ def test_budgeted_run_steps_rejects_bad_obstacles_and_releases_buffers(walk):
         assert [sys.getrefcount(arr) for arr in args] == before, name
     with pytest.raises(TypeError, match="takes 7 or 12 arguments"):
         _kernels.run_steps(values0, table, *arrays, out, positions, faces, starts, 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_planned_run_steps_builds_only_the_rows_it_runs(dubins_reduced, data):
+    """With a moment plan, the C loop and its twin write each table row before its step, bit for bit, and leave the
+    rows of steps not run untouched.  A row is the slot row's products in factor order (`distmoments._products`),
+    its steered columns the trig moments of the step's shift; run without the plan on the rows so built for every
+    step, the kernel gives the same states, steps and risk.  Up to four factors, so the product order matters."""
+    msys, n_req = dubins_reduced, len(dubins_reduced.dist_requirements)
+    n_steps = data.draw(st.integers(0, 30), label="steps")
+    schedule = np.array(data.draw(st.lists(st.floats(-0.3, 0.3), min_size=n_steps, max_size=n_steps + 3)))
+    orders = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)
+    pairs = tuple(data.draw(st.lists(orders, min_size=1, max_size=4, unique=True), label="pairs"))
+    freqs, coefficients = distmoments._laurent_matrix(pairs)
+    n_slots = data.draw(st.integers(len(pairs) + 1, len(pairs) + 4), label="slots")
+    first = data.draw(st.integers(1, n_slots - len(pairs)), label="first")
+    slots = np.array([1.0, *data.draw(st.lists(st.floats(0.5, 1.5), min_size=n_slots - 1, max_size=n_slots - 1))])
+    slots[first : first + len(pairs)] = np.nan
+    n_factors = data.draw(st.integers(1, 4), label="factors")
+    columns = st.lists(st.integers(0, n_slots - 1), min_size=n_factors * n_req, max_size=n_factors * n_req)
+    factors = np.array(data.draw(columns), dtype=np.int64).reshape(n_factors, n_req)
+    base, loc = data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(-1.0, 1.0))
+    variance = data.draw(st.sampled_from((0.0, 1e-8, 0.03)))
+    plan = (schedule, slots, factors, freqs, coefficients, base, loc, variance, first)
+    pose = {"x": data.draw(st.floats(0.0, 2.5)), "y": data.draw(st.floats(0.0, 2.5)), "v": 0.05,
+            "theta": data.draw(st.floats(-math.pi, math.pi))}
+    values0 = init_deterministic(msys, pose).values
+    faces, starts = data.draw(st.sampled_from(BUDGET_ENVS), label="obstacles")
+    budget = (msys.pair_positions("x", "y"), faces, starts, data.draw(st.floats(0.0, 0.2)), 0.1)
+    got, ref, table = (np.full((n_steps, n_req), 7.0) for _ in range(3))
+    out_got, out_ref, out_table = (np.full((n_steps + 1, len(msys.basis)), 7.0) for _ in range(3))
+    bad_t, bad_j, steps, risk = result = _kernels.run_steps(values0, got, *msys.term_table, out_got, *budget, *plan)
+    twin = run_steps_python(values0, ref, *msys.term_table, out_ref, *budget, *plan)
+    assert result[:3] == twin[:3] and risk.hex() == twin[3].hex()
+    assert got.tobytes() == ref.tobytes() and out_got.tobytes() == out_ref.tobytes()
+    rows = steps + (bad_t >= 0)
+    assert (got[rows:] == 7.0).all()
+    slot_rows = np.tile(slots, (n_steps, 1))
+    trig_moments_python(schedule[:n_steps], base, loc, variance, freqs, coefficients, slot_rows[:, first:][:, :len(pairs)])
+    table[:] = distmoments._products(slot_rows, factors)
+    assert got[:rows].tobytes() == table[:rows].tobytes()
+    assert _kernels.run_steps(values0, table, *msys.term_table, out_table, *budget) == result
+    assert out_got.tobytes() == out_table.tobytes()
+
+
+def test_planned_run_steps_checks_every_row_it_builds_for_a_non_real_residue(walk):
+    """A hand-made plan whose one Laurent sum is e^{ix} / 2: real at a shift of 0, not at 0.3.  The C loop and its
+    twin raise `_slot_moments`' ArithmeticError at the first step whose row is not real, and build no row of a step
+    that the budget does not run."""
+    freqs, coefficients = distmoments._laurent_matrix(((1, 0),))
+    one_sided = coefficients.copy()
+    one_sided[0] = 0.0
+    schedule = np.array([0.0, 0.0, 0.3, 0.0])
+    n_req = len(walk.dist_requirements)
+    plan = (schedule, np.array([1.0, np.nan]), np.ones((1, n_req), dtype=np.int64), freqs, one_sided, 0.0, 0.0, 0.0, 1)
+    faces, starts = BUDGET_ENVS[1]
+    positions = np.array([0, 0, 1, 1, 1], dtype=np.int64)
+    with pytest.raises(ArithmeticError) as expected:
+        distmoments._slot_moments(Degenerate(0.0), schedule[2:3], ((1, 0),), (0.0, freqs, one_sided), np.empty((1, 1)))
+    for run in (_kernels.run_steps, run_steps_python):
+        table, out = np.full((4, n_req), 7.0), np.full((5, 2), 7.0)
+        with pytest.raises(ArithmeticError, match="^" + re.escape(str(expected.value)) + "$"):
+            run(np.array([0.5, 0.25]), table, *walk.term_table, out, positions, faces, starts, 0.0, 0.5, *plan)
+        assert (table[:2] == 0.5).all() and (table[2:] == 7.0).all() and (out[3:] == 7.0).all()
+        table = np.full((4, n_req), 7.0)
+        stopped = run(np.array([0.5, 0.25]), table, *walk.term_table, np.empty((5, 2)), positions, faces, starts,
+                      1.0, 0.5, *plan)
+        assert stopped == (-1, -1, 1, 1.0) and (table[0] == 0.5).all() and (table[1:] == 7.0).all()
+
+
+def test_planned_run_steps_rejects_a_bad_plan_and_releases_buffers(dubins_reduced):
+    """The plan's arguments are checked as the others are: TypeError for a dtype or layout, ValueError for a shape,
+    IndexError for a short schedule or a slot column out of range; every buffer is released, no row is written."""
+    msys = dubins_reduced
+    model = DisturbanceModel(msys, presets.planner_noise())
+    slots, factors, freqs, coefficients, base, loc, variance, first = model.steering_plan(msys.dist_requirements, "wt")
+    n_req, schedule = len(msys.dist_requirements), np.linspace(-0.1, 0.1, 5)
+    read_only = np.empty((5, n_req))
+    read_only.flags.writeable = False
+    bad_factor, negative_factor = factors.copy(), factors.copy()
+    bad_factor[-1, -1], negative_factor[0, 0] = len(slots), -1
+    cases = {
+        "int schedule": (12, schedule.astype(np.int64), TypeError),
+        "strided schedule": (12, np.repeat(schedule, 2)[::2], TypeError),
+        "float32 slots": (13, slots.astype(np.float32), TypeError),
+        "float factors": (14, factors.astype(float), TypeError),
+        "Fortran-ordered factors": (14, np.asfortranarray(factors), TypeError),
+        "real coefficients": (16, coefficients.real.copy(), TypeError),
+        "string base": (17, "0", TypeError),
+        "float first": (20, float(first), TypeError),
+        "strided table": (1, np.empty((5, 2 * n_req))[:, ::2], TypeError),
+        "read-only table": (1, read_only, ValueError),
+        "2-d schedule": (12, schedule[:, None], ValueError),
+        "factors of another requirement count": (14, np.ascontiguousarray(factors[:, 1:]), ValueError),
+        "no factors": (14, factors[:0], ValueError),
+        "coefficients of another frequency count": (16, coefficients[1:], ValueError),
+        "short schedule": (12, schedule[:4], IndexError),
+        "factor past the last slot": (14, bad_factor, IndexError),
+        "negative factor": (14, negative_factor, IndexError),
+        "first past the slots": (20, len(slots), IndexError),
+        "negative first": (20, -1, IndexError),
+    }
+    values0 = init_deterministic(msys, {"x": 0.3, "y": 0.3, "v": 0.05, "theta": 0.0}).values
+    faces, starts = BUDGET_ENVS[0]
+    good = [values0, np.full((5, n_req), 7.0), *msys.term_table, np.full((6, len(msys.basis)), 7.0),
+            msys.pair_positions("x", "y"), faces, starts, 0.0, 0.1, schedule, slots, factors, freqs, coefficients,
+            base, loc, variance, first]
+    assert len(good) == 21
+    for name, (position, bad, error) in cases.items():
+        args = [*good[:position], bad, *good[position + 1 :]]
+        before = [sys.getrefcount(arg) for arg in args]
+        with pytest.raises(error, match="^run_steps: " if error is not TypeError or position < 17 else None):
+            _kernels.run_steps(*args)
+        assert [sys.getrefcount(arg) for arg in args] == before, name
+        assert (good[1] == 7.0).all() and (good[6] == 7.0).all(), name
+    with pytest.raises(TypeError, match="takes 7 or 12 arguments, or 21"):
+        _kernels.run_steps(*good[:20])
+    assert _kernels.run_steps(*good)[0] == -1
 
 
 def test_kernel_rejects_odd_inputs(dubins_reduced):

@@ -231,6 +231,10 @@ SPEC_ERRORS = {
                          "disturbance 'wt' is used trigonometrically with different constant offsets", 7),
     "angle-moment": ([("moments x y x*y x^2 y^2", "moments theta")],
                      "moments of angle 'theta' are not expressible after encoding", 10),
+    "angle-not-a-state": ([("angle theta", "angle theta z")], "angle 'z' is not a declared state variable", 3),
+    "state-without-dyn": ([("state x y v theta", "state x y v theta q")], "state variable 'q' has no 'dyn' update", 2),
+    "polynomial-and-trig-disturbance": ([("v + wv", "v + wv + wt")],
+                                        "disturbance 'wt' is used both polynomially and trigonometrically", 7),
 }
 
 

@@ -44,41 +44,49 @@ def _count_calls(counts, owner, name, monkeypatch, check=None):
 def test_planner_seams_run_once_per_edge(dubins_reduced, monkeypatch):
     """The per-edge functions the tracer wraps are each called once per edge.
 
-    Each tree builds one DisturbanceModel.  Every edge with controls calls
-    DisturbanceModel.moment_table once and `_kernels.run_steps` once, with
-    the risk budget.  Every fourth kernel call whose edge would be accepted
-    returns a non-finite first row instead, and the tree must reject it.
+    Each tree builds one DisturbanceModel, and every edge with controls
+    makes one `_kernels.run_steps` call, with the risk budget.  With
+    Gaussian or degenerate heading noise that call also takes the tree's
+    moment plan and the controls, and no edge calls
+    DisturbanceModel.moment_table; with Uniform heading noise, which has no
+    C trig path, each edge calls it once.  Every fourth kernel call whose
+    edge would be accepted returns a non-finite first row instead, and the
+    tree must reject it.
     """
-    counts = collections.Counter()
-
-    def count_edge(controls):
-        counts["edges"] += len(controls) > 0
-        return controls
-
-    run_steps = _kernels.run_steps
-
-    def budgeted(*args):
-        counts["run_steps"] += 1
-        assert len(args) == 12 and args[-1] == 0.1
-        bad_t, bad_j, steps, risk = run_steps(*args)
-        accepted = bad_t < 0 and risk <= args[-1]
-        if accepted and counts["run_steps"] % 4 == 0:
-            counts["failed"] += 1
-            return 1, 0, 0, args[-2]  # within budget, so only the non-finite row rejects it
-        counts["accepted"] += accepted
-        return bad_t, bad_j, steps, risk
-
-    _count_calls(counts, planner, "dubins_steer", monkeypatch, count_edge)
-    _count_calls(counts, distmoments.DisturbanceModel, "__init__", monkeypatch)
-    _count_calls(counts, distmoments.DisturbanceModel, "moment_table", monkeypatch)
-    monkeypatch.setattr(_kernels, "run_steps", budgeted)
     env = planner.parse_environment(presets.PLANNER_ENV)
-    nodes = sum(len(planner.build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, 60, seed).nodes) - 1
-                for seed in (3, 4))
-    assert counts["edges"] > 80 and counts["failed"] > 5
-    assert counts["__init__"] == 2
-    assert counts["run_steps"] == counts["moment_table"] == counts["edges"]
-    assert nodes == counts["accepted"]
+    for heading, planned in ((presets.planner_noise()["wt"], True), (distmoments.Degenerate(0.0), True),
+                             (distmoments.Uniform(-0.001, 0.001), False)):
+        counts = collections.Counter()
+
+        def count_edge(controls):
+            counts["edges"] += len(controls) > 0
+            return controls
+
+        run_steps = _kernels.run_steps
+
+        def budgeted(*args):
+            counts["run_steps"] += 1
+            assert len(args) == (21 if planned else 12) and args[11] == 0.1
+            bad_t, bad_j, steps, risk = run_steps(*args)
+            accepted = bad_t < 0 and risk <= args[11]
+            if accepted and counts["run_steps"] % 4 == 0:
+                counts["failed"] += 1
+                return 1, 0, 0, args[10]  # within budget, so only the non-finite row rejects it
+            counts["accepted"] += accepted
+            return bad_t, bad_j, steps, risk
+
+        _count_calls(counts, planner, "dubins_steer", monkeypatch, count_edge)
+        _count_calls(counts, distmoments.DisturbanceModel, "__init__", monkeypatch)
+        _count_calls(counts, distmoments.DisturbanceModel, "moment_table", monkeypatch)
+        monkeypatch.setattr(_kernels, "run_steps", budgeted)
+        noise = {**presets.planner_noise(), "wt": heading}
+        nodes = sum(len(planner.build_rrt(env, dubins_reduced, noise, 0.1, 60, seed).nodes) - 1 for seed in (3, 4))
+        monkeypatch.undo()
+        assert counts["edges"] > 80 and counts["failed"] > 5, heading
+        assert counts["__init__"] == 2, heading
+        assert counts["run_steps"] == counts["edges"], heading
+        assert counts["moment_table"] == (0 if planned else counts["edges"]), heading
+        assert nodes == counts["accepted"], heading
 
 
 def test_build_rrt_runs_each_edge_in_one_budgeted_kernel_call(dubins_reduced, monkeypatch):
