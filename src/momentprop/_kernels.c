@@ -1,5 +1,5 @@
 /* The compiled kernels of momentprop: one CPython extension module, `run_steps`, with six entry points (run_steps,
-   risk_bound, dubins_steer, nearest, trig_moments, record_moments).  momentprop._kernels builds it on first use
+   risk_bound, dubins_steer, grow_tree, trig_moments, record_moments).  momentprop._kernels builds it on first use
    with the flags in _kernels._C_FLAGS; -ffp-contract=off keeps every product and sum rounded on its own, as numpy
    and Python round them.  Each entry point computes what its twin in tests/reference.py computes, bit for bit, and
    the tests hold it to that.
@@ -10,13 +10,13 @@
    starts from the target's current value, so a target split over several runs adds in the same order too.  Each
    product and each sum is the reference's, operand for operand; only the order in which different terms and
    targets are evaluated changes, and no value depends on that.  With a table stride of 0 (one row serves every
-   step) coeff * row[req] is taken once per call, the same product every step.  The grouped index arrays are
-   built once per call, in O(terms), after the range checks, so int32 holds every index.  Returns 1 if an index
-   is out of range, 2 if the index arrays cannot be allocated, else 0 with the first non-finite (step, moment) or
-   (-1, -1) in bad.  With a budget, each finite row's risk bound is added up, and the loop stops once the parent's
-   risk plus that sum passes epsilon: each obstacle adds a value in [0, 1], never NaN, and rounded addition is
-   monotone, so an edge stopped early would pass epsilon had it run every step.  With a moment plan too, each table
-   row is written just before its step (moment_row): a stopped edge takes no trig moments for steps it does not run. */
+   step) coeff * row[req] is taken once, the same product every step.  The grouped index arrays (group_terms) are
+   built in O(terms), after the range checks, so int32 holds every index: once per run_steps call, once per tree in
+   grow_tree.  The loop leaves the first non-finite (step, moment), or (-1, -1), in bad.  grow_tree runs it with a
+   budget: each finite row's risk bound is added up, and the loop stops once the parent's risk plus that sum passes
+   epsilon: each obstacle adds a value in [0, 1], never NaN, and rounded addition is monotone, so an edge stopped
+   early would pass epsilon had it run every step.  It also writes each table row just before its step from the
+   tree's moment plan (moment_row): a stopped edge takes no trig moments for steps it does not run. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -67,35 +67,48 @@ static inline double fused(double a, double b, double c)
     return p == 0.0 && a != 0.0 && b != 0.0 && c == 0.0 ? p : p + c;
 }
 
-/* reference.trig_moments_python, operation for operation.  Each step's characteristic function values are numpy's
-   exp(1j * t * (loc + (base + s)) - variance * t * t / 2.0) at every frequency t: 1j * t is the complex product
-   (0 + 1i)(t + 0i), its product with the real argument is a complex product with (x + 0i), and the subtraction is a
-   complex one with (g + 0i); numpy's complex exp is the C library's cexp.  Each Laurent sum then starts from the first
-   frequency's product and adds the others in frequency order.  Returns the largest |imaginary part| of the sums, NaN
-   if one is NaN, as np.maximum.reduce takes it. */
-static double trig_moments(Py_ssize_t n_steps, const char *s, Py_ssize_t s_stride, double base, double loc,
-                           double var, Py_ssize_t n_freqs, const double *freqs, Py_ssize_t n_pairs,
+/* reference.trig_moments_python, operation for operation.  Each step's characteristic function values are numpy's,
+   with shift = base + s, at every frequency t: a Gaussian's (p, q = mean, variance) exp(1j * t * (p + shift) -
+   q * t * t / 2.0), a Uniform's (p, q = lower, upper) (exp(1j * t * b) - exp(1j * t * a)) / (1j * t * (q - p)) with
+   a = p + shift, b = q + shift, and 1 + 0i at t = 0.  1j * t is the complex product (0 + 1i)(t + 0i), its product
+   with a real x is a complex product with (x + 0i), a real subtracted is (g + 0i); numpy's complex exp is the C
+   library's cexp, and its complex division is Smith's method, whose branch for |real| < |imaginary| serves the
+   Uniform's denominator: its real part is +-0 and its imaginary part t * (q - p) is not.  Each Laurent sum then
+   starts from the first frequency's product and adds the others in frequency order.  Returns the largest |imaginary
+   part| of the sums, NaN if one is NaN, as np.maximum.reduce takes it. */
+static double trig_moments(Py_ssize_t n_steps, const char *s, Py_ssize_t s_stride, double base, double p, double q,
+                           int uniform, Py_ssize_t n_freqs, const double *freqs, Py_ssize_t n_pairs,
                            const double *coef, char *out, Py_ssize_t row_stride, Py_ssize_t col_stride,
                            double complex *v)
 {
     double residue = 0.0;
     for (Py_ssize_t k = 0; k < n_steps; k++) {
-        double x = loc + (base + *(const double *)(s + k * s_stride));
+        double shift = base + *(const double *)(s + k * s_stride), x = p + shift, y = q + shift;
         for (Py_ssize_t f = 0; f < n_freqs; f++) {
             double t = freqs[f], r = 0.0 * t - 1.0 * 0.0;
-            double re = r * x - t * 0.0, im = r * 0.0 + t * x, g = var * t * t / 2.0;
-            v[f] = cexp(CMPLX(re - g, im - 0.0));
+            if (!uniform) {
+                double re = r * x - t * 0.0, im = r * 0.0 + t * x, g = q * t * t / 2.0;
+                v[f] = cexp(CMPLX(re - g, im - 0.0));
+            } else if (t == 0.0) {
+                v[f] = CMPLX(1.0, 0.0);
+            } else {
+                double complex eb = cexp(CMPLX(r * y - t * 0.0, r * 0.0 + t * y));
+                double complex ea = cexp(CMPLX(r * x - t * 0.0, r * 0.0 + t * x));
+                double nr = creal(eb) - creal(ea), ni = cimag(eb) - cimag(ea), w = q - p;
+                double dr = r * w - t * 0.0, di = r * 0.0 + t * w, rat = dr / di, scl = 1.0 / (di + dr * rat);
+                v[f] = CMPLX((nr * rat + ni) * scl, (ni * rat - nr) * scl);
+            }
         }
-        for (Py_ssize_t p = 0; p < n_pairs; p++) {
+        for (Py_ssize_t j = 0; j < n_pairs; j++) {
             double sr = 0.0, si = 0.0;
             for (Py_ssize_t f = 0; f < n_freqs; f++) {
-                const double *c = coef + 2 * (f * n_pairs + p);
+                const double *c = coef + 2 * (f * n_pairs + j);
                 double vr = creal(v[f]), vi = cimag(v[f]);
                 double pr = fused(c[0], vr, -(c[1] * vi)), pi = fused(c[0], vi, c[1] * vr);
                 sr = f ? sr + pr : pr;
                 si = f ? si + pi : pi;
             }
-            *(double *)(out + k * row_stride + p * col_stride) = sr;
+            *(double *)(out + k * row_stride + j * col_stride) = sr;
             double a = fabs(si);
             residue = isnan(a) || a > residue ? a : residue;
         }
@@ -103,12 +116,12 @@ static double trig_moments(Py_ssize_t n_steps, const char *s, Py_ssize_t s_strid
     return residue;
 }
 
-/* run_steps' moment plan (DisturbanceModel.steering_plan): the steered slot's schedule, base, loc, var, freqs, coef
-   and n_pairs columns from first in a copy of the slot row (column 0 is 1.0), each requirement's (n_factors, n_req)
-   slot columns, the table whose rows it writes, and the residue of a row that failed. */
+/* grow_tree's moment plan (DisturbanceModel.steering_plan): the steered slot's schedule, base, p, q, uniform, freqs,
+   coef and n_pairs columns from first in a copy of the slot row (column 0 is 1.0), each requirement's (n_factors,
+   n_req) slot columns, the table whose rows it writes, and the residue of a row that failed. */
 struct plan {
     const double *schedule, *freqs, *coef; const int64_t *factors; double *slots, *table; double complex *v;
-    int64_t n_req, n_freqs, n_pairs, first, n_factors; double base, loc, var, residue;
+    int64_t n_req, n_freqs, n_pairs, first, n_factors; double base, p, q, residue; int uniform;
 };
 
 /* Row t of the table: step t's trig moments into the slot row, then each requirement's product of its slot columns,
@@ -116,7 +129,7 @@ struct plan {
 static int moment_row(struct plan *p, int64_t t)
 {
     double *slots = p->slots, *row = p->table + t * p->n_req;
-    double residue = trig_moments(1, (const char *)(p->schedule + t), 0, p->base, p->loc, p->var, p->n_freqs,
+    double residue = trig_moments(1, (const char *)(p->schedule + t), 0, p->base, p->p, p->q, p->uniform, p->n_freqs,
                                   p->freqs, p->n_pairs, p->coef, (char *)(slots + p->first), 0, sizeof *slots, p->v);
     if (residue > 1e-12) /* distmoments._IMAG_RESIDUE_TOL */
         return p->residue = residue, 1;
@@ -129,7 +142,7 @@ static int moment_row(struct plan *p, int64_t t)
     return 0;
 }
 
-/* risk_bound's obstacles; run_steps' budget in (parent, epsilon, plan or NULL) and out (steps, total). */
+/* risk_bound's obstacles; run_steps' budget in (parent, epsilon, plan) and out (steps, total). */
 struct budget {
     const int64_t *pos, *starts; const double *faces; int64_t n_faces, n_obs, steps; double parent, epsilon, total;
     struct plan *plan;
@@ -158,34 +171,38 @@ static void row_risk(const double *v, const struct budget *ob, double *total)
     }
 }
 
-int run_steps(int64_t n, int64_t n_steps, int64_t n_terms, int64_t max_f,
-              int64_t n_req, const double *values0, const double *table,
-              int64_t table_stride, const int64_t *target, const double *coeff,
-              const int64_t *req, const int64_t *fact, double *out, int64_t *bad, struct budget *bud)
+/* The term table grouped by factor count: group c holds the terms with c factors, in table order, at first[c] ..
+   first[c + 1] - 1.  With a stationary table row, base holds coeff * row[req], else coeff. */
+struct terms {
+    int64_t n, max_f, n_runs, *first;
+    double *base, *prod;
+    int32_t *slot, *greq, *run_target, *run_end, *gfact;
+};
+
+/* Groups the n_terms terms: 0, 1 if an index is out of range, 2 if the arrays cannot be allocated.  free(g->first)
+   and free(g->base) release them on every path. */
+static int group_terms(struct terms *g, int64_t n, int64_t n_terms, int64_t max_f, int64_t n_req,
+                       const int64_t *target, const double *coeff, const int64_t *req, const int64_t *fact,
+                       const double *stationary)
 {
+    *g = (struct terms){.n = n, .max_f = max_f};
     if (n > INT32_MAX || n_req > INT32_MAX || n_terms > INT32_MAX / (max_f + 5))
         return 2;
-    /* Group c holds the terms with c factors, in table order, at first[c] .. first[c + 1] - 1. */
-    int64_t *first = calloc(3 * max_f + 4, sizeof *first);
-    double *base = malloc(2 * n_terms * sizeof *base + (5 + max_f) * n_terms * sizeof(int32_t) + 1);
-    if (!first || !base) {
-        free(first);
-        free(base);
+    int64_t *first = g->first = calloc(3 * max_f + 4, sizeof *first);
+    double *base = g->base = malloc(2 * n_terms * sizeof *base + (5 + max_f) * n_terms * sizeof(int32_t) + 1);
+    if (!first || !base)
         return 2;
-    }
-    int64_t *fill = first + max_f + 2, *fill_f = fill + max_f + 1;
-    double *prod = base + n_terms;
-    int32_t *slot = (int32_t *)(prod + n_terms), *greq = slot + n_terms, *count = greq + n_terms;
-    int32_t *run_target = count + n_terms, *run_end = run_target + n_terms, *gfact = run_end + n_terms;
-    int stationary = table_stride == 0 && n_steps > 0, status = 1;
-    int64_t n_runs = 0;
+    int64_t *fill = first + max_f + 2, *fill_f = fill + max_f + 1, n_runs = 0;
+    int32_t *slot = g->slot = (int32_t *)((g->prod = base + n_terms) + n_terms), *greq = g->greq = slot + n_terms;
+    int32_t *count = greq + n_terms, *run_target = g->run_target = count + n_terms;
+    int32_t *run_end = g->run_end = run_target + n_terms, *gfact = g->gfact = run_end + n_terms;
     for (int64_t k = 0; k < n_terms; k++) {
         if (target[k] < 0 || target[k] >= n || req[k] < 0 || req[k] >= n_req)
-            goto done;
+            return 1;
         int32_t c = 0;
         for (int64_t i = 0; i < max_f; i++) {
             if (fact[k * max_f + i] < -1 || fact[k * max_f + i] >= n)
-                goto done;
+                return 1;
             c += fact[k * max_f + i] >= 0;
         }
         count[k] = c;
@@ -201,7 +218,7 @@ int run_steps(int64_t n, int64_t n_steps, int64_t n_terms, int64_t max_f,
         int64_t g = fill[count[k]]++;
         slot[g] = (int32_t)k;
         greq[g] = (int32_t)req[k];
-        base[g] = stationary ? coeff[k] * table[req[k]] : coeff[k];
+        base[g] = stationary ? coeff[k] * stationary[req[k]] : coeff[k];
         for (int64_t i = 0; i < max_f; i++)
             if (f[i] >= 0)
                 gfact[fill_f[count[k]]++] = (int32_t)f[i];
@@ -209,7 +226,19 @@ int run_steps(int64_t n, int64_t n_steps, int64_t n_terms, int64_t max_f,
             run_target[n_runs++] = (int32_t)target[k];
         run_end[n_runs - 1] = (int32_t)(k + 1);
     }
-    status = 0;
+    g->n_runs = n_runs;
+    return 0;
+}
+
+/* n_steps steps from values0 into out; a NULL table is the stationary row folded into base. */
+static void run_steps(const struct terms *g, int64_t n_steps, const double *table, int64_t table_stride,
+                      const double *values0, double *out, int64_t *bad, struct budget *bud)
+{
+    const int64_t n = g->n, max_f = g->max_f, n_runs = g->n_runs, *first = g->first;
+    const double *base = g->base;
+    double *prod = g->prod;
+    const int32_t *slot = g->slot, *greq = g->greq, *run_target = g->run_target, *run_end = g->run_end;
+    const int32_t *gfact = g->gfact;
     bad[0] = -1;
     bad[1] = -1;
     for (int64_t j = 0; j < n; j++)
@@ -217,7 +246,7 @@ int run_steps(int64_t n, int64_t n_steps, int64_t n_terms, int64_t max_f,
     for (int64_t t = 0; t < n_steps; t++) {
         const double *cur = out + t * n;
         double *next = out + (t + 1) * n;
-        if (stationary)
+        if (!table)
             all_products(1, max_f, first, base, greq, table, gfact, cur, slot, prod);
         else
             all_products(0, max_f, first, base, greq, table + t * table_stride, gfact, cur, slot, prod);
@@ -233,21 +262,17 @@ int run_steps(int64_t n, int64_t n_steps, int64_t n_terms, int64_t max_f,
             if (!isfinite(next[j])) {
                 bad[0] = t + 1;
                 bad[1] = j;
-                goto done;
+                return;
             }
         }
         if (__builtin_expect(bud != NULL, 0)) { /* out of line, so the loop without a budget is laid out as before */
             row_risk(next, bud, &bud->total);
             bud->steps = t + 1;
             if (!(bud->parent + bud->total <= bud->epsilon)
-                || (bud->plan && t + 1 < n_steps && moment_row(bud->plan, t + 1))) /* row t + 1, within budget */
+                || (t + 1 < n_steps && moment_row(bud->plan, t + 1))) /* row t + 1, within budget */
                 break;
         }
     }
-done:
-    free(first);
-    free(base);
-    return status;
 }
 
 static int f8(const Py_buffer *b) { return b->itemsize == 8 && !strcmp(b->format, "d"); }
@@ -274,18 +299,19 @@ static int get_buffers(Py_buffer *b, PyObject *const *args, Py_ssize_t n)
 /* Raise exc with "<entry point>: msg", the entry point named after its py_ function, and go to its release. */
 #define FAIL(exc, msg) do { PyErr_Format(exc, "%s: %s", __func__ + 3, msg); goto release; } while (0)
 
-/* positions, faces and starts (b[0 .. 2]) in ob, as obstacles for rows of n moments: 0, or -1 with TypeError (a
-   dtype or layout), ValueError (a shape) or IndexError (a position or first face out of range) raised for entry. */
-static int get_obstacles(const char *entry, Py_buffer *b, Py_ssize_t n, struct budget *ob)
+/* positions, faces and starts (b[0 .. 2]) in ob, as obstacles for rows of n moments, with n_pos positions: 0, or -1
+   with TypeError (a dtype or layout), ValueError (a shape) or IndexError (a position or first face out of range)
+   raised for entry. */
+static int get_obstacles(const char *entry, Py_buffer *b, Py_ssize_t n, int n_pos, struct budget *ob)
 {
 #define REJECT(exc, msg) return PyErr_Format(exc, "%s: %s", entry, msg), -1 /* FAIL, returning -1 */
     Py_buffer *pos = b, *fc = b + 1, *st = b + 2;
     const int64_t *p = pos->buf, *s = st->buf;
     if (!(i8(pos) && f8(fc) && i8(st) && dense(pos) && dense(fc) && dense(st)))
         REJECT(PyExc_TypeError, "positions and starts must be C-contiguous int64, faces C-contiguous float64");
-    if (pos->ndim != 1 || pos->shape[0] != 5 || fc->ndim != 2 || fc->shape[0] != 6 || st->ndim != 1)
-        REJECT(PyExc_ValueError, "positions must hold 5 entries, faces 6 rows and starts 1-d");
-    for (int i = 0; i < 5; i++)
+    if (pos->ndim != 1 || pos->shape[0] != n_pos || fc->ndim != 2 || fc->shape[0] != 6 || st->ndim != 1)
+        REJECT(PyExc_ValueError, "positions must hold 5 entries (7 for grow_tree), faces 6 rows and starts 1-d");
+    for (int i = 0; i < n_pos; i++)
         if (p[i] < 0 || p[i] >= n)
             REJECT(PyExc_IndexError, "a position is out of range");
     for (Py_ssize_t i = 0; i < st->shape[0]; i++)
@@ -295,27 +321,17 @@ static int get_obstacles(const char *entry, Py_buffer *b, Py_ssize_t n, struct b
     return 0;
 }
 
-/* run_steps(values0, table, target, coeff, req, fact, out) -> (bad_t, bad_j), on the arrays' buffers; with a budget,
-   run_steps(..., out, positions, faces, starts, parent_risk, epsilon) -> (bad_t, bad_j, steps_run, risk), risk being
-   parent_risk plus the bound of rows 1 .. steps_run; with a budget and a moment plan, run_steps(..., epsilon,
-   schedule, slots, factors, freqs, coefficients, base, loc, variance, first) also writes the table's rows.
-   TypeError means an input is not float64 (int64 for target, req, fact and factors, complex128 for coefficients)
-   or not laid out as the loop reads it. */
+/* run_steps(values0, table, target, coeff, req, fact, out) -> (bad_t, bad_j), on the arrays' buffers.  TypeError means
+   an input is not float64 (int64 for target, req and fact) or not laid out as the loop reads it. */
 static PyObject *py_run_steps(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer b[15], *v = b, *tab = b + 1, *tg = b + 2, *co = b + 3, *rq = b + 4, *fa = b + 5, *out = b + 6;
-    Py_buffer *sch = b + 10, *sl = b + 11, *fs = b + 12, *fr = b + 13, *lc = b + 14;
-    PyObject *result = NULL, *arrays[15];
-    struct budget bud = {0};
-    struct plan plan = {0};
-    int status;
+    Py_buffer b[7], *v = b, *tab = b + 1, *tg = b + 2, *co = b + 3, *rq = b + 4, *fa = b + 5, *out = b + 6;
+    PyObject *result = NULL;
+    struct terms g;
     int64_t bad[2];
-    Py_ssize_t n_buffers = nargs == 21 ? 15 : nargs == 12 ? 10 : 7;
-    if (nargs != 7 && nargs != 12 && nargs != 21)
-        return PyErr_Format(PyExc_TypeError, "run_steps takes 7 or 12 arguments, or 21 with a plan (%zd given)", nargs);
-    for (Py_ssize_t i = 0; i < n_buffers; i++)
-        arrays[i] = args[i < 10 ? i : i + 2]; /* parent_risk and epsilon are floats */
-    if (get_buffers(b, arrays, n_buffers))
+    if (nargs != 7)
+        return PyErr_Format(PyExc_TypeError, "run_steps takes 7 arguments (%zd given)", nargs);
+    if (get_buffers(b, args, 7))
         return NULL;
     if (!(f8(v) && f8(tab) && i8(tg) && f8(co) && i8(rq) && i8(fa)))
         FAIL(PyExc_TypeError, "values0, table and coeff must be float64, target, req and fact int64");
@@ -330,60 +346,23 @@ static PyObject *py_run_steps(PyObject *self, PyObject *const *args, Py_ssize_t 
     if (!(dense(v) && dense(tg) && dense(co) && dense(rq) && dense(fa)) || tab->strides[0] % 8
         || (tab->shape[1] > 1 && tab->strides[1] != 8))
         FAIL(PyExc_TypeError, "the arrays must be contiguous, the table's rows 8-byte aligned and its columns 8 bytes apart");
-    if (nargs >= 12 && get_obstacles("run_steps", b + 7, v->shape[0], &bud))
-        goto release;
-    bud.parent = nargs >= 12 ? PyFloat_AsDouble(args[10]) : 0.0;
-    bud.epsilon = nargs >= 12 ? PyFloat_AsDouble(args[11]) : 0.0;
-    if (nargs == 21) { /* the moment plan */
-        if (!(f8(sch) && f8(sl) && i8(fs) && f8(fr) && lc->itemsize == 16 && !strcmp(lc->format, "Zd") && dense(tab)
-              && dense(sch) && dense(sl) && dense(fs) && dense(fr) && dense(lc)))
-            FAIL(PyExc_TypeError, "the table and plan must be C-contiguous, factors int64, coefficients complex128");
-        if (tab->readonly || sch->ndim != 1 || sl->ndim != 1 || fs->ndim != 2 || fs->shape[0] < 1
-            || fs->shape[1] != tab->shape[1] || fr->ndim != 1 || lc->ndim != 2 || lc->shape[0] != fr->shape[0])
-            FAIL(PyExc_ValueError, "table must be writable, factors (n >= 1, requirements), coefficients (freqs, m)");
-        plan = (struct plan){.schedule = sch->buf, .freqs = fr->buf, .coef = lc->buf, .factors = fs->buf,
-                             .table = tab->buf, .n_req = tab->shape[1], .n_freqs = fr->shape[0],
-                             .n_pairs = lc->shape[1], .n_factors = fs->shape[0], .first = PyLong_AsLongLong(args[20]),
-                             .base = PyFloat_AsDouble(args[17]), .loc = PyFloat_AsDouble(args[18]),
-                             .var = PyFloat_AsDouble(args[19])};
-        if (PyErr_Occurred())
-            goto release;
-        for (Py_ssize_t i = 0; i < fs->shape[0] * fs->shape[1]; i++)
-            if (plan.factors[i] < 0 || plan.factors[i] >= sl->shape[0])
-                FAIL(PyExc_IndexError, "a factor's slot column is out of range");
-        if (sch->shape[0] < tab->shape[0] || plan.first < 0 || plan.first > sl->shape[0] - plan.n_pairs)
-            FAIL(PyExc_IndexError, "the schedule is shorter than the steps, or a steered column out of range");
-        if (!(plan.slots = PyMem_Malloc(sl->len + plan.n_freqs * sizeof *plan.v + 1)))
-            FAIL(PyExc_MemoryError, "out of memory");
-        memcpy(plan.slots, sl->buf, sl->len);
-        plan.v = (double complex *)(plan.slots + sl->shape[0]);
-        bud.plan = &plan;
+    const double *stationary = tab->strides[0] == 0 && tab->shape[0] ? tab->buf : NULL;
+    int status = group_terms(&g, v->shape[0], tg->shape[0], fa->shape[1], tab->shape[1], tg->buf, co->buf, rq->buf,
+                             fa->buf, stationary);
+    if (!status) {
+        Py_BEGIN_ALLOW_THREADS
+        run_steps(&g, tab->shape[0], stationary ? NULL : tab->buf, tab->strides[0] / 8, v->buf, out->buf, bad, NULL);
+        Py_END_ALLOW_THREADS
     }
-    if (PyErr_Occurred())
-        goto release;
-    Py_BEGIN_ALLOW_THREADS
-    status = bud.plan && tab->shape[0] && moment_row(&plan, 0) ? 0 /* each later row once its step is within budget */
-           : run_steps(v->shape[0], tab->shape[0], tg->shape[0], fa->shape[1], tab->shape[1], v->buf, tab->buf,
-                       bud.plan ? plan.n_req : tab->strides[0] / 8, tg->buf, co->buf, rq->buf, fa->buf, out->buf, bad,
-                       nargs >= 12 ? &bud : NULL);
-    Py_END_ALLOW_THREADS
-    PyMem_Free(plan.slots);
+    free(g.first);
+    free(g.base);
     if (status == 1)
         FAIL(PyExc_IndexError, "a term's target, requirement or factor index is out of range");
-    if (!status && plan.residue) {
-        char *residue = PyOS_double_to_string(plan.residue, 'g', 6, 0, NULL);
-        if (residue)
-            PyErr_Format(PyExc_ArithmeticError, "trig moment has non-real residue %s", residue);
-        PyMem_Free(residue);
-        goto release;
-    }
     if (status)
         FAIL(PyExc_MemoryError, "the kernel's index arrays cannot be allocated");
-    result = nargs == 7 ? Py_BuildValue("(LL)", (long long)bad[0], (long long)bad[1])
-                        : Py_BuildValue("(LLLd)", (long long)bad[0], (long long)bad[1], (long long)bud.steps,
-                                        bud.parent + bud.total);
+    result = Py_BuildValue("(LL)", (long long)bad[0], (long long)bad[1]);
 release:
-    release_buffers(b, n_buffers);
+    release_buffers(b, 7);
     return result;
 }
 
@@ -402,7 +381,7 @@ static PyObject *py_risk_bound(PyObject *self, PyObject *const *args, Py_ssize_t
         FAIL(PyExc_TypeError, "values must be C-contiguous float64");
     if (v->ndim != 2)
         FAIL(PyExc_ValueError, "values must be 2-d");
-    if (get_obstacles("risk_bound", b + 1, v->shape[1], &ob))
+    if (get_obstacles("risk_bound", b + 1, v->shape[1], 5, &ob))
         goto release;
     double total = 0.0;
     for (Py_ssize_t t = 1; t < v->shape[0]; t++)
@@ -480,158 +459,334 @@ static int shortest_word(double alpha, double beta, double d, double best[4], co
     return found;
 }
 
-/* The heading after arc length s along the segments, as the numpy steps do it element by element. */
-static double heading_at(double s, double h, int n_seg, const double *seg, const char *mode, double radius)
+/* The shortest word's kept segments (longer than 1e-12), its length and dubins_steer's other arguments. */
+struct path {
+    double seg[3], length, h0, speed, radius;
+    char mode[3];
+    int n_seg;
+};
+
+/* The heading after arc length s along the path, as the numpy steps do it element by element. */
+static double heading_at(double s, const struct path *path)
 {
-    for (int i = 0; i < n_seg; i++) {
-        double take = s < seg[i] ? s : seg[i];
-        if (mode[i] == 'L')
-            h = h + take / radius;
-        else if (mode[i] == 'R')
-            h = h - take / radius;
+    double h = path->h0;
+    for (int i = 0; i < path->n_seg; i++) {
+        double take = s < path->seg[i] ? s : path->seg[i];
+        if (path->mode[i] == 'L')
+            h = h + take / path->radius;
+        else if (path->mode[i] == 'R')
+            h = h - take / path->radius;
         s = s - take;
     }
     return h;
 }
 
-static PyObject *empty; /* numpy.empty, which makes dubins_steer's result */
+static PyObject *empty, *math_hypot; /* numpy.empty, which makes the controls arrays, and CPython's math.hypot */
 
-/* NULL with a ValueError whose format shows a and b as Python floats. */
-static PyObject *value_error(const char *format, double a, double b)
+/* NULL with a ValueError whose format shows the new references a and b (b may be NULL if format has one %R). */
+static void *value_error(const char *format, PyObject *a, PyObject *b)
 {
-    PyObject *x = PyFloat_FromDouble(a), *y = PyFloat_FromDouble(b);
-    if (x && y)
-        PyErr_Format(PyExc_ValueError, format, x, y);
-    Py_XDECREF(x);
-    Py_XDECREF(y);
+    if (a && !PyErr_Occurred())
+        PyErr_Format(PyExc_ValueError, format, a, b);
+    Py_XDECREF(a);
+    Py_XDECREF(b);
     return NULL;
+}
+
+static PyObject *floats(double a) { return PyFloat_FromDouble(a); }
+static PyObject *pose_tuple(const double *p) { return Py_BuildValue("(ddd)", p[0], p[1], p[2]); }
+
+/* reference.steer_python's path and step count for dubins_steer's arguments: the count (0 for coincident poses), -2
+   if no word is feasible, or -1 with ValueError raised.  cap may be inf. */
+static double steer_path(double dx, double dy, double dist, double h0, double h1, double speed, double radius,
+                         double cap, struct path *path)
+{
+    double best[4] = {0.0}, theta = dist > 1e-12 ? atan2(dy, dx) : 0.0;
+    const char *word;
+    *path = (struct path){.h0 = h0, .speed = speed, .radius = radius};
+    if (!shortest_word(mod2pi(h0 - theta), mod2pi(h1 - theta), dist / radius, best, &word))
+        return -2.0;
+    for (int i = 0; i < 3; i++) {
+        double len = best[i + 1] * radius;
+        if (isinf(len))
+            return value_error("path segment length must be finite, got %R * %R", floats(best[i + 1]), floats(radius)),
+                   -1.0;
+        if (len > 1e-12) {
+            path->seg[path->n_seg] = len;
+            path->mode[path->n_seg++] = word[i];
+            path->length += len;
+        }
+    }
+    if (!(path->length > 1e-12))
+        return 0.0;
+    double q = path->length / speed;
+    q = cap < q ? cap : q; /* capped before the count becomes an integer */
+    if (isnan(q))
+        return PyErr_SetString(PyExc_ValueError, "cannot convert float NaN to integer"), -1.0;
+    if (isinf(q))
+        return value_error("step count must be finite, got length %R / speed %R", floats(path->length), floats(speed)),
+               -1.0;
+    return ceil(q) < 1.0 ? 1.0 : ceil(q);
+}
+
+/* The per-step heading increments of the first `steps` steps along the path. */
+static void fill_controls(const struct path *path, double *controls, Py_ssize_t steps)
+{
+    double prev = heading_at(0.0, path);
+    for (Py_ssize_t k = 1; k <= steps; k++) {
+        double s = (double)k * path->speed;
+        double h = heading_at(s < path->length ? s : path->length, path);
+        controls[k - 1] = h - prev;
+        prev = h;
+    }
+}
+
+/* A new float64 array of n entries (numpy.empty), its buffer held in b; NULL with an exception on failure. */
+static PyObject *new_array(double n, Py_buffer *b)
+{
+    PyObject *count = PyLong_FromDouble(n), *out = count ? PyObject_CallOneArg(empty, count) : NULL;
+    Py_XDECREF(count);
+    if (out && PyObject_GetBuffer(out, b, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS))
+        Py_CLEAR(out);
+    return out;
 }
 
 /* dubins_steer(dx, dy, dist, h0, h1, speed, radius, max_steps) -> float64 array, or None if no word is feasible:
    reference.steer_python.  The arguments are read as floats; max_steps may be inf. */
 static PyObject *py_dubins_steer(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    double a[8], best[4] = {0.0}, seg[3], length = 0.0;
-    const char *word;
-    char mode[3];
-    int n_seg = 0;
+    double a[8];
+    struct path path;
+    Py_buffer b;
     if (nargs != 8)
         return PyErr_Format(PyExc_TypeError, "dubins_steer takes 8 arguments (%zd given)", nargs);
     for (int i = 0; i < 8; i++)
         if ((a[i] = PyFloat_AsDouble(args[i])) == -1.0 && PyErr_Occurred())
             return NULL;
-    double dx = a[0], dy = a[1], dist = a[2], h0 = a[3], h1 = a[4], speed = a[5], radius = a[6], cap = a[7];
-    double theta = dist > 1e-12 ? atan2(dy, dx) : 0.0;
-    if (!shortest_word(mod2pi(h0 - theta), mod2pi(h1 - theta), dist / radius, best, &word))
+    double steps = steer_path(a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7], &path);
+    if (steps == -2.0)
         Py_RETURN_NONE;
-    for (int i = 0; i < 3; i++) {
-        double len = best[i + 1] * radius;
-        if (isinf(len))
-            return value_error("path segment length must be finite, got %R * %R", best[i + 1], radius);
-        if (len > 1e-12) {
-            seg[n_seg] = len;
-            mode[n_seg++] = word[i];
-            length += len;
-        }
+    PyObject *out = steps < 0.0 ? NULL : new_array(steps, &b);
+    if (out) {
+        fill_controls(&path, b.buf, b.len / 8);
+        PyBuffer_Release(&b);
     }
-    double n = 0.0;
-    if (length > 1e-12) {
-        double q = length / speed;
-        q = cap < q ? cap : q; /* capped before the count becomes an integer */
-        if (isnan(q))
-            return PyErr_Format(PyExc_ValueError, "cannot convert float NaN to integer");
-        if (isinf(q))
-            return value_error("step count must be finite, got length %R / speed %R", length, speed);
-        n = ceil(q) < 1.0 ? 1.0 : ceil(q);
-    }
-    PyObject *count = PyLong_FromDouble(n), *out = count ? PyObject_CallOneArg(empty, count) : NULL;
-    Py_XDECREF(count);
-    Py_buffer b;
-    if (!out || PyObject_GetBuffer(out, &b, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS)) {
-        Py_XDECREF(out);
-        return NULL;
-    }
-    double *controls = b.buf, prev = heading_at(0.0, h0, n_seg, seg, mode, radius);
-    for (Py_ssize_t k = 1, steps = b.len / 8; k <= steps; k++) {
-        double s = (double)k * speed;
-        double h = heading_at(s < length ? s : length, h0, n_seg, seg, mode, radius);
-        controls[k - 1] = h - prev;
-        prev = h;
-    }
-    PyBuffer_Release(&b);
     return out;
 }
 
-/* nearest(poses, x, y, h, radius) -> int or list: reference.nearest_python on a C-contiguous float64 (n, 3) array.
-   Each row scores hypot(x - px, y - py) + radius * min(a, 2 pi - a), a = |fmod(h - ph, 2 pi)|; the rows within
-   1e-9 of the least score (NaN propagating, as in numpy's min) form the band.  A band of one row is returned as its
-   index, any other band as a list. */
-static PyObject *py_nearest(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* math.hypot(a, b), CPython's own algorithm (libm's hypot may differ from it by an ulp, and it differs between CPython
+   versions), or -1.0 with an exception raised. */
+static double hypot_py(double a, double b)
 {
-    double q[4];
-    Py_buffer b;
-    PyObject *result = NULL;
-    if (nargs != 5)
-        return PyErr_Format(PyExc_TypeError, "nearest takes 5 arguments (%zd given)", nargs);
-    for (int i = 0; i < 4; i++)
-        if ((q[i] = PyFloat_AsDouble(args[i + 1])) == -1.0 && PyErr_Occurred())
-            return NULL;
-    if (get_buffers(&b, args, 1))
-        return NULL;
-    if (!f8(&b) || !dense(&b) || b.ndim != 2 || b.shape[1] != 3)
-        FAIL(PyExc_TypeError, "poses must be a C-contiguous float64 (n, 3) array");
-    Py_ssize_t n = b.shape[0], count = 0, first = -1;
-    const double *pose = b.buf;
-    double *score = PyMem_Malloc((n ? n : 1) * sizeof *score), least = INFINITY;
-    if (!score) {
-        PyErr_NoMemory();
-        goto release;
-    }
-    for (Py_ssize_t i = 0; i < n; i++, pose += 3) {
-        double a = fabs(fmod(q[2] - pose[2], TWO_PI)), other = TWO_PI - a;
-        score[i] = hypot(q[0] - pose[0], q[1] - pose[1]) + q[3] * (a <= other ? a : other);
+    PyObject *r = PyObject_CallFunction(math_hypot, "dd", a, b);
+    double d = r ? PyFloat_AsDouble(r) : -1.0;
+    Py_XDECREF(r);
+    return d;
+}
+
+/* The first of the n poses (rows `width` apart) that minimizes hypot(dx, dy) + radius * |remainder(dh, 2 pi)| to q,
+   as reference.nearest_node picks it: every pose scored with libm's hypot and fmod, as np.hypot and np.fmod score it
+   (|fmod| folded onto [0, pi] is that remainder exactly), and the poses within 1e-9 of the least score (NaN
+   propagating, as in numpy's min) settled by the key with CPython's math.hypot, in order.  n >= 1.  -1 with ValueError
+   for a NaN score, naming the radius or else the first non-finite pose, q first. */
+static Py_ssize_t nearest(const double *pose, Py_ssize_t width, Py_ssize_t n, const double *q, double radius,
+                          double *score)
+{
+    double least = INFINITY, best_key = 0.0;
+    Py_ssize_t best = -1, tied = 0;
+    for (Py_ssize_t i = 0; i < n && !isnan(least); i++) {
+        const double *p = pose + i * width;
+        double a = fabs(fmod(q[2] - p[2], TWO_PI)), other = TWO_PI - a;
+        score[i] = hypot(q[0] - p[0], q[1] - p[1]) + radius * (a <= other ? a : other);
         least = isnan(score[i]) || score[i] < least ? score[i] : least;
-        if (isnan(least))
-            break;
+    }
+    if (isnan(least) && !isfinite(radius))
+        return value_error("nearest-node radius must be finite, got %R", floats(radius), NULL), -1;
+    for (Py_ssize_t i = -1; isnan(least) && i < n; i++) {
+        const double *p = i < 0 ? q : pose + i * width;
+        if (!(isfinite(p[0]) && isfinite(p[1]) && isfinite(p[2])))
+            return value_error("nearest-node poses must be finite, got %R", pose_tuple(p), NULL), -1;
     }
     double band = least * (1.0 + 1e-9);
-    for (Py_ssize_t i = 0; i < n && !isnan(least); i++)
-        if (score[i] <= band && !count++)
-            first = i;
-    if (count == 1) {
-        result = PyLong_FromSsize_t(first);
-    } else if ((result = PyList_New(count))) {
-        for (Py_ssize_t i = first, j = 0; j < count; i++) {
-            PyObject *index = score[i] <= band ? PyLong_FromSsize_t(i) : NULL;
-            if (index)
-                PyList_SET_ITEM(result, j++, index);
-            else if (PyErr_Occurred()) {
-                Py_CLEAR(result);
-                break;
-            }
-        }
+    for (Py_ssize_t i = 0; i < n; i++)
+        if (score[i] <= band && !tied++)
+            best = i;
+    for (Py_ssize_t i = best, first = 1; tied > 1 && i < n; i++) { /* a near tie: the first least key */
+        const double *p = pose + i * width;
+        if (!(score[i] <= band))
+            continue;
+        double key = hypot_py(q[0] - p[0], q[1] - p[1]);
+        if (key < 0.0)
+            return -1;
+        key = key + radius * fabs(remainder(q[2] - p[2], TWO_PI));
+        if (first || key < best_key)
+            best = i, best_key = key, first = 0;
     }
-    PyMem_Free(score);
+    return best;
+}
+
+/* grow_tree(samples, nodes, target, coeff, req, fact, positions, faces, starts, epsilon, speed, radius, max_steps,
+             slots, factors, freqs, coefficients, base, p, q, uniform, first, outcomes) -> list: planner.build_rrt's
+   loop over the (iterations, 3) samples, reference.grow_tree_python.  Row 0 of nodes, (iterations + 1, 5 + n), is
+   the root: pose (x, y, heading), risk, parent, n moments.  Per sample: the nearest node, its Dubins controls, then
+   the budgeted step loop with the table rows built from the moment plan (slots ... first, steering_plan's).  An edge
+   whose rows stay finite and whose risk (the parent's plus its bound) is at most epsilon fills the next row of
+   nodes, with the arrival's (E[x], E[y], atan2(E[sin], E[cos])) and its parent's index as a float, and adds its
+   controls to the list returned.  positions holds risk_bound's five, then the heading's cos and sin.  Row i of
+   outcomes, (iterations, 2), gets sample i's cause (planner.OUTCOMES) and the steps run.  The caller checks speed,
+   radius and max_steps.  The call holds the GIL: the distance and a near tie's key are math.hypot's. */
+static PyObject *py_grow_tree(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer b[14], *sm = b, *nd = b + 1, *tg = b + 2, *co = b + 3, *rq = b + 4, *fa = b + 5, *sl = b + 9;
+    Py_buffer *fs = b + 10, *fr = b + 11, *lc = b + 12, *oc = b + 13;
+    PyObject *arrays[14], *result = NULL;
+    double *scratch = NULL;
+    Py_ssize_t capacity = 0, count = 1;
+    struct terms g = {0};
+    struct budget bud;
+    if (nargs != 23)
+        return PyErr_Format(PyExc_TypeError, "grow_tree takes 23 arguments (%zd given)", nargs);
+    double epsilon = PyFloat_AsDouble(args[9]), speed = PyFloat_AsDouble(args[10]), radius = PyFloat_AsDouble(args[11]);
+    double cap = PyFloat_AsDouble(args[12]);
+    struct plan plan = {.base = PyFloat_AsDouble(args[17]), .p = PyFloat_AsDouble(args[18]),
+                        .q = PyFloat_AsDouble(args[19]), .uniform = PyObject_IsTrue(args[20]),
+                        .first = PyLong_AsLongLong(args[21])};
+    if (PyErr_Occurred())
+        return NULL;
+    for (int i = 0; i < 14; i++)
+        arrays[i] = args[i < 9 ? i : i < 13 ? i + 4 : 22]; /* the arrays, not the numbers */
+    if (get_buffers(b, arrays, 14))
+        return NULL;
+    if (!(f8(sm) && f8(nd) && i8(tg) && f8(co) && i8(rq) && i8(fa) && f8(sl) && i8(fs) && f8(fr) && i8(oc)
+          && lc->itemsize == 16 && !strcmp(lc->format, "Zd")))
+        FAIL(PyExc_TypeError, "samples, nodes, coeff, slots and freqs must be float64, coefficients complex128, the "
+                              "other arrays int64");
+    for (int i = 0; i < 14; i++)
+        if (!dense(b + i))
+            FAIL(PyExc_TypeError, "the arrays must be C-contiguous");
+    if (sm->ndim != 2 || sm->shape[1] != 3 || nd->ndim != 2 || nd->readonly || nd->shape[0] != sm->shape[0] + 1
+        || nd->shape[1] < 5 || oc->ndim != 2 || oc->readonly || oc->shape[0] != sm->shape[0] || oc->shape[1] != 2)
+        FAIL(PyExc_ValueError, "samples must be (iterations, 3), nodes writable (iterations + 1, 5 + moments) and "
+                               "outcomes writable (iterations, 2)");
+    if (tg->ndim != 1 || co->ndim != 1 || rq->ndim != 1 || fa->ndim != 2 || co->shape[0] != tg->shape[0]
+        || rq->shape[0] != tg->shape[0] || fa->shape[0] != tg->shape[0] || sl->ndim != 1 || fs->ndim != 2
+        || fs->shape[0] < 1 || fr->ndim != 1 || lc->ndim != 2 || lc->shape[0] != fr->shape[0])
+        FAIL(PyExc_ValueError, "target, coeff, req and fact must have one entry per term, fact 2-d; slots and freqs "
+                               "must be 1-d, factors (n >= 1, requirements) and coefficients (freqs, m)");
+    Py_ssize_t width = nd->shape[1], n = width - 5, n_req = fs->shape[1];
+    if (get_obstacles("grow_tree", b + 6, n, 7, &bud))
+        goto release;
+    plan.freqs = fr->buf, plan.coef = lc->buf, plan.factors = fs->buf, plan.n_req = n_req;
+    plan.n_freqs = fr->shape[0], plan.n_pairs = lc->shape[1], plan.n_factors = fs->shape[0];
+    for (Py_ssize_t i = 0; i < fs->shape[0] * n_req; i++)
+        if (plan.factors[i] < 0 || plan.factors[i] >= sl->shape[0])
+            FAIL(PyExc_IndexError, "a factor's slot column is out of range");
+    if (plan.first < 0 || plan.first > sl->shape[0] - plan.n_pairs)
+        FAIL(PyExc_IndexError, "the steered columns are out of range");
+    int status = group_terms(&g, n, tg->shape[0], fa->shape[1], n_req, tg->buf, co->buf, rq->buf, fa->buf, NULL);
+    if (status == 1)
+        FAIL(PyExc_IndexError, "a term's target, requirement or factor index is out of range");
+    /* The characteristic function values, the slot row's copy and the nodes' scores */
+    plan.v = PyMem_Malloc(plan.n_freqs * sizeof *plan.v + sl->len + nd->shape[0] * sizeof *plan.slots);
+    if (status || !plan.v || !(result = PyList_New(0)))
+        FAIL(PyExc_MemoryError, "out of memory");
+    memcpy(plan.slots = (double *)(plan.v + plan.n_freqs), sl->buf, sl->len);
+    double *nodes = nd->buf, *score = plan.slots + sl->shape[0];
+    bud.epsilon = epsilon, bud.plan = &plan;
+    for (Py_ssize_t i = 0; i < sm->shape[0]; i++) {
+        const double *s = (const double *)sm->buf + 3 * i;
+        int64_t *outcome = (int64_t *)oc->buf + 2 * i, bad[2] = {-1, -1};
+        Py_ssize_t near = nearest(nodes, width, count, s, radius, score);
+        if (near < 0)
+            goto release;
+        const double *parent = nodes + near * width;
+        double dx = s[0] - parent[0], dy = s[1] - parent[1], dist;
+        if ((isinf(parent[0]) || isinf(parent[1]) || isinf(parent[2]) || isinf(s[0]) || isinf(s[1]) || isinf(s[2]))
+            && !value_error("pose coordinates must not be infinite, got %R and %R", pose_tuple(parent), pose_tuple(s)))
+            goto release; /* value_error returns NULL */
+        if ((dist = hypot_py(dx, dy)) < 0.0
+            || (isinf(dist / radius) && !value_error("distance / radius must be finite, got %R / %R", floats(dist),
+                                                     floats(radius))))
+            goto release;
+        struct path path;
+        double steps = steer_path(dx, dy, dist, parent[2], s[2], speed, radius, cap, &path);
+        if (steps == -1.0)
+            goto release;
+        outcome[0] = steps < 0.0 ? 1 : 2;
+        outcome[1] = 0;
+        if (steps <= 0.0)
+            continue;
+        if (!(steps * (2 + n + n_req) < 1e15))
+            FAIL(PyExc_MemoryError, "out of memory");
+        Py_ssize_t m = (Py_ssize_t)steps, need = m * (1 + n + n_req) + n;
+        if (need > capacity) { /* room for the controls, the edge's moments and its table rows */
+            double *grown = PyMem_Realloc(scratch, need * sizeof *scratch);
+            if (!grown)
+                FAIL(PyExc_MemoryError, "out of memory");
+            scratch = grown, capacity = need;
+        }
+        double *controls = scratch, *out = controls + m;
+        fill_controls(&path, controls, m);
+        plan.schedule = controls;
+        plan.table = out + (m + 1) * n;
+        bud.parent = parent[3], bud.total = 0.0, bud.steps = 0;
+        if (!moment_row(&plan, 0))
+            run_steps(&g, m, plan.table, n_req, parent + 5, out, bad, &bud);
+        if (plan.residue) { /* distmoments._slot_moments' error */
+            char *text = PyOS_double_to_string(plan.residue, 'g', 6, 0, NULL);
+            if (text)
+                PyErr_Format(PyExc_ArithmeticError, "trig moment has non-real residue %s", text);
+            PyMem_Free(text);
+            goto release;
+        }
+        double risk = bud.parent + bud.total, *row = out + m * n, *node = nodes + count * width;
+        outcome[0] = bad[0] >= 0 ? 3 : risk <= epsilon ? 0 : 4;
+        outcome[1] = bad[0] >= 0 ? bad[0] : bud.steps;
+        if (outcome[0])
+            continue;
+        node[0] = row[bud.pos[0]], node[1] = row[bud.pos[1]], node[2] = atan2(row[bud.pos[6]], row[bud.pos[5]]);
+        node[3] = risk, node[4] = (double)near;
+        memcpy(node + 5, row, n * sizeof *row);
+        Py_buffer kept;
+        PyObject *edge = new_array(steps, &kept);
+        if (!edge)
+            goto release;
+        memcpy(kept.buf, controls, m * sizeof *controls);
+        PyBuffer_Release(&kept);
+        status = PyList_Append(result, edge);
+        Py_DECREF(edge);
+        if (status)
+            goto release;
+        count++;
+    }
 release:
-    release_buffers(&b, 1);
+    if (PyErr_Occurred())
+        Py_CLEAR(result);
+    free(g.first);
+    free(g.base);
+    PyMem_Free(plan.v);
+    PyMem_Free(scratch);
+    release_buffers(b, 14);
     return result;
 }
 
-/* trig_moments(shifts, base, loc, variance, freqs, coefficients, out) -> float, on the arrays' buffers: shifts and
-   out may be strided, freqs (F,) and the complex (F, P) coefficients, each purely real or purely imaginary (as
+/* trig_moments(shifts, base, p, q, freqs, coefficients, out[, uniform]) -> float, on the arrays' buffers: the trig
+   moments of Gaussian(p, q), or of Uniform(p, q) if uniform is true, at base + each shift.  shifts and out may be
+   strided, freqs (F,) and the complex (F, P) coefficients, each purely real or purely imaginary (as
    distmoments._laurent_matrix makes them), must be C-contiguous, and out is (steps, P). */
 static PyObject *py_trig_moments(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer b[4], *sh = b, *fr = b + 1, *co = b + 2, *out = b + 3;
     PyObject *result = NULL;
     double p[3];
-    if (nargs != 7)
-        return PyErr_Format(PyExc_TypeError, "trig_moments takes 7 arguments (%zd given)", nargs);
+    if (nargs != 7 && nargs != 8)
+        return PyErr_Format(PyExc_TypeError, "trig_moments takes 7 arguments, or 8 with uniform (%zd given)", nargs);
     for (int i = 0; i < 3; i++)
         if ((p[i] = PyFloat_AsDouble(args[i + 1])) == -1.0 && PyErr_Occurred())
             return NULL;
+    int uniform = nargs == 8 ? PyObject_IsTrue(args[7]) : 0;
     PyObject *arrays[4] = {args[0], args[4], args[5], args[6]};
-    if (get_buffers(b, arrays, 4))
+    if (uniform < 0 || get_buffers(b, arrays, 4))
         return NULL;
     if (!(f8(sh) && f8(fr) && f8(out) && co->itemsize == 16 && !strcmp(co->format, "Zd")))
         FAIL(PyExc_TypeError, "shifts, freqs and out must be float64, coefficients complex128");
@@ -647,8 +802,8 @@ static PyObject *py_trig_moments(PyObject *self, PyObject *const *args, Py_ssize
         PyErr_NoMemory();
         goto release;
     }
-    result = PyFloat_FromDouble(trig_moments(sh->shape[0], sh->buf, sh->strides[0], p[0], p[1], p[2], fr->shape[0],
-                                             fr->buf, co->shape[1], co->buf, out->buf, out->strides[0],
+    result = PyFloat_FromDouble(trig_moments(sh->shape[0], sh->buf, sh->strides[0], p[0], p[1], p[2], uniform,
+                                             fr->shape[0], fr->buf, co->shape[1], co->buf, out->buf, out->strides[0],
                                              out->strides[1], v));
     PyMem_Free(v);
 release:
@@ -765,7 +920,7 @@ release:
 static PyMethodDef methods[] = {{"run_steps", (PyCFunction)(void (*)(void))py_run_steps, METH_FASTCALL, NULL},
                                 {"risk_bound", (PyCFunction)(void (*)(void))py_risk_bound, METH_FASTCALL, NULL},
                                 {"dubins_steer", (PyCFunction)(void (*)(void))py_dubins_steer, METH_FASTCALL, NULL},
-                                {"nearest", (PyCFunction)(void (*)(void))py_nearest, METH_FASTCALL, NULL},
+                                {"grow_tree", (PyCFunction)(void (*)(void))py_grow_tree, METH_FASTCALL, NULL},
                                 {"trig_moments", (PyCFunction)(void (*)(void))py_trig_moments, METH_FASTCALL, NULL},
                                 {"record_moments", (PyCFunction)(void (*)(void))py_record_moments, METH_FASTCALL,
                                  NULL},
@@ -774,9 +929,12 @@ static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "run_steps", NULL, -1
 
 PyMODINIT_FUNC PyInit_run_steps(void)
 {
-    PyObject *numpy = PyImport_ImportModule("numpy");
+    PyObject *numpy = PyImport_ImportModule("numpy"), *math = PyImport_ImportModule("math");
     if (numpy && !empty)
         empty = PyObject_GetAttrString(numpy, "empty");
+    if (math && !math_hypot)
+        math_hypot = PyObject_GetAttrString(math, "hypot");
     Py_XDECREF(numpy);
-    return empty ? PyModule_Create(&module) : NULL;
+    Py_XDECREF(math);
+    return empty && math_hypot ? PyModule_Create(&module) : NULL;
 }

@@ -22,29 +22,30 @@ The entry points (the README's kernel table gives each one's cost per
 call); each matches its reference in the tests' ``reference`` module bit
 for bit:
 
-- `run_steps`: the moment recursion over a horizon, or up to a risk
-  budget; with a moment plan (`DisturbanceModel.steering_plan`) as well,
-  it writes each table row before its step, so unrun steps cost nothing.
+- `run_steps`: the moment recursion over a horizon.
 - `risk_bound`: the planner's per-edge risk bound.
 - `dubins_steer`: the shortest Dubins word and its per-step heading
   increments.
-- `nearest`: the nearest-node scores of a tree's poses.
-- `trig_moments`: the trigonometric moments of a Gaussian or degenerate
-  angle at each step of a shift schedule, written into the caller's
-  (steps, pairs) view.
+- `grow_tree`: the planner's whole risk-bounded tree: per sample, the
+  nearest node, the Dubins controls, and the moment recursion with each
+  step's disturbance moments (`DisturbanceModel.steering_plan`) and risk
+  bound, stopped where the bound passes the chance constraint.
+- `trig_moments`: the trigonometric moments of a Gaussian, degenerate or
+  uniform angle at each step of a shift schedule, written into the
+  caller's (steps, pairs) view.
 - `record_moments`: one Monte Carlo step's sample mean and sum of squared
   deviations of each moment, summed in `np.sum`'s pairwise order.
 
 Two of Python's operations are not the C library's.  Python's float ``%``
 is ``fmod`` followed by a sign fix, which the C code repeats.
 `math.hypot` is CPython's own algorithm, so `dubins_steer` takes the
-distance as an argument; `nearest` scores with libm's ``hypot``, as numpy's
-``np.hypot`` does, and leaves a near-tie to the caller.  Of numpy's
-operations, complex ``exp`` is the C library's ``cexp``, which
-`trig_moments` calls on the same arguments, and the complex product is
-fused where the CPU has FMA: `trig_moments` rounds as it does without an
-FMA instruction, which is exact only because each Laurent coefficient is
-purely real or purely imaginary (see the C source).
+distance as an argument, and `grow_tree` calls `math.hypot` itself for the
+distance and to settle a near tie of its libm-``hypot`` nearest-node
+scores.  Of numpy's operations, complex ``exp`` is the C library's
+``cexp``, which `trig_moments` calls on the same arguments, and the
+complex product is fused where the CPU has FMA: `trig_moments` rounds as
+it does without an FMA instruction, which is exact only because each
+Laurent coefficient is purely real or purely imaginary (see the C source).
 
 `BACKEND` names the backend in use; its one value is ``"c"``.  It and the
 six entry points are bound as attributes of this module on first use:
@@ -77,6 +78,10 @@ log = logging.getLogger(__name__)
 _C_PATH = Path(__file__).with_name("_kernels.c")
 # No fused multiply-add: the C loops must round exactly as their references in numpy and Python do.
 _C_FLAGS = ("-O2", "-funroll-loops", "-shared", "-fPIC", "-ffp-contract=off")
+# No jump across or ending on a 32-byte boundary, so that the kernel's speed does not depend on where its loops fall:
+# tried on x86-64 only, where an assembler older than GNU as 2.34 rejects it and the module is built without it.
+_ALIGN_FLAGS = ("-Wa,-mbranches-within-32B-boundaries",) if platform.machine().lower() in ("x86_64", "amd64") else ()
+_built_flags = None  # the flags of the module loaded last
 
 
 def _import(path) -> object:
@@ -85,8 +90,8 @@ def _import(path) -> object:
     return importlib.util.module_from_spec(importlib.util.spec_from_loader("run_steps", loader))
 
 
-def _build_c(cc: str, lib_path: Path) -> object:
-    """Compile _kernels.c and import it.
+def _build_c(cc: str, lib_path: Path, flags: tuple[str, ...]) -> object:
+    """Compile _kernels.c with `flags` and import it.
 
     The module is cached at lib_path, where it appears atomically.  If that
     directory cannot be written, it is built in a temporary directory instead
@@ -104,7 +109,7 @@ def _build_c(cc: str, lib_path: Path) -> object:
     with build_dir as tmp:
         built = Path(tmp) / "run_steps.so"
         proc = subprocess.run(
-            [cc, *_C_FLAGS, "-I", include, "-o", str(built), str(_C_PATH)],
+            [cc, *flags, "-I", include, "-o", str(built), str(_C_PATH)],
             capture_output=True, text=True, timeout=120,
         )
         if proc.returncode:
@@ -124,19 +129,32 @@ def _build_c(cc: str, lib_path: Path) -> object:
 
 
 def _load_c():
-    """The extension module built from _kernels.c, built if not cached."""
+    """The extension module built from _kernels.c, built if not cached: with `_ALIGN_FLAGS` unless that build fails."""
+    global _built_flags
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         raise OSError("no C compiler (cc or gcc) on PATH")
-    suffix = sysconfig.get_config_var("EXT_SUFFIX")
-    key = hashlib.sha256(b"\0".join((_C_PATH.read_bytes(), *map(str.encode, (*_C_FLAGS, platform.machine(), suffix)))))
+    suffix, source = sysconfig.get_config_var("EXT_SUFFIX"), _C_PATH.read_bytes()
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "momentprop"
-    lib_path = cache / f"run_steps-{key.hexdigest()[:16]}{suffix}"
-    return _import(lib_path) if lib_path.exists() else _build_c(cc, lib_path)
+    builds = {}  # flags -> cached module path; the hash covers the source, the flags, the machine and the ABI tag
+    for flags in (_C_FLAGS + _ALIGN_FLAGS, _C_FLAGS):
+        key = hashlib.sha256(b"\0".join((source, *map(str.encode, (*flags, platform.machine(), suffix)))))
+        builds[flags] = cache / f"run_steps-{key.hexdigest()[:16]}{suffix}"
+    cached = [(flags, path) for flags, path in builds.items() if path.exists()]
+    for flags, lib_path in cached[:1] or builds.items():
+        try:
+            module = _import(lib_path) if cached else _build_c(cc, lib_path, flags)
+        except OSError as exc:
+            if cached or flags == _C_FLAGS:
+                raise
+            log.info("building with %s failed (%s); building without them", " ".join(_ALIGN_FLAGS), exc)
+        else:
+            _built_flags = flags
+            return module
 
 
 # The names __getattr__ binds on first use: BACKEND, then the extension module's functions of the same names.
-_BOUND = ("BACKEND", "run_steps", "risk_bound", "dubins_steer", "nearest", "trig_moments", "record_moments")
+_BOUND = ("BACKEND", "run_steps", "risk_bound", "dubins_steer", "grow_tree", "trig_moments", "record_moments")
 
 
 def __getattr__(name):

@@ -202,33 +202,16 @@ def _laurent_matrix(pairs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.
 _IMAG_RESIDUE_TOL = 1e-12
 
 
-def _trig_moments(
-    dist: Distribution, shift: np.ndarray, freqs: np.ndarray, coefficients: np.ndarray, out: np.ndarray
-) -> float:
-    """Write E[cos^m(X + s) sin^n(X + s)] into the (steps, pairs) `out`, per step s of the 1-d `shift`.
-
-    The pairs are those of a :func:`_laurent_matrix`.  The characteristic
-    function is evaluated in one call over all frequencies, and each Laurent
-    sum is taken left to right in frequency order (a sequential sum, not a
-    BLAS product, which may fuse and reorder the multiply-adds).  Returns
-    the largest |imaginary part| of the sums, NaN if one is NaN.
-    """
-    values = char_fn(dist, shift, freqs[:, None])
-    terms = coefficients[:, :, None] * values[:, None]
-    sums = terms[0]
-    for term in terms[1:]:
-        sums += term
-    out[...] = sums.real.T
-    return float(np.maximum.reduce(np.abs(sums.imag), axis=None, initial=0.0))
-
-
-def _cexp_params(dist: Distribution) -> tuple[float, float] | None:
-    """(location, variance) of a distribution whose trig moments `_kernels.trig_moments` takes, else None."""
-    if type(dist) is Gaussian:
-        return float(dist.mean), float(dist.variance)
-    if type(dist) is Degenerate:
-        return float(dist.value), 0.0
-    return None
+def _trig_params(dist: Distribution) -> tuple[float, float, bool]:
+    """(p, q, uniform) of `dist` as `_kernels.trig_moments` reads them; Beta, which has none, raises."""
+    if isinstance(dist, Gaussian):
+        return float(dist.mean), float(dist.variance), False
+    if isinstance(dist, Degenerate):
+        return float(dist.value), 0.0, False
+    if isinstance(dist, Uniform):
+        return float(dist.lower), float(dist.upper), True
+    kind = type(dist).__name__.lower()
+    raise UnsupportedMomentError(f"trigonometric moments of {kind}-distributed angles are not supported")
 
 
 def trig_moment(dist: Distribution, shift, m: int, n: int):
@@ -249,19 +232,14 @@ def _slot_moments(dist: Distribution, steps: np.ndarray, orders: tuple, laurent:
     """Write the moments of one slot into `out`, one row per entry of the 1-d `steps`, one column per order.
 
     Raw slots have orders k; trig slots have (m, n) pairs and `laurent` =
-    (base shift, frequencies, Laurent matrix).  Gaussian and degenerate
-    trig slots are evaluated by `_kernels.trig_moments`, the others by
-    `_trig_moments`.
+    (base shift, frequencies, Laurent matrix), evaluated by `_kernels.trig_moments`.
     """
     if laurent is None:
         for column, k in enumerate(orders):  # slot orders are >= 1
             out[:, column] = dist.raw_moment(steps, k)
         return
-    params = _cexp_params(dist)
-    if params is None:
-        residue = _trig_moments(dist, laurent[0] + steps, *laurent[1:], out)
-    else:
-        residue = _kernels.trig_moments(steps, laurent[0], *params, *laurent[1:], out)
+    p, q, uniform = _trig_params(dist)
+    residue = _kernels.trig_moments(steps, laurent[0], p, q, *laurent[1:], out, uniform)
     if residue > _IMAG_RESIDUE_TOL:
         raise ArithmeticError(f"trig moment has non-real residue {residue:g}")
 
@@ -341,10 +319,9 @@ class DisturbanceModel:
         trigonometric moment.  The column is the product of its slot
         moments, raw slots first, each in slot order.  A call evaluates only
         the slots whose source has a shift schedule, over all steps at once,
-        straight into the table's columns: a Gaussian or degenerate
-        trigonometric slot in one C `_kernels.trig_moments` call, any other
-        in one :func:`char_fn` call over all its frequencies; everything else
-        is cached by :func:`_table_plan`.
+        straight into the table's columns, a trigonometric slot in one C
+        `_kernels.trig_moments` call; everything else is cached by
+        :func:`_table_plan`.
         When no needed slot is scheduled every row is the same: the plan
         holds that finished row, and the call returns it as a read-only view
         with row stride 0, so it multiplies nothing.
@@ -363,18 +340,12 @@ class DisturbanceModel:
                           slot_moments[:, first : first + len(orders)])
         return _products(slot_moments, factors)
 
-    def steering_plan(self, requirements: Sequence[MultiIndex], source: str) -> tuple | None:
-        """(slot row, factors, freqs, Laurent matrix, base shift, loc, variance, first column): `_kernels.run_steps`
-        builds `moment_table`'s rows from it, `source` on a schedule.  None unless `source`'s slot is the one scheduled
-        and a Gaussian or degenerate trig slot; Beta, which has no trig moments, raises here."""
-        row, scheduled, factors = self._plan(requirements, {*self.shifts, source})
-        if len(scheduled) != 1 or scheduled[0][0] != source or scheduled[0][3] is None:
-            return None
-        _, first, orders, laurent = scheduled[0]
-        if (params := _cexp_params(self.distributions[source])) is None:  # one row the numpy way: Beta raises
-            _slot_moments(self.distributions[source], np.zeros(1), orders, laurent, np.empty((1, len(orders))))
-            return None
-        return row, factors, *laurent[1:], laurent[0], *params, first
+    def steering_plan(self, requirements: Sequence[MultiIndex], source: str) -> tuple:
+        """(slot row, factors, freqs, Laurent matrix, base shift, p, q, uniform, first column): `_kernels.grow_tree`
+        builds `moment_table`'s rows from it, `source` (an angle that some requirement needs) on a schedule and no
+        other.  Beta, which has no trig moments, raises here."""
+        row, ((_, first, _, (base, freqs, coefficients)),), factors = self._plan(requirements, {source})
+        return row, factors, freqs, coefficients, base, *_trig_params(self.distributions[source]), first
 
     def _plan(self, requirements: Sequence[MultiIndex], scheduled) -> tuple:
         """`_table_plan` of the requirements, the slots whose source is in `scheduled` left to each call."""

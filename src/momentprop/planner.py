@@ -216,6 +216,14 @@ def _relative(
     return dx, dy, dist, h0, h1
 
 
+def _check_steering(speed: float, radius: float, max_steps: int | float) -> None:
+    """Raise ValueError, naming the value, unless speed and radius are positive and finite and max_steps is a count."""
+    _check_length("speed", speed)
+    _check_length("radius", radius)
+    if max_steps != math.inf and not _is_count(max_steps, 1):
+        raise ValueError(f"max steps must be an integer of at least 1 or math.inf, got {max_steps!r}")
+
+
 def dubins_steer(
     from_pose: Sequence[float],
     to_pose: Sequence[float],
@@ -237,39 +245,11 @@ def dubins_steer(
     word joins the poses, as when one holds a NaN.
     `_kernels.dubins_steer` does the word search and the arithmetic in C.
     """
-    _check_length("speed", speed)
-    _check_length("radius", radius)
-    if max_steps != math.inf and not _is_count(max_steps, 1):
-        raise ValueError(f"max steps must be an integer of at least 1 or math.inf, got {max_steps!r}")
+    _check_steering(speed, radius, max_steps)
     controls = _kernels.dubins_steer(*_relative(from_pose, to_pose, radius), float(speed), float(radius), max_steps)
     if controls is None:
         raise InfeasiblePathError("no feasible bounded-curvature path")
     return controls
-
-
-def _nearest(poses: np.ndarray, sample: Sequence[float], radius: float) -> int:
-    """First row of `poses` minimizing hypot(dx, dy) + radius * |remainder(dh, 2 pi)| to `sample`.
-
-    `_kernels.nearest` scores every row with libm's hypot and fmod and returns
-    the best row when no other scores within 1e-9 of it.  |fmod(dh, 2 pi)|
-    folded onto [0, pi] is that remainder exactly (Sterbenz), but libm's hypot
-    may differ from math.hypot by an ulp, so a near-tie band is settled here
-    with the scalar key.  `poses` is a C-contiguous float64 (n, 3) array.
-    A NaN score (from a non-finite pose, sample or radius) raises ValueError
-    naming it.
-    """
-    x, y, h = sample
-    near = _kernels.nearest(poses, x, y, h, radius)
-    if near == []:
-        if not math.isfinite(radius):
-            raise ValueError(f"nearest-node radius must be finite, got {radius}")
-        bad = [tuple(pose) for pose in (sample, *poses.tolist()) if not all(map(math.isfinite, pose))]
-        raise ValueError(f"nearest-node poses must be finite, got {bad[0]}" if bad else "no poses to search")
-    return near if isinstance(near, int) else min(
-        near,
-        key=lambda i: math.hypot(x - poses[i, 0], y - poses[i, 1])
-        + radius * abs(math.remainder(h - poses[i, 2], 2.0 * math.pi)),
-    )
 
 
 # -- stochastic steering -----------------------------------------------------------
@@ -352,10 +332,15 @@ class TreeNode:
     cov: np.ndarray  # position covariance at arrival
 
 
+# The cause of each row of RrtResult.outcomes, by its code.
+OUTCOMES = ("accepted", "no feasible path", "zero length", "non-finite moment", "over budget")
+
+
 @dataclass
 class RrtResult:
     nodes: list[TreeNode]
     goal_node: int | None
+    outcomes: np.ndarray  # (iterations, 2) int64: per sample, its OUTCOMES code and the steps propagated
 
     @property
     def found(self) -> bool:
@@ -391,88 +376,55 @@ def build_rrt(
 ) -> RrtResult:
     """Grow a risk-bounded tree; deterministic for a fixed seed.
 
-    A candidate edge is accepted only when (risk to its parent) + (edge risk
-    bound) <= epsilon, as one budgeted `_kernels.run_steps` call finds: it is
-    `stochastic_steer` and `trajectory_risk` in one, stopped at the step that
-    passes epsilon; with the tree's `DisturbanceModel.steering_plan` (none
-    for Uniform steered noise; Beta raises up front) it builds the moments
-    of only the steps it runs.  Accepted nodes store the arrival mean,
-    covariance and accumulated bound.  The returned goal node, when found,
-    is the accepted node with the smallest bound whose mean position lies
-    inside the goal disc.  The system must be the planar vehicle: state x,
-    y, v, one angle (the heading) and one angular disturbance (the steered one).
+    One `_kernels.grow_tree` call runs every iteration: the nearest node to a
+    uniform sample, the Dubins controls towards it, and the edge's moments
+    (`stochastic_steer`, the rows from the tree's `DisturbanceModel.
+    steering_plan`; Beta heading noise raises up front) with its risk bound
+    (`trajectory_risk`), stopped where the parent's risk plus the bound
+    passes epsilon.  Edges within epsilon become nodes, with the arrival
+    mean, covariance and accumulated bound; `outcomes` says why each sample
+    was taken or not (`OUTCOMES`).  The goal node, when found, is the first
+    node of least bound whose mean position lies inside the goal disc.  The
+    system must be the planar vehicle: state x, y, v, one angle (the
+    heading) and one angular disturbance (the steered one).
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("chance constraint must lie in (0, 1)")
     _check_count("iteration count", iterations, 0)
     heading = _heading(msys.state_vars, msys.state_pairs)
-    i_cos, i_sin = msys.moment_index(heading.cos_var), msys.moment_index(heading.sin_var)
     positions = msys.pair_positions(*POSITION)
-    steered, requirements, terms = steered_disturbance(msys), msys.dist_requirements, msys.term_table
+    tracked = np.array([*positions, msys.moment_index(heading.cos_var), msys.moment_index(heading.sin_var)])
+    steered = steered_disturbance(msys)
     faces, starts = env._faces
-    model = DisturbanceModel(msys, distributions, {steered: np.zeros(0)})  # one per tree
-    plan = model.steering_plan(requirements, steered)
+    model = DisturbanceModel(msys, distributions, {steered: np.zeros(0)})  # checks the distributions once per tree
+    plan = model.steering_plan(msys.dist_requirements, steered)
     cfg = config or PlannerConfig()
+    _check_steering(cfg.speed, cfg.turn_radius, cfg.max_edge_steps)
     rng = np.random.Generator(np.random.PCG64(seed))
     xmin, ymin, xmax, ymax = env.bounds
     # Row by row, the same doubles as three scalar draws (x, y, heading) per iteration.
-    samples = rng.uniform((xmin, ymin, -math.pi), (xmax, ymax, math.pi), size=(iterations, 3)).tolist()
-    gx, gy, g_radius = env.goal
+    samples = rng.uniform((xmin, ymin, -math.pi), (xmax, ymax, math.pi), size=(iterations, 3))
 
     sx, sy, sh = env.start
     root_state = init_deterministic(msys, _start_state(env, heading, cfg.speed))
-    root = TreeNode(
-        pose=(sx, sy, sh),
-        moment_state=root_state,
-        risk_to_node=0.0,
-        parent=-1,
-        controls=np.zeros(0),
-        mean=np.array([sx, sy]),
-        cov=np.zeros((2, 2)),
-    )
-    nodes = [root]
-    poses = np.empty((iterations + 1, 3))  # row i is nodes[i].pose
-    poses[0] = root.pose
+    table = np.empty((iterations + 1, 5 + len(msys.basis)))  # per node: pose, risk, parent, moments
+    table[0, :5], table[0, 5:] = (sx, sy, sh, 0.0, -1.0), root_state.values
+    outcomes = np.empty((iterations, 2), dtype=np.int64)
+    controls = _kernels.grow_tree(samples, table, *msys.term_table, tracked, faces, starts, epsilon, cfg.speed,
+                                  cfg.turn_radius, cfg.max_edge_steps, *plan, outcomes)
+    arrivals = table[1 : len(controls) + 1, 5:]
+    mx, my, sxx, syy, sxy = central_second_moments(arrivals, positions)
+    means, covs = np.stack((mx, my), axis=1), np.stack((sxx, sxy, sxy, syy), axis=1).reshape(-1, 2, 2)
+    nodes = [TreeNode((sx, sy, sh), root_state, 0.0, -1, np.zeros(0), np.array([sx, sy]), np.zeros((2, 2)))]
+    gx, gy, g_radius = env.goal
     goal_node: int | None = None
-
-    for sample in samples:
-        nearest = _nearest(poses[: len(nodes)], sample, cfg.turn_radius)
-        parent = nodes[nearest]
-        try:
-            controls = dubins_steer(parent.pose, sample, cfg.speed, cfg.turn_radius, cfg.max_edge_steps)
-        except InfeasiblePathError:
-            continue
-        if len(controls) == 0:
-            continue
-        model.shifts[steered] = controls
-        out = np.empty((len(controls) + 1, len(msys.basis)))
-        if plan is None:
-            table, planned = model.moment_table(requirements, len(controls)), ()
-        else:  # the kernel writes the rows of the steps it runs
-            table, planned = np.empty((len(controls), len(requirements))), (controls, *plan)
-        bad_t, _, _, new_risk = _kernels.run_steps(parent.moment_state.values, table, *terms, out, positions, faces,
-                                                   starts, parent.risk_to_node, epsilon, *planned)
-        if bad_t >= 0 or not new_risk <= epsilon:
-            continue
-        arrival = out[-1].tolist()
-        mx, my, sxx, syy, sxy = central_second_moments(arrival, positions)
-        # Mean heading at arrival, recovered as atan2(E[sin], E[cos]).
-        mean_heading = math.atan2(arrival[i_sin], arrival[i_cos])
-        node = TreeNode(
-            pose=(mx, my, mean_heading),
-            moment_state=MomentState(out[-1], len(controls)),
-            risk_to_node=new_risk,
-            parent=nearest,
-            controls=controls,
-            mean=np.array([mx, my]),
-            cov=np.array([[sxx, sxy], [sxy, syy]]),
-        )
-        poses[len(nodes)] = node.pose
-        nodes.append(node)
-        if math.hypot(node.mean[0] - gx, node.mean[1] - gy) <= g_radius:
-            if goal_node is None or new_risk < nodes[goal_node].risk_to_node:
-                goal_node = len(nodes) - 1
-    return RrtResult(nodes, goal_node)
+    for i, (x, y, h, risk, parent) in enumerate(table[1 : len(controls) + 1, :5].tolist()):
+        nodes.append(TreeNode((x, y, h), MomentState(arrivals[i], len(controls[i])), risk, int(parent), controls[i],
+                              means[i], covs[i]))
+        if math.hypot(means[i, 0] - gx, means[i, 1] - gy) <= g_radius:
+            if goal_node is None or risk < nodes[goal_node].risk_to_node:
+                goal_node = i + 1
+    return RrtResult(nodes, goal_node, outcomes)
 
 
 # -- plan validation & output -------------------------------------------------------

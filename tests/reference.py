@@ -25,12 +25,15 @@ library code calls them.  Each checks one production path:
   `planner.dubins_steer`'s controls.
 - `cantelli_bound` and `obstacle_risk`: the scalar risk bound per step and
   obstacle, against `planner.trajectory_risk`.
-- `run_steps_python`, `risk_bound_python`, `steer_python`, `nearest_python`,
-  `trig_moments_python` and `record_moments_python`: numpy and Python twins
-  of the six C entry points of `momentprop._kernels`, operation for
-  operation, against which each is checked bit for bit.  `steer_python`
-  finds its path with `shortest_path`, the word search over `dubins_words`
-  that the C `shortest_word` repeats; the library has no other copy of it.
+- `run_steps_python`, `risk_bound_python`, `steer_python`,
+  `grow_tree_python`, `trig_moments_python` and `record_moments_python`:
+  numpy and Python twins of the six C entry points of `momentprop._kernels`,
+  operation for operation, against which each is checked bit for bit.
+  `steer_python` finds its path with `shortest_path`, the word search over
+  `dubins_words` that the C `shortest_word` repeats; the library has no
+  other copy of it.  `grow_tree_python` is the planner's iteration loop,
+  with `nearest_node`'s nearest-node rule; `run_steps_python` also takes
+  the risk budget and moment plan that `grow_tree` runs each edge with.
 """
 
 from __future__ import annotations
@@ -43,9 +46,9 @@ from typing import Mapping, Sequence
 import mpmath
 import numpy as np
 
-from momentprop import distmoments
+from momentprop import distmoments, planner
 from momentprop.compiler import MomentBasis, MomentStateSystem, MomentUpdateForm, MufTerm, second_moment_indices
-from momentprop.distmoments import Degenerate, DisturbanceModel, Gaussian, raw_moment, trig_moment
+from momentprop.distmoments import Degenerate, DisturbanceModel, Gaussian, Uniform, raw_moment, trig_moment
 from momentprop.oracle import McEstimate
 from momentprop.planner import Polytope
 from momentprop.polyring import MultiIndex, Polynomial
@@ -303,13 +306,13 @@ def run_steps_python(values0, table, target, coeff, req, fact, out, *budget):
     also holds the steps bounded and parent_risk + their bound.  That bound
     is `risk_bound_python` of the rows so far, whose running sum adds each
     row's obstacles in the order the C loop does.  A moment plan after the
-    budget (schedule, slots, factors, freqs, coefficients, base, loc,
-    variance, first; see `DisturbanceModel.steering_plan`) writes row t of
-    the table before step t: `trig_moments_python` of schedule[t] into a copy
-    of the slot row's columns from `first` on, then `distmoments._products`.
+    budget (schedule, then `DisturbanceModel.steering_plan`'s slots, factors,
+    freqs, coefficients, base, p, q, uniform and first) writes row t of the
+    table before step t: `trig_moments_python` of schedule[t] into a copy of
+    the slot row's columns from `first` on, then `distmoments._products`.
     """
     *obstacles, parent_risk, epsilon = budget[:5] or (None, None)
-    schedule, slots, factors, freqs, coefficients, base, loc, variance, first = budget[5:] or (None,) * 9
+    schedule, slots, factors, freqs, coefficients, base, p, q, uniform, first = budget[5:] or (None,) * 10
     if schedule is not None and len(schedule) < table.shape[0]:
         raise IndexError("run_steps: the schedule is shorter than the steps")
     slots = None if schedule is None else np.array(slots)
@@ -329,7 +332,7 @@ def run_steps_python(values0, table, target, coeff, req, fact, out, *budget):
         for t in range(n_steps):
             if schedule is not None:
                 moments = slots[None, first : first + coefficients.shape[1]]
-                residue = trig_moments_python(schedule[t : t + 1], base, loc, variance, freqs, coefficients, moments)
+                residue = trig_moments_python(schedule[t : t + 1], base, p, q, freqs, coefficients, moments, uniform)
                 if residue > distmoments._IMAG_RESIDUE_TOL:
                     raise ArithmeticError(f"trig moment has non-real residue {residue:g}")
                 table[t] = distmoments._products(slots[None], factors)[0]
@@ -490,22 +493,94 @@ def steer_python(dx, dy, dist, h0, h1, speed, radius, max_steps):
     return headings[1:] - headings[:-1]
 
 
-def nearest_python(poses, x, y, h, radius):
-    """The first best row if it is alone in the near-tie band, else the band: `_kernels.nearest`' twin."""
+def nearest_node(poses, sample, radius) -> int:
+    """First row of `poses` minimizing hypot(dx, dy) + radius * |remainder(dh, 2 pi)| to `sample`.
+
+    Every row is scored with numpy's hypot and fmod (libm's), and the best
+    row is taken when no other scores within 1e-9 of it.  |fmod(dh, 2 pi)|
+    folded onto [0, pi] is that remainder exactly (Sterbenz), but libm's
+    hypot may differ from math.hypot by an ulp, so a near-tie band is settled
+    with the scalar key.  A NaN score (from a non-finite pose, sample or
+    radius) raises ValueError naming it.
+    """
+    x, y, h = sample
     dx, dy, dh = (np.array((x, y, h)) - poses).T
     a = np.abs(np.fmod(dh, 2.0 * math.pi))
     score = np.hypot(dx, dy) + radius * np.minimum(a, 2.0 * math.pi - a)
-    near = (score <= score.min() * (1.0 + 1e-9)).nonzero()[0].tolist()
-    return near[0] if len(near) == 1 else near
+    near = (score <= score.min(initial=math.inf) * (1.0 + 1e-9)).nonzero()[0].tolist()
+    if not near:
+        if not math.isfinite(radius):
+            raise ValueError(f"nearest-node radius must be finite, got {radius}")
+        bad = [tuple(pose) for pose in (sample, *poses.tolist()) if not all(map(math.isfinite, pose))]
+        raise ValueError(f"nearest-node poses must be finite, got {bad[0]}" if bad else "no poses to search")
+    return min(near, key=lambda i: math.hypot(x - poses[i, 0], y - poses[i, 1])
+               + radius * abs(math.remainder(h - poses[i, 2], 2.0 * math.pi)))
 
 
-def trig_moments_python(shifts, base, loc, variance, freqs, coefficients, out) -> float:
-    """`distmoments._trig_moments` of Gaussian(loc, variance) at base + shifts: `_kernels.trig_moments`' twin.
+def grow_tree_python(samples, nodes, target, coeff, req, fact, positions, faces, starts, epsilon, speed, radius,
+                     max_steps, *plan_and_outcomes):
+    """`planner.build_rrt`'s iteration loop over the samples: `_kernels.grow_tree`' twin.
 
-    A variance of 0 gives Degenerate(loc)'s values bit for bit: (0 * t) * t
+    Per sample: `nearest_node` among the nodes so far, `steer_python` from
+    its pose (no word or no steps skip the sample), then `run_steps_python`
+    with the parent's risk as the budget and the plan (`steering_plan`'s
+    slots ... first) building each table row; an edge whose rows stay finite
+    and whose risk stays within epsilon fills the next row of `nodes`.
+    Returns the accepted edges' controls; `outcomes` gets each sample's
+    cause and steps run.
+    """
+    *plan, outcomes = plan_and_outcomes
+    count, kept = 1, []
+    for i, sample in enumerate(samples.tolist()):
+        near = nearest_node(nodes[:count, :3], sample, radius)
+        parent = nodes[near]
+        controls = steer_python(*planner._relative(parent[:3], sample, radius), speed, radius, max_steps)
+        if controls is None or not len(controls):
+            outcomes[i] = 1 if controls is None else 2, 0
+            continue
+        out = np.empty((len(controls) + 1, nodes.shape[1] - 5))
+        table = np.empty((len(controls), plan[1].shape[1]))
+        bad_t, _, steps, risk = run_steps_python(parent[5:], table, target, coeff, req, fact, out, positions[:5], faces,
+                                                 starts, parent[3], epsilon, controls, *plan)
+        outcomes[i] = (3, bad_t) if bad_t >= 0 else (0 if risk <= epsilon else 4, steps)
+        if outcomes[i, 0] == 0:
+            arrival = out[-1]
+            heading = math.atan2(arrival[positions[6]], arrival[positions[5]])
+            nodes[count] = arrival[positions[0]], arrival[positions[1]], heading, risk, near, *arrival
+            kept.append(controls)
+            count += 1
+    return kept
+
+
+def numpy_trig_moments(dist, shift, freqs, coefficients, out) -> float:
+    """Write E[cos^m(X + s) sin^n(X + s)] into the (steps, pairs) `out`, per step s of the 1-d `shift`.
+
+    The pairs are those of a `distmoments._laurent_matrix`.  The
+    characteristic function is evaluated in one call over all frequencies,
+    and each Laurent sum is taken left to right in frequency order (a
+    sequential sum, not a BLAS product, which may fuse and reorder the
+    multiply-adds).  Returns the largest |imaginary part| of the sums, NaN
+    if one is NaN.
+    """
+    if not len(freqs):  # no pairs
+        return 0.0
+    values = distmoments.char_fn(dist, shift, freqs[:, None])
+    terms = coefficients[:, :, None] * values[:, None]
+    sums = terms[0]
+    for term in terms[1:]:
+        sums += term
+    out[...] = sums.real.T
+    return float(np.maximum.reduce(np.abs(sums.imag), axis=None, initial=0.0))
+
+
+def trig_moments_python(shifts, base, p, q, freqs, coefficients, out, uniform=False) -> float:
+    """`numpy_trig_moments` of Gaussian(p, q), or Uniform(p, q) if `uniform`, at base + shifts: `_kernels.trig_moments`'
+    twin.
+
+    A variance of 0 gives Degenerate(p)'s values bit for bit: (0 * t) * t
     / 2 is +0 for every finite t, and subtracting +0 changes no bit.
     """
-    return distmoments._trig_moments(Gaussian(loc, variance), base + shifts, freqs, coefficients, out)
+    return numpy_trig_moments(Uniform(p, q) if uniform else Gaussian(p, q), base + shifts, freqs, coefficients, out)
 
 
 def record_moments_python(factors, out, *columns) -> None:

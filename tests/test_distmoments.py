@@ -25,7 +25,7 @@ from momentprop.distmoments import (
 )
 from momentprop.polyring import MultiIndex
 from momentprop.sysspec import TrigPair, parse_spec, trig_encode
-from reference import moment, trig_moments_python
+from reference import moment, numpy_trig_moments, trig_moments_python
 
 
 def quad_trig_moment(dist, shift, m, n):
@@ -526,7 +526,7 @@ def _out(n_steps, n_pairs, layout):
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_c_trig_moments_match_numpy_twin(data):
-    """The C trig_moments equals `_trig_moments` bit for bit, moments and residue.
+    """The C trig_moments equals the numpy formula (`numpy_trig_moments`) bit for bit, moments and residue.
 
     Gaussian and degenerate angles (the C code takes the latter as variance
     0); variances whose exp(-variance t^2 / 2) underflows to a subnormal or
@@ -564,7 +564,7 @@ def test_c_trig_moments_match_numpy_twin(data):
     residue = _kernels.trig_moments(shifts, base, loc, variance, freqs, coefficients, out)
     expected = np.empty(out.shape)
     with np.errstate(invalid="ignore", over="ignore"):  # numpy warns on the non-finite shifts
-        expected_residue = distmoments._trig_moments(dist, base + shifts, freqs, coefficients, expected)
+        expected_residue = numpy_trig_moments(dist, base + shifts, freqs, coefficients, expected)
     assert np.array_equal(out.view(np.int64), expected.view(np.int64))
     assert residue == expected_residue or math.isnan(residue) and math.isnan(expected_residue)
 
@@ -575,9 +575,36 @@ def test_c_trig_moments_keep_the_sign_of_a_product_rounded_to_zero():
     shifts, out, expected = np.linspace(-4.0, 4.0, 401), np.empty((401, 1)), np.empty((401, 1))
     for variance in (2 * 743.0, 2 * 743.7, 2 * 744.3):
         _kernels.trig_moments(shifts, 0.0, 0.0, variance, freqs, coefficients, out)
-        distmoments._trig_moments(Gaussian(0.0, variance), shifts, freqs, coefficients, expected)
+        numpy_trig_moments(Gaussian(0.0, variance), shifts, freqs, coefficients, expected)
         assert np.signbit(expected[expected == 0.0]).any()  # an unfused product makes these +0.0
         assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_c_uniform_trig_moments_match_the_numpy_formula(data):
+    """Uniform angles take the C path too: its moments and residue are numpy's (exp(1j t b) - exp(1j t a)) /
+    (1j t (b - a)), 1 + 0j at t = 0, bit for bit, for widths from 1e-12 to 1e3 and offsets and shifts to 4e3; a
+    shift of 1e6, an infinite or a NaN one leave NaN where numpy's formula does."""
+    pairs = tuple(data.draw(st.lists(st.sampled_from(ORDERS_TO_8), min_size=1, max_size=4, unique=True)))
+    freqs, coefficients = distmoments._laurent_matrix(pairs)
+    n_steps = data.draw(st.sampled_from([0, 1, 40, 300]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shifts = rng.uniform(-4.0, 4.0, n_steps) * data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    for _ in range(data.draw(st.integers(0, 3)) if n_steps else 0):
+        shifts[data.draw(st.integers(0, n_steps - 1))] = data.draw(st.sampled_from(SPECIAL_SHIFTS))
+    base = data.draw(st.sampled_from([0.0, -0.0, 1 / 3]) | st.floats(-4.0, 4.0))
+    lower = data.draw(st.floats(-4.0, 4.0)) * data.draw(st.sampled_from([1e-6, 1.0, 1e3]))
+    upper = lower + data.draw(st.sampled_from([1e-12, 1e-8, 1e-3, 1.0, 1e3]) | st.floats(1e-12, 10.0))
+    out = _out(n_steps, len(pairs), data.draw(st.sampled_from(["C-ordered", "columns of a wider table"])))
+    residue = _kernels.trig_moments(shifts, base, lower, upper, freqs, coefficients, out, True)
+    expected = np.empty(out.shape)
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected_residue = numpy_trig_moments(Uniform(lower, upper), base + shifts, freqs, coefficients, expected)
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(out), nan)
+    assert np.array_equal(out[~nan].view(np.int64), expected[~nan].view(np.int64))
+    assert residue == expected_residue or math.isnan(residue) and math.isnan(expected_residue)
 
 
 def test_c_trig_moments_reject_bad_input_and_release_buffers():

@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import hashlib
+import itertools
 import math
 import re
 import sys
@@ -28,13 +30,14 @@ from momentprop.planner import (
 )
 from momentprop.propagator import MomentState, MomentTrajectory, PropagationError, init_deterministic, mean_cov
 
-from conftest import use_kernel_twins
+from conftest import grow_both, grow_tree_arguments, use_kernel_twins
 from reference import (
     DubinsPath,
+    grow_tree_python,
     cantelli_bound,
     mod2pi,
     moment,
-    nearest_python,
+    nearest_node,
     obstacle_risk,
     risk_bound_python,
     shortest_path,
@@ -316,15 +319,18 @@ class TestNearest:
     SPECIAL_GAPS = [0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 3 * math.pi, -5 * math.pi, 40 * math.pi,
                     math.nextafter(math.pi, 4.0), math.nextafter(math.pi, 3.0), math.pi / 2, -math.pi / 2, 1e-300]
 
-    def test_nan_score_names_the_pose_or_radius(self, kernels):
-        """A NaN score leaves an empty near-tie band; the message names its cause instead of min() of nothing."""
-        poses = np.array([(0.0, 0.0, 0.0), (1.0, math.nan, 0.0)])
-        with pytest.raises(ValueError, match=r"^nearest-node poses must be finite, got \(1\.0, nan, 0\.0\)$"):
-            planner._nearest(poses, (0.5, 0.5, 0.0), 0.3)
-        with pytest.raises(ValueError, match=r"^nearest-node poses must be finite, got \(nan, 0\.5, 0\.0\)$"):
-            planner._nearest(poses[:1], (math.nan, 0.5, 0.0), 0.3)
-        with pytest.raises(ValueError, match="^nearest-node radius must be finite, got nan$"):
-            planner._nearest(poses[:1], (0.5, 0.5, 0.0), math.nan)
+    def test_nan_score_names_the_pose_or_radius(self, kernels, dubins_reduced):
+        """A NaN score leaves an empty near-tie band; the tree names its cause instead of min() of nothing."""
+        cases = [((1.0, math.nan, 0.0), (0.5, 0.5, 0.0), 0.3, r"poses must be finite, got \(1\.0, nan, 0\.0\)"),
+                 ((0.0, 0.0, 0.0), (math.nan, 0.5, 0.0), 0.3, r"poses must be finite, got \(nan, 0\.5, 0\.0\)"),
+                 ((0.0, 0.0, 0.0), (0.5, 0.5, 0.0), math.nan, "radius must be finite, got nan")]
+        for root, sample, radius, message in cases:
+            args = grow_tree_arguments(dubins_reduced, presets.planner_noise(), [sample], root=root)
+            args[11] = radius
+            with pytest.raises(ValueError, match=f"^nearest-node {message}$"):
+                _kernels.grow_tree(*args)
+            with pytest.raises(ValueError, match=f"^nearest-node {message}$"):
+                nearest_node(np.array([root]), sample, radius)
 
     def test_folded_fmod_equals_remainder(self):
         rng = np.random.default_rng(2)
@@ -351,7 +357,7 @@ class TestNearest:
             order = rng.permutation(len(poses))
             arr = np.array([poses[i] for i in order], dtype=float)
             radius = rng.choice([0.0, 0.3, 1.0])
-            assert planner._nearest(arr, sample, radius) == _scalar_nearest(arr.tolist(), sample, radius)
+            assert nearest_node(arr, sample, radius) == _scalar_nearest(arr.tolist(), sample, radius)
 
     def test_hypot_ulp_near_tie_settled_by_scalar_key(self):
         """Where np.hypot rounds below math.hypot, a vector argmin alone would pick the later of two tied poses."""
@@ -365,7 +371,7 @@ class TestNearest:
         sample = (0.0, 0.0, 0.0)
         poses = np.array([(-exact, 0.0, 0.0), (-a, -b, 0.0)])  # scalar keys tie at `exact`
         assert int(np.argmin(np.hypot(-poses[:, 0], -poses[:, 1]))) == 1
-        assert planner._nearest(poses, sample, 0.3) == _scalar_nearest(poses.tolist(), sample, 0.3) == 0
+        assert nearest_node(poses, sample, 0.3) == _scalar_nearest(poses.tolist(), sample, 0.3) == 0
 
 
 @pytest.fixture(params=["c", "python"])
@@ -482,48 +488,164 @@ def test_c_steering_matches_python_twin(data):
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
-@settings(max_examples=300, deadline=None)
+def _parents_follow_the_scalar_key(samples, nodes, outcomes, radius):
+    """Each accepted sample's parent is the scalar key's nearest among the nodes accepted before it."""
+    count = 1
+    for sample, (cause, _) in zip(samples, outcomes.tolist()):
+        if cause == 0:
+            assert nodes[count, 4] == _scalar_nearest(nodes[:count, :3].tolist(), sample, radius)
+            count += 1
+
+
+def _on_the_bisector(a, b, offset, ulps=0):
+    """A sample on the perpendicular bisector of poses a and b, `offset` along it from their midpoint, its x moved by
+    `ulps` ulps, heading halfway between theirs: the two poses' scores tie but for rounding."""
+    mx, my = (a[0] + b[0]) / 2, (a[1] + b[1]) / 2
+    x = mx - offset * (b[1] - a[1])
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x, my + offset * (b[0] - a[0]), (a[2] + b[2]) / 2
+
+
+_OBSTACLE_FREE = "bounds 0 0 2.5 2.5\nstart 0.3 0.3 0\ngoal 2.1 2.1 0.25\n"
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_c_nearest_matches_scalar_key_on_repeats_and_near_ties(data):
-    """Repeated poses, poses at one distance from the sample, a few ulps off it, and heading gaps of pi."""
-    sample = (data.draw(st.floats(0.0, 2.5)), data.draw(st.floats(0.0, 2.5)), data.draw(st.floats(-math.pi, math.pi)))
-    pose = st.tuples(st.floats(0.0, 2.5), st.floats(0.0, 2.5), st.floats(-7.0, 7.0))
-    poses = data.draw(st.lists(pose, min_size=1, max_size=12))
-    d = data.draw(st.floats(0.0, 1.0))
-    for _ in range(data.draw(st.integers(0, 6))):
-        kind = data.draw(st.sampled_from(["repeat", "equidistant", "ulps off"]))
+def test_c_nearest_matches_scalar_key_on_repeats_and_near_ties(dubins_reduced, data):
+    """Samples that repeat a node's pose, lie on the bisector of two nodes (or a few ulps off it) with the heading
+    halfway between theirs, or come uniformly: every parent is the scalar key's, and C and twin agree bit for bit."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    samples = rng.uniform((0.0, 0.0, -math.pi), (2.5, 2.5, math.pi), (10, 3)).tolist()
+    noise = presets.planner_noise()
+    for _ in range(data.draw(st.integers(1, 8), label="crafted")):
+        args = grow_tree_arguments(dubins_reduced, noise, samples, env=_OBSTACLE_FREE, epsilon=0.5)
+        poses = args[1][: len(_kernels.grow_tree(*args)) + 1, :3].tolist()
+        a, b = data.draw(st.sampled_from(poses)), data.draw(st.sampled_from(poses))
+        kind = data.draw(st.sampled_from(["repeat", "bisector", "ulps off", "uniform"]))
         if kind == "repeat":
-            poses.append(data.draw(st.sampled_from(poses)))
+            samples.append(a)
+        elif kind == "uniform":
+            samples.append(rng.uniform((0.0, 0.0, -math.pi), (2.5, 2.5, math.pi)).tolist())
         else:
-            phi = data.draw(st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2, 1.0]))
-            r = d if kind == "equidistant" else d + data.draw(st.integers(-3, 3)) * math.ulp(d)
-            gap = data.draw(st.sampled_from(TestNearest.SPECIAL_GAPS))
-            poses.append((sample[0] + r * math.cos(phi), sample[1] + r * math.sin(phi), sample[2] - gap))
-    arr = np.array(data.draw(st.permutations(poses)), dtype=float)
-    radius = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
-    assert planner._nearest(arr, sample, radius) == _scalar_nearest(arr.tolist(), sample, radius)
-    assert _kernels.nearest(arr, *sample, radius) == nearest_python(arr, *sample, radius)
+            offset = data.draw(st.sampled_from([0.0, 0.25, -1.0]) | st.floats(-2.0, 2.0))
+            samples.append(_on_the_bisector(a, b, offset, data.draw(st.integers(-3, 3)) if kind == "ulps off" else 0))
+    args = grow_tree_arguments(dubins_reduced, noise, samples, env=_OBSTACLE_FREE, epsilon=0.5)
+    _, nodes, outcomes = grow_both(args)
+    _parents_follow_the_scalar_key(samples, nodes, outcomes, 0.3)
 
 
-def test_c_geometry_rejects_bad_input_and_releases_buffers():
-    poses = np.zeros((4, 3))
-    for bad in (poses.astype(np.float32), np.zeros((3, 4)).T, np.zeros((4, 2)), np.zeros(3), [[0.0, 0.0, 0.0]]):
-        before = sys.getrefcount(bad)
-        with pytest.raises(TypeError):
-            _kernels.nearest(bad, 0.0, 0.0, 0.0, 0.3)
-        assert sys.getrefcount(bad) == before
-    with pytest.raises(TypeError, match="nearest: poses must be a C-contiguous float64"):
-        _kernels.nearest(poses.T, 0.0, 0.0, 0.0, 0.3)
-    before = sys.getrefcount(poses)
-    assert _kernels.nearest(poses, 1.0, 0.0, 0.0, 0.3) == [0, 1, 2, 3]
-    assert _kernels.nearest(poses[:0], 1.0, 0.0, 0.0, 0.3) == []
-    assert sys.getrefcount(poses) == before
-    with pytest.raises(TypeError, match="takes 5 arguments"):
-        _kernels.nearest(poses, 0.0, 0.0, 0.0)
+def test_near_tie_on_a_bisector_is_settled_by_the_scalar_key(dubins_reduced):
+    """Samples on the bisector of two nodes, heading halfway between theirs: the libm scores of both nodes fall in
+    the near-tie band, and the parent is the one that planner's scalar key (math.hypot) picks, in C and its twin."""
+    noise = presets.planner_noise()
+    samples = np.random.default_rng(5).uniform((0.0, 0.0, -math.pi), (2.5, 2.5, math.pi), (12, 3)).tolist()
+    args = grow_tree_arguments(dubins_reduced, noise, samples, env=_OBSTACLE_FREE, epsilon=0.5)
+    poses = args[1][: len(_kernels.grow_tree(*args)) + 1, :3]
+    ties = 0
+    for (i, j), offset in itertools.product(itertools.combinations(range(len(poses)), 2), (0.0, 0.2, 0.5)):
+        sample = _on_the_bisector(poses[i], poses[j], offset)
+        dx, dy, dh = (np.array(sample) - poses[[i, j]]).T
+        a = np.abs(np.fmod(dh, 2.0 * math.pi))
+        scores = np.hypot(dx, dy) + 0.3 * np.minimum(a, 2.0 * math.pi - a)
+        others = np.delete(np.arange(len(poses)), [i, j])
+        if max(scores) > min(scores) * (1.0 + 1e-9) or any(
+                math.hypot(sample[0] - p[0], sample[1] - p[1]) <= max(scores) for p in poses[others]):
+            continue
+        ties += 1
+        tied = grow_tree_arguments(dubins_reduced, noise, samples + [sample], env=_OBSTACLE_FREE, epsilon=0.5)
+        _, nodes, outcomes = grow_both(tied)
+        assert outcomes[-1, 0] == 0
+        assert nodes[len(poses), 4] == _scalar_nearest(poses.tolist(), sample, 0.3) == nearest_node(poses, sample, 0.3)
+    assert ties >= 10
+
+
+def test_c_geometry_rejects_bad_input_and_releases_buffers(dubins_reduced):
+    """grow_tree's samples, nodes and outcomes are checked before any work, every buffer is released, and no node or
+    outcome is written; dubins_steer counts its arguments."""
+    args = grow_tree_arguments(dubins_reduced, presets.planner_noise(), [(1.0, 1.0, 0.0)] * 3)
+    read_only = args[1].copy()
+    read_only.flags.writeable = False
+    cases = {
+        "float32 samples": (0, args[0].astype(np.float32), TypeError),
+        "Fortran-ordered samples": (0, np.asfortranarray(np.ones((3, 3))), TypeError),
+        "samples of two columns": (0, args[0][:, :2].copy(), ValueError),
+        "one sample too many": (0, np.ones((4, 3)), ValueError),
+        "a list of samples": (0, args[0].tolist(), TypeError),
+        "read-only nodes": (1, read_only, ValueError),
+        "nodes without moments": (1, args[1][:, :4].copy(), ValueError),
+        "int32 outcomes": (22, args[22].astype(np.int32), TypeError),
+        "outcomes of one column": (22, args[22][:, :1].copy(), ValueError),
+        "a string radius": (11, "0.3", TypeError),
+    }
+    for name, (position, bad, error) in cases.items():
+        bad_args = [*args[:position], bad, *args[position + 1 :]]
+        before = [sys.getrefcount(arg) for arg in bad_args if isinstance(arg, np.ndarray)]
+        with pytest.raises(error, match=None if name.startswith("a ") and error is TypeError else "^grow_tree: "):
+            _kernels.grow_tree(*bad_args)
+        assert [sys.getrefcount(arg) for arg in bad_args if isinstance(arg, np.ndarray)] == before, name
+        assert (args[1][1:] == 7.0).all() and (args[22] == -7).all(), name
+    with pytest.raises(TypeError, match="takes 23 arguments"):
+        _kernels.grow_tree(*args[:22])
     with pytest.raises(TypeError, match="takes 8 arguments"):
         _kernels.dubins_steer(1.0, 0.0, 1.0, 0.0, 0.0, 0.05, 0.3)
     with pytest.raises(TypeError):
         _kernels.dubins_steer(1.0, 0.0, 1.0, "0", 0.0, 0.05, 0.3, 40)
+
+
+# How each error of the tree's loop is provoked: (root, sample, arguments replaced by position, message).
+TREE_ERRORS = {
+    "infinite sample": ((0.3, 0.3, 0.0), (math.inf, 0.5, 0.0), {},
+                        r"pose coordinates must not be infinite, got \(0\.3, 0\.3, 0\.0\) and \(inf, 0\.5, 0\.0\)"),
+    "infinite root": ((0.3, -math.inf, 0.0), (0.5, 0.5, 0.0), {},
+                      r"pose coordinates must not be infinite, got \(0\.3, -inf, 0\.0\) and \(0\.5, 0\.5, 0\.0\)"),
+    "distance overflowing in radii": ((0.0, 0.0, 0.0), (0.5, 0.5, 0.0), {11: 1e-310},
+                                      r"distance / radius must be finite, got 0\.7071067811865476 / 1e-310"),
+    "infinite segment": ((0.0, 0.0, 0.0), (0.01, 0.0, 1.0), {11: 1e308},
+                         r"path segment length must be finite, got 5\.799045340204974 \* 1e\+308"),
+    "infinite step count": ((0.0, 0.0, 0.0), (1e10, 0.0, 0.0), {10: 1e-300, 12: math.inf},
+                            r"step count must be finite, got length 10000000000\.0 / speed 1e-300"),
+}
+
+
+@pytest.mark.parametrize("case", TREE_ERRORS)
+def test_grow_tree_raises_the_loops_errors_as_its_twin(dubins_reduced, case):
+    """Each ValueError of the old loop's `_relative` and Dubins steering, with its message, from C and from the twin,
+    and from `dubins_steer` on the same poses."""
+    root, sample, replaced, message = TREE_ERRORS[case]
+    args = grow_tree_arguments(dubins_reduced, presets.planner_noise(), [sample], root=root)
+    for position, value in replaced.items():
+        args[position] = value
+    for grow in (_kernels.grow_tree, grow_tree_python):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            grow(*args[:1], args[1].copy(), *args[2:])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dubins_steer(root, sample, args[10], args[11], args[12])
+
+
+TREE_NOISE = {"gaussian": presets.planner_noise(), "degenerate": {**presets.planner_noise(), "wt": Degenerate(0.0)},
+              "uniform": {**presets.planner_noise(), "wt": Uniform(-0.02, 0.05)},
+              "biased speed": {**presets.planner_noise(), "wv": Gaussian(0.001, 1e-8)}}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_grow_tree_matches_its_twin(dubins_reduced, data):
+    """Random environments (none to three obstacles), heading noise with each trig path and a biased speed noise:
+    every node, outcome and control of the C tree is its twin's, bit for bit, and every parent the scalar key's."""
+    lines = ["bounds 0 0 2.5 2.5", "start 0.3 0.3 0", "goal 2.1 2.1 0.25"]
+    for _ in range(data.draw(st.integers(0, 3), label="obstacles")):
+        x, y = data.draw(st.floats(0.6, 2.0)), data.draw(st.floats(0.6, 2.0))
+        w, h = data.draw(st.floats(0.05, 0.5)), data.draw(st.floats(0.05, 0.5))
+        lines.append(f"obstacle {x} {y} {x + w} {y} {x + w} {y + h} {x} {y + h}")
+    noise = TREE_NOISE[data.draw(st.sampled_from(sorted(TREE_NOISE)), label="noise")]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    samples = rng.uniform((0.0, 0.0, -math.pi), (2.5, 2.5, math.pi), (data.draw(st.integers(0, 40)), 3))
+    epsilon = data.draw(st.sampled_from([1e-6, 0.05, 0.1, 0.5]), label="epsilon")
+    args = grow_tree_arguments(dubins_reduced, noise, samples, env="\n".join(lines), epsilon=epsilon)
+    args[12] = data.draw(st.sampled_from([1, 5, 40]), label="max steps")
+    _, nodes, outcomes = grow_both(args)
+    _parents_follow_the_scalar_key(samples.tolist(), nodes, outcomes, 0.3)
 
 
 class TestStochasticSteer:
@@ -728,42 +850,54 @@ EDGE_NOISE = {
 @pytest.mark.parametrize("seed", [0, 7, 11, 23])
 @pytest.mark.parametrize("noise", EDGE_NOISE)
 def test_each_edge_matches_the_scalar_edge_path(dubins_reduced, noise, seed, monkeypatch):
-    """Every edge's one budgeted kernel call, against `stochastic_steer` with per-requirement moments and the scalar
-    risk: the same accept decision; parent risk plus the scalar bound of the rows the call ran, bit for bit; and,
-    for an accepted edge, the arrival row bit for bit."""
+    """Every sample of a tree, replayed one edge at a time with the one-off path: `nearest_node` among the nodes so
+    far, `dubins_steer`, and `stochastic_steer` with per-requirement moments and the scalar risk.  That gives the
+    tree's outcome, cause and steps run (the budget stops at the first step where the parent's risk plus the scalar
+    bound passes epsilon), and for an accepted edge its parent, controls, arrival row and risk, bit for bit."""
     env = parse_environment(presets.PLANNER_ENV)
     noise = EDGE_NOISE[noise]
-    edges, steered = [], []
-    run_steps, steer = _kernels.run_steps, planner.dubins_steer
-
-    def steering(*args):
-        steered.append(steer(*args))
-        return steered[-1]
-
-    def recording(*args):
-        result = run_steps(*args)
-        edges.append((steered[-1], args[0].copy(), args[6][-1].copy(), args[10], result))
-        return result
-
-    monkeypatch.setattr(planner, "dubins_steer", steering)
-    monkeypatch.setattr(_kernels, "run_steps", recording)
-    build_rrt(env, dubins_reduced, noise, 0.1, 100, seed)
+    calls, grow_tree = [], _kernels.grow_tree
+    monkeypatch.setattr(_kernels, "grow_tree", lambda *args: calls.append(args) or grow_tree(*args))
+    result = build_rrt(env, dubins_reduced, noise, 0.1, 100, seed)
     monkeypatch.undo()
     monkeypatch.setattr(DisturbanceModel, "moment_table", _per_requirement_table)
     model = DisturbanceModel(dubins_reduced, noise)
-    assert len(edges) > 50
-    for controls, values0, arrival, parent_risk, (bad_t, _, steps, risk) in edges:
+    ((samples, table, *_),) = calls
+    count, causes = 1, collections.Counter(result.outcomes[:, 0].tolist())
+    assert causes[0] > 10 and causes[4] > 10
+    for sample, (cause, steps) in zip(samples.tolist(), result.outcomes.tolist()):
+        near = nearest_node(table[:count, :3], sample, 0.3)
+        parent = result.nodes[near]
         try:
-            traj = stochastic_steer(MomentState(values0), controls, dubins_reduced, model)
-        except PropagationError:
-            assert bad_t >= 0
+            controls = dubins_steer(parent.pose, sample, 0.05, 0.3, 40)
+        except InfeasiblePathError:
+            assert (cause, steps) == (1, 0)
             continue
-        accepted = bad_t < 0 and risk <= 0.1
-        assert accepted == (parent_risk + _scalar_trajectory_risk(traj, env) <= 0.1)
-        ran = MomentTrajectory(dubins_reduced, traj.values[: steps + 1])
-        assert risk.hex() == (parent_risk + _scalar_trajectory_risk(ran, env)).hex()
-        if accepted:
-            assert arrival.tobytes() == traj.values[-1].tobytes()
+        if not len(controls):
+            assert (cause, steps) == (2, 0)
+            continue
+        try:
+            traj = stochastic_steer(parent.moment_state, controls, dubins_reduced, model)
+        except PropagationError:
+            assert cause == 3
+            continue
+        means, covs = mean_cov(traj, ("x", "y"))
+        total, stop = 0.0, len(controls)
+        for t in range(1, len(controls) + 1):
+            for obs in env.obstacles:
+                total += obstacle_risk(means[t], covs[t], obs)
+            if not parent.risk_to_node + total <= 0.1:
+                stop = t
+                break
+        risk = parent.risk_to_node + total
+        assert (cause, steps) == ((0, stop) if risk <= 0.1 else (4, stop))
+        if cause == 0:
+            node = result.nodes[count]
+            assert (node.parent, node.risk_to_node.hex()) == (near, risk.hex())
+            assert node.controls.tobytes() == controls.tobytes()
+            assert node.moment_state.values.tobytes() == traj.values[-1].tobytes()
+            count += 1
+    assert count == len(result.nodes)
 
 
 @pytest.mark.parametrize("iterations", [0, 10])

@@ -26,10 +26,11 @@ from momentprop.propagator import (
 )
 from momentprop.sysspec import DependenceGraph, PolynomialSystem
 
-from conftest import unbind_kernels
+from conftest import grow_both, grow_tree_arguments, unbind_kernels
 from randsys import monomial_arrays, poly_eval_arrays, random_system
 from reference import (
     evaluate_polynomial,
+    grow_tree_python,
     moment,
     propagate_mp,
     risk_bound_python,
@@ -510,7 +511,7 @@ class TestCKernel:
 
 def test_c_entry_points_are_the_extension_module_functions():
     """Four entry points are the module's own functions, with no forwarder, and C is the one backend."""
-    names = ("risk_bound", "dubins_steer", "nearest", "trig_moments")
+    names = ("risk_bound", "dubins_steer", "grow_tree", "trig_moments")
     module = _kernels._load_c()
     assert _kernels.BACKEND == "c"
     assert all(getattr(_kernels, name) is getattr(module, name) for name in names)
@@ -686,115 +687,120 @@ def test_risk_bound_rejects_bad_input_and_releases_buffers():
         _kernels.risk_bound(values, positions, faces)
 
 
-# Obstacle tables for a budgeted edge: the planner's two boxes, none, and one rotated square.
-BUDGET_ENVS = [planner.parse_environment(text)._faces for text in (
+# Environments for a budgeted edge: the planner's two boxes, none, and one rotated square; and their obstacle tables.
+BUDGET_ENV_TEXTS = (
     presets.PLANNER_ENV,
     "bounds 0 0 2.5 2.5\nstart 0.3 0.3 0\ngoal 2.1 2.1 0.25\n",
     "bounds 0 0 2.5 2.5\nstart 0.3 0.3 0\ngoal 2.1 2.1 0.25\nobstacle 1 0.6 1.4 1 1 1.4 0.6 1\n",
-)]
+)
+BUDGET_ENVS = [planner.parse_environment(text)._faces for text in BUDGET_ENV_TEXTS]
+_sample = st.tuples(st.floats(0.0, 2.5), st.floats(0.0, 2.5), st.floats(-math.pi, math.pi))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_budgeted_run_steps_matches_its_twin_and_the_two_pass_edge(dubins_reduced, data):
-    """A planner edge with a risk budget: the C loop and its twin run the same rows and return the same steps and
-    risk, bit for bit.  Against the unbudgeted call and `risk_bound`: an edge within budget has their rows and
-    parent risk + bound, an edge stopped for risk would pass epsilon had it run every step, and a non-finite row
-    is the unbudgeted call's.  Huge speeds make rows overflow part way."""
+    """grow_tree's budgeted step loop: the C tree and its twin run the same rows and take the same decisions, bit for
+    bit.  Against the unbudgeted `run_steps` and `risk_bound` on the first edge: an accepted edge has their last row
+    and parent risk + bound, an edge stopped for risk stops at the first step where parent risk + bound passes
+    epsilon, and a non-finite row is the unbudgeted call's.  Huge speeds make rows overflow part way."""
     msys = dubins_reduced
-    n_steps = data.draw(st.integers(0, 40), label="steps")
-    controls = np.array(data.draw(st.lists(st.floats(-0.2, 0.2), min_size=n_steps, max_size=n_steps)))
     speed = data.draw(st.one_of(st.floats(0.01, 0.2), st.sampled_from((1e152, 1e153))), label="speed")
-    pose = {"x": data.draw(st.floats(0.0, 2.5)), "y": data.draw(st.floats(0.0, 2.5)), "v": speed,
-            "theta": data.draw(st.floats(-math.pi, math.pi))}
-    model = DisturbanceModel(msys, presets.planner_noise(), {"wt": controls})
+    root = data.draw(_sample, label="root")
+    pose = {"x": root[0], "y": root[1], "v": speed, "theta": root[2]}
     # The parent is the end of an earlier stretch of noise, so its variances need not be zero.
     prefix = data.draw(st.integers(0, 30), label="prefix steps")
     values0 = np.empty((prefix + 1, len(msys.basis)))
     stationary = DisturbanceModel(msys, presets.planner_noise()).moment_table(msys.dist_requirements, prefix)
     prefix_bad, _ = _kernels.run_steps(init_deterministic(msys, pose).values, stationary, *msys.term_table, values0)
     values0 = values0[-1 if prefix_bad < 0 else 0]
-    faces, starts = data.draw(st.sampled_from(BUDGET_ENVS), label="obstacles")
+    env = data.draw(st.sampled_from(BUDGET_ENV_TEXTS), label="obstacles")
     epsilon = data.draw(st.floats(0.0, 2.0), label="epsilon")
     parent = data.draw(st.one_of(st.floats(0.0, 1.0).map(lambda f: f * epsilon), st.floats(0.0, 3.0)), label="parent")
-    positions = msys.pair_positions("x", "y")
-    args = (values0, model.moment_table(msys.dist_requirements, n_steps), *msys.term_table)
-    budget = (positions, faces, starts, parent, epsilon)
-    got, ref, full = (np.full((n_steps + 1, len(msys.basis)), 7.0) for _ in range(3))
-    bad_t, bad_j, steps, risk = result = _kernels.run_steps(*args, got, *budget)
-    twin = run_steps_python(*args, ref, *budget)
-    assert result[:3] == twin[:3] and risk.hex() == twin[3].hex()
-    assert np.array_equal(np.isnan(got), np.isnan(ref))
-    assert np.array_equal(np.where(np.isnan(got), 0.0, got).view(np.int64),
-                          np.where(np.isnan(ref), 0.0, ref).view(np.int64))
-    unbudgeted = _kernels.run_steps(*args, full)
-    rows = steps + 1 + (bad_t >= 0)
-    assert np.array_equal(got[:rows], full[:rows], equal_nan=True) and (got[rows:] == 7.0).all()
-    assert risk.hex() == (parent + _kernels.risk_bound(got[: steps + 1], positions, faces, starts)).hex()
-    if bad_t >= 0:
-        assert unbudgeted == (bad_t, bad_j) and steps == bad_t - 1
-    elif risk <= epsilon:
-        assert unbudgeted == (-1, -1) and steps == n_steps
+    samples = data.draw(st.lists(_sample, min_size=1, max_size=3), label="samples")
+    args = grow_tree_arguments(msys, presets.planner_noise(), samples, env=env, root=root)
+    args[1][0, 3], args[1][0, 5:], args[9] = parent, values0, epsilon
+    _, nodes, ((cause, steps), *_) = grow_both(args)
+    controls = planner.dubins_steer(root, samples[0], 0.05, 0.3, 40)
+    if not len(controls):
+        assert (cause, steps) == (2, 0)
+        return
+    full = np.full((len(controls) + 1, len(msys.basis)), 7.0)
+    model = DisturbanceModel(msys, presets.planner_noise(), {"wt": controls})
+    bad_t, _ = _kernels.run_steps(values0, model.moment_table(msys.dist_requirements, len(controls)), *msys.term_table,
+                                  full)
+    positions, (faces, starts) = msys.pair_positions("x", "y"), planner.parse_environment(env)._faces
+
+    def risk(k):  # the parent's risk plus the bound of rows 1 .. k
+        return parent + _kernels.risk_bound(full[: k + 1], positions, faces, starts)
+
+    assert steps == 1 or risk(steps - 1) <= epsilon
+    if cause == 0:
+        assert bad_t < 0 and steps == len(controls) and risk(steps) <= epsilon
+        assert nodes[1, 5:].tobytes() == full[-1].tobytes() and nodes[1, 3].hex() == risk(steps).hex()
+    elif cause == 3:
+        assert bad_t == steps
     else:
-        assert unbudgeted[0] >= 0 or parent + _kernels.risk_bound(full, positions, faces, starts) > epsilon
+        assert cause == 4 and not risk(steps) <= epsilon and not 0 <= bad_t <= steps
 
 
 def test_a_row_whose_squares_overflow_adds_one_per_obstacle():
     """E[x]^2 and E[y]^2 overflow while every moment is finite: each of the planner's two boxes bounds the row by
-    exactly 1.0, never NaN, in risk_bound, in the budgeted run_steps and in their twins."""
+    exactly 1.0, never NaN, in risk_bound, in grow_tree's budgeted loop and in their twins."""
     faces, starts = BUDGET_ENVS[0]
     positions = np.arange(5, dtype=np.int64)
     row = np.array([1e200, 1e200, 1e300, 1e300, 1e300])
     values = np.array([row, row])
     assert _kernels.risk_bound(values, positions, faces, starts) == risk_bound_python(values, positions, faces, starts)
     assert _kernels.risk_bound(values, positions, faces, starts) == 2.0
-    # Each step copies every moment, so each row is the first one.
+    # Each step copies every moment, so each row is the first one; one requirement, the plan's constant 1.0.
     terms = (np.arange(5, dtype=np.int64), np.ones(5), np.zeros(5, dtype=np.int64), np.arange(5).reshape(5, 1))
-    for epsilon, expected in ((10.0, (-1, -1, 3, 6.0)), (3.0, (-1, -1, 2, 4.0)), (0.5, (-1, -1, 1, 2.0))):
-        for run in (_kernels.run_steps, run_steps_python):
-            out = np.empty((4, 5))
-            assert run(row, np.ones((3, 1)), *terms, out, positions, faces, starts, 0.0, epsilon) == expected
+    plan = (np.ones(1), np.zeros((1, 1), dtype=np.int64), *distmoments._laurent_matrix(()), 0.0, 0.0, 0.0, False, 0)
+    for epsilon, expected in ((10.0, [0, 3]), (3.0, [4, 2]), (0.5, [4, 1])):
+        nodes = np.array([[0.0, 0.0, 0.0, 0.0, -1.0, *row], [7.0] * 10])
+        args = [np.array([[1.0, 0.0, 0.0]]), nodes, *terms, np.array([0, 1, 2, 3, 4, 0, 1]), faces, starts, epsilon,
+                0.05, 0.3, 3, *plan, np.empty((1, 2), dtype=np.int64)]
+        _, nodes, outcomes = grow_both(args)  # a straight edge of three steps
+        assert outcomes.tolist() == [expected]
+        assert nodes[1, 3] == (6.0 if expected[0] == 0 else 7.0)
 
 
-def test_budgeted_run_steps_rejects_bad_obstacles_and_releases_buffers(walk):
-    """The budget's arrays are checked as risk_bound checks them, named after run_steps; every buffer is released."""
-    arrays = walk.term_table
-    values0, table, out = np.array([0.5, 0.25]), np.array([[1.0, 0.1, 0.02]] * 3), np.empty((4, 2))
-    faces, starts = BUDGET_ENVS[0]
-    positions = np.array([0, 0, 1, 1, 1], dtype=np.int64)
+def test_budgeted_run_steps_rejects_bad_obstacles_and_releases_buffers(dubins_reduced):
+    """grow_tree's obstacles are checked as risk_bound checks them, named after grow_tree; every buffer is
+    released, and no node is written."""
+    args = grow_tree_arguments(dubins_reduced, presets.planner_noise(), [(1.0, 1.0, 0.0)])
+    positions = args[6]
     cases = {
-        "valid": ((positions, faces, starts, 0.0, 0.1), None),
-        "float positions": ((positions.astype(float), faces, starts, 0.0, 0.1), TypeError),
-        "4 positions": ((positions[:4], faces, starts, 0.0, 0.1), ValueError),
-        "position past the last moment": ((np.array([0, 0, 1, 1, 2]), faces, starts, 0.0, 0.1), IndexError),
-        "start past the last face": ((positions, faces, np.array([0, 8]), 0.0, 0.1), IndexError),
-        "a string epsilon": ((positions, faces, starts, 0.0, "0.1"), TypeError),
+        "valid": (None, None, None),
+        "float positions": (6, positions.astype(float), TypeError),
+        "the five risk positions alone": (6, positions[:5], ValueError),
+        "position past the last moment": (6, np.array([*positions[:6], len(dubins_reduced.basis)]), IndexError),
+        "start past the last face": (8, np.array([0, 8]), IndexError),
+        "a string epsilon": (9, "0.1", TypeError),
     }
-    for name, (budget, expected) in cases.items():
-        args = (values0, table, *arrays, out, *budget)
-        before = [sys.getrefcount(arr) for arr in args]
+    for name, (position, bad, expected) in cases.items():
+        bad_args = list(args) if position is None else [*args[:position], bad, *args[position + 1 :]]
+        bad_args[1] = args[1].copy()
+        before = [sys.getrefcount(arr) for arr in bad_args if isinstance(arr, np.ndarray)]
         try:
-            _kernels.run_steps(*args)
+            _kernels.grow_tree(*bad_args)
             raised = None
         except (TypeError, ValueError, IndexError) as exc:
             raised = type(exc)
-            assert str(exc).startswith("run_steps: ") or name == "a string epsilon", name
+            assert str(exc).startswith("grow_tree: ") or name == "a string epsilon", name
+            assert (bad_args[1][1:] == 7.0).all(), name
         assert raised is expected, name
-        assert [sys.getrefcount(arr) for arr in args] == before, name
-    with pytest.raises(TypeError, match="takes 7 or 12 arguments"):
-        _kernels.run_steps(values0, table, *arrays, out, positions, faces, starts, 0.0)
+        assert [sys.getrefcount(arr) for arr in bad_args if isinstance(arr, np.ndarray)] == before, name
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_planned_run_steps_builds_only_the_rows_it_runs(dubins_reduced, data):
-    """With a moment plan, the C loop and its twin write each table row before its step, bit for bit, and leave the
-    rows of steps not run untouched.  A row is the slot row's products in factor order (`distmoments._products`),
-    its steered columns the trig moments of the step's shift; run without the plan on the rows so built for every
-    step, the kernel gives the same states, steps and risk.  Up to four factors, so the product order matters."""
+    """grow_tree's moment plan, drawn at random: any slot row, up to four factors per requirement (so the product
+    order matters), Gaussian, degenerate or uniform steered moments.  The C tree and its twin agree bit for bit, and
+    the first edge, run unplanned on the rows so built for each of its steps (the slot row, `trig_moments_python` of
+    the controls, then `distmoments._products`), has the same outcome and arrival row."""
     msys, n_req = dubins_reduced, len(dubins_reduced.dist_requirements)
-    n_steps = data.draw(st.integers(0, 30), label="steps")
-    schedule = np.array(data.draw(st.lists(st.floats(-0.3, 0.3), min_size=n_steps, max_size=n_steps + 3)))
     orders = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)
     pairs = tuple(data.draw(st.lists(orders, min_size=1, max_size=4, unique=True), label="pairs"))
     freqs, coefficients = distmoments._laurent_matrix(pairs)
@@ -805,103 +811,82 @@ def test_planned_run_steps_builds_only_the_rows_it_runs(dubins_reduced, data):
     n_factors = data.draw(st.integers(1, 4), label="factors")
     columns = st.lists(st.integers(0, n_slots - 1), min_size=n_factors * n_req, max_size=n_factors * n_req)
     factors = np.array(data.draw(columns), dtype=np.int64).reshape(n_factors, n_req)
-    base, loc = data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(-1.0, 1.0))
-    variance = data.draw(st.sampled_from((0.0, 1e-8, 0.03)))
-    plan = (schedule, slots, factors, freqs, coefficients, base, loc, variance, first)
-    pose = {"x": data.draw(st.floats(0.0, 2.5)), "y": data.draw(st.floats(0.0, 2.5)), "v": 0.05,
-            "theta": data.draw(st.floats(-math.pi, math.pi))}
-    values0 = init_deterministic(msys, pose).values
-    faces, starts = data.draw(st.sampled_from(BUDGET_ENVS), label="obstacles")
-    budget = (msys.pair_positions("x", "y"), faces, starts, data.draw(st.floats(0.0, 0.2)), 0.1)
-    got, ref, table = (np.full((n_steps, n_req), 7.0) for _ in range(3))
-    out_got, out_ref, out_table = (np.full((n_steps + 1, len(msys.basis)), 7.0) for _ in range(3))
-    bad_t, bad_j, steps, risk = result = _kernels.run_steps(values0, got, *msys.term_table, out_got, *budget, *plan)
-    twin = run_steps_python(values0, ref, *msys.term_table, out_ref, *budget, *plan)
-    assert result[:3] == twin[:3] and risk.hex() == twin[3].hex()
-    assert got.tobytes() == ref.tobytes() and out_got.tobytes() == out_ref.tobytes()
-    rows = steps + (bad_t >= 0)
-    assert (got[rows:] == 7.0).all()
-    slot_rows = np.tile(slots, (n_steps, 1))
-    trig_moments_python(schedule[:n_steps], base, loc, variance, freqs, coefficients, slot_rows[:, first:][:, :len(pairs)])
-    table[:] = distmoments._products(slot_rows, factors)
-    assert got[:rows].tobytes() == table[:rows].tobytes()
-    assert _kernels.run_steps(values0, table, *msys.term_table, out_table, *budget) == result
-    assert out_got.tobytes() == out_table.tobytes()
+    base, p = data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(-1.0, 1.0))
+    uniform = data.draw(st.booleans(), label="uniform")
+    q = p + data.draw(st.floats(1e-6, 2.0)) if uniform else data.draw(st.sampled_from((0.0, 1e-8, 0.03)))
+    root, sample = data.draw(_sample, label="root"), data.draw(_sample, label="sample")
+    args = grow_tree_arguments(msys, presets.planner_noise(), [sample], env=data.draw(st.sampled_from(BUDGET_ENV_TEXTS)),
+                               root=root)
+    args[13:22] = slots, factors, freqs, coefficients, base, p, q, uniform, first
+    _, nodes, ((cause, steps),) = grow_both(args)
+    controls = planner.dubins_steer(root, sample, 0.05, 0.3, 40)
+    if len(controls):
+        slot_rows = np.tile(slots, (len(controls), 1))
+        trig_moments_python(controls, base, p, q, freqs, coefficients, slot_rows[:, first:][:, : len(pairs)], uniform)
+        full = np.empty((len(controls) + 1, len(msys.basis)))
+        bad_t, _ = _kernels.run_steps(args[1][0, 5:].copy(), distmoments._products(slot_rows, factors),
+                                      *msys.term_table, full)
+        assert cause != 3 or bad_t == steps
+        assert cause != 0 or nodes[1, 5:].tobytes() == full[-1].tobytes()
 
 
-def test_planned_run_steps_checks_every_row_it_builds_for_a_non_real_residue(walk):
-    """A hand-made plan whose one Laurent sum is e^{ix} / 2: real at a shift of 0, not at 0.3.  The C loop and its
-    twin raise `_slot_moments`' ArithmeticError at the first step whose row is not real, and build no row of a step
-    that the budget does not run."""
+def test_planned_run_steps_checks_every_row_it_builds_for_a_non_real_residue(dubins_reduced):
+    """A hand-made plan whose one Laurent sum is e^{ix} / 2: real at a shift of 0, not at a turning step's.  An edge
+    that runs straight and then turns raises `_slot_moments`' ArithmeticError at its first turning step, in C and
+    its twin, when the budget lets it get there, and not when the budget stops it after step 1: no row is built for
+    a step that does not run."""
     freqs, coefficients = distmoments._laurent_matrix(((1, 0),))
     one_sided = coefficients.copy()
     one_sided[0] = 0.0
-    schedule = np.array([0.0, 0.0, 0.3, 0.0])
-    n_req = len(walk.dist_requirements)
-    plan = (schedule, np.array([1.0, np.nan]), np.ones((1, n_req), dtype=np.int64), freqs, one_sided, 0.0, 0.0, 0.0, 1)
-    faces, starts = BUDGET_ENVS[1]
-    positions = np.array([0, 0, 1, 1, 1], dtype=np.int64)
+    root, sample = (0.3, 0.3, 0.0), (1.5, 0.6, math.pi / 2)
+    controls = planner.dubins_steer(root, sample, 0.05, 0.3, 40)
+    turn = int(np.argmax(np.abs(controls) > 1e-9))
+    assert turn > 10 and not np.abs(controls[:turn]).max() > 1e-12
     with pytest.raises(ArithmeticError) as expected:
-        distmoments._slot_moments(Degenerate(0.0), schedule[2:3], ((1, 0),), (0.0, freqs, one_sided), np.empty((1, 1)))
-    for run in (_kernels.run_steps, run_steps_python):
-        table, out = np.full((4, n_req), 7.0), np.full((5, 2), 7.0)
+        distmoments._slot_moments(Degenerate(0.0), controls[turn : turn + 1], ((1, 0),), (0.0, freqs, one_sided),
+                                  np.empty((1, 1)))
+    args = grow_tree_arguments(dubins_reduced, presets.planner_noise(), [sample], env=BUDGET_ENV_TEXTS[1], root=root)
+    n_req = len(dubins_reduced.dist_requirements)
+    args[13:22] = np.array([1.0, np.nan]), np.ones((1, n_req), dtype=np.int64), freqs, one_sided, 0.0, 0.0, 0.0, False, 1
+    for grow in (_kernels.grow_tree, grow_tree_python):
         with pytest.raises(ArithmeticError, match="^" + re.escape(str(expected.value)) + "$"):
-            run(np.array([0.5, 0.25]), table, *walk.term_table, out, positions, faces, starts, 0.0, 0.5, *plan)
-        assert (table[:2] == 0.5).all() and (table[2:] == 7.0).all() and (out[3:] == 7.0).all()
-        table = np.full((4, n_req), 7.0)
-        stopped = run(np.array([0.5, 0.25]), table, *walk.term_table, np.empty((5, 2)), positions, faces, starts,
-                      1.0, 0.5, *plan)
-        assert stopped == (-1, -1, 1, 1.0) and (table[0] == 0.5).all() and (table[1:] == 7.0).all()
+            grow(*args[:1], args[1].copy(), *args[2:])
+    args[9] = -1.0
+    assert grow_both(args)[2].tolist() == [[4, 1]]
 
 
 def test_planned_run_steps_rejects_a_bad_plan_and_releases_buffers(dubins_reduced):
-    """The plan's arguments are checked as the others are: TypeError for a dtype or layout, ValueError for a shape,
-    IndexError for a short schedule or a slot column out of range; every buffer is released, no row is written."""
+    """grow_tree's plan is checked as the other arguments are: TypeError for a dtype or layout, ValueError for a
+    shape, IndexError for a slot column out of range or too few requirements; every buffer is released, and no node
+    or outcome is written."""
     msys = dubins_reduced
-    model = DisturbanceModel(msys, presets.planner_noise())
-    slots, factors, freqs, coefficients, base, loc, variance, first = model.steering_plan(msys.dist_requirements, "wt")
-    n_req, schedule = len(msys.dist_requirements), np.linspace(-0.1, 0.1, 5)
-    read_only = np.empty((5, n_req))
-    read_only.flags.writeable = False
+    args = grow_tree_arguments(msys, presets.planner_noise(), [(1.0, 1.0, 0.0)] * 2)
+    slots, factors, freqs, coefficients, base, p, q, uniform, first = args[13:22]
     bad_factor, negative_factor = factors.copy(), factors.copy()
     bad_factor[-1, -1], negative_factor[0, 0] = len(slots), -1
     cases = {
-        "int schedule": (12, schedule.astype(np.int64), TypeError),
-        "strided schedule": (12, np.repeat(schedule, 2)[::2], TypeError),
         "float32 slots": (13, slots.astype(np.float32), TypeError),
         "float factors": (14, factors.astype(float), TypeError),
         "Fortran-ordered factors": (14, np.asfortranarray(factors), TypeError),
         "real coefficients": (16, coefficients.real.copy(), TypeError),
         "string base": (17, "0", TypeError),
-        "float first": (20, float(first), TypeError),
-        "strided table": (1, np.empty((5, 2 * n_req))[:, ::2], TypeError),
-        "read-only table": (1, read_only, ValueError),
-        "2-d schedule": (12, schedule[:, None], ValueError),
-        "factors of another requirement count": (14, np.ascontiguousarray(factors[:, 1:]), ValueError),
+        "float first": (21, float(first), TypeError),
+        "2-d slots": (13, slots[:, None], ValueError),
         "no factors": (14, factors[:0], ValueError),
         "coefficients of another frequency count": (16, coefficients[1:], ValueError),
-        "short schedule": (12, schedule[:4], IndexError),
+        "factors of fewer requirements": (14, np.ascontiguousarray(factors[:, 1:]), IndexError),
         "factor past the last slot": (14, bad_factor, IndexError),
         "negative factor": (14, negative_factor, IndexError),
-        "first past the slots": (20, len(slots), IndexError),
-        "negative first": (20, -1, IndexError),
+        "first past the slots": (21, len(slots), IndexError),
+        "negative first": (21, -1, IndexError),
     }
-    values0 = init_deterministic(msys, {"x": 0.3, "y": 0.3, "v": 0.05, "theta": 0.0}).values
-    faces, starts = BUDGET_ENVS[0]
-    good = [values0, np.full((5, n_req), 7.0), *msys.term_table, np.full((6, len(msys.basis)), 7.0),
-            msys.pair_positions("x", "y"), faces, starts, 0.0, 0.1, schedule, slots, factors, freqs, coefficients,
-            base, loc, variance, first]
-    assert len(good) == 21
     for name, (position, bad, error) in cases.items():
-        args = [*good[:position], bad, *good[position + 1 :]]
-        before = [sys.getrefcount(arg) for arg in args]
-        with pytest.raises(error, match="^run_steps: " if error is not TypeError or position < 17 else None):
-            _kernels.run_steps(*args)
-        assert [sys.getrefcount(arg) for arg in args] == before, name
-        assert (good[1] == 7.0).all() and (good[6] == 7.0).all(), name
-    with pytest.raises(TypeError, match="takes 7 or 12 arguments, or 21"):
-        _kernels.run_steps(*good[:20])
-    assert _kernels.run_steps(*good)[0] == -1
+        bad_args = [*args[:position], bad, *args[position + 1 :]]
+        before = [sys.getrefcount(arg) for arg in bad_args if isinstance(arg, np.ndarray)]
+        with pytest.raises(error, match="^grow_tree: " if error is not TypeError or position < 17 else None):
+            _kernels.grow_tree(*bad_args)
+        assert [sys.getrefcount(arg) for arg in bad_args if isinstance(arg, np.ndarray)] == before, name
+        assert (args[1][1:] == 7.0).all() and (args[22] == -7).all(), name
 
 
 def test_kernel_rejects_odd_inputs(dubins_reduced):

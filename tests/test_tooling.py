@@ -7,6 +7,8 @@ import collections
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import momentprop
 from momentprop import _kernels, distmoments, oracle, planner, presets, sysspec
 
@@ -42,82 +44,57 @@ def _count_calls(counts, owner, name, monkeypatch, check=None):
 
 
 def test_planner_seams_run_once_per_edge(dubins_reduced, monkeypatch):
-    """The per-edge functions the tracer wraps are each called once per edge.
-
-    Each tree builds one DisturbanceModel, and every edge with controls
-    makes one `_kernels.run_steps` call, with the risk budget.  With
-    Gaussian or degenerate heading noise that call also takes the tree's
-    moment plan and the controls, and no edge calls
-    DisturbanceModel.moment_table; with Uniform heading noise, which has no
-    C trig path, each edge calls it once.  Every fourth kernel call whose
-    edge would be accepted returns a non-finite first row instead, and the
-    tree must reject it.
-    """
+    """The planner's seams run once per tree: each tree builds one DisturbanceModel and makes one `_kernels.grow_tree`
+    call, which runs every edge; no edge calls `dubins_steer`, `moment_table` or `run_steps` from Python.  Gaussian,
+    degenerate and Uniform heading noise take the same path, and every edge the call accepts becomes a node."""
     env = planner.parse_environment(presets.PLANNER_ENV)
-    for heading, planned in ((presets.planner_noise()["wt"], True), (distmoments.Degenerate(0.0), True),
-                             (distmoments.Uniform(-0.001, 0.001), False)):
+    for heading in (presets.planner_noise()["wt"], distmoments.Degenerate(0.0), distmoments.Uniform(-0.001, 0.001)):
         counts = collections.Counter()
+        grow_tree = _kernels.grow_tree
 
-        def count_edge(controls):
-            counts["edges"] += len(controls) > 0
+        def counted(*args):
+            counts["grow_tree"] += 1
+            controls = grow_tree(*args)
+            counts["accepted"] += len(controls)
+            counts["edges"] += int(np.isin(args[-1][:, 0], (0, 3, 4)).sum())  # the samples with controls
             return controls
 
-        run_steps = _kernels.run_steps
-
-        def budgeted(*args):
-            counts["run_steps"] += 1
-            assert len(args) == (21 if planned else 12) and args[11] == 0.1
-            bad_t, bad_j, steps, risk = run_steps(*args)
-            accepted = bad_t < 0 and risk <= args[11]
-            if accepted and counts["run_steps"] % 4 == 0:
-                counts["failed"] += 1
-                return 1, 0, 0, args[10]  # within budget, so only the non-finite row rejects it
-            counts["accepted"] += accepted
-            return bad_t, bad_j, steps, risk
-
-        _count_calls(counts, planner, "dubins_steer", monkeypatch, count_edge)
-        _count_calls(counts, distmoments.DisturbanceModel, "__init__", monkeypatch)
-        _count_calls(counts, distmoments.DisturbanceModel, "moment_table", monkeypatch)
-        monkeypatch.setattr(_kernels, "run_steps", budgeted)
+        for owner, name in ((planner, "dubins_steer"), (_kernels, "run_steps"), (distmoments.DisturbanceModel,
+                            "__init__"), (distmoments.DisturbanceModel, "moment_table")):
+            _count_calls(counts, owner, name, monkeypatch)
+        monkeypatch.setattr(_kernels, "grow_tree", counted)
         noise = {**presets.planner_noise(), "wt": heading}
         nodes = sum(len(planner.build_rrt(env, dubins_reduced, noise, 0.1, 60, seed).nodes) - 1 for seed in (3, 4))
         monkeypatch.undo()
-        assert counts["edges"] > 80 and counts["failed"] > 5, heading
-        assert counts["__init__"] == 2, heading
-        assert counts["run_steps"] == counts["edges"], heading
-        assert counts["moment_table"] == (0 if planned else counts["edges"]), heading
-        assert nodes == counts["accepted"], heading
+        assert counts["edges"] > 80 and counts["__init__"] == counts["grow_tree"] == 2, heading
+        assert counts["dubins_steer"] == counts["run_steps"] == counts["moment_table"] == 0, heading
+        assert nodes == counts["accepted"] > 10, heading
 
 
-def test_build_rrt_runs_each_edge_in_one_budgeted_kernel_call(dubins_reduced, monkeypatch):
-    """One `_kernels.run_steps` call per edge gives what `stochastic_steer` and `trajectory_risk` give.
+def test_build_rrt_grows_the_tree_in_one_kernel_call(dubins_reduced, monkeypatch):
+    """One `_kernels.grow_tree` call gives what `stochastic_steer` and `trajectory_risk` give, edge by edge.
 
-    The call holds the edge's moment table and term table where the tracer's
-    term-step count reads them, and the parent's risk.  Some edges stop
-    before their last step; each accepted node is, bit for bit, the one-off
+    The call holds the tree's term table, the samples and the tree's nodes
+    in rows; some edges stop before their last step (cause 4 with fewer
+    steps than the edge has); each accepted node is, bit for bit, the one-off
     edge path's arrival state and its parent's risk plus that path's bound.
     """
     calls = []
-    run_steps = _kernels.run_steps
-
-    def recording(*args):
-        calls.append((args, run_steps(*args)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(_kernels, "run_steps", recording)
+    grow_tree = _kernels.grow_tree
+    monkeypatch.setattr(_kernels, "grow_tree", lambda *args: calls.append(args) or grow_tree(*args))
     env = planner.parse_environment(presets.PLANNER_ENV)
     result = planner.build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, 60, 3)
     monkeypatch.undo()
-    assert len(calls) > 40
-    for args, (bad_t, _, steps, risk) in calls:
-        assert args[2] is dubins_reduced.term_table.target and steps <= args[1].shape[0] == args[6].shape[0] - 1
-    assert any(steps < args[1].shape[0] for args, (_, _, steps, _) in calls)
+    ((samples, table, target, *_),) = calls
+    assert target is dubins_reduced.term_table.target and samples.shape == (60, 3)
+    assert np.array_equal(result.outcomes, calls[0][-1]) and result.outcomes.shape == (60, 2)
+    assert ((result.outcomes[:, 0] == 4) & (result.outcomes[:, 1] < 40)).any()
     model = distmoments.DisturbanceModel(dubins_reduced, presets.planner_noise())
     assert len(result.nodes) > 10
-    for node in result.nodes[1:]:
+    for i, node in enumerate(result.nodes[1:], 1):
         parent = result.nodes[node.parent]
         traj = planner.stochastic_steer(parent.moment_state, node.controls, dubins_reduced, model)
-        assert node.moment_state.values.tobytes() == traj.values[-1].tobytes()
+        assert node.moment_state.values.tobytes() == traj.values[-1].tobytes() == table[i, 5:].tobytes()
         assert node.moment_state.time == traj.n_steps
         assert node.risk_to_node == parent.risk_to_node + planner.trajectory_risk(traj, env)
 
