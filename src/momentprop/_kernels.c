@@ -16,7 +16,9 @@
    budget: each finite row's risk bound is added up, and the loop stops once the parent's risk plus that sum passes
    epsilon: each obstacle adds a value in [0, 1], never NaN, and rounded addition is monotone, so an edge stopped
    early would pass epsilon had it run every step.  It also writes each table row just before its step from the
-   tree's moment plan (moment_row): a stopped edge takes no trig moments for steps it does not run. */
+   tree's moment plan (moment_row): a stopped edge takes no trig moments for steps it does not run.  dubins_steer and
+   grow_tree steer through one function, edge_path, which checks the two poses, takes their distance from CPython's
+   math.hypot and finds the path. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -392,9 +394,10 @@ release:
     return result;
 }
 
-/* The planner's geometry, as reference.shortest_path, reference.steer_python and reference.nearest_python compute it:
+/* The planner's geometry, as reference.shortest_path, reference.steer_python and reference.nearest_node compute it:
    every libm call, product, sum and comparison in the same order.  Python's float % is fmod with the divisor's
-   sign; math.sin, cos, atan2, acos and sqrt are libm's for these arguments; math.hypot is not, so it is an input. */
+   sign; math.sin, cos, atan2, acos and sqrt are libm's for these arguments; math.hypot is not, so hypot_py calls
+   CPython's. */
 static const double PI = 3.141592653589793, TWO_PI = 2.0 * 3.141592653589793, EPS = 1e-9;
 
 static double mod2pi(double a)
@@ -496,15 +499,33 @@ static void *value_error(const char *format, PyObject *a, PyObject *b)
 static PyObject *floats(double a) { return PyFloat_FromDouble(a); }
 static PyObject *pose_tuple(const double *p) { return Py_BuildValue("(ddd)", p[0], p[1], p[2]); }
 
-/* reference.steer_python's path and step count for dubins_steer's arguments: the count (0 for coincident poses), -2
-   if no word is feasible, or -1 with ValueError raised.  cap may be inf. */
-static double steer_path(double dx, double dy, double dist, double h0, double h1, double speed, double radius,
-                         double cap, struct path *path)
+/* math.hypot(a, b), CPython's own algorithm (libm's hypot may differ from it by an ulp, and it differs between CPython
+   versions), or -1.0 with an exception raised. */
+static double hypot_py(double a, double b)
 {
-    double best[4] = {0.0}, theta = dist > 1e-12 ? atan2(dy, dx) : 0.0;
+    PyObject *r = PyObject_CallFunction(math_hypot, "dd", a, b);
+    double d = r ? PyFloat_AsDouble(r) : -1.0;
+    Py_XDECREF(r);
+    return d;
+}
+
+/* reference.steer_python's path and step count from pose a to pose b, each (x, y, heading): the count (0 for
+   coincident poses), -2 if no word is feasible, or -1 with an exception raised, a ValueError naming the values for an
+   infinite coordinate or a distance (math.hypot's) that overflows in turning radii.  A NaN passes and finds no word.
+   cap may be inf. */
+static double edge_path(const double *a, const double *b, double speed, double radius, double cap, struct path *path)
+{
+    double dx = b[0] - a[0], dy = b[1] - a[1], dist, best[4] = {0.0};
     const char *word;
-    *path = (struct path){.h0 = h0, .speed = speed, .radius = radius};
-    if (!shortest_word(mod2pi(h0 - theta), mod2pi(h1 - theta), dist / radius, best, &word))
+    if (isinf(a[0]) || isinf(a[1]) || isinf(a[2]) || isinf(b[0]) || isinf(b[1]) || isinf(b[2]))
+        return value_error("pose coordinates must not be infinite, got %R and %R", pose_tuple(a), pose_tuple(b)), -1.0;
+    if ((dist = hypot_py(dx, dy)) < 0.0)
+        return -1.0;
+    if (isinf(dist / radius))
+        return value_error("distance / radius must be finite, got %R / %R", floats(dist), floats(radius)), -1.0;
+    double theta = dist > 1e-12 ? atan2(dy, dx) : 0.0;
+    *path = (struct path){.h0 = a[2], .speed = speed, .radius = radius};
+    if (!shortest_word(mod2pi(a[2] - theta), mod2pi(b[2] - theta), dist / radius, best, &word))
         return -2.0;
     for (int i = 0; i < 3; i++) {
         double len = best[i + 1] * radius;
@@ -551,19 +572,19 @@ static PyObject *new_array(double n, Py_buffer *b)
     return out;
 }
 
-/* dubins_steer(dx, dy, dist, h0, h1, speed, radius, max_steps) -> float64 array, or None if no word is feasible:
+/* dubins_steer(x0, y0, h0, x1, y1, h1, speed, radius, max_steps) -> float64 array, or None if no word is feasible:
    reference.steer_python.  The arguments are read as floats; max_steps may be inf. */
 static PyObject *py_dubins_steer(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    double a[8];
+    double a[9];
     struct path path;
     Py_buffer b;
-    if (nargs != 8)
-        return PyErr_Format(PyExc_TypeError, "dubins_steer takes 8 arguments (%zd given)", nargs);
-    for (int i = 0; i < 8; i++)
+    if (nargs != 9)
+        return PyErr_Format(PyExc_TypeError, "dubins_steer takes 9 arguments (%zd given)", nargs);
+    for (int i = 0; i < 9; i++)
         if ((a[i] = PyFloat_AsDouble(args[i])) == -1.0 && PyErr_Occurred())
             return NULL;
-    double steps = steer_path(a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7], &path);
+    double steps = edge_path(a, a + 3, a[6], a[7], a[8], &path);
     if (steps == -2.0)
         Py_RETURN_NONE;
     PyObject *out = steps < 0.0 ? NULL : new_array(steps, &b);
@@ -572,16 +593,6 @@ static PyObject *py_dubins_steer(PyObject *self, PyObject *const *args, Py_ssize
         PyBuffer_Release(&b);
     }
     return out;
-}
-
-/* math.hypot(a, b), CPython's own algorithm (libm's hypot may differ from it by an ulp, and it differs between CPython
-   versions), or -1.0 with an exception raised. */
-static double hypot_py(double a, double b)
-{
-    PyObject *r = PyObject_CallFunction(math_hypot, "dd", a, b);
-    double d = r ? PyFloat_AsDouble(r) : -1.0;
-    Py_XDECREF(r);
-    return d;
 }
 
 /* The first of the n poses (rows `width` apart) that minimizes hypot(dx, dy) + radius * |remainder(dh, 2 pi)| to q,
@@ -700,16 +711,8 @@ static PyObject *py_grow_tree(PyObject *self, PyObject *const *args, Py_ssize_t 
         if (near < 0)
             goto release;
         const double *parent = nodes + near * width;
-        double dx = s[0] - parent[0], dy = s[1] - parent[1], dist;
-        if ((isinf(parent[0]) || isinf(parent[1]) || isinf(parent[2]) || isinf(s[0]) || isinf(s[1]) || isinf(s[2]))
-            && !value_error("pose coordinates must not be infinite, got %R and %R", pose_tuple(parent), pose_tuple(s)))
-            goto release; /* value_error returns NULL */
-        if ((dist = hypot_py(dx, dy)) < 0.0
-            || (isinf(dist / radius) && !value_error("distance / radius must be finite, got %R / %R", floats(dist),
-                                                     floats(radius))))
-            goto release;
         struct path path;
-        double steps = steer_path(dx, dy, dist, parent[2], s[2], speed, radius, cap, &path);
+        double steps = edge_path(parent, s, speed, radius, cap, &path);
         if (steps == -1.0)
             goto release;
         outcome[0] = steps < 0.0 ? 1 : 2;
@@ -770,7 +773,7 @@ release:
     return result;
 }
 
-/* trig_moments(shifts, base, p, q, freqs, coefficients, out[, uniform]) -> float, on the arrays' buffers: the trig
+/* trig_moments(shifts, base, p, q, freqs, coefficients, out, uniform) -> float, on the arrays' buffers: the trig
    moments of Gaussian(p, q), or of Uniform(p, q) if uniform is true, at base + each shift.  shifts and out may be
    strided, freqs (F,) and the complex (F, P) coefficients, each purely real or purely imaginary (as
    distmoments._laurent_matrix makes them), must be C-contiguous, and out is (steps, P). */
@@ -779,12 +782,12 @@ static PyObject *py_trig_moments(PyObject *self, PyObject *const *args, Py_ssize
     Py_buffer b[4], *sh = b, *fr = b + 1, *co = b + 2, *out = b + 3;
     PyObject *result = NULL;
     double p[3];
-    if (nargs != 7 && nargs != 8)
-        return PyErr_Format(PyExc_TypeError, "trig_moments takes 7 arguments, or 8 with uniform (%zd given)", nargs);
+    if (nargs != 8)
+        return PyErr_Format(PyExc_TypeError, "trig_moments takes 8 arguments (%zd given)", nargs);
     for (int i = 0; i < 3; i++)
         if ((p[i] = PyFloat_AsDouble(args[i + 1])) == -1.0 && PyErr_Occurred())
             return NULL;
-    int uniform = nargs == 8 ? PyObject_IsTrue(args[7]) : 0;
+    int uniform = PyObject_IsTrue(args[7]);
     PyObject *arrays[4] = {args[0], args[4], args[5], args[6]};
     if (uniform < 0 || get_buffers(b, arrays, 4))
         return NULL;

@@ -24,8 +24,8 @@ for bit:
 
 - `run_steps`: the moment recursion over a horizon.
 - `risk_bound`: the planner's per-edge risk bound.
-- `dubins_steer`: the shortest Dubins word and its per-step heading
-  increments.
+- `dubins_steer`: the shortest Dubins word between two poses and its
+  per-step heading increments.
 - `grow_tree`: the planner's whole risk-bounded tree: per sample, the
   nearest node, the Dubins controls, and the moment recursion with each
   step's disturbance moments (`DisturbanceModel.steering_plan`) and risk
@@ -38,13 +38,13 @@ for bit:
 
 Two of Python's operations are not the C library's.  Python's float ``%``
 is ``fmod`` followed by a sign fix, which the C code repeats.
-`math.hypot` is CPython's own algorithm, so `dubins_steer` takes the
-distance as an argument, and `grow_tree` calls `math.hypot` itself for the
-distance and to settle a near tie of its libm-``hypot`` nearest-node
-scores.  Of numpy's operations, complex ``exp`` is the C library's
-``cexp``, which `trig_moments` calls on the same arguments, and the
-complex product is fused where the CPU has FMA: `trig_moments` rounds as
-it does without an FMA instruction, which is exact only because each
+`math.hypot` is CPython's own algorithm, so the C code calls it: for each
+edge's distance, in the one function through which `dubins_steer` and
+`grow_tree` steer, and to settle a near tie of `grow_tree`'s libm-``hypot``
+nearest-node scores.  Of numpy's operations, complex ``exp`` is the C
+library's ``cexp``, which `trig_moments` calls on the same arguments, and
+the complex product is fused where the CPU has FMA: `trig_moments` rounds
+as it does without an FMA instruction, which is exact only because each
 Laurent coefficient is purely real or purely imaginary (see the C source).
 
 `BACKEND` names the backend in use; its one value is ``"c"``.  It and the
@@ -129,7 +129,7 @@ def _build_c(cc: str, lib_path: Path, flags: tuple[str, ...]) -> object:
 
 
 def _load_c():
-    """The extension module built from _kernels.c, built if not cached: with `_ALIGN_FLAGS` unless that build fails."""
+    """The extension module built from _kernels.c if not cached, with `_ALIGN_FLAGS` unless the compiler rejects one."""
     global _built_flags
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
@@ -145,7 +145,8 @@ def _load_c():
         try:
             module = _import(lib_path) if cached else _build_c(cc, lib_path, flags)
         except OSError as exc:
-            if cached or flags == _C_FLAGS:
+            # GNU as says "unrecognized option '-mbranches-...'"; any other failure would fail without the flags too.
+            if cached or flags == _C_FLAGS or not any(flag.removeprefix("-Wa,") in str(exc) for flag in _ALIGN_FLAGS):
                 raise
             log.info("building with %s failed (%s); building without them", " ".join(_ALIGN_FLAGS), exc)
         else:

@@ -296,8 +296,14 @@ class DisturbanceModel:
             if name not in self.distributions and not any(slot.source == name for slot in self._trig_slots):
                 raise KeyError(f"shift schedule for unknown disturbance {name!r}")
         for slot in (*self._raw_slots, *self._trig_slots):
-            if slot.source is not None and slot.source not in self.distributions:
-                raise KeyError(f"no distribution given for disturbance {slot.source!r}")
+            if slot.source is not None:
+                self.distribution(slot.source)
+
+    def distribution(self, name: str) -> Distribution:
+        """The distribution of disturbance `name`; KeyError naming it if none was given."""
+        if name not in self.distributions:
+            raise KeyError(f"no distribution given for disturbance {name!r}")
+        return self.distributions[name]
 
     def shift_at(self, source: str | None, t):
         """Control shift of `source` at step t (scalar t or array of steps), each step on its schedule."""
@@ -332,12 +338,8 @@ class DisturbanceModel:
         slot_moments = np.empty((n_steps, len(row)))
         slot_moments[:] = row
         for source, first, orders, laurent in scheduled:
-            schedule = self.shifts[source]
-            if n_steps and not 0 <= start <= len(schedule) - n_steps:
-                raise IndexError(f"shift schedule for {source!r} has length {len(schedule)}, "
-                                 f"needed steps {start} to {start + n_steps - 1}")
-            _slot_moments(self.distributions[source], schedule[start : start + n_steps], orders, laurent,
-                          slot_moments[:, first : first + len(orders)])
+            _slot_moments(self.distributions[source], self.shift_at(source, np.arange(start, start + n_steps)), orders,
+                          laurent, slot_moments[:, first : first + len(orders)])
         return _products(slot_moments, factors)
 
     def steering_plan(self, requirements: Sequence[MultiIndex], source: str) -> tuple:

@@ -108,10 +108,7 @@ def _batch_states(spec, model, x0, n_steps, nb, seed_seq):
     def draw(t):
         out = {}
         for w in spec.disturbance_vars:
-            dist = model.distributions.get(w)
-            if dist is None:
-                raise KeyError(f"no distribution given for disturbance {w!r}")
-            out[w] = distmoments.sample(dist, rng, nb)
+            out[w] = distmoments.sample(model.distribution(w), rng, nb)
             out[w] += float(model.shift_at(w, t))
         return out
 
@@ -358,11 +355,11 @@ def linear_propagate(
     mus[0] = np.asarray(mu0, dtype=float)
     covs[0] = np.asarray(sigma0, dtype=float)
     phi = np.eye(n) + lin.A
-    w_var = np.array([distmoments.variance(model.distributions[w]) for w in lin.dist_vars])
+    w_var = np.array([distmoments.variance(model.distribution(w)) for w in lin.dist_vars])
     w_means = np.empty((n_steps, len(lin.dist_vars)))  # row t: each disturbance's mean at step t
     with np.errstate(over="ignore", invalid="ignore"):  # checked once, on the finished tables
         for j, w in enumerate(lin.dist_vars):
-            w_means[:, j] = distmoments.raw_moment(model.distributions[w], model.shift_at(w, np.arange(n_steps)), 1)
+            w_means[:, j] = distmoments.raw_moment(model.distribution(w), model.shift_at(w, np.arange(n_steps)), 1)
         noise = (lin.B * w_var) @ lin.B.T  # the same every step
         for t in range(n_steps):
             mus[t + 1] = phi @ mus[t] + lin.B @ w_means[t] + lin.c

@@ -196,26 +196,6 @@ class InfeasiblePathError(ValueError):
     """No bounded-curvature word joins the two poses, as when a pose holds a NaN."""
 
 
-def _relative(
-    from_pose: Sequence[float], to_pose: Sequence[float], radius: float
-) -> tuple[float, float, float, float, float]:
-    """(dx, dy, hypot(dx, dy), h0, h1) of two poses, in floats: the steering kernels' view of them.
-
-    Raises ValueError, naming the values, for an infinite coordinate or a
-    distance that overflows when measured in turning radii.  A NaN passes:
-    the kernels then find no word.
-    """
-    x0, y0, h0 = from_pose = tuple(map(float, from_pose))
-    x1, y1, h1 = to_pose = tuple(map(float, to_pose))
-    if any(map(math.isinf, (*from_pose, *to_pose))):
-        raise ValueError(f"pose coordinates must not be infinite, got {from_pose} and {to_pose}")
-    dx, dy = x1 - x0, y1 - y0
-    dist = math.hypot(dx, dy)
-    if math.isinf(dist / radius):
-        raise ValueError(f"distance / radius must be finite, got {dist} / {radius}")
-    return dx, dy, dist, h0, h1
-
-
 def _check_steering(speed: float, radius: float, max_steps: int | float) -> None:
     """Raise ValueError, naming the value, unless speed and radius are positive and finite and max_steps is a count."""
     _check_length("speed", speed)
@@ -243,10 +223,13 @@ def dubins_steer(
     and their distance over the radius, each segment's length and the capped
     step count must be finite.  InfeasiblePathError (a ValueError) means no
     word joins the poses, as when one holds a NaN.
-    `_kernels.dubins_steer` does the word search and the arithmetic in C.
+    `_kernels.dubins_steer` does the pose checks, the word search and the
+    arithmetic in C.
     """
     _check_steering(speed, radius, max_steps)
-    controls = _kernels.dubins_steer(*_relative(from_pose, to_pose, radius), float(speed), float(radius), max_steps)
+    x0, y0, h0 = map(float, from_pose)
+    x1, y1, h1 = map(float, to_pose)
+    controls = _kernels.dubins_steer(x0, y0, h0, x1, y1, h1, float(speed), float(radius), max_steps)
     if controls is None:
         raise InfeasiblePathError("no feasible bounded-curvature path")
     return controls
@@ -396,7 +379,7 @@ def build_rrt(
     tracked = np.array([*positions, msys.moment_index(heading.cos_var), msys.moment_index(heading.sin_var)])
     steered = steered_disturbance(msys)
     faces, starts = env._faces
-    model = DisturbanceModel(msys, distributions, {steered: np.zeros(0)})  # checks the distributions once per tree
+    model = DisturbanceModel(msys, distributions)  # checks the distributions once per tree
     plan = model.steering_plan(msys.dist_requirements, steered)
     cfg = config or PlannerConfig()
     _check_steering(cfg.speed, cfg.turn_radius, cfg.max_edge_steps)

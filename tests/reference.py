@@ -29,11 +29,13 @@ library code calls them.  Each checks one production path:
   `grow_tree_python`, `trig_moments_python` and `record_moments_python`:
   numpy and Python twins of the six C entry points of `momentprop._kernels`,
   operation for operation, against which each is checked bit for bit.
-  `steer_python` finds its path with `shortest_path`, the word search over
-  `dubins_words` that the C `shortest_word` repeats; the library has no
-  other copy of it.  `grow_tree_python` is the planner's iteration loop,
-  with `nearest_node`'s nearest-node rule; `run_steps_python` also takes
-  the risk budget and moment plan that `grow_tree` runs each edge with.
+  `steer_python` takes the two poses, as `_kernels.dubins_steer` does,
+  checks them and measures their distance with `relative` (the C
+  `edge_path`'s view of them), and finds its path with `shortest_path`,
+  the word search over `dubins_words` that the C `shortest_word` repeats.
+  `grow_tree_python` is the planner's iteration loop, with
+  `nearest_node`'s nearest-node rule; `run_steps_python` also takes the
+  risk budget and moment plan that `grow_tree` runs each edge with.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import Mapping, Sequence
 import mpmath
 import numpy as np
 
-from momentprop import distmoments, planner
+from momentprop import distmoments
 from momentprop.compiler import MomentBasis, MomentStateSystem, MomentUpdateForm, MufTerm, second_moment_indices
 from momentprop.distmoments import Degenerate, DisturbanceModel, Gaussian, Uniform, raw_moment, trig_moment
 from momentprop.oracle import McEstimate
@@ -443,8 +445,28 @@ class DubinsPath:
         return total
 
 
+def relative(
+    from_pose: Sequence[float], to_pose: Sequence[float], radius: float
+) -> tuple[float, float, float, float, float]:
+    """(dx, dy, hypot(dx, dy), h0, h1) of two poses, in floats: the view of them that the C `edge_path` takes.
+
+    Raises ValueError, naming the values, for an infinite coordinate or a
+    distance that overflows when measured in turning radii.  A NaN passes:
+    no word is then found.
+    """
+    x0, y0, h0 = from_pose = tuple(map(float, from_pose))
+    x1, y1, h1 = to_pose = tuple(map(float, to_pose))
+    if any(map(math.isinf, (*from_pose, *to_pose))):
+        raise ValueError(f"pose coordinates must not be infinite, got {from_pose} and {to_pose}")
+    dx, dy = x1 - x0, y1 - y0
+    dist = math.hypot(dx, dy)
+    if math.isinf(dist / radius):
+        raise ValueError(f"distance / radius must be finite, got {dist} / {radius}")
+    return dx, dy, dist, h0, h1
+
+
 def shortest_path(dx: float, dy: float, dist: float, h0: float, h1: float, radius: float) -> DubinsPath | None:
-    """The first shortest word from `planner._relative`'s view of two poses, or None if no word is feasible."""
+    """The first shortest word from `relative`'s view of two poses, or None if no word is feasible."""
     d = dist / radius
     theta = math.atan2(dy, dx) if dist > 1e-12 else 0.0
     alpha = mod2pi(h0 - theta)
@@ -467,8 +489,10 @@ def shortest_path(dx: float, dy: float, dist: float, h0: float, h1: float, radiu
     return DubinsPath(tuple(segments), radius)
 
 
-def steer_python(dx, dy, dist, h0, h1, speed, radius, max_steps):
-    """dubins_steer's arithmetic after its checks, or None if no word is feasible: `_kernels.dubins_steer`' twin."""
+def steer_python(x0, y0, h0, x1, y1, h1, speed, radius, max_steps):
+    """The controls from pose (x0, y0, h0) to (x1, y1, h1), or None if no word is feasible: `_kernels.dubins_steer`'
+    twin, after `planner.dubins_steer`'s checks of speed, radius and max_steps."""
+    dx, dy, dist, h0, h1 = relative((x0, y0, h0), (x1, y1, h1), radius)
     path = shortest_path(dx, dy, dist, h0, h1, radius)
     if path is None:
         return None
@@ -534,7 +558,7 @@ def grow_tree_python(samples, nodes, target, coeff, req, fact, positions, faces,
     for i, sample in enumerate(samples.tolist()):
         near = nearest_node(nodes[:count, :3], sample, radius)
         parent = nodes[near]
-        controls = steer_python(*planner._relative(parent[:3], sample, radius), speed, radius, max_steps)
+        controls = steer_python(*parent[:3], *sample, speed, radius, max_steps)
         if controls is None or not len(controls):
             outcomes[i] = 1 if controls is None else 2, 0
             continue
@@ -573,7 +597,7 @@ def numpy_trig_moments(dist, shift, freqs, coefficients, out) -> float:
     return float(np.maximum.reduce(np.abs(sums.imag), axis=None, initial=0.0))
 
 
-def trig_moments_python(shifts, base, p, q, freqs, coefficients, out, uniform=False) -> float:
+def trig_moments_python(shifts, base, p, q, freqs, coefficients, out, uniform) -> float:
     """`numpy_trig_moments` of Gaussian(p, q), or Uniform(p, q) if `uniform`, at base + shifts: `_kernels.trig_moments`'
     twin.
 

@@ -171,6 +171,18 @@ def test_spec_without_dist_lines_exits_2(workdir, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["mc", "linearize"])
+def test_disturbance_without_a_dist_line_is_named(workdir, capsys, command):
+    """A declared disturbance that no update uses and no 'dist' line gives: mc and linearize name it alike."""
+    spec = workdir / "wq.spec"
+    spec.write_text(presets.DUBINS_SPEC.replace("disturbance wv wt\n", "disturbance wv wt wq\n"))
+    out = workdir / "out.csv"
+    samples = ("-N", 10) if command == "mc" else ()
+    assert run(command, spec, "--init", workdir / "init.csv", "-T", 3, *samples, "-o", out) == EXIT_INPUT
+    assert capsys.readouterr().err.splitlines() == ["error: no distribution given for disturbance 'wq'"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, message",
     [

@@ -561,7 +561,7 @@ def test_c_trig_moments_match_numpy_twin(data):
         dist = Gaussian(loc, variance)
     out = _out(n_steps, len(pairs), data.draw(st.sampled_from(
         ["C-ordered", "columns of a wider table", "every other column", "column-major"])))
-    residue = _kernels.trig_moments(shifts, base, loc, variance, freqs, coefficients, out)
+    residue = _kernels.trig_moments(shifts, base, loc, variance, freqs, coefficients, out, False)
     expected = np.empty(out.shape)
     with np.errstate(invalid="ignore", over="ignore"):  # numpy warns on the non-finite shifts
         expected_residue = numpy_trig_moments(dist, base + shifts, freqs, coefficients, expected)
@@ -574,7 +574,7 @@ def test_c_trig_moments_keep_the_sign_of_a_product_rounded_to_zero():
     freqs, coefficients = distmoments._laurent_matrix(((1, 0),))
     shifts, out, expected = np.linspace(-4.0, 4.0, 401), np.empty((401, 1)), np.empty((401, 1))
     for variance in (2 * 743.0, 2 * 743.7, 2 * 744.3):
-        _kernels.trig_moments(shifts, 0.0, 0.0, variance, freqs, coefficients, out)
+        _kernels.trig_moments(shifts, 0.0, 0.0, variance, freqs, coefficients, out, False)
         numpy_trig_moments(Gaussian(0.0, variance), shifts, freqs, coefficients, expected)
         assert np.signbit(expected[expected == 0.0]).any()  # an unfused product makes these +0.0
         assert np.array_equal(out.view(np.int64), expected.view(np.int64))
@@ -609,7 +609,7 @@ def test_c_uniform_trig_moments_match_the_numpy_formula(data):
 
 def test_c_trig_moments_reject_bad_input_and_release_buffers():
     freqs, coefficients = distmoments._laurent_matrix(((1, 0), (0, 1)))
-    good = [np.zeros(3), 0.0, 0.1, 0.2, freqs, coefficients, np.empty((3, 2))]
+    good = [np.zeros(3), 0.0, 0.1, 0.2, freqs, coefficients, np.empty((3, 2)), False]
     read_only = np.empty((3, 2))
     read_only.flags.writeable = False
     for position, bad, error, message in [
@@ -631,13 +631,13 @@ def test_c_trig_moments_reject_bad_input_and_release_buffers():
         with pytest.raises(error, match=message and "^trig_moments: .*" + message):
             _kernels.trig_moments(*args)
         assert [sys.getrefcount(arg) for arg in args] == before
-    with pytest.raises(TypeError, match="takes 7 arguments"):
-        _kernels.trig_moments(*good[:6])
+    with pytest.raises(TypeError, match="takes 8 arguments"):
+        _kernels.trig_moments(*good[:7])
     before = [sys.getrefcount(arg) for arg in good]
     assert _kernels.trig_moments(*good) == 0.0
     assert [sys.getrefcount(arg) for arg in good] == before
     expected = np.empty((3, 2))
-    assert trig_moments_python(*good[:6], expected) == 0.0
+    assert trig_moments_python(*good[:6], expected, False) == 0.0
     assert np.array_equal(good[6], expected)
 
 
@@ -647,7 +647,7 @@ def test_c_trig_moments_reject_non_real_sums():
     one_sided = coefficients.copy()
     one_sided[0] = 0.0
     shifts, out = np.linspace(0.0, 1.0, 5), np.empty((5, 1))
-    residue = _kernels.trig_moments(shifts, 0.25, 0.1, 0.3, freqs, one_sided, out)
-    assert residue == trig_moments_python(shifts, 0.25, 0.1, 0.3, freqs, one_sided, np.empty((5, 1))) > 0.1
+    residue = _kernels.trig_moments(shifts, 0.25, 0.1, 0.3, freqs, one_sided, out, False)
+    assert residue == trig_moments_python(shifts, 0.25, 0.1, 0.3, freqs, one_sided, np.empty((5, 1)), False) > 0.1
     with pytest.raises(ArithmeticError, match="non-real residue"):
         distmoments._slot_moments(Gaussian(0.1, 0.3), shifts, ((1, 0),), (0.25, freqs, one_sided), out)

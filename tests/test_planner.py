@@ -39,6 +39,7 @@ from reference import (
     moment,
     nearest_node,
     obstacle_risk,
+    relative,
     risk_bound_python,
     shortest_path,
     simulate_controls,
@@ -267,7 +268,7 @@ class TestDubinsSteer:
             p0 = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-7, 7))
             p1 = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-7, 7))
             speed, radius = rng.choice([0.013, 0.05, 0.5]), rng.choice([0.1, 0.3, 1.0])
-            path = shortest_path(*planner._relative(p0, p1, radius), radius)
+            path = shortest_path(*relative(p0, p1, radius), radius)
             n_steps = max(1, math.ceil(path.length / speed))
             headings = [heading_after(path, min(k * speed, path.length), p0[2]) for k in range(n_steps + 1)]
             assert np.array_equal(dubins_steer(p0, p1, speed, radius), np.diff(headings))
@@ -427,7 +428,7 @@ class TestSteeringArguments:
 
 def _word_margins(p0, p1, radius):
     """|p^2| of the four CSC words and ||tmp| - 1| of the two CCC words, as reference.dubins_words computes them."""
-    dx, dy, dist, h0, h1 = planner._relative(p0, p1, radius)
+    dx, dy, dist, h0, h1 = relative(p0, p1, radius)
     theta = math.atan2(dy, dx) if dist > 1e-12 else 0.0
     alpha, beta, d = mod2pi(h0 - theta), mod2pi(h1 - theta), dist / radius
     sa, ca, sb, cb, c_ab = math.sin(alpha), math.cos(alpha), math.sin(beta), math.cos(beta), math.cos(alpha - beta)
@@ -482,8 +483,7 @@ def test_c_steering_matches_python_twin(data):
         p1 = _pose_on_circle((cx + apart * math.cos(phi), cy + apart * math.sin(phi)), radius, side1, data.draw(_angles))
         p_sq, tmp = _word_margins(p0, p1, radius)
         assert min(p_sq, tmp) < 1e-9
-    args = (*planner._relative(p0, p1, radius), speed, radius, cap)
-    got, want = dubins_steer(p0, p1, speed, radius, cap), steer_python(*args)
+    got, want = dubins_steer(p0, p1, speed, radius, cap), steer_python(*p0, *p1, speed, radius, cap)
     assert got.dtype == want.dtype == np.float64 and got.flags.writeable
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
@@ -562,7 +562,7 @@ def test_near_tie_on_a_bisector_is_settled_by_the_scalar_key(dubins_reduced):
 
 def test_c_geometry_rejects_bad_input_and_releases_buffers(dubins_reduced):
     """grow_tree's samples, nodes and outcomes are checked before any work, every buffer is released, and no node or
-    outcome is written; dubins_steer counts its arguments."""
+    outcome is written; dubins_steer takes two poses, speed, radius and cap, nine floats, and holds none of them."""
     args = grow_tree_arguments(dubins_reduced, presets.planner_noise(), [(1.0, 1.0, 0.0)] * 3)
     read_only = args[1].copy()
     read_only.flags.writeable = False
@@ -587,10 +587,24 @@ def test_c_geometry_rejects_bad_input_and_releases_buffers(dubins_reduced):
         assert (args[1][1:] == 7.0).all() and (args[22] == -7).all(), name
     with pytest.raises(TypeError, match="takes 23 arguments"):
         _kernels.grow_tree(*args[:22])
-    with pytest.raises(TypeError, match="takes 8 arguments"):
-        _kernels.dubins_steer(1.0, 0.0, 1.0, 0.0, 0.0, 0.05, 0.3)
-    with pytest.raises(TypeError):
-        _kernels.dubins_steer(1.0, 0.0, 1.0, "0", 0.0, 0.05, 0.3, 40)
+    steer = [0.0, 0.0, 0.0, float("1.0"), float("0.5"), float("1.0"), float("0.05"), float("0.3"), float("40")]
+    cases = {
+        "eight arguments": (steer[:8], TypeError, "^dubins_steer takes 9 arguments \\(8 given\\)$"),
+        "a string heading": ([*steer[:5], "1.0", *steer[6:]], TypeError, None),
+        "an infinite pose": ([math.inf, *steer[1:]], ValueError, "^pose coordinates must not be infinite"),
+        "a NaN pose": ([*steer[:3], math.nan, *steer[4:]], None, None),
+        "two poses": (steer, None, None),
+    }
+    for name, (steer_args, error, message) in cases.items():
+        before = [sys.getrefcount(arg) for arg in steer_args]
+        if error is None:
+            controls = _kernels.dubins_steer(*steer_args)
+            assert (controls is None) == (name == "a NaN pose"), name
+            del controls
+        else:
+            with pytest.raises(error, match=message):
+                _kernels.dubins_steer(*steer_args)
+        assert [sys.getrefcount(arg) for arg in steer_args] == before, name
 
 
 # How each error of the tree's loop is provoked: (root, sample, arguments replaced by position, message).
@@ -610,8 +624,8 @@ TREE_ERRORS = {
 
 @pytest.mark.parametrize("case", TREE_ERRORS)
 def test_grow_tree_raises_the_loops_errors_as_its_twin(dubins_reduced, case):
-    """Each ValueError of the old loop's `_relative` and Dubins steering, with its message, from C and from the twin,
-    and from `dubins_steer` on the same poses."""
+    """Each ValueError of the pose checks and Dubins steering, with its message, from C and from the twin, and from
+    `dubins_steer`, the C entry point and its twin on the same poses: the C tree and the C steering share `edge_path`."""
     root, sample, replaced, message = TREE_ERRORS[case]
     args = grow_tree_arguments(dubins_reduced, presets.planner_noise(), [sample], root=root)
     for position, value in replaced.items():
@@ -621,6 +635,9 @@ def test_grow_tree_raises_the_loops_errors_as_its_twin(dubins_reduced, case):
             grow(*args[:1], args[1].copy(), *args[2:])
     with pytest.raises(ValueError, match=f"^{message}$"):
         dubins_steer(root, sample, args[10], args[11], args[12])
+    for steer in (_kernels.dubins_steer, steer_python):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            steer(*root, *sample, args[10], args[11], args[12])
 
 
 TREE_NOISE = {"gaussian": presets.planner_noise(), "degenerate": {**presets.planner_noise(), "wt": Degenerate(0.0)},

@@ -1,6 +1,9 @@
 import inspect
 import math
+import os
 import re
+import shutil
+import subprocess
 import sys
 import sysconfig
 import tempfile
@@ -575,15 +578,49 @@ def test_cache_name_carries_the_abi_tag(monkeypatch, tmp_path):
     assert len(set(hashes.values())) == 2  # the hash covers the tag too
 
 
+def _compiler_runs(monkeypatch) -> list[list[str]]:
+    """The command line of each subprocess.run from here on, until `monkeypatch` undoes it."""
+    runs, run = [], subprocess.run
+    monkeypatch.setattr(subprocess, "run", lambda args, **kwargs: runs.append(args) or run(args, **kwargs))
+    return runs
+
+
 def test_build_compiles_the_source_file_in_place(monkeypatch, tmp_path):
-    """The cache key covers the source file's bytes, and the compiler's diagnostics name that file."""
+    """The cache key covers the source file's bytes, and the compiler's diagnostics name that file.  A source that
+    does not compile is compiled once: only the assembler's rejection of the alignment flags is retried without them."""
     source = tmp_path / "_kernels.c"
     source.write_text(_kernels._C_PATH.read_text() + "\nint broken(void) { return }\n")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(_kernels, "_C_PATH", source)
+    runs = _compiler_runs(monkeypatch)
     with pytest.raises(OSError, match=re.escape(f"{source}:{len(source.read_text().splitlines())}:")):
         _kernels._load_c()
+    assert len(runs) == 1
     assert not any((tmp_path / "cache" / "momentprop").iterdir())  # neither a module nor a build directory is left
+
+
+def test_build_without_the_alignment_flag_when_the_assembler_rejects_it(monkeypatch, tmp_path):
+    """A compiler whose assembler rejects the alignment flag, as GNU as before 2.34 does: the module is built again
+    without it, and that build loads and runs."""
+    flag, real = "-Wa,-mbranches-within-32B-boundaries", shutil.which("cc") or shutil.which("gcc")
+    stand_in = tmp_path / "bin" / "cc"
+    stand_in.parent.mkdir()
+    stand_in.write_text(f"""#!/bin/sh
+for arg in "$@"; do
+    if [ "$arg" = "{flag}" ]; then echo "as: unrecognized option '{flag[4:]}'" >&2; exit 1; fi
+done
+exec "{real}" "$@"
+""")
+    stand_in.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{stand_in.parent}{os.pathsep}{os.environ['PATH']}")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(_kernels, "_ALIGN_FLAGS", (flag,))
+    monkeypatch.setattr(_kernels, "_built_flags", _kernels._built_flags)  # restored when the test ends
+    runs = _compiler_runs(monkeypatch)
+    module = _kernels._load_c()
+    assert _kernels._built_flags == _kernels._C_FLAGS
+    assert [run[0] for run in runs] == [str(stand_in)] * 2 and flag in runs[0] and flag not in runs[1]
+    assert len(module.dubins_steer(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.05, 0.3, 40.0)) == 20
 
 
 def test_kernel_releases_buffers_on_every_path(walk):
