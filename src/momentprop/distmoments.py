@@ -1,8 +1,8 @@
 """Exact raw and trigonometric moments of disturbance distributions.
 
-Each distribution family is one frozen class with its own `sample(rng, size)`,
-`char_fn(shift, t)` and `raw_moment(shift, k)` on arrays of shifts, named in
-specs by its :data:`KINDS` entry: a new family is one class plus one entry.
+Each distribution family is one frozen class in `Distribution` with its own
+`sample(rng, size)`, `raw_moment(shift, k)` and `_trig_params()` (what its
+characteristic function needs); specs name it in lowercase (:data:`KINDS`).
 Raw moments come from closed forms; trigonometric moments E[cos^m(X) sin^n(X)]
 come from expanding the exponential forms of sin and cos into a Laurent
 polynomial in e^{iX} (exact Gaussian-integer coefficients) and evaluating the
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union, get_args
 
 import numpy as np
 
@@ -37,8 +37,8 @@ class Degenerate:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, self.value, dtype=float)
 
-    def char_fn(self, shift: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return np.exp(1j * t * (self.value + shift))
+    def _trig_params(self) -> tuple[float, float, bool]:
+        return float(self.value), 0.0, False  # a Gaussian of variance 0
 
     def raw_moment(self, shift: np.ndarray, k: int) -> np.ndarray:
         return (self.value + shift) ** k
@@ -56,8 +56,8 @@ class Gaussian:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.normal(self.mean, math.sqrt(self.variance), size)
 
-    def char_fn(self, shift: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return np.exp(1j * t * (self.mean + shift) - self.variance * t * t / 2.0)
+    def _trig_params(self) -> tuple[float, float, bool]:
+        return float(self.mean), float(self.variance), False
 
     def raw_moment(self, shift: np.ndarray, k: int) -> np.ndarray:
         loc = self.mean + shift
@@ -80,12 +80,8 @@ class Uniform:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.lower, self.upper, size)
 
-    def char_fn(self, shift: np.ndarray, t: np.ndarray) -> np.ndarray:
-        a = self.lower + shift
-        b = self.upper + shift
-        with np.errstate(divide="ignore", invalid="ignore"):  # t = 0 is taken from the limit 1
-            out = (np.exp(1j * t * b) - np.exp(1j * t * a)) / (1j * t * (self.upper - self.lower))
-        return np.where(t == 0, 1.0 + 0j, out)
+    def _trig_params(self) -> tuple[float, float, bool]:
+        return float(self.lower), float(self.upper), True
 
     def raw_moment(self, shift: np.ndarray, k: int) -> np.ndarray:
         a = self.lower + shift
@@ -105,7 +101,7 @@ class Beta:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.beta(self.a, self.b, size)
 
-    def char_fn(self, shift: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def _trig_params(self) -> tuple[float, float, bool]:
         raise UnsupportedMomentError("trigonometric moments of beta-distributed angles are not supported")
 
     def raw_moment(self, shift: np.ndarray, k: int) -> np.ndarray:
@@ -120,7 +116,7 @@ class Beta:
 Distribution = Union[Degenerate, Gaussian, Uniform, Beta]
 
 # The distribution family of each spec keyword; a family's parameters are its class's fields, in order.
-KINDS: dict[str, type] = {"degenerate": Degenerate, "gaussian": Gaussian, "uniform": Uniform, "beta": Beta}
+KINDS: dict[str, type] = {cls.__name__.lower(): cls for cls in get_args(Distribution)}
 
 
 def _as_steps(shift) -> tuple[np.ndarray, bool]:
@@ -152,8 +148,16 @@ def char_fn(dist: Distribution, shift, t):
 
     `shift` and `t` may be scalars or ndarrays (t of integer values); the result
     has their broadcast shape, and is a complex scalar when both are scalars.
+    It is the formula that `_kernels.trig_moments` evaluates from `dist._trig_params()`.
     """
-    out = dist.char_fn(np.asarray(shift, dtype=float), np.asarray(t))
+    shift, t = np.asarray(shift, dtype=float), np.asarray(t)
+    p, q, uniform = dist._trig_params()
+    if not uniform:  # a Gaussian's mean and variance
+        out = np.exp(1j * t * (p + shift) - q * t * t / 2.0)
+    else:  # a uniform's bounds; t = 0 is taken from the limit 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (np.exp(1j * t * (q + shift)) - np.exp(1j * t * (p + shift))) / (1j * t * (q - p))
+        out = np.where(t == 0, 1.0 + 0j, out)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -175,8 +179,8 @@ def _laurent_matrix(pairs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.
 
     cos^m sin^n = (e^{ix}+e^{-ix})^m (e^{ix}-e^{-ix})^n / (i^n 2^(m+n)),
     expanded with exact integer counts.  Returns the sorted frequencies that
-    occur, as a read-only array of integer-valued floats (so that
-    :func:`char_fn` needs no integer casts), and a read-only (frequencies x
+    occur, as a read-only array of integer-valued floats (as
+    `_kernels.trig_moments` reads them), and a read-only (frequencies x
     pairs) matrix whose column r holds the coefficients of pair r, 0 at
     frequencies it lacks.
     """
@@ -200,18 +204,6 @@ def _laurent_matrix(pairs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.
 
 
 _IMAG_RESIDUE_TOL = 1e-12
-
-
-def _trig_params(dist: Distribution) -> tuple[float, float, bool]:
-    """(p, q, uniform) of `dist` as `_kernels.trig_moments` reads them; Beta, which has none, raises."""
-    if isinstance(dist, Gaussian):
-        return float(dist.mean), float(dist.variance), False
-    if isinstance(dist, Degenerate):
-        return float(dist.value), 0.0, False
-    if isinstance(dist, Uniform):
-        return float(dist.lower), float(dist.upper), True
-    kind = type(dist).__name__.lower()
-    raise UnsupportedMomentError(f"trigonometric moments of {kind}-distributed angles are not supported")
 
 
 def trig_moment(dist: Distribution, shift, m: int, n: int):
@@ -238,7 +230,7 @@ def _slot_moments(dist: Distribution, steps: np.ndarray, orders: tuple, laurent:
         for column, k in enumerate(orders):  # slot orders are >= 1
             out[:, column] = dist.raw_moment(steps, k)
         return
-    p, q, uniform = _trig_params(dist)
+    p, q, uniform = dist._trig_params()
     residue = _kernels.trig_moments(steps, laurent[0], p, q, *laurent[1:], out, uniform)
     if residue > _IMAG_RESIDUE_TOL:
         raise ArithmeticError(f"trig moment has non-real residue {residue:g}")
@@ -347,7 +339,7 @@ class DisturbanceModel:
         builds `moment_table`'s rows from it, `source` (an angle that some requirement needs) on a schedule and no
         other.  Beta, which has no trig moments, raises here."""
         row, ((_, first, _, (base, freqs, coefficients)),), factors = self._plan(requirements, {source})
-        return row, factors, freqs, coefficients, base, *_trig_params(self.distributions[source]), first
+        return row, factors, freqs, coefficients, base, *self.distributions[source]._trig_params(), first
 
     def _plan(self, requirements: Sequence[MultiIndex], scheduled) -> tuple:
         """`_table_plan` of the requirements, the slots whose source is in `scheduled` left to each call."""

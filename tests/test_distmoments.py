@@ -84,6 +84,18 @@ class TestCharFn:
         with pytest.raises(UnsupportedMomentError):
             char_fn(Beta(2, 3), 0.0, 1)
 
+    @pytest.mark.parametrize("shift", [0.0, -0.0, 1e-300, -1e-300, 0.3, 1e12, math.inf, -math.inf, math.nan])
+    def test_degenerate_is_gaussian_of_variance_zero(self, shift):
+        """Degenerate(v) takes the Gaussian formula with variance 0, and gets the bits of exp(1j t (v + s))."""
+        t_all = np.array([-64, -1, 0, 1, 2, 64])
+        for v in (0.0, -0.0, 0.73, -2.5):
+            for t in (t_all, *t_all):
+                with np.errstate(invalid="ignore"):  # an infinite shift gives NaN
+                    got = np.asarray(char_fn(Degenerate(v), shift, t))
+                    formula = np.exp(1j * np.asarray(t) * (v + np.asarray(shift)))
+                    gaussian = np.asarray(char_fn(Gaussian(v, 0.0), shift, t))
+                assert got.tobytes() == formula.tobytes() == gaussian.tobytes()
+
     def test_array_shift_broadcast(self):
         shifts = np.array([0.0, 0.1, 0.2])
         values = char_fn(Gaussian(0.0, 1.0), shifts, 1)
@@ -416,6 +428,27 @@ class TestDisturbanceModel:
         assert model.moment_table([MultiIndex((1, 0, 0))], 2).shape == (2, 1)
         with pytest.raises(UnsupportedMomentError):
             model.moment_table([MultiIndex((1, 0, 0)), MultiIndex((0, 0, 1))], 2)
+
+    @pytest.mark.parametrize("kind", list(distmoments.KINDS))
+    def test_trig_answer_is_one_per_family(self, kind):
+        """char_fn, trig_moment and a trig column of moment_table: all finite, or all one UnsupportedMomentError."""
+        params = {"degenerate": (0.7,), "gaussian": (0.04, 0.03), "uniform": (-0.4, 0.9), "beta": (2, 3)}[kind]
+        dist = distmoments.KINDS[kind](*params)
+        model = DisturbanceModel(self.system, {"wv": Gaussian(0, 1), "wt": dist})
+        assert model.moment_table([MultiIndex((1, 0, 0))], 2).shape == (2, 1)  # raw columns need no trig moment
+        queries = (
+            lambda: char_fn(dist, 0.0, 1),
+            lambda: trig_moment(dist, 0.0, 0, 1),
+            lambda: model.moment_table([MultiIndex((1, 0, 0)), MultiIndex((0, 0, 1))], 2)[:, 1],
+        )
+        answers = set()
+        for query in queries:
+            try:
+                answers.add(bool(np.all(np.isfinite(query()))))
+            except UnsupportedMomentError as exc:
+                answers.add(str(exc))
+        unsupported = "trigonometric moments of beta-distributed angles are not supported"
+        assert answers == {unsupported if kind == "beta" else True}
 
     def test_missing_distribution(self):
         with pytest.raises(KeyError, match="wt"):

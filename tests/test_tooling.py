@@ -109,7 +109,8 @@ def test_mc_simulate_evaluates_each_update_once_per_step_and_batch(dubins_spec, 
     assert counts["evaluate"] == len(dubins_spec.state_vars) * 4 * 3
 
 
-# momentprop.__all__ as released.  A name added or removed here is an API change: list it in the README.
+# momentprop.__all__ as released.  A name added or removed here is an API change: record it in CHANGES.md, and a
+# removed name in the README's table of removals.
 PUBLIC_API = [
     "BasisExplosionError", "Beta", "Degenerate", "DependenceGraph", "DisturbanceModel", "Gaussian", "MomentBasis",
     "MomentState", "MomentStateSystem", "MomentTrajectory", "MomentUpdateForm", "MultiIndex", "Polynomial",
