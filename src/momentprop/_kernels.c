@@ -16,9 +16,10 @@
    budget: each finite row's risk bound is added up, and the loop stops once the parent's risk plus that sum passes
    epsilon: each obstacle adds a value in [0, 1], never NaN, and rounded addition is monotone, so an edge stopped
    early would pass epsilon had it run every step.  It also writes each table row just before its step from the
-   tree's moment plan (moment_row): a stopped edge takes no trig moments for steps it does not run.  dubins_steer and
-   grow_tree steer through one function, edge_path, which checks the two poses, takes their distance from CPython's
-   math.hypot and finds the path. */
+   tree's moment plan (moment_row): a stopped edge takes no trig moments for steps it does not run, and a row is
+   built once per distinct shift (bit pattern) per call, then copied from a direct-mapped table that the call frees.
+   dubins_steer and grow_tree steer through one function, edge_path, which checks the two poses, takes their distance
+   from CPython's math.hypot and finds the path. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -118,19 +119,33 @@ static double trig_moments(Py_ssize_t n_steps, const char *s, Py_ssize_t s_strid
     return residue;
 }
 
+/* log2 of the slot count of grow_tree's row cache: 512 slots of a key and n_req doubles, about 45 KB for the planner's
+   ten requirements, hold the distinct shifts of most trees, whose straight steps are all 0.0 and arc steps repeat. */
+#define ROW_CACHE_BITS 9
+
 /* grow_tree's moment plan (DisturbanceModel.steering_plan): the steered slot's schedule, base, p, q, uniform, freqs,
    coef and n_pairs columns from first in a copy of the slot row (column 0 is 1.0), each requirement's (n_factors,
-   n_req) slot columns, the table whose rows it writes, and the residue of a row that failed. */
+   n_req) slot columns, the table whose rows it writes, and the residue of a row that failed.  keys, valid and rows
+   are the row cache: slot h holds, if valid[h], the finished row of the shift whose bits are keys[h]. */
 struct plan {
-    const double *schedule, *freqs, *coef; const int64_t *factors; double *slots, *table; double complex *v;
+    const double *schedule, *freqs, *coef; const int64_t *factors; double *slots, *table, *rows; double complex *v;
+    uint64_t *keys; unsigned char *valid;
     int64_t n_req, n_freqs, n_pairs, first, n_factors; double base, p, q, residue; int uniform;
 };
 
 /* Row t of the table: step t's trig moments into the slot row, then each requirement's product of its slot columns,
-   left to right, as distmoments._products forms it.  1 if the residue passes the tolerance, else 0. */
+   left to right, as distmoments._products forms it.  1 if the residue passes the tolerance, else 0.  A row depends on
+   nothing but step t's shift within one call, so it is taken from the row cache when a slot holds the shift's bits
+   (the Fibonacci hash picks the slot), and a row that passes is stored there. */
 static int moment_row(struct plan *p, int64_t t)
 {
     double *slots = p->slots, *row = p->table + t * p->n_req;
+    uint64_t key;
+    memcpy(&key, p->schedule + t, sizeof key);
+    size_t h = (size_t)((key * UINT64_C(0x9E3779B97F4A7C15)) >> (64 - ROW_CACHE_BITS));
+    double *cached = p->rows + h * p->n_req;
+    if (p->valid[h] && p->keys[h] == key)
+        return memcpy(row, cached, p->n_req * sizeof *row), 0;
     double residue = trig_moments(1, (const char *)(p->schedule + t), 0, p->base, p->p, p->q, p->uniform, p->n_freqs,
                                   p->freqs, p->n_pairs, p->coef, (char *)(slots + p->first), 0, sizeof *slots, p->v);
     if (residue > 1e-12) /* distmoments._IMAG_RESIDUE_TOL */
@@ -141,6 +156,8 @@ static int moment_row(struct plan *p, int64_t t)
             v *= slots[p->factors[i * p->n_req + j]];
         row[j] = v;
     }
+    memcpy(cached, row, p->n_req * sizeof *row);
+    p->keys[h] = key, p->valid[h] = 1;
     return 0;
 }
 
@@ -697,12 +714,17 @@ static PyObject *py_grow_tree(PyObject *self, PyObject *const *args, Py_ssize_t 
     int status = group_terms(&g, n, tg->shape[0], fa->shape[1], n_req, tg->buf, co->buf, rq->buf, fa->buf, NULL);
     if (status == 1)
         FAIL(PyExc_IndexError, "a term's target, requirement or factor index is out of range");
-    /* The characteristic function values, the slot row's copy and the nodes' scores */
-    plan.v = PyMem_Malloc(plan.n_freqs * sizeof *plan.v + sl->len + nd->shape[0] * sizeof *plan.slots);
+    /* The characteristic function values, the slot row's copy, the nodes' scores and the row cache, for this call */
+    size_t cache_slots = (size_t)1 << ROW_CACHE_BITS, row_bytes = n_req * sizeof *plan.rows + sizeof *plan.keys + 1;
+    plan.v = PyMem_Malloc(plan.n_freqs * sizeof *plan.v + sl->len + nd->shape[0] * sizeof *plan.slots
+                          + cache_slots * row_bytes);
     if (status || !plan.v || !(result = PyList_New(0)))
         FAIL(PyExc_MemoryError, "out of memory");
     memcpy(plan.slots = (double *)(plan.v + plan.n_freqs), sl->buf, sl->len);
     double *nodes = nd->buf, *score = plan.slots + sl->shape[0];
+    plan.rows = score + nd->shape[0];
+    plan.keys = (uint64_t *)(plan.rows + cache_slots * n_req);
+    memset(plan.valid = (unsigned char *)(plan.keys + cache_slots), 0, cache_slots);
     bud.epsilon = epsilon, bud.plan = &plan;
     for (Py_ssize_t i = 0; i < sm->shape[0]; i++) {
         const double *s = (const double *)sm->buf + 3 * i;
@@ -928,7 +950,7 @@ static PyMethodDef methods[] = {{"run_steps", (PyCFunction)(void (*)(void))py_ru
                                 {"record_moments", (PyCFunction)(void (*)(void))py_record_moments, METH_FASTCALL,
                                  NULL},
                                 {0}};
-static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "run_steps", NULL, -1, methods};
+static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, .m_name = "run_steps", .m_size = -1, .m_methods = methods};
 
 PyMODINIT_FUNC PyInit_run_steps(void)
 {

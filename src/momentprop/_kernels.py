@@ -29,7 +29,10 @@ for bit:
 - `grow_tree`: the planner's whole risk-bounded tree: per sample, the
   nearest node, the Dubins controls, and the moment recursion with each
   step's disturbance moments (`DisturbanceModel.steering_plan`) and risk
-  bound, stopped where the bound passes the chance constraint.
+  bound, stopped where the bound passes the chance constraint.  A step's
+  disturbance moments depend only on its heading increment, so each
+  distinct increment's row is built once per call and copied after that
+  (straight steps are all 0.0 and arc steps repeat bit for bit).
 - `trig_moments`: the trigonometric moments of a Gaussian, degenerate or
   uniform angle at each step of a shift schedule, written into the
   caller's (steps, pairs) view.

@@ -401,12 +401,12 @@ def build_rrt(
     nodes = [TreeNode((sx, sy, sh), root_state, 0.0, -1, np.zeros(0), np.array([sx, sy]), np.zeros((2, 2)))]
     gx, gy, g_radius = env.goal
     goal_node: int | None = None
-    for i, (x, y, h, risk, parent) in enumerate(table[1 : len(controls) + 1, :5].tolist()):
-        nodes.append(TreeNode((x, y, h), MomentState(arrivals[i], len(controls[i])), risk, int(parent), controls[i],
-                              means[i], covs[i]))
-        if math.hypot(means[i, 0] - gx, means[i, 1] - gy) <= g_radius:
+    rows = zip(table[1 : len(controls) + 1, :5].tolist(), means.tolist(), arrivals, controls, means, covs)
+    for i, ((x, y, h, risk, parent), (ex, ey), state, edge, mean, cov) in enumerate(rows, 1):
+        nodes.append(TreeNode((x, y, h), MomentState(state, len(edge)), risk, int(parent), edge, mean, cov))
+        if math.hypot(ex - gx, ey - gy) <= g_radius:
             if goal_node is None or risk < nodes[goal_node].risk_to_node:
-                goal_node = i + 1
+                goal_node = i
     return RrtResult(nodes, goal_node, outcomes)
 
 

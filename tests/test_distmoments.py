@@ -151,7 +151,8 @@ class TestTrigMoments:
             trig_moment(Gaussian(0, 1), 0.0, 0, 0)
 
     def test_beta_unsupported(self):
-        with pytest.raises(UnsupportedMomentError):
+        with pytest.raises(UnsupportedMomentError, match="^trigonometric moments of beta-distributed angles are not "
+                                                          "supported$"):
             trig_moment(Beta(10, 1000), 0.0, 1, 0)
 
     def test_array_shift(self):

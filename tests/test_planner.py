@@ -665,6 +665,29 @@ def test_grow_tree_matches_its_twin(dubins_reduced, data):
     _parents_follow_the_scalar_key(samples.tolist(), nodes, outcomes, 0.3)
 
 
+def test_grow_tree_row_cache_reuses_its_slots_exactly(dubins_reduced):
+    """A tree whose edges carry more than twice as many distinct shift bit patterns as grow_tree's row cache has slots
+    (the C source's ROW_CACHE_BITS), so that slots are reused: every node, outcome and control is the twin's, which
+    builds every row.  Steps of 2/3 rad (speed 0.2, radius 0.3) mostly span a segment's end, which gives new bits."""
+    slots = 1 << int(re.search(r"#define ROW_CACHE_BITS (\d+)", _kernels._C_PATH.read_text())[1])
+    samples = np.random.default_rng(11).uniform((0.0, 0.0, -math.pi), (2.5, 2.5, math.pi), (500, 3))
+    args = grow_tree_arguments(dubins_reduced, presets.planner_noise(), samples, env=_OBSTACLE_FREE, epsilon=0.5)
+    args[10], args[12] = 0.2, 1000
+    controls, _, outcomes = grow_both(args)
+    assert (outcomes[:, 0] == 0).all()  # every edge ran every step, so each control's row was built or served
+    assert len(np.unique(np.concatenate(controls).view(np.uint64))) > 2 * slots
+
+
+def test_grow_tree_row_cache_lives_for_one_call(dubins_reduced):
+    """Back-to-back trees on the same samples under other heading noise, so that the same shifts need other rows:
+    each tree is its twin's, so no row of one call serves the next."""
+    samples = np.random.default_rng(12).uniform((0.0, 0.0, -math.pi), (2.5, 2.5, math.pi), (20, 3))
+    for wt in (Gaussian(0.0, 1e-8), Gaussian(0.0, 1e-2), Uniform(-0.001, 0.001), Degenerate(0.0)):
+        noise = {**presets.planner_noise(), "wt": wt}
+        controls, _, _ = grow_both(grow_tree_arguments(dubins_reduced, noise, samples, env=_OBSTACLE_FREE, epsilon=0.5))
+        assert len(controls) == len(samples)
+
+
 class TestStochasticSteer:
     def test_zero_noise_tracks_deterministic_rollout(self, dubins_reduced):
         controls = dubins_steer((0, 0, 0), (1.5, 0.8, 0.3), 0.05, 0.5)
