@@ -17,7 +17,6 @@ import numpy as np
 
 from . import __version__, compiler, distmoments, oracle, planner, propagator, sysspec, tables
 from .compiler import BasisExplosionError
-from .polyring import MultiIndex
 from .propagator import PropagationError
 from .sysspec import SpecError
 
@@ -105,24 +104,24 @@ def _metadata(args: argparse.Namespace, **extra: str) -> dict[str, str]:
     return {"tool": f"momentprop {__version__}", "command": args.command, **extra}
 
 
-def _parse_spec_file(path: str) -> sysspec.SystemSpec:
-    return sysspec.parse_spec(_read_text(path))
-
-
-def _target_moments(system: sysspec.PolynomialSystem) -> tuple[MultiIndex, ...]:
-    if not system.target_moments:
-        raise SpecError("spec declares no 'moments' line to seed the compilation")
-    return system.target_moments
-
-
-def _cmd_compile(args) -> int:
-    spec = _parse_spec_file(args.spec)
+def _compiled(path: str, reduced: bool = True) -> tuple:
+    """(spec, trig-encoded system, compiled moment system) of a spec file, after its independence warnings."""
+    spec = sysspec.parse_spec(_read_text(path))
     system = sysspec.trig_encode(spec)
     for warning in sysspec.validate_independence(spec):
         print(f"warning: {warning}", file=sys.stderr)
-    msys = compiler.compile_moment_system(
-        system, _target_moments(system), reduced=not args.unreduced
-    )
+    if not system.target_moments:
+        raise SpecError("spec declares no 'moments' line to seed the compilation")
+    return spec, system, compiler.compile_moment_system(system, system.target_moments, reduced=reduced)
+
+
+def _model(system, spec: sysspec.SystemSpec, shifts: str | None) -> distmoments.DisturbanceModel:
+    """The spec's disturbance model over `system`'s layout, on the `--shifts` schedule when one is given."""
+    return distmoments.DisturbanceModel(system, spec.distributions, _read_shifts(shifts) if shifts else None)
+
+
+def _cmd_compile(args) -> int:
+    _, _, msys = _compiled(args.spec, reduced=not args.unreduced)
     _write_atomic(args.output, compiler.dumps(msys))
     listing = compiler.render_equations(msys)
     if args.listing:
@@ -137,17 +136,9 @@ def _cmd_compile(args) -> int:
     return EXIT_OK
 
 
-def _distributions(spec: sysspec.SystemSpec) -> dict[str, distmoments.Distribution]:
-    if not spec.distributions:
-        raise SpecError("spec declares no 'dist' lines for the disturbances")
-    return spec.distributions
-
-
 def _cmd_propagate(args) -> int:
     msys = compiler.load(args.compiled)
-    spec = _parse_spec_file(args.dist)
-    shifts = _read_shifts(args.shifts) if args.shifts else None
-    model = distmoments.DisturbanceModel(msys, _distributions(spec), shifts)
+    model = _model(msys, sysspec.parse_spec(_read_text(args.dist)), args.shifts)
     init = propagator.init_deterministic(msys, _read_init(args.init))
     traj = propagator.propagate(msys, init, model, args.steps)
     meta = _metadata(args, steps=str(args.steps), compiled=args.compiled)
@@ -163,15 +154,11 @@ def _mc_csv(mc: oracle.McEstimate, meta: Mapping[str, str]) -> str:
 
 
 def _cmd_mc(args) -> int:
-    spec = _parse_spec_file(args.spec)
-    system = sysspec.trig_encode(spec)
-    msys = compiler.compile_moment_system(system, _target_moments(system))
-    shifts = _read_shifts(args.shifts) if args.shifts else None
-    model = distmoments.DisturbanceModel(msys, _distributions(spec), shifts)
+    spec, system, msys = _compiled(args.spec)
     mc = oracle.mc_simulate(
         spec,
         system,
-        model,
+        _model(msys, spec, args.shifts),
         _read_init(args.init),
         args.steps,
         args.samples,
@@ -193,9 +180,8 @@ def _lin_csv(pred: oracle.LinearPrediction, meta: Mapping[str, str]) -> str:
 
 
 def _cmd_linearize(args) -> int:
-    spec = _parse_spec_file(args.spec)
-    shifts = _read_shifts(args.shifts) if args.shifts else None
-    model = distmoments.DisturbanceModel(sysspec.trig_encode(spec), _distributions(spec), shifts)
+    spec = sysspec.parse_spec(_read_text(args.spec))
+    model = _model(sysspec.trig_encode(spec), spec, args.shifts)
     x0 = _read_init(args.init)
     w_star = {w: distmoments.mean(d) for w, d in spec.distributions.items()}
     lin = oracle.linearize(spec, x0, w_star, dt=args.dt)
@@ -242,10 +228,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    spec = _parse_spec_file(args.spec)
-    distributions = _distributions(spec)
-    system = sysspec.trig_encode(spec)
-    msys = compiler.compile_moment_system(system, _target_moments(system))
+    spec, _, msys = _compiled(args.spec)
     env = planner.parse_environment(_read_text(args.env))
     config = planner.PlannerConfig(
         speed=args.speed,
@@ -255,7 +238,7 @@ def _cmd_plan(args) -> int:
     result = planner.build_rrt(
         env,
         msys,
-        distributions,
+        spec.distributions,
         epsilon=args.eps,
         iterations=args.iterations,
         seed=args.seed,

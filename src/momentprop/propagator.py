@@ -53,7 +53,9 @@ def init_deterministic(msys: MomentStateSystem, x0: Mapping[str, float]) -> Mome
 
     Angle states may be given either by their original angle name (the
     cosine/sine pair is derived) or by the encoded pair directly, in which
-    case the pair must sit on the unit circle to within 1e-9.
+    case the pair must sit on the unit circle to within 1e-9.  A moment that
+    overflows from finite values raises `PropagationError` naming it at step
+    0; NaN and infinite values give their moments as they come.
     """
     values_by_var: dict[str, float] = {}
     for pair in msys.state_pairs:
@@ -79,10 +81,16 @@ def init_deterministic(msys: MomentStateSystem, x0: Mapping[str, float]) -> Mome
     values_by_var.update(initial_values([name for name in msys.state_vars if name not in values_by_var], x0))
     point = [values_by_var[name] for name in msys.state_vars]
     values = []
-    for powers in msys.basis.powers:
+    for j, powers in enumerate(msys.basis.powers):
         v = 1.0
         for i, e in powers:
-            v *= point[i] ** e
+            try:
+                v *= point[i] ** e
+            except OverflowError:  # float ** raises where C's pow gives the signed infinity
+                v *= math.copysign(math.inf, point[i]) if e % 2 else math.inf
+        if not math.isfinite(v) and all(math.isfinite(point[i]) for i, _ in powers):
+            name = monomial_name(msys.state_vars, msys.basis[j])
+            raise PropagationError(f"moment E[{name}] became non-finite at step 0")
         values.append(v)
     return MomentState(np.array(values), 0)
 

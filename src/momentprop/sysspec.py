@@ -97,24 +97,25 @@ class Usage:
 
     @classmethod
     def of(cls, expr: Expr) -> "Usage":
-        """One left-to-right walk over the leaves of `expr`, without recursion."""
-        names: dict[str, None] = {}
-        bare: dict[str, None] = {}
-        trig: dict[str, None] = {}
-        stack = [expr]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Sum):
-                stack.extend(term for _, term in reversed(node.terms))
-            elif isinstance(node, Product):
-                stack.extend(reversed(node.factors))
-            elif isinstance(node, Power):
-                stack.append(node.base)
-            elif isinstance(node, Sym):
-                names[node.name] = bare[node.name] = None
-            elif isinstance(node, Trig):
-                names[node.arg] = trig[node.arg] = None
-        return cls(tuple(names), tuple(bare), tuple(trig))
+        """The usage of `expr` under :func:`fold`: each leaf gives its name, and every operator but ** merges."""
+        return fold(expr, cls._leaf)
+
+    @classmethod
+    def _leaf(cls, node: Const | Sym | Trig) -> "Usage":
+        if isinstance(node, Sym):
+            return cls((node.name,), (node.name,), ())
+        if isinstance(node, Trig):
+            return cls((node.arg,), (), (node.arg,))
+        return cls((), (), ())
+
+    def __add__(self, other: "Usage") -> "Usage":
+        pairs = zip((self.names, self.bare, self.trig), (other.names, other.bare, other.trig))
+        return Usage(*(tuple(dict.fromkeys(a + b)) for a, b in pairs))
+
+    __sub__ = __mul__ = __add__
+
+    def __pow__(self, exponent: int) -> "Usage":
+        return self
 
 
 def fold(expr: Expr, leaf: Callable[[Const | Sym | Trig], Any]):

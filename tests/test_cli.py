@@ -167,8 +167,68 @@ def test_spec_without_dist_lines_exits_2(workdir, capsys, command):
         "plan": ("plan", bare, "--env", workdir / "env.txt", "--eps", 0.1, "-o", out),
     }[command]
     assert run(*argv) == EXIT_INPUT
-    assert capsys.readouterr().err.splitlines() == ["error: spec declares no 'dist' lines for the disturbances"]
+    assert capsys.readouterr().err.splitlines() == ["error: no distribution given for disturbance 'wv'"]
     assert not out.exists()
+
+
+def test_disturbance_free_spec_runs_every_command(workdir, capsys):
+    """A spec without disturbances is deterministic: every engine gives x_t = 2 - 2 * 0.5^t exactly."""
+    spec = workdir / "free.spec"
+    spec.write_text("state x\ndyn x' = 0.5*x + 1\nmoments x x^2\n")
+    (workdir / "init.csv").write_text("x\n0\n")
+    common = ("--init", workdir / "init.csv", "-T", 30)
+    assert run("compile", spec, "-o", workdir / "free.msys", "--listing", workdir / "eq.txt") == EXIT_OK
+    assert run("propagate", workdir / "free.msys", "--dist", spec, *common, "-o", workdir / "exact.csv") == EXIT_OK
+    assert run("mc", spec, *common, "-N", 100, "-o", workdir / "mc.csv") == EXIT_OK
+    assert run("linearize", spec, *common, "-o", workdir / "lin.csv") == EXIT_OK
+    capsys.readouterr()
+    assert run("compare", *(workdir / name for name in ("exact.csv", "mc.csv", "lin.csv")),
+               "-o", workdir / "report.csv") == EXIT_OK
+    assert capsys.readouterr().err.splitlines() == ["max |z| exact vs MC: 0.000; flagged rows: 0"]
+
+    def columns(name):
+        header, values = cli._read_csv(str(workdir / f"{name}.csv"))
+        return dict(zip(header, values.T))
+
+    exact, mc, lin = map(columns, ("exact", "mc", "lin"))
+    mean = 2.0 - 2.0 * 0.5 ** np.arange(31)
+    for table in exact, mc:
+        np.testing.assert_array_equal(table["x"], mean)
+        np.testing.assert_array_equal(table["x^2"], mean * mean)
+    np.testing.assert_array_equal(mc["x_se"], 0.0)
+    np.testing.assert_array_equal(mc["x^2_se"], 0.0)
+    np.testing.assert_array_equal(lin["mu_x"], mean)
+    np.testing.assert_array_equal(lin["sigma_x_x"], 0.0)
+
+
+@pytest.mark.parametrize("command", ["compile", "mc", "plan"])
+def test_every_compiling_command_warns_of_broken_independence(workdir, capsys, monkeypatch, command):
+    """compile, mc and plan print the same independence warnings, and otherwise do what they do without them."""
+    spec = workdir / "xtheta.spec"
+    planner_spec = (workdir / "planner.spec").read_text()
+    spec.write_text(planner_spec.replace("independent {v} {theta}", "independent {x} {theta}"))
+    argv = {
+        "compile": ("compile", spec, "-o", workdir / "out.msys"),
+        "mc": ("mc", spec, "--init", workdir / "init.csv", "-T", 5, "-N", 100, "-o", workdir / "out.csv"),
+        "plan": ("plan", spec, "--env", workdir / "env.txt", "--eps", 0.1, "--seed", 11, "--iterations", 100,
+                 "-o", workdir / "out.csv", "--tree", workdir / "tree.csv"),
+    }[command]
+    runs = []
+    for check in sysspec.validate_independence, lambda spec: []:
+        monkeypatch.setattr(sysspec, "validate_independence", check)
+        code = run(*argv)
+        captured = capsys.readouterr()
+        files = {path.name: path.read_bytes() for path in workdir.iterdir() if path.name.startswith(("out", "tree"))}
+        runs.append((code, captured.out, captured.err.splitlines(), files))
+        for path in files:
+            (workdir / path).unlink()
+    (code, out, err, files), quiet = runs
+    assert err[:2] == [
+        "warning: {x} vs {theta}: updates reference across groups via ['theta']",
+        "warning: {x} vs {theta}: groups share disturbance symbols ['wt']",
+    ]
+    assert (code, out, err[2:], files) == quiet
+    assert files
 
 
 @pytest.mark.parametrize("command", ["mc", "linearize"])
@@ -210,6 +270,26 @@ def test_non_finite_result_exits_1_with_one_line(workdir, capsys, command, messa
         assert run(*argv) == EXIT_RUNTIME
     assert capsys.readouterr().err.splitlines() == [f"runtime error: {message}"]
     assert caught == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["propagate", "mc", "plan"])
+def test_initial_moment_overflow_exits_1_with_one_line(workdir, capsys, command):
+    """A finite start at x = 1e200 overflows E[x^2] before the first step: every engine names it alike."""
+    spec = workdir / "dubins.spec"
+    assert run("compile", spec, "-o", workdir / "dubins.msys", "--listing", workdir / "eq.txt") == EXIT_OK
+    (workdir / "init.csv").write_text("x,y,v,theta\n1e200,0.3,1,0\n")
+    (workdir / "env.txt").write_text(presets.PLANNER_ENV.replace("start 0.3 0.3 0", "start 1e200 0.3 0"))
+    capsys.readouterr()
+    out = workdir / "out.csv"
+    common = ("--init", workdir / "init.csv", "-T", 3, "-o", out)
+    argv = {
+        "propagate": ("propagate", workdir / "dubins.msys", "--dist", spec, *common),
+        "mc": ("mc", spec, "-N", 10, *common),
+        "plan": ("plan", workdir / "planner.spec", "--env", workdir / "env.txt", "--eps", 0.1, "-o", out),
+    }[command]
+    assert run(*argv) == EXIT_RUNTIME
+    assert capsys.readouterr().err.splitlines() == ["runtime error: moment E[x^2] became non-finite at step 0"]
     assert not out.exists()
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from momentprop import _kernels, compiler, distmoments, planner, presets, propagator
+from momentprop import _kernels, compiler, distmoments, planner, presets, propagator, sysspec
 from momentprop.compiler import compile_moment_system
 from momentprop.distmoments import Degenerate, DisturbanceModel, Gaussian
 from momentprop.polyring import MultiIndex, Polynomial
@@ -80,6 +80,27 @@ class TestInit:
     def test_missing_variable(self, dubins_reduced):
         with pytest.raises(KeyError):
             init_deterministic(dubins_reduced, {"x": 0, "y": 0, "theta": 0})
+
+    @pytest.mark.parametrize(
+        "x0, expected",
+        [
+            ({"x": 1e200, "y": 1e100}, "moment E[x*y^2] became non-finite at step 0"),  # * overflows, ** does not
+            ({"x": 1e100, "y": 1e200}, "moment E[x*y^2] became non-finite at step 0"),  # ** overflows
+            ({"x": -1e200, "y": math.nan}, [math.nan, math.nan]),
+            ({"x": -1e200, "y": math.inf}, [-math.inf, -math.inf]),
+            ({"x": 2.0, "y": 3.0}, [18.0, 24.0]),
+        ],
+    )
+    def test_overflow_from_finite_values_is_named(self, x0, expected):
+        """Finite values whose moment overflows raise; a NaN or infinite value gives what * and C's pow give."""
+        system = sysspec.trig_encode(sysspec.parse_spec("state x y\ndyn x' = x\ndyn y' = y\nmoments x*y^2 x^3*y\n"))
+        msys = compile_moment_system(system, system.target_moments)
+        assert msys.moment_names() == ("x*y^2", "x^3*y")
+        if isinstance(expected, str):
+            with pytest.raises(PropagationError, match=re.escape(expected) + "$"):
+                init_deterministic(msys, x0)
+        else:
+            np.testing.assert_array_equal(init_deterministic(msys, x0).values, expected)
 
 
 class TestStep:
