@@ -44,18 +44,16 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
-    """Read a CSV, skipping blank and '#' lines; returns (header, values).
+def _read_csv(path: str) -> tuple[list[str], np.ndarray, list[tuple[int, list[str]]]]:
+    """Read a CSV's `tables.text_lines`; returns (header, values, rows).
 
-    `values` has one row per data line and one column per header name.
+    `values` has one row per data line and one column per header name, and
+    `rows` each data line's number and cells, for messages.
     """
     header: list[str] | None = None
-    rows = []
-    for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        cells = line.split(",")
+    values, rows = [], []
+    for line_no, line in tables.text_lines(_read_text(path)):
+        cells = line.lstrip().split(",")
         if header is None:
             header = [c.strip() for c in cells]
             if repeated := [name for i, name in enumerate(header) if name in header[:i]]:
@@ -64,40 +62,31 @@ def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
         if len(cells) != len(header):
             raise ValueError(f"{path}, line {line_no}: {len(cells)} values for {len(header)} columns")
         try:
-            rows.append([float(c) if c else np.nan for c in cells])
+            values.append([float(c) if c else np.nan for c in cells])
         except ValueError as exc:
             raise ValueError(f"{path}, line {line_no}: {exc}") from None
+        rows.append((line_no, cells))
     if header is None:
         raise ValueError(f"{path}: no CSV header found")
-    return header, np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+    return header, np.asarray(values, dtype=float).reshape(len(values), len(header)), rows
 
 
-def _check_finite(path: str, header: Sequence[str], values: np.ndarray) -> None:
-    """Reject the first empty (NaN) or non-finite cell of a table read by `_read_csv`."""
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
+def _read_columns(path: str) -> dict[str, np.ndarray]:
+    """Each column of a CSV of finite numbers (`--shifts`, `--init`); the first other cell is an input error."""
+    header, values, rows = _read_csv(path)
+    if (bad := np.argwhere(~np.isfinite(values))).size:
         row, col = bad[0]
-        # Only this error path needs line numbers: re-read the non-comment lines (header first).
-        lines = ((n, raw.strip()) for n, raw in enumerate(_read_text(path).splitlines(), start=1))
-        line_no, line = [(n, text) for n, text in lines if text and not text.startswith("#")][row + 1]
-        raise ValueError(
-            f"{path}, line {line_no}, column {col + 1} ({header[col]}): "
-            f"expected a finite number, got {line.split(',')[col].strip()!r}"
-        )
+        line_no, cells = rows[row]
+        raise ValueError(f"{path}, line {line_no}, column {col + 1} ({header[col]}): "
+                         f"expected a finite number, got {cells[col].strip()!r}")
+    return {name: values[:, j] for j, name in enumerate(header)}
 
 
 def _read_init(path: str) -> dict[str, float]:
-    header, values = _read_csv(path)
-    if values.shape[0] != 1:
+    columns = _read_columns(path)
+    if any(len(column) != 1 for column in columns.values()):
         raise ValueError(f"{path}: initial-state CSV needs exactly one data row")
-    _check_finite(path, header, values)
-    return dict(zip(header, map(float, values[0])))
-
-
-def _read_shifts(path: str) -> dict[str, np.ndarray]:
-    header, values = _read_csv(path)
-    _check_finite(path, header, values)
-    return {name: values[:, j] for j, name in enumerate(header)}
+    return {name: float(column[0]) for name, column in columns.items()}
 
 
 def _metadata(args: argparse.Namespace, **extra: str) -> dict[str, str]:
@@ -117,7 +106,7 @@ def _compiled(path: str, reduced: bool = True) -> tuple:
 
 def _model(system, spec: sysspec.SystemSpec, shifts: str | None) -> distmoments.DisturbanceModel:
     """The spec's disturbance model over `system`'s layout, on the `--shifts` schedule when one is given."""
-    return distmoments.DisturbanceModel(system, spec.distributions, _read_shifts(shifts) if shifts else None)
+    return distmoments.DisturbanceModel(system, spec.distributions, _read_columns(shifts) if shifts else None)
 
 
 def _cmd_compile(args) -> int:
@@ -210,15 +199,22 @@ def _lin_prediction(header: Sequence[str], values: np.ndarray) -> oracle.LinearP
 
 
 def _cmd_compare(args) -> int:
-    ex_header, ex_values = _read_csv(args.exact)
-    mc_header, mc_values = _read_csv(args.mc)
-    if ex_header[0] != "t" or mc_header[0] != "t":
-        raise ValueError("trajectory CSVs must start with a 't' column")
+    ex_header, ex_values, _ = _read_csv(args.exact)
+    mc_header, mc_values, _ = _read_csv(args.mc)
+    for path, header in (args.exact, ex_header), (args.mc, mc_header):
+        if header[0] != "t":
+            raise ValueError(f"{path}: trajectory CSVs must start with a 't' column")
     # The MC table (see _mc_csv) holds each moment's mean and then its standard error, `<name>_se`.
     mc_cols = {name: j for j, name in enumerate(mc_header)}
     mc_names = [name for name in mc_header[1:] if name + "_se" in mc_cols]
     mc_means, mc_ses = (mc_values[:, [mc_cols[name + suffix] for name in mc_names]] for suffix in ("", "_se"))
-    lin = _lin_prediction(*_read_csv(args.linearized)) if args.linearized else None
+    lin = None
+    if args.linearized:
+        lin_header, lin_values, _ = _read_csv(args.linearized)
+        try:
+            lin = _lin_prediction(lin_header, lin_values)
+        except ValueError as exc:
+            raise ValueError(f"{args.linearized}: {exc}") from None
     report = oracle.compare_columns(ex_header[1:], ex_values[:, 1:], mc_names, mc_means, mc_ses, lin)
     _write_atomic(args.output, report.to_csv(_metadata(args)))
     if args.plot_data:
@@ -244,15 +240,8 @@ def _cmd_plan(args) -> int:
         seed=args.seed,
         config=config,
     )
-    meta = _metadata(
-        args,
-        seed=str(args.seed),
-        eps=str(args.eps),
-        iterations=str(args.iterations),
-        speed=str(args.speed),
-        turn_radius=str(args.turn_radius),
-        nodes=str(len(result.nodes)),
-    )
+    options = ("seed", "eps", "iterations", "speed", "turn_radius")
+    meta = _metadata(args, **{name: str(getattr(args, name)) for name in options}, nodes=str(len(result.nodes)))
     if args.tree:
         _write_atomic(args.tree, planner.tree_to_csv(result))
     if not result.found:

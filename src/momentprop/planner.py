@@ -26,7 +26,7 @@ from .polyring import _check_count, _is_count
 from .propagator import MomentState, MomentTrajectory, central_second_moments, init_deterministic
 from .propagator import propagate
 from .sysspec import SystemSpec, TrigPair
-from .tables import csv_text
+from .tables import csv_text, text_lines
 
 # The vehicle's state names; its heading is the spec's one angle.
 POSITION = ("x", "y")
@@ -124,11 +124,9 @@ def parse_environment(text: str) -> Environment:
     and `goal` appear once each.
     """
     singles: dict[str, tuple[float, ...]] = {}
+    counts = {"bounds": 4, "start": 3, "goal": 3}  # the values on each line that appears once
     obstacles = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in text_lines(text):
         head, *rest = line.split()
         try:
             values = [float(tok) for tok in rest]
@@ -138,24 +136,24 @@ def parse_environment(text: str) -> Environment:
             raise ValueError(f"environment line {line_no}: non-finite value")
         if head in singles:
             raise ValueError(f"environment line {line_no}: repeated {head!r} line")
-        if head == "bounds" and len(values) == 4:
-            xmin, ymin, xmax, ymax = values
-            if not (0.0 < xmax - xmin < math.inf and 0.0 < ymax - ymin < math.inf):
-                raise ValueError(f"environment line {line_no}: bounds need xmin < xmax and ymin < ymax with finite widths")
-            singles[head] = tuple(values)
-        elif head == "start" and len(values) == 3:
-            singles[head] = tuple(values)
-        elif head == "goal" and len(values) == 3:
-            if values[2] <= 0.0:
-                raise ValueError(f"environment line {line_no}: goal radius must be positive")
-            singles[head] = tuple(values)
-        elif head == "obstacle" and len(values) >= 6 and len(values) % 2 == 0:
+        if head == "obstacle":
+            if len(values) < 6 or len(values) % 2:
+                raise ValueError(f"environment line {line_no}: 'obstacle' takes an even number of at least 6 values, "
+                                 f"got {len(values)}")
             try:
                 obstacles.append(Polytope.from_vertices(list(zip(values[::2], values[1::2]))))
             except ValueError as exc:
                 raise ValueError(f"environment line {line_no}: {exc}") from None
+        elif head not in counts:
+            raise ValueError(f"environment line {line_no}: unknown declaration {head!r}")
+        elif len(values) != counts[head]:
+            raise ValueError(f"environment line {line_no}: {head!r} takes {counts[head]} values, got {len(values)}")
+        elif head == "bounds" and not (0.0 < values[2] - values[0] < math.inf and 0.0 < values[3] - values[1] < math.inf):
+            raise ValueError(f"environment line {line_no}: bounds need xmin < xmax and ymin < ymax with finite widths")
+        elif head == "goal" and values[2] <= 0.0:
+            raise ValueError(f"environment line {line_no}: goal radius must be positive")
         else:
-            raise ValueError(f"environment line {line_no}: bad declaration {head!r}")
+            singles[head] = tuple(values)
     if len(singles) < 3:
         raise ValueError("environment needs 'bounds', 'start' and 'goal' lines")
     return Environment(singles["bounds"], singles["start"], singles["goal"], tuple(obstacles))
@@ -361,15 +359,16 @@ def build_rrt(
 
     One `_kernels.grow_tree` call runs every iteration: the nearest node to a
     uniform sample, the Dubins controls towards it, and the edge's moments
-    (`stochastic_steer`, the rows from the tree's `DisturbanceModel.
-    steering_plan`; Beta heading noise raises up front) with its risk bound
-    (`trajectory_risk`), stopped where the parent's risk plus the bound
-    passes epsilon.  Edges within epsilon become nodes, with the arrival
-    mean, covariance and accumulated bound; `outcomes` says why each sample
-    was taken or not (`OUTCOMES`).  The goal node, when found, is the first
-    node of least bound whose mean position lies inside the goal disc.  The
-    system must be the planar vehicle: state x, y, v, one angle (the
-    heading) and one angular disturbance (the steered one).
+    and risk bound, stopped where the parent's risk plus the bound passes
+    epsilon.  It computes what `stochastic_steer` and `trajectory_risk`
+    would, without calling them (the rows come from the tree's
+    `DisturbanceModel.steering_plan`; Beta heading noise raises up front).
+    Edges within epsilon become nodes, with the arrival mean, covariance and
+    accumulated bound; `outcomes` says why each sample was taken or not
+    (`OUTCOMES`).  The goal node, when found, is the first node of least
+    bound whose mean position lies inside the goal disc.  The system must be
+    the planar vehicle: state x, y, v, one angle (the heading) and one
+    angular disturbance (the steered one).
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("chance constraint must lie in (0, 1)")

@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import distmoments
+from . import distmoments, tables
 from .polyring import MultiIndex, Polynomial
 
 
@@ -200,20 +200,13 @@ class _Token:
     col: int
 
 
-def _tokenize_line(text: str, line_no: int) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            col = pos + (len(text[pos:]) - len(stripped)) + 1
-            raise SpecError(f"unexpected character {stripped[0]!r}", line_no, col)
-        kind = m.lastgroup
-        tokens.append(_Token(kind, m.group(kind), line_no, m.start(kind) + 1))
+def _tokenize_line(text: str, line_no: int | None) -> list[_Token]:
+    tokens, pos = [], 0
+    while m := _TOKEN_RE.match(text, pos):
+        tokens.append(_Token(m.lastgroup, m.group(m.lastgroup), line_no, m.start(m.lastgroup) + 1))
         pos = m.end()
+    if rest := text[pos:].lstrip():
+        raise SpecError(f"unexpected character {rest[0]!r}", line_no, len(text) - len(rest) + 1)
     tokens.append(_Token("end", "", line_no, len(text) + 1))
     return tokens
 
@@ -400,9 +393,13 @@ def _parse_dist_value(tokens: list[_Token], start: int) -> distmoments.Distribut
         raise SpecError(str(exc), kind.line, kind.col) from None
 
 
-def parse_monomial(chunk: str, state_vars: Sequence[str], line_no: int | None = None) -> MultiIndex:
+def parse_monomial(name: str, state_vars: Sequence[str]) -> MultiIndex:
     """Multi-index over `state_vars` of a monomial such as ``x^2*y``."""
-    tokens = _tokenize_line(chunk, line_no)
+    return _monomial(_tokenize_line(name, None), state_vars)
+
+
+def _monomial(tokens: list[_Token], state_vars: Sequence[str]) -> MultiIndex:
+    """Multi-index over `state_vars` of the monomial spelt by `tokens`, which end in an "end" token."""
     parser = _ExprParser(tokens)
     exps = [0] * len(state_vars)
     while True:
@@ -419,6 +416,16 @@ def parse_monomial(chunk: str, state_vars: Sequence[str], line_no: int | None = 
         if not (nxt.kind == "punct" and nxt.text == "*"):
             raise SpecError(f"unexpected {nxt.text!r} in moment monomial", nxt.line, nxt.col)
     return MultiIndex(exps)
+
+
+def _words(tokens: list[_Token]) -> list[list[_Token]]:
+    """A line's `tokens` cut where a space separates two of them, each word closed by an "end" token of its own."""
+    words = [[tokens[0]]]
+    for prev, tok in zip(tokens, tokens[1:-1]):
+        if tok.col > prev.col + len(prev.text):
+            words.append([])
+        words[-1].append(tok)
+    return [[*word, _Token("end", "", word[-1].line, word[-1].col + len(word[-1].text))] for word in words]
 
 
 def _parse_name_set(parser: _ExprParser) -> frozenset[str]:
@@ -444,14 +451,11 @@ def parse_spec(text: str) -> SystemSpec:
     updates: dict[str, Expr] = {}
     update_lines: dict[str, int] = {}
     independence: list[tuple[frozenset[str], frozenset[str], int]] = []
-    moment_chunks: list[tuple[str, int]] = []
+    moment_words: list[list[_Token]] = []  # each monomial's tokens
     distributions: dict[str, distmoments.Distribution] = {}
     dist_lines: dict[str, int] = {}
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
+    for line_no, line in tables.text_lines(text):
         tokens = _tokenize_line(line, line_no)
         head = tokens[0]
         if head.kind != "ident":
@@ -491,11 +495,11 @@ def parse_spec(text: str) -> SystemSpec:
             second = _parse_name_set(parser)
             independence.append((first, second, line_no))
         elif head.text == "moments":
-            body = line.split(None, 1)
-            if len(body) < 2:
+            # A space ends a monomial; the first word, the keyword's, is skipped whole.
+            _, *words = _words(tokens)
+            if not words:
                 raise SpecError("'moments' needs at least one monomial", line_no, head.col)
-            for chunk in body[1].split():
-                moment_chunks.append((chunk, line_no))
+            moment_words.extend(words)
         elif head.text == "dist":
             name_tok = tokens[1] if len(tokens) > 1 else head
             if name_tok.kind != "ident":
@@ -541,11 +545,11 @@ def parse_spec(text: str) -> SystemSpec:
         if first & second:
             raise SpecError(f"independence declaration groups overlap: {sorted(first & second)}", ln)
 
-    spec.target_moments = tuple(parse_monomial(chunk, state, ln) for chunk, ln in moment_chunks)
-    for alpha, (_, ln) in zip(spec.target_moments, moment_chunks):
+    spec.target_moments = tuple(_monomial(word, state) for word in moment_words)
+    for alpha, word in zip(spec.target_moments, moment_words):
         if angle := next((name for name, e in zip(state, alpha) if e and name in angles), None):
             raise SpecError(f"moments of angle {angle!r} are not expressible after encoding; "
-                            "its cosine/sine moments appear in completions automatically", ln)
+                            "its cosine/sine moments appear in completions automatically", word[0].line)
     spec.increments = _angle_increments(spec, update_lines)
     spec.trig_offsets = _trig_offsets(spec, update_lines)
     return spec

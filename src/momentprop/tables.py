@@ -1,10 +1,17 @@
-"""The one writer of momentprop's CSV tables."""
+"""The one line reader of momentprop's text inputs, and the one writer of its CSV tables."""
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+
+
+def text_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(number from 1, line) of each line that holds more than a '#' comment, without the comment and trailing space."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        if line := raw.split("#", 1)[0].rstrip():
+            yield line_no, line
 
 
 def csv_text(

@@ -187,7 +187,7 @@ def test_disturbance_free_spec_runs_every_command(workdir, capsys):
     assert capsys.readouterr().err.splitlines() == ["max |z| exact vs MC: 0.000; flagged rows: 0"]
 
     def columns(name):
-        header, values = cli._read_csv(str(workdir / f"{name}.csv"))
+        header, values, _ = cli._read_csv(str(workdir / f"{name}.csv"))
         return dict(zip(header, values.T))
 
     exact, mc, lin = map(columns, ("exact", "mc", "lin"))
@@ -622,9 +622,10 @@ class TestPipeline:
     def test_read_csv_header_only(self, workdir):
         path = workdir / "empty.csv"
         path.write_text("# note: none\nt,x,x^2\n")
-        header, values = cli._read_csv(str(path))
+        header, values, rows = cli._read_csv(str(path))
         assert header == ["t", "x", "x^2"]
         assert values.shape == (0, 3)
+        assert rows == []
 
     @pytest.mark.parametrize("exact", ["t,x,y\n0,,0\n1,0,0\n", "t,x,y\n0,0,0\n1,0,\n"], ids=["nan-first", "nan-last"])
     def test_compare_empty_cell_flagged(self, workdir, capsys, exact):
@@ -675,6 +676,27 @@ class TestPipeline:
         else:
             assert run(*argv) == EXIT_INPUT
             assert capsys.readouterr().err == f"error: initial state value missing for '{missing}'\n"
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("exact.csv", "s,x\n0,0\n", "trajectory CSVs must start with a 't' column"),
+            ("mc.csv", "x,x_se\n0,1\n", "trajectory CSVs must start with a 't' column"),
+            ("lin.csv", "t,x\n0,0\n", "linearized table has no 'mu_*' columns"),
+            ("lin.csv", "t,mu_x,mu_y,sigma_x_x,sigma_y_y\n0,0,0,0,0\n", "linearized table has no 'sigma_x_y' column"),
+        ],
+        ids=["exact-without-t", "mc-without-t", "lin-without-mu", "lin-without-covariance"],
+    )
+    def test_compare_table_error_names_its_file(self, workdir, capsys, name, text, message):
+        (workdir / "exact.csv").write_text("t,x\n0,0\n")
+        (workdir / "mc.csv").write_text("t,x,x_se\n0,0,1\n")
+        (workdir / "lin.csv").write_text("t,mu_x,sigma_x_x\n0,0,0\n")
+        (workdir / name).write_text(text)
+        capsys.readouterr()
+        files = (workdir / f for f in ("exact.csv", "mc.csv", "lin.csv"))
+        assert run("compare", *files, "-o", workdir / "r.csv") == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {workdir / name}: {message}\n"
+        assert not (workdir / "r.csv").exists()
 
     def test_compare_horizon_mismatch_exit_2(self, workdir):
         a = workdir / "a.csv"
@@ -819,8 +841,44 @@ class TestPlan:
         assert code == EXIT_INPUT
 
 
+def _noted(text: str) -> str:
+    """`text` with a trailing comment on every line, commas and all."""
+    return "".join(f"{line}  # note, 1,2\n" for line in text.splitlines())
+
+
+class TestTrailingComment:
+    """One comment rule for every text input: a trailing '# note' has no effect on any line."""
+
+    def test_spec_line(self):
+        assert sysspec.parse_spec(_noted(presets.DUBINS_SPEC)) == sysspec.parse_spec(presets.DUBINS_SPEC)
+
+    def test_environment_line(self):
+        assert planner.parse_environment(_noted(presets.PLANNER_ENV)) == planner.parse_environment(presets.PLANNER_ENV)
+
+    @pytest.mark.parametrize("line", [1, 2], ids=["header", "data-row"])
+    def test_csv_line(self, workdir, line):
+        plain = "# tool: test\nt,x,x^2\n0,1.5,\n1,2,4\n"
+        lines = plain.splitlines()
+        lines[line] += " # note, 1,2"
+        (workdir / "plain.csv").write_text(plain)
+        (workdir / "noted.csv").write_text("\n".join(lines) + "\n")
+        header, values, rows = cli._read_csv(str(workdir / "noted.csv"))
+        assert header == ["t", "x", "x^2"]
+        np.testing.assert_array_equal(values, np.array([[0.0, 1.5, np.nan], [1.0, 2.0, 4.0]]))
+        assert (header, rows) == cli._read_csv(str(workdir / "plain.csv"))[::2]
+
+    def test_init_csv_row(self, workdir):
+        """An --init row with a trailing comment gives the same trajectory as without it."""
+        run("compile", workdir / "dubins.spec", "-o", workdir / "dubins.msys", "--listing", workdir / "eq.txt")
+        (workdir / "noted.csv").write_text(_noted("x,y,v,theta\n0,0,1,0\n"))
+        for init in "init.csv", "noted.csv":
+            argv = ("propagate", workdir / "dubins.msys", "--dist", workdir / "dubins.spec", "--init", workdir / init)
+            assert run(*argv, "-T", 3, "-o", workdir / f"out_{init}") == EXIT_OK
+        assert (workdir / "out_init.csv").read_text() == (workdir / "out_noted.csv").read_text()
+
+
 class TestReadCsvFuzz:
-    """Any file ends in (header, values) or a ValueError, so commands exit 2."""
+    """Any file ends in (header, values, rows) or a ValueError, so commands exit 2."""
 
     @pytest.fixture(scope="class")
     def path(self, tmp_path_factory):
@@ -830,11 +888,13 @@ class TestReadCsvFuzz:
     def _check(path, data: bytes):
         path.write_bytes(data)
         try:
-            header, values = cli._read_csv(str(path))
+            header, values, rows = cli._read_csv(str(path))
         except ValueError:
             return
         assert header and all(isinstance(name, str) for name in header)
         assert values.dtype == np.float64 and values.ndim == 2 and values.shape[1] == len(header)
+        assert len(rows) == len(values) and all(len(cells) == len(header) for _, cells in rows)
+        assert [line_no for line_no, _ in rows] == sorted({line_no for line_no, _ in rows})
 
     @given(st.binary(max_size=200))
     @settings(max_examples=300, deadline=None)

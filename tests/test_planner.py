@@ -755,6 +755,23 @@ class TestEnvironment:
         with pytest.raises(ValueError, match=message):
             parse_environment(presets.PLANNER_ENV + extra + "\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("bounds 0 0 1", "'bounds' takes 4 values, got 3"),
+            ("start 0 0", "'start' takes 3 values, got 2"),
+            ("goal 1 1 0.1 0", "'goal' takes 3 values, got 4"),
+            ("obstacle 0 0 1 0 1", "'obstacle' takes an even number of at least 6 values, got 5"),
+            ("obstacle 0 0 1 0", "'obstacle' takes an even number of at least 6 values, got 4"),
+            ("wall 0 0 1 1", "unknown declaration 'wall'"),
+        ],
+        ids=["bounds", "start", "goal", "obstacle-odd", "obstacle-short", "unknown"],
+    )
+    def test_bad_declaration_says_what_is_wrong(self, line, message):
+        with pytest.raises(ValueError) as err:
+            parse_environment(f"{line}\n{presets.PLANNER_ENV}")
+        assert str(err.value) == f"environment line 1: {message}"
+
     @pytest.mark.parametrize("radius", ["0", "-1", "-0.0"])
     def test_goal_radius_must_be_positive(self, radius):
         """No node can reach a goal of radius <= 0, so `plan` would spend its whole budget."""

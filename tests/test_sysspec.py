@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from momentprop import cli, distmoments, oracle
+from momentprop import cli, distmoments, oracle, presets
 from momentprop.polyring import MultiIndex, Polynomial
 from momentprop.sysspec import (
     MAX_DEGREE,
@@ -250,6 +250,33 @@ def test_spec_error_names_its_line_and_compile_exits_2(tmp_path, capsys, edits, 
     assert cli.main(["compile", str(tmp_path / "bad.spec"), "-o", str(tmp_path / "bad.msys")]) == cli.EXIT_INPUT
     assert capsys.readouterr().err.splitlines() == [f"error: {err.value}"]
     assert not (tmp_path / "bad.msys").exists()
+
+
+# Each malformed monomial on the moments line, split at its error's column, and the message.
+MOMENT_ERRORS = {
+    "undeclared": ("x*", "q", "undeclared state variable 'q' in moments"),
+    "big-exponent": ("y^", "99", "exponent exceeds the degree limit 32"),
+    "no-exponent": ("y^", "", "exponent must be an unsigned integer"),
+    "comma": ("x", ",y", "unexpected ',' in moment monomial"),
+}
+
+
+@pytest.mark.parametrize("before, at, message", MOMENT_ERRORS.values(), ids=MOMENT_ERRORS)
+def test_moments_error_names_the_column_of_its_token(before, at, message):
+    """The moments line is read from its own tokens, so a column counts from the line's start."""
+    text = presets.DUBINS_SPEC.replace("moments x y x*y x^2 y^2", f"moments x y {before}{at} x^2 y^2")
+    with pytest.raises(SpecError) as err:
+        parse_spec(text)
+    prefix = f"moments x y {before}"
+    assert str(err.value) == f"line 13, column {len(prefix) + 1}: {message}"
+    assert text.splitlines()[12] == f"{prefix}{at} x^2 y^2"
+
+
+@pytest.mark.parametrize("moments", ["x *y", "x* y", "y^ 2", "x ,y"])
+def test_a_space_ends_a_monomial(moments):
+    """A space inside a monomial is an error, as each space-separated word is one monomial."""
+    with pytest.raises(SpecError, match="line 10"):
+        parse_spec(_edited(("moments x y x*y x^2 y^2", f"moments {moments}")))
 
 
 def test_spec_edge_cases_that_parse():
