@@ -74,8 +74,7 @@ else:
             ts[::5], mc.means[::5, j], yerr=5 * mc.ses[::5, j],
             fmt=".", label="Monte Carlo (5 SE)", alpha=0.8,
         )
-        lin_series = pred.raw_moment(msys.state_vars, msys.basis[msys.moment_index(name)])
-        ax.plot(ts, lin_series, "--", label="linearized")
+        ax.plot(ts, pred.series(name), "--", label="linearized")
         ax.set_xlabel("step")
         ax.set_title(f"E[{name}]")
         ax.legend()

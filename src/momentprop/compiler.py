@@ -518,17 +518,17 @@ def loads(text: str) -> MomentStateSystem:
         except StopIteration:
             raise ValueError("compiled-system file is truncated") from None
 
-    def take(prefix: str) -> str:
+    def take(keyword: str, is_count: bool = False) -> str:
+        """The value on the next line, which is `keyword`, a space and the value (a whole number if `is_count`)."""
         ln = line()
-        if not ln.startswith(prefix):
-            raise ValueError(f"expected {prefix!r} line in compiled-system file, got {ln!r}")
-        return ln[len(prefix):].strip()
+        key, _, value = ln.partition(" ")
+        if key != keyword or is_count and not value.strip().isdecimal():
+            what = f"{keyword!r} and a count" if is_count else repr(keyword)
+            raise ValueError(f"expected {what} in compiled-system file, got {ln!r}")
+        return value.strip()
 
-    def count(prefix: str) -> int:
-        n = int(take(prefix))
-        if n < 0:
-            raise ValueError(f"negative {prefix} count in compiled-system file")
-        return n
+    def count(keyword: str) -> int:
+        return int(take(keyword, is_count=True))
 
     def multi_index(fields: str, width: int, what: str) -> MultiIndex:
         exps = fields.split()

@@ -317,14 +317,17 @@ class LinearPrediction:
     def n_steps(self) -> int:
         return self.means.shape[0] - 1
 
-    def raw_moment(self, names: Sequence[str], exponents: Sequence[int]) -> np.ndarray | None:
-        """Raw moment series E[prod names^exponents], degree <= 2 only."""
-        idx = []
-        for name, e in zip(names, exponents):
-            if e:
-                if name not in self.state_vars:
-                    return None
-                idx.extend([self.state_vars.index(name)] * e)
+    def series(self, name: str) -> np.ndarray | None:
+        """Raw-moment series of a moment named as in a spec's `moments` line (``x*y``, ``x^2``).
+
+        None for a name the linear model cannot express: one naming another
+        variable (such as an angle's cos/sin) or of degree above 2.
+        """
+        try:
+            alpha = sysspec.parse_monomial(name, self.state_vars)
+        except sysspec.SpecError:
+            return None
+        idx = [i for i, e in enumerate(alpha) for _ in range(e)]
         if len(idx) > 2:
             return None
         if not idx:
@@ -430,7 +433,7 @@ def compare_tables(
     exact: np.ndarray,
     mc_means: np.ndarray,
     mc_ses: np.ndarray,
-    lin: Mapping[str, np.ndarray] | None = None,
+    lin: Mapping[str, np.ndarray | None] | None = None,
 ) -> ComparisonReport:
     """Comparison report from aligned (n_steps + 1, n_moments) value tables.
 
@@ -495,24 +498,5 @@ def compare_columns(exact_names: Sequence[str], exact: np.ndarray, mc_names: Seq
             raise ValueError(f"horizon mismatch: exact has {exact.shape[0]} rows, {what} has {rows}")
     ex_cols, mc_cols = (list(cols) for cols in zip(*kept))
     names = [exact_names[i] for i in ex_cols]
-    lin_map = None if lin is None else linear_series(lin, names)
+    lin_map = None if lin is None else {name: lin.series(name) for name in names}
     return compare_tables(names, exact[:, ex_cols], mc_means[:, mc_cols], mc_ses[:, mc_cols], lin_map)
-
-
-def linear_series(lin: LinearPrediction, names: Sequence[str]) -> dict[str, np.ndarray]:
-    """Linearized raw-moment series by moment name, for the names `lin` can express.
-
-    A name is matched as a monomial over `lin.state_vars`; one naming another
-    variable (such as an angle's cos/sin) or of degree above 2 is left out.
-    """
-    out = {}
-    for name in names:
-        try:
-            alpha = sysspec.parse_monomial(name, lin.state_vars)
-        except sysspec.SpecError:
-            continue
-        series = lin.raw_moment(lin.state_vars, alpha)
-        if series is not None:
-            out[name] = series
-    return out
-

@@ -224,11 +224,11 @@ _LITERAL_LIMIT = 400
 
 
 class _ExprParser:
-    """Recursive-descent parser for the update-expression grammar."""
+    """A cursor over one line's tokens, and the recursive-descent parser for the update-expression grammar."""
 
-    def __init__(self, tokens: list[_Token], start: int = 0):
+    def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
-        self.i = start
+        self.i = 0
         self.depth = 0
 
     def peek(self) -> _Token:
@@ -244,6 +244,25 @@ class _ExprParser:
         if tok.kind != "punct" or tok.text != text:
             raise SpecError(f"expected {text!r}, got {tok.text!r}", tok.line, tok.col)
         return tok
+
+    def ident(self, what: str) -> _Token:
+        tok = self.next()
+        if tok.kind != "ident":
+            raise SpecError(f"expected {what}, got {tok.text!r}", tok.line, tok.col)
+        return tok
+
+    def expect_end(self) -> None:
+        """Reject the first token left unread on the line."""
+        if (tok := self.peek()).kind != "end":
+            raise SpecError(f"unexpected trailing {tok.text!r}", tok.line, tok.col)
+
+    def word(self) -> list[_Token]:
+        """The tokens from the cursor to the next space or the line's end, closed by an "end" token of their own."""
+        word, col = [], self.peek().col  # col: where the word ends
+        while (tok := self.peek()).kind != "end" and (not word or tok.col == col):
+            word.append(self.next())
+            col = tok.col + len(tok.text)
+        return [*word, _Token("end", "", tok.line, col)]
 
     def parse_expr(self) -> Expr:
         terms: list[tuple[int, Expr]] = []
@@ -360,11 +379,8 @@ class SystemSpec:
         return {name: Usage.of(expr) for name, expr in self.updates.items()}
 
 
-def _parse_dist_value(tokens: list[_Token], start: int) -> distmoments.Distribution:
-    parser = _ExprParser(tokens, start)
-    kind = parser.next()
-    if kind.kind != "ident":
-        raise SpecError("expected a distribution name", kind.line, kind.col)
+def _parse_dist_value(parser: _ExprParser) -> distmoments.Distribution:
+    kind = parser.ident("a distribution name")
     parser.expect_punct("(")
     args = []
     while True:
@@ -394,8 +410,11 @@ def _parse_dist_value(tokens: list[_Token], start: int) -> distmoments.Distribut
 
 
 def parse_monomial(name: str, state_vars: Sequence[str]) -> MultiIndex:
-    """Multi-index over `state_vars` of a monomial such as ``x^2*y``."""
-    return _monomial(_tokenize_line(name, None), state_vars)
+    """Multi-index over `state_vars` of a monomial such as ``x^2*y``, read as one word of a `moments` line."""
+    parser = _ExprParser(_tokenize_line(name, None))
+    alpha = _monomial(parser.word(), state_vars)
+    parser.expect_end()
+    return alpha
 
 
 def _monomial(tokens: list[_Token], state_vars: Sequence[str]) -> MultiIndex:
@@ -418,28 +437,14 @@ def _monomial(tokens: list[_Token], state_vars: Sequence[str]) -> MultiIndex:
     return MultiIndex(exps)
 
 
-def _words(tokens: list[_Token]) -> list[list[_Token]]:
-    """A line's `tokens` cut where a space separates two of them, each word closed by an "end" token of its own."""
-    words = [[tokens[0]]]
-    for prev, tok in zip(tokens, tokens[1:-1]):
-        if tok.col > prev.col + len(prev.text):
-            words.append([])
-        words[-1].append(tok)
-    return [[*word, _Token("end", "", word[-1].line, word[-1].col + len(word[-1].text))] for word in words]
-
-
 def _parse_name_set(parser: _ExprParser) -> frozenset[str]:
     parser.expect_punct("{")
     names = set()
-    while True:
-        tok = parser.next()
-        if tok.kind == "punct" and tok.text == "}":
-            break
-        if tok.kind != "ident":
-            raise SpecError("expected a variable name", tok.line, tok.col)
-        names.add(tok.text)
+    while parser.peek().text != "}":
+        names.add(parser.ident("a variable name").text)
+    close = parser.next()
     if not names:
-        raise SpecError("empty variable set in independence declaration", parser.peek().line, None)
+        raise SpecError("empty variable set in independence declaration", close.line, None)
     return frozenset(names)
 
 
@@ -456,62 +461,50 @@ def parse_spec(text: str) -> SystemSpec:
     dist_lines: dict[str, int] = {}
 
     for line_no, line in tables.text_lines(text):
-        tokens = _tokenize_line(line, line_no)
-        head = tokens[0]
-        if head.kind != "ident":
-            raise SpecError(f"expected a declaration keyword, got {head.text!r}", line_no, head.col)
+        # One cursor reads the line from its keyword to its end; a token left over is an error.
+        parser = _ExprParser(_tokenize_line(line, line_no))
+        head = parser.ident("a declaration keyword")
 
         if head.text in ("state", "angle", "disturbance"):
-            names = [t for t in tokens[1:] if t.kind != "end"]
-            if not names:
+            if parser.peek().kind == "end":
                 raise SpecError(f"'{head.text}' needs at least one name", line_no, head.col)
-            for tok in names:
-                if tok.kind != "ident":
-                    raise SpecError(f"expected a variable name, got {tok.text!r}", line_no, tok.col)
-                target = {"state": state_vars, "angle": angle_vars, "disturbance": disturbance_vars}[head.text]
+            target = {"state": state_vars, "angle": angle_vars, "disturbance": disturbance_vars}[head.text]
+            while parser.peek().kind != "end":
+                tok = parser.ident("a variable name")
                 if tok.text in target:
                     raise SpecError(f"duplicate declaration of {tok.text!r}", line_no, tok.col)
                 if tok.text in {"state": disturbance_vars, "disturbance": state_vars}.get(head.text, ()):
                     raise SpecError(f"names declared both state and disturbance: {[tok.text]}", line_no, tok.col)
                 target[tok.text] = line_no
         elif head.text == "dyn":
-            name_tok = tokens[1] if len(tokens) > 1 else head
-            if name_tok.kind != "ident":
-                raise SpecError("expected a variable name after 'dyn'", line_no, name_tok.col)
-            parser = _ExprParser(tokens, 2)
+            name_tok = parser.ident("a variable name after 'dyn'")
             parser.expect_punct("'")
             parser.expect_punct("=")
             expr = parser.parse_expr()
-            tail = parser.peek()
-            if tail.kind != "end":
-                raise SpecError(f"unexpected trailing {tail.text!r}", line_no, tail.col)
             if name_tok.text in updates:
                 raise SpecError(f"duplicate update for {name_tok.text!r}", line_no, name_tok.col)
             updates[name_tok.text] = expr
             update_lines[name_tok.text] = line_no
         elif head.text == "independent":
-            parser = _ExprParser(tokens, 1)
             first = _parse_name_set(parser)
             second = _parse_name_set(parser)
             independence.append((first, second, line_no))
         elif head.text == "moments":
-            # A space ends a monomial; the first word, the keyword's, is skipped whole.
-            _, *words = _words(tokens)
-            if not words:
+            # A space ends a monomial, so text glued to the keyword is a monomial of its own.
+            if parser.peek().kind == "end":
                 raise SpecError("'moments' needs at least one monomial", line_no, head.col)
-            moment_words.extend(words)
+            while parser.peek().kind != "end":
+                moment_words.append(parser.word())
         elif head.text == "dist":
-            name_tok = tokens[1] if len(tokens) > 1 else head
-            if name_tok.kind != "ident":
-                raise SpecError("expected a disturbance name after 'dist'", line_no, name_tok.col)
+            name_tok = parser.ident("a disturbance name after 'dist'")
             if name_tok.text in distributions:
                 raise SpecError(f"duplicate distribution for {name_tok.text!r}", line_no, name_tok.col)
-            parser = _ExprParser(tokens, 2)
             parser.expect_punct("=")
-            distributions[name_tok.text] = _parse_dist_value(tokens, parser.i)
+            distributions[name_tok.text] = _parse_dist_value(parser)
             dist_lines[name_tok.text] = line_no
         else:
             raise SpecError(f"unknown declaration {head.text!r}", line_no, head.col)
+        parser.expect_end()
 
     state = tuple(state_vars)
     angles = tuple(angle_vars)

@@ -419,6 +419,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match="header"):
             compiler.loads("not a compiled file\n")
 
+    @pytest.mark.parametrize("line, edited", [("reduced 1", "reduced1"), ("statepairs 1", "statepairs1"),
+                                              ("basis 20", "basis20"), ("terms 81", "termsx 81")])
+    def test_header_line_is_its_keyword_a_space_and_a_value(self, dubins_reduced, line, edited):
+        """A keyword glued to its value, or a count that is not a whole number, names the keyword and the line."""
+        text = compiler.dumps(dubins_reduced)
+        assert text.count(f"\n{line}\n") == 1
+        keyword = line.split()[0]
+        with pytest.raises(ValueError, match=f"expected '{keyword}'.* got '{edited}'$"):
+            compiler.loads(text.replace(f"\n{line}\n", f"\n{edited}\n"))
+
     def test_truncated_file_rejected(self, dubins_reduced):
         lines = compiler.dumps(dubins_reduced).splitlines()
         for cut in (0, 1, 5, len(lines) // 2, len(lines) - 1):

@@ -266,10 +266,10 @@ class TestLinearPropagate:
             np.array([[1.0, 2.0]]),
             np.array([[[0.5, 0.1], [0.1, 0.2]]]),
         )
-        assert pred.raw_moment(("x", "y"), (1, 0))[0] == 1.0
-        assert pred.raw_moment(("x", "y"), (2, 0))[0] == pytest.approx(0.5 + 1.0)
-        assert pred.raw_moment(("x", "y"), (1, 1))[0] == pytest.approx(0.1 + 2.0)
-        assert pred.raw_moment(("x", "y"), (2, 1)) is None
+        assert pred.series("x")[0] == 1.0
+        assert pred.series("x^2")[0] == pytest.approx(0.5 + 1.0)
+        assert pred.series("x*y")[0] == pytest.approx(0.1 + 2.0)
+        assert pred.series("x^2*y") is None
 
 
 class TestCompare:

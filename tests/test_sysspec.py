@@ -19,6 +19,7 @@ from momentprop.sysspec import (
     SpecError,
     components_of_support,
     evaluate,
+    parse_monomial,
     parse_spec,
     trig_encode,
     validate_independence,
@@ -235,6 +236,13 @@ SPEC_ERRORS = {
     "state-without-dyn": ([("state x y v theta", "state x y v theta q")], "state variable 'q' has no 'dyn' update", 2),
     "polynomial-and-trig-disturbance": ([("v + wv", "v + wv + wt")],
                                         "disturbance 'wt' is used both polynomially and trigonometrically", 7),
+    # A line is read to its end: the first token left over is the error, at its column.
+    "third-independent-group": ([("{v} {theta}", "{v} {theta} {x}")], "column 25: unexpected trailing '{'", 9),
+    "text-after-dist": ([("beta(10, 1000)", "beta(10, 1000) * 3")], "column 26: unexpected trailing '*'", 11),
+    "star-glued-to-moments": ([("moments x y", "moments*x y")],
+                              "column 8: moment monomials are products of state variables, got '*'", 10),
+    "comma-glued-to-moments": ([("moments x y", "moments,q y")],
+                               "column 8: moment monomials are products of state variables, got ','", 10),
 }
 
 
@@ -273,10 +281,19 @@ def test_moments_error_names_the_column_of_its_token(before, at, message):
 
 
 @pytest.mark.parametrize("moments", ["x *y", "x* y", "y^ 2", "x ,y"])
-def test_a_space_ends_a_monomial(moments):
-    """A space inside a monomial is an error, as each space-separated word is one monomial."""
+def test_a_space_ends_a_monomial(dubins_reduced, moments):
+    """A space inside a monomial is an error, as each space-separated word is one monomial, in every lookup by name."""
     with pytest.raises(SpecError, match="line 10"):
         parse_spec(_edited(("moments x y x*y x^2 y^2", f"moments {moments}")))
+    with pytest.raises(SpecError):
+        parse_monomial(moments, dubins_reduced.state_vars)
+    with pytest.raises(KeyError):
+        dubins_reduced.moment_index(moments)
+    n = len(dubins_reduced.basis)
+    mc = oracle.McEstimate(dubins_reduced.state_vars, tuple(dubins_reduced.basis), np.zeros((1, n)),
+                           np.zeros((1, n)), 1, 0, np.zeros((1, 1, n)))
+    with pytest.raises(KeyError):
+        mc.column(moments)
 
 
 def test_spec_edge_cases_that_parse():
