@@ -57,6 +57,14 @@ for r in final:
     lin_z = "-" if r.z_lin is None else f"{r.z_lin:10.0f}"
     print(f"  {r.moment:6s} {r.exact:12.4f} {r.mc_mean:12.4f} {lin_v} {lin_z}")
 
+# The plotted series, computed whether or not matplotlib is installed:
+# per moment, exact, Monte Carlo mean and 5 SE every fifth step, and linearized.
+ts = np.arange(N_STEPS + 1)
+plotted = {}
+for name in ("x^2", "y^2"):
+    j = mc.column(name)
+    plotted[name] = (traj.moment_series(name), mc.means[::5, j], 5 * mc.ses[::5, j], pred.series(name))
+
 try:
     import matplotlib
 
@@ -66,15 +74,10 @@ except ImportError:
     print("\nmatplotlib not installed; skipping the plot")
 else:
     fig, axes = plt.subplots(1, 2, figsize=(10, 4), sharex=True)
-    ts = np.arange(N_STEPS + 1)
-    for ax, name in zip(axes, ("x^2", "y^2")):
-        j = mc.column(name)
-        ax.plot(ts, traj.moment_series(name), label="exact recursion", lw=2)
-        ax.errorbar(
-            ts[::5], mc.means[::5, j], yerr=5 * mc.ses[::5, j],
-            fmt=".", label="Monte Carlo (5 SE)", alpha=0.8,
-        )
-        ax.plot(ts, pred.series(name), "--", label="linearized")
+    for ax, (name, (exact, mc_mean, mc_band, linear)) in zip(axes, plotted.items()):
+        ax.plot(ts, exact, label="exact recursion", lw=2)
+        ax.errorbar(ts[::5], mc_mean, yerr=mc_band, fmt=".", label="Monte Carlo (5 SE)", alpha=0.8)
+        ax.plot(ts, linear, "--", label="linearized")
         ax.set_xlabel("step")
         ax.set_title(f"E[{name}]")
         ax.legend()

@@ -41,6 +41,18 @@ freq = planner.estimate_plan_collision(
 print(f"\nopen-loop schedule: {len(controls)} steps")
 print(f"Monte Carlo collision frequency (100k rollouts): {freq:.2e} <= {EPSILON}")
 
+# The plotted geometry, computed whether or not matplotlib is installed.
+edges = [(result.nodes[parent].pose, result.nodes[child].pose) for parent, child in result.edges()]
+px = [result.nodes[i].pose[0] for i in path]
+py = [result.nodes[i].pose[1] for i in path]
+# Obstacles are stored as half-spaces; redraw from the preset vertex lists.
+obstacles = []
+for raw in presets.PLANNER_ENV.splitlines():
+    if raw.startswith("obstacle"):
+        vals = [float(v) for v in raw.split()[1:]]
+        obstacles.append(list(zip(vals[::2], vals[1::2])))
+(gx, gy, gr), (sx, sy, _), (xmin, ymin, xmax, ymax) = env.goal, env.start, env.bounds
+
 try:
     import matplotlib
 
@@ -51,22 +63,15 @@ except ImportError:
     print("matplotlib not installed; skipping the plot")
 else:
     fig, ax = plt.subplots(figsize=(6, 6))
-    for parent, child in result.edges():
-        p, c = result.nodes[parent], result.nodes[child]
-        ax.plot([p.pose[0], c.pose[0]], [p.pose[1], c.pose[1]], color="0.8", lw=0.8)
-    px = [result.nodes[i].pose[0] for i in path]
-    py = [result.nodes[i].pose[1] for i in path]
+    for p, c in edges:
+        ax.plot([p[0], c[0]], [p[1], c[1]], color="0.8", lw=0.8)
     ax.plot(px, py, "o-", color="tab:blue", lw=2, label="plan")
-    # Obstacles are stored as half-spaces; redraw from the preset vertex lists.
-    for raw in presets.PLANNER_ENV.splitlines():
-        if raw.startswith("obstacle"):
-            vals = [float(v) for v in raw.split()[1:]]
-            ax.add_patch(Polygon(list(zip(vals[::2], vals[1::2])), color="tab:red", alpha=0.4))
-    gx, gy, gr = env.goal
+    for vertices in obstacles:
+        ax.add_patch(Polygon(vertices, color="tab:red", alpha=0.4))
     ax.add_patch(Circle((gx, gy), gr, fill=False, color="tab:green", lw=2, label="goal"))
-    ax.plot(*env.start[:2], "ks", label="start")
-    ax.set_xlim(env.bounds[0], env.bounds[2])
-    ax.set_ylim(env.bounds[1], env.bounds[3])
+    ax.plot(sx, sy, "ks", label="start")
+    ax.set_xlim(xmin, xmax)
+    ax.set_ylim(ymin, ymax)
     ax.set_aspect("equal")
     ax.legend(loc="lower right")
     ax.set_title(f"risk-bounded tree (chance constraint {EPSILON})")

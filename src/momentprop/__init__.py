@@ -29,7 +29,6 @@ from .distmoments import (
 )
 from .polyring import MultiIndex, Polynomial, degree_vector, monomial_name
 from .propagator import (
-    MomentState,
     MomentTrajectory,
     PropagationError,
     init_deterministic,

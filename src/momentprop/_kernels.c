@@ -840,10 +840,10 @@ release:
    of the int64 (moments, max factors) factors holds moment j's codes: 2 * c for column c, 2 * c + 1 for it squared as
    x * x (np.square), ending at the first -1.  Per sample it forms the product in code order, its difference d from
    sample 0's (Chan, Golub & LeVeque 1983: identical samples give their value exactly and m2 = 0) and d * d; with s
-   and q their sums, out[0, j] = shift + s / n and out[1, j] = max(q - s * s / n, 0.0).  np.sum adds n values
-   pairwise: below 8 in sequence from -0.0, up to LEAF in 8 accumulators combined as below and then the rest, above
-   LEAF as two halves split at n / 2 rounded down to a multiple of 8, and then adds the result to 0.0.  TypeError
-   means that factors or a column is not C-contiguous int64, or 1-d float64 of one length n >= 1. */
+   and q their sums, out[0, j] = shift + s / n and out[1, j] = max(q - s * s / n, 0.0), each NaN written as NAN.
+   np.sum adds n values pairwise: below 8 in sequence from -0.0, up to LEAF in 8 accumulators combined as below and
+   then the rest, above LEAF as two halves split at n / 2 rounded down to a multiple of 8, and then adds the result to
+   0.0.  TypeError means that factors or a column is not C-contiguous int64, or 1-d float64 of one length n >= 1. */
 #define LEAF 128
 
 /* sums[2 j] and sums[2 j + 1]: moment j's pairwise sums of d and d * d over samples lo .. lo + n - 1, for all moments
@@ -929,9 +929,10 @@ static PyObject *py_record_moments(PyObject *self, PyObject *const *args, Py_ssi
     Py_BEGIN_ALLOW_THREADS
     pairwise_sums(col, fact, n_mom, max_f, mean, 0, n, sums); /* mean holds the shifts until the means replace them */
     for (int64_t j = 0; j < n_mom; j++) {
-        double s = 0.0 + sums[2 * j], q = 0.0 + sums[2 * j + 1] - s * s / (double)n;
-        mean[j] = mean[j] + s / (double)n;
-        mean[n_mom + j] = 0.0 > q ? 0.0 : q; /* Python's max(q, 0.0): NaN and -0.0 stay */
+        double s = 0.0 + sums[2 * j], q = 0.0 + sums[2 * j + 1] - s * s / (double)n, m = mean[j] + s / (double)n;
+        /* A NaN's sign depends on the operand order the compiler picks, so each NaN is written as the quiet NaN. */
+        mean[j] = isnan(m) ? NAN : m;
+        mean[n_mom + j] = isnan(q) ? NAN : 0.0 > q ? 0.0 : q; /* Python's max(q, 0.0): -0.0 stays */
     }
     Py_END_ALLOW_THREADS
     PyMem_Free(sums);

@@ -551,6 +551,9 @@ def loads(text: str) -> MomentStateSystem:
     state_vars = tuple(take("statevars").split())
     dist_vars = tuple(take("distvars").split())
     state_pairs = pairs("statepairs", state_vars)
+    for p in state_pairs:
+        if p.source is None:
+            raise ValueError(f"statepairs entry ({p.cos_var}, {p.sin_var}) names no angle")
     dist_pairs = pairs("distpairs", dist_vars)
     n_basis = count("basis")
     basis = MomentBasis([multi_index(line(), len(state_vars), "basis") for _ in range(n_basis)])

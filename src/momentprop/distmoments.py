@@ -308,10 +308,10 @@ class DisturbanceModel:
                              f"needed steps {t_arr.min()} to {t_arr.max()}")
         return schedule[t_arr]
 
-    def moment_table(self, requirements: Sequence[MultiIndex], n_steps: int, start: int = 0) -> np.ndarray:
+    def moment_table(self, requirements: Sequence[MultiIndex], n_steps: int) -> np.ndarray:
         """(n_steps, len(requirements)) table of disturbance moments per step.
 
-        Row k holds the moments for step `start + k`; each column is
+        Row k holds the moments for step k; each column is
         E[w^beta_w] of its requirement: independent components multiply, and
         each encoded (cos, sin) pair is resolved jointly through one
         trigonometric moment.  The column is the product of its slot
@@ -330,8 +330,8 @@ class DisturbanceModel:
         slot_moments = np.empty((n_steps, len(row)))
         slot_moments[:] = row
         for source, first, orders, laurent in scheduled:
-            _slot_moments(self.distributions[source], self.shift_at(source, np.arange(start, start + n_steps)), orders,
-                          laurent, slot_moments[:, first : first + len(orders)])
+            _slot_moments(self.distributions[source], self.shift_at(source, np.arange(n_steps)), orders, laurent,
+                          slot_moments[:, first : first + len(orders)])
         return _products(slot_moments, factors)
 
     def steering_plan(self, requirements: Sequence[MultiIndex], source: str) -> tuple:

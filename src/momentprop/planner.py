@@ -23,8 +23,7 @@ from .compiler import MomentStateSystem
 from .distmoments import DisturbanceModel, Distribution
 from .oracle import BATCH_SIZE, rollouts
 from .polyring import _check_count, _is_count
-from .propagator import MomentState, MomentTrajectory, central_second_moments, init_deterministic
-from .propagator import propagate
+from .propagator import MomentTrajectory, central_second_moments, init_deterministic, propagate
 from .sysspec import SystemSpec, TrigPair
 from .tables import csv_text, text_lines
 
@@ -261,20 +260,20 @@ def steered_disturbance(msys: MomentStateSystem) -> str:
 
 
 def stochastic_steer(
-    state: MomentState,
+    moments: np.ndarray,
     controls: np.ndarray,
     msys: MomentStateSystem,
     model: DisturbanceModel,
 ) -> MomentTrajectory:
-    """Propagate moments along an edge, offsetting the angular noise by the controls.
+    """Propagate the moment values `moments` along an edge, offsetting the angular noise by the controls.
 
-    The controls become `model`'s schedule for the steered disturbance,
-    replacing any it held, so one model serves every edge of a tree.  The
-    schedule is edge-local: its first entry applies to the first step out of
-    `state` regardless of how many steps led up to it.
+    The edge's model is `model` with the controls as the steered
+    disturbance's schedule, in place of any it held; `model` itself is left
+    as it was, so one model serves every edge of a tree.  The schedule's
+    first entry applies to the first step out of `moments`.
     """
-    model.shifts[steered_disturbance(msys)] = np.ascontiguousarray(controls, dtype=float)
-    return propagate(msys, MomentState(state.values, 0), model, len(controls))
+    model = DisturbanceModel(msys, model.distributions, {**model.shifts, steered_disturbance(msys): controls})
+    return propagate(msys, moments, model, len(controls))
 
 
 # -- tree construction ---------------------------------------------------------------
@@ -305,7 +304,7 @@ class PlannerConfig:
 @dataclass
 class TreeNode:
     pose: tuple[float, float, float]
-    moment_state: MomentState
+    moments: np.ndarray  # moment values at arrival, aligned with the compiled basis
     risk_to_node: float
     parent: int  # -1 for the root
     controls: np.ndarray  # steering sequence of the incoming edge
@@ -388,21 +387,21 @@ def build_rrt(
     samples = rng.uniform((xmin, ymin, -math.pi), (xmax, ymax, math.pi), size=(iterations, 3))
 
     sx, sy, sh = env.start
-    root_state = init_deterministic(msys, _start_state(env, heading, cfg.speed))
+    root = init_deterministic(msys, _start_state(env, heading, cfg.speed))
     table = np.empty((iterations + 1, 5 + len(msys.basis)))  # per node: pose, risk, parent, moments
-    table[0, :5], table[0, 5:] = (sx, sy, sh, 0.0, -1.0), root_state.values
+    table[0, :5], table[0, 5:] = (sx, sy, sh, 0.0, -1.0), root
     outcomes = np.empty((iterations, 2), dtype=np.int64)
     controls = _kernels.grow_tree(samples, table, *msys.term_table, tracked, faces, starts, epsilon, cfg.speed,
                                   cfg.turn_radius, cfg.max_edge_steps, *plan, outcomes)
     arrivals = table[1 : len(controls) + 1, 5:]
     mx, my, sxx, syy, sxy = central_second_moments(arrivals, positions)
     means, covs = np.stack((mx, my), axis=1), np.stack((sxx, sxy, sxy, syy), axis=1).reshape(-1, 2, 2)
-    nodes = [TreeNode((sx, sy, sh), root_state, 0.0, -1, np.zeros(0), np.array([sx, sy]), np.zeros((2, 2)))]
+    nodes = [TreeNode((sx, sy, sh), root, 0.0, -1, np.zeros(0), np.array([sx, sy]), np.zeros((2, 2)))]
     gx, gy, g_radius = env.goal
     goal_node: int | None = None
     rows = zip(table[1 : len(controls) + 1, :5].tolist(), means.tolist(), arrivals, controls, means, covs)
-    for i, ((x, y, h, risk, parent), (ex, ey), state, edge, mean, cov) in enumerate(rows, 1):
-        nodes.append(TreeNode((x, y, h), MomentState(state, len(edge)), risk, int(parent), edge, mean, cov))
+    for i, ((x, y, h, risk, parent), (ex, ey), moments, edge, mean, cov) in enumerate(rows, 1):
+        nodes.append(TreeNode((x, y, h), moments, risk, int(parent), edge, mean, cov))
         if math.hypot(ex - gx, ey - gy) <= g_radius:
             if goal_node is None or risk < nodes[goal_node].risk_to_node:
                 goal_node = i
@@ -429,11 +428,14 @@ def estimate_plan_collision(
     steering schedule, with the Monte Carlo oracle's rollout engine; a
     rollout counts as a collision when its position enters any obstacle at
     any step after the start.  The spec must hold x, y, v and one angle, as
-    for :func:`build_rrt`; an unknown `steer_source` raises KeyError.
+    for :func:`build_rrt`; an unknown `steer_source` raises KeyError, and a
+    known disturbance other than the one the planner steers ValueError.
     """
     system = sysspec.trig_encode(spec)
     x0 = _start_state(env, _heading(system.vars, system.state_pairs), initial_speed)
     model = DisturbanceModel(system, distributions, {steer_source: controls})
+    if steer_source != (steered := steered_disturbance(system)):
+        raise ValueError(f"the planner steers disturbance {steered!r}, not {steer_source!r}")
     hit_count = 0
     for nb, states in rollouts(spec, model, x0, len(controls), n_rollouts, seed, batch_size):
         collided = np.zeros(nb, dtype=bool)

@@ -14,72 +14,40 @@ from .distmoments import DisturbanceModel
 from .polyring import _check_count, monomial_name
 from .tables import csv_text
 
-_TRIG_CONSISTENCY_TOL = 1e-9
-
 
 class PropagationError(RuntimeError):
     """Raised when a propagated moment becomes non-finite."""
 
 
 @dataclass
-class MomentState:
-    """Moment values aligned with the compiled basis at one time step."""
-
-    values: np.ndarray
-    time: int = 0
-
-
-@dataclass
 class MomentTrajectory:
-    """Moment states at steps t0 .. t0 + n_steps (row k is step t0 + k)."""
+    """Moment values at steps 0 .. n_steps (row k is step k), aligned with the compiled basis."""
 
     system: MomentStateSystem
     values: np.ndarray  # (n_steps + 1, n_basis)
-    t0: int = 0
 
     @property
     def n_steps(self) -> int:
         return self.values.shape[0] - 1
 
-    def state(self, k: int) -> MomentState:
-        return MomentState(self.values[k], self.t0 + k)
-
     def moment_series(self, name: str) -> np.ndarray:
         return self.values[:, self.system.moment_index(name)]
 
 
-def init_deterministic(msys: MomentStateSystem, x0: Mapping[str, float]) -> MomentState:
-    """Moment state of a point mass at `x0`.
+def init_deterministic(msys: MomentStateSystem, x0: Mapping[str, float]) -> np.ndarray:
+    """Moment values of a point mass at `x0`, aligned with the compiled basis.
 
-    Angle states may be given either by their original angle name (the
-    cosine/sine pair is derived) or by the encoded pair directly, in which
-    case the pair must sit on the unit circle to within 1e-9.  A moment that
-    overflows from finite values raises `PropagationError` naming it at step
-    0; NaN and infinite values give their moments as they come.
+    `x0` gives each state of the spec by its name, an angle too (its cosine
+    and sine are taken here); KeyError names the first one missing.  A
+    moment that overflows from finite values raises `PropagationError`
+    naming it at step 0; NaN and infinite values give their moments as they
+    come.
     """
-    values_by_var: dict[str, float] = {}
+    read = {name: (float, name) for name in msys.state_vars}  # each encoded variable: (function, state it reads)
     for pair in msys.state_pairs:
-        if pair.source is not None and pair.source in x0:
-            theta = float(x0[pair.source])
-            values_by_var[pair.cos_var] = math.cos(theta)
-            values_by_var[pair.sin_var] = math.sin(theta)
-        else:
-            try:
-                c = float(x0[pair.cos_var])
-                s = float(x0[pair.sin_var])
-            except KeyError:
-                raise KeyError(
-                    f"initial state needs {pair.source!r} or the pair ({pair.cos_var!r}, {pair.sin_var!r})"
-                ) from None
-            if abs(c * c + s * s - 1.0) > _TRIG_CONSISTENCY_TOL:
-                raise ValueError(
-                    f"inconsistent trig pair ({pair.cos_var}, {pair.sin_var}): "
-                    f"{c}^2 + {s}^2 = {c * c + s * s:.12g} != 1"
-                )
-            values_by_var[pair.cos_var] = c
-            values_by_var[pair.sin_var] = s
-    values_by_var.update(initial_values([name for name in msys.state_vars if name not in values_by_var], x0))
-    point = [values_by_var[name] for name in msys.state_vars]
+        read[pair.cos_var], read[pair.sin_var] = (math.cos, pair.source), (math.sin, pair.source)
+    given = initial_values(list(dict.fromkeys(name for _, name in read.values())), x0)
+    point = [fn(given[name]) for fn, name in read.values()]
     values = []
     for j, powers in enumerate(msys.basis.powers):
         v = 1.0
@@ -92,7 +60,7 @@ def init_deterministic(msys: MomentStateSystem, x0: Mapping[str, float]) -> Mome
             name = monomial_name(msys.state_vars, msys.basis[j])
             raise PropagationError(f"moment E[{name}] became non-finite at step 0")
         values.append(v)
-    return MomentState(np.array(values), 0)
+    return np.array(values)
 
 
 def initial_values(names: Sequence[str], x0: Mapping[str, float]) -> dict[str, float]:
@@ -105,31 +73,31 @@ def initial_values(names: Sequence[str], x0: Mapping[str, float]) -> dict[str, f
 
 def propagate(
     msys: MomentStateSystem,
-    init: MomentState,
+    values: np.ndarray,
     model: DisturbanceModel,
     n_steps: int,
 ) -> MomentTrajectory:
-    """Apply the compiled recursion for `n_steps` steps from `init`.
+    """Apply the compiled recursion for `n_steps` steps from the moment values `values`.
 
     Work is linear in n_steps times the number of terms.  The disturbance
     moments come from one `model.moment_table` call: a stationary model's
     table is one row, built once per model layout and shared by every step;
-    shift schedules are evaluated over all steps at once, indexed starting
-    at `init.time`.
+    shift schedules are evaluated over all steps at once, each from its
+    first entry.
     """
     _check_count("step count", n_steps, 0)
-    values0 = np.asarray(init.values, dtype=np.float64)
+    values0 = np.asarray(values, dtype=np.float64)
     n = len(msys.basis)
     if values0.shape != (n,):
         got = f"{values0.shape[0]} moment values" if values0.ndim == 1 else f"shape {values0.shape}"
         raise ValueError(f"initial state has {got}, but the system has {n} moments")
     out = np.empty((n_steps + 1, n))
-    table = model.moment_table(msys.dist_requirements, n_steps, start=init.time)
+    table = model.moment_table(msys.dist_requirements, n_steps)
     bad_t, bad_j = _kernels.run_steps(np.ascontiguousarray(values0), table, *msys.term_table, out)
     if bad_t >= 0:
         name = monomial_name(msys.state_vars, msys.basis[bad_j])
-        raise PropagationError(f"moment E[{name}] became non-finite at step {init.time + int(bad_t)}")
-    return MomentTrajectory(msys, out, t0=init.time)
+        raise PropagationError(f"moment E[{name}] became non-finite at step {bad_t}")
+    return MomentTrajectory(msys, out)
 
 
 def central_second_moments(values, positions: Sequence[int]) -> tuple:
@@ -156,5 +124,5 @@ def mean_cov(traj: MomentTrajectory, names: Sequence[str]) -> tuple[np.ndarray, 
 
 def trajectory_to_csv(traj: MomentTrajectory, metadata: Mapping[str, str] | None = None) -> str:
     """Render as CSV: header t,<moment names>, one row per step."""
-    rows = ((traj.t0 + k, *values) for k, values in enumerate(traj.values))
+    rows = ((k, *values) for k, values in enumerate(traj.values))
     return csv_text(["t", *traj.system.moment_names()], rows, metadata)

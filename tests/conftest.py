@@ -54,7 +54,7 @@ def grow_tree_arguments(msys, noise, samples, env=presets.PLANNER_ENV, epsilon=0
     captured[0][1][1:], captured[0][22][:] = 7.0, -7
     if root is not None:
         start = dict(zip(("x", "y", "theta"), root), v=planner.PlannerConfig().speed)
-        captured[0][1][0, :3], captured[0][1][0, 5:] = root, init_deterministic(msys, start).values
+        captured[0][1][0, :3], captured[0][1][0, 5:] = root, init_deterministic(msys, start)
     return captured[0]
 
 

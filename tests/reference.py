@@ -54,7 +54,7 @@ from momentprop.distmoments import Degenerate, DisturbanceModel, Gaussian, Unifo
 from momentprop.oracle import McEstimate
 from momentprop.planner import Polytope
 from momentprop.polyring import MultiIndex, Polynomial
-from momentprop.propagator import MomentState, central_second_moments, propagate
+from momentprop.propagator import central_second_moments, propagate
 from momentprop.sysspec import DependenceGraph, PolynomialSystem, components_of_support
 
 
@@ -167,9 +167,9 @@ def moment(model: DisturbanceModel, beta_w: MultiIndex, t) -> float | np.ndarray
     return out
 
 
-def step(msys: MomentStateSystem, state: MomentState, model: DisturbanceModel) -> MomentState:
+def step(msys: MomentStateSystem, values: np.ndarray, model: DisturbanceModel) -> np.ndarray:
     """One application of the moment recursion: a one-step :func:`propagate`."""
-    return propagate(msys, state, model, 1).state(1)
+    return propagate(msys, values, model, 1).values[1]
 
 
 def propagate_mp(msys: MomentStateSystem, values0: np.ndarray, table: np.ndarray, dps: int = 60):
@@ -614,7 +614,8 @@ def record_moments_python(factors, out, *columns) -> None:
     column c, 2 * c + 1 for it squared (np.square).  The product is formed in
     code order.  The sums run about the first sample's product (Chan, Golub &
     LeVeque 1983), so a column of identical samples gives its value exactly
-    and m2 = 0.  out[0, j] is moment j's mean and out[1, j] its m2.
+    and m2 = 0.  out[0, j] is moment j's mean and out[1, j] its m2; every
+    NaN among them is `np.nan`, whatever sign the arithmetic gave it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for j, codes in enumerate(factors):
@@ -630,3 +631,4 @@ def record_moments_python(factors, out, *columns) -> None:
                 s = np.sum(d)
                 out[0, j] = shift + s / acc.size
                 out[1, j] = max(np.sum(d * d) - s * s / acc.size, 0.0)
+        out[np.isnan(out)] = np.nan

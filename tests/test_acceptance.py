@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from momentprop import compiler, distmoments, oracle, planner, presets, propagator
+from momentprop import compiler, distmoments, oracle, planner, presets
 from momentprop.distmoments import (
     Beta,
     Degenerate,
@@ -340,14 +340,12 @@ def test_criterion_9_ltv_property(dubins_reduced, dubins_unreduced):
     rng = np.random.default_rng(7)
     n = len(dubins_unreduced.basis)
     for _ in range(50):
-        m1 = propagator.MomentState(rng.normal(size=n), 0)
-        m2 = propagator.MomentState(rng.normal(size=n), 0)
+        m1 = rng.normal(size=n)
+        m2 = rng.normal(size=n)
         lam = float(rng.uniform())
-        blend = propagator.MomentState(lam * m1.values + (1 - lam) * m2.values, 0)
-        lhs = step(dubins_unreduced, blend, model_u).values
-        rhs = lam * step(dubins_unreduced, m1, model_u).values + (1 - lam) * step(
-            dubins_unreduced, m2, model_u
-        ).values
+        blend = lam * m1 + (1 - lam) * m2
+        lhs = step(dubins_unreduced, blend, model_u)
+        rhs = lam * step(dubins_unreduced, m1, model_u) + (1 - lam) * step(dubins_unreduced, m2, model_u)
         rel = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
         assert rel.max() <= 1e-12, f"affinity violated: {rel.max():.2e}"
 

@@ -661,7 +661,7 @@ class TestPipeline:
         ids=["no-speed", "angle-as-pair"],
     )
     def test_missing_initial_value_named(self, workdir, capsys, command, init, missing):
-        """Every command names a missing initial value alike; only `propagate` takes an angle's cos/sin pair."""
+        """Every command names a missing initial value alike; an angle goes by its name, not its cos/sin pair."""
         (workdir / "init.csv").write_text(init)
         run("compile", workdir / "dubins.spec", "-o", workdir / "dubins.msys", "--listing", workdir / "eq.txt")
         capsys.readouterr()
@@ -671,11 +671,8 @@ class TestPipeline:
             "mc": ("mc", workdir / "dubins.spec", "-N", 100, *common),
             "linearize": ("linearize", workdir / "dubins.spec", *common),
         }[command]
-        if command == "propagate" and missing == "theta":
-            assert run(*argv) == EXIT_OK
-        else:
-            assert run(*argv) == EXIT_INPUT
-            assert capsys.readouterr().err == f"error: initial state value missing for '{missing}'\n"
+        assert run(*argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: initial state value missing for '{missing}'\n"
 
     @pytest.mark.parametrize(
         "name, text, message",

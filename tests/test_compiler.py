@@ -429,6 +429,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"expected '{keyword}'.* got '{edited}'$"):
             compiler.loads(text.replace(f"\n{line}\n", f"\n{edited}\n"))
 
+    def test_state_pair_without_an_angle_rejected(self, dubins_reduced):
+        """An angle state is read by its name, so a state pair must name one; a disturbance pair need not."""
+        text = compiler.dumps(dubins_reduced)
+        assert text.count("\nc_theta s_theta theta 0/1\n") == 1
+        with pytest.raises(ValueError, match=r"^statepairs entry \(c_theta, s_theta\) names no angle$"):
+            compiler.loads(text.replace("\nc_theta s_theta theta 0/1\n", "\nc_theta s_theta - 0/1\n"))
+
     def test_truncated_file_rejected(self, dubins_reduced):
         lines = compiler.dumps(dubins_reduced).splitlines()
         for cut in (0, 1, 5, len(lines) // 2, len(lines) - 1):

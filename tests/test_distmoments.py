@@ -325,8 +325,8 @@ class TestDisturbanceModel:
             model.shift_at("wt", steps)
         with pytest.raises(IndexError, match=message):
             moment(model, MultiIndex((0, 1, 0)), steps)
-        with pytest.raises(IndexError, match="shift schedule for 'wt' has length 3, needed steps -1 to 0"):
-            model.moment_table([MultiIndex((0, 1, 0))], 2, start=-1)
+        with pytest.raises(IndexError, match="shift schedule for 'wt' has length 3, needed steps 0 to 3"):
+            model.moment_table([MultiIndex((0, 1, 0))], 4)
 
     def test_scalar_step_moment_equals_table_row(self):
         model = DisturbanceModel(
@@ -366,17 +366,15 @@ class TestDisturbanceModel:
     def test_moment_table_equals_per_step_moments(self, angle):
         """Shifted schedules on both slots, Beta on the raw slot, every index of degree <= 4."""
         rng = np.random.default_rng(5)
-        n_steps, start = 12, 3
+        n_steps = 12
         model = DisturbanceModel(
             self.system,
             {"wv": Beta(10, 1000), "wt": angle},
-            shifts={"wt": rng.uniform(-2, 2, start + n_steps), "wv": rng.uniform(-0.1, 0.1, start + n_steps)},
+            shifts={"wt": rng.uniform(-2, 2, n_steps + 3), "wv": rng.uniform(-0.1, 0.1, n_steps + 3)},
         )
-        table = model.moment_table(self.ALL_UP_TO_4, n_steps, start=start)
+        table = model.moment_table(self.ALL_UP_TO_4, n_steps)
         assert table.shape == (n_steps, len(self.ALL_UP_TO_4))
-        expected = np.array(
-            [[moment(model, beta, start + k) for beta in self.ALL_UP_TO_4] for k in range(n_steps)]
-        )
+        expected = np.array([[moment(model, beta, k) for beta in self.ALL_UP_TO_4] for k in range(n_steps)])
         np.testing.assert_allclose(table, expected, rtol=1e-14, atol=0)
 
     def test_moment_table_layout_follows_requirements(self):
@@ -465,7 +463,7 @@ class TestCachedTable:
         dist_pairs=(TrigPair("c_u", "s_u", "u"), TrigPair("c_z", "s_z", "z", Fraction(1, 3))),
     )
     REQUIREMENTS = [MultiIndex(e) for e in itertools.product(range(3), repeat=6) if sum(e) <= 3]
-    N_STEPS, START = 7, 2
+    N_STEPS = 7
 
     def model(self, raw, angle, other=Gaussian(0.2, 0.3)):
         rng = np.random.default_rng(9)
@@ -473,7 +471,7 @@ class TestCachedTable:
         return DisturbanceModel(self.SYSTEM, {"a": raw, "b": other, "u": angle, "z": angle}, schedule)
 
     def expected(self, model):
-        steps = np.arange(self.START, self.START + self.N_STEPS)
+        steps = np.arange(self.N_STEPS)
         return np.stack([moment(model, beta, steps) for beta in self.REQUIREMENTS], axis=1)
 
     @pytest.mark.parametrize(
@@ -490,22 +488,22 @@ class TestCachedTable:
         """Scheduled and unscheduled slots of each kind, equal to `moment` over an array of steps."""
         model = self.model(raw, angle, other=raw)
         expected = self.expected(model)
-        np.testing.assert_array_equal(model.moment_table(self.REQUIREMENTS, self.N_STEPS, start=self.START), expected)
+        np.testing.assert_array_equal(model.moment_table(self.REQUIREMENTS, self.N_STEPS), expected)
         # The twin of the C trig_moments calls char_fn, so the calls can be counted.
         monkeypatch.setattr(_kernels, "trig_moments", trig_moments_python)
         calls = []
         original = distmoments.char_fn
         monkeypatch.setattr(distmoments, "char_fn", lambda *args: calls.append(args) or original(*args))
-        table = model.moment_table(self.REQUIREMENTS, self.N_STEPS, start=self.START)  # from the cache
+        table = model.moment_table(self.REQUIREMENTS, self.N_STEPS)  # from the cache
         np.testing.assert_array_equal(table, expected)
         assert len(calls) == 1 and np.shape(calls[0][2]) == (7, 1)  # u only: one call over its frequencies -3..3
         table[:] = np.nan  # the result is the caller's; the cache is untouched
-        np.testing.assert_array_equal(model.moment_table(self.REQUIREMENTS, self.N_STEPS, start=self.START), expected)
+        np.testing.assert_array_equal(model.moment_table(self.REQUIREMENTS, self.N_STEPS), expected)
 
     def test_stationary_table_is_one_cached_row(self, monkeypatch):
         """With no schedule the plan holds the finished row: a call multiplies nothing and returns a view of it."""
         model = DisturbanceModel(self.SYSTEM, dict.fromkeys("abuz", Gaussian(0.2, 0.3)))
-        first = model.moment_table(self.REQUIREMENTS, self.N_STEPS, start=self.START)
+        first = model.moment_table(self.REQUIREMENTS, self.N_STEPS)
         np.testing.assert_array_equal(first, self.expected(model))
         monkeypatch.setattr(distmoments, "_products", None)  # a call that multiplied would raise
         later = model.moment_table(self.REQUIREMENTS, 1000)
@@ -518,7 +516,7 @@ class TestCachedTable:
         tables = []
         for other in (Gaussian(0.2, 0.3), Uniform(-0.2, 0.9)):
             model = self.model(Gaussian(0.1, 0.4), Gaussian(0.04, 0.03), other)
-            table = model.moment_table(self.REQUIREMENTS, self.N_STEPS, start=self.START)
+            table = model.moment_table(self.REQUIREMENTS, self.N_STEPS)
             np.testing.assert_array_equal(table, self.expected(model))
             tables.append(table)
         assert not np.array_equal(tables[0], tables[1])

@@ -28,7 +28,7 @@ from momentprop.planner import (
     trajectory_risk,
     tree_to_csv,
 )
-from momentprop.propagator import MomentState, MomentTrajectory, PropagationError, init_deterministic, mean_cov
+from momentprop.propagator import MomentTrajectory, PropagationError, init_deterministic, mean_cov, propagate
 
 from conftest import grow_both, grow_tree_arguments, use_kernel_twins
 from reference import (
@@ -698,6 +698,15 @@ class TestStochasticSteer:
         assert traj.moment_series("x") == pytest.approx(poses[:, 0], abs=1e-10)
         assert traj.moment_series("y") == pytest.approx(poses[:, 1], abs=1e-10)
 
+    def test_leaves_the_callers_model_alone(self, dubins_reduced):
+        """The edge runs on its own model: the caller's schedule stays as it was, and the edge reads the controls."""
+        model = DisturbanceModel(dubins_reduced, presets.planner_noise(), {"wt": np.zeros(5)})
+        state = init_deterministic(dubins_reduced, {"x": 0, "y": 0, "v": 0.05, "theta": 0})
+        traj = stochastic_steer(state, np.full(3, 0.1), dubins_reduced, model)
+        assert model.shifts["wt"].tolist() == [0.0] * 5
+        steered = DisturbanceModel(dubins_reduced, presets.planner_noise(), {"wt": np.full(3, 0.1)})
+        assert traj.values.tobytes() == propagate(dubins_reduced, state, steered, 3).values.tobytes()
+
     def test_small_noise_covariance_grows(self, dubins_reduced):
         state = init_deterministic(dubins_reduced, {"x": 0, "y": 0, "v": 0.05, "theta": 0})
         traj = stochastic_steer(state, np.zeros(50), dubins_reduced, _planner_model(dubins_reduced))
@@ -870,8 +879,8 @@ def _scalar_trajectory_risk(traj, env, position=("x", "y")):
     return total
 
 
-def _per_requirement_table(self, requirements, n_steps, start=0):
-    steps = np.arange(start, start + n_steps)
+def _per_requirement_table(self, requirements, n_steps):
+    steps = np.arange(n_steps)
     table = np.empty((n_steps, len(requirements)))
     for j, beta_w in enumerate(requirements):
         table[:, j] = moment(self, beta_w, steps)
@@ -890,7 +899,7 @@ def test_build_rrt_matches_scalar_reference(dubins_reduced, seed, monkeypatch):
     assert len(fast.nodes) == len(reference.nodes) > 1
     for a, b in zip(fast.nodes, reference.nodes):
         assert (a.pose, a.risk_to_node, a.parent) == (b.pose, b.risk_to_node, b.parent)
-        for x, y in ((a.mean, b.mean), (a.cov, b.cov), (a.moment_state.values, b.moment_state.values)):
+        for x, y in ((a.mean, b.mean), (a.cov, b.cov), (a.moments, b.moments)):
             assert np.array_equal(x, y)
 
 
@@ -934,7 +943,7 @@ def test_each_edge_matches_the_scalar_edge_path(dubins_reduced, noise, seed, mon
             assert (cause, steps) == (2, 0)
             continue
         try:
-            traj = stochastic_steer(parent.moment_state, controls, dubins_reduced, model)
+            traj = stochastic_steer(parent.moments, controls, dubins_reduced, model)
         except PropagationError:
             assert cause == 3
             continue
@@ -952,7 +961,7 @@ def test_each_edge_matches_the_scalar_edge_path(dubins_reduced, noise, seed, mon
             node = result.nodes[count]
             assert (node.parent, node.risk_to_node.hex()) == (near, risk.hex())
             assert node.controls.tobytes() == controls.tobytes()
-            assert node.moment_state.values.tobytes() == traj.values[-1].tobytes()
+            assert node.moments.tobytes() == traj.values[-1].tobytes()
             count += 1
     assert count == len(result.nodes)
 
@@ -974,7 +983,7 @@ def test_trees_match_golden_digest(dubins_reduced):
         result = build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, 100, seed)
         digest.update(np.int64(-1 if result.goal_node is None else result.goal_node).tobytes())
         for n in result.nodes:
-            for part in (n.pose, n.risk_to_node, n.mean, n.cov, n.moment_state.values, n.controls):
+            for part in (n.pose, n.risk_to_node, n.mean, n.cov, n.moments, n.controls):
                 digest.update(np.asarray(part, dtype=np.float64).tobytes())
             digest.update(np.int64(n.parent).tobytes())
     assert digest.hexdigest() == "f8bd8adab0bfa963b3d78d166c3559e7c66012e578471ca2ccca083128f91d59"
@@ -991,7 +1000,7 @@ def test_reference_twins_grow_the_same_tree(dubins_reduced, seed, monkeypatch):
     assert len(twins.nodes) == len(compiled.nodes) > 1
     for a, b in zip(twins.nodes, compiled.nodes):
         assert (a.pose, a.risk_to_node, a.parent) == (b.pose, b.risk_to_node, b.parent)
-        for x, y in ((a.mean, b.mean), (a.cov, b.cov), (a.moment_state.values, b.moment_state.values)):
+        for x, y in ((a.mean, b.mean), (a.cov, b.cov), (a.moments, b.moments)):
             assert np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
@@ -1200,6 +1209,14 @@ class TestPlanCollision:
             estimate_plan_collision(
                 dubins_spec, self.NOISY, env, np.full(30, 0.02), 100, 3, "nope", 0.05
             )
+
+
+def test_plan_collision_rejects_a_steer_source_the_planner_does_not_steer(dubins_spec):
+    """Shifting the speed noise by heading increments is an error naming both disturbances; an unknown name is a
+    KeyError (`TestPlanCollision`)."""
+    env = parse_environment(presets.PLANNER_ENV)
+    with pytest.raises(ValueError, match="^the planner steers disturbance 'wt', not 'wv'$"):
+        estimate_plan_collision(dubins_spec, presets.planner_noise(), env, np.full(40, 0.05), 200, 1, "wv", 0.05)
 
 
 @pytest.mark.parametrize("n_rollouts", [100.5, True, 0])

@@ -1,4 +1,6 @@
+import hashlib
 import inspect
+import itertools
 import math
 import os
 import re
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from momentprop import _kernels, compiler, distmoments, planner, presets, propagator, sysspec
+from momentprop import _kernels, compiler, distmoments, oracle, planner, presets, propagator, sysspec
 from momentprop.compiler import compile_moment_system
 from momentprop.distmoments import Degenerate, DisturbanceModel, Gaussian
 from momentprop.polyring import MultiIndex, Polynomial
@@ -56,7 +58,7 @@ def walk():
 class TestInit:
     def test_point_mass_moments(self, dubins_reduced):
         state = init_deterministic(dubins_reduced, {"x": 0, "y": 0, "v": 1, "theta": 0.0})
-        by_name = dict(zip(dubins_reduced.moment_names(), state.values))
+        by_name = dict(zip(dubins_reduced.moment_names(), state))
         assert by_name["x"] == 0.0
         assert by_name["v^2"] == 1.0
         assert by_name["c_theta"] == 1.0
@@ -64,18 +66,15 @@ class TestInit:
         assert by_name["x*v*c_theta"] == 0.0
 
     def test_zero_vector(self, dubins_reduced):
-        state = init_deterministic(
-            dubins_reduced, {"x": 0, "y": 0, "v": 0, "c_theta": 1.0, "s_theta": 0.0}
-        )
-        by_name = dict(zip(dubins_reduced.moment_names(), state.values))
+        state = init_deterministic(dubins_reduced, {"x": 0, "y": 0, "v": 0, "theta": 0.0})
+        by_name = dict(zip(dubins_reduced.moment_names(), state))
         nonzero = {name for name, v in by_name.items() if v != 0.0}
         assert nonzero == {"c_theta", "c_theta^2"}
 
-    def test_inconsistent_trig_pair_rejected(self, dubins_reduced):
-        with pytest.raises(ValueError, match="trig pair"):
-            init_deterministic(
-                dubins_reduced, {"x": 0, "y": 0, "v": 1, "c_theta": 0.5, "s_theta": 0.5}
-            )
+    def test_an_angle_is_given_by_its_name(self, dubins_reduced):
+        """The encoded pair is not an initial state: its angle is missing, and the KeyError names it."""
+        with pytest.raises(KeyError, match="^\"initial state value missing for 'theta'\"$"):
+            init_deterministic(dubins_reduced, {"x": 0, "y": 0, "v": 1, "c_theta": 1.0, "s_theta": 0.0})
 
     def test_missing_variable(self, dubins_reduced):
         with pytest.raises(KeyError):
@@ -100,7 +99,7 @@ class TestInit:
             with pytest.raises(PropagationError, match=re.escape(expected) + "$"):
                 init_deterministic(msys, x0)
         else:
-            np.testing.assert_array_equal(init_deterministic(msys, x0).values, expected)
+            np.testing.assert_array_equal(init_deterministic(msys, x0), expected)
 
 
 class TestStep:
@@ -108,15 +107,14 @@ class TestStep:
         model = DisturbanceModel(walk, {"w": Gaussian(0.0, 1.0)})
         state = init_deterministic(walk, {"x": 1.0})
         out = step(walk, state, model)
-        by_name = dict(zip(walk.moment_names(), out.values))
+        by_name = dict(zip(walk.moment_names(), out))
         assert by_name["x"] == pytest.approx(1.0)
         assert by_name["x^2"] == pytest.approx(2.0)
-        assert out.time == 1
 
     def test_degenerate_equals_simulation(self, walk):
         model = DisturbanceModel(walk, {"w": Degenerate(0.3)})
         out = step(walk, init_deterministic(walk, {"x": 0.5}), model)
-        by_name = dict(zip(walk.moment_names(), out.values))
+        by_name = dict(zip(walk.moment_names(), out))
         assert by_name["x"] == pytest.approx(0.8)
         assert by_name["x^2"] == pytest.approx(0.64)
 
@@ -126,24 +124,22 @@ class TestStep:
         )
         state = init_deterministic(dubins_reduced, {"x": 0, "y": 0, "v": 1, "theta": 0.0})
         out = step(dubins_reduced, state, model)
-        by_name = dict(zip(dubins_reduced.moment_names(), out.values))
+        by_name = dict(zip(dubins_reduced.moment_names(), out))
         assert by_name["x"] == pytest.approx(1.0)
         assert by_name["y"] == pytest.approx(0.0, abs=1e-15)
         assert by_name["c_theta"] == pytest.approx(0.0, abs=1e-15)
         assert by_name["s_theta"] == pytest.approx(1.0)
 
-    def test_step_is_one_step_propagate_at_state_time(self, dubins_reduced):
-        model = DisturbanceModel(
-            dubins_reduced, {"wv": Gaussian(0.0, 1e-4), "wt": Gaussian(0.0, 1e-2)},
-            shifts={"wt": [0.0, 0.3, -0.2]},
-        )
+    def test_a_later_start_slices_the_schedule(self, dubins_reduced):
+        """Every schedule is read from its first entry: step k onwards is a propagate on the schedule's tail."""
+        noise, schedule = {"wv": Gaussian(0.0, 1e-4), "wt": Gaussian(0.0, 1e-2)}, [0.0, 0.3, -0.2]
         start = init_deterministic(dubins_reduced, {"x": 0, "y": 0, "v": 1, "theta": 0.2})
-        state = propagator.MomentState(start.values, 1)
-        out = step(dubins_reduced, state, model)
-        assert out.time == 2
-        assert np.array_equal(out.values, propagate(dubins_reduced, state, model, 2).values[1])
+        traj = propagate(dubins_reduced, start, DisturbanceModel(dubins_reduced, noise, {"wt": schedule}), 3)
+        for k in range(3):
+            tail = DisturbanceModel(dubins_reduced, noise, {"wt": schedule[k:]})
+            assert np.array_equal(step(dubins_reduced, traj.values[k], tail), traj.values[k + 1])
         with pytest.raises(IndexError):
-            step(dubins_reduced, propagator.MomentState(start.values, 3), model)
+            step(dubins_reduced, traj.values[3], DisturbanceModel(dubins_reduced, noise, {"wt": []}))
 
     def test_step_overflow_raises(self, walk):
         model = DisturbanceModel(walk, {"w": Degenerate(1e154)})
@@ -157,7 +153,7 @@ class TestPropagate:
         init = init_deterministic(walk, {"x": 2.0})
         traj = propagate(walk, init, model, 0)
         assert traj.n_steps == 0
-        assert np.array_equal(traj.values[0], init.values)
+        assert np.array_equal(traj.values[0], init)
 
     def test_long_random_walk(self, walk):
         sigma2 = 0.25
@@ -359,7 +355,7 @@ class TestKernelOracle:
         for msys, model, init in oracle_systems():
             traj = propagate(msys, init, model, 5)
             # direct evaluation of the update forms
-            values = init.values.copy()
+            values = init.copy()
             for t in range(5):
                 new = np.zeros_like(values)
                 for i, form in enumerate(msys.forms):
@@ -453,7 +449,7 @@ class TestCompiledKernelAgreement:
         requirements = dubins_reduced.dist_requirements
         row = model.moment_table(requirements, 1)
         table = np.broadcast_to(row, (200, row.shape[1]))
-        assert_bit_identical(run_both(dubins_reduced, init.values, table))
+        assert_bit_identical(run_both(dubins_reduced, init, table))
 
     def test_dubins_shifted_table(self, dubins_reduced):
         shifts = np.linspace(-0.3, 0.3, 60)
@@ -463,13 +459,13 @@ class TestCompiledKernelAgreement:
         init = init_deterministic(dubins_reduced, {"x": 0.3, "y": -1, "v": 1.2, "theta": 0.4})
         requirements = dubins_reduced.dist_requirements
         table = model.moment_table(requirements, 60)
-        assert_bit_identical(run_both(dubins_reduced, init.values, table))
+        assert_bit_identical(run_both(dubins_reduced, init, table))
 
     def test_random_systems(self):
         for msys, model, init in oracle_systems():
             requirements = msys.dist_requirements
             table = model.moment_table(requirements, 5)
-            assert_bit_identical(run_both(msys, init.values, table))
+            assert_bit_identical(run_both(msys, init, table))
 
     def test_overflow_reports_same_step(self):
         x, w = Polynomial.variables(("x", "w"))
@@ -482,7 +478,7 @@ class TestCompiledKernelAgreement:
         init = init_deterministic(msys, {"x": 1.0})
         requirements = msys.dist_requirements
         table = model.moment_table(requirements, 5000)
-        results = run_both(msys, init.values, table)
+        results = run_both(msys, init, table)
         assert results[1][0] != (-1, -1)
         assert_bit_identical(results)
 
@@ -499,8 +495,8 @@ def test_run_steps_within_rounding_bound_of_mp_reference(reduced, noise, n_steps
     init = init_deterministic(msys, {"x": 0.3, "y": -1, "v": 1.2, "theta": 0.4})
     table = model.moment_table(msys.dist_requirements, n_steps)
     out = np.empty((n_steps + 1, len(msys.basis)))
-    assert _kernels.run_steps(init.values, table, *msys.term_table, out) == (-1, -1)
-    values, bound = propagate_mp(msys, init.values, table)
+    assert _kernels.run_steps(init, table, *msys.term_table, out) == (-1, -1)
+    values, bound = propagate_mp(msys, init, table)
     for t, (got, ref, err) in enumerate(zip(out.tolist(), values, bound)):
         for j, (g, r, e) in enumerate(zip(got, ref, err)):
             assert abs(mpmath.mpf(g) - r) <= e, (t, msys.moment_names()[j])
@@ -553,13 +549,13 @@ def test_every_entry_point_is_a_builtin():
 def test_propagate_converts_an_odd_initial_state_once(dubins_reduced):
     """A strided or integer initial state propagates to the bits of its contiguous float64 copy."""
     model = DisturbanceModel(dubins_reduced, presets.benchmark_noise())
-    values = init_deterministic(dubins_reduced, {"x": 0.3, "y": -1, "v": 1.2, "theta": 0.4}).values
+    values = init_deterministic(dubins_reduced, {"x": 0.3, "y": -1, "v": 1.2, "theta": 0.4})
     wide = np.zeros(2 * len(values))
     wide[::2] = values
     for odd in (wide[::2], np.rint(values * 4).astype(np.int64), list(values)):
         dense = np.array(odd, dtype=np.float64)
-        got = propagate(dubins_reduced, propagator.MomentState(odd, 3), model, 40)
-        expected = propagate(dubins_reduced, propagator.MomentState(dense, 3), model, 40)
+        got = propagate(dubins_reduced, odd, model, 40)
+        expected = propagate(dubins_reduced, dense, model, 40)
         assert got.values.tobytes() == expected.values.tobytes()
 
 
@@ -584,6 +580,45 @@ def test_unwritable_cache_still_loads_the_c_kernel(monkeypatch, tmp_path, walk):
         monkeypatch.undo()
         unbind_kernels()
     assert blocker.read_text() == "" and not any(scratch.iterdir())  # the build directory is gone
+
+
+def _kernel_outputs_digest(dubins_reduced, dubins_unreduced) -> str:
+    """SHA-256 of what the bound entry points give: the golden planner trees (seeds 0-29, 100 iterations), the Monte
+    Carlo recorder on infinite and NaN samples, and 1,000 steps of the un-reduced Dubins system."""
+    digest = hashlib.sha256()
+    env = planner.parse_environment(presets.PLANNER_ENV)
+    for seed in range(30):
+        result = planner.build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, 100, seed)
+        for n in result.nodes:
+            for part in (n.pose, n.risk_to_node, n.mean, n.cov, n.moments, n.controls, n.parent):
+                digest.update(np.asarray(part, dtype=np.float64).tobytes())
+    moments = [MultiIndex(alpha) for alpha in itertools.product(range(5), range(3), range(2))]
+    factors, powers = oracle._factor_codes(moments, 3)
+    for n in (6, 300):
+        x, y, z = np.random.default_rng(7).normal(size=(3, n))
+        x[5], y[1], y[3], z[0] = np.inf, np.nan, -np.inf, -np.inf
+        out = np.empty((2, len(moments)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _kernels.record_moments(factors, out, x, y, z, *(np.power((x, y, z)[v], e) for v, e in powers))
+        digest.update(out.tobytes())
+    model = DisturbanceModel(dubins_unreduced, presets.benchmark_noise())
+    init = init_deterministic(dubins_unreduced, {"x": 0.3, "y": -1, "v": 1.2, "theta": 0.4})
+    digest.update(propagate(dubins_unreduced, init, model, 1000).values.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("level", ["-O0", "-O3"])
+def test_other_optimisation_levels_give_the_same_bits(level, monkeypatch, tmp_path, dubins_reduced, dubins_unreduced):
+    """The kernel built at another optimisation level, still without fused multiply-add, gives every output bit for
+    bit, NaNs included."""
+    shipped = _kernel_outputs_digest(dubins_reduced, dubins_unreduced)
+    flags = tuple(level if flag == "-O2" else flag for flag in _kernels._built_flags)
+    assert level in flags and "-ffp-contract=off" in flags
+    cc = shutil.which("cc") or shutil.which("gcc")
+    module = _kernels._build_c(cc, tmp_path / f"run_steps{level}.so", flags)
+    for name in _kernels._BOUND[1:]:
+        monkeypatch.setattr(_kernels, name, getattr(module, name))
+    assert _kernel_outputs_digest(dubins_reduced, dubins_unreduced) == shipped
 
 
 def test_cache_name_carries_the_abi_tag(monkeypatch, tmp_path):
@@ -770,7 +805,7 @@ def test_budgeted_run_steps_matches_its_twin_and_the_two_pass_edge(dubins_reduce
     prefix = data.draw(st.integers(0, 30), label="prefix steps")
     values0 = np.empty((prefix + 1, len(msys.basis)))
     stationary = DisturbanceModel(msys, presets.planner_noise()).moment_table(msys.dist_requirements, prefix)
-    prefix_bad, _ = _kernels.run_steps(init_deterministic(msys, pose).values, stationary, *msys.term_table, values0)
+    prefix_bad, _ = _kernels.run_steps(init_deterministic(msys, pose), stationary, *msys.term_table, values0)
     values0 = values0[-1 if prefix_bad < 0 else 0]
     env = data.draw(st.sampled_from(BUDGET_ENV_TEXTS), label="obstacles")
     epsilon = data.draw(st.floats(0.0, 2.0), label="epsilon")
@@ -963,13 +998,13 @@ def test_kernel_rejects_odd_inputs(dubins_reduced):
 
     dtype, layout = "^run_steps: values0, table and coeff must be float64", "^run_steps: the arrays must be contiguous"
     cases = {
-        "int values0": ((np.rint(init.values * 4).astype(np.int64), table, *terms), dtype),
-        "float32 table": ((init.values, table.astype(np.float32), *terms), dtype),
-        "int32 fact": ((init.values, table, *terms[:3], terms[3].astype(np.int32)), dtype),
-        "Fortran-ordered table": ((init.values, np.asfortranarray(table), *terms), layout),
-        "column-strided table": ((init.values, np.repeat(table, 2, axis=1)[:, ::2], *terms), layout),
-        "non-contiguous term arrays": ((init.values, table, *map(spread, terms)), layout),
-        "Fortran-ordered fact": ((init.values, table, *terms[:3], np.asfortranarray(terms[3])), layout),
+        "int values0": ((np.rint(init * 4).astype(np.int64), table, *terms), dtype),
+        "float32 table": ((init, table.astype(np.float32), *terms), dtype),
+        "int32 fact": ((init, table, *terms[:3], terms[3].astype(np.int32)), dtype),
+        "Fortran-ordered table": ((init, np.asfortranarray(table), *terms), layout),
+        "column-strided table": ((init, np.repeat(table, 2, axis=1)[:, ::2], *terms), layout),
+        "non-contiguous term arrays": ((init, table, *map(spread, terms)), layout),
+        "Fortran-ordered fact": ((init, table, *terms[:3], np.asfortranarray(terms[3])), layout),
     }
     for name, (args, message) in cases.items():
         out = np.full((31, len(dubins_reduced.basis)), 7.0)
@@ -992,9 +1027,9 @@ def test_propagate_names_a_step_count_that_is_not_a_count(walk, n_steps):
 def test_wrong_length_initial_state_names_both_lengths(dubins_reduced):
     model = DisturbanceModel(dubins_reduced, presets.benchmark_noise())
     with pytest.raises(ValueError, match=r"^initial state has 19 moment values, but the system has 20 moments$"):
-        propagate(dubins_reduced, propagator.MomentState(np.ones(19)), model, 10)
+        propagate(dubins_reduced, np.ones(19), model, 10)
     with pytest.raises(ValueError, match=r"^initial state has shape \(1, 20\), but the system has 20 moments$"):
-        propagate(dubins_reduced, propagator.MomentState(np.ones((1, 20))), model, 10)
+        propagate(dubins_reduced, np.ones((1, 20)), model, 10)
 
 
 def test_overflow_raises_without_warning():

@@ -93,9 +93,8 @@ def test_build_rrt_grows_the_tree_in_one_kernel_call(dubins_reduced, monkeypatch
     assert len(result.nodes) > 10
     for i, node in enumerate(result.nodes[1:], 1):
         parent = result.nodes[node.parent]
-        traj = planner.stochastic_steer(parent.moment_state, node.controls, dubins_reduced, model)
-        assert node.moment_state.values.tobytes() == traj.values[-1].tobytes() == table[i, 5:].tobytes()
-        assert node.moment_state.time == traj.n_steps
+        traj = planner.stochastic_steer(parent.moments, node.controls, dubins_reduced, model)
+        assert node.moments.tobytes() == traj.values[-1].tobytes() == table[i, 5:].tobytes()
         assert node.risk_to_node == parent.risk_to_node + planner.trajectory_risk(traj, env)
 
 
@@ -113,7 +112,7 @@ def test_mc_simulate_evaluates_each_update_once_per_step_and_batch(dubins_spec, 
 # removed name in the README's table of removals.
 PUBLIC_API = [
     "BasisExplosionError", "Beta", "Degenerate", "DependenceGraph", "DisturbanceModel", "Gaussian", "MomentBasis",
-    "MomentState", "MomentStateSystem", "MomentTrajectory", "MomentUpdateForm", "MultiIndex", "Polynomial",
+    "MomentStateSystem", "MomentTrajectory", "MomentUpdateForm", "MultiIndex", "Polynomial",
     "PolynomialSystem", "PropagationError", "SpecError", "SystemSpec", "Uniform", "UnsupportedMomentError", "char_fn",
     "compile_moment_system", "compiler", "components_of_support", "degree_vector", "distmoments",
     "init_deterministic", "ltv_matrices", "mean_cov", "monomial_name", "parse_spec", "polyring", "propagate",
