@@ -1,8 +1,7 @@
-/* The compiled kernels of momentprop: one CPython extension module, `run_steps`, with six entry points (run_steps,
-   risk_bound, dubins_steer, grow_tree, trig_moments, record_moments).  momentprop._kernels builds it on first use
-   with the flags in _kernels._C_FLAGS; -ffp-contract=off keeps every product and sum rounded on its own, as numpy
-   and Python round them.  Each entry point computes what its twin in tests/reference.py computes, bit for bit, and
-   the tests hold it to that.
+/* The compiled kernels of momentprop: one CPython extension module, `run_steps`, with seven entry points (run_steps,
+   risk_bound, dubins_steer, grow_tree, trig_moments, record_moments, uniform_samples).  momentprop._kernels builds it
+   on first use with the flags in _kernels._C_FLAGS; -ffp-contract=off keeps every product and sum rounded on its
+   own, as numpy and Python round them.  Each entry point computes its twin's values in tests/reference.py, bit for bit.
 
    run_steps evaluates the loop of reference.run_steps_python in two phases per step.  Phase 1 computes every
    term's product: coeff * row[req], then times each factor in factor order.  The terms are grouped by factor
@@ -167,6 +166,8 @@ struct budget {
     struct plan *plan;
 };
 
+static inline double fmin_(double x, double y) { return isless(x, y) || isnan(y) ? x : y; } /* glibc's fmin, inline */
+
 /* Adds row v's bound to *total, obstacle by obstacle, with reference.risk_bound_python's operations in its order.
    Obstacle o's faces run from starts[o] to the next start, or to the last face, as np.fmin.reduceat takes them. */
 static void row_risk(const double *v, const struct budget *ob, double *total)
@@ -184,9 +185,9 @@ static void row_risk(const double *v, const struct budget *ob, double *total)
             double var = axx[f] * s00 + axy2[f] * s01 + ayy[f] * s11;
             var = var < 0.0 ? 0.0 : var; /* np.maximum(var, 0.0): NaN and -0.0 stay */
             double bound = var != 0.0 ? var / (var + mean * mean) : 0.0;
-            best = fmin(best, mean < 0.0 ? 1.0 : bound);
+            best = fmin_(best, mean < 0.0 ? 1.0 : bound);
         }
-        *total += fmin(best, 1.0); /* fmin drops a NaN best: the term lies in [0, 1] */
+        *total += fmin_(best, 1.0); /* fmin_ drops a NaN best: the term lies in [0, 1] */
     }
 }
 
@@ -943,12 +944,69 @@ release:
     return result;
 }
 
+/* numpy's SeedSequence hashmix, whose running constant *h advances by mult, and its mix of a pool word x with y. */
+static uint32_t hashmix(uint32_t v, uint32_t *h, uint32_t mult) { v ^= *h; v *= *h *= mult; return v ^ v >> 16; }
+static uint32_t mix(uint32_t x, uint32_t y) { x = 0xca01f9ddu * x - 0x4973f715u * y; return x ^ x >> 16; }
+
+/* uniform_samples(entropy, low, high, out): np.random.Generator(np.random.PCG64(seed)).uniform(low, high, out.shape)
+   into out, bit for bit: out (n, k), low and high (k,), C-contiguous float64, each high - low finite and non-negative,
+   entropy the seed's little-endian uint32 words (0 as one word).  numpy's SeedSequence mixes them into a pool of four,
+   whose generate_state(4, uint64) seeds PCG64; each XSL-RR output x gives low + (high - low) * ((x >> 11) * 2^-53). */
+static PyObject *py_uniform_samples(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer b[4], *en = b, *lo = b + 1, *hi = b + 2, *out = b + 3;
+    PyObject *result = NULL;
+    if (nargs != 4)
+        return PyErr_Format(PyExc_TypeError, "uniform_samples takes 4 arguments (%zd given)", nargs);
+    if (get_buffers(b, args, 4))
+        return NULL;
+    if (!(dense(en) && f8(lo) && f8(hi) && f8(out) && dense(lo) && dense(hi) && dense(out)))
+        FAIL(PyExc_TypeError, "entropy must be contiguous, low, high and out C-contiguous float64");
+    Py_ssize_t n_words = en->len / 4, k = lo->ndim == 1 ? lo->shape[0] : -1;
+    if (!n_words || en->len % 4 || hi->ndim != 1 || hi->shape[0] != k || out->readonly || out->ndim != 2
+        || out->shape[1] != k)
+        FAIL(PyExc_ValueError, "entropy must hold one or more 32-bit words, low and high (k,) and out writable (n, k)");
+    double *l = lo->buf, *u = hi->buf, *o = out->buf;
+    for (Py_ssize_t j = 0; j < k; j++)
+        if (!(u[j] - l[j] >= 0.0 && u[j] - l[j] < INFINITY))
+            FAIL(PyExc_ValueError, "high - low must be finite and non-negative");
+    const unsigned char *e = en->buf;
+#define WORD(i) (e[4 * (i)] | e[4 * (i) + 1] << 8 | e[4 * (i) + 2] << 16 | (uint32_t)e[4 * (i) + 3] << 24)
+    uint32_t pool[4], h = 0x43b0d7e5u;
+    uint64_t q[4] = {0};
+    for (int i = 0; i < 4; i++)
+        pool[i] = hashmix(i < n_words ? WORD(i) : 0, &h, 0x931e8875u);
+    for (int i = 0; i < 16; i++) /* each pool word i / 4 into each other one, i % 4 */
+        if (i / 4 != i % 4)
+            pool[i % 4] = mix(pool[i % 4], hashmix(pool[i / 4], &h, 0x931e8875u));
+    for (Py_ssize_t i = 16; i < 4 * n_words; i++) /* each word past the fourth into each pool word */
+        pool[i % 4] = mix(pool[i % 4], hashmix(WORD(i / 4), &h, 0x931e8875u));
+    h = 0x8b51f9ddu;
+    for (int i = 0; i < 8; i++)
+        q[i / 2] |= (uint64_t)hashmix(pool[i % 4], &h, 0x58f38dedu) << 32 * (i % 2);
+    typedef unsigned __int128 u128; /* PCG64's seeding: state 0, a step, the seed added, a step */
+    const u128 mult = (u128)2549297995355413924u << 64 | 4865540595714422341u;
+    u128 inc = ((u128)q[2] << 64 | q[3]) << 1 | 1, state = (inc + ((u128)q[0] << 64 | q[1])) * mult + inc;
+    for (Py_ssize_t i = 0; i < out->shape[0] * k; i++) {
+        state = state * mult + inc;
+        uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state, r = state >> 122;
+        x = x >> r | x << (-r & 63);
+        o[i] = l[i % k] + (u[i % k] - l[i % k]) * ((double)(x >> 11) * 0x1.0p-53);
+    }
+    result = Py_NewRef(Py_None);
+release:
+    release_buffers(b, 4);
+    return result;
+}
+
 static PyMethodDef methods[] = {{"run_steps", (PyCFunction)(void (*)(void))py_run_steps, METH_FASTCALL, NULL},
                                 {"risk_bound", (PyCFunction)(void (*)(void))py_risk_bound, METH_FASTCALL, NULL},
                                 {"dubins_steer", (PyCFunction)(void (*)(void))py_dubins_steer, METH_FASTCALL, NULL},
                                 {"grow_tree", (PyCFunction)(void (*)(void))py_grow_tree, METH_FASTCALL, NULL},
                                 {"trig_moments", (PyCFunction)(void (*)(void))py_trig_moments, METH_FASTCALL, NULL},
                                 {"record_moments", (PyCFunction)(void (*)(void))py_record_moments, METH_FASTCALL,
+                                 NULL},
+                                {"uniform_samples", (PyCFunction)(void (*)(void))py_uniform_samples, METH_FASTCALL,
                                  NULL},
                                 {0}};
 static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, .m_name = "run_steps", .m_size = -1, .m_methods = methods};

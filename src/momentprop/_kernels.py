@@ -1,10 +1,10 @@
-"""Compiled inner loops: the propagation horizon, the planner's risk bound, geometry and noise moments, and MC moments.
+"""Compiled inner loops: the propagation horizon, the planner's risk bound, geometry and draw, noise and MC moments.
 
 Per-step Python/numpy dispatch overhead alone would dwarf the
 sub-microsecond step budget of small compiled systems, and numpy calls on
 arrays of a few dozen entries would dwarf the arithmetic of each candidate
 edge, so these run compiled.  One CPython extension module, built from
-``_kernels.c`` next to this file, has six entry points, which read the
+``_kernels.c`` next to this file, has seven entry points, which read the
 arrays through the buffer protocol.  On first use the module is built with
 the system C compiler (``cc`` or ``gcc``, about 0.7 s, once) and the Python
 headers (``Python.h``, from ``python3-dev`` or the like) into
@@ -38,6 +38,7 @@ for bit:
   caller's (steps, pairs) view.
 - `record_moments`: one Monte Carlo step's sample mean and sum of squared
   deviations of each moment, summed in `np.sum`'s pairwise order.
+- `uniform_samples`: the planner's samples, numpy's `Generator(PCG64(seed)).uniform` draw.
 
 Two of Python's operations are not the C library's.  Python's float ``%``
 is ``fmod`` followed by a sign fix, which the C code repeats.
@@ -51,8 +52,8 @@ as it does without an FMA instruction, which is exact only because each
 Laurent coefficient is purely real or purely imaginary (see the C source).
 
 `BACKEND` names the backend in use; its one value is ``"c"``.  It and the
-six entry points are bound as attributes of this module on first use:
-reading any of them builds or loads the module and binds all seven, so each
+seven entry points are bound as attributes of this module on first use:
+reading any of them builds or loads the module and binds all eight, so each
 entry point is the extension module's function itself.  Each one raises
 TypeError for an array of another dtype or layout than it reads (see the C
 source); the callers in this package pass them as the kernels read them.
@@ -158,7 +159,8 @@ def _load_c():
 
 
 # The names __getattr__ binds on first use: BACKEND, then the extension module's functions of the same names.
-_BOUND = ("BACKEND", "run_steps", "risk_bound", "dubins_steer", "grow_tree", "trig_moments", "record_moments")
+_BOUND = ("BACKEND", "run_steps", "risk_bound", "dubins_steer", "grow_tree", "trig_moments", "record_moments",
+          "uniform_samples")
 
 
 def __getattr__(name):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import chain, compress, islice, repeat
-from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -211,7 +211,7 @@ class MomentStateSystem:
     dist_vars: tuple[str, ...]
     state_pairs: tuple[TrigPair, ...] = ()
     dist_pairs: tuple[TrigPair, ...] = ()
-    _pair_positions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _terms(self) -> Iterator[tuple[int, tuple[int, int], MultiIndex, list[int]]]:
         """(target, exact coefficient, disturbance multi-index, factor positions) of each term, in table order."""
@@ -228,14 +228,18 @@ class MomentStateSystem:
             terms[target].append(MufTerm(Fraction(*coeff), dist, tuple(self.basis[j] for j in factors)))
         return tuple(MomentUpdateForm(mi, tuple(t), self.reduced) for mi, t in zip(self.basis, terms))
 
+    def memo(self, key, make: Callable[[], Any]):
+        """make(), called on the first read of `key` and held by the system for every read after it."""
+        return self._memo[key] if key in self._memo else self._memo.setdefault(key, make())
+
     def pair_positions(self, a: str, b: str) -> np.ndarray:
         """Basis positions of E[a], E[b], E[a^2], E[a*b] and E[b^2], read-only int64; cached per pair."""
-        if (a, b) not in self._pair_positions:
+        def positions():
             needed = second_moment_indices(self.state_vars, a, b, self.basis)
             positions = np.array([self.basis.index_of(mi) for mi in needed], dtype=np.int64)
             positions.flags.writeable = False
-            self._pair_positions[a, b] = positions
-        return self._pair_positions[a, b]
+            return positions
+        return self.memo((a, b), positions)
 
     def moment_names(self) -> tuple[str, ...]:
         return tuple(monomial_name(self.state_vars, mi) for mi in self.basis)

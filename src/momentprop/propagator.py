@@ -38,16 +38,16 @@ def init_deterministic(msys: MomentStateSystem, x0: Mapping[str, float]) -> np.n
     """Moment values of a point mass at `x0`, aligned with the compiled basis.
 
     `x0` gives each state of the spec by its name, an angle too (its cosine
-    and sine are taken here); KeyError names the first one missing.  A
-    moment that overflows from finite values raises `PropagationError`
-    naming it at step 0; NaN and infinite values give their moments as they
-    come.
+    and sine are taken here, both NaN for an infinite angle); KeyError names
+    the first one missing.  A moment that overflows from finite values
+    raises `PropagationError` naming it at step 0; NaN and infinite values
+    give their moments as they come.
     """
     read = {name: (float, name) for name in msys.state_vars}  # each encoded variable: (function, state it reads)
     for pair in msys.state_pairs:
         read[pair.cos_var], read[pair.sin_var] = (math.cos, pair.source), (math.sin, pair.source)
     given = initial_values(list(dict.fromkeys(name for _, name in read.values())), x0)
-    point = [fn(given[name]) for fn, name in read.values()]
+    point = [math.nan if fn is not float and math.isinf(given[name]) else fn(given[name]) for fn, name in read.values()]
     values = []
     for j, powers in enumerate(msys.basis.powers):
         v = 1.0

@@ -34,9 +34,10 @@ def unbind_kernels():
 
 
 def use_kernel_twins(monkeypatch):
-    """Set the twins from `reference` in place of `_kernels`' six entry points, until `monkeypatch` undoes it."""
+    """Set the twins from `reference` in place of `_kernels`' seven entry points, until `monkeypatch` undoes it."""
     twins = (reference.run_steps_python, reference.risk_bound_python, reference.steer_python,
-             reference.grow_tree_python, reference.trig_moments_python, reference.record_moments_python)
+             reference.grow_tree_python, reference.trig_moments_python, reference.record_moments_python,
+             reference.uniform_samples_python)
     for name, twin in zip(_kernels._BOUND[1:], twins, strict=True):
         monkeypatch.setattr(_kernels, name, twin)
 

@@ -26,8 +26,9 @@ library code calls them.  Each checks one production path:
 - `cantelli_bound` and `obstacle_risk`: the scalar risk bound per step and
   obstacle, against `planner.trajectory_risk`.
 - `run_steps_python`, `risk_bound_python`, `steer_python`,
-  `grow_tree_python`, `trig_moments_python` and `record_moments_python`:
-  numpy and Python twins of the six C entry points of `momentprop._kernels`,
+  `grow_tree_python`, `trig_moments_python`, `record_moments_python` and
+  `uniform_samples_python`: numpy and Python twins of the seven C entry
+  points of `momentprop._kernels`,
   operation for operation, against which each is checked bit for bit.
   `steer_python` takes the two poses, as `_kernels.dubins_steer` does,
   checks them and measures their distance with `relative` (the C
@@ -632,3 +633,12 @@ def record_moments_python(factors, out, *columns) -> None:
                 out[0, j] = shift + s / acc.size
                 out[1, j] = max(np.sum(d * d) - s * s / acc.size, 0.0)
         out[np.isnan(out)] = np.nan
+
+
+def uniform_samples_python(entropy, low, high, out) -> None:
+    """numpy's `Generator(PCG64(seed)).uniform(low, high, out.shape)` into out, the seed read from its little-endian
+    uint32 words in `entropy`: `_kernels.uniform_samples`' twin."""
+    span = np.subtract(high, low)
+    if not np.all((span >= 0.0) & (span < math.inf)):
+        raise ValueError("high - low must be finite and non-negative")
+    out[...] = np.random.Generator(np.random.PCG64(int.from_bytes(entropy, "little"))).uniform(low, high, out.shape)

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import random
 import re
 import sys
 import tracemalloc
@@ -1015,6 +1016,114 @@ def test_one_draw_per_tree_equals_three_scalar_draws_per_iteration():
         assert np.array_equal(block.view(np.int64), np.array(scalar).view(np.int64)), (
             f"seed {seed}: numpy's array uniform draw no longer equals its scalar draws, so every planner tree changes"
         )
+
+
+def _entropy(seed: int) -> bytes:
+    """A seed's little-endian uint32 words, as `build_rrt` passes them to `_kernels.uniform_samples`."""
+    return seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little")
+
+
+def test_c_draw_equals_numpys_generator():
+    """`_kernels.uniform_samples` gives numpy's `Generator(PCG64(seed)).uniform` draw bit for bit: edge seeds, 2,000
+    random 32-bit seeds, 200 random seeds of 33-300 bits, and no samples at all."""
+    low, high = np.array([-1.5, 0.25, -math.pi]), np.array([3.0, 0.25, math.pi])  # a zero-width column too
+    r = random.Random(20)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 10**40] + [r.getrandbits(32) for _ in range(2000)]
+    seeds += [r.getrandbits(bits) | 1 << (bits - 1) for bits in (r.randint(33, 300) for _ in range(200))]
+    for i, seed in enumerate(seeds):
+        n = (0, 1, 7, 100)[i % 4]
+        out = np.full((n, 3), np.nan)
+        assert _kernels.uniform_samples(_entropy(seed), low, high, out) is None
+        expected = np.random.Generator(np.random.PCG64(seed)).uniform(low, high, size=(n, 3))
+        assert out.tobytes() == expected.tobytes(), seed
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    (-1, ValueError, "^expected non-negative integer$"),
+    (None, TypeError, "cannot be interpreted as an integer"),
+    (1.0, TypeError, "cannot be interpreted as an integer"),
+    ([1, 2], TypeError, "cannot be interpreted as an integer"),
+])
+def test_tree_seed_is_a_non_negative_integer(dubins_reduced, bad, error, message):
+    """numpy integers and Python bools pass through `operator.index`; OS entropy (None) and sequences of ints do not."""
+    env = parse_environment(presets.PLANNER_ENV)
+    with pytest.raises(error, match=message):
+        build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, 10, bad)
+    for seed, same in ((np.uint64(5), 5), (np.int32(5), 5), (True, 1)):
+        a, b = (build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, 30, s) for s in (seed, same))
+        assert a.table.tobytes() == b.table.tobytes()
+
+
+def test_uniform_samples_rejects_bad_arguments():
+    word, low, high = b"\0" * 4, np.zeros(3), np.ones(3)
+    read_only = np.empty((2, 3))
+    read_only.flags.writeable = False
+    cases = {
+        "no entropy": ((b"", low, high, np.empty((2, 3))), ValueError),
+        "a partial word": ((b"\0" * 5, low, high, np.empty((2, 3))), ValueError),
+        "reversed bounds": ((word, high, low, np.empty((2, 3))), ValueError),
+        "an infinite width": ((word, low, np.array([1.0, math.inf, 1.0]), np.empty((2, 3))), ValueError),
+        "two columns out": ((word, low, high, np.empty((2, 2))), ValueError),
+        "read-only out": ((word, low, high, read_only), ValueError),
+        "float32 out": ((word, low, high, np.empty((2, 3), np.float32)), TypeError),
+        "three arguments": ((word, low, high), TypeError),
+    }
+    for name, (args, error) in cases.items():
+        with pytest.raises(error, match="^uniform_samples"):
+            _kernels.uniform_samples(*args)
+
+
+def test_tree_builds_nodes_only_when_read_and_parses_names_once_per_system(monkeypatch):
+    """`build_rrt` makes no Generator or PCG64 and no TreeNode; the first read of `nodes` makes one per node.  The
+    planner's facts about a system are found on its first tree: the second parses no moment name."""
+    msys, env = presets.compile_dubins(), parse_environment(presets.PLANNER_ENV)
+    counts = collections.Counter()
+    tree_node, parse = planner.TreeNode, sysspec.parse_monomial
+    monkeypatch.setattr(planner, "TreeNode", lambda *args: counts.update(["nodes"]) or tree_node(*args))
+    for owner in (sysspec, compiler):
+        monkeypatch.setattr(owner, "parse_monomial", lambda *args: counts.update(["parses"]) or parse(*args))
+    for name in ("Generator", "PCG64"):
+        monkeypatch.setattr(np.random, name, _never)
+    build_rrt(env, msys, presets.planner_noise(), 0.1, 100, 3)
+    assert counts == {"parses": 2}  # the heading's cosine and sine
+    result = build_rrt(env, msys, presets.planner_noise(), 0.1, 100, 4)
+    assert counts == {"parses": 2} and len(result.table) == len(result.controls) + 1 > 10
+    nodes = result.nodes
+    assert counts == {"parses": 2, "nodes": len(result.table)} == {"parses": 2, "nodes": len(nodes)}
+    assert result.nodes is nodes and counts["nodes"] == len(nodes)  # built once
+
+
+def _goal_variant(env: Environment, goal) -> Environment:
+    return Environment(env.bounds, env.start, goal, env.obstacles)
+
+
+def test_goal_test_follows_math_hypot_where_libm_differs(dubins_reduced):
+    """A goal disc whose radius is one arrival mean's `math.hypot` distance, where numpy's (libm's) `hypot` reads one
+    ulp more, holds that node; one whose radius is libm's distance, where `math.hypot` reads one ulp more, does not.
+    The tree itself does not depend on the goal."""
+    env = parse_environment(presets.PLANNER_ENV)
+    tree = build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, 100, 5)
+    i = len(tree.nodes) - 1
+    ex, ey = tree.nodes[i].mean.tolist()
+    r = np.random.default_rng(42)
+    found = {}
+    while len(found) < 2:
+        gx, gy = ex + r.uniform(-1e-3, 1e-3), ey + r.uniform(-1e-3, 1e-3)
+        libm, python = float(np.hypot(ex - gx, ey - gy)), math.hypot(ex - gx, ey - gy)
+        if libm != python:
+            found.setdefault(libm > python, (gx, gy, min(libm, python)))
+    for libm_reads_more, goal in found.items():
+        result = build_rrt(_goal_variant(env, goal), dubins_reduced, presets.planner_noise(), 0.1, 100, 5)
+        assert result.table.tobytes() == tree.table.tobytes()
+        assert result.goal_node == (i if libm_reads_more else None)
+
+
+def test_goal_node_is_the_first_of_least_risk_in_the_disc(dubins_reduced):
+    """Without obstacles every node's bound is 0.0: a disc around the whole workspace gives node 1."""
+    env = Environment((0, 0, 2.5, 2.5), (0.3, 0.3, 0.0), (1.25, 1.25, 10.0))
+    result = build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, 50, 4)
+    assert len(result.nodes) > 3 and {n.risk_to_node for n in result.nodes} == {0.0}
+    assert result.goal_node == 1
 
 
 @pytest.fixture(scope="module")

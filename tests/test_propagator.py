@@ -80,6 +80,14 @@ class TestInit:
         with pytest.raises(KeyError):
             init_deterministic(dubins_reduced, {"x": 0, "y": 0, "theta": 0})
 
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf])
+    def test_an_infinite_angle_gives_nan_moments(self, dubins_reduced, angle):
+        """As a NaN angle does: each moment with a cos or sin factor is NaN, and the others keep their values."""
+        x0 = {"x": 0.5, "y": -1.0, "v": 2.0}
+        state = init_deterministic(dubins_reduced, {**x0, "theta": angle})
+        np.testing.assert_array_equal(state, init_deterministic(dubins_reduced, {**x0, "theta": math.nan}))
+        assert np.isnan(state).any() and not np.isnan(state).all()
+
     @pytest.mark.parametrize(
         "x0, expected",
         [
