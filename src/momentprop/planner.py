@@ -328,23 +328,9 @@ OUTCOMES = ("accepted", "no feasible path", "zero length", "non-finite moment", 
 
 @dataclass
 class RrtResult:
-    """A grown tree: `_kernels.grow_tree`'s node table and edge controls, with `nodes` built from them on first read."""
-
-    table: np.ndarray  # (nodes, 5 + moments): per node x, y, heading, risk, parent, then its arrival moments
-    controls: list[np.ndarray]  # the steering sequence of the edge into each node after the root
-    positions: np.ndarray  # the basis positions of E[x], E[y], E[x^2], E[x*y] and E[y^2]
+    nodes: list[TreeNode]
     goal_node: int | None
     outcomes: np.ndarray  # (iterations, 2) int64: per sample, its OUTCOMES code and the steps propagated
-
-    @cached_property
-    def nodes(self) -> list[TreeNode]:
-        """One TreeNode per table row, its moments a view of the row, its mean and covariance from the moments."""
-        mx, my, sxx, syy, sxy = central_second_moments(self.table[:, 5:], self.positions)
-        means, covs = np.stack((mx, my), axis=1), np.stack((sxx, sxy, sxy, syy), axis=1).reshape(-1, 2, 2)
-        means[0], covs[0] = self.table[0, :2], 0.0  # the root is a point mass at the start
-        rows = zip(self.table[:, :5].tolist(), self.table[:, 5:], [np.zeros(0), *self.controls], means, covs)
-        return [TreeNode((x, y, h), moments, risk, int(parent), edge, mean, cov)
-                for (x, y, h, risk, parent), moments, edge, mean, cov in rows]
 
     @property
     def found(self) -> bool:
@@ -353,15 +339,16 @@ class RrtResult:
     def path_indices(self) -> list[int]:
         if self.goal_node is None:
             raise ValueError("no plan was found")
-        out, i = [], self.goal_node
+        out = []
+        i = self.goal_node
         while i >= 0:
             out.append(i)
-            i = int(self.table[i, 4])
+            i = self.nodes[i].parent
         return out[::-1]
 
     def path_controls(self) -> np.ndarray:
         """Full open-loop steering schedule from the root to the goal node."""
-        chunks = [self.controls[i - 1] for i in self.path_indices()[1:]]
+        chunks = [self.nodes[i].controls for i in self.path_indices()[1:]]
         return np.concatenate(chunks) if chunks else np.zeros(0)
 
     def edges(self) -> list[tuple[int, int]]:
@@ -409,19 +396,26 @@ def build_rrt(
     _kernels.uniform_samples(seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little"),
                              np.array((*env.bounds[:2], -math.pi)), np.array((*env.bounds[2:], math.pi)), samples)
 
+    sx, sy, sh = env.start
     root = init_deterministic(msys, _start_state(env, heading, cfg.speed))
     table = np.empty((iterations + 1, 5 + len(msys.basis)))  # per node: pose, risk, parent, moments
-    table[0, :5], table[0, 5:] = (*env.start, 0.0, -1.0), root
+    table[0, :5], table[0, 5:] = (sx, sy, sh, 0.0, -1.0), root
     outcomes = np.empty((iterations, 2), dtype=np.int64)
     controls = _kernels.grow_tree(samples, table, *msys.term_table, tracked, faces, starts, epsilon, cfg.speed,
                                   cfg.turn_radius, cfg.max_edge_steps, *plan, outcomes)
-    table = table[: len(controls) + 1]
+    arrivals = table[1 : len(controls) + 1, 5:]
+    mx, my, sxx, syy, sxy = central_second_moments(arrivals, positions)
+    means, covs = np.stack((mx, my), axis=1), np.stack((sxx, sxy, sxy, syy), axis=1).reshape(-1, 2, 2)
+    nodes = [TreeNode((sx, sy, sh), root, 0.0, -1, np.zeros(0), np.array([sx, sy]), np.zeros((2, 2)))]
+    rows = zip(table[1 : len(controls) + 1, :5].tolist(), arrivals, controls, means, covs)
+    nodes += [TreeNode((x, y, h), moments, risk, int(parent), edge, mean, cov)
+              for (x, y, h, risk, parent), moments, edge, mean, cov in rows]
     *goal, g_radius = env.goal
-    offsets = table[1:, 5 + positions[:2]] - goal  # each arrival mean's offset from the goal's centre
+    offsets = means - goal  # each arrival mean's offset from the goal's centre
     # libm's hypot, which is not CPython's, finds the nodes in or near the disc; math.hypot decides which are in.
     near = np.flatnonzero(np.hypot(*offsets.T) <= g_radius * (1 + 1e-9)).tolist()
     inside = [i + 1 for i in near if math.hypot(*offsets[i].tolist()) <= g_radius]
-    return RrtResult(table, controls, positions, min(inside, key=table[:, 3].item, default=None), outcomes)
+    return RrtResult(nodes, min(inside, key=table[:, 3].item, default=None), outcomes)
 
 
 # -- plan validation & output -------------------------------------------------------

@@ -1018,6 +1018,12 @@ def test_one_draw_per_tree_equals_three_scalar_draws_per_iteration():
         )
 
 
+def _node_bytes(result) -> bytes:
+    """Every node's pose, bound, moments, controls and parent, as bytes."""
+    parts = ((n.pose, n.risk_to_node, n.moments, n.controls, n.parent) for n in result.nodes)
+    return b"".join(np.asarray(part, dtype=np.float64).tobytes() for node in parts for part in node)
+
+
 def _entropy(seed: int) -> bytes:
     """A seed's little-endian uint32 words, as `build_rrt` passes them to `_kernels.uniform_samples`."""
     return seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little")
@@ -1051,7 +1057,7 @@ def test_tree_seed_is_a_non_negative_integer(dubins_reduced, bad, error, message
         build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, 10, bad)
     for seed, same in ((np.uint64(5), 5), (np.int32(5), 5), (True, 1)):
         a, b = (build_rrt(env, dubins_reduced, presets.planner_noise(), 0.1, 30, s) for s in (seed, same))
-        assert a.table.tobytes() == b.table.tobytes()
+        assert _node_bytes(a) == _node_bytes(b)
 
 
 def test_uniform_samples_rejects_bad_arguments():
@@ -1073,9 +1079,9 @@ def test_uniform_samples_rejects_bad_arguments():
             _kernels.uniform_samples(*args)
 
 
-def test_tree_builds_nodes_only_when_read_and_parses_names_once_per_system(monkeypatch):
-    """`build_rrt` makes no Generator or PCG64 and no TreeNode; the first read of `nodes` makes one per node.  The
-    planner's facts about a system are found on its first tree: the second parses no moment name."""
+def test_tree_makes_no_generator_and_parses_names_once_per_system(monkeypatch):
+    """`build_rrt` makes no Generator or PCG64 and one TreeNode per node.  The planner's facts about a system are
+    found on its first tree: the second parses no moment name."""
     msys, env = presets.compile_dubins(), parse_environment(presets.PLANNER_ENV)
     counts = collections.Counter()
     tree_node, parse = planner.TreeNode, sysspec.parse_monomial
@@ -1084,13 +1090,10 @@ def test_tree_builds_nodes_only_when_read_and_parses_names_once_per_system(monke
         monkeypatch.setattr(owner, "parse_monomial", lambda *args: counts.update(["parses"]) or parse(*args))
     for name in ("Generator", "PCG64"):
         monkeypatch.setattr(np.random, name, _never)
-    build_rrt(env, msys, presets.planner_noise(), 0.1, 100, 3)
-    assert counts == {"parses": 2}  # the heading's cosine and sine
-    result = build_rrt(env, msys, presets.planner_noise(), 0.1, 100, 4)
-    assert counts == {"parses": 2} and len(result.table) == len(result.controls) + 1 > 10
-    nodes = result.nodes
-    assert counts == {"parses": 2, "nodes": len(result.table)} == {"parses": 2, "nodes": len(nodes)}
-    assert result.nodes is nodes and counts["nodes"] == len(nodes)  # built once
+    first = build_rrt(env, msys, presets.planner_noise(), 0.1, 100, 3)
+    assert counts == {"parses": 2, "nodes": len(first.nodes)}  # the heading's cosine and sine
+    second = build_rrt(env, msys, presets.planner_noise(), 0.1, 100, 4)
+    assert counts == {"parses": 2, "nodes": len(first.nodes) + len(second.nodes)} and len(second.nodes) > 10
 
 
 def _goal_variant(env: Environment, goal) -> Environment:
@@ -1107,14 +1110,19 @@ def test_goal_test_follows_math_hypot_where_libm_differs(dubins_reduced):
     ex, ey = tree.nodes[i].mean.tolist()
     r = np.random.default_rng(42)
     found = {}
-    while len(found) < 2:
+    for _ in range(100_000):
         gx, gy = ex + r.uniform(-1e-3, 1e-3), ey + r.uniform(-1e-3, 1e-3)
         libm, python = float(np.hypot(ex - gx, ey - gy)), math.hypot(ex - gx, ey - gy)
         if libm != python:
             found.setdefault(libm > python, (gx, gy, min(libm, python)))
+            if len(found) == 2:
+                break
+    else:  # where this platform's libm never reads one way of math.hypot, the band is never needed that way
+        missing = [word for more, word in ((True, "exceeds"), (False, "falls short of")) if more not in found]
+        pytest.skip(f"no offset in 100,000 draws where numpy's hypot {' or '.join(missing)} math.hypot")
     for libm_reads_more, goal in found.items():
         result = build_rrt(_goal_variant(env, goal), dubins_reduced, presets.planner_noise(), 0.1, 100, 5)
-        assert result.table.tobytes() == tree.table.tobytes()
+        assert _node_bytes(result) == _node_bytes(tree)
         assert result.goal_node == (i if libm_reads_more else None)
 
 
